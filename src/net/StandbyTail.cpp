@@ -115,8 +115,8 @@ bool StandbyTail::applyFrame(const std::string &Frame, uint64_t &AckOut) {
   {
     std::lock_guard<std::mutex> Lock(M);
     // Taps are seq-ordered on the primary, so a high-water mark dedups
-    // the catch-up/live overlap. Legacy records (seq 0) always apply.
-    if (Seq && Seq <= Stats.AppliedSeq) {
+    // the catch-up/live overlap.
+    if (Seq <= Stats.AppliedSeq) {
       ++Stats.Duplicates;
       return true;
     }

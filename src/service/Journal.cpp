@@ -26,8 +26,6 @@ const char *jslice::journalSyncName(JournalSync S) {
     return "full";
   case JournalSync::Batch:
     return "batch";
-  case JournalSync::Off:
-    return "off";
   }
   return "full";
 }
@@ -37,8 +35,6 @@ bool jslice::parseJournalSyncName(const std::string &Name, JournalSync &Out) {
     Out = JournalSync::Full;
   else if (Name == "batch")
     Out = JournalSync::Batch;
-  else if (Name == "off")
-    Out = JournalSync::Off;
   else
     return false;
   return true;
@@ -133,12 +129,7 @@ JournalLineCheck jslice::verifyJournalLine(const std::string &Line,
   if (!E || !E->isString())
     return JournalLineCheck::Corrupt;
   const JsonValue *Crc = V->find("crc");
-  if (!Crc) {
-    // Pre-checksum record: nothing to verify against, accepted for
-    // upgrade compatibility.
-    return JournalLineCheck::Legacy;
-  }
-  if (!Crc->isString() || Crc->asString().size() != 8)
+  if (!Crc || !Crc->isString() || Crc->asString().size() != 8)
     return JournalLineCheck::Corrupt;
   const JsonValue *Seq = V->find("seq");
   if (!Seq || !Seq->isNumber() || Seq->asInt() <= 0)
@@ -160,8 +151,7 @@ Journal::~Journal() {
   stopFlusherLocked(Lock);
   if (File) {
     Io->flush(File);
-    if (Sync != JournalSync::Off)
-      Io->sync(File);
+    Io->sync(File);
     Io->close(File);
     File = nullptr;
   }
@@ -433,8 +423,6 @@ bool Journal::commitLocked() {
   case JournalSync::Batch:
     Dirty = true;
     FlushCv.notify_one();
-    return true;
-  case JournalSync::Off:
     return true;
   }
   return true;
@@ -773,10 +761,7 @@ JournalScan jslice::scanJournalDetailed(const std::string &Path) {
     S.CorruptRecords += TrailingCorrupt;
     TrailingCorrupt = 0;
     S.GoodBytes = LineEnd;
-    if (C == JournalLineCheck::Valid)
-      ++S.Records;
-    else
-      ++S.LegacyRecords;
+    ++S.Records;
 
     std::optional<JsonValue> V = JsonValue::parse(Line);
     const JsonValue *Event = V->find("event");
@@ -790,17 +775,14 @@ JournalScan jslice::scanJournalDetailed(const std::string &Path) {
     if (Ep && Ep->isNumber() && Ep->asInt() > 0)
       Epoch = static_cast<uint64_t>(Ep->asInt());
     S.MaxEpoch = std::max(S.MaxEpoch, Epoch);
-    if (C == JournalLineCheck::Valid)
-      S.MaxSeq = std::max(S.MaxSeq, Seq);
-    if (C == JournalLineCheck::Valid) {
-      // Strict regressions only: a rotation rewrite can legally emit a
-      // begin the appender then re-appends, duplicating one sequence
-      // number without reordering anything.
-      uint64_t &High = SeqHigh[Gen];
-      if (Seq < High)
-        ++S.SeqRegressions;
-      High = std::max(High, Seq);
-    }
+    S.MaxSeq = std::max(S.MaxSeq, Seq);
+    // Strict regressions only: a rotation rewrite can legally emit a
+    // begin the appender then re-appends, duplicating one sequence
+    // number without reordering anything.
+    uint64_t &High = SeqHigh[Gen];
+    if (Seq < High)
+      ++S.SeqRegressions;
+    High = std::max(High, Seq);
 
     const JsonValue *Id = V->find("id");
     if (!Id || !Id->isString())

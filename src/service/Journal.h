@@ -30,8 +30,7 @@
 ///   {"crc":"5d9f0e11","event":"end","id":"r1","seq":2,"status":"ok"}
 ///   {"crc":"8b7a0f2e","event":"shutdown","seq":3,"status":"clean"}
 ///
-/// Pre-checksum journals (records without `crc`) stay readable for
-/// upgrade compatibility: recovery accepts them as legacy-valid.
+/// A record without a valid `crc` is corrupt, whatever else it holds.
 /// Recovery distinguishes two kinds of damage. A *torn tail* — the
 /// file's final record is partial or fails its checksum — is the
 /// expected signature of kill -9 or power loss mid-append: the tail is
@@ -61,9 +60,8 @@
 /// nothing. `Batch` group-commits: appends reach the OS immediately
 /// (kill -9 still loses nothing) and a flusher thread fsyncs at a
 /// bounded interval, so a power cut can lose at most the last
-/// FlushIntervalMs of records. `Off` leaves disk scheduling entirely
-/// to the OS. The bench's journal_sync section quantifies the hot-path
-/// cost of each.
+/// FlushIntervalMs of records. The bench's journal_sync section
+/// quantifies the hot-path cost of each.
 ///
 /// Every write reports back. A failed append (short write, EIO,
 /// ENOSPC, failed fsync) is retried exactly once through a fresh file
@@ -111,10 +109,9 @@ namespace jslice {
 enum class JournalSync {
   Full,  ///< fsync every record (survives power loss). Default.
   Batch, ///< fflush every record; group fsync at a bounded interval.
-  Off,   ///< fflush only; the OS flushes when it pleases.
 };
 
-/// "full" / "batch" / "off" for flags and logs.
+/// "full" / "batch" for flags and logs.
 const char *journalSyncName(JournalSync S);
 /// Parses a --journal-sync value; false on anything unrecognized.
 bool parseJournalSyncName(const std::string &Name, JournalSync &Out);
@@ -339,8 +336,7 @@ struct PoisonedRequest {
 /// How one journal line verified.
 enum class JournalLineCheck {
   Valid,   ///< Checksummed record; CRC and framing check out.
-  Legacy,  ///< Pre-checksum record (no `crc`); accepted as-is.
-  Corrupt, ///< Unparseable, wrong CRC, or malformed framing.
+  Corrupt, ///< Unparseable, missing or wrong CRC, or malformed framing.
 };
 
 /// Verifies one raw journal line. \p SeqOut (when non-null) receives
@@ -356,7 +352,6 @@ uint32_t journalCrc32(const std::string &Data);
 struct JournalScan {
   std::vector<PoisonedRequest> InFlight; ///< Begins with no end.
   uint64_t Records = 0;        ///< Checksummed records that verified.
-  uint64_t LegacyRecords = 0;  ///< Pre-checksum records accepted.
   uint64_t CorruptRecords = 0; ///< Mid-file verification failures.
   bool TornTail = false;       ///< The final record is damaged —
                                ///< expected after kill -9; truncating

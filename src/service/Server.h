@@ -139,8 +139,8 @@ struct ServerOptions {
   uint64_t JournalRotateBytes = 8u << 20;
 
   /// Journal durability policy (--journal-sync): Full fsyncs every
-  /// record, Batch group-commits at JournalFlushIntervalMs, Off leaves
-  /// flushing to the OS. See Journal.h for the exact trade-offs.
+  /// record, Batch group-commits at JournalFlushIntervalMs. See
+  /// Journal.h for the exact trade-offs.
   JournalSync JournalSyncPolicy = JournalSync::Full;
   uint64_t JournalFlushIntervalMs = 25;
 

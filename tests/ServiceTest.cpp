@@ -460,42 +460,40 @@ TEST(JournalTest, GenerationStampsAttributeUnmatchedBegins) {
   std::remove(Path.c_str());
 }
 
-TEST(JournalTest, BatchAndOffPoliciesStillRecordEverything) {
-  // The sync policy trades power-loss durability for throughput; a
-  // kill -9 (the process dies, the OS survives) must lose nothing
-  // under any policy, so the unmatched-begin scan sees the same world.
-  for (JournalSync Sync : {JournalSync::Batch, JournalSync::Off}) {
-    std::string Path = ::testing::TempDir() + "jslice_journal_sync.jsonl";
-    std::remove(Path.c_str());
-    {
-      Journal J;
-      ASSERT_TRUE(J.open(Path, /*RotateBytes=*/0, Sync,
-                         /*FlushIntervalMs=*/5));
-      ServiceRequest R;
-      R.Id = "done";
-      R.Program = TinyProgram;
-      R.Line = 2;
-      J.begin(R);
-      J.end("done", "ok");
-      R.Id = "stuck";
-      J.begin(R);
-    }
-    std::vector<PoisonedRequest> Poisoned = scanJournal(Path);
-    ASSERT_EQ(Poisoned.size(), 1u) << journalSyncName(Sync);
-    EXPECT_EQ(Poisoned.front().Id, "stuck");
-    std::remove(Path.c_str());
+TEST(JournalTest, BatchPolicyStillRecordsEverything) {
+  // Batch trades power-loss durability for throughput; a kill -9 (the
+  // process dies, the OS survives) must still lose nothing, so the
+  // unmatched-begin scan sees the same world.
+  std::string Path = ::testing::TempDir() + "jslice_journal_sync.jsonl";
+  std::remove(Path.c_str());
+  {
+    Journal J;
+    ASSERT_TRUE(J.open(Path, /*RotateBytes=*/0, JournalSync::Batch,
+                       /*FlushIntervalMs=*/5));
+    ServiceRequest R;
+    R.Id = "done";
+    R.Program = TinyProgram;
+    R.Line = 2;
+    J.begin(R);
+    J.end("done", "ok");
+    R.Id = "stuck";
+    J.begin(R);
   }
+  std::vector<PoisonedRequest> Poisoned = scanJournal(Path);
+  ASSERT_EQ(Poisoned.size(), 1u);
+  EXPECT_EQ(Poisoned.front().Id, "stuck");
+  std::remove(Path.c_str());
 }
 
 TEST(JournalTest, SyncPolicyNamesRoundTrip) {
-  for (JournalSync Sync :
-       {JournalSync::Full, JournalSync::Batch, JournalSync::Off}) {
+  for (JournalSync Sync : {JournalSync::Full, JournalSync::Batch}) {
     JournalSync Back = JournalSync::Full;
     ASSERT_TRUE(parseJournalSyncName(journalSyncName(Sync), Back));
     EXPECT_EQ(Back, Sync);
   }
   JournalSync Out;
   EXPECT_FALSE(parseJournalSyncName("sometimes", Out));
+  EXPECT_FALSE(parseJournalSyncName("off", Out)) << "off was retired";
   EXPECT_FALSE(parseJournalSyncName("", Out));
 }
 
@@ -561,7 +559,6 @@ TEST(JournalTest, RecordsAreChecksummedAndSequenced) {
   JournalScan Scan = scanJournalDetailed(Path);
   EXPECT_TRUE(Scan.Exists);
   EXPECT_EQ(Scan.Records, 3u);
-  EXPECT_EQ(Scan.LegacyRecords, 0u);
   EXPECT_EQ(Scan.CorruptRecords, 0u);
   EXPECT_EQ(Scan.SeqRegressions, 0u);
   EXPECT_FALSE(Scan.TornTail);
@@ -584,57 +581,46 @@ TEST(JournalTest, FlippingAnyByteFailsVerification) {
   std::remove(Path.c_str());
 }
 
-TEST(JournalTest, LegacyUnchecksummedJournalStaysReadable) {
-  // A journal written before checksums: no crc, no seq. Recovery and
-  // the appender must both accept it (upgrade compatibility).
-  std::string Path = ::testing::TempDir() + "jslice_journal_legacy.jsonl";
-  std::remove(Path.c_str());
-  ServiceRequest R;
-  R.Id = "old-stuck";
-  R.Program = TinyProgram;
-  R.Line = 2;
+TEST(JournalTest, RecordWithoutCrcIsCorruptAndQuarantined) {
+  // A checksummed record with its crc member stripped verifies as
+  // nothing but damage: there is no pre-checksum format to fall back
+  // to. Mid-file, open() must set the file aside like any corruption.
+  std::string Path = writeSmallJournal("jslice_journal_nocrc.jsonl");
+  std::string Corrupt = Path + ".corrupt";
+  std::remove(Corrupt.c_str());
+  std::vector<std::string> Lines;
   {
-    std::ofstream Out(Path);
-    JsonValue Done = JsonValue::object();
-    Done.set("event", "begin");
-    Done.set("id", "old-done");
-    ServiceRequest D = R;
-    D.Id = "old-done";
-    Done.set("request", D.toJson());
-    Out << Done.str() << "\n";
-    JsonValue End = JsonValue::object();
-    End.set("event", "end");
-    End.set("id", "old-done");
-    End.set("status", "ok");
-    Out << End.str() << "\n";
-    JsonValue Begin = JsonValue::object();
-    Begin.set("event", "begin");
-    Begin.set("id", "old-stuck");
-    Begin.set("request", R.toJson());
-    Out << Begin.str() << "\n";
+    std::ifstream In(Path);
+    std::string Line;
+    while (std::getline(In, Line))
+      Lines.push_back(Line);
+  }
+  ASSERT_EQ(Lines.size(), 3u);
+  std::optional<JsonValue> First = JsonValue::parse(Lines[0]);
+  ASSERT_TRUE(First);
+  First->remove("crc");
+  Lines[0] = First->str();
+  EXPECT_EQ(verifyJournalLine(Lines[0]), JournalLineCheck::Corrupt);
+  {
+    std::ofstream Out(Path, std::ios::trunc);
+    for (const std::string &L : Lines)
+      Out << L << "\n";
   }
 
   JournalScan Scan = scanJournalDetailed(Path);
-  EXPECT_EQ(Scan.LegacyRecords, 3u);
-  EXPECT_EQ(Scan.Records, 0u);
-  EXPECT_EQ(Scan.CorruptRecords, 0u);
-  ASSERT_EQ(Scan.InFlight.size(), 1u);
-  EXPECT_EQ(Scan.InFlight.front().Id, "old-stuck");
-
-  // A new-format writer appends checksummed records to the same file
-  // and both generations of record coexist in one scan.
+  EXPECT_EQ(Scan.CorruptRecords, 1u);
+  EXPECT_EQ(Scan.Records, 2u);
+  EXPECT_FALSE(Scan.TornTail);
   {
     Journal J;
     ASSERT_TRUE(J.open(Path));
-    ServiceRequest N = R;
-    N.Id = "new-stuck";
-    J.begin(N);
+    EXPECT_EQ(J.counters().CorruptRecords, 1u);
   }
-  Scan = scanJournalDetailed(Path);
-  EXPECT_EQ(Scan.LegacyRecords, 3u);
-  EXPECT_EQ(Scan.Records, 1u);
-  EXPECT_EQ(Scan.InFlight.size(), 2u);
+  std::ifstream Aside(Corrupt);
+  EXPECT_TRUE(Aside.good()) << "crc-less record was not quarantined aside";
+  EXPECT_EQ(scanJournalDetailed(Path).CorruptRecords, 0u);
   std::remove(Path.c_str());
+  std::remove(Corrupt.c_str());
 }
 
 TEST(JournalTest, TornTailAtEveryByteOffsetNeverMisattributes) {
@@ -1479,46 +1465,30 @@ TEST(ServerStatsTest, HistogramAndLatenciesAccumulate) {
 }
 
 //===----------------------------------------------------------------------===//
-// Journal vintages: legacy, checksummed, and stamped records coexist
+// Journal vintages: unstamped and stamped records coexist
 //===----------------------------------------------------------------------===//
 
 TEST(JournalTest, MixedVintageScanCountsEveryGeneration) {
-  // One file, three eras interleaved: pre-checksum legacy lines, plain
-  // CRC records, and records stamped with an upgrade generation and a
-  // replication epoch. The scan must classify each era, attribute
-  // in-flight begins across all of them, and report the fencing
-  // high-water mark — a warm standby's replica journal looks exactly
-  // like this after surviving an upgrade and a failover.
+  // One file, two eras interleaved: plain CRC records, and records
+  // stamped with an upgrade generation and a replication epoch. The
+  // scan must count both eras, attribute in-flight begins across them,
+  // and report the fencing high-water mark — a warm standby's replica
+  // journal looks exactly like this after surviving an upgrade and a
+  // failover.
   std::string Path = ::testing::TempDir() + "jslice_journal_vintages.jsonl";
   std::remove(Path.c_str());
   ServiceRequest R;
   R.Program = TinyProgram;
   R.Line = 2;
   {
-    // Era 1: a legacy writer — no crc, no seq.
-    std::ofstream Out(Path);
-    JsonValue Begin = JsonValue::object();
-    Begin.set("event", "begin");
-    Begin.set("id", "legacy-done");
-    ServiceRequest L = R;
-    L.Id = "legacy-done";
-    Begin.set("request", L.toJson());
-    Out << Begin.str() << "\n";
-    JsonValue End = JsonValue::object();
-    End.set("event", "end");
-    End.set("id", "legacy-done");
-    End.set("status", "ok");
-    Out << End.str() << "\n";
-  }
-  {
-    // Era 2: a checksummed writer, unstamped.
+    // Era 1: a checksummed writer, unstamped.
     Journal J;
     ASSERT_TRUE(J.open(Path));
     R.Id = "crc-stuck";
     ASSERT_TRUE(J.begin(R));
   }
   {
-    // Era 3: a post-upgrade, post-promotion writer stamping both a
+    // Era 2: a post-upgrade, post-promotion writer stamping both a
     // generation and a fencing epoch.
     Journal J;
     ASSERT_TRUE(J.open(Path));
@@ -1533,7 +1503,6 @@ TEST(JournalTest, MixedVintageScanCountsEveryGeneration) {
 
   JournalScan Scan = scanJournalDetailed(Path);
   EXPECT_TRUE(Scan.Exists);
-  EXPECT_EQ(Scan.LegacyRecords, 2u);
   EXPECT_EQ(Scan.Records, 4u);
   EXPECT_EQ(Scan.CorruptRecords, 0u);
   EXPECT_FALSE(Scan.TornTail);
@@ -1546,7 +1515,7 @@ TEST(JournalTest, MixedVintageScanCountsEveryGeneration) {
   EXPECT_NE(std::find(Ids.begin(), Ids.end(), "crc-stuck"), Ids.end());
   EXPECT_NE(std::find(Ids.begin(), Ids.end(), "stamped-stuck"), Ids.end());
 
-  // A fourth writer appends past all three eras without repairs.
+  // A third writer appends past both eras without repairs.
   {
     Journal J;
     ASSERT_TRUE(J.open(Path));

@@ -25,7 +25,7 @@
 ///                [--max-conns N] [--idle-timeout-ms N]
 ///                [--read-deadline-ms N] [--write-buffer-bytes N]
 ///                [--drain-grace-ms N] [--send-buffer-bytes N]
-///                [--shards N] [--journal-sync full|batch|off]
+///                [--shards N] [--journal-sync full|batch]
 ///                [--journal-flush-ms N] [--journal-failure shed|degrade|abort]
 ///                [--journal-reattach-ms N]
 ///                [--upgrade on|off] [--wedge-threshold-ms N]
@@ -68,7 +68,7 @@
 ///                     bounded flush interval — a panic can lose the
 ///                     last interval's records (a process crash loses
 ///                     nothing; records are flushed to the kernel per
-///                     append); `off` never fsyncs
+///                     append)
 ///   --journal-flush-ms N  batch-mode group-commit interval
 ///                     (default 25)
 ///   --journal-failure MODE what to do when the journal fails
@@ -239,7 +239,7 @@ int usage() {
                "[--cache-bytes N]\n"
                "                    [--cache-audit-every N] "
                "[--cache-audit-seed N]\n"
-               "                    [--journal-sync full|batch|off] "
+               "                    [--journal-sync full|batch] "
                "[--journal-flush-ms N]\n"
                "                    [--journal-failure shed|degrade|abort] "
                "[--journal-reattach-ms N]\n"
@@ -614,8 +614,7 @@ int main(int argc, char **argv) {
       std::optional<std::string> Value = NextValue();
       if (!Value || !parseJournalSyncName(*Value, Opts.JournalSyncPolicy)) {
         std::fprintf(stderr,
-                     "error: --journal-sync expects 'full', 'batch', or "
-                     "'off'\n");
+                     "error: --journal-sync expects 'full' or 'batch'\n");
         return usage();
       }
     } else if (Arg == "--journal-failure") {

@@ -5,260 +5,76 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// The service's acceptance gate: floods an in-process Server with
-/// generated slice requests — mixed algorithms, criteria, and budgets
-/// (some deliberately starved so the degradation ladder must walk) —
-/// interleaved with cancellations, malformed lines, and health checks,
-/// then audits the response stream:
+/// The service's acceptance gate. Every mode is a scenario built from the
+/// harness (tools/harness/Harness.h) and ends in the same exactly-once
+/// audit: each request answered once, with a legal status, and every
+/// resource-exhausted refusal showing the whole ladder consumed.
 ///
-///   * every slice request is answered exactly once, with a legal
-///     status;
-///   * every resource-exhausted refusal shows the whole ladder tripped
-///     or skipped (no silent give-up while a cheaper sound tier
-///     remained);
-///   * the process neither crashes nor hangs.
+///   (default)          volume soak: starved budgets, cancels, garbage, stats
+///   --fault-stride N   a checkpoint fault at every Nth ordinal of one serve
+///   --crash-matrix     SIGKILL sandbox workers; restarts must equal kills
+///   --net              over TCP through the chaos proxy, beside a clean
+///                      control connection that must see no errors
+///   --disk-chaos       journal I/O faults at sampled ordinals, the
+///                      --journal-failure triad, and a sharded TCP pass
+///   --upgrade-matrix   a real jslice_serve dynasty through UpgradeScenarios
+///   --failover-matrix  a real primary/standby pair through FailoverScenarios
+///   --audit-seeds N    cached replays must slice like the cold build
+///   --bench            isolation, transport, journal-sync, replication,
+///                      Zipf cache and shard-ladder numbers (--out FILE)
 ///
-/// With --fault-stride N it additionally sizes a clean single-request
-/// serve in guard checkpoints, then re-serves with a fault injected at
-/// every Nth ordinal (threads forced to 1 for determinism): each
-/// injected run must still answer the request — served on a surviving
-/// rung or refused with diagnostics — and the disarmed re-run must
-/// succeed.
-///
-/// With --crash-matrix it floods a *process-isolated* server while a
-/// chaos thread SIGKILLs sandbox workers at random points, then
-/// asserts the acceptance bar for the supervision layer: zero lost
-/// responses (every request answered exactly once with a legal
-/// status), every crashed response naming an on-disk reproducer, and
-/// the supervisor's restart counter converging to exactly the kill
-/// count.
-///
-/// With --net it runs the same audits *over TCP*: an in-process
-/// `TcpServer` fronted by an in-process `ChaosProxy` injecting delays,
-/// truncation, mid-response resets, and stalls, with several retrying
-/// `ClientConnection` threads pumping the request stream through the
-/// proxy. The acceptance bar: zero lost responses (every request ends
-/// in exactly one client-visible terminal status), every failure a
-/// deterministic status — while a parallel well-behaved connection,
-/// wired directly to the server, sees no errors at all (containment
-/// proven, not assumed). `--net --crash-matrix` layers the SIGKILL
-/// chaos on top of the network chaos.
-///
-/// With --disk-chaos it sweeps the journal's injectable I/O seam
-/// (service/JournalIo.h): one clean pass sizes each fault kind's
-/// ordinal space (writes, flushes, fsyncs, rotation renames), then a
-/// fresh server re-serves the same script with that kind armed at every
-/// sampled ordinal — short writes, EIO, ENOSPC, flush and fsync
-/// failures, and crash-before/-after-rename during rotation (the
-/// injected "process death" freezes the on-disk state exactly as a
-/// kill -9 would). After every faulted run the surviving journal must
-/// scan clean (checksummed records only; torn bytes truncated, never
-/// misread), and a reboot on the real filesystem must quarantine
-/// exactly the begins the faulted run left unmatched — zero lost
-/// responses, zero silently dropped records. The sweep ends with the
-/// --journal-failure policy triad under a persistently dead disk
-/// (shed refuses deterministically, degrade serves with health marked
-/// lost, abort drains and latches the exit flag) and a sharded TCP
-/// pass (--shards) whose journal dies mid-load under degrade: every
-/// request still answered exactly once and {"health"} honestly
-/// degraded.
-///
-/// With --upgrade-matrix it drives a *real* `jslice_serve` process
-/// (--serve-bin) through N zero-downtime hot restarts under full
-/// client load, cycling chaos scenarios: a clean SIGUSR2 handoff, a
-/// SIGKILL of the old generation mid-drain, a SIGKILL of the successor
-/// before readiness (the old generation must roll back and keep
-/// serving), a SIGTERM racing an in-flight upgrade (drain must win,
-/// exactly once), and back-to-back SIGUSR2 (the second refused
-/// deterministically). The serve dynasty shares one stderr pipe —
-/// successors inherit it across exec — and the soak scrapes the
-/// generation log lines to track who is leader. The acceptance bar is
-/// the same exactly-once audit as every other matrix: zero lost
-/// responses, every request one legal terminal status, plus at least
-/// one observed rollback and one observed refusal (a matrix that never
-/// exercised them proved nothing).
-///
-/// With --failover-matrix it drives a *real* primary/standby pair of
-/// `jslice_serve` processes (--serve-bin) under full client load, the
-/// replication link routed through the chaos proxy, sweeping five
-/// failure scenarios: kill -9 of the primary mid-request followed by
-/// promotion; kill -9 of the standby followed by a fresh re-seed from
-/// snapshot; a partitioned replication link that heals and must
-/// re-attach the stream — a resume from the last acked sequence when
-/// the primary retains it, a snapshot when rotation compacted past it
-/// during the outage, never silence; a promotion while the old primary
-/// still lives, where the epoch fence must deterministically refuse
-/// the ex-primary (zero split-brain serves); and a torn replication
-/// stream that must re-attach from the ack high-water mark over a
-/// clean link. Clients carry both endpoints and fail over
-/// on transport errors; the acceptance bar is the exactly-once audit
-/// plus, for --repl-ack=sync, an acked-durability audit: a tail batch
-/// of responses served over a healthy link, then kill -9 of the
-/// primary, must be fully recoverable from the standby's replica
-/// journal — zero acknowledged-but-lost records.
-///
-/// With --bench it times an identical request stream through thread
-/// and process isolation — and, where the platform has sockets, a
-/// pipelined TCP connection — and writes a benchmark JSON (--out) with
-/// throughput, p50/p95 latency, and shed/crash counts per mode — the
-/// measured cost of the fork-and-pipe sandbox and the socket hop.
-/// Those mode rows run with the analysis cache off so they keep
-/// measuring isolation overhead; a separate "zipf" section then replays
-/// a Zipf-distributed stream (rank-r program drawn with weight 1/r,
-/// the shape of real request traffic) through TCP twice — cache off,
-/// then cache on with the self-audit sampling — and records the
-/// speedup. Both Zipf passes are fully audited: every request answered
-/// exactly once, and the cache's own hit-vs-fresh audit must report
-/// zero mismatches, or the bench exits nonzero.
-///
-/// With --audit-seeds N it runs the cache-correctness sweep: for each
-/// of N seeds (alternating dialects) every criterion is requested
-/// twice through a fresh server with audit-every-hit enabled; the
-/// cached replay must slice bit-identically to the cold build and the
-/// cache must self-report zero audit mismatches.
-///
-/// The volume soak, fault sweep, crash matrix, and net soak all run
-/// with the analysis cache in its default-on configuration (override
-/// with --cache off), so single-flight coalescing, hit serving,
-/// budget-parity fallbacks, and the piggybacked worker cache counters
-/// are exercised under every chaos mode. The fault sweep sends each
-/// request three times so the cache hit/audit/insert checkpoints are
-/// part of the swept ordinal space.
-///
-///   jslice_soak [--requests N] [--programs N] [--stmts N] [--threads N]
-///               [--seed N] [--fault-stride N] [--journal FILE]
-///               [--isolate thread|process] [--workers N]
-///               [--crash-matrix] [--kill-interval-ms N]
-///               [--quarantine DIR] [--bench] [--out FILE]
-///               [--net] [--net-clients N] [--shards N] [--disk-chaos]
-///               [--upgrade-matrix --serve-bin PATH] [--upgrades N]
-///               [--failover-matrix --serve-bin PATH] [--repl-ack P]
-///               [--cache on|off] [--cache-entries N] [--cache-bytes N]
-///               [--cache-audit-every N] [--audit-seeds N] [--verbose]
+/// The volume soak, fault sweep, crash matrix and net soak run with the
+/// analysis cache on (override with --cache off).
 ///
 /// Exit codes: 0 — no violations; 1 — at least one violation; 2 —
 /// usage error.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "harness/Harness.h"
+
 #include "gen/ProgramGenerator.h"
-#include "net/ChaosProxy.h"
-#include "net/Client.h"
 #include "net/Socket.h"
 #include "net/StandbyTail.h"
-#include "net/TcpServer.h"
 #include "service/Journal.h"
 #include "service/JournalIo.h"
-#include "service/Replication.h"
-#include "service/Server.h"
-#include "support/Pipe.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <set>
-#include <sstream>
-#include <string>
-#include <thread>
-#include <vector>
-
-#ifdef JSLICE_HAVE_POSIX_PROCESS
-#include <cerrno>
-#include <csignal>
-#include <cstdlib>
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
 
 using namespace jslice;
+using namespace jslice::harness;
 
 namespace {
 
-struct SoakOptions {
-  uint64_t Requests = 10000;
-  unsigned Programs = 100;
-  unsigned TargetStmts = 40;
-  unsigned Threads = 0;
-  uint64_t Seed = 1;
-  uint64_t FaultStride = 0;
-  std::string JournalPath;
-  bool IsolateProcess = false;
-  unsigned Workers = 0;
-  bool CrashMatrix = false;
-  uint64_t KillIntervalMs = 5;
-  unsigned BreakerThreshold = 0; ///< 0 = supervisor default.
-  std::string QuarantineDir = "poisoned";
-  bool Bench = false;
-  std::string OutPath;
-  bool Net = false;
-  unsigned NetClients = 4;
-  unsigned Shards = 0; ///< Transport reactor shards; 0 = hardware.
-  bool DiskChaos = false;
-  bool UpgradeMatrix = false;
-  bool FailoverMatrix = false;
-  std::string ServeBin;   ///< jslice_serve binary for the process matrices.
-  uint64_t Upgrades = 20; ///< Hot restarts the matrix must complete.
-  /// Replication ack policy for the failover matrix (sync is the
-  /// strictest: it arms the acked-durability audit).
-  ReplAckPolicy ReplAck = ReplAckPolicy::Sync;
-  bool CacheEnabled = true;
-  uint64_t CacheEntries = 0;    ///< 0 = CacheOptions default.
-  uint64_t CacheBytes = 0;      ///< 0 = CacheOptions default.
-  uint64_t CacheAuditEvery = 0; ///< 0 = no self-audit sampling.
-  uint64_t AuditSeeds = 0;      ///< Nonzero selects the audit sweep.
-  bool Verbose = false;
-};
+unsigned long long ull(uint64_t V) { return V; }
 
-/// The soak's cache flags as server options. The audit PRNG is seeded
-/// from --seed so a sweep failure replays.
-CacheOptions cacheOptions(const SoakOptions &Opts) {
-  CacheOptions C;
-  C.Enabled = Opts.CacheEnabled;
-  if (Opts.CacheEntries)
-    C.MaxEntries = static_cast<unsigned>(Opts.CacheEntries);
-  if (Opts.CacheBytes)
-    C.MaxBytes = Opts.CacheBytes;
-  C.AuditEvery = static_cast<unsigned>(Opts.CacheAuditEvery);
-  C.AuditSeed = Opts.Seed ? Opts.Seed : 1;
-  return C;
+void sleepMs(uint64_t Ms) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(Ms));
 }
 
-const SliceAlgorithm AllAlgorithms[] = {
-    SliceAlgorithm::Conventional,    SliceAlgorithm::Agrawal,
-    SliceAlgorithm::AgrawalLst,      SliceAlgorithm::Structured,
-    SliceAlgorithm::Conservative,    SliceAlgorithm::BallHorwitz,
-    SliceAlgorithm::Lyle,            SliceAlgorithm::Gallagher,
-    SliceAlgorithm::JiangZhouRobson, SliceAlgorithm::Weiser,
-};
-
 int usage() {
-  std::fprintf(stderr,
-               "usage: jslice_soak [--requests N] [--programs N] [--stmts N]"
-               " [--threads N]\n"
-               "                   [--seed N] [--fault-stride N] "
-               "[--journal FILE]\n"
-               "                   [--isolate thread|process] [--workers N]\n"
-               "                   [--crash-matrix] [--kill-interval-ms N] "
-               "[--quarantine DIR]\n"
-               "                   [--bench] [--out FILE] [--net] "
-               "[--net-clients N] [--shards N]\n"
-               "                   [--disk-chaos]\n"
-               "                   [--upgrade-matrix --serve-bin PATH] "
-               "[--upgrades N]\n"
-               "                   [--failover-matrix --serve-bin PATH] "
-               "[--repl-ack async|flush|sync]\n"
-               "                   [--cache on|off] [--cache-entries N] "
-               "[--cache-bytes N]\n"
-               "                   [--cache-audit-every N] [--audit-seeds N] "
-               "[--verbose]\n");
+  std::fputs(
+      "usage: jslice_soak [--requests N] [--programs N] [--stmts N] "
+      "[--threads N]\n"
+      "  [--seed N] [--fault-stride N] [--journal FILE] [--isolate "
+      "thread|process]\n"
+      "  [--workers N] [--crash-matrix] [--kill-interval-ms N] "
+      "[--breaker-threshold N]\n"
+      "  [--quarantine DIR] [--bench] [--out FILE] [--net] "
+      "[--net-clients N]\n"
+      "  [--shards N] [--disk-chaos] [--upgrade-matrix --serve-bin PATH] "
+      "[--upgrades N]\n"
+      "  [--failover-matrix --serve-bin PATH] [--repl-ack "
+      "async|flush|sync]\n"
+      "  [--cache on|off] [--cache-entries N] [--cache-bytes N]\n"
+      "  [--cache-audit-every N] [--audit-seeds N] [--verbose]\n",
+      stderr);
   return 2;
 }
 
@@ -276,248 +92,178 @@ std::optional<uint64_t> parseCount(const std::string &Text) {
   return Value;
 }
 
-/// One generated program with its usable criteria.
-struct SoakProgram {
-  std::string Source;
-  std::vector<Criterion> Criteria;
-};
+/// A pure slice-request stream: no garbage, no cancels, so "answered
+/// exactly once" is attributable to the layer under test alone.
+std::vector<std::string> sliceLines(const SoakOptions &Opts,
+                                    const std::vector<SoakProgram> &Programs,
+                                    const std::string &Prefix = "q") {
+  std::vector<std::string> Lines;
+  for (uint64_t I = 0; I != Opts.Requests; ++I)
+    Lines.push_back(
+        soakRequest(Programs, I, Prefix + std::to_string(I)).toJson().str());
+  return Lines;
+}
 
-/// Generates \p N programs (alternating dialects) and mines each for
-/// criteria. Programs that fail analysis still participate — their
-/// requests must come back as clean `error` responses.
-std::vector<SoakProgram> buildPrograms(const SoakOptions &Opts) {
-  std::vector<SoakProgram> Out;
-  for (unsigned I = 0; I != Opts.Programs; ++I) {
-    GenOptions Gen;
-    Gen.Seed = Opts.Seed + I;
-    Gen.TargetStmts = Opts.TargetStmts;
-    Gen.AllowGotos = (I % 2) == 1;
-    SoakProgram P;
-    P.Source = generateProgram(Gen);
-    ErrorOr<Analysis> A = Analysis::fromSource(P.Source, Budget::unlimited());
-    if (A)
-      P.Criteria = reachableWriteCriteria(*A);
-    if (P.Criteria.empty())
-      P.Criteria.push_back(Criterion(1, {}));
-    Out.push_back(std::move(P));
+/// Line \p I of the volume stream: every 97th is garbage (it must
+/// bounce as bad-request, never wedge the reader), and some budgets are
+/// starved so the degradation ladder must walk. False for garbage.
+bool volumeLine(const std::vector<SoakProgram> &Programs, uint64_t I,
+                std::string &Line) {
+  if (I % 97 == 96) {
+    Line = I % 2 ? "{\"id\": 42}" : "{not json";
+    return false;
   }
+  ServiceRequest R = soakRequest(Programs, I, "q" + std::to_string(I));
+  if (I % 7 == 3)
+    R.MaxSteps = 200 + (I % 5) * 100;
+  if (I % 13 == 6)
+    R.BudgetMs = 1; // Deadline-starved.
+  Line = R.toJson().str();
+  return true;
+}
+
+/// A two-line request every tier serves ok.
+std::string tinyRequest(const std::string &Id) {
+  ServiceRequest R;
+  R.Id = Id;
+  R.Program = "read(a);\nwrite(a);\n";
+  R.Line = 2;
+  R.Vars = {"a"};
+  return R.toJson().str();
+}
+
+/// --net-clients retrying clients (64 attempts, fast backoff) at \p Port.
+PumpOptions pumpOptions(const SoakOptions &Opts, uint16_t Port,
+                        uint64_t Requests, const char *Scene) {
+  PumpOptions PO;
+  PO.Client.Port = Port;
+  PO.Client.MaxAttempts = 64;
+  PO.Client.BackoffBaseMs = 2;
+  PO.Client.BackoffCapMs = 100;
+  PO.Client.ResponseTimeoutMs = 60000;
+  PO.Clients = Opts.NetClients;
+  PO.Seed = Opts.Seed;
+  PO.Requests = Requests;
+  PO.Scene = Scene;
+  return PO;
+}
+
+/// The corpus request stream for a LoadPump, ids \p Prefix + index.
+RequestGen corpus(const std::vector<SoakProgram> &Programs,
+                  const std::string &Prefix, bool RotateAlgorithm = true) {
+  return [&Programs, Prefix, RotateAlgorithm](uint64_t I) {
+    return soakRequest(Programs, I, Prefix + std::to_string(I),
+                       RotateAlgorithm)
+        .toJson()
+        .str();
+  };
+}
+
+std::string joinLines(const std::vector<std::string> &Lines) {
+  std::string Out;
+  for (const std::string &L : Lines)
+    Out += L + "\n";
   return Out;
 }
 
-/// What the audit saw for one response line.
-struct Audit {
-  uint64_t Responses = 0;
-  uint64_t CancelAcks = 0;
-  uint64_t StatsReplies = 0;
-  uint64_t Unparseable = 0;
-  uint64_t Violations = 0;
-  std::map<std::string, uint64_t> ByStatus;
-  std::map<std::string, uint64_t> SliceResponses; ///< id -> count.
-  uint64_t DegradedServes = 0;
-  uint64_t CachedServes = 0;
-  uint64_t AuditedServes = 0;
-  std::string StatsLine; ///< Last stats reply, raw (cache counters).
-  bool RequireCrashRepro = false; ///< crashed must name an on-disk repro.
-};
-
-void violation(Audit &A, const char *Why, const std::string &Line) {
-  ++A.Violations;
-  std::fprintf(stderr, "VIOLATION: %s: %s\n", Why, Line.c_str());
-}
-
-/// Audits one response line from the server.
-void auditLine(const std::string &Line, Audit &A) {
-  ++A.Responses;
-  std::optional<JsonValue> V = JsonValue::parse(Line);
-  if (!V || !V->isObject()) {
-    ++A.Unparseable;
-    violation(A, "unparseable response line", Line);
-    return;
-  }
-  if (V->find("cancel")) {
-    ++A.CancelAcks;
-    return;
-  }
-  if (V->find("stats")) {
-    ++A.StatsReplies;
-    A.StatsLine = Line;
-    return;
-  }
-  const JsonValue *Status = V->find("status");
-  if (!Status || !Status->isString()) {
-    violation(A, "response without status", Line);
-    return;
-  }
-  std::string S = Status->asString();
-  ++A.ByStatus[S];
-  if (S != "ok" && S != "resource-exhausted" && S != "error" &&
-      S != "bad-request" && S != "cancelled" && S != "poisoned" &&
-      S != "crashed" && S != "shed") {
-    violation(A, "unknown status", Line);
-    return;
-  }
-  if (const JsonValue *Id = V->find("id"))
-    if (Id->isString() && !Id->asString().empty())
-      ++A.SliceResponses[Id->asString()];
-
-  if (S == "crashed" && A.RequireCrashRepro) {
-    const JsonValue *Repro = V->find("repro");
-    if (!Repro || !Repro->isString() ||
-        !std::filesystem::exists(Repro->asString()))
-      violation(A, "crashed response without an on-disk reproducer", Line);
-  }
-
-  if (S == "ok") {
-    const JsonValue *Degraded = V->find("degraded");
-    if (Degraded && Degraded->isBool() && Degraded->asBool())
-      ++A.DegradedServes;
-    if (const JsonValue *Cached = V->find("cached"))
-      if (Cached->isBool() && Cached->asBool())
-        ++A.CachedServes;
-    if (const JsonValue *Audited = V->find("audited"))
-      if (Audited->isBool() && Audited->asBool())
-        ++A.AuditedServes;
-    if (!V->find("lines") || !V->find("lines")->isArray())
-      violation(A, "ok response without lines", Line);
-  } else if (S == "resource-exhausted") {
-    // A refusal is only legal once the whole ladder was consumed:
-    // every attempted rung tripped or was skipped as unsound.
-    const JsonValue *Attempts = V->find("attempts");
-    if (!Attempts || !Attempts->isArray() || Attempts->elements().empty()) {
-      violation(A, "refusal without ladder attempts", Line);
-      return;
-    }
-    for (const JsonValue &At : Attempts->elements()) {
-      const JsonValue *Outcome = At.find("outcome");
-      if (!Outcome || !Outcome->isString() ||
-          Outcome->asString() == "served")
-        violation(A, "refusal whose attempts claim a served rung", Line);
-    }
-  }
-}
-
-/// Serves \p Input on a fresh server and audits every response line.
-/// Returns the raw response text (for callers that inspect further).
-/// \p Final, when non-null, receives the server's own counters after
-/// the drain — the settled numbers, unlike an in-band {"stats"} reply,
-/// which the serve loop answers while slice work is still queued.
-std::string serveAndAudit(const SoakOptions &Opts, const std::string &Input,
-                          unsigned Threads, Audit &A,
-                          ServerStats *Final = nullptr) {
-  std::istringstream In(Input);
-  std::ostringstream Out;
-  std::ostringstream Log;
-  ServerOptions SOpts;
-  SOpts.Threads = Threads;
-  SOpts.JournalPath = Opts.JournalPath;
-  SOpts.IsolateProcess = Opts.IsolateProcess;
-  SOpts.Super.Workers = Opts.Workers;
-  SOpts.QuarantineDir = Opts.QuarantineDir;
-  SOpts.Cache = cacheOptions(Opts);
-  Server S(SOpts, Out, Log);
-  S.recover();
-  S.serve(In);
-  S.finish();
+/// One stdin serve on a fresh server, audited into \p A; \p Final gets
+/// the settled counters (an in-band {"stats"} races the queue).
+std::string serveStdin(const SoakOptions &Opts, const ServerOptions &SOpts,
+                       const std::string &Input, Audit &A,
+                       ServerStats *Final = nullptr) {
+  InProcessService Svc(SOpts, Opts.Verbose);
+  Svc.server().recover();
+  Svc.serve(Input);
+  Svc.finish();
   if (Final)
-    *Final = S.stats();
-  std::string Text = Out.str();
-  std::istringstream Lines(Text);
-  std::string Line;
-  while (std::getline(Lines, Line))
-    if (!Line.empty())
-      auditLine(Line, A);
-  if (Opts.Verbose && !Log.str().empty())
-    std::fputs(Log.str().c_str(), stderr);
-  return Text;
+    *Final = Svc.server().stats();
+  A.text(Svc.output());
+  return Svc.output();
 }
 
-/// Validates the settled cache counters after a drain: self-audit
-/// mismatches must be zero always (a mismatch means the cache served a
-/// slice that differed from a fresh computation — the one lie this
-/// whole subsystem must never tell). Returns the counters for
-/// reporting; counts violations into \p Violations.
+/// The settled cache counters: self-audit mismatches must be zero (a
+/// mismatch means a cached slice differed from a fresh computation).
 std::optional<CacheStats> checkCacheStats(const SoakOptions &Opts,
                                           const ServerStats &Final,
                                           uint64_t &Violations) {
   if (Final.CacheEnabled != Opts.CacheEnabled) {
-    ++Violations;
-    std::fprintf(stderr,
-                 "VIOLATION: server reports cache_enabled=%d but the soak "
-                 "configured %d\n",
-                 Final.CacheEnabled, Opts.CacheEnabled);
+    violation(Violations,
+              "server reports cache_enabled=%d but the soak configured %d",
+              Final.CacheEnabled, Opts.CacheEnabled);
     return std::nullopt;
   }
   if (!Opts.CacheEnabled)
     return std::nullopt;
-  CacheStats CS = Final.Cache;
-  if (CS.AuditMismatches) {
-    ++Violations;
-    std::fprintf(stderr,
-                 "VIOLATION: cache self-audit caught %llu divergent "
-                 "slices\n",
-                 static_cast<unsigned long long>(CS.AuditMismatches));
-  }
-  return CS;
+  if (Final.Cache.AuditMismatches)
+    violation(Violations, "cache self-audit caught %llu divergent slices",
+              ull(Final.Cache.AuditMismatches));
+  return Final.Cache;
 }
 
-/// The in-band {"stats"} reply must expose the cache telemetry block
-/// whenever the cache is configured on. Its counters are a racing
-/// snapshot (the serve loop answers stats while slice work is still
-/// queued), so only shape is asserted here — settled numbers come from
-/// checkCacheStats over Server::stats().
+/// The in-band {"stats"} reply must carry the cache and rss telemetry.
+/// Its counters race the queue, so only the shape is asserted.
 void checkStatsExposure(const SoakOptions &Opts, const Audit &A,
                         uint64_t &Violations) {
   std::optional<JsonValue> V = JsonValue::parse(A.StatsLine);
   const JsonValue *Stats = V && V->isObject() ? V->find("stats") : nullptr;
   if (!Stats || !Stats->isObject()) {
-    ++Violations;
-    std::fprintf(stderr, "VIOLATION: no parseable stats reply captured\n");
+    violation(Violations, "no parseable stats reply captured");
     return;
   }
   const JsonValue *Enabled = Stats->find("cache_enabled");
   bool ReportsEnabled = Enabled && Enabled->isBool() && Enabled->asBool();
   if (ReportsEnabled != Opts.CacheEnabled ||
       (Opts.CacheEnabled && !Stats->find("cache")) ||
-      !Stats->find("rss_bytes")) {
-    ++Violations;
-    std::fprintf(stderr,
-                 "VIOLATION: stats reply missing cache/rss telemetry: %s\n",
-                 A.StatsLine.c_str());
-  }
+      !Stats->find("rss_bytes"))
+    violation(Violations, "stats reply missing cache/rss telemetry: %s",
+              A.StatsLine.c_str());
 }
 
-//===----------------------------------------------------------------------===//
-// Volume soak
-//===----------------------------------------------------------------------===//
+/// SIGKILLs a random sandbox worker every --kill-interval-ms until
+/// settle(), which then holds the supervisor to one respawn per kill.
+class Executioner {
+public:
+  Executioner(Server &S, const SoakOptions &Opts)
+      : S(S), Killer([this, &Opts] {
+          uint64_t Rng = Opts.Seed ? Opts.Seed : 0x9e3779b97f4a7c15ull;
+          for (sleepMs(Opts.KillIntervalMs); !Done.load();
+               sleepMs(Opts.KillIntervalMs))
+            Kills += this->S.supervisor()->chaosKillWorker(Rng) > 0;
+        }) {}
+  ~Executioner() { stop(); }
+  void settle(uint64_t &Violations) {
+    stop();
+    // Give the monitor time to work through backoff and any breaker
+    // cooldown before holding it to the count.
+    waitFor([&] { return S.supervisor()->restarts() >= Kills; }, 10000, 25);
+    Restarts = S.supervisor()->restarts();
+    if (Restarts != Kills)
+      violation(Violations, "%llu chaos kills but %llu supervisor restarts",
+                ull(Kills), ull(Restarts));
+  }
+  uint64_t Kills = 0, Restarts = 0;
+
+private:
+  void stop() {
+    Done.store(true);
+    if (Killer.joinable())
+      Killer.join();
+  }
+  Server &S;
+  std::atomic<bool> Done{false};
+  std::thread Killer; ///< Last: starts once the members it uses exist.
+};
 
 int runVolumeSoak(const SoakOptions &Opts) {
   std::vector<SoakProgram> Programs = buildPrograms(Opts);
-
   std::ostringstream Stream;
   uint64_t Slices = 0, Cancels = 0, BadLines = 0;
   for (uint64_t I = 0; I != Opts.Requests; ++I) {
-    if (I % 97 == 96) {
-      // Garbage must bounce as bad-request, never wedge the reader.
-      Stream << (I % 2 ? "{\"id\": 42}" : "{not json") << "\n";
-      ++BadLines;
-      continue;
-    }
-    const SoakProgram &P = Programs[I % Programs.size()];
-    ServiceRequest R;
-    R.Id = "q" + std::to_string(I);
-    R.Program = P.Source;
-    const Criterion &C = P.Criteria[I % P.Criteria.size()];
-    R.Line = C.Line;
-    R.Vars = C.Vars;
-    R.Algorithm = AllAlgorithms[I % (sizeof(AllAlgorithms) /
-                                     sizeof(AllAlgorithms[0]))];
-    if (I % 7 == 3)
-      R.MaxSteps = 200 + (I % 5) * 100; // Starved: the ladder must walk.
-    if (I % 13 == 6)
-      R.BudgetMs = 1; // Deadline-starved.
-    Stream << R.toJson().str() << "\n";
-    ++Slices;
-    if (I % 101 == 100 && I) {
+    std::string Line;
+    bool Slice = volumeLine(Programs, I, Line);
+    Stream << Line << "\n";
+    ++(Slice ? Slices : BadLines);
+    if (Slice && I % 101 == 100) {
       // Cancel a request that is queued, running, or already done —
       // all three must be safe.
       Stream << "{\"cancel\": \"q" << (I - 1) << "\"}\n";
@@ -528,410 +274,234 @@ int runVolumeSoak(const SoakOptions &Opts) {
 
   Audit A;
   ServerStats Final;
-  serveAndAudit(Opts, Stream.str(), Opts.Threads, A, &Final);
-
-  // Every slice request answered exactly once.
-  for (const auto &[Id, N] : A.SliceResponses)
-    if (N != 1) {
-      ++A.Violations;
-      std::fprintf(stderr, "VIOLATION: id %s answered %llu times\n",
-                   Id.c_str(), static_cast<unsigned long long>(N));
-    }
-  if (A.SliceResponses.size() != Slices) {
-    ++A.Violations;
-    std::fprintf(stderr,
-                 "VIOLATION: %llu slice requests, %zu distinct responses\n",
-                 static_cast<unsigned long long>(Slices),
-                 A.SliceResponses.size());
-  }
-  if (A.StatsReplies != 1 || A.CancelAcks != Cancels) {
-    ++A.Violations;
-    std::fprintf(stderr, "VIOLATION: %llu stats replies, %llu cancel acks "
-                         "(expected 1, %llu)\n",
-                 static_cast<unsigned long long>(A.StatsReplies),
-                 static_cast<unsigned long long>(A.CancelAcks),
-                 static_cast<unsigned long long>(Cancels));
-  }
+  serveStdin(Opts, serverOptions(Opts), Stream.str(), A, &Final);
+  A.finishExactlyOnce(Slices);
+  if (A.StatsReplies != 1 || A.CancelAcks != Cancels)
+    A.fail(std::to_string(A.StatsReplies) + " stats replies, " +
+           std::to_string(A.CancelAcks) + " cancel acks (expected 1, " +
+           std::to_string(Cancels) + ")");
   std::optional<CacheStats> CS = checkCacheStats(Opts, Final, A.Violations);
   checkStatsExposure(Opts, A, A.Violations);
 
   std::printf("jslice_soak: %llu requests (%llu slices, %llu cancels, %llu "
-              "bad lines) -> %llu responses\n",
-              static_cast<unsigned long long>(Slices + Cancels + BadLines + 1),
-              static_cast<unsigned long long>(Slices),
-              static_cast<unsigned long long>(Cancels),
-              static_cast<unsigned long long>(BadLines),
-              static_cast<unsigned long long>(A.Responses));
-  for (const auto &[S, N] : A.ByStatus)
-    std::printf("               %-18s %llu\n", S.c_str(),
-                static_cast<unsigned long long>(N));
-  std::printf("               degraded serves    %llu\n",
-              static_cast<unsigned long long>(A.DegradedServes));
+              "bad lines) -> %llu responses, %llu degraded serves\n",
+              ull(Slices + Cancels + BadLines + 1), ull(Slices), ull(Cancels),
+              ull(BadLines), ull(A.Responses), ull(A.DegradedServes));
   if (CS)
     std::printf("               cache              %llu hits / %llu misses, "
                 "%llu coalesced, %llu evictions, %llu audits (%llu "
                 "mismatches)\n",
-                static_cast<unsigned long long>(CS->Hits),
-                static_cast<unsigned long long>(CS->Misses),
-                static_cast<unsigned long long>(CS->Coalesced),
-                static_cast<unsigned long long>(CS->Evictions),
-                static_cast<unsigned long long>(CS->Audits),
-                static_cast<unsigned long long>(CS->AuditMismatches));
-  std::printf("               violations         %llu\n",
-              static_cast<unsigned long long>(A.Violations));
+                ull(CS->Hits), ull(CS->Misses), ull(CS->Coalesced),
+                ull(CS->Evictions), ull(CS->Audits), ull(CS->AuditMismatches));
+  A.printSummary();
   return A.Violations ? 1 : 0;
 }
 
-//===----------------------------------------------------------------------===//
-// Fault-injection sweep
-//===----------------------------------------------------------------------===//
-
 int runFaultSweep(const SoakOptions &CliOpts) {
-  // Each request goes three times: miss-and-build, then two cache hits
-  // with audit-every-hit, so the sweep's ordinal space covers
-  // cache.key / cache.lookup / cache.insert / cache.hit / cache.audit
-  // alongside the analysis pipeline. A fault on any cache checkpoint
+  // Each request goes three times (a miss, then two audited hits) so
+  // the swept ordinals cover the cache checkpoints too: a fault there
   // must degrade to the plain ladder, never to a lost or wrong answer.
   constexpr unsigned Reps = 3;
   SoakOptions Opts = CliOpts;
   if (Opts.CacheEnabled && !Opts.CacheAuditEvery)
     Opts.CacheAuditEvery = 1;
+  // Threads = 1 keeps the process-wide fault ordinal deterministic.
+  ServerOptions SOpts = serverOptions(Opts);
+  SOpts.Threads = 1;
   std::vector<SoakProgram> Programs = buildPrograms(Opts);
   if (Programs.size() > 5)
     Programs.resize(5); // Every ordinal of five programs is plenty.
 
   uint64_t FaultRuns = 0, Violations = 0;
   for (size_t PI = 0; PI != Programs.size(); ++PI) {
-    const SoakProgram &P = Programs[PI];
     std::string Input;
     for (unsigned Rep = 0; Rep != Reps; ++Rep) {
-      ServiceRequest R;
-      R.Id = "f" + std::to_string(PI) + "-" + std::to_string(Rep);
-      R.Program = P.Source;
-      R.Line = P.Criteria.front().Line;
-      R.Vars = P.Criteria.front().Vars;
-      Input += R.toJson().str() + "\n";
+      std::string Id = "f" + std::to_string(PI) + "-" + std::to_string(Rep);
+      Input += soakRequest({Programs[PI]}, 0, Id, false).toJson().str() + "\n";
     }
 
-    // Size the clean serve in checkpoints (threads=1 keeps the
-    // process-wide fault ordinal deterministic).
+    // Size the clean serve in checkpoints.
     FaultInjection::resetCount();
-    {
-      Audit A;
-      serveAndAudit(Opts, Input, /*Threads=*/1, A);
-      Violations += A.Violations;
-    }
+    Audit Clean;
+    serveStdin(Opts, SOpts, Input, Clean);
+    Violations += Clean.Violations;
     uint64_t Total = FaultInjection::observedCheckpoints();
-
     for (uint64_t At = 1; At <= Total; At += Opts.FaultStride) {
       FaultInjection::ScopedArm Arm(At);
       ++FaultRuns;
-      Audit A;
-      serveAndAudit(Opts, Input, /*Threads=*/1, A);
-      Violations += A.Violations;
-      bool Once = A.SliceResponses.size() == Reps;
-      for (const auto &[Id, N] : A.SliceResponses)
-        Once = Once && N == 1;
-      if (!Once) {
-        ++Violations;
-        std::fprintf(stderr,
-                     "VIOLATION: fault@%llu of program %zu: %zu of %u "
-                     "requests answered exactly once\n",
-                     static_cast<unsigned long long>(At), PI,
-                     A.SliceResponses.size(), Reps);
-      }
+      Audit A("fault@" + std::to_string(At) + " of program " +
+              std::to_string(PI));
+      serveStdin(Opts, SOpts, Input, A);
+      Violations += A.finishExactlyOnce(Reps);
     }
 
     // Disarmed, all three must be served again (no sticky state), and
     // the cache's every-hit audit must have found nothing.
     Audit A;
     ServerStats Final;
-    std::string Text = serveAndAudit(Opts, Input, /*Threads=*/1, A, &Final);
+    std::string Text = serveStdin(Opts, SOpts, Input, A, &Final);
     Violations += A.Violations;
-    if (A.ByStatus["ok"] != Reps) {
-      ++Violations;
-      std::fprintf(stderr,
-                   "VIOLATION: program %zu not served after the sweep: %s\n",
-                   PI, Text.c_str());
-    }
+    if (A.status("ok") != Reps)
+      violation(Violations, "program %zu not served after the sweep: %s", PI,
+                Text.c_str());
     checkCacheStats(Opts, Final, Violations);
-    if (Opts.Verbose)
-      std::fprintf(stderr, "fault sweep program %zu: %llu checkpoints\n", PI,
-                   static_cast<unsigned long long>(Total));
   }
-
   std::printf("jslice_soak: fault sweep — %llu injected serves across %zu "
               "programs, %llu violations\n",
-              static_cast<unsigned long long>(FaultRuns), Programs.size(),
-              static_cast<unsigned long long>(Violations));
+              ull(FaultRuns), Programs.size(), ull(Violations));
   return Violations ? 1 : 0;
-}
-
-//===----------------------------------------------------------------------===//
-// Crash matrix
-//===----------------------------------------------------------------------===//
-
-/// Builds a pure slice-request stream (no garbage, no cancels — the
-/// chaos is supplied by SIGKILL, and the audit needs the clean
-/// "answered exactly once" invariant to be attributable to the
-/// supervisor alone).
-std::string buildSliceStream(const SoakOptions &Opts,
-                             const std::vector<SoakProgram> &Programs,
-                             uint64_t &Slices) {
-  std::ostringstream Stream;
-  Slices = 0;
-  for (uint64_t I = 0; I != Opts.Requests; ++I) {
-    const SoakProgram &P = Programs[I % Programs.size()];
-    ServiceRequest R;
-    R.Id = "q" + std::to_string(I);
-    R.Program = P.Source;
-    const Criterion &C = P.Criteria[I % P.Criteria.size()];
-    R.Line = C.Line;
-    R.Vars = C.Vars;
-    R.Algorithm = AllAlgorithms[I % (sizeof(AllAlgorithms) /
-                                     sizeof(AllAlgorithms[0]))];
-    Stream << R.toJson().str() << "\n";
-    ++Slices;
-  }
-  return Stream.str();
 }
 
 int runCrashMatrix(const SoakOptions &Opts) {
   std::vector<SoakProgram> Programs = buildPrograms(Opts);
-  uint64_t Slices = 0;
-  std::string Input = buildSliceStream(Opts, Programs, Slices);
-
-  std::istringstream In(Input);
-  std::ostringstream Out;
-  std::ostringstream Log;
-  ServerOptions SOpts;
-  SOpts.Threads = Opts.Threads;
+  std::string Input = joinLines(sliceLines(Opts, Programs));
+  ServerOptions SOpts = serverOptions(Opts);
   SOpts.IsolateProcess = true;
-  SOpts.Super.Workers = Opts.Workers;
-  if (Opts.BreakerThreshold)
-    SOpts.Super.BreakerThreshold = Opts.BreakerThreshold;
-  SOpts.QuarantineDir = Opts.QuarantineDir;
-  SOpts.JournalPath = Opts.JournalPath;
-  SOpts.Cache = cacheOptions(Opts);
-  Server S(SOpts, Out, Log);
-
-  if (!S.supervisor()) {
+  InProcessService Svc(SOpts, Opts.Verbose);
+  if (!Svc.server().supervisor()) {
     std::fprintf(stderr, "jslice_soak: process isolation unavailable on "
                          "this platform; crash matrix skipped\n");
     return 0;
   }
-
-  // Serve on a worker thread while this thread plays executioner:
-  // SIGKILL a random live sandbox worker every ~KillIntervalMs until
-  // the stream drains.
-  std::atomic<bool> Done{false};
-  std::thread Serving([&] {
-    S.serve(In);
-    Done.store(true, std::memory_order_relaxed);
-  });
-
-  uint64_t Rng = Opts.Seed ? Opts.Seed : 0x9e3779b97f4a7c15ull;
-  uint64_t Kills = 0;
-  while (!Done.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(Opts.KillIntervalMs));
-    if (Done.load(std::memory_order_relaxed))
-      break;
-    if (S.supervisor()->chaosKillWorker(Rng) > 0)
-      ++Kills;
-  }
-  Serving.join();
-
-  // Self-healing: every kill must be answered by exactly one respawn.
-  // Give the monitor time to work through backoff and any breaker
-  // cooldown before holding it to the count.
-  for (int I = 0; I != 400 && S.supervisor()->restarts() < Kills; ++I)
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  uint64_t Restarts = S.supervisor()->restarts();
-  uint64_t Crashes = S.supervisor()->crashes();
-  S.finish();
-
   Audit A;
   A.RequireCrashRepro = true;
-  {
-    std::istringstream Lines(Out.str());
-    std::string Line;
-    while (std::getline(Lines, Line))
-      if (!Line.empty())
-        auditLine(Line, A);
-  }
-  if (Opts.Verbose && !Log.str().empty())
-    std::fputs(Log.str().c_str(), stderr);
-
-  for (const auto &[Id, N] : A.SliceResponses)
-    if (N != 1) {
-      ++A.Violations;
-      std::fprintf(stderr, "VIOLATION: id %s answered %llu times\n",
-                   Id.c_str(), static_cast<unsigned long long>(N));
-    }
-  if (A.SliceResponses.size() != Slices) {
-    ++A.Violations;
-    std::fprintf(stderr,
-                 "VIOLATION: %llu requests, %zu distinct responses — "
-                 "responses were lost\n",
-                 static_cast<unsigned long long>(Slices),
-                 A.SliceResponses.size());
-  }
-  if (Restarts != Kills) {
-    ++A.Violations;
-    std::fprintf(stderr,
-                 "VIOLATION: %llu chaos kills but %llu supervisor "
-                 "restarts\n",
-                 static_cast<unsigned long long>(Kills),
-                 static_cast<unsigned long long>(Restarts));
-  }
-
+  Executioner Chaos(Svc.server(), Opts);
+  Svc.serve(Input);
+  Chaos.settle(A.Violations);
+  uint64_t Crashes = Svc.server().supervisor()->crashes();
+  Svc.finish();
+  A.text(Svc.output());
+  A.finishExactlyOnce(Opts.Requests);
   std::printf("jslice_soak: crash matrix — %llu requests, %llu kills, "
               "%llu restarts, %llu worker crashes\n",
-              static_cast<unsigned long long>(Slices),
-              static_cast<unsigned long long>(Kills),
-              static_cast<unsigned long long>(Restarts),
-              static_cast<unsigned long long>(Crashes));
-  for (const auto &[St, N] : A.ByStatus)
-    std::printf("               %-18s %llu\n", St.c_str(),
-                static_cast<unsigned long long>(N));
-  std::printf("               violations         %llu\n",
-              static_cast<unsigned long long>(A.Violations));
+              ull(Opts.Requests), ull(Chaos.Kills), ull(Chaos.Restarts),
+              ull(Crashes));
+  A.printSummary();
   return A.Violations ? 1 : 0;
 }
 
-//===----------------------------------------------------------------------===//
-// Disk-fault chaos matrix: the journal's I/O seam under injected faults
-//===----------------------------------------------------------------------===//
 
 /// What one faulted serve pass produced, beyond the response audit.
 struct DiskRun {
-  Audit A;
   ServerStats Final;
-  bool JournalLost = false;
-  bool Aborted = false;
-  unsigned Recovered = 0; ///< recover()'s quarantine count.
+  bool JournalLost = false, Aborted = false;
 };
 
-/// One serve pass with the journal's I/O routed through \p Io. Worker
-/// threads are forced to 1 so a run's journal traffic is a single
-/// bounded stream of I/O ordinals; a small rotation threshold keeps
-/// compaction renames inside the swept space.
+/// One serve pass with journal I/O through \p Io: one worker thread
+/// keeps the I/O ordinals deterministic, a small rotation threshold
+/// keeps compaction renames inside the swept space.
 DiskRun serveDiskChaos(const SoakOptions &Opts, const std::string &Input,
                        const std::string &JPath, JournalIo *Io,
-                       JournalFailure Policy,
+                       JournalFailure Policy, Audit &A,
                        std::atomic<bool> *Stop = nullptr) {
-  std::istringstream In(Input);
-  std::ostringstream Out, Log;
-  ServerOptions SOpts;
+  ServerOptions SOpts = serverOptions(Opts);
   SOpts.Threads = 1;
   SOpts.JournalPath = JPath;
   SOpts.JournalRotateBytes = 2048;
-  SOpts.QuarantineDir = Opts.QuarantineDir;
   SOpts.JournalFailurePolicy = Policy;
   SOpts.JournalIoHook = Io;
-  SOpts.Cache = cacheOptions(Opts);
   SOpts.ShutdownFlag = Stop;
   SOpts.AbortFlag = Stop;
-  Server S(SOpts, Out, Log);
+  InProcessService Svc(SOpts, Opts.Verbose);
+  Svc.server().recover();
+  Svc.serve(Input);
+  Svc.finish();
   DiskRun R;
-  R.Recovered = S.recover();
-  S.serve(In);
-  S.finish();
-  R.Final = S.stats();
-  R.JournalLost = S.journalLost();
-  R.Aborted = S.journalAborted();
-  std::istringstream Lines(Out.str());
-  std::string Line;
-  while (std::getline(Lines, Line))
-    if (!Line.empty())
-      auditLine(Line, R.A);
-  if (Opts.Verbose && !Log.str().empty())
-    std::fputs(Log.str().c_str(), stderr);
+  R.Final = Svc.server().stats();
+  R.JournalLost = Svc.server().journalLost();
+  R.Aborted = Svc.server().journalAborted();
+  A.text(Svc.output());
   return R;
 }
 
-/// Exactly-once over one disk-chaos pass: \p Slices requests in, each
-/// answered exactly once (served or deterministically refused — the
-/// status legality was already checked line by line).
-uint64_t diskExactlyOnce(const Audit &A, uint64_t Slices,
-                         const std::string &Tag) {
-  uint64_t Violations = 0;
-  for (const auto &[Id, N] : A.SliceResponses)
-    if (N != 1) {
-      ++Violations;
-      std::fprintf(stderr, "VIOLATION: %s: id %s answered %llu times\n",
-                   Tag.c_str(), Id.c_str(),
-                   static_cast<unsigned long long>(N));
-    }
-  if (A.SliceResponses.size() != Slices) {
-    ++Violations;
-    std::fprintf(stderr,
-                 "VIOLATION: %s: %llu requests, %zu distinct responses — "
-                 "responses were lost\n",
-                 Tag.c_str(), static_cast<unsigned long long>(Slices),
-                 A.SliceResponses.size());
-  }
-  return Violations;
-}
-
-/// Post-run disk forensics shared by every sweep ordinal: the surviving
-/// journal must scan clean (no mid-file corruption, no sequence
-/// regression — torn tails and quarantined .corrupt files are legal
-/// residue), and a reboot on the *real* filesystem must recover without
-/// incident: exactly the unmatched begins quarantined, no quarantine
-/// write failures, no stale rotation temp left behind.
-uint64_t auditDiskState(const SoakOptions &Opts, const std::string &JPath,
-                        const std::string &Tag) {
-  uint64_t Violations = 0;
+/// Post-run forensics: the surviving journal scans clean (a torn tail
+/// is legal residue), and a reboot quarantines exactly the unmatched
+/// begins, drops no poison, and leaves no stale rotation temp.
+void auditDiskState(const SoakOptions &Opts, const std::string &JPath,
+                    Audit &A) {
   JournalScan Scan = scanJournalDetailed(JPath);
-  if (Scan.Exists && (Scan.CorruptRecords || Scan.SeqRegressions)) {
-    ++Violations;
-    std::fprintf(stderr,
-                 "VIOLATION: %s: surviving journal has %llu corrupt "
-                 "records, %llu seq regressions\n",
-                 Tag.c_str(),
-                 static_cast<unsigned long long>(Scan.CorruptRecords),
-                 static_cast<unsigned long long>(Scan.SeqRegressions));
-  }
+  if (Scan.Exists && (Scan.CorruptRecords || Scan.SeqRegressions))
+    A.fail("surviving journal has " + std::to_string(Scan.CorruptRecords) +
+           " corrupt records, " + std::to_string(Scan.SeqRegressions) +
+           " seq regressions");
   uint64_t InFlight = Scan.Exists ? Scan.InFlight.size() : 0;
-
-  std::ostringstream Out, Log;
-  ServerOptions BootOpts;
+  ServerOptions BootOpts = serverOptions(Opts);
   BootOpts.Threads = 1;
   BootOpts.JournalPath = JPath;
-  BootOpts.QuarantineDir = Opts.QuarantineDir;
-  BootOpts.Cache = cacheOptions(Opts);
-  Server Boot(BootOpts, Out, Log);
-  unsigned Quarantined = Boot.recover();
+  InProcessService Boot(BootOpts);
+  unsigned Quarantined = Boot.server().recover();
   Boot.finish();
-  ServerStats BS = Boot.stats();
-  if (Quarantined != InFlight) {
-    ++Violations;
-    std::fprintf(stderr,
-                 "VIOLATION: %s: journal held %llu in-flight begins but "
-                 "reboot quarantined %u\n",
-                 Tag.c_str(), static_cast<unsigned long long>(InFlight),
-                 Quarantined);
-  }
-  if (BS.QuarantineFailures) {
-    ++Violations;
-    std::fprintf(stderr,
-                 "VIOLATION: %s: reboot dropped %llu poisons it could "
-                 "not quarantine\n",
-                 Tag.c_str(),
-                 static_cast<unsigned long long>(BS.QuarantineFailures));
-  }
+  if (Quarantined != InFlight)
+    A.fail("journal held " + std::to_string(InFlight) +
+           " in-flight begins but reboot quarantined " +
+           std::to_string(Quarantined));
+  if (uint64_t Dropped = Boot.server().stats().QuarantineFailures)
+    A.fail("reboot dropped " + std::to_string(Dropped) +
+           " poisons it could not quarantine");
   std::error_code Ec;
-  if (std::filesystem::exists(JPath + ".rotate", Ec)) {
-    ++Violations;
-    std::fprintf(stderr,
-                 "VIOLATION: %s: stale rotation temp survived the "
-                 "reboot's open()\n",
-                 Tag.c_str());
-  }
-  return Violations;
+  if (std::filesystem::exists(JPath + ".rotate", Ec))
+    A.fail("stale rotation temp survived the reboot's open()");
 }
+
+/// Removes a journal with its rotation temp and .corrupt residue, and
+/// \p QDir, so a run never inherits a previous one's state.
+void removeJournal(const std::string &JPath, const std::string &QDir = "") {
+  std::error_code Ec;
+  for (const char *Suffix : {"", ".rotate", ".corrupt"})
+    std::filesystem::remove(JPath + Suffix, Ec);
+  if (!QDir.empty())
+    std::filesystem::remove_all(QDir, Ec);
+}
+
+#ifdef JSLICE_HAVE_POSIX_PROCESS
+/// The journal dies under live TCP load (--shards reactor shards) with
+/// the degrade policy: every request still answered exactly once, and
+/// {"health"} must honestly report the loss.
+void diskChaosTcpPass(const SoakOptions &Opts,
+                      const std::vector<SoakProgram> &Programs,
+                      const std::string &JPath, Audit &A) {
+  removeJournal(JPath);
+  FaultyJournalIo Io;
+  ServerOptions SOpts = serverOptions(Opts);
+  SOpts.JournalPath = JPath;
+  SOpts.JournalRotateBytes = 8192;
+  SOpts.JournalFailurePolicy = JournalFailure::Degrade;
+  SOpts.JournalIoHook = &Io;
+  InProcessService Svc(SOpts, Opts.Verbose);
+  Svc.server().recover();
+  TcpServerOptions TOpts;
+  TOpts.Shards = Opts.Shards;
+  std::string Err;
+  if (!Svc.listen(TOpts, Err))
+    return A.fail("disk chaos TCP pass cannot listen: " + Err);
+
+  PumpOptions PO = pumpOptions(Opts, Svc.port(),
+                               std::min<uint64_t>(Opts.Requests, 400),
+                               "under disk chaos");
+  PO.Client.MaxAttempts = 8;
+  LoadPump Pump(PO, corpus(Programs, "t", false));
+  // Let a few records land cleanly, then kill the disk under load.
+  sleepMs(25);
+  Io.armEvery(JournalFault::FsyncFail, 1);
+  PumpResult R = Pump.finish();
+
+  // The stream may have drained before the armed fault fired; force
+  // appends until it does, so the health assertion is never vacuous.
+  for (int I = 0; I != 50 && !Io.injected(); ++I)
+    ask(Svc.port(), tinyRequest("tx" + std::to_string(I)), 8);
+  std::string Health = ask(Svc.port(), "{\"health\": true}", 8);
+  if (Health.find("\"degraded\":true") == std::string::npos ||
+      Health.find("\"journal\":\"lost\"") == std::string::npos)
+    A.fail("journal died under load but health says: " + Health);
+  Svc.finish();
+  if (!Svc.server().journalLost())
+    A.fail("TCP pass never latched journal_lost despite a dead fsync");
+  A.lines(R.Responses);
+  A.finishExactlyOnce(R.Sent, R.Lost);
+  if (A.status("shed"))
+    A.fail("tcp degrade pass shed requests instead of serving");
+}
+#endif
 
 int runDiskChaos(const SoakOptions &CliOpts) {
   SoakOptions Opts = CliOpts;
@@ -939,1444 +509,454 @@ int runDiskChaos(const SoakOptions &CliOpts) {
   // Keyed off the quarantine dir so concurrent ctest variants (the
   // 1-shard and 4-shard runs share a working directory) never collide.
   const std::string JPath = Opts.QuarantineDir + ".journal.jsonl";
-  std::error_code Ec;
-  std::filesystem::remove_all(Opts.QuarantineDir, Ec);
+  removeJournal(JPath, Opts.QuarantineDir);
 
-  // A small fixed script, reserved to --requests for CI scaling: the
+  // A small fixed script, sized by --requests for CI scaling: the
   // per-ordinal repetition is what costs, not the script length.
   std::vector<SoakProgram> Programs = buildPrograms(Opts);
-  unsigned ScriptN = static_cast<unsigned>(
-      std::max<uint64_t>(8, std::min<uint64_t>(32, Opts.Requests / 50)));
-  std::ostringstream Script;
-  uint64_t Slices = 0;
-  for (unsigned I = 0; I != ScriptN; ++I) {
-    const SoakProgram &P = Programs[I % Programs.size()];
-    ServiceRequest R;
-    R.Id = "d" + std::to_string(I);
-    R.Program = P.Source;
-    const Criterion &C = P.Criteria[I % P.Criteria.size()];
-    R.Line = C.Line;
-    R.Vars = C.Vars;
-    R.Algorithm = AllAlgorithms[I % (sizeof(AllAlgorithms) /
-                                     sizeof(AllAlgorithms[0]))];
-    Script << R.toJson().str() << "\n";
-    ++Slices;
-  }
-  std::string Input = Script.str();
+  SoakOptions ScriptOpts = Opts;
+  ScriptOpts.Requests =
+      std::max<uint64_t>(8, std::min<uint64_t>(32, Opts.Requests / 50));
+  const uint64_t Slices = ScriptOpts.Requests;
+  std::string Input = joinLines(sliceLines(ScriptOpts, Programs, "d"));
 
   uint64_t Violations = 0, FaultRuns = 0, InjectedRuns = 0;
-
   const JournalFault Kinds[] = {
       JournalFault::ShortWrite,        JournalFault::WriteEio,
       JournalFault::WriteEnospc,       JournalFault::FlushFail,
       JournalFault::FsyncFail,         JournalFault::CrashBeforeRename,
       JournalFault::CrashAfterRename,
   };
-  constexpr size_t NKinds = sizeof(Kinds) / sizeof(Kinds[0]);
 
   // One clean pass sizes each kind's ordinal space.
-  uint64_t Totals[NKinds] = {};
+  std::map<JournalFault, uint64_t> Totals;
   {
-    std::filesystem::remove(JPath, Ec);
+    removeJournal(JPath);
     FaultyJournalIo Io;
-    DiskRun R =
-        serveDiskChaos(Opts, Input, JPath, &Io, JournalFailure::Shed);
-    Violations += R.A.Violations;
-    Violations += diskExactlyOnce(R.A, Slices, "counting pass");
-    for (size_t K = 0; K != NKinds; ++K)
-      Totals[K] = Io.observed(Kinds[K]);
+    Audit A("counting pass");
+    serveDiskChaos(Opts, Input, JPath, &Io, JournalFailure::Shed, A);
+    Violations += A.finishExactlyOnce(Slices);
+    for (JournalFault K : Kinds)
+      Totals[K] = Io.observed(K);
   }
 
-  for (size_t K = 0; K != NKinds; ++K) {
+  for (JournalFault K : Kinds) {
     uint64_t Total = Totals[K];
     if (!Total) {
-      ++Violations;
-      std::fprintf(stderr,
-                   "VIOLATION: the clean pass performed no %s I/O — the "
-                   "sweep proved nothing for that fault\n",
-                   journalFaultName(Kinds[K]));
+      violation(Violations,
+                "the clean pass performed no %s I/O — the sweep proved "
+                "nothing for that fault",
+                journalFaultName(K));
       continue;
     }
-    // Sample ~10 ordinals per kind; ordinal 1 and the last always run.
-    uint64_t Stride = std::max<uint64_t>(1, Total / 10);
-    for (uint64_t At = 1; At <= Total; At += Stride) {
+    // Sample ~10 ordinals per kind; ordinal 1 always runs.
+    for (uint64_t At = 1; At <= Total;
+         At += std::max<uint64_t>(1, Total / 10)) {
       ++FaultRuns;
-      std::string Tag = std::string(journalFaultName(Kinds[K])) + "@" +
-                        std::to_string(At);
-      std::filesystem::remove(JPath, Ec);
-      std::filesystem::remove(JPath + ".rotate", Ec);
-      std::filesystem::remove(JPath + ".corrupt", Ec);
-      std::filesystem::remove_all(Opts.QuarantineDir, Ec);
-
+      removeJournal(JPath, Opts.QuarantineDir);
       FaultyJournalIo Io;
-      Io.arm(Kinds[K], At);
-      DiskRun R =
-          serveDiskChaos(Opts, Input, JPath, &Io, JournalFailure::Shed);
-      if (Io.injected())
-        ++InjectedRuns;
-      Violations += R.A.Violations;
-      Violations += diskExactlyOnce(R.A, Slices, Tag);
-      Violations += auditDiskState(Opts, JPath, Tag);
-      if (Opts.Verbose)
-        std::fprintf(stderr,
-                     "disk chaos %s: injected=%d lost=%d shed=%llu\n",
-                     Tag.c_str(), Io.injected() ? 1 : 0,
-                     R.JournalLost ? 1 : 0,
-                     static_cast<unsigned long long>(
-                         R.A.ByStatus.count("shed")
-                             ? R.A.ByStatus.at("shed")
-                             : 0));
+      Io.arm(K, At);
+      Audit A(std::string(journalFaultName(K)) + "@" + std::to_string(At));
+      serveDiskChaos(Opts, Input, JPath, &Io, JournalFailure::Shed, A);
+      InjectedRuns += Io.injected();
+      A.finishExactlyOnce(Slices);
+      auditDiskState(Opts, JPath, A);
+      Violations += A.Violations;
     }
   }
-  if (FaultRuns && !InjectedRuns) {
-    ++Violations;
-    std::fprintf(stderr, "VIOLATION: no armed fault ever fired — the "
-                         "sweep proved nothing\n");
-  }
+  if (FaultRuns && !InjectedRuns)
+    violation(Violations, "no armed fault ever fired — the sweep proved "
+                          "nothing");
 
   // The --journal-failure policy triad under a disk that stays dead
   // (every write fails, so the very first append latches the loss).
-  {
-    std::filesystem::remove(JPath, Ec);
-    FaultyJournalIo Io;
-    Io.armEvery(JournalFault::WriteEio, 1);
-    DiskRun R =
-        serveDiskChaos(Opts, Input, JPath, &Io, JournalFailure::Shed);
-    Violations += R.A.Violations;
-    Violations += diskExactlyOnce(R.A, Slices, "policy shed");
-    if (!R.JournalLost || !R.Final.JournalLost) {
-      ++Violations;
-      std::fprintf(stderr, "VIOLATION: policy shed: dead disk never "
-                           "latched journal_lost\n");
-    }
-    ServerStats Final = R.Final;
-    if (Final.ShedByCause["journal-failed"] != Slices) {
-      ++Violations;
-      std::fprintf(stderr,
-                   "VIOLATION: policy shed: %llu of %llu requests refused "
-                   "as journal-failed — the rest were served with no "
-                   "journal record\n",
-                   static_cast<unsigned long long>(
-                       Final.ShedByCause["journal-failed"]),
-                   static_cast<unsigned long long>(Slices));
-    }
-  }
-  {
-    std::filesystem::remove(JPath, Ec);
-    FaultyJournalIo Io;
-    Io.armEvery(JournalFault::WriteEio, 1);
-    DiskRun R =
-        serveDiskChaos(Opts, Input, JPath, &Io, JournalFailure::Degrade);
-    Violations += R.A.Violations;
-    Violations += diskExactlyOnce(R.A, Slices, "policy degrade");
-    if (!R.JournalLost || !R.Final.JournalLost) {
-      ++Violations;
-      std::fprintf(stderr, "VIOLATION: policy degrade: dead disk never "
-                           "latched journal_lost\n");
-    }
-    if (R.A.ByStatus.count("shed")) {
-      ++Violations;
-      std::fprintf(stderr, "VIOLATION: policy degrade: requests were "
-                           "shed instead of served\n");
-    }
-  }
-  {
-    std::filesystem::remove(JPath, Ec);
+  for (JournalFailure Policy : {JournalFailure::Shed, JournalFailure::Degrade,
+                                JournalFailure::Abort}) {
+    removeJournal(JPath);
     FaultyJournalIo Io;
     Io.armEvery(JournalFault::WriteEio, 1);
     std::atomic<bool> Stop{false};
-    DiskRun R = serveDiskChaos(Opts, Input, JPath, &Io,
-                               JournalFailure::Abort, &Stop);
-    Violations += R.A.Violations;
-    if (!R.Aborted || !Stop.load(std::memory_order_relaxed)) {
-      ++Violations;
-      std::fprintf(stderr, "VIOLATION: policy abort: dead disk never "
-                           "tripped the abort flag\n");
+    Audit A(std::string("policy ") + journalFailureName(Policy));
+    DiskRun R = serveDiskChaos(Opts, Input, JPath, &Io, Policy, A,
+                               Policy == JournalFailure::Abort ? &Stop
+                                                               : nullptr);
+    if (Policy == JournalFailure::Abort) {
+      // Abort answers the failing request, then stops accepting.
+      if (!R.Aborted || !Stop.load())
+        A.fail("dead disk never tripped the abort flag");
+      A.answeredOnce();
+      if (A.SliceResponses.empty() || A.SliceResponses.size() >= Slices)
+        A.fail(std::to_string(A.SliceResponses.size()) + " of " +
+               std::to_string(Slices) +
+               " requests answered — abort must answer the failing "
+               "request and then stop accepting");
+    } else {
+      A.finishExactlyOnce(Slices);
+      if (!R.JournalLost || !R.Final.JournalLost)
+        A.fail("dead disk never latched journal_lost");
+      uint64_t Shed = R.Final.ShedByCause["journal-failed"];
+      if (Policy == JournalFailure::Shed && Shed != Slices)
+        A.fail(std::to_string(Shed) + " of " + std::to_string(Slices) +
+               " requests refused as journal-failed — the rest were "
+               "served with no journal record");
+      if (Policy == JournalFailure::Degrade && A.status("shed"))
+        A.fail("requests were shed instead of served");
     }
-    for (const auto &[Id, N] : R.A.SliceResponses)
-      if (N != 1) {
-        ++Violations;
-        std::fprintf(stderr,
-                     "VIOLATION: policy abort: id %s answered %llu "
-                     "times\n",
-                     Id.c_str(), static_cast<unsigned long long>(N));
-      }
-    if (R.A.SliceResponses.empty() ||
-        R.A.SliceResponses.size() >= Slices) {
-      ++Violations;
-      std::fprintf(stderr,
-                   "VIOLATION: policy abort: %zu of %llu requests "
-                   "answered — abort must answer the failing request and "
-                   "then stop accepting\n",
-                   R.A.SliceResponses.size(),
-                   static_cast<unsigned long long>(Slices));
-    }
+    Violations += A.Violations;
   }
 
 #ifdef JSLICE_HAVE_POSIX_PROCESS
-  // The sharded transport pass: journal healthy at first, then the
-  // disk dies under live TCP load (--shards reactor shards). Degrade
-  // policy: every request still answered exactly once, and {"health"}
-  // must honestly report the loss.
-  {
-    std::filesystem::remove(JPath, Ec);
-    FaultyJournalIo Io;
-    ServerOptions SOpts;
-    SOpts.Threads = Opts.Threads;
-    SOpts.JournalPath = JPath;
-    SOpts.JournalRotateBytes = 8192;
-    SOpts.QuarantineDir = Opts.QuarantineDir;
-    SOpts.JournalFailurePolicy = JournalFailure::Degrade;
-    SOpts.JournalIoHook = &Io;
-    SOpts.Cache = cacheOptions(Opts);
-    std::ostringstream Unused, Log;
-    Server S(SOpts, Unused, Log);
-    S.recover();
-    TcpServerOptions TOpts;
-    TOpts.Shards = Opts.Shards;
-    TcpServer T(S, TOpts, Log);
-    std::string Err;
-    if (!T.start(Err)) {
-      ++Violations;
-      std::fprintf(stderr, "VIOLATION: disk chaos TCP pass cannot "
-                           "listen: %s\n",
-                   Err.c_str());
-    } else {
-      std::thread Loop([&] { T.run(); });
-      uint16_t Port = T.port();
-
-      uint64_t NetReq = std::min<uint64_t>(Opts.Requests, 400);
-      unsigned NClients = Opts.NetClients ? Opts.NetClients : 1;
-      std::mutex AuditM;
-      std::vector<std::string> Responses;
-      uint64_t Lost = 0;
-      std::vector<std::thread> Clients;
-      for (unsigned CI = 0; CI != NClients; ++CI) {
-        Clients.emplace_back([&, CI] {
-          ClientOptions CliOpt;
-          CliOpt.Port = Port;
-          CliOpt.MaxAttempts = 8;
-          CliOpt.ResponseTimeoutMs = 60000;
-          CliOpt.JitterSeed = Opts.Seed + CI + 1;
-          ClientConnection Conn(CliOpt);
-          std::vector<std::string> Local;
-          uint64_t LocalLost = 0;
-          for (uint64_t I = CI; I < NetReq; I += NClients) {
-            const SoakProgram &P = Programs[I % Programs.size()];
-            ServiceRequest R;
-            R.Id = "t" + std::to_string(I);
-            R.Program = P.Source;
-            const Criterion &C = P.Criteria[I % P.Criteria.size()];
-            R.Line = C.Line;
-            R.Vars = C.Vars;
-            ClientResult Res = Conn.request(R.toJson().str());
-            if (!Res.Ok) {
-              ++LocalLost;
-              std::lock_guard<std::mutex> Lock(AuditM);
-              std::fprintf(stderr,
-                           "VIOLATION: request lost under disk chaos "
-                           "(%s)\n",
-                           Res.TransportError.c_str());
-            } else {
-              Local.push_back(std::move(Res.Response));
-            }
-          }
-          std::lock_guard<std::mutex> Lock(AuditM);
-          for (auto &L : Local)
-            Responses.push_back(std::move(L));
-          Lost += LocalLost;
-        });
-      }
-
-      // Let a few records land cleanly, then kill the disk under load.
-      std::this_thread::sleep_for(std::chrono::milliseconds(25));
-      Io.armEvery(JournalFault::FsyncFail, 1);
-      for (auto &C : Clients)
-        C.join();
-
-      // The stream may have drained before the armed fault ever fired;
-      // force appends until it does, so the health assertion below is
-      // never vacuous.
-      {
-        ClientOptions CliOpt;
-        CliOpt.Port = Port;
-        CliOpt.MaxAttempts = 8;
-        ClientConnection Conn(CliOpt);
-        for (int I = 0; I != 50 && !Io.injected(); ++I) {
-          ServiceRequest R;
-          R.Id = "tx" + std::to_string(I);
-          R.Program = "read(a);\nwrite(a);\n";
-          R.Line = 2;
-          R.Vars = {"a"};
-          (void)Conn.request(R.toJson().str());
-        }
-        ClientResult Health = Conn.request("{\"health\": true}");
-        bool Degraded =
-            Health.Ok &&
-            Health.Response.find("\"degraded\":true") != std::string::npos &&
-            Health.Response.find("\"journal\":\"lost\"") !=
-                std::string::npos;
-        if (!Degraded) {
-          ++Violations;
-          std::fprintf(stderr,
-                       "VIOLATION: journal died under load but health "
-                       "says: %s\n",
-                       Health.Ok ? Health.Response.c_str()
-                                 : Health.TransportError.c_str());
-        }
-      }
-
-      T.requestStop();
-      Loop.join();
-      S.finish();
-      if (!S.journalLost()) {
-        ++Violations;
-        std::fprintf(stderr, "VIOLATION: TCP pass never latched "
-                             "journal_lost despite a dead fsync\n");
-      }
-
-      Audit A;
-      for (const std::string &L : Responses)
-        auditLine(L, A);
-      Violations += A.Violations + Lost;
-      Violations += diskExactlyOnce(A, NetReq, "tcp degrade pass");
-      if (A.ByStatus.count("shed")) {
-        ++Violations;
-        std::fprintf(stderr, "VIOLATION: tcp degrade pass shed requests "
-                             "instead of serving\n");
-      }
-    }
-  }
+  Audit Tcp("tcp degrade pass");
+  diskChaosTcpPass(Opts, Programs, JPath, Tcp);
+  Violations += Tcp.Violations;
 #endif
-
-  std::filesystem::remove(JPath, Ec);
-  std::filesystem::remove(JPath + ".rotate", Ec);
-  std::filesystem::remove(JPath + ".corrupt", Ec);
-
-  std::printf("jslice_soak: disk chaos — %llu faulted serves over %llu "
-              "fault kinds (%llu injected), %u-request script, %llu "
+  removeJournal(JPath);
+  std::printf("jslice_soak: disk chaos — %llu faulted serves over %zu "
+              "fault kinds (%llu injected), %llu-request script, %llu "
               "violations\n",
-              static_cast<unsigned long long>(FaultRuns),
-              static_cast<unsigned long long>(NKinds),
-              static_cast<unsigned long long>(InjectedRuns), ScriptN,
-              static_cast<unsigned long long>(Violations));
+              ull(FaultRuns), sizeof(Kinds) / sizeof(Kinds[0]),
+              ull(InjectedRuns), ull(Slices), ull(Violations));
   return Violations ? 1 : 0;
 }
 
-//===----------------------------------------------------------------------===//
-// Network soak: the audits over TCP, through the chaos proxy
-//===----------------------------------------------------------------------===//
-
 #ifdef JSLICE_HAVE_POSIX_PROCESS
 
-/// The request lines for the network soak. Volume mode mirrors the
-/// stdin soak (garbage lines, starved budgets) minus cancellations —
-/// cancel/response races belong to the in-process soak; over the wire
-/// the audit needs "one line in, one terminal status out" to be exact.
-/// Crash-matrix mode sends the pure slice stream, same as the stdin
-/// matrix.
-std::vector<std::string> buildNetLines(const SoakOptions &Opts,
-                                       const std::vector<SoakProgram> &Programs,
-                                       uint64_t &Slices, uint64_t &BadLines) {
-  std::vector<std::string> Lines;
-  Slices = BadLines = 0;
-  for (uint64_t I = 0; I != Opts.Requests; ++I) {
-    if (!Opts.CrashMatrix && I % 97 == 96) {
-      Lines.push_back(I % 2 ? "{\"id\": 42}" : "{not json");
-      ++BadLines;
-      continue;
-    }
-    const SoakProgram &P = Programs[I % Programs.size()];
-    ServiceRequest R;
-    R.Id = "q" + std::to_string(I);
-    R.Program = P.Source;
-    const Criterion &C = P.Criteria[I % P.Criteria.size()];
-    R.Line = C.Line;
-    R.Vars = C.Vars;
-    R.Algorithm = AllAlgorithms[I % (sizeof(AllAlgorithms) /
-                                     sizeof(AllAlgorithms[0]))];
-    if (!Opts.CrashMatrix) {
-      if (I % 7 == 3)
-        R.MaxSteps = 200 + (I % 5) * 100;
-      if (I % 13 == 6)
-        R.BudgetMs = 1;
-    }
-    Lines.push_back(R.toJson().str());
-    ++Slices;
-  }
-  return Lines;
-}
-
+/// The volume stream over TCP minus cancellations (the audit needs "one
+/// line in, one terminal status out"); --crash-matrix sends the pure
+/// slice stream.
 int runNetSoak(const SoakOptions &Opts) {
   std::vector<SoakProgram> Programs = buildPrograms(Opts);
-  uint64_t Slices = 0, BadLines = 0;
-  std::vector<std::string> Lines =
-      buildNetLines(Opts, Programs, Slices, BadLines);
+  std::vector<std::string> Lines = sliceLines(Opts, Programs);
+  uint64_t Slices = Lines.size(), BadLines = 0;
+  if (!Opts.CrashMatrix) {
+    for (uint64_t I = 0; I != Opts.Requests; ++I)
+      BadLines += !volumeLine(Programs, I, Lines[I]);
+    Slices -= BadLines;
+  }
 
-  ServerOptions SOpts;
-  SOpts.Threads = Opts.Threads;
-  SOpts.IsolateProcess = Opts.CrashMatrix ? true : Opts.IsolateProcess;
-  SOpts.Super.Workers = Opts.Workers;
-  if (Opts.BreakerThreshold)
-    SOpts.Super.BreakerThreshold = Opts.BreakerThreshold;
-  SOpts.QuarantineDir = Opts.QuarantineDir;
-  SOpts.JournalPath = Opts.JournalPath;
-  SOpts.Cache = cacheOptions(Opts);
-  std::ostringstream Unused; // TCP mode routes responses via sinks.
-  std::ostringstream Log;
-  Server S(SOpts, Unused, Log);
-  S.recover();
-
-  if (Opts.CrashMatrix && !S.supervisor()) {
+  ServerOptions SOpts = serverOptions(Opts);
+  SOpts.IsolateProcess = SOpts.IsolateProcess || Opts.CrashMatrix;
+  InProcessService Svc(SOpts, Opts.Verbose);
+  Svc.server().recover();
+  if (Opts.CrashMatrix && !Svc.server().supervisor()) {
     std::fprintf(stderr, "jslice_soak: process isolation unavailable on "
                          "this platform; net crash matrix skipped\n");
     return 0;
   }
-
   TcpServerOptions TOpts;
   TOpts.IdleTimeoutMs = 60000; // Proxy stalls must not read as idleness.
   TOpts.Shards = Opts.Shards;
-  TcpServer T(S, TOpts, Log);
-  std::string Err;
-  if (!T.start(Err)) {
-    std::fprintf(stderr, "jslice_soak: cannot start TCP server: %s\n",
-                 Err.c_str());
-    return 1;
-  }
-  uint16_t ServerPort = T.port();
-  std::thread Loop([&] { T.run(); });
-
   ChaosOptions COpts;
-  COpts.UpstreamPort = ServerPort;
-  COpts.ResetPermille = 25;
-  COpts.TruncatePermille = 25;
+  COpts.ResetPermille = COpts.TruncatePermille = 25;
   COpts.StallPermille = 5;
   COpts.StallMs = 200;
   COpts.DelayPermille = 50;
   COpts.DelayMs = 2;
   COpts.Seed = Opts.Seed;
-  ChaosProxy Proxy(COpts);
-  if (!Proxy.start(Err)) {
-    std::fprintf(stderr, "jslice_soak: cannot start chaos proxy: %s\n",
+  std::string Err;
+  if (!Svc.listen(TOpts, Err) || !Svc.chaos(COpts, Err)) {
+    std::fprintf(stderr, "jslice_soak: cannot start the TCP server or the "
+                         "chaos proxy: %s\n",
                  Err.c_str());
-    T.requestStop();
-    Loop.join();
-    S.finish();
     return 1;
   }
 
-  // Chaos clients: partition the stream round-robin, pump it through
-  // the proxy with aggressive retries. A request whose fate stays
-  // unknown after all retries counts as lost — the acceptance bar is
-  // zero.
-  unsigned NClients = Opts.NetClients ? Opts.NetClients : 1;
-  std::mutex AuditM;
-  std::vector<std::string> Responses;
-  Responses.reserve(Lines.size());
-  uint64_t Lost = 0, Retried = 0, Reconnects = 0;
-  std::vector<std::thread> Clients;
-  for (unsigned CI = 0; CI != NClients; ++CI) {
-    Clients.emplace_back([&, CI] {
-      ClientOptions CliOpts;
-      CliOpts.Port = Proxy.port();
-      CliOpts.MaxAttempts = 64;
-      CliOpts.BackoffBaseMs = 2;
-      CliOpts.BackoffCapMs = 100;
-      CliOpts.ResponseTimeoutMs = 60000;
-      CliOpts.JitterSeed = Opts.Seed + CI + 1;
-      ClientConnection Conn(CliOpts);
-      std::vector<std::string> Local;
-      uint64_t LocalLost = 0, LocalRetried = 0;
-      for (size_t I = CI; I < Lines.size(); I += NClients) {
-        ClientResult R = Conn.request(Lines[I]);
-        if (R.Attempts > 1)
-          ++LocalRetried;
-        if (!R.Ok) {
-          ++LocalLost;
-          std::lock_guard<std::mutex> Lock(AuditM);
-          std::fprintf(stderr,
-                       "VIOLATION: request lost after %u attempts (%s): "
-                       "%.80s\n",
-                       R.Attempts, R.TransportError.c_str(),
-                       Lines[I].c_str());
-        } else {
-          Local.push_back(std::move(R.Response));
-        }
-      }
-      std::lock_guard<std::mutex> Lock(AuditM);
-      for (auto &L : Local)
-        Responses.push_back(std::move(L));
-      Lost += LocalLost;
-      Retried += LocalRetried;
-      Reconnects += Conn.reconnects();
-    });
-  }
+  // Chaos clients pump the stream through the proxy with aggressive
+  // retries; a request whose fate stays unknown counts as lost.
+  LoadPump Pump(pumpOptions(Opts, Svc.chaosPort(), Lines.size(),
+                            "through the chaos proxy"),
+                [&](uint64_t I) { return Lines[I]; });
 
-  // The well-behaved control connection: wired *directly* to the
-  // server, no proxy, no retries. Containment says the chaos next door
-  // must be invisible here — no transport errors ever; in volume mode
-  // every response is a clean `ok` (in crash-matrix mode SIGKILL can
-  // legally land on the worker running a control request, so only
-  // transport health and status legality are asserted).
+  // The well-behaved control connection, direct and without retries,
+  // must not see the chaos next door (a SIGKILL may legally land on a
+  // control request, so the crash matrix asserts transport health only).
   std::atomic<bool> ChaosDone{false};
   uint64_t ControlRequests = 0, ControlErrors = 0;
   std::thread Control([&] {
-    ClientOptions CliOpts;
-    CliOpts.Port = ServerPort;
-    CliOpts.MaxAttempts = 1;
-    CliOpts.ResponseTimeoutMs = 60000;
-    ClientConnection Conn(CliOpts);
-    uint64_t I = 0;
-    while (!ChaosDone.load(std::memory_order_relaxed)) {
-      ServiceRequest R;
-      R.Id = "ctl" + std::to_string(I++);
-      R.Program = "read(a);\nwrite(a);\n";
-      R.Line = 2;
-      R.Vars = {"a"};
-      ClientResult Res = Conn.request(R.toJson().str());
-      ++ControlRequests;
-      bool Good =
-          Res.Ok &&
-          (Opts.CrashMatrix
-               ? Res.Response.find("\"status\":") != std::string::npos
-               : Res.Response.find("\"status\":\"ok\"") !=
-                     std::string::npos);
-      if (!Good) {
-        ++ControlErrors;
-        std::lock_guard<std::mutex> Lock(AuditM);
-        std::fprintf(stderr,
-                     "VIOLATION: well-behaved connection hurt by chaos "
-                     "next door: %s\n",
-                     Res.Ok ? Res.Response.c_str()
-                            : Res.TransportError.c_str());
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ClientOptions CO;
+    CO.Port = Svc.port();
+    CO.MaxAttempts = 1;
+    CO.ResponseTimeoutMs = 60000;
+    ClientConnection Conn(CO);
+    while (!ChaosDone.load()) {
+      ClientResult Res =
+          Conn.request(tinyRequest("ctl" + std::to_string(ControlRequests++)));
+      const char *Want = Opts.CrashMatrix ? "\"status\":" : "\"status\":\"ok\"";
+      if (!Res.Ok || Res.Response.find(Want) == std::string::npos)
+        violation(ControlErrors,
+                  "well-behaved connection hurt by chaos next door: %s",
+                  Res.Ok ? Res.Response.c_str() : Res.TransportError.c_str());
+      sleepMs(5);
     }
   });
+  std::unique_ptr<Executioner> Chaos;
+  if (Opts.CrashMatrix)
+    Chaos = std::make_unique<Executioner>(Svc.server(), Opts);
 
-  // Crash matrix: the executioner, same cadence as the stdin matrix.
-  uint64_t Kills = 0;
-  std::thread Killer;
-  if (Opts.CrashMatrix) {
-    Killer = std::thread([&] {
-      uint64_t Rng = Opts.Seed ? Opts.Seed : 0x9e3779b97f4a7c15ull;
-      while (!ChaosDone.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(Opts.KillIntervalMs));
-        if (ChaosDone.load(std::memory_order_relaxed))
-          break;
-        if (S.supervisor()->chaosKillWorker(Rng) > 0)
-          ++Kills;
-      }
-    });
-  }
-
-  for (auto &C : Clients)
-    C.join();
-  ChaosDone.store(true, std::memory_order_relaxed);
+  PumpResult R = Pump.finish();
+  ChaosDone.store(true);
   Control.join();
-  if (Killer.joinable())
-    Killer.join();
-
-  uint64_t Restarts = 0;
-  if (Opts.CrashMatrix) {
-    for (int I = 0; I != 400 && S.supervisor()->restarts() < Kills; ++I)
-      std::this_thread::sleep_for(std::chrono::milliseconds(25));
-    Restarts = S.supervisor()->restarts();
-  }
-
-  // Satellite assertion: the in-band stats line carries the transport
-  // counters, so none of this needed stderr scraping.
-  uint64_t StatsViolations = 0;
-  std::optional<JsonValue> StatsJson;
-  {
-    ClientOptions CliOpts;
-    CliOpts.Port = ServerPort;
-    CliOpts.MaxAttempts = 3;
-    ClientConnection Conn(CliOpts);
-    ClientResult Res = Conn.request("{\"stats\": true}");
-    if (Res.Ok)
-      StatsJson = JsonValue::parse(Res.Response);
-    const JsonValue *Stats =
-        StatsJson && StatsJson->isObject() ? StatsJson->find("stats")
-                                           : nullptr;
-    const JsonValue *Transport = Stats ? Stats->find("transport") : nullptr;
-    const JsonValue *Accepted =
-        Transport ? Transport->find("accepted") : nullptr;
-    if (!Accepted || !Accepted->isNumber() || Accepted->asInt() < 1) {
-      ++StatsViolations;
-      std::fprintf(stderr, "VIOLATION: stats reply missing live transport "
-                           "counters: %s\n",
-                   Res.Ok ? Res.Response.c_str()
-                          : Res.TransportError.c_str());
-    }
-    if (SOpts.IsolateProcess && (!Stats || !Stats->find("supervisor"))) {
-      ++StatsViolations;
-      std::fprintf(stderr, "VIOLATION: stats reply missing supervisor "
-                           "counters in process mode\n");
-    }
-    if (Opts.CacheEnabled && (!Stats || !Stats->find("cache"))) {
-      ++StatsViolations;
-      std::fprintf(stderr, "VIOLATION: stats reply missing cache "
-                           "counters with the cache enabled\n");
-    }
-  }
-
-  Proxy.stop();
-  T.requestStop();
-  Loop.join();
-  S.finish();
-
   Audit A;
   A.RequireCrashRepro = Opts.CrashMatrix;
-  for (const std::string &Line : Responses)
-    auditLine(Line, A);
-  A.Violations += Lost + ControlErrors + StatsViolations;
+  if (Chaos)
+    Chaos->settle(A.Violations);
 
-  // Exactly one client-visible terminal status per request id. The
-  // retry contract makes this non-trivial: a torn response means the
-  // request may run twice server-side, but the client must still end
-  // with one verdict.
-  for (const auto &[Id, N] : A.SliceResponses)
-    if (N != 1) {
-      ++A.Violations;
-      std::fprintf(stderr, "VIOLATION: id %s answered %llu times\n",
-                   Id.c_str(), static_cast<unsigned long long>(N));
-    }
-  if (A.SliceResponses.size() != Slices) {
-    ++A.Violations;
-    std::fprintf(stderr,
-                 "VIOLATION: %llu slice requests, %zu distinct terminal "
-                 "statuses — responses were lost\n",
-                 static_cast<unsigned long long>(Slices),
-                 A.SliceResponses.size());
-  }
-  if (Opts.CrashMatrix && Restarts != Kills) {
-    ++A.Violations;
-    std::fprintf(stderr,
-                 "VIOLATION: %llu chaos kills but %llu supervisor "
-                 "restarts\n",
-                 static_cast<unsigned long long>(Kills),
-                 static_cast<unsigned long long>(Restarts));
-  }
+  // The in-band stats line carries the transport counters, so none of
+  // this needs stderr scraping.
+  std::string StatsText = ask(Svc.port(), "{\"stats\": true}", 3);
+  std::optional<JsonValue> StatsJson = JsonValue::parse(StatsText);
+  const JsonValue *Stats =
+      StatsJson && StatsJson->isObject() ? StatsJson->find("stats") : nullptr;
+  if (!jsonCount(Stats ? Stats->find("transport") : nullptr, "accepted"))
+    A.fail("stats reply missing live transport counters: " + StatsText);
+  if (SOpts.IsolateProcess && (!Stats || !Stats->find("supervisor")))
+    A.fail("stats reply missing supervisor counters in process mode");
+  if (Opts.CacheEnabled && (!Stats || !Stats->find("cache")))
+    A.fail("stats reply missing cache counters with the cache enabled");
 
-  if (Opts.Verbose && !Log.str().empty())
-    std::fputs(Log.str().c_str(), stderr);
+  ChaosStats CS = Svc.chaosStats();
+  Svc.finish();
+  // Exactly one client-visible terminal status per id: a torn response
+  // may run a request twice server-side, but the client ends with one.
+  A.lines(R.Responses);
+  A.Violations += ControlErrors;
+  A.finishExactlyOnce(Slices, R.Lost);
 
-  ChaosStats CS = Proxy.stats();
   std::printf("jslice_soak: net soak — %llu requests (%llu slices, %llu bad "
               "lines) over %u clients through chaos (%llu conns, %llu "
               "delays, %llu truncations, %llu resets, %llu stalls)\n",
-              static_cast<unsigned long long>(Slices + BadLines),
-              static_cast<unsigned long long>(Slices),
-              static_cast<unsigned long long>(BadLines), NClients,
-              static_cast<unsigned long long>(CS.Connections),
-              static_cast<unsigned long long>(CS.Delays),
-              static_cast<unsigned long long>(CS.Truncations),
-              static_cast<unsigned long long>(CS.Resets),
-              static_cast<unsigned long long>(CS.Stalls));
-  std::printf("               retried requests   %llu (%llu reconnects)\n",
-              static_cast<unsigned long long>(Retried),
-              static_cast<unsigned long long>(Reconnects));
-  std::printf("               control requests   %llu (%llu errors)\n",
-              static_cast<unsigned long long>(ControlRequests),
-              static_cast<unsigned long long>(ControlErrors));
-  if (Opts.CrashMatrix)
+              ull(Slices + BadLines), ull(Slices), ull(BadLines),
+              Opts.NetClients, ull(CS.Connections), ull(CS.Delays),
+              ull(CS.Truncations), ull(CS.Resets), ull(CS.Stalls));
+  std::printf("               retried requests   %llu (%llu reconnects), "
+              "control requests %llu (%llu errors)\n",
+              ull(R.Retried), ull(R.Reconnects), ull(ControlRequests),
+              ull(ControlErrors));
+  if (Chaos)
     std::printf("               kills/restarts     %llu/%llu\n",
-                static_cast<unsigned long long>(Kills),
-                static_cast<unsigned long long>(Restarts));
-  for (const auto &[St, N] : A.ByStatus)
-    std::printf("               %-18s %llu\n", St.c_str(),
-                static_cast<unsigned long long>(N));
-  std::printf("               violations         %llu\n",
-              static_cast<unsigned long long>(A.Violations));
+                ull(Chaos->Kills), ull(Chaos->Restarts));
+  A.printSummary();
   return A.Violations ? 1 : 0;
 }
 
-//===----------------------------------------------------------------------===//
-// Upgrade matrix: hot-restart chaos over a real jslice_serve dynasty
-//===----------------------------------------------------------------------===//
-
-/// What the stderr scraper has learned about the serve process tree.
-/// The matrix drives real processes through exec boundaries, so the
-/// generation log lines (jslice_serve.cpp's handoff protocol) are the
-/// only source of truth for who is leader and who is still warming up.
-struct MatrixState {
-  std::mutex M;
-  uint16_t Port = 0;     ///< From "listening on HOST:PORT".
-  long LeaderPid = -1;   ///< Serving generation.
-  long PendingPid = -1;  ///< Spawned successor, not yet ready.
-  uint64_t Spawns = 0;   ///< "spawning generation" events.
-  uint64_t Handoffs = 0; ///< "ready; draining" events.
-  uint64_t Rollbacks = 0;
-  uint64_t Refusals = 0; ///< Both refusal flavours.
+/// A named chaos step; false (reported) stops a wedged matrix.
+struct Scenario {
+  const char *Name;
+  std::function<bool()> Run;
 };
 
-/// Parses one serve stderr line into the matrix state. The anchors are
-/// the exact formats jslice_serve prints; the announce line
-/// ("generation G pid P") is adopted as leader only when there is no
-/// leader — a successor announces too, before it is ready, and must
-/// not be trusted until its "ready; draining" line.
-void scrapeMatrixLine(const std::string &Line, MatrixState &St) {
-  std::lock_guard<std::mutex> Lock(St.M);
-  size_t At = Line.find("listening on ");
-  if (At != std::string::npos) {
-    size_t Colon = Line.rfind(':');
-    if (Colon != std::string::npos)
-      St.Port = static_cast<uint16_t>(
-          std::strtoul(Line.c_str() + Colon + 1, nullptr, 10));
-    return;
-  }
-  At = Line.find("spawning generation ");
-  if (At != std::string::npos) {
-    size_t Pid = Line.find("(pid ", At);
-    if (Pid != std::string::npos)
-      St.PendingPid = std::strtol(Line.c_str() + Pid + 5, nullptr, 10);
-    ++St.Spawns;
-    return;
-  }
-  if (Line.find("ready; draining generation ") != std::string::npos) {
-    if (St.PendingPid > 0)
-      St.LeaderPid = St.PendingPid;
-    St.PendingPid = -1;
-    ++St.Handoffs;
-    return;
-  }
-  if (Line.find("rolling back to generation ") != std::string::npos) {
-    St.PendingPid = -1;
-    ++St.Rollbacks;
-    return;
-  }
-  if (Line.find("upgrade already in progress") != std::string::npos ||
-      Line.find("upgrade refused: shutdown in progress") !=
-          std::string::npos) {
-    ++St.Refusals;
-    return;
-  }
-  At = Line.find("generation ");
-  if (At != std::string::npos && Line.find("(pid") == std::string::npos) {
-    size_t Pid = Line.find(" pid ", At);
-    if (Pid != std::string::npos && St.LeaderPid < 0)
-      St.LeaderPid = std::strtol(Line.c_str() + Pid + 5, nullptr, 10);
-  }
+/// The process matrices' load: retried past respawn gaps and drain-time
+/// sheds, and drawn past --requests until the scenarios end, so every
+/// transition happens under load.
+PumpOptions matrixPump(const SoakOptions &Opts, uint16_t Port,
+                       const char *Scene) {
+  PumpOptions PO = pumpOptions(Opts, Port, Opts.Requests, Scene);
+  PO.UntilStopped = true;
+  PO.RetryToTerminal = true;
+  return PO;
 }
 
-/// fork/exec one serve generation with its stderr on the dynasty pipe.
-/// Returns the child pid, or -1. The read end is closed in the child
-/// so the scraper's EOF tracks the last process holding the write end.
-long spawnServe(const std::vector<std::string> &Args, int StderrW,
-                int StderrR) {
-  std::vector<char *> Argv;
-  Argv.reserve(Args.size() + 1);
-  for (const std::string &A : Args)
-    Argv.push_back(const_cast<char *>(A.c_str()));
-  Argv.push_back(nullptr);
-  pid_t Pid = ::fork();
-  if (Pid < 0)
-    return -1;
-  if (Pid == 0) {
-    ::dup2(StderrW, 2);
-    ::close(StderrR);
-    ::execv(Argv[0], Argv.data());
-    _exit(127);
-  }
-  return Pid;
+/// A jslice_serve command line for the process matrices.
+std::vector<std::string> serveCommand(const SoakOptions &Opts, uint16_t Port,
+                                      const std::string &Journal,
+                                      const std::string &Quarantine) {
+  std::vector<std::string> A = {
+      Opts.ServeBin, "--listen",     "127.0.0.1:" + std::to_string(Port),
+      "--journal",   Journal,        "--quarantine",
+      Quarantine};
+  if (Opts.Shards)
+    A.insert(A.end(), {"--shards", std::to_string(Opts.Shards)});
+  return A;
 }
 
-/// Polls \p Pred every 20ms until it holds or \p TimeoutMs passes,
-/// reaping dead direct children along the way so a drained old
-/// generation never lingers as a zombie.
-bool waitMatrix(const std::function<bool()> &Pred, uint64_t TimeoutMs) {
-  auto Deadline = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(TimeoutMs);
-  for (;;) {
-    while (::waitpid(-1, nullptr, WNOHANG) > 0)
-      ;
-    if (Pred())
-      return true;
-    if (std::chrono::steady_clock::now() >= Deadline)
-      return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-}
-
-/// True once \p Pid no longer exists. A successor generation is not
-/// this process's child, so waitpid cannot see it — kill(pid, 0) can.
-bool processGone(long Pid) {
-  return ::kill(static_cast<pid_t>(Pid), 0) != 0 && errno == ESRCH;
+/// Runs one scenario; a failure names it.
+bool play(const Scenario &S) {
+  if (S.Run())
+    return true;
+  std::fprintf(stderr, "jslice_soak: scenario failed: %s\n", S.Name);
+  return false;
 }
 
 int runUpgradeMatrix(const SoakOptions &CliOpts) {
   SoakOptions Opts = CliOpts;
-  if (Opts.ServeBin.empty()) {
-    std::fprintf(stderr,
-                 "error: --upgrade-matrix requires --serve-bin PATH\n");
-    return 2;
-  }
   if (Opts.JournalPath.empty())
     Opts.JournalPath = "upgrade-matrix-journal.jsonl";
-
   // A stale journal would make generation 1 quarantine last run's
   // in-flight records and skew this run's audit.
-  std::error_code Ec;
-  std::filesystem::remove(Opts.JournalPath, Ec);
-  std::filesystem::remove(Opts.JournalPath + ".rotate", Ec);
-  std::filesystem::remove_all(Opts.QuarantineDir, Ec);
-
-  // One pipe for every generation: successors inherit the write end as
-  // fd 2 through exec, so the scraper sees the whole dynasty and EOF
-  // means the last generation is gone.
-  int Pipe[2];
-  if (::pipe(Pipe) != 0) {
-    std::fprintf(stderr, "error: cannot create the dynasty stderr pipe\n");
-    return 1;
-  }
-
-  MatrixState St;
-  std::thread Scraper([&] {
-    std::string Partial;
-    char Buf[4096];
-    for (;;) {
-      int64_t N = readSome(Pipe[0], Buf, sizeof(Buf));
-      if (N <= 0)
-        break;
-      for (int64_t I = 0; I != N; ++I) {
-        if (Buf[I] != '\n') {
-          Partial.push_back(Buf[I]);
-          continue;
-        }
-        scrapeMatrixLine(Partial, St);
-        if (Opts.Verbose)
-          std::fprintf(stderr, "%s\n", Partial.c_str());
-        Partial.clear();
-      }
-    }
-  });
+  removeJournal(Opts.JournalPath, Opts.QuarantineDir);
 
   // --ready-delay-ms keeps every successor in a killable pre-ready
-  // window long enough for the chaos scenarios to land their signals
-  // deterministically; serve propagates it across generations.
-  std::vector<std::string> BaseArgs = {
-      Opts.ServeBin,   "--listen",     "127.0.0.1:0",
-      "--journal",     Opts.JournalPath, "--quarantine",
-      Opts.QuarantineDir, "--ready-delay-ms", "300"};
-  if (Opts.Shards) {
-    BaseArgs.push_back("--shards");
-    BaseArgs.push_back(std::to_string(Opts.Shards));
-  }
+  // window long enough for the chaos to land deterministically; serve
+  // propagates it across generations.
+  std::vector<std::string> Args =
+      serveCommand(Opts, 0, Opts.JournalPath, Opts.QuarantineDir);
+  Args.insert(Args.end(), {"--ready-delay-ms", "300"});
 
-  auto snapshot = [&](MatrixState &Out) {
-    std::lock_guard<std::mutex> Lock(St.M);
-    Out.Port = St.Port;
-    Out.LeaderPid = St.LeaderPid;
-    Out.PendingPid = St.PendingPid;
-    Out.Spawns = St.Spawns;
-    Out.Handoffs = St.Handoffs;
-    Out.Rollbacks = St.Rollbacks;
-    Out.Refusals = St.Refusals;
-  };
-
-  auto cleanupFail = [&](const char *Why) {
-    std::fprintf(stderr, "VIOLATION: %s\n", Why);
-    MatrixState S;
-    snapshot(S);
-    if (S.LeaderPid > 0)
-      ::kill(static_cast<pid_t>(S.LeaderPid), SIGKILL);
-    if (S.PendingPid > 0)
-      ::kill(static_cast<pid_t>(S.PendingPid), SIGKILL);
-    ::close(Pipe[1]);
-    Scraper.join();
-    ::close(Pipe[0]);
-    while (::waitpid(-1, nullptr, WNOHANG) > 0)
-      ;
+  uint64_t Violations = 0, Restarts = 0;
+  // The dynasty: every generation's stderr on one pipe.
+  ServeNode Node(Opts.Verbose);
+  if (Node.spawn(Args) < 0 || !Node.waitUp(15000)) {
+    violation(Violations, "generation 1 never announced itself");
     return 1;
-  };
-
-  if (spawnServe(BaseArgs, Pipe[1], Pipe[0]) < 0)
-    return cleanupFail("cannot spawn generation 1");
-  if (!waitMatrix(
-          [&] {
-            std::lock_guard<std::mutex> Lock(St.M);
-            return St.Port != 0 && St.LeaderPid > 0;
-          },
-          15000))
-    return cleanupFail("generation 1 never announced itself");
-
-  uint16_t Port;
-  {
-    std::lock_guard<std::mutex> Lock(St.M);
-    Port = St.Port;
   }
+  Args[2] = "127.0.0.1:" + std::to_string(Node.port()); // Respawns keep it.
 
-  // Client load: every request retried past transport gaps (a respawn
-  // window has no listener at all) and past drain-time sheds, until it
-  // lands one terminal status. Ids keep flowing past --requests until
-  // the scenario loop finishes, so every handoff happens under load.
   std::vector<SoakProgram> Programs = buildPrograms(Opts);
-  std::atomic<bool> ScenariosDone{false};
-  std::atomic<uint64_t> NextId{0};
-  std::mutex AuditM;
-  std::vector<std::string> Responses;
-  uint64_t Sent = 0, Lost = 0, Retried = 0;
-  unsigned NClients = Opts.NetClients ? Opts.NetClients : 1;
-  std::vector<std::thread> Clients;
-  for (unsigned CI = 0; CI != NClients; ++CI) {
-    Clients.emplace_back([&, CI] {
-      ClientOptions CliOpt;
-      CliOpt.Port = Port;
-      CliOpt.MaxAttempts = 64;
-      CliOpt.BackoffBaseMs = 2;
-      CliOpt.BackoffCapMs = 100;
-      CliOpt.ResponseTimeoutMs = 60000;
-      CliOpt.JitterSeed = Opts.Seed + CI + 1;
-      ClientConnection Conn(CliOpt);
-      std::vector<std::string> Local;
-      uint64_t LocalSent = 0, LocalLost = 0, LocalRetried = 0;
-      for (;;) {
-        uint64_t I = NextId.fetch_add(1, std::memory_order_relaxed);
-        if (I >= Opts.Requests &&
-            ScenariosDone.load(std::memory_order_relaxed))
-          break;
-        const SoakProgram &P = Programs[I % Programs.size()];
-        ServiceRequest R;
-        R.Id = "q" + std::to_string(I);
-        R.Program = P.Source;
-        const Criterion &C = P.Criteria[I % P.Criteria.size()];
-        R.Line = C.Line;
-        R.Vars = C.Vars;
-        R.Algorithm = AllAlgorithms[I % (sizeof(AllAlgorithms) /
-                                         sizeof(AllAlgorithms[0]))];
-        std::string Line = R.toJson().str();
-        ++LocalSent;
-        bool Answered = false, WasRetried = false;
-        for (unsigned Try = 0; Try != 120 && !Answered; ++Try) {
-          ClientResult Res = Conn.request(Line);
-          if (Try || Res.Attempts > 1)
-            WasRetried = true;
-          if (!Res.Ok) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(250));
-            continue;
-          }
-          if (Res.Response.find("\"status\":\"shed\"") !=
-              std::string::npos) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(100));
-            continue;
-          }
-          Local.push_back(std::move(Res.Response));
-          Answered = true;
-        }
-        if (WasRetried)
-          ++LocalRetried;
-        if (!Answered) {
-          ++LocalLost;
-          std::lock_guard<std::mutex> Lock(AuditM);
-          std::fprintf(stderr,
-                       "VIOLATION: request lost across the upgrade "
-                       "matrix: %.80s\n",
-                       Line.c_str());
-        }
-      }
-      std::lock_guard<std::mutex> Lock(AuditM);
-      for (auto &L : Local)
-        Responses.push_back(std::move(L));
-      Sent += LocalSent;
-      Lost += LocalLost;
-      Retried += LocalRetried;
-    });
-  }
+  LoadPump Pump(matrixPump(Opts, Node.port(), "across the upgrade matrix"),
+                corpus(Programs, "q"));
 
-  // The chaos driver: cycle the five scenarios until the handoff
-  // target is met. Scenario 2 (successor killed pre-ready) and 3
-  // (SIGTERM wins the race) do not produce a handoff; they count as
-  // rollback / restart coverage instead.
-  auto leaderPid = [&] {
-    std::lock_guard<std::mutex> Lock(St.M);
-    return St.LeaderPid;
+  // Each scenario starts from a leader and the counters at that moment.
+  ServeLogState Before;
+  auto until = [&](const std::function<bool(const ServeLogState &)> &Pred,
+                   uint64_t Ms, const char *Why) {
+    if (Node.await(Pred, Ms))
+      return true;
+    violation(Violations, "%s", Why);
+    return false;
   };
-  uint64_t Restarts = 0, MatrixViolations = 0;
+  auto grew = [&](uint64_t ServeLogState::*Count) {
+    return [&, Count](const ServeLogState &S) {
+      return S.*Count > Before.*Count;
+    };
+  };
+  auto handedOff = grew(&ServeLogState::Handoffs);
+  auto pending = [](const ServeLogState &S) { return S.PendingPid > 0; };
+  auto upgrade = [&] { ServeNode::signal(Before.LeaderPid, SIGUSR2); };
+
+  const std::vector<Scenario> UpgradeScenarios = {
+      {"clean SIGUSR2 handoff",
+       [&] {
+         upgrade();
+         return until(handedOff, 60000, "clean upgrade never became ready");
+       }},
+      {"kill -9 the old generation mid-drain",
+       [&] {
+         upgrade();
+         if (!until(handedOff, 60000, "mid-drain upgrade never became ready"))
+           return false;
+         // ESRCH is fine — a fast drain may already have exited.
+         ServeNode::signal(Before.LeaderPid, SIGKILL);
+         return true;
+       }},
+      {"kill -9 the successor before it is ready: rollback",
+       [&] {
+         upgrade();
+         if (!until(pending, 30000, "successor never spawned"))
+           return false;
+         ServeNode::signal(Node.state().PendingPid, SIGKILL);
+         return until(grew(&ServeLogState::Rollbacks), 60000,
+                      "killed successor never rolled back");
+       }},
+      {"SIGTERM races the upgrade: drain wins, once",
+       [&] {
+         upgrade();
+         Node.await(pending, 30000);
+         long Succ = Node.state().PendingPid;
+         ServeNode::signal(Before.LeaderPid, SIGTERM);
+         if (!waitFor([&] { return Node.gone(Before.LeaderPid); }, 60000)) {
+           violation(Violations,
+                     "leader never exited after SIGTERM raced an upgrade");
+           return false;
+         }
+         // The leader rolled the unready successor back before exiting;
+         // wait it out and let the reader drain the dynasty's buffered
+         // lines, so the dead successor's announce cannot be adopted.
+         if (Succ > 0)
+           waitFor([&] { return Node.gone(Succ); }, 30000);
+         sleepMs(200);
+         Node.log().setLeader(-1);
+         if (Node.spawn(Args) < 0 || !Node.waitUp(30000)) {
+           violation(Violations, "post-SIGTERM respawn never announced");
+           return false;
+         }
+         ++Restarts;
+         return true;
+       }},
+      {"back-to-back SIGUSR2: the second is refused",
+       [&] {
+         upgrade();
+         if (!until(pending, 30000, "successor never spawned"))
+           return false;
+         upgrade();
+         return until(handedOff, 60000,
+                      "double-upgrade handoff never ready") &&
+                until(grew(&ServeLogState::Refusals), 10000,
+                      "second SIGUSR2 was never refused");
+       }},
+  };
   for (uint64_t Iter = 0;; ++Iter) {
-    MatrixState S;
-    snapshot(S);
-    if (S.Handoffs >= Opts.Upgrades)
+    Before = Node.state();
+    if (Before.Handoffs >= Opts.Upgrades)
       break;
-    long Leader = S.LeaderPid;
-    if (Leader <= 0) {
-      ++MatrixViolations;
-      std::fprintf(stderr, "VIOLATION: no leader to drive at iteration "
-                           "%llu\n",
-                   static_cast<unsigned long long>(Iter));
+    if (Before.LeaderPid <= 0) {
+      violation(Violations, "no leader to drive");
       break;
     }
-    switch (Iter % 5) {
-    case 0: { // Clean SIGUSR2 handoff.
-      ::kill(static_cast<pid_t>(Leader), SIGUSR2);
-      if (!waitMatrix(
-              [&] {
-                std::lock_guard<std::mutex> Lock(St.M);
-                return St.Handoffs > S.Handoffs;
-              },
-              60000)) {
-        ++MatrixViolations;
-        std::fprintf(stderr,
-                     "VIOLATION: clean upgrade never became ready\n");
-      }
+    if (!play(UpgradeScenarios[Iter % UpgradeScenarios.size()]))
       break;
-    }
-    case 1: { // SIGKILL the old generation mid-drain.
-      ::kill(static_cast<pid_t>(Leader), SIGUSR2);
-      if (!waitMatrix(
-              [&] {
-                std::lock_guard<std::mutex> Lock(St.M);
-                return St.Handoffs > S.Handoffs;
-              },
-              60000)) {
-        ++MatrixViolations;
-        std::fprintf(stderr,
-                     "VIOLATION: mid-drain upgrade never became ready\n");
-        break;
-      }
-      // ESRCH is fine — a fast drain may already have exited.
-      ::kill(static_cast<pid_t>(Leader), SIGKILL);
-      break;
-    }
-    case 2: { // SIGKILL the successor pre-ready: rollback required.
-      ::kill(static_cast<pid_t>(Leader), SIGUSR2);
-      long Pending = -1;
-      if (!waitMatrix(
-              [&] {
-                std::lock_guard<std::mutex> Lock(St.M);
-                Pending = St.PendingPid;
-                return Pending > 0;
-              },
-              30000)) {
-        ++MatrixViolations;
-        std::fprintf(stderr, "VIOLATION: successor never spawned\n");
-        break;
-      }
-      ::kill(static_cast<pid_t>(Pending), SIGKILL);
-      if (!waitMatrix(
-              [&] {
-                std::lock_guard<std::mutex> Lock(St.M);
-                return St.Rollbacks > S.Rollbacks;
-              },
-              60000)) {
-        ++MatrixViolations;
-        std::fprintf(stderr,
-                     "VIOLATION: killed successor never rolled back\n");
-      }
-      break;
-    }
-    case 3: { // SIGTERM racing an in-flight upgrade: drain wins, once.
-      ::kill(static_cast<pid_t>(Leader), SIGUSR2);
-      long Succ = -1;
-      waitMatrix(
-          [&] {
-            std::lock_guard<std::mutex> Lock(St.M);
-            Succ = St.PendingPid;
-            return Succ > 0;
-          },
-          30000);
-      ::kill(static_cast<pid_t>(Leader), SIGTERM);
-      if (!waitMatrix([&] { return processGone(Leader); }, 60000)) {
-        ++MatrixViolations;
-        std::fprintf(stderr,
-                     "VIOLATION: leader never exited after SIGTERM "
-                     "raced an upgrade\n");
-        break;
-      }
-      // The leader rolled the unready successor back before exiting;
-      // wait it out and let the scraper drain the dynasty's buffered
-      // lines, so the dead successor's announce line cannot be adopted
-      // as leader after the reset below.
-      if (Succ > 0)
-        waitMatrix([&] { return processGone(Succ); }, 30000);
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-      {
-        std::lock_guard<std::mutex> Lock(St.M);
-        St.LeaderPid = -1;
-        St.PendingPid = -1;
-      }
-      std::vector<std::string> Args = BaseArgs;
-      Args[2] = "127.0.0.1:" + std::to_string(Port); // Keep the port.
-      if (spawnServe(Args, Pipe[1], Pipe[0]) < 0 ||
-          !waitMatrix([&] { return leaderPid() > 0; }, 30000)) {
-        ++MatrixViolations;
-        std::fprintf(stderr, "VIOLATION: post-SIGTERM respawn never "
-                             "announced\n");
-      } else {
-        ++Restarts;
-      }
-      break;
-    }
-    default: { // Back-to-back SIGUSR2: the second must be refused.
-      ::kill(static_cast<pid_t>(Leader), SIGUSR2);
-      if (!waitMatrix(
-              [&] {
-                std::lock_guard<std::mutex> Lock(St.M);
-                return St.PendingPid > 0;
-              },
-              30000)) {
-        ++MatrixViolations;
-        std::fprintf(stderr, "VIOLATION: successor never spawned\n");
-        break;
-      }
-      ::kill(static_cast<pid_t>(Leader), SIGUSR2);
-      if (!waitMatrix(
-              [&] {
-                std::lock_guard<std::mutex> Lock(St.M);
-                return St.Handoffs > S.Handoffs;
-              },
-              60000)) {
-        ++MatrixViolations;
-        std::fprintf(stderr,
-                     "VIOLATION: double-upgrade handoff never ready\n");
-        break;
-      }
-      if (!waitMatrix(
-              [&] {
-                std::lock_guard<std::mutex> Lock(St.M);
-                return St.Refusals > S.Refusals;
-              },
-              10000)) {
-        ++MatrixViolations;
-        std::fprintf(stderr, "VIOLATION: second SIGUSR2 was never "
-                             "refused\n");
-      }
-      break;
-    }
-    }
-    if (MatrixViolations)
-      break; // A wedged dynasty would stall the clients for nothing.
   }
 
-  ScenariosDone.store(true, std::memory_order_relaxed);
-  for (auto &C : Clients)
-    C.join();
-
-  // Quiesce: drain the last leader, then close our write end so the
-  // scraper sees EOF once the dynasty's fd 2 is gone.
-  long Last = leaderPid();
-  if (Last > 0) {
-    ::kill(static_cast<pid_t>(Last), SIGTERM);
-    if (!waitMatrix([&] { return processGone(Last); }, 60000)) {
-      ++MatrixViolations;
-      std::fprintf(stderr, "VIOLATION: final drain never finished\n");
-      ::kill(static_cast<pid_t>(Last), SIGKILL);
-    }
-  }
-  ::close(Pipe[1]);
-  Scraper.join();
-  ::close(Pipe[0]);
-  while (::waitpid(-1, nullptr, WNOHANG) > 0)
-    ;
-
-  MatrixState Fin;
-  snapshot(Fin);
+  PumpResult R = Pump.finish();
+  if (!Node.terminate(Node.leader(), 60000))
+    violation(Violations, "final drain never finished");
+  ServeLogState Fin = Node.state();
 
   Audit A;
-  for (const std::string &L : Responses)
-    auditLine(L, A);
-  A.Violations += Lost + MatrixViolations;
-  for (const auto &[Id, N] : A.SliceResponses)
-    if (N != 1) {
-      ++A.Violations;
-      std::fprintf(stderr, "VIOLATION: id %s answered %llu times\n",
-                   Id.c_str(), static_cast<unsigned long long>(N));
-    }
-  if (A.SliceResponses.size() != Sent - Lost) {
-    ++A.Violations;
-    std::fprintf(stderr,
-                 "VIOLATION: %llu requests sent, %zu distinct terminal "
-                 "statuses — responses were lost\n",
-                 static_cast<unsigned long long>(Sent),
-                 A.SliceResponses.size());
-  }
-  if (Fin.Handoffs < Opts.Upgrades) {
-    ++A.Violations;
-    std::fprintf(stderr,
-                 "VIOLATION: only %llu of %llu handoffs completed\n",
-                 static_cast<unsigned long long>(Fin.Handoffs),
-                 static_cast<unsigned long long>(Opts.Upgrades));
-  }
-  if (!Fin.Rollbacks) {
-    ++A.Violations;
-    std::fprintf(stderr, "VIOLATION: no readiness-failure rollback was "
-                         "exercised — the matrix proved nothing about "
-                         "rollback\n");
-  }
-  if (!Fin.Refusals) {
-    ++A.Violations;
-    std::fprintf(stderr, "VIOLATION: no double-upgrade refusal was "
-                         "observed\n");
-  }
-
+  A.lines(R.Responses);
+  A.Violations += Violations;
+  A.finishExactlyOnce(R.Sent, R.Lost);
+  if (Fin.Handoffs < Opts.Upgrades)
+    A.fail("only " + std::to_string(Fin.Handoffs) + " of " +
+           std::to_string(Opts.Upgrades) + " handoffs completed");
+  if (!Fin.Rollbacks)
+    A.fail("no readiness-failure rollback was exercised — the matrix "
+           "proved nothing about rollback");
+  if (!Fin.Refusals)
+    A.fail("no double-upgrade refusal was observed");
   std::printf("jslice_soak: upgrade matrix — %llu requests over %u "
               "clients, %llu handoffs, %llu rollbacks, %llu refusals, "
               "%llu restarts\n",
-              static_cast<unsigned long long>(Sent), NClients,
-              static_cast<unsigned long long>(Fin.Handoffs),
-              static_cast<unsigned long long>(Fin.Rollbacks),
-              static_cast<unsigned long long>(Fin.Refusals),
-              static_cast<unsigned long long>(Restarts));
-  std::printf("               retried requests   %llu\n",
-              static_cast<unsigned long long>(Retried));
-  for (const auto &[StName, N] : A.ByStatus)
-    std::printf("               %-18s %llu\n", StName.c_str(),
-                static_cast<unsigned long long>(N));
-  std::printf("               violations         %llu\n",
-              static_cast<unsigned long long>(A.Violations));
+              ull(R.Sent), Opts.NetClients, ull(Fin.Handoffs),
+              ull(Fin.Rollbacks), ull(Fin.Refusals), ull(Restarts));
+  std::printf("               retried requests   %llu\n", ull(R.Retried));
+  A.printSummary();
   return A.Violations ? 1 : 0;
 }
 
-//===----------------------------------------------------------------------===//
-// Failover matrix: warm-standby chaos over a real primary/standby pair
-//===----------------------------------------------------------------------===//
+using Counters = std::map<std::string, uint64_t>;
 
-/// One real serve process in the failover pair, with a private stderr
-/// scraper that learns the port it bound. Unlike the upgrade matrix's
-/// dynasty pipe, each node gets its own pipe: both processes are alive
-/// at once and their log streams must not be conflated.
-class FailoverNode {
-public:
-  bool spawn(const std::vector<std::string> &Args, bool Verbose) {
-    int P[2];
-    if (::pipe(P) != 0)
-      return false;
-    Pid = spawnServe(Args, P[1], P[0]);
-    // Only the child holds the write end, so EOF tracks its death.
-    ::close(P[1]);
-    if (Pid < 0) {
-      ::close(P[0]);
-      return false;
-    }
-    R = P[0];
-    Scraper = std::thread([this, Verbose] {
-      std::string Partial;
-      char Buf[4096];
-      for (;;) {
-        int64_t N = readSome(R, Buf, sizeof(Buf));
-        if (N <= 0)
-          break;
-        for (int64_t I = 0; I != N; ++I) {
-          if (Buf[I] != '\n') {
-            Partial.push_back(Buf[I]);
-            continue;
-          }
-          scrape(Partial);
-          if (Verbose)
-            std::fprintf(stderr, "%s\n", Partial.c_str());
-          Partial.clear();
-        }
-      }
-    });
-    return true;
-  }
-
-  uint16_t port() const { return Port.load(std::memory_order_relaxed); }
-  long pid() const { return Pid; }
-
-  void kill9() {
-    if (Pid > 0)
-      ::kill(static_cast<pid_t>(Pid), SIGKILL);
-  }
-
-  /// SIGTERM and wait for the drain to finish.
-  bool term(uint64_t TimeoutMs) {
-    if (Pid <= 0)
-      return true;
-    ::kill(static_cast<pid_t>(Pid), SIGTERM);
-    return waitMatrix([this] { return processGone(Pid); }, TimeoutMs);
-  }
-
-  ~FailoverNode() {
-    if (Pid > 0 && !processGone(Pid))
-      ::kill(static_cast<pid_t>(Pid), SIGKILL);
-    if (Scraper.joinable())
-      Scraper.join();
-    if (R >= 0)
-      ::close(R);
-    while (::waitpid(-1, nullptr, WNOHANG) > 0)
-      ;
-  }
-
-private:
-  void scrape(const std::string &Line) {
-    if (Line.find("listening on ") == std::string::npos)
-      return;
-    size_t Colon = Line.rfind(':');
-    if (Colon != std::string::npos)
-      Port.store(static_cast<uint16_t>(
-                     std::strtoul(Line.c_str() + Colon + 1, nullptr, 10)),
-                 std::memory_order_relaxed);
-  }
-
-  long Pid = -1;
-  int R = -1;
-  std::thread Scraper;
-  std::atomic<uint16_t> Port{0};
-};
-
-/// One request against a single endpoint; empty on transport failure.
-std::string failoverAsk(uint16_t Port, const std::string &Line,
-                        unsigned Attempts = 4) {
-  ClientOptions CO;
-  CO.Port = Port;
-  CO.MaxAttempts = Attempts;
-  CO.BackoffBaseMs = 20;
-  CO.BackoffCapMs = 200;
-  CO.ResponseTimeoutMs = 10000;
-  ClientConnection Conn(CO);
-  ClientResult R = Conn.request(Line);
-  return R.Ok ? R.Response : std::string();
-}
-
-/// The standby's replication telemetry out of {"health"}.
-struct StandbyView {
-  bool Reachable = false;
-  bool Connected = false;
-  uint64_t AppliedSeq = 0;
-  uint64_t PrimarySeq = 0;
-  uint64_t Lag = 0;
-};
-
-StandbyView standbyView(uint16_t Port) {
-  StandbyView Out;
-  std::string Resp = failoverAsk(Port, "{\"health\": true}", 2);
-  if (Resp.empty())
-    return Out;
-  std::optional<JsonValue> V = JsonValue::parse(Resp);
-  if (!V || !V->isObject())
-    return Out;
-  Out.Reachable = true;
-  const JsonValue *Repl = V->find("replication");
-  if (!Repl || !Repl->isObject())
-    return Out;
-  if (const JsonValue *C = Repl->find("connected"))
-    Out.Connected = C->isBool() && C->asBool();
-  if (const JsonValue *A = Repl->find("applied_seq"))
-    if (A->isNumber())
-      Out.AppliedSeq = static_cast<uint64_t>(A->asInt());
-  if (const JsonValue *P = Repl->find("primary_seq"))
-    if (P->isNumber())
-      Out.PrimarySeq = static_cast<uint64_t>(P->asInt());
-  if (const JsonValue *L = Repl->find("lag_records"))
-    if (L->isNumber())
-      Out.Lag = static_cast<uint64_t>(L->asInt());
+/// The numbers (booleans as 0/1) in the "replication" object of a
+/// standby's {"health"} or a primary's {"stats"}; nullopt when the node
+/// is unreachable.
+std::optional<Counters> replCounters(uint16_t Port, bool Primary) {
+  std::optional<JsonValue> V = JsonValue::parse(
+      ask(Port, Primary ? "{\"stats\": true}" : "{\"health\": true}", 2));
+  const JsonValue *R =
+      V && V->isObject() ? (Primary ? V->find("stats") : &*V) : nullptr;
+  R = R && R->isObject() ? R->find("replication") : nullptr;
+  if (!R || !R->isObject())
+    return std::nullopt;
+  Counters Out;
+  for (const auto &[Key, N] : R->members())
+    Out[Key] = N.isBool() ? N.asBool() : jsonCount(R, Key.c_str());
+  Out["reattaches"] = Out["resumes"] + Out["snapshots"];
   return Out;
 }
 
-/// Waits until the standby has reconnected and applied past the
-/// primary's position advertised when the stream reattached. Absolute
-/// lag never has to reach zero — under async load the primary keeps
-/// outrunning the stream — so the catch-up goal is the seq the fresh
-/// hello carried, which proves the gap opened by the fault was
-/// replayed.
+/// Waits until the standby reconnected and applied past the primary's
+/// seq at reattach time (under load absolute lag never reaches zero).
 bool standbyCaughtUp(uint16_t Port, uint64_t TimeoutMs) {
   uint64_t Goal = 0;
-  return waitMatrix(
+  return waitFor(
       [&] {
-        StandbyView V = standbyView(Port);
-        if (!V.Connected)
+        std::optional<Counters> C = replCounters(Port, false);
+        if (!C || !(*C)["connected"])
           return false;
         if (!Goal)
-          Goal = V.PrimarySeq ? V.PrimarySeq : 1;
-        return V.AppliedSeq >= Goal;
+          Goal = std::max<uint64_t>(1, (*C)["primary_seq"]);
+        return (*C)["applied_seq"] >= Goal;
       },
       TimeoutMs);
-}
-
-/// The primary's replication counters out of {"stats"}.
-struct PrimaryReplView {
-  bool Reachable = false;
-  uint64_t Resumes = 0;
-  uint64_t Snapshots = 0;
-  uint64_t SyncTimeouts = 0;
-  uint64_t AckedSeq = 0;
-};
-
-PrimaryReplView primaryReplView(uint16_t Port) {
-  PrimaryReplView Out;
-  std::string Resp = failoverAsk(Port, "{\"stats\": true}", 2);
-  if (Resp.empty())
-    return Out;
-  std::optional<JsonValue> V = JsonValue::parse(Resp);
-  if (!V || !V->isObject())
-    return Out;
-  const JsonValue *S = V->find("stats");
-  const JsonValue *R = S && S->isObject() ? S->find("replication") : nullptr;
-  if (!R || !R->isObject())
-    return Out;
-  Out.Reachable = true;
-  auto Count = [&](const char *Key, uint64_t &Dst) {
-    if (const JsonValue *N = R->find(Key))
-      if (N->isNumber())
-        Dst = static_cast<uint64_t>(N->asInt());
-  };
-  Count("resumes", Out.Resumes);
-  Count("snapshots", Out.Snapshots);
-  Count("sync_timeouts", Out.SyncTimeouts);
-  Count("acked_seq", Out.AckedSeq);
-  return Out;
-}
-
-/// Waits for the primary-side proof that the standby re-subscribed
-/// after a link fault: the hub's resume/snapshot counters advancing
-/// past their pre-fault values. The standby's own health is no use for
-/// this — right after a reconnect it reports Connected with seqs left
-/// over from before the fault, while its subscribe line is still in
-/// flight to the hub — so racing it reads "re-attached" off a stream
-/// that has not reached the primary yet.
-bool streamReattached(uint16_t PriPort, const PrimaryReplView &Before,
-                      uint64_t TimeoutMs) {
-  if (!Before.Reachable)
-    return true; // No baseline to compare against; the catch-up and
-                 // end-of-run audits still apply.
-  return waitMatrix(
-      [&] {
-        PrimaryReplView Now = primaryReplView(PriPort);
-        return Now.Reachable && Now.Resumes + Now.Snapshots >
-                                    Before.Resumes + Before.Snapshots;
-      },
-      TimeoutMs);
-}
-
-/// Sends {"promote": true}; returns the new epoch, 0 on failure.
-uint64_t failoverPromote(uint16_t Port) {
-  std::string Resp = failoverAsk(Port, "{\"promote\": true}", 4);
-  if (Resp.empty())
-    return 0;
-  std::optional<JsonValue> V = JsonValue::parse(Resp);
-  if (!V || !V->isObject())
-    return 0;
-  const JsonValue *St = V->find("status");
-  if (!St || !St->isString() || St->asString() != "ok")
-    return 0;
-  const JsonValue *E = V->find("epoch");
-  return E && E->isNumber() ? static_cast<uint64_t>(E->asInt()) : 0;
-}
-
-/// (Re)builds the replication link's chaos proxy: same listen port
-/// every time (the standby's --standby-of target is fixed), retargeted
-/// at whichever node is currently primary.
-std::unique_ptr<ChaosProxy> replProxy(uint16_t ListenPort,
-                                      uint16_t Upstream, uint64_t Seed,
-                                      bool Faulty, std::string &Err) {
-  ChaosOptions CO;
-  CO.ListenPort = ListenPort;
-  CO.UpstreamPort = Upstream;
-  if (Faulty) {
-    // Torn frames and mid-stream resets are scenario 5 running
-    // continuously: every reconnect must resume from the acked seq.
-    CO.ResetPermille = 15;
-    CO.TruncatePermille = 15;
-    CO.DelayPermille = 30;
-    CO.DelayMs = 1;
-  }
-  CO.Seed = Seed;
-  auto P = std::make_unique<ChaosProxy>(CO);
-  if (!P->start(Err))
-    return nullptr;
-  return P;
 }
 
 /// Ids of every verifiable begin record in \p Path — the replica-side
@@ -2386,863 +966,442 @@ std::set<std::string> journalBeginIds(const std::string &Path) {
   std::ifstream In(Path);
   std::string Line;
   while (std::getline(In, Line)) {
-    if (Line.empty() ||
-        verifyJournalLine(Line) == JournalLineCheck::Corrupt)
+    if (verifyJournalLine(Line) == JournalLineCheck::Corrupt)
       continue;
     std::optional<JsonValue> V = JsonValue::parse(Line);
-    if (!V || !V->isObject())
-      continue;
     const JsonValue *Ev = V->find("event");
     const JsonValue *Id = V->find("id");
-    if (Ev && Ev->isString() && Ev->asString() == "begin" && Id &&
-        Id->isString())
+    if (Ev->asString() == "begin" && Id && Id->isString())
       Out.insert(Id->asString());
   }
   return Out;
 }
 
-int runFailoverMatrix(const SoakOptions &CliOpts) {
-  SoakOptions Opts = CliOpts;
-  if (Opts.ServeBin.empty()) {
-    std::fprintf(stderr,
-                 "error: --failover-matrix requires --serve-bin PATH\n");
-    return 2;
-  }
-
-  // Journals and quarantine dirs belong to the node *slot* (the listen
-  // port), not the role: a promoted standby keeps appending to what
-  // was its replica journal.
-  std::string Stem = Opts.JournalPath.empty()
-                         ? std::string("failover-matrix")
-                         : Opts.JournalPath;
+int runFailoverMatrix(const SoakOptions &Opts) {
+  // Journals and quarantine dirs belong to the node *slot*, not the
+  // role: a promoted standby keeps appending to its replica journal.
+  std::string Stem =
+      Opts.JournalPath.empty() ? "failover-matrix" : Opts.JournalPath;
   const std::string JPath[2] = {Stem + "-a.jsonl", Stem + "-b.jsonl"};
   const std::string QDir[2] = {Opts.QuarantineDir + "-a",
                                Opts.QuarantineDir + "-b"};
-  std::error_code Ec;
-  for (int I = 0; I != 2; ++I) {
-    std::filesystem::remove(JPath[I], Ec);
-    std::filesystem::remove(JPath[I] + ".rotate", Ec);
-    std::filesystem::remove(JPath[I] + ".corrupt", Ec);
-    std::filesystem::remove_all(QDir[I], Ec);
-  }
-
-  uint64_t MatrixViolations = 0;
-  auto violate = [&](const std::string &Why) {
-    ++MatrixViolations;
-    std::fprintf(stderr, "VIOLATION: %s\n", Why.c_str());
+  for (int I = 0; I != 2; ++I)
+    removeJournal(JPath[I], QDir[I]);
+  uint64_t Violations = 0;
+  auto fail = [&](const std::string &Why) {
+    violation(Violations, "%s", Why.c_str());
+    return false;
   };
 
-  auto serveArgs = [&](int Slot, uint16_t Port, uint16_t StandbyOfPort) {
-    std::vector<std::string> A = {
-        Opts.ServeBin,  "--listen",   "127.0.0.1:" + std::to_string(Port),
-        "--journal",    JPath[Slot], "--quarantine",
-        QDir[Slot],     "--repl-ack", replAckPolicyName(Opts.ReplAck)};
-    if (Opts.Shards) {
-      A.push_back("--shards");
-      A.push_back(std::to_string(Opts.Shards));
-    }
-    if (StandbyOfPort) {
-      A.push_back("--standby-of");
-      A.push_back("127.0.0.1:" + std::to_string(StandbyOfPort));
-    }
+  auto serveArgs = [&](int Slot, uint16_t Port, uint16_t StandbyOf) {
+    std::vector<std::string> A =
+        serveCommand(Opts, Port, JPath[Slot], QDir[Slot]);
+    A.insert(A.end(), {"--repl-ack", replAckPolicyName(Opts.ReplAck)});
+    if (StandbyOf)
+      A.insert(A.end(),
+               {"--standby-of", "127.0.0.1:" + std::to_string(StandbyOf)});
     return A;
   };
 
-  // Boot the initial primary on an ephemeral port.
+  // Each node gets its own pipe: both are alive at once and their logs
+  // must not be conflated.
   int PriSlot = 0, StbSlot = 1;
-  auto Pri = std::make_unique<FailoverNode>();
-  if (!Pri->spawn(serveArgs(PriSlot, 0, 0), Opts.Verbose) ||
-      !waitMatrix([&] { return Pri->port() != 0; }, 15000)) {
-    violate("initial primary never announced itself");
+  auto Pri = std::make_unique<ServeNode>(Opts.Verbose);
+  if (Pri->spawn(serveArgs(PriSlot, 0, 0)) < 0 || !Pri->waitUp(15000)) {
+    fail("initial primary never announced itself");
     return 1;
   }
   uint16_t PriPort = Pri->port();
 
-  // The replication link goes through the chaos proxy so the matrix
-  // can tear, partition, and heal it on demand.
-  std::string Err;
-  std::unique_ptr<ChaosProxy> Proxy =
-      replProxy(0, PriPort, Opts.Seed, /*Faulty=*/true, Err);
-  if (!Proxy) {
-    violate("cannot start the replication chaos proxy: " + Err);
-    return 1;
-  }
-  const uint16_t ProxyPort = Proxy->port();
-
-  // Seeds (or re-seeds) a standby in \p Slot; Port = 0 takes an
-  // ephemeral port, nonzero rebinds a dead predecessor's port so the
-  // clients' endpoint list stays valid across the whole matrix.
-  auto seedStandby =
-      [&](int Slot, uint16_t Port) -> std::unique_ptr<FailoverNode> {
-    std::filesystem::remove(JPath[Slot], Ec);
-    std::filesystem::remove(JPath[Slot] + ".corrupt", Ec);
-    auto N = std::make_unique<FailoverNode>();
-    if (!N->spawn(serveArgs(Slot, Port, ProxyPort), Opts.Verbose) ||
-        !waitMatrix([&] { return N->port() != 0; }, 15000))
-      return nullptr;
-    uint16_t P = N->port();
-    if (!waitMatrix([&] { return standbyView(P).Connected; }, 30000))
-      return nullptr;
-    return N;
+  // The replication link runs through a chaos proxy that keeps its port
+  // (the --standby-of target) and follows the primary. A faulty link
+  // tears frames continuously: every reconnect resumes from the ack.
+  std::unique_ptr<ChaosProxy> Proxy;
+  uint16_t ProxyPort = 0;
+  auto relink = [&](uint64_t Seed, bool Faulty) {
+    if (Proxy)
+      Proxy->stop();
+    ChaosOptions CO;
+    CO.ListenPort = ProxyPort;
+    CO.UpstreamPort = PriPort;
+    if (Faulty) {
+      CO.ResetPermille = CO.TruncatePermille = 15;
+      CO.DelayPermille = 30;
+      CO.DelayMs = 1;
+    }
+    CO.Seed = Seed;
+    Proxy = std::make_unique<ChaosProxy>(CO);
+    std::string Err;
+    if (!Proxy->start(Err))
+      return fail("cannot (re)build the replication proxy: " + Err);
+    ProxyPort = Proxy->port();
+    return true;
   };
-
-  auto Stb = seedStandby(StbSlot, 0);
-  if (!Stb) {
-    violate("initial standby never connected to the primary");
+  if (!relink(Opts.Seed, true))
     return 1;
-  }
-  uint16_t StbPort = Stb->port();
 
-  // Client load: both endpoints, rotated on transport failure — the
-  // Client failover machinery under test. Sheds (standby refusing
-  // pre-promotion, the fence, drains) are retried at the outer level
-  // until a terminal status lands; ids keep flowing past --requests
-  // until the scenarios finish so every failover happens under load.
+  // (Re)seeds the standby slot, rebinding its previous port (if any) so
+  // the clients' endpoint list stays valid across the matrix.
+  std::unique_ptr<ServeNode> Stb;
+  uint16_t StbPort = 0;
+  auto seedStandby = [&](const char *Why) {
+    removeJournal(JPath[StbSlot]);
+    Stb = std::make_unique<ServeNode>(Opts.Verbose);
+    if (Stb->spawn(serveArgs(StbSlot, StbPort, ProxyPort)) < 0 ||
+        !Stb->waitUp(15000) ||
+        !waitFor(
+            [&] {
+              std::optional<Counters> C = replCounters(Stb->port(), false);
+              return C && (*C)["connected"];
+            },
+            30000))
+      return fail(std::string("cannot seed a standby ") + Why);
+    StbPort = Stb->port();
+    return true;
+  };
+  if (!seedStandby("at start"))
+    return 1;
+
+  // Client load carries both endpoints and rotates on transport
+  // failure — the Client failover machinery under test.
   std::vector<SoakProgram> Programs = buildPrograms(Opts);
-  std::atomic<bool> ScenariosDone{false};
-  std::atomic<uint64_t> NextId{0};
-  std::atomic<uint64_t> Answered{0};
-  std::mutex AuditM;
-  std::vector<std::string> Responses;
-  uint64_t Sent = 0, Lost = 0, Retried = 0, EndpointFailovers = 0;
-  unsigned NClients = Opts.NetClients ? Opts.NetClients : 1;
-  std::vector<std::thread> Clients;
-  for (unsigned CI = 0; CI != NClients; ++CI) {
-    Clients.emplace_back([&, CI, PriPort, StbPort] {
-      ClientOptions CliOpt;
-      CliOpt.Port = PriPort;
-      CliOpt.Endpoints = {"127.0.0.1:" + std::to_string(PriPort),
-                          "127.0.0.1:" + std::to_string(StbPort)};
-      CliOpt.MaxAttempts = 64;
-      CliOpt.BackoffBaseMs = 2;
-      CliOpt.BackoffCapMs = 100;
-      CliOpt.ResponseTimeoutMs = 60000;
-      CliOpt.JitterSeed = Opts.Seed + CI + 1;
-      ClientConnection Conn(CliOpt);
-      std::vector<std::string> Local;
-      uint64_t LocalSent = 0, LocalLost = 0, LocalRetried = 0;
-      for (;;) {
-        uint64_t I = NextId.fetch_add(1, std::memory_order_relaxed);
-        if (I >= Opts.Requests &&
-            ScenariosDone.load(std::memory_order_relaxed))
-          break;
-        const SoakProgram &P = Programs[I % Programs.size()];
-        ServiceRequest R;
-        R.Id = "f" + std::to_string(I);
-        R.Program = P.Source;
-        const Criterion &C = P.Criteria[I % P.Criteria.size()];
-        R.Line = C.Line;
-        R.Vars = C.Vars;
-        R.Algorithm = AllAlgorithms[I % (sizeof(AllAlgorithms) /
-                                         sizeof(AllAlgorithms[0]))];
-        std::string Line = R.toJson().str();
-        ++LocalSent;
-        bool Done = false, WasRetried = false;
-        for (unsigned Try = 0; Try != 120 && !Done; ++Try) {
-          ClientResult Res = Conn.request(Line);
-          if (Try || Res.Attempts > 1)
-            WasRetried = true;
-          if (!Res.Ok) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(250));
-            continue;
-          }
-          if (Res.Response.find("\"status\":\"shed\"") !=
-              std::string::npos) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(100));
-            continue;
-          }
-          Local.push_back(std::move(Res.Response));
-          Answered.fetch_add(1, std::memory_order_relaxed);
-          Done = true;
-        }
-        if (WasRetried)
-          ++LocalRetried;
-        if (!Done) {
-          ++LocalLost;
-          std::lock_guard<std::mutex> Lock(AuditM);
-          std::fprintf(stderr,
-                       "VIOLATION: request lost across the failover "
-                       "matrix: %.80s\n",
-                       Line.c_str());
-        }
-      }
-      std::lock_guard<std::mutex> Lock(AuditM);
-      for (auto &L : Local)
-        Responses.push_back(std::move(L));
-      Sent += LocalSent;
-      Lost += LocalLost;
-      Retried += LocalRetried;
-      EndpointFailovers += Conn.failovers();
-    });
-  }
-
-  // Let the pair serve real traffic before the first kill, so the
-  // SIGKILL lands mid-request, not on an idle server.
-  waitMatrix([&] { return Answered.load(std::memory_order_relaxed) >=
-                          NClients * 2; },
-             30000);
+  PumpOptions PO = matrixPump(Opts, PriPort, "across the failover matrix");
+  PO.Client.Endpoints = {"127.0.0.1:" + std::to_string(PriPort),
+                         "127.0.0.1:" + std::to_string(StbPort)};
+  LoadPump Pump(PO, corpus(Programs, "f"));
+  // Real traffic first, so the first kill lands mid-request.
+  waitFor([&] { return Pump.answered() >= Opts.NetClients * 2ull; }, 30000);
 
   uint64_t Epoch = 0;
-
-  // Scenario 1 — kill -9 the primary mid-request; explicit promotion.
-  // Clients must fail over to the standby and stall only until the
-  // promotion lands.
-  {
-    Pri->kill9();
-    uint64_t E = 0;
-    for (unsigned Try = 0; Try != 25 && !E; ++Try) {
-      E = failoverPromote(StbPort);
-      if (!E)
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    }
-    if (!E)
-      violate("standby never promoted after the primary's kill -9");
-    else if (E < 2)
-      violate("promotion did not advance the epoch past the dead "
-              "primary's");
-    Epoch = E;
-    // Roles swap; the freed slot re-seeds as the new standby behind a
-    // retargeted proxy.
+  auto promote = [&](uint16_t Port) -> uint64_t {
+    std::string Resp = ask(Port, "{\"promote\": true}", 4);
+    std::optional<JsonValue> V = JsonValue::parse(Resp);
+    bool Ok = Resp.find("\"status\":\"ok\"") != std::string::npos;
+    return Ok && V ? jsonCount(&*V, "epoch") : 0;
+  };
+  // The old primary dies, the promoted standby takes its role, and the
+  // freed slot re-seeds as standby behind a retargeted link.
+  auto swapRoles = [&](uint64_t Seed, const char *Why) {
+    ServeNode::signal(Pri->leader(), SIGKILL);
     std::swap(PriSlot, StbSlot);
     std::swap(PriPort, StbPort);
     Pri = std::move(Stb);
-    Proxy->stop();
-    Proxy = replProxy(ProxyPort, PriPort, Opts.Seed + 2, true, Err);
-    if (!Proxy)
-      violate("cannot retarget the replication proxy: " + Err);
-    else if (!(Stb = seedStandby(StbSlot, StbPort)))
-      violate("cannot re-seed a standby after the first failover");
-  }
-
-  // Scenario 2 — kill -9 the standby. The primary must keep answering
-  // (a sync ack policy must not wedge admission with no subscriber),
-  // then a fresh standby re-seeds from a full snapshot.
-  if (!MatrixViolations) {
-    Stb->kill9();
-    Stb.reset();
-    const SoakProgram &P = Programs[0];
-    ServiceRequest R;
-    R.Id = "s2-probe";
-    R.Program = P.Source;
-    R.Line = P.Criteria[0].Line;
-    R.Vars = P.Criteria[0].Vars;
-    std::string Resp = failoverAsk(PriPort, R.toJson().str(), 8);
-    if (Resp.empty() ||
-        Resp.find("\"status\":") == std::string::npos)
-      violate("primary stopped answering while the standby was down");
-    if (!(Stb = seedStandby(StbSlot, StbPort)))
-      violate("cannot re-seed the standby after its kill -9");
-  }
-
-  // Scenario 3 — partition the replication link, let the standby fall
-  // behind under load, heal, and require the stream to re-attach
-  // through the subscribe protocol and catch up. Both hub answers are
-  // legal here: a *resume* from the last acked seq when the primary
-  // still retains that range, or a *snapshot* when rotation compacted
-  // past it while the link was down (under full load the partition
-  // window is long enough for either). What is not legal is silence —
-  // neither counter advancing means the standby never re-attached.
-  if (!MatrixViolations) {
-    PrimaryReplView Before = primaryReplView(PriPort);
-    Proxy->stop();
-    std::this_thread::sleep_for(std::chrono::milliseconds(750));
-    Proxy = replProxy(ProxyPort, PriPort, Opts.Seed + 3, true, Err);
-    if (!Proxy)
-      violate("cannot heal the replication partition: " + Err);
-    else if (!streamReattached(PriPort, Before, 30000))
-      violate("healed partition never re-attached the stream (no "
-              "resume, no snapshot)");
-    else if (!standbyCaughtUp(StbPort, 30000))
-      violate("standby never caught up after the partition healed");
-  }
-
-  // Scenario 4 — promote the standby while the old primary still
-  // lives. The epoch fence must deterministically refuse the
-  // ex-primary: zero split-brain serves.
-  if (!MatrixViolations) {
-    uint64_t E = failoverPromote(StbPort);
-    if (E <= Epoch)
-      violate("live-primary promotion did not advance the epoch");
-    else
-      Epoch = E;
-    for (unsigned I = 0; I != 8 && E; ++I) {
-      const SoakProgram &P = Programs[I % Programs.size()];
-      ServiceRequest R;
-      R.Id = "fence" + std::to_string(I);
-      R.Program = P.Source;
-      const Criterion &C = P.Criteria[I % P.Criteria.size()];
-      R.Line = C.Line;
-      R.Vars = C.Vars;
-      R.MinEpoch = Epoch;
-      std::string Resp = failoverAsk(PriPort, R.toJson().str());
-      if (Resp.empty())
-        continue; // Unreachable is also a refusal.
-      if (Resp.find("\"status\":\"shed\"") == std::string::npos ||
-          Resp.find("fenced") == std::string::npos)
-        violate("ex-primary served a request fenced at epoch " +
-                std::to_string(Epoch) + ": " + Resp);
-    }
-    // Resolve the split brain the way the watchdog does: the fenced
-    // ex-primary dies, the promoted standby is the primary.
-    Pri->kill9();
-    std::swap(PriSlot, StbSlot);
-    std::swap(PriPort, StbPort);
-    Pri = std::move(Stb);
-    Proxy->stop();
-    Proxy = replProxy(ProxyPort, PriPort, Opts.Seed + 4, true, Err);
-    if (!Proxy)
-      violate("cannot retarget the proxy after the fenced failover: " +
-              Err);
-    else if (!(Stb = seedStandby(StbSlot, StbPort)))
-      violate("cannot re-seed the standby after the fenced failover");
-  }
-
-  // Scenario 5 — tear the replication stream mid-flight; the standby
-  // must resume from its ack high-water mark over a now-clean link
-  // (the endgame link is fault-free so the acked-durability audit
-  // below measures the policy, not the chaos).
-  if (!MatrixViolations) {
-    // Quiesce first: with the freshly re-seeded standby caught up to
-    // the primary's tip, the post-tear re-subscribe lands inside the
-    // retained tail and the hub's answer is deterministically a
-    // resume — unless a rotation crosses the ack high-water during
-    // the sub-second tear window, in which case a snapshot is the
-    // correct (and audited-equivalent) catch-up.
-    if (!standbyCaughtUp(StbPort, 30000))
-      violate("standby never caught up before the stream tear");
-    PrimaryReplView Before = primaryReplView(PriPort);
+    return relink(Seed, true) && seedStandby(Why);
+  };
+  // A rebuilt link must re-attach the stream (the hub's resume or
+  // snapshot count advances, never silence) and catch up. A partition
+  // stays down while load runs ahead; a tear returns on a clean link.
+  auto reattach = [&](uint64_t Seed, bool Partition, const char *Fault) {
+    auto Base = replCounters(PriPort, true);
+    uint64_t Was = Base ? (*Base)["reattaches"] : 0;
     Proxy->stop(); // Severs the stream mid-frame.
-    Proxy = replProxy(ProxyPort, PriPort, Opts.Seed + 5,
-                      /*Faulty=*/false, Err);
-    if (!Proxy)
-      violate("cannot rebuild the replication link after the tear: " +
-              Err);
-    else if (!streamReattached(PriPort, Before, 30000))
-      violate("torn stream never re-attached from the last acked seq "
-              "(no resume, no snapshot)");
-    else if (!standbyCaughtUp(StbPort, 30000))
-      violate("standby never resumed after the torn stream");
-  }
+    if (Partition)
+      sleepMs(750);
+    if (!relink(Seed, Partition))
+      return false;
+    if (Base && !waitFor(
+                    [&] {
+                      auto Now = replCounters(PriPort, true);
+                      return Now && (*Now)["reattaches"] > Was;
+                    },
+                    30000))
+      return fail(std::string(Fault) +
+                  " never re-attached the stream (no resume, no snapshot)");
+    if (!standbyCaughtUp(StbPort, 30000))
+      return fail(std::string("standby never caught up after the ") + Fault);
+    return true;
+  };
 
-  ScenariosDone.store(true, std::memory_order_relaxed);
-  for (auto &C : Clients)
-    C.join();
+  const std::vector<Scenario> FailoverScenarios = {
+      {"kill -9 the primary mid-request, promote the standby",
+       [&] {
+         ServeNode::signal(Pri->leader(), SIGKILL);
+         for (unsigned Try = 0; Try != 25 && !Epoch; ++Try)
+           if (!(Epoch = promote(StbPort)))
+             sleepMs(200);
+         if (!Epoch)
+           return fail("standby never promoted after the primary's kill -9");
+         if (Epoch < 2)
+           fail("promotion did not advance the epoch past the dead "
+                "primary's");
+         return swapRoles(Opts.Seed + 2, "after the first failover");
+       }},
+      {"kill -9 the standby, re-seed from snapshot",
+       [&] {
+         // A sync ack policy must not wedge admission with no subscriber.
+         ServeNode::signal(Stb->leader(), SIGKILL);
+         Stb.reset();
+         std::string Resp = ask(
+             PriPort,
+             soakRequest(Programs, 0, "s2-probe", false).toJson().str(), 8);
+         if (Resp.find("\"status\":") == std::string::npos)
+           fail("primary stopped answering while the standby was down");
+         return seedStandby("after its kill -9");
+       }},
+      {"partition the replication link, heal it",
+       [&] { return reattach(Opts.Seed + 3, true, "healed partition"); }},
+      {"promote while the old primary lives: epoch fence",
+       [&] {
+         uint64_t E = promote(StbPort);
+         if (E <= Epoch)
+           return fail("live-primary promotion did not advance the epoch");
+         Epoch = E;
+         // Zero split-brain serves: the ex-primary must refuse (or be
+         // unreachable, also a refusal).
+         for (unsigned I = 0; I != 8; ++I) {
+           ServiceRequest R = soakRequest(Programs, I,
+                                          "fence" + std::to_string(I), false);
+           R.MinEpoch = Epoch;
+           std::string Resp = ask(PriPort, R.toJson().str());
+           if (!Resp.empty() &&
+               (Resp.find("\"status\":\"shed\"") == std::string::npos ||
+                Resp.find("fenced") == std::string::npos))
+             fail("ex-primary served a request fenced at epoch " +
+                  std::to_string(Epoch) + ": " + Resp);
+         }
+         // Resolve the split brain the way the watchdog does.
+         return swapRoles(Opts.Seed + 4, "after the fenced failover");
+       }},
+      {"tear the replication stream, resume over a clean link",
+       [&] {
+         // Caught up first, the re-subscribe is a resume (a snapshot if
+         // a rotation crosses the ack in the tear window). The endgame
+         // link is clean so the durability audit measures the policy.
+         if (!standbyCaughtUp(StbPort, 30000))
+           return fail("standby never caught up before the stream tear");
+         return reattach(Opts.Seed + 5, false, "torn stream");
+       }},
+  };
+  for (const Scenario &S : FailoverScenarios)
+    if (!play(S))
+      break;
+  PumpResult R = Pump.finish();
 
-  // The acked-durability audit: with --repl-ack=sync every response
-  // released to a client is preceded by the standby's durable ack of
-  // its begin record, so a tail batch served over the healthy endgame
-  // link, followed by kill -9 of the primary, must be fully present in
-  // the replica journal — zero acknowledged-but-lost records. (If any
-  // ack wait timed out during the batch, the guarantee was legally
-  // waived for those requests and the strict check is skipped.)
+  // The acked-durability audit: under --repl-ack=sync every response
+  // follows the standby's durable ack of its begin, so a tail batch
+  // then kill -9 of the primary must leave every id in the replica
+  // journal. Sync-ack timeouts legally waive this and skip the check.
   uint64_t TailOk = 0;
-  if (!MatrixViolations && Opts.ReplAck == ReplAckPolicy::Sync && Stb) {
-    PrimaryReplView Before = primaryReplView(PriPort);
+  if (!Violations && Opts.ReplAck == ReplAckPolicy::Sync && Stb) {
+    auto Before = replCounters(PriPort, true);
     std::vector<std::string> TailIds;
     for (unsigned I = 0; I != 16; ++I) {
-      const SoakProgram &P = Programs[I % Programs.size()];
-      ServiceRequest R;
-      R.Id = "tail" + std::to_string(I);
-      R.Program = P.Source;
-      const Criterion &C = P.Criteria[I % P.Criteria.size()];
-      R.Line = C.Line;
-      R.Vars = C.Vars;
-      std::string Resp = failoverAsk(PriPort, R.toJson().str(), 8);
+      std::string Id = "tail" + std::to_string(I);
+      std::string Resp = ask(
+          PriPort, soakRequest(Programs, I, Id, false).toJson().str(), 8);
       if (Resp.find("\"status\":\"ok\"") != std::string::npos) {
         ++TailOk;
-        TailIds.push_back(R.Id);
+        TailIds.push_back(Id);
       }
     }
-    PrimaryReplView After = primaryReplView(PriPort);
-    bool Strict = Before.Reachable && After.Reachable &&
-                  After.SyncTimeouts == Before.SyncTimeouts;
-    Pri->kill9();
+    auto After = replCounters(PriPort, true);
+    bool Strict = Before && After &&
+                  (*After)["sync_timeouts"] == (*Before)["sync_timeouts"];
+    ServeNode::signal(Pri->leader(), SIGKILL);
     Pri.reset();
-    if (!Stb->term(30000))
-      violate("standby never drained for the post-matrix scan");
+    if (!Stb->terminate(Stb->leader(), 30000))
+      fail("standby never drained for the post-matrix scan");
     Stb.reset();
     JournalScan Scan = scanJournalDetailed(JPath[StbSlot]);
     if (Scan.CorruptRecords)
-      violate("replica journal holds mid-file corruption after the "
-              "matrix");
+      fail("replica journal holds mid-file corruption after the matrix");
     if (Scan.MaxEpoch < Epoch)
-      violate("replica journal never saw the final fencing epoch " +
-              std::to_string(Epoch));
+      fail("replica journal never saw the final fencing epoch " +
+           std::to_string(Epoch));
     if (!TailOk)
-      violate("acked-durability tail batch produced no ok responses — "
-              "the audit proved nothing");
+      fail("acked-durability tail batch produced no ok responses — the "
+           "audit proved nothing");
     if (Strict) {
       std::set<std::string> Begins = journalBeginIds(JPath[StbSlot]);
       for (const std::string &Id : TailIds)
         if (!Begins.count(Id))
-          violate("acknowledged-but-lost: response for id " + Id +
-                  " has no replica-journal record");
+          fail("acknowledged-but-lost: response for id " + Id +
+               " has no replica-journal record");
     } else {
-      std::fprintf(stderr,
-                   "jslice_soak: sync ack timeouts during the tail "
-                   "batch; acked-durability audit skipped\n");
+      std::fprintf(stderr, "jslice_soak: sync ack timeouts during the tail "
+                           "batch; acked-durability audit skipped\n");
     }
-  } else {
-    if (Pri)
-      Pri->kill9();
-    Pri.reset();
-    if (Stb)
-      Stb->term(15000);
-    Stb.reset();
+  } else if (Stb) {
+    Stb->terminate(Stb->leader(), 15000);
   }
-  Proxy.reset();
-
-  // Coverage: two promotions means the final epoch is at least 3 — a
-  // matrix that never failed over proved nothing.
+  // Coverage: two promotions put the final epoch at 3 or more.
   if (Epoch < 3)
-    violate("matrix finished at epoch " + std::to_string(Epoch) +
-            " — both promotions must land");
+    fail("matrix finished at epoch " + std::to_string(Epoch) +
+         " — both promotions must land");
 
   Audit A;
-  for (const std::string &L : Responses)
-    auditLine(L, A);
-  A.Violations += Lost + MatrixViolations;
-  for (const auto &[Id, N] : A.SliceResponses)
-    if (N != 1) {
-      ++A.Violations;
-      std::fprintf(stderr, "VIOLATION: id %s answered %llu times\n",
-                   Id.c_str(), static_cast<unsigned long long>(N));
-    }
-  if (A.SliceResponses.size() != Sent - Lost) {
-    ++A.Violations;
-    std::fprintf(stderr,
-                 "VIOLATION: %llu requests sent, %zu distinct terminal "
-                 "statuses — responses were lost\n",
-                 static_cast<unsigned long long>(Sent),
-                 A.SliceResponses.size());
-  }
-
+  A.lines(R.Responses);
+  A.Violations += Violations;
+  A.finishExactlyOnce(R.Sent, R.Lost);
   std::printf("jslice_soak: failover matrix — %llu requests over %u "
               "clients, final epoch %llu, %llu endpoint failovers, "
               "%llu tail-audited, ack=%s\n",
-              static_cast<unsigned long long>(Sent), NClients,
-              static_cast<unsigned long long>(Epoch),
-              static_cast<unsigned long long>(EndpointFailovers),
-              static_cast<unsigned long long>(TailOk),
-              replAckPolicyName(Opts.ReplAck));
-  std::printf("               retried requests   %llu\n",
-              static_cast<unsigned long long>(Retried));
-  for (const auto &[StName, N] : A.ByStatus)
-    std::printf("               %-18s %llu\n", StName.c_str(),
-                static_cast<unsigned long long>(N));
-  std::printf("               violations         %llu\n",
-              static_cast<unsigned long long>(A.Violations));
+              ull(R.Sent), Opts.NetClients, ull(Epoch), ull(R.Failovers),
+              ull(TailOk), replAckPolicyName(Opts.ReplAck));
+  std::printf("               retried requests   %llu\n", ull(R.Retried));
+  A.printSummary();
   return A.Violations ? 1 : 0;
 }
 
-#else // !JSLICE_HAVE_POSIX_PROCESS
+#else
 
-int runNetSoak(const SoakOptions &) {
-  std::fprintf(stderr,
-               "jslice_soak: TCP transport unavailable; --net skipped\n");
+int unavailable(const char *Mode) {
+  std::fprintf(stderr, "jslice_soak: sockets and process control are "
+                       "unavailable; --%s skipped\n", Mode);
   return 0;
 }
-
-int runUpgradeMatrix(const SoakOptions &) {
-  std::fprintf(stderr, "jslice_soak: process control unavailable; "
-                       "--upgrade-matrix skipped\n");
-  return 0;
-}
-
-int runFailoverMatrix(const SoakOptions &) {
-  std::fprintf(stderr, "jslice_soak: process control unavailable; "
-                       "--failover-matrix skipped\n");
-  return 0;
-}
+int runNetSoak(const SoakOptions &) { return unavailable("net"); }
+int runUpgradeMatrix(const SoakOptions &) { return unavailable("upgrade"); }
+int runFailoverMatrix(const SoakOptions &) { return unavailable("failover"); }
 
 #endif
 
-//===----------------------------------------------------------------------===//
-// Isolation benchmark
-//===----------------------------------------------------------------------===//
-
 struct BenchRun {
-  double WallMs = 0;
-  double ThroughputRps = 0;
+  double WallMs = 0, ThroughputRps = 0;
   ServerStats Stats;
 };
 
-BenchRun benchMode(const SoakOptions &Opts, const std::string &Input,
-                   bool Process, const CacheOptions &Cache,
-                   const std::string &JournalPath = "",
-                   JournalSync Sync = JournalSync::Full) {
-  std::istringstream In(Input);
-  std::ostringstream Out;
-  std::ostringstream Log;
-  ServerOptions SOpts;
-  SOpts.Threads = Opts.Threads;
-  SOpts.IsolateProcess = Process;
-  SOpts.Super.Workers = Opts.Workers;
-  SOpts.QuarantineDir = Opts.QuarantineDir;
-  SOpts.Cache = Cache;
-  SOpts.JournalPath = JournalPath;
-  SOpts.JournalSyncPolicy = Sync;
-  Server S(SOpts, Out, Log);
+using Clock = std::chrono::steady_clock;
 
-  auto Start = std::chrono::steady_clock::now();
-  S.serve(In);
+BenchRun benchRun(const ServerStats &Stats, Clock::time_point Start,
+                  Clock::time_point End) {
   BenchRun R;
-  R.WallMs = std::chrono::duration<double, std::milli>(
-                 std::chrono::steady_clock::now() - Start)
-                 .count();
-  R.Stats = S.stats();
-  S.finish();
-  uint64_t Answered = R.Stats.Served + R.Stats.Refused + R.Stats.Errors;
+  R.Stats = Stats;
+  R.WallMs = std::chrono::duration<double, std::milli>(End - Start).count();
+  uint64_t Answered = Stats.Served + Stats.Refused + Stats.Errors;
   R.ThroughputRps = R.WallMs > 0 ? Answered / (R.WallMs / 1000.0) : 0;
   return R;
+}
+
+/// The stream through the in-process stdin transport.
+BenchRun benchStdin(const ServerOptions &SOpts, const std::string &Input) {
+  InProcessService Svc(SOpts);
+  auto Start = Clock::now();
+  Svc.serve(Input);
+  return benchRun(Svc.server().stats(), Start, Clock::now());
 }
 
 #ifdef JSLICE_HAVE_POSIX_PROCESS
-/// Times the same stream through one pipelined TCP connection: a
-/// writer thread floods every request line while the main thread
-/// drains responses — the socket-transport cost relative to the
-/// in-process stdin path. Returns nullopt when the listener cannot
-/// start. With \p A non-null every complete response line is also
-/// audited, so a cached-vs-cacheless comparison carries the full
-/// exactly-once guarantee, not just a newline count.
-std::optional<BenchRun> benchTcpMode(const SoakOptions &Opts,
-                                     const std::string &Input,
-                                     uint64_t Slices,
-                                     const CacheOptions &Cache,
-                                     Audit *A = nullptr) {
-  std::ostringstream Unused, Log;
-  ServerOptions SOpts;
-  SOpts.Threads = Opts.Threads;
-  SOpts.QuarantineDir = Opts.QuarantineDir;
-  SOpts.Cache = Cache;
-  Server S(SOpts, Unused, Log);
-  TcpServerOptions TOpts;
-  TOpts.Shards = Opts.Shards;
-  TcpServer T(S, TOpts, Log);
-  std::string Err;
-  if (!T.start(Err))
-    return std::nullopt;
-  std::thread Loop([&] { T.run(); });
-
-  auto Start = std::chrono::steady_clock::now();
-  BenchRun R;
-  {
-    int Fd = connectTcp("127.0.0.1", T.port(), 5000, Err);
-    if (Fd < 0) {
-      T.requestStop();
-      Loop.join();
-      S.finish();
-      return std::nullopt;
-    }
-    std::thread Writer([&] {
-      size_t Sent = 0;
-      while (Sent < Input.size()) {
-        int64_t W = sendSome(Fd, Input.data() + Sent, Input.size() - Sent);
-        if (W <= 0)
-          break;
-        Sent += static_cast<size_t>(W);
-      }
-    });
-    uint64_t Got = 0;
-    char Chunk[65536];
-    std::string Partial;
-    while (Got < Slices) {
-      int64_t N = recvSome(Fd, Chunk, sizeof(Chunk));
-      if (N <= 0)
-        break;
-      for (int64_t I = 0; I != N; ++I) {
-        if (Chunk[I] != '\n') {
-          if (A)
-            Partial.push_back(Chunk[I]);
-          continue;
-        }
-        ++Got;
-        if (A) {
-          if (!Partial.empty())
-            auditLine(Partial, *A);
-          Partial.clear();
-        }
-      }
-    }
-    Writer.join();
-    closeQuietly(Fd);
-  }
-  R.WallMs = std::chrono::duration<double, std::milli>(
-                 std::chrono::steady_clock::now() - Start)
-                 .count();
-  T.requestStop();
-  Loop.join();
-  S.finish();
-  // Snapshot after finish(): the last response reaches the socket a
-  // breath before the server's own counters settle.
-  R.Stats = S.stats();
-  uint64_t Answered = R.Stats.Served + R.Stats.Refused + R.Stats.Errors;
-  R.ThroughputRps = R.WallMs > 0 ? Answered / (R.WallMs / 1000.0) : 0;
-  return R;
-}
-
-/// A Zipf-distributed request stream: the rank-r program is drawn with
-/// probability proportional to 1/r — the textbook shape of repeated
-/// analysis traffic (a few hot programs, a long cold tail), and the
-/// regime a content-addressed cache is built for. Criteria and
-/// algorithms still rotate per request, so hits exercise the whole
-/// closure table of each cached artifact rather than one memoized row.
-std::string buildZipfStream(const SoakOptions &Opts,
-                            const std::vector<SoakProgram> &Programs,
-                            uint64_t &Slices) {
-  std::vector<double> Cdf;
-  Cdf.reserve(Programs.size());
-  double Sum = 0;
-  for (size_t R = 0; R != Programs.size(); ++R) {
-    Sum += 1.0 / static_cast<double>(R + 1);
-    Cdf.push_back(Sum);
-  }
-  uint64_t Rng = Opts.Seed * 0x9e3779b97f4a7c15ull + 0x2545f4914f6cdd1dull;
-  std::ostringstream Stream;
-  Slices = 0;
-  for (uint64_t I = 0; I != Opts.Requests; ++I) {
-    Rng ^= Rng << 13;
-    Rng ^= Rng >> 7;
-    Rng ^= Rng << 17;
-    double U = static_cast<double>(Rng >> 11) *
-               (1.0 / 9007199254740992.0) * Sum;
-    size_t Rank = static_cast<size_t>(
-        std::lower_bound(Cdf.begin(), Cdf.end(), U) - Cdf.begin());
-    if (Rank >= Programs.size())
-      Rank = Programs.size() - 1;
-    const SoakProgram &P = Programs[Rank];
-    ServiceRequest R;
-    R.Id = "z" + std::to_string(I);
-    R.Program = P.Source;
-    const Criterion &C = P.Criteria[I % P.Criteria.size()];
-    R.Line = C.Line;
-    R.Vars = C.Vars;
-    R.Algorithm = AllAlgorithms[I % (sizeof(AllAlgorithms) /
-                                     sizeof(AllAlgorithms[0]))];
-    Stream << R.toJson().str() << "\n";
-    ++Slices;
-  }
-  return Stream.str();
-}
-
-/// The exactly-once audit over one Zipf bench pass.
-uint64_t zipfExactlyOnce(Audit &A, uint64_t Slices, const char *Tag) {
-  uint64_t Violations = A.Violations;
-  for (const auto &[Id, N] : A.SliceResponses)
-    if (N != 1) {
-      ++Violations;
-      std::fprintf(stderr, "VIOLATION: zipf %s: id %s answered %llu times\n",
-                   Tag, Id.c_str(), static_cast<unsigned long long>(N));
-    }
-  if (A.SliceResponses.size() != Slices) {
-    ++Violations;
-    std::fprintf(stderr,
-                 "VIOLATION: zipf %s: %llu requests, %zu distinct "
-                 "responses\n",
-                 Tag, static_cast<unsigned long long>(Slices),
-                 A.SliceResponses.size());
-  }
-  return Violations;
-}
-
-/// One rung of the shard ladder: the same framed request lines split
-/// round-robin across \p Clients concurrent connections into a server
-/// running \p Shards reactor shards. benchTcpMode's single pipelined
-/// connection can only ever land on one shard; this variant gives
-/// every shard work, so the ladder measures what sharding buys on the
-/// hardware at hand. Every response line is collected and audited.
-std::optional<BenchRun> benchTcpMulti(const SoakOptions &Opts,
-                                      const std::vector<std::string> &Lines,
-                                      unsigned Shards, unsigned Clients,
-                                      const CacheOptions &Cache, Audit &A) {
-  std::ostringstream Unused, Log;
-  ServerOptions SOpts;
-  SOpts.Threads = Opts.Threads;
-  SOpts.QuarantineDir = Opts.QuarantineDir;
-  SOpts.Cache = Cache;
-  Server S(SOpts, Unused, Log);
+/// \p Lines pipelined over \p Clients raw connections into a server with
+/// \p Shards reactor shards; with \p Replica a real StandbyTail
+/// subscribes first, and with \p A every response is audited.
+std::optional<BenchRun> benchTcp(const ServerOptions &SOpts, unsigned Shards,
+                                 const std::vector<std::string> &Lines,
+                                 unsigned Clients, Audit *A,
+                                 const std::string &Replica = "") {
+  InProcessService Svc(SOpts);
   TcpServerOptions TOpts;
   TOpts.Shards = Shards;
-  TcpServer T(S, TOpts, Log);
   std::string Err;
-  if (!T.start(Err))
+  if (!Svc.listen(TOpts, Err))
     return std::nullopt;
-  std::thread Loop([&] { T.run(); });
-  uint16_t Port = T.port();
-
+  Journal ReplicaJournal;
+  std::unique_ptr<StandbyTail> Tail;
+  if (!Replica.empty()) {
+    StandbyTailOptions TO;
+    TO.Port = Svc.port();
+    if (!ReplicaJournal.open(Replica))
+      return std::nullopt;
+    Tail = std::make_unique<StandbyTail>(TO, ReplicaJournal);
+    if (!Tail->start(Err) ||
+        !waitFor([&] { return Tail->stats().Connected; }, 5000, 10))
+      return std::nullopt;
+  }
   // Pre-framed per-client partitions, so client threads only shovel.
   std::vector<std::string> In(Clients);
   std::vector<uint64_t> Expect(Clients, 0);
   for (size_t I = 0; I != Lines.size(); ++I) {
-    In[I % Clients] += Lines[I];
-    In[I % Clients] += '\n';
+    In[I % Clients] += Lines[I] + "\n";
     ++Expect[I % Clients];
   }
-
   std::mutex M;
   std::vector<std::string> Collected;
-  Collected.reserve(Lines.size());
-
-  auto Start = std::chrono::steady_clock::now();
+  auto Start = Clock::now();
   std::vector<std::thread> Pump;
-  for (unsigned CI = 0; CI != Clients; ++CI) {
+  for (unsigned CI = 0; CI != Clients; ++CI)
     Pump.emplace_back([&, CI] {
       std::string E;
-      int Fd = connectTcp("127.0.0.1", Port, 5000, E);
+      int Fd = connectTcp("127.0.0.1", Svc.port(), 5000, E);
       if (Fd < 0)
         return; // The exactly-once audit reports the missing responses.
       std::thread Writer([&, Fd] {
-        const std::string &Buf = In[CI];
         size_t Sent = 0;
-        while (Sent < Buf.size()) {
-          int64_t W = sendSome(Fd, Buf.data() + Sent, Buf.size() - Sent);
+        while (Sent < In[CI].size()) {
+          int64_t W =
+              sendSome(Fd, In[CI].data() + Sent, In[CI].size() - Sent);
           if (W <= 0)
             break;
           Sent += static_cast<size_t>(W);
         }
       });
       std::vector<std::string> Local;
-      Local.reserve(Expect[CI]);
       std::string Partial;
       char Chunk[65536];
-      uint64_t Got = 0;
-      while (Got < Expect[CI]) {
+      for (uint64_t Got = 0; Got < Expect[CI];) {
         int64_t N = recvSome(Fd, Chunk, sizeof(Chunk));
         if (N <= 0)
           break;
         for (int64_t I = 0; I != N; ++I) {
           if (Chunk[I] != '\n') {
-            Partial.push_back(Chunk[I]);
+            if (A)
+              Partial.push_back(Chunk[I]);
             continue;
           }
-          Local.push_back(Partial);
-          Partial.clear();
           ++Got;
+          if (A)
+            Local.push_back(std::move(Partial));
+          Partial.clear();
         }
       }
       Writer.join();
       closeQuietly(Fd);
       std::lock_guard<std::mutex> Lock(M);
-      for (auto &L : Local)
+      for (std::string &L : Local)
         Collected.push_back(std::move(L));
     });
-  }
-  for (auto &P : Pump)
-    P.join();
-  BenchRun R;
-  R.WallMs = std::chrono::duration<double, std::milli>(
-                 std::chrono::steady_clock::now() - Start)
-                 .count();
-  T.requestStop();
-  Loop.join();
-  S.finish();
-  R.Stats = S.stats();
-  for (const std::string &L : Collected)
-    auditLine(L, A);
-  uint64_t Answered = R.Stats.Served + R.Stats.Refused + R.Stats.Errors;
-  R.ThroughputRps = R.WallMs > 0 ? Answered / (R.WallMs / 1000.0) : 0;
-  return R;
+  for (std::thread &T : Pump)
+    T.join();
+  auto End = Clock::now();
+  if (Tail)
+    Tail->stop();
+  // Snapshot after finish(): the last response reaches the socket a
+  // breath before the server's own counters settle.
+  Svc.finish();
+  if (A)
+    A->lines(Collected);
+  return benchRun(Svc.server().stats(), Start, End);
 }
 
-/// One bench pass with the journal on and — when \p WithStandby — a
-/// real StandbyTail subscribed over TCP at \p Policy, so the measured
-/// ladder prices what each ack policy costs on the hot path against
-/// the journal-only baseline. The subscription is established before
-/// the clock starts; sync rows therefore wait on a live ack for every
-/// admission, never on the no-subscriber fast path.
-std::optional<BenchRun> benchReplicated(const SoakOptions &Opts,
-                                        const std::string &Input,
-                                        uint64_t Slices,
-                                        const CacheOptions &Cache,
-                                        ReplAckPolicy Policy,
-                                        bool WithStandby) {
-  const std::string JPath = "bench-repl-journal.jsonl";
-  const std::string RPath = "bench-repl-replica.jsonl";
-  std::error_code Ec;
-  std::filesystem::remove(JPath, Ec);
-  std::filesystem::remove(RPath, Ec);
-
-  std::ostringstream Unused, Log;
-  ServerOptions SOpts;
-  SOpts.Threads = Opts.Threads;
-  SOpts.QuarantineDir = Opts.QuarantineDir;
-  SOpts.Cache = Cache;
-  SOpts.JournalPath = JPath;
-  SOpts.ReplAck = Policy;
-  Server S(SOpts, Unused, Log);
-  TcpServerOptions TOpts;
-  TOpts.Shards = Opts.Shards;
-  TcpServer T(S, TOpts, Log);
-  std::string Err;
-  if (!T.start(Err))
-    return std::nullopt;
-  std::thread Loop([&] { T.run(); });
-
-  Journal Replica;
-  std::unique_ptr<StandbyTail> Tail;
-  auto Teardown = [&] {
-    if (Tail)
-      Tail->stop();
-    T.requestStop();
-    Loop.join();
-    S.finish();
-  };
-  if (WithStandby) {
-    StandbyTailOptions TO;
-    TO.Port = T.port();
-    bool Up = Replica.open(RPath);
-    if (Up) {
-      Tail = std::make_unique<StandbyTail>(TO, Replica);
-      Up = Tail->start(Err);
-    }
-    for (int I = 0; Up && I != 500 && !Tail->stats().Connected; ++I)
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    if (!Up || !Tail->stats().Connected) {
-      Teardown();
-      return std::nullopt;
-    }
+/// A Zipf stream: the rank-r program drawn with weight 1/r — a few hot
+/// programs and a long cold tail, the regime the cache is built for.
+std::vector<std::string> zipfLines(const SoakOptions &Opts,
+                                   const std::vector<SoakProgram> &Programs) {
+  std::vector<double> Cdf;
+  double Sum = 0;
+  for (size_t R = 0; R != Programs.size(); ++R)
+    Cdf.push_back(Sum += 1.0 / static_cast<double>(R + 1));
+  uint64_t Rng = Opts.Seed * 0x9e3779b97f4a7c15ull + 0x2545f4914f6cdd1dull;
+  std::vector<std::string> Lines;
+  for (uint64_t I = 0; I != Opts.Requests; ++I) {
+    Rng ^= Rng << 13;
+    Rng ^= Rng >> 7;
+    Rng ^= Rng << 17;
+    double U =
+        static_cast<double>(Rng >> 11) * (1.0 / 9007199254740992.0) * Sum;
+    size_t Rank = std::min<size_t>(
+        Programs.size() - 1,
+        std::lower_bound(Cdf.begin(), Cdf.end(), U) - Cdf.begin());
+    // The algorithm rotates as in the corpus stream; the program is the
+    // drawn one.
+    const SoakProgram &P = Programs[Rank];
+    ServiceRequest R = soakRequest(Programs, I, "z" + std::to_string(I));
+    const Criterion &C = P.Criteria[I % P.Criteria.size()];
+    R.Program = P.Source;
+    R.Line = C.Line;
+    R.Vars = C.Vars;
+    Lines.push_back(R.toJson().str());
   }
-
-  auto Start = std::chrono::steady_clock::now();
-  BenchRun R;
-  {
-    int Fd = connectTcp("127.0.0.1", T.port(), 5000, Err);
-    if (Fd < 0) {
-      Teardown();
-      return std::nullopt;
-    }
-    std::thread Writer([&] {
-      size_t Sent = 0;
-      while (Sent < Input.size()) {
-        int64_t W = sendSome(Fd, Input.data() + Sent, Input.size() - Sent);
-        if (W <= 0)
-          break;
-        Sent += static_cast<size_t>(W);
-      }
-    });
-    uint64_t Got = 0;
-    char Chunk[65536];
-    while (Got < Slices) {
-      int64_t N = recvSome(Fd, Chunk, sizeof(Chunk));
-      if (N <= 0)
-        break;
-      for (int64_t I = 0; I != N; ++I)
-        if (Chunk[I] == '\n')
-          ++Got;
-    }
-    Writer.join();
-    closeQuietly(Fd);
-  }
-  R.WallMs = std::chrono::duration<double, std::milli>(
-                 std::chrono::steady_clock::now() - Start)
-                 .count();
-  Teardown();
-  R.Stats = S.stats();
-  uint64_t Answered = R.Stats.Served + R.Stats.Refused + R.Stats.Errors;
-  R.ThroughputRps = R.WallMs > 0 ? Answered / (R.WallMs / 1000.0) : 0;
-  std::filesystem::remove(JPath, Ec);
-  std::filesystem::remove(RPath, Ec);
-  return R;
+  return Lines;
 }
 #endif
 
@@ -3263,19 +1422,24 @@ JsonValue benchJson(const BenchRun &R) {
 
 int runBench(const SoakOptions &Opts) {
   std::vector<SoakProgram> Programs = buildPrograms(Opts);
-  uint64_t Slices = 0;
-  std::string Input = buildSliceStream(Opts, Programs, Slices);
+  std::vector<std::string> Lines = sliceLines(Opts, Programs);
+  std::string Input = joinLines(Lines);
+  const uint64_t Slices = Lines.size();
 
   // The mode rows measure isolation and transport overhead, so they
   // run cache-off: a hit-heavy round-robin stream would otherwise turn
   // them into a second cache benchmark.
-  CacheOptions CacheOff = cacheOptions(Opts);
-  CacheOff.Enabled = false;
-  BenchRun Thread = benchMode(Opts, Input, /*Process=*/false, CacheOff);
-  BenchRun Process = benchMode(Opts, Input, /*Process=*/true, CacheOff);
+  ServerOptions Off = serverOptions(Opts);
+  Off.JournalPath.clear();
+  Off.Cache.Enabled = false;
+  ServerOptions ProcessOff = Off;
+  ProcessOff.IsolateProcess = true;
+  Off.IsolateProcess = false;
+  BenchRun Thread = benchStdin(Off, Input);
+  BenchRun Process = benchStdin(ProcessOff, Input);
   std::optional<BenchRun> Tcp;
 #ifdef JSLICE_HAVE_POSIX_PROCESS
-  Tcp = benchTcpMode(Opts, Input, Slices, CacheOff);
+  Tcp = benchTcp(Off, Opts.Shards, Lines, 1, nullptr);
 #endif
 
   JsonValue Root = JsonValue::object();
@@ -3298,190 +1462,145 @@ int runBench(const SoakOptions &Opts) {
                  Thread.ThroughputRps / Process.ThroughputRps);
   Root.set("process_overhead", std::move(Overhead));
   if (Tcp && Tcp->ThroughputRps > 0) {
-    // TCP-vs-stdin: the socket hop's toll on the same thread-isolated
-    // request stream.
+    // The socket hop's toll on the same thread-isolated stream.
     JsonValue Net = JsonValue::object();
     Net.set("throughput_ratio", Thread.ThroughputRps / Tcp->ThroughputRps);
     Root.set("tcp_overhead", std::move(Net));
   }
 
-  // The durability ladder: the same stream through thread isolation
-  // with the journal at each sync policy. The gap between `full` and
-  // `batch` is the per-record fsync's hot-path price; `off` is the
-  // OS-page-cache ceiling (DESIGN.md §16 documents the trade-off each
-  // rung buys).
+  // The durability ladder: the same stream with the journal at each
+  // sync policy. The gap between `full` and `batch` is the per-record
+  // fsync's hot-path price (DESIGN.md §16).
   {
-    std::string JPath = Opts.JournalPath.empty() ? "bench-journal.jsonl"
-                                                 : Opts.JournalPath;
+    ServerOptions J = Off;
+    J.JournalPath =
+        Opts.JournalPath.empty() ? "bench-journal.jsonl" : Opts.JournalPath;
     JsonValue Sync = JsonValue::object();
-    std::printf("jslice_soak: journal sync —");
-    const JournalSync Policies[] = {JournalSync::Full, JournalSync::Batch,
-                                    JournalSync::Off};
-    for (JournalSync Policy : Policies) {
-      std::error_code Ec;
-      std::filesystem::remove(JPath, Ec);
-      BenchRun R =
-          benchMode(Opts, Input, /*Process=*/false, CacheOff, JPath, Policy);
-      Sync.set(journalSyncName(Policy), benchJson(R));
-      std::printf(" %s %.0f req/s%s", journalSyncName(Policy),
-                  R.ThroughputRps, Policy == JournalSync::Off ? "\n" : " |");
+    for (JournalSync Policy : {JournalSync::Full, JournalSync::Batch}) {
+      removeJournal(J.JournalPath);
+      J.JournalSyncPolicy = Policy;
+      Sync.set(journalSyncName(Policy), benchJson(benchStdin(J, Input)));
     }
     Root.set("journal_sync", std::move(Sync));
-    std::error_code Ec;
-    std::filesystem::remove(JPath, Ec);
+    removeJournal(J.JournalPath);
   }
 
-  // The replication ladder: the same stream with the journal on and a
-  // real standby tailing the stream over TCP, at each ack policy.
-  // `no_replica` is the baseline price of journal + transport alone;
-  // the async -> flush -> sync spread is what each narrowing of the
-  // acknowledged-loss window costs on the hot path (DESIGN.md,
-  // "Replication & failover" tabulates the windows).
+  uint64_t ZipfViolations = 0;
 #ifdef JSLICE_HAVE_POSIX_PROCESS
+  // The replication ladder: journal on, a real standby tailing the
+  // stream at each ack policy. `no_replica` is the price of journal +
+  // transport alone; async -> flush -> sync is what each narrowing of
+  // the acknowledged-loss window costs (DESIGN.md, "Replication &
+  // failover").
   {
+    ServerOptions J = Off;
+    J.JournalPath = "bench-repl-journal.jsonl";
+    const std::string Replica = "bench-repl-replica.jsonl";
     JsonValue Repl = JsonValue::object();
-    std::printf("jslice_soak: replication —");
     double Baseline = 0;
-    if (std::optional<BenchRun> Base =
-            benchReplicated(Opts, Input, Slices, CacheOff,
-                            ReplAckPolicy::Async, /*WithStandby=*/false)) {
+    removeJournal(J.JournalPath);
+    if (std::optional<BenchRun> Base = benchTcp(J, Opts.Shards, Lines, 1,
+                                                nullptr)) {
       Baseline = Base->ThroughputRps;
       Repl.set("no_replica", benchJson(*Base));
-      std::printf(" no-replica %.0f req/s |", Baseline);
     }
-    const ReplAckPolicy Policies[] = {
-        ReplAckPolicy::Async, ReplAckPolicy::Flush, ReplAckPolicy::Sync};
-    for (ReplAckPolicy Policy : Policies) {
-      std::optional<BenchRun> R = benchReplicated(
-          Opts, Input, Slices, CacheOff, Policy, /*WithStandby=*/true);
+    for (ReplAckPolicy Policy :
+         {ReplAckPolicy::Async, ReplAckPolicy::Flush, ReplAckPolicy::Sync}) {
+      removeJournal(J.JournalPath);
+      removeJournal(Replica);
+      J.ReplAck = Policy;
+      std::optional<BenchRun> R =
+          benchTcp(J, Opts.Shards, Lines, 1, nullptr, Replica);
       if (!R)
         continue;
       JsonValue Row = benchJson(*R);
       if (Baseline > 0 && R->ThroughputRps > 0)
         Row.set("slowdown_vs_no_replica", Baseline / R->ThroughputRps);
       Repl.set(replAckPolicyName(Policy), std::move(Row));
-      std::printf(" %s %.0f req/s%s", replAckPolicyName(Policy),
-                  R->ThroughputRps,
-                  Policy == ReplAckPolicy::Sync ? "\n" : " |");
     }
+    removeJournal(J.JournalPath);
+    removeJournal(Replica);
     Root.set("replication", std::move(Repl));
   }
-#endif
 
-  // The cache benchmark: the same corpus under a Zipf draw, through
-  // TCP, cache-off then cache-on with self-audit sampling. Both passes
-  // carry the exactly-once audit; the cache-on pass must additionally
-  // end with zero self-audit mismatches.
-  uint64_t ZipfViolations = 0;
-#ifdef JSLICE_HAVE_POSIX_PROCESS
-  {
-    double ZipfSpeedup = 0;
-    uint64_t ZSlices = 0;
-    std::string ZInput = buildZipfStream(Opts, Programs, ZSlices);
-    CacheOptions CacheOn = cacheOptions(Opts);
-    CacheOn.Enabled = true;
-    if (!CacheOn.AuditEvery)
-      CacheOn.AuditEvery = 16;
-    Audit AOff, AOn;
-    std::optional<BenchRun> ZOff =
-        benchTcpMode(Opts, ZInput, ZSlices, CacheOff, &AOff);
-    std::optional<BenchRun> ZOn =
-        benchTcpMode(Opts, ZInput, ZSlices, CacheOn, &AOn);
-    if (ZOff && ZOn) {
-      ZipfViolations += zipfExactlyOnce(AOff, ZSlices, "cache-off");
-      ZipfViolations += zipfExactlyOnce(AOn, ZSlices, "cache-on");
-      if (ZOn->Stats.Cache.AuditMismatches) {
-        ++ZipfViolations;
-        std::fprintf(stderr,
-                     "VIOLATION: zipf cache-on: %llu self-audit "
-                     "mismatches\n",
-                     static_cast<unsigned long long>(
-                         ZOn->Stats.Cache.AuditMismatches));
-      }
-      if (ZOff->ThroughputRps > 0)
-        ZipfSpeedup = ZOn->ThroughputRps / ZOff->ThroughputRps;
-      JsonValue Z = JsonValue::object();
-      Z.set("distribution", "zipf(s=1)");
-      Z.set("requests", ZSlices);
-      Z.set("cache_off", benchJson(*ZOff));
-      JsonValue OnJ = benchJson(*ZOn);
-      OnJ.set("cached_serves", AOn.CachedServes);
-      OnJ.set("audited_serves", AOn.AuditedServes);
-      OnJ.set("cache", ZOn->Stats.Cache.toJson());
-      Z.set("cache_on", std::move(OnJ));
-      Z.set("speedup", ZipfSpeedup);
-      Z.set("audit_violations", ZipfViolations);
-      Root.set("zipf", std::move(Z));
-      std::printf("jslice_soak: zipf — cache off %.0f req/s, cache on "
-                  "%.0f req/s (%.1fx), %llu/%llu cached, %llu audited, "
-                  "%llu violations\n",
-                  ZOff->ThroughputRps, ZOn->ThroughputRps, ZipfSpeedup,
-                  static_cast<unsigned long long>(AOn.CachedServes),
-                  static_cast<unsigned long long>(ZSlices),
-                  static_cast<unsigned long long>(AOn.AuditedServes),
-                  static_cast<unsigned long long>(ZipfViolations));
-    } else {
+  // The cache benchmark: a Zipf draw over the corpus through TCP,
+  // cache-off then cache-on with self-audit sampling. Both passes carry
+  // the exactly-once audit; cache-on must end with zero mismatches.
+  std::vector<std::string> ZLines = zipfLines(Opts, Programs);
+  const uint64_t ZSlices = ZLines.size();
+  ServerOptions On = Off;
+  On.Cache.Enabled = true;
+  if (!On.Cache.AuditEvery)
+    On.Cache.AuditEvery = 16;
+  Audit AOff("zipf cache-off"), AOn("zipf cache-on");
+  std::optional<BenchRun> ZOff = benchTcp(Off, Opts.Shards, ZLines, 1, &AOff);
+  std::optional<BenchRun> ZOn = benchTcp(On, Opts.Shards, ZLines, 1, &AOn);
+  if (ZOff && ZOn) {
+    ZipfViolations += AOff.finishExactlyOnce(ZSlices);
+    ZipfViolations += AOn.finishExactlyOnce(ZSlices);
+    if (ZOn->Stats.Cache.AuditMismatches)
+      violation(ZipfViolations,
+                "zipf cache-on: %llu self-audit mismatches",
+                ull(ZOn->Stats.Cache.AuditMismatches));
+    double Speedup =
+        ZOff->ThroughputRps > 0 ? ZOn->ThroughputRps / ZOff->ThroughputRps
+                                : 0;
+    JsonValue Z = JsonValue::object();
+    Z.set("distribution", "zipf(s=1)");
+    Z.set("requests", ZSlices);
+    Z.set("cache_off", benchJson(*ZOff));
+    JsonValue OnJ = benchJson(*ZOn);
+    OnJ.set("cached_serves", AOn.CachedServes);
+    OnJ.set("audited_serves", AOn.AuditedServes);
+    OnJ.set("cache", ZOn->Stats.Cache.toJson());
+    Z.set("cache_on", std::move(OnJ));
+    Z.set("speedup", Speedup);
+    Z.set("audit_violations", ZipfViolations);
+    Root.set("zipf", std::move(Z));
+  } else {
+    std::fprintf(stderr, "jslice_soak: zipf bench skipped (no TCP listener)\n");
+  }
+
+  // The shard ladder: the Zipf cache-on stream over 8 concurrent
+  // connections at 1/2/4/8 reactor shards, every rung audited; the
+  // recorded hardware_concurrency bounds what the ladder can show.
+  const unsigned LadderClients = 8;
+  double Rung1 = 0, Rung8 = 0;
+  JsonValue Rungs = JsonValue::array();
+  bool LadderOk = true;
+  for (unsigned NS : {1u, 2u, 4u, 8u}) {
+    Audit LA("zipf shards-" + std::to_string(NS));
+    std::optional<BenchRun> LR = benchTcp(On, NS, ZLines, LadderClients, &LA);
+    if (!LR) {
       std::fprintf(stderr,
-                   "jslice_soak: zipf bench skipped (no TCP listener)\n");
+                   "jslice_soak: shard ladder skipped at %u shards (no TCP "
+                   "listener)\n",
+                   NS);
+      LadderOk = false;
+      break;
     }
-
-    // The shard ladder: the same Zipf cache-on stream, split across
-    // enough concurrent connections to feed every shard, at 1/2/4/8
-    // reactor shards. Every rung carries the exactly-once audit; the
-    // recorded hardware_concurrency says how much parallelism the
-    // ladder could possibly show on this machine.
-    std::vector<std::string> ZLines;
-    {
-      size_t Pos = 0, NL;
-      while ((NL = ZInput.find('\n', Pos)) != std::string::npos) {
-        ZLines.push_back(ZInput.substr(Pos, NL - Pos));
-        Pos = NL + 1;
-      }
-    }
-    const unsigned LadderClients = 8;
-    double Rung1 = 0, Rung8 = 0;
-    JsonValue Rungs = JsonValue::array();
-    bool LadderOk = true;
-    for (unsigned NS : {1u, 2u, 4u, 8u}) {
-      Audit LA;
-      std::optional<BenchRun> LR =
-          benchTcpMulti(Opts, ZLines, NS, LadderClients, CacheOn, LA);
-      if (!LR) {
-        std::fprintf(stderr,
-                     "jslice_soak: shard ladder skipped at %u shards "
-                     "(no TCP listener)\n",
-                     NS);
-        LadderOk = false;
-        break;
-      }
-      std::string Tag = "shards-" + std::to_string(NS);
-      ZipfViolations += zipfExactlyOnce(LA, ZSlices, Tag.c_str());
-      JsonValue E = JsonValue::object();
-      E.set("shards", static_cast<uint64_t>(NS));
-      E.set("clients", static_cast<uint64_t>(LadderClients));
-      E.set("throughput_rps", LR->ThroughputRps);
-      E.set("wall_ms", LR->WallMs);
-      E.set("latency_p50_ms", LR->Stats.P50Ms);
-      Rungs.push(std::move(E));
-      if (NS == 1)
-        Rung1 = LR->ThroughputRps;
-      if (NS == 8)
-        Rung8 = LR->ThroughputRps;
-      std::printf("jslice_soak: shard ladder — %u shard%s: %.0f req/s "
-                  "over %u connections\n",
-                  NS, NS == 1 ? "" : "s", LR->ThroughputRps,
-                  LadderClients);
-    }
-    if (LadderOk) {
-      JsonValue Ladder = JsonValue::object();
-      Ladder.set("distribution", "zipf(s=1)");
-      Ladder.set("cache", "on");
-      Ladder.set("requests", ZSlices);
-      Ladder.set("rungs", std::move(Rungs));
-      if (Rung1 > 0)
-        Ladder.set("speedup_8v1", Rung8 / Rung1);
-      Root.set("shard_ladder", std::move(Ladder));
-    }
+    ZipfViolations += LA.finishExactlyOnce(ZSlices);
+    JsonValue E = JsonValue::object();
+    E.set("shards", static_cast<uint64_t>(NS));
+    E.set("clients", static_cast<uint64_t>(LadderClients));
+    E.set("throughput_rps", LR->ThroughputRps);
+    E.set("wall_ms", LR->WallMs);
+    E.set("latency_p50_ms", LR->Stats.P50Ms);
+    Rungs.push(std::move(E));
+    if (NS == 1)
+      Rung1 = LR->ThroughputRps;
+    if (NS == 8)
+      Rung8 = LR->ThroughputRps;
+  }
+  if (LadderOk) {
+    JsonValue Ladder = JsonValue::object();
+    Ladder.set("distribution", "zipf(s=1)");
+    Ladder.set("cache", "on");
+    Ladder.set("requests", ZSlices);
+    Ladder.set("rungs", std::move(Rungs));
+    if (Rung1 > 0)
+      Ladder.set("speedup_8v1", Rung8 / Rung1);
+    Root.set("shard_ladder", std::move(Ladder));
   }
 #endif
 
@@ -3495,38 +1614,25 @@ int runBench(const SoakOptions &Opts) {
     OutFile << Text << "\n";
   }
   std::printf("%s\n", Text.c_str());
-  std::printf("jslice_soak: bench — thread %.0f req/s p50 %.2fms | process "
-              "%.0f req/s p50 %.2fms",
-              Thread.ThroughputRps, Thread.Stats.P50Ms,
-              Process.ThroughputRps, Process.Stats.P50Ms);
-  if (Tcp)
-    std::printf(" | tcp %.0f req/s p50 %.2fms", Tcp->ThroughputRps,
-                Tcp->Stats.P50Ms);
-  std::printf("\n");
   return ZipfViolations ? 1 : 0;
 }
 
-//===----------------------------------------------------------------------===//
-// Cache-correctness audit sweep
-//===----------------------------------------------------------------------===//
-
-/// For each seed: generate a program (alternating dialects), request
-/// every mined criterion twice through a fresh audit-every-hit server,
-/// and hold the stream to three promises — identical requests slice
-/// identically, the cache self-audit reports zero mismatches, and the
-/// sweep as a whole actually produced cache hits (a vacuously green
+/// Per seed: a program (alternating dialects), every mined criterion
+/// requested twice through a fresh audit-every-hit server. Identical
+/// requests must slice identically, the self-audit must report zero
+/// mismatches, and the sweep must actually hit (a vacuously green
 /// sweep is a violation, not a pass).
 int runAuditSweep(const SoakOptions &CliOpts) {
   SoakOptions Opts = CliOpts;
   Opts.CacheAuditEvery = 1;
   Opts.CacheEnabled = true;
+  ServerOptions SOpts = serverOptions(Opts);
+  SOpts.Threads = 1;
   uint64_t Violations = 0, Hits = 0, Audits = 0, Pairs = 0, Served = 0;
-  // Weiser (the last algorithm) deliberately bypasses the cache, so the
-  // sweep rotates over the other nine.
-  const size_t CachedAlgos =
-      sizeof(AllAlgorithms) / sizeof(AllAlgorithms[0]) - 1;
+  // Weiser (the last algorithm) bypasses the cache; rotate over the rest.
+  const size_t CachedAlgos = 9;
 
-  for (uint64_t SI = 0; SI != CliOpts.AuditSeeds; ++SI) {
+  for (uint64_t SI = 0; SI != Opts.AuditSeeds; ++SI) {
     GenOptions Gen;
     Gen.Seed = Opts.Seed + SI;
     Gen.TargetStmts = Opts.TargetStmts;
@@ -3541,62 +1647,51 @@ int runAuditSweep(const SoakOptions &CliOpts) {
     if (Crits.size() > 3)
       Crits.resize(3); // Three criteria per program keeps 500 seeds fast.
 
-    std::ostringstream Stream;
+    std::string Stream;
     for (size_t CI = 0; CI != Crits.size(); ++CI) {
       ServiceRequest R;
       R.Program = Source;
       R.Line = Crits[CI].Line;
       R.Vars = Crits[CI].Vars;
       R.Algorithm = AllAlgorithms[(SI + CI) % CachedAlgos];
-      R.Id = "a" + std::to_string(CI);
-      Stream << R.toJson().str() << "\n";
-      R.Id = "b" + std::to_string(CI);
-      Stream << R.toJson().str() << "\n";
+      for (const char *Pass : {"a", "b"}) {
+        R.Id = Pass + std::to_string(CI);
+        Stream += R.toJson().str() + "\n";
+      }
     }
-
     Audit A;
     ServerStats Final;
-    std::string Text =
-        serveAndAudit(Opts, Stream.str(), /*Threads=*/1, A, &Final);
+    std::string Text = serveStdin(Opts, SOpts, Stream, A, &Final);
     Violations += A.Violations;
 
-    // Pair the cold build with its cached replay.
-    std::map<std::string, std::pair<std::string, std::string>> ById;
+    // Pair the cold build with its cached replay: same status, same
+    // lines.
+    std::map<std::string, std::string> ById;
     std::istringstream Lines(Text);
-    std::string Line;
-    while (std::getline(Lines, Line)) {
+    for (std::string Line; std::getline(Lines, Line);) {
       std::optional<JsonValue> V = JsonValue::parse(Line);
-      if (!V || !V->isObject())
-        continue;
-      const JsonValue *Id = V->find("id");
-      const JsonValue *Status = V->find("status");
-      if (!Id || !Id->isString() || !Status || !Status->isString())
-        continue;
-      const JsonValue *Ls = V->find("lines");
-      ById[Id->asString()] = {Status->asString(), Ls ? Ls->str() : ""};
+      const JsonValue *Id = V && V->isObject() ? V->find("id") : nullptr;
+      const JsonValue *St = Id ? V->find("status") : nullptr;
+      const JsonValue *Ls = Id ? V->find("lines") : nullptr;
+      if (Id && Id->isString() && St && St->isString())
+        ById[Id->asString()] = St->asString() + "/" + (Ls ? Ls->str() : "");
     }
     for (size_t CI = 0; CI != Crits.size(); ++CI) {
       auto AIt = ById.find("a" + std::to_string(CI));
       auto BIt = ById.find("b" + std::to_string(CI));
       if (AIt == ById.end() || BIt == ById.end()) {
-        ++Violations;
-        std::fprintf(stderr,
-                     "VIOLATION: seed %llu criterion %zu lost a response\n",
-                     static_cast<unsigned long long>(Gen.Seed), CI);
+        violation(Violations, "seed %llu criterion %zu lost a response",
+                  ull(Gen.Seed), CI);
         continue;
       }
       ++Pairs;
-      if (AIt->second != BIt->second) {
-        ++Violations;
-        std::fprintf(stderr,
-                     "VIOLATION: seed %llu criterion %zu: cold build and "
-                     "cached replay disagree (%s/%s vs %s/%s)\n",
-                     static_cast<unsigned long long>(Gen.Seed), CI,
-                     AIt->second.first.c_str(), AIt->second.second.c_str(),
-                     BIt->second.first.c_str(), BIt->second.second.c_str());
-      }
-      if (AIt->second.first == "ok")
-        ++Served;
+      if (AIt->second != BIt->second)
+        violation(Violations,
+                  "seed %llu criterion %zu: cold build and cached replay "
+                  "disagree (%s vs %s)",
+                  ull(Gen.Seed), CI, AIt->second.c_str(),
+                  BIt->second.c_str());
+      Served += AIt->second.rfind("ok/", 0) == 0;
     }
     if (std::optional<CacheStats> CS =
             checkCacheStats(Opts, Final, Violations)) {
@@ -3604,21 +1699,14 @@ int runAuditSweep(const SoakOptions &CliOpts) {
       Audits += CS->Audits;
     }
   }
-
-  if (!Hits || !Audits) {
-    ++Violations;
-    std::fprintf(stderr, "VIOLATION: audit sweep produced no %s — the "
-                         "sweep proved nothing\n",
-                 Hits ? "audited hits" : "cache hits");
-  }
+  if (!Hits || !Audits)
+    violation(Violations, "audit sweep produced no %s — the sweep proved "
+                          "nothing",
+              Hits ? "audited hits" : "cache hits");
   std::printf("jslice_soak: audit sweep — %llu seeds, %llu request pairs "
               "(%llu served ok), %llu hits, %llu audits, %llu violations\n",
-              static_cast<unsigned long long>(CliOpts.AuditSeeds),
-              static_cast<unsigned long long>(Pairs),
-              static_cast<unsigned long long>(Served),
-              static_cast<unsigned long long>(Hits),
-              static_cast<unsigned long long>(Audits),
-              static_cast<unsigned long long>(Violations));
+              ull(Opts.AuditSeeds), ull(Pairs), ull(Served), ull(Hits),
+              ull(Audits), ull(Violations));
   return Violations ? 1 : 0;
 }
 
@@ -3626,119 +1714,74 @@ int runAuditSweep(const SoakOptions &CliOpts) {
 
 int main(int argc, char **argv) {
   SoakOptions Opts;
+  using O = SoakOptions;
+  static const std::map<std::string, uint64_t O::*> Wide = {
+      {"--requests", &O::Requests},          {"--seed", &O::Seed},
+      {"--fault-stride", &O::FaultStride},   {"--upgrades", &O::Upgrades},
+      {"--kill-interval-ms", &O::KillIntervalMs},
+      {"--cache-entries", &O::CacheEntries}, {"--cache-bytes", &O::CacheBytes},
+      {"--cache-audit-every", &O::CacheAuditEvery},
+      {"--audit-seeds", &O::AuditSeeds}};
+  static const std::map<std::string, unsigned O::*> Narrow = {
+      {"--programs", &O::Programs},       {"--stmts", &O::TargetStmts},
+      {"--threads", &O::Threads},         {"--workers", &O::Workers},
+      {"--breaker-threshold", &O::BreakerThreshold},
+      {"--net-clients", &O::NetClients},  {"--shards", &O::Shards}};
+  static const std::set<std::string> AtLeastOne = {
+      "--programs", "--kill-interval-ms", "--net-clients", "--upgrades"};
+  static const std::map<std::string, std::string O::*> Paths = {
+      {"--journal", &O::JournalPath}, {"--quarantine", &O::QuarantineDir},
+      {"--out", &O::OutPath},         {"--serve-bin", &O::ServeBin}};
+  static const std::map<std::string, bool O::*> Modes = {
+      {"--crash-matrix", &O::CrashMatrix}, {"--disk-chaos", &O::DiskChaos},
+      {"--upgrade-matrix", &O::UpgradeMatrix}, {"--bench", &O::Bench},
+      {"--failover-matrix", &O::FailoverMatrix}, {"--net", &O::Net},
+      {"--verbose", &O::Verbose}};
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
-    auto NextValue = [&]() -> std::optional<std::string> {
-      if (I + 1 >= argc)
-        return std::nullopt;
-      return std::string(argv[++I]);
-    };
-
-    if (Arg == "--requests" || Arg == "--programs" || Arg == "--stmts" ||
-        Arg == "--threads" || Arg == "--seed" || Arg == "--fault-stride" ||
-        Arg == "--workers" || Arg == "--kill-interval-ms" ||
-        Arg == "--breaker-threshold" || Arg == "--net-clients" ||
-        Arg == "--shards" || Arg == "--upgrades" ||
-        Arg == "--cache-entries" || Arg == "--cache-bytes" ||
-        Arg == "--cache-audit-every" || Arg == "--audit-seeds") {
-      std::optional<std::string> Value = NextValue();
-      std::optional<uint64_t> N = Value ? parseCount(*Value) : std::nullopt;
-      if (!N) {
-        std::fprintf(stderr, "error: %s expects a number\n", Arg.c_str());
-        return usage();
-      }
-      if (Arg == "--requests")
-        Opts.Requests = *N;
-      else if (Arg == "--programs")
-        Opts.Programs = static_cast<unsigned>(std::max<uint64_t>(1, *N));
-      else if (Arg == "--stmts")
-        Opts.TargetStmts = static_cast<unsigned>(*N);
-      else if (Arg == "--threads")
-        Opts.Threads = static_cast<unsigned>(*N);
-      else if (Arg == "--seed")
-        Opts.Seed = *N;
-      else if (Arg == "--workers")
-        Opts.Workers = static_cast<unsigned>(*N);
-      else if (Arg == "--kill-interval-ms")
-        Opts.KillIntervalMs = std::max<uint64_t>(1, *N);
-      else if (Arg == "--breaker-threshold")
-        Opts.BreakerThreshold = static_cast<unsigned>(*N);
-      else if (Arg == "--net-clients")
-        Opts.NetClients = static_cast<unsigned>(std::max<uint64_t>(1, *N));
-      else if (Arg == "--shards")
-        Opts.Shards = static_cast<unsigned>(*N);
-      else if (Arg == "--upgrades")
-        Opts.Upgrades = std::max<uint64_t>(1, *N);
-      else if (Arg == "--cache-entries")
-        Opts.CacheEntries = *N;
-      else if (Arg == "--cache-bytes")
-        Opts.CacheBytes = *N;
-      else if (Arg == "--cache-audit-every")
-        Opts.CacheAuditEvery = *N;
-      else if (Arg == "--audit-seeds")
-        Opts.AuditSeeds = *N;
-      else
-        Opts.FaultStride = *N;
-    } else if (Arg == "--cache") {
-      std::optional<std::string> Value = NextValue();
-      if (!Value || (*Value != "on" && *Value != "off")) {
-        std::fprintf(stderr, "error: --cache expects 'on' or 'off'\n");
-        return usage();
-      }
-      Opts.CacheEnabled = *Value == "on";
-    } else if (Arg == "--repl-ack") {
-      std::optional<std::string> Value = NextValue();
-      if (!Value || !parseReplAckPolicyName(*Value, Opts.ReplAck)) {
-        std::fprintf(stderr,
-                     "error: --repl-ack expects async, flush, or sync\n");
-        return usage();
-      }
-    } else if (Arg == "--journal" || Arg == "--quarantine" ||
-               Arg == "--out" || Arg == "--isolate" ||
-               Arg == "--serve-bin") {
-      std::optional<std::string> Value = NextValue();
-      if (!Value) {
-        std::fprintf(stderr, "error: %s requires an argument\n", Arg.c_str());
-        return usage();
-      }
-      if (Arg == "--journal")
-        Opts.JournalPath = *Value;
-      else if (Arg == "--quarantine")
-        Opts.QuarantineDir = *Value;
-      else if (Arg == "--out")
-        Opts.OutPath = *Value;
-      else if (Arg == "--serve-bin")
-        Opts.ServeBin = *Value;
-      else if (*Value == "process")
-        Opts.IsolateProcess = true;
-      else if (*Value == "thread")
-        Opts.IsolateProcess = false;
-      else {
-        std::fprintf(stderr,
-                     "error: --isolate expects 'thread' or 'process'\n");
-        return usage();
-      }
-    } else if (Arg == "--crash-matrix") {
-      Opts.CrashMatrix = true;
-    } else if (Arg == "--disk-chaos") {
-      Opts.DiskChaos = true;
-    } else if (Arg == "--upgrade-matrix") {
-      Opts.UpgradeMatrix = true;
-    } else if (Arg == "--failover-matrix") {
-      Opts.FailoverMatrix = true;
-    } else if (Arg == "--bench") {
-      Opts.Bench = true;
-    } else if (Arg == "--net") {
-      Opts.Net = true;
-    } else if (Arg == "--verbose") {
-      Opts.Verbose = true;
-    } else {
-      std::fprintf(stderr, "error: unknown option '%s'\n", Arg.c_str());
+    if (auto M = Modes.find(Arg); M != Modes.end()) {
+      Opts.*M->second = true;
+      continue;
+    }
+    if (I + 1 >= argc) {
+      std::fprintf(stderr, "error: unknown option or missing value '%s'\n",
+                   Arg.c_str());
+      return usage();
+    }
+    std::string Value = argv[++I];
+    std::optional<uint64_t> N = parseCount(Value);
+    if (AtLeastOne.count(Arg) && N)
+      N = std::max<uint64_t>(1, *N);
+    bool Numeric = Wide.count(Arg) || Narrow.count(Arg);
+    if (Numeric && !N) {
+      std::fprintf(stderr, "error: %s expects a number\n", Arg.c_str());
+      return usage();
+    }
+    if (auto W = Wide.find(Arg); W != Wide.end())
+      Opts.*W->second = *N;
+    else if (auto Nw = Narrow.find(Arg); Nw != Narrow.end())
+      Opts.*Nw->second = static_cast<unsigned>(*N);
+    else if (auto P = Paths.find(Arg); P != Paths.end())
+      Opts.*P->second = Value;
+    else if (Arg == "--cache" && (Value == "on" || Value == "off"))
+      Opts.CacheEnabled = Value == "on";
+    else if (Arg == "--isolate" && (Value == "process" || Value == "thread"))
+      Opts.IsolateProcess = Value == "process";
+    else if (Arg == "--repl-ack" && parseReplAckPolicyName(Value, Opts.ReplAck))
+      continue;
+    else {
+      std::fprintf(stderr, "error: bad option or value '%s %s'\n",
+                   Arg.c_str(), Value.c_str());
       return usage();
     }
   }
 
+  if ((Opts.UpgradeMatrix || Opts.FailoverMatrix) && Opts.ServeBin.empty()) {
+    std::fprintf(stderr, "error: the process matrices require --serve-bin "
+                         "PATH\n");
+    return 2;
+  }
   if (Opts.AuditSeeds)
     return runAuditSweep(Opts);
   if (Opts.DiskChaos)

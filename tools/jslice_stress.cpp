@@ -47,8 +47,7 @@
 ///   --verify-journal FILE
 ///                    scrub mode: verify every record checksum in FILE
 ///                    (see Journal.h's framing) and report records,
-///                    legacy (pre-checksum) records, in-flight begins,
-///                    sequence regressions, and whether the file ends in
+///                    in-flight begins, sequence regressions, and whether the file ends in
 ///                    a clean shutdown, a torn tail, or mid-file
 ///                    corruption; runs nothing else. Exit 0 when every
 ///                    record verifies (a torn tail — the expected
@@ -690,11 +689,10 @@ int main(int argc, char **argv) {
     const char *Ending = Scan.CleanShutdown ? "clean shutdown"
                          : Scan.TornTail    ? "torn tail"
                                             : "no shutdown record";
-    std::printf("jslice_stress: %s — %llu records (%llu legacy), "
-                "%llu in flight, ends: %s\n",
+    std::printf("jslice_stress: %s — %llu records, %llu in flight, "
+                "ends: %s\n",
                 Opts.VerifyJournal.c_str(),
                 static_cast<unsigned long long>(Scan.Records),
-                static_cast<unsigned long long>(Scan.LegacyRecords),
                 static_cast<unsigned long long>(Scan.InFlight.size()),
                 Ending);
     if (Scan.CorruptRecords || Scan.SeqRegressions) {

@@ -40,14 +40,16 @@
 ///                            that the service is down for real
 ///
 /// The leader's stderr flows through the watchdog (teed to its own
-/// stderr), which scrapes three things from it: the bound port
-/// ("listening on HOST:PORT" — the respawn command pins it so a
-/// crash-restart keeps the address even when the original asked for
-/// port 0), the current leader ("generation G pid P" — a successor
-/// generation inherits the same stderr pipe, so an upgrade hands the
-/// watchdog the new pid automatically), and handoff progress. When the
-/// direct child exits after a handoff, the watchdog keeps watching the
-/// successor by pid instead of declaring a death.
+/// stderr) into the harness's ServeLog (tools/harness/Harness.h), the
+/// one parser of jslice_serve's lifecycle lines. From it the watchdog
+/// learns the bound port ("listening on HOST:PORT" — a respawn pins it,
+/// so a crash-restart keeps the address even when the original asked
+/// for port 0) and the current leader. A successor generation inherits
+/// the same stderr pipe; it becomes the watched leader only on
+/// "ready; draining", and "rolling back" drops it, so a successor that
+/// dies before readiness never displaces the generation still serving.
+/// When the direct child exits after a handoff, the watchdog keeps
+/// watching the successor by pid instead of declaring a death.
 ///
 /// A health probe fails on transport errors or a "wedged":true
 /// transport (a reactor shard that stopped making progress); K
@@ -68,29 +70,20 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "harness/Harness.h"
 #include "net/Socket.h"
-#include "service/Json.h"
-#include "support/Pipe.h"
 
-#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <deque>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#ifdef JSLICE_HAVE_POSIX_PROCESS
-#include <fcntl.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
-
 using namespace jslice;
+using namespace jslice::harness;
 
 namespace {
 
@@ -140,114 +133,6 @@ uint64_t steadyMs() {
           .count());
 }
 
-/// What the stderr-scraper thread learns from the leader's log lines.
-/// The scraper owns writes; the main loop reads under the mutex.
-struct ScrapedState {
-  std::mutex M;
-  uint16_t Port = 0;       ///< From "listening on HOST:PORT".
-  long LeaderPid = -1;     ///< From "generation G pid P" (latest wins).
-  uint64_t LeaderGen = 0;
-};
-
-/// Parses one leader stderr line into \p State. The two anchors here
-/// are load-bearing across the tool suite — jslice_soak parses the
-/// same lines — so neither format may change.
-void scrapeLine(ScrapedState &State, const std::string &Line) {
-  size_t At = Line.find("listening on ");
-  if (At != std::string::npos) {
-    size_t Colon = Line.rfind(':');
-    if (Colon != std::string::npos) {
-      std::optional<uint64_t> P = parseCount(Line.substr(Colon + 1));
-      if (P && *P > 0 && *P <= 65535) {
-        std::lock_guard<std::mutex> L(State.M);
-        State.Port = static_cast<uint16_t>(*P);
-      }
-    }
-    return;
-  }
-  // "jslice_serve: generation G pid P" (exactly this shape — the
-  // "(pid P) ready" and "spawning" lines do not match " pid ").
-  At = Line.find("generation ");
-  if (At == std::string::npos)
-    return;
-  size_t GenAt = At + std::strlen("generation ");
-  size_t PidAt = Line.find(" pid ", GenAt);
-  if (PidAt == std::string::npos)
-    return;
-  std::optional<uint64_t> Gen = parseCount(Line.substr(GenAt, PidAt - GenAt));
-  std::optional<uint64_t> Pid =
-      parseCount(Line.substr(PidAt + std::strlen(" pid ")));
-  if (!Gen || !Pid)
-    return;
-  std::lock_guard<std::mutex> L(State.M);
-  State.LeaderPid = static_cast<long>(*Pid);
-  State.LeaderGen = *Gen;
-}
-
-/// Tees the leader's stderr to ours while scraping it. Runs until the
-/// read end closes (possible only at watchdog exit — the watchdog
-/// keeps a write-end copy so successor generations can inherit it).
-void scrapeMain(int ReadFd, ScrapedState &State,
-                const std::atomic<bool> &Stop) {
-  std::string Buf;
-  char Chunk[4096];
-  while (!Stop.load(std::memory_order_relaxed)) {
-    int Ready = pollReadable2(ReadFd, -1, 200);
-    if (Ready < 0)
-      break;
-    if (!(Ready & 1))
-      continue;
-    int64_t N = readSome(ReadFd, Chunk, sizeof(Chunk));
-    if (N <= 0)
-      break;
-    Buf.append(Chunk, static_cast<size_t>(N));
-    size_t Pos;
-    while ((Pos = Buf.find('\n')) != std::string::npos) {
-      std::string Line = Buf.substr(0, Pos);
-      Buf.erase(0, Pos + 1);
-      std::fprintf(stderr, "%s\n", Line.c_str());
-      scrapeLine(State, Line);
-    }
-  }
-}
-
-/// One health probe: connect, send {"health"}, require a parseable
-/// answer whose transport is not wedged. Drain/breaker degradation is
-/// *not* a failure — a leader mid-upgrade is draining by design, and
-/// killing it then would turn every upgrade into an outage.
-bool probeHealthy(const std::string &Host, uint16_t Port) {
-  std::string Err;
-  int Fd = connectTcp(Host, Port, /*TimeoutMs=*/1000, Err);
-  if (Fd < 0)
-    return false;
-  static const char Probe[] = "{\"health\":true}\n";
-  size_t Off = 0;
-  while (Off < sizeof(Probe) - 1) {
-    int64_t W = sendSome(Fd, Probe + Off, sizeof(Probe) - 1 - Off);
-    if (W <= 0) {
-      ::close(Fd);
-      return false;
-    }
-    Off += static_cast<size_t>(W);
-  }
-  std::string Line;
-  char C;
-  while (Line.size() < 65536) {
-    int64_t R = recvSome(Fd, &C, 1);
-    if (R <= 0 || C == '\n')
-      break;
-    Line.push_back(C);
-  }
-  ::close(Fd);
-  std::optional<JsonValue> V = JsonValue::parse(Line, nullptr);
-  if (!V || !V->isObject() || !V->find("status"))
-    return false;
-  const JsonValue *T = V->find("transport");
-  if (T && T->find("wedged"))
-    return false;
-  return true;
-}
-
 struct WatchdogOptions {
   uint64_t HealthIntervalMs = 1000;
   unsigned HealthFailures = 3;
@@ -259,89 +144,20 @@ struct WatchdogOptions {
   uint16_t StandbyPort = 0;
 };
 
-/// Sends {"promote": true} to the standby and waits for the one-line
-/// answer. True when the standby acknowledged with "status":"ok".
+/// Sends {"promote": true} to the standby; true when it acknowledged
+/// with "status":"ok".
 bool promoteStandby(const std::string &Host, uint16_t Port) {
-  std::string Err;
-  int Fd = connectTcp(Host, Port, /*TimeoutMs=*/2000, Err);
-  if (Fd < 0)
-    return false;
-  static const char Line[] = "{\"promote\": true}\n";
-  size_t Off = 0;
-  while (Off < sizeof(Line) - 1) {
-    int64_t W = sendSome(Fd, Line + Off, sizeof(Line) - 1 - Off);
-    if (W <= 0) {
-      ::close(Fd);
-      return false;
-    }
-    Off += static_cast<size_t>(W);
-  }
-  std::string Resp;
-  char C;
-  while (Resp.size() < 65536) {
-    int64_t R = recvSome(Fd, &C, 1);
-    if (R <= 0 || C == '\n')
-      break;
-    Resp.push_back(C);
-  }
-  ::close(Fd);
-  std::optional<JsonValue> V = JsonValue::parse(Resp, nullptr);
-  const JsonValue *S = V ? V->find("status") : nullptr;
+  std::optional<JsonValue> V =
+      JsonValue::parse(ask(Port, "{\"promote\": true}", 1, Host));
+  const JsonValue *S = V && V->isObject() ? V->find("status") : nullptr;
   return S && S->isString() && S->asString() == "ok";
-}
-
-/// True when \p Pid still exists (EPERM counts as alive).
-bool processAlive(long Pid) {
-  return Pid > 0 && (::kill(static_cast<pid_t>(Pid), 0) == 0 ||
-                     errno == EPERM);
-}
-
-/// SIGTERM, bounded wait for death, then SIGKILL. \p DirectChild pids
-/// are reaped; reparented successors just disappear.
-void stopProcess(long Pid, uint64_t GraceMs, bool DirectChild) {
-  if (!processAlive(Pid))
-    return;
-  ::kill(static_cast<pid_t>(Pid), SIGTERM);
-  uint64_t Deadline = steadyMs() + GraceMs;
-  while (steadyMs() < Deadline) {
-    if (DirectChild) {
-      if (::waitpid(static_cast<pid_t>(Pid), nullptr, WNOHANG) ==
-          static_cast<pid_t>(Pid))
-        return;
-    } else if (!processAlive(Pid)) {
-      return;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  ::kill(static_cast<pid_t>(Pid), SIGKILL);
-  if (DirectChild)
-    ::waitpid(static_cast<pid_t>(Pid), nullptr, 0);
 }
 
 /// The leader tree the watchdog maintains.
 struct Leader {
   long DirectChild = -1; ///< Our fork child; -1 after a handoff.
-  long Pid = -1;         ///< Current leader (scraped; may differ).
+  long Pid = -1;         ///< Current leader (from the log; may differ).
 };
-
-/// Spawns a leader with stderr routed into the scraper pipe.
-/// Returns the pid, or -1.
-long spawnLeader(const std::vector<std::string> &Args, int StderrFd) {
-  pid_t Pid = ::fork();
-  if (Pid < 0)
-    return -1;
-  if (Pid == 0) {
-    ::dup2(StderrFd, 2);
-    std::vector<char *> Argv;
-    Argv.reserve(Args.size() + 1);
-    for (const std::string &A : Args)
-      Argv.push_back(const_cast<char *>(A.c_str()));
-    Argv.push_back(nullptr);
-    ::execvp(Argv[0], Argv.data());
-    _exit(127);
-  }
-  return static_cast<long>(Pid);
-}
 
 #endif // JSLICE_HAVE_POSIX_PROCESS
 
@@ -430,22 +246,10 @@ int main(int argc, char **argv) {
   sigemptyset(&UA.sa_mask);
   ::sigaction(SIGUSR2, &UA, nullptr);
 
-  // One pipe for the whole run: every leader (and every successor it
-  // execs — inherited fd 2 crosses the exec) writes here, and the
-  // scraper keeps reading across restarts.
-  int StderrPipe[2];
-  if (::pipe(StderrPipe) != 0) {
-    std::fprintf(stderr, "jslice_watchdog: cannot create stderr pipe\n");
-    return 2;
-  }
-  ::fcntl(StderrPipe[0], F_SETFD, FD_CLOEXEC);
-  ::fcntl(StderrPipe[1], F_SETFD, FD_CLOEXEC); // dup2 to fd 2 un-cloexecs.
-
-  ScrapedState State;
-  std::atomic<bool> ScraperStop{false};
-  std::thread Scraper(
-      [&] { scrapeMain(StderrPipe[0], State, ScraperStop); });
-
+  // One stderr pipe for the whole run: every leader (and every
+  // successor it execs — inherited fd 2 crosses the exec) writes there,
+  // teed to ours, and the log keeps reading across restarts.
+  ServeNode Node(/*Echo=*/true);
   Leader L;
   std::deque<uint64_t> RestartTimes;
 
@@ -470,28 +274,23 @@ int main(int argc, char **argv) {
       RestartTimes.clear();
     }
     std::vector<std::string> Args = ServeArgs;
-    {
-      std::lock_guard<std::mutex> Lock(State.M);
-      if (ListenValueIdx != SIZE_MAX && State.Port)
-        Args[ListenValueIdx] = Host + ":" + std::to_string(State.Port);
-    }
-    long Pid = spawnLeader(Args, StderrPipe[1]);
+    if (ListenValueIdx != SIZE_MAX && Node.port())
+      Args[ListenValueIdx] = Host + ":" + std::to_string(Node.port());
+    long Pid = Node.spawn(Args);
     if (Pid < 0) {
       std::fprintf(stderr, "jslice_watchdog: fork failed\n");
       return false;
     }
     RestartTimes.push_back(steadyMs());
+    Node.log().setLeader(Pid);
     L.DirectChild = Pid;
     L.Pid = Pid;
     std::fprintf(stderr, "jslice_watchdog: started pid %ld\n", Pid);
     return true;
   };
 
-  if (!respawn()) {
-    ScraperStop.store(true, std::memory_order_relaxed);
-    Scraper.join();
+  if (!respawn())
     return 2;
-  }
 
   unsigned ConsecutiveFailures = 0;
   uint64_t NextProbeAt = steadyMs() + Opts.HealthIntervalMs;
@@ -504,18 +303,13 @@ int main(int argc, char **argv) {
     std::fprintf(stderr,
                  "jslice_watchdog: %s; failing over to standby %s:%u\n",
                  Why, Opts.StandbyHost.c_str(), Opts.StandbyPort);
-    if (L.Pid > 0)
-      stopProcess(L.Pid, Opts.GraceMs, L.Pid == L.DirectChild);
+    Node.terminate(L.Pid, Opts.GraceMs);
     bool Promoted = false;
     for (int A = 0; A < 10 && !Promoted; ++A) {
       Promoted = promoteStandby(Opts.StandbyHost, Opts.StandbyPort);
       if (!Promoted)
         std::this_thread::sleep_for(std::chrono::milliseconds(200));
     }
-    ScraperStop.store(true, std::memory_order_relaxed);
-    Scraper.join();
-    ::close(StderrPipe[0]);
-    ::close(StderrPipe[1]);
     if (Promoted) {
       std::fprintf(stderr,
                    "jslice_watchdog: standby %s:%u promoted; failover "
@@ -533,18 +327,12 @@ int main(int argc, char **argv) {
   while (!ShutdownRequested.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
-    // The scraper may have learned of a successor generation: adopt it
-    // as the watched leader.
-    long ScrapedPid;
-    {
-      std::lock_guard<std::mutex> Lock(State.M);
-      ScrapedPid = State.LeaderPid;
-    }
-    if (ScrapedPid > 0 && ScrapedPid != L.Pid) {
-      std::fprintf(stderr,
-                   "jslice_watchdog: now watching leader pid %ld\n",
-                   ScrapedPid);
-      L.Pid = ScrapedPid;
+    // A successor that declared readiness is the new leader.
+    long Ready = Node.leader();
+    if (Ready > 0 && Ready != L.Pid) {
+      std::fprintf(stderr, "jslice_watchdog: now watching leader pid %ld\n",
+                   Ready);
+      L.Pid = Ready;
     }
 
     if (UpgradeRequested.exchange(false, std::memory_order_relaxed) &&
@@ -555,10 +343,9 @@ int main(int argc, char **argv) {
     // a death); anything else is a crash to respawn from.
     bool LeaderDied = false;
     if (L.DirectChild > 0) {
-      int Status = 0;
-      if (::waitpid(static_cast<pid_t>(L.DirectChild), &Status, WNOHANG) ==
-          static_cast<pid_t>(L.DirectChild)) {
-        if (L.Pid != L.DirectChild && processAlive(L.Pid)) {
+      if (std::optional<int> Status = Node.reap(L.DirectChild)) {
+        L.Pid = Node.leader();
+        if (L.Pid != L.DirectChild && !Node.gone(L.Pid)) {
           std::fprintf(stderr,
                        "jslice_watchdog: pid %ld handed off to pid %ld\n",
                        L.DirectChild, L.Pid);
@@ -566,11 +353,11 @@ int main(int argc, char **argv) {
         } else {
           std::fprintf(stderr,
                        "jslice_watchdog: leader pid %ld died (%s)\n",
-                       L.DirectChild, describeWaitStatus(Status).c_str());
+                       L.DirectChild, describeWaitStatus(*Status).c_str());
           LeaderDied = true;
         }
       }
-    } else if (!processAlive(L.Pid)) {
+    } else if (Node.gone(L.Pid)) {
       std::fprintf(stderr, "jslice_watchdog: leader pid %ld died\n", L.Pid);
       LeaderDied = true;
     }
@@ -586,14 +373,11 @@ int main(int argc, char **argv) {
 
     // Liveness probing: a wedged or unreachable leader gets a managed
     // restart after K consecutive failures.
-    uint16_t Port;
-    {
-      std::lock_guard<std::mutex> Lock(State.M);
-      Port = State.Port;
-    }
-    if (Port && steadyMs() >= NextProbeAt) {
+    if (Node.port() && steadyMs() >= NextProbeAt) {
       NextProbeAt = steadyMs() + Opts.HealthIntervalMs;
-      if (probeHealthy(Host, Port)) {
+      // Drain/breaker degradation is healthy: killing a leader
+      // mid-upgrade would turn every upgrade into an outage.
+      if (Node.healthy(Host)) {
         ConsecutiveFailures = 0;
       } else if (++ConsecutiveFailures >= Opts.HealthFailures) {
         if (Opts.StandbyPort)
@@ -602,7 +386,7 @@ int main(int argc, char **argv) {
                      "jslice_watchdog: health probe failed %u times; "
                      "restarting leader pid %ld\n",
                      ConsecutiveFailures, L.Pid);
-        stopProcess(L.Pid, Opts.GraceMs, L.Pid == L.DirectChild);
+        Node.terminate(L.Pid, Opts.GraceMs);
         L.DirectChild = -1;
         L.Pid = -1;
         ConsecutiveFailures = 0;
@@ -613,16 +397,12 @@ int main(int argc, char **argv) {
     }
   }
 
-  // Shutdown: drain the leader, then the scraper.
+  // Shutdown: drain the leader.
   if (L.Pid > 0) {
     std::fprintf(stderr,
                  "jslice_watchdog: shutting down leader pid %ld\n", L.Pid);
-    stopProcess(L.Pid, Opts.GraceMs, L.Pid == L.DirectChild);
+    Node.terminate(L.Pid, Opts.GraceMs);
   }
-  ScraperStop.store(true, std::memory_order_relaxed);
-  Scraper.join();
-  ::close(StderrPipe[0]);
-  ::close(StderrPipe[1]);
   std::fprintf(stderr, "jslice_watchdog: shut down cleanly\n");
   return 0;
 }
