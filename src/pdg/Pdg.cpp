@@ -10,7 +10,7 @@
 using namespace jslice;
 
 std::set<unsigned>
-Pdg::backwardClosure(const std::vector<unsigned> &Seeds) const {
+PdgView::backwardClosure(const std::vector<unsigned> &Seeds) const {
   std::set<unsigned> Slice;
   std::vector<unsigned> Worklist;
   for (unsigned Seed : Seeds)
@@ -30,8 +30,8 @@ Pdg::backwardClosure(const std::vector<unsigned> &Seeds) const {
   return Slice;
 }
 
-std::vector<unsigned> Pdg::growClosure(std::set<unsigned> &Slice,
-                                       unsigned Node) const {
+std::vector<unsigned> PdgView::growClosure(std::set<unsigned> &Slice,
+                                           unsigned Node) const {
   std::vector<unsigned> Added;
   std::vector<unsigned> Worklist;
   if (Slice.insert(Node).second) {

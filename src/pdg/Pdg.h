@@ -24,23 +24,14 @@
 
 namespace jslice {
 
-/// Control and data dependence, kept separate (the paper's algorithms
-/// need "directly control dependent" queries) plus merged on demand.
-struct Pdg {
-  Digraph Control;
-  Digraph Data;
-
-  Pdg(Digraph Control, Digraph Data)
-      : Control(std::move(Control)), Data(std::move(Data)) {}
-
-  /// The merged graph (Figure 2-d style).
-  Digraph combined() const {
-    Digraph Out = Control;
-    for (unsigned From = 0, N = Data.numNodes(); From != N; ++From)
-      for (unsigned To : Data.succs(From))
-        Out.addEdge(From, To);
-    return Out;
-  }
+/// A control dependence graph paired with a data dependence graph, by
+/// reference. The augmented PDG of the Ball–Horwitz baseline is one of
+/// these: its own control graph with the plain PDG's data graph, read
+/// in place instead of copied. Cheap to pass by value; must not outlive
+/// the graphs it refers to.
+struct PdgView {
+  const Digraph &Control;
+  const Digraph &Data;
 
   /// Backward transitive closure from \p Seeds over both dependence
   /// kinds — the conventional slicing core [17, 24]. The seeds are
@@ -52,6 +43,38 @@ struct Pdg {
   /// dependence of J"). Returns the nodes newly added.
   std::vector<unsigned> growClosure(std::set<unsigned> &Slice,
                                     unsigned Node) const;
+};
+
+/// Control and data dependence, kept separate (the paper's algorithms
+/// need "directly control dependent" queries) plus merged on demand.
+struct Pdg {
+  Digraph Control;
+  Digraph Data;
+
+  Pdg(Digraph Control, Digraph Data)
+      : Control(std::move(Control)), Data(std::move(Data)) {}
+
+  operator PdgView() const { return {Control, Data}; }
+
+  /// The merged graph (Figure 2-d style).
+  Digraph combined() const {
+    Digraph Out = Control;
+    for (unsigned From = 0, N = Data.numNodes(); From != N; ++From)
+      for (unsigned To : Data.succs(From))
+        Out.addEdge(From, To);
+    return Out;
+  }
+
+  /// See PdgView::backwardClosure.
+  std::set<unsigned> backwardClosure(const std::vector<unsigned> &Seeds) const {
+    return PdgView(*this).backwardClosure(Seeds);
+  }
+
+  /// See PdgView::growClosure.
+  std::vector<unsigned> growClosure(std::set<unsigned> &Slice,
+                                    unsigned Node) const {
+    return PdgView(*this).growClosure(Slice, Node);
+  }
 };
 
 } // namespace jslice

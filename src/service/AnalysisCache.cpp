@@ -46,6 +46,15 @@ std::string jslice::rawProgramKey(const std::string &Source) {
   return hashKey(Source);
 }
 
+std::string jslice::canonicalProgramKey(const Program &Prog) {
+  PrintOptions P;
+  // Line numbers are part of the identity: criteria are (line, vars)
+  // and responses are line sets, so sources whose statements sit on
+  // different lines must never share an artifact.
+  P.ShowLineNumbers = true;
+  return hashKey(printProgram(Prog, P));
+}
+
 std::optional<std::string>
 jslice::canonicalProgramKey(const std::string &Source, ResourceGuard &G) {
   if (!G.checkpoint("cache.key"))
@@ -53,12 +62,7 @@ jslice::canonicalProgramKey(const std::string &Source, ResourceGuard &G) {
   ErrorOr<std::unique_ptr<Program>> Prog = parseProgram(Source, G);
   if (!Prog || G.exhausted())
     return std::nullopt;
-  PrintOptions P;
-  // Line numbers are part of the identity: criteria are (line, vars)
-  // and responses are line sets, so sources whose statements sit on
-  // different lines must never share an artifact.
-  P.ShowLineNumbers = true;
-  return hashKey(printProgram(**Prog, P));
+  return canonicalProgramKey(**Prog);
 }
 
 uint64_t jslice::estimateArtifactCost(const AnalysisArtifact &Art,
@@ -69,10 +73,10 @@ uint64_t jslice::estimateArtifactCost(const AnalysisArtifact &Art,
   // order of magnitude on generator output; precision matters less
   // than monotonicity here).
   Cost += Nodes * 256;
-  // The closure bitsets dominate for dependence-dense programs:
-  // numSccs bitsets of numNodes bits each.
-  const DependenceClosure &C = Art.BS.closures();
-  Cost += static_cast<uint64_t>(C.numSccs()) * ((Nodes + 7) / 8);
+  // The closure bitsets dominate for dependence-dense programs: at
+  // most one bitset of numNodes bits per node (one per SCC once
+  // built). Charged before the first hit builds them.
+  Cost += Nodes * ((Nodes + 7) / 8);
   return Cost;
 }
 

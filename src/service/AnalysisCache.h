@@ -7,11 +7,12 @@
 ///
 /// \file
 /// The content-addressed analysis cache (DESIGN.md, "Analysis cache &
-/// containment"): immutable, shared `Analysis` artifacts plus the
-/// batch engine's SCC condensation and closure bit-vectors, keyed by a
-/// canonical rendering of the program, so same-program requests stop
-/// re-paying the parse → CFG → dominators → dependence pipeline and
-/// fan their criteria out through BatchSlicer instead. What PR 2
+/// containment"): shared `Analysis` artifacts plus the batch engine's
+/// SCC condensation and closure bit-vectors (built by the first hit,
+/// not by the miss that publishes the artifact), keyed by a canonical
+/// rendering of the program, so same-program requests stop re-paying
+/// the parse → CFG → dominators → dependence pipeline and fan their
+/// criteria out through BatchSlicer instead. What the batch engine
 /// memoizes *within* one batch, this lifts *across* requests.
 ///
 /// The cache is a robustness feature first:
@@ -122,12 +123,15 @@ struct CacheStats {
   static std::optional<CacheStats> fromJson(const JsonValue &V);
 };
 
-/// One cached, immutable artifact: the Analysis and the BatchSlicer
-/// built over it. Handed out by shared_ptr, so an eviction racing a
-/// hit cannot free memory a reader still walks. The artifact's own
-/// ResourceGuard belongs to the request that built it and is never
-/// charged on the hit path (BatchSlicer::sliceShared takes the
-/// reader's guard instead).
+/// One cached artifact: the Analysis and the BatchSlicer over it.
+/// Handed out by shared_ptr, so an eviction racing a hit cannot free
+/// memory a reader still walks. It is published without closure
+/// caches: the first hit builds them (and, for Ball–Horwitz, the
+/// augmented bundle) under its own guard, and a build that trips keeps
+/// nothing, so the next hit retries — the artifact itself never turns
+/// invalid. The artifact's own ResourceGuard belongs to the request
+/// that built it and is never charged on the hit path
+/// (BatchSlicer::sliceShared takes the reader's guard instead).
 struct AnalysisArtifact {
   explicit AnalysisArtifact(Analysis &&An) : A(std::move(An)), BS(A) {}
 
@@ -141,7 +145,9 @@ struct AnalysisArtifact {
 
 /// Estimates the resident cost of \p Art for the eviction accounting:
 /// source bytes + a per-CFG-node constant for the AST/CFG/tree/PDG
-/// structures + the closure bitsets.
+/// structures + the closure bitsets. The closures are not built yet at
+/// publish time, so their upper bound (one numNodes-bit set per node)
+/// is charged up front; the estimate never changes while cached.
 uint64_t estimateArtifactCost(const AnalysisArtifact &Art,
                               const std::string &Source);
 
@@ -155,7 +161,11 @@ std::string rawProgramKey(const std::string &Source);
 /// reformatted duplicates of the same program hit the same entry. The
 /// rendering keeps original line numbers: a criterion is (line, vars),
 /// so two sources may share an artifact only when their statements
-/// live on the same lines. Parsing charges \p G; nullopt when the
+/// live on the same lines. The worker keys the tree it parsed once and
+/// then hands to the analysis.
+std::string canonicalProgramKey(const Program &Prog);
+
+/// Parses \p Source charging \p G and keys the tree. Nullopt when the
 /// program does not parse (the ladder will produce the real
 /// diagnostic) or the guard trips.
 std::optional<std::string> canonicalProgramKey(const std::string &Source,
@@ -223,8 +233,8 @@ public:
   /// Current cost-estimate total, for picking an eviction target.
   uint64_t bytes() const;
 
-  /// Raw-bytes → canonical-key memo. Canonicalization re-parses and
-  /// re-prints the program, which on the hit path would cost a large
+  /// Raw-bytes → canonical-key memo. Canonicalization parses and
+  /// prints the program, which on the hit path would cost a large
   /// fraction of what the cache saves; byte-identical re-requests (the
   /// common case) skip it via this memo. The mapping is a pure
   /// function of the source bytes, so entries never go stale; the memo

@@ -77,7 +77,8 @@ bool jslice::conservativeTierEligible(const Analysis &A) {
 LadderResult jslice::runLadder(const std::string &Source,
                                const Criterion &Crit,
                                SliceAlgorithm Requested,
-                               const LadderOptions &Opts) {
+                               const LadderOptions &Opts,
+                               std::unique_ptr<Program> Parsed) {
   LadderResult Out;
   Out.Requested = Requested;
 
@@ -102,7 +103,9 @@ LadderResult jslice::runLadder(const std::string &Source,
     }
 
     backoff(Opts, Rung);
-    ErrorOr<Analysis> A = Analysis::fromSource(Source, rungBudget(Opts, Rung));
+    Budget RB = rungBudget(Opts, Rung);
+    ErrorOr<Analysis> A = Parsed ? Analysis::fromProgram(std::move(Parsed), RB)
+                                 : Analysis::fromSource(Source, RB);
     if (!A) {
       if (!A.diags().hasKind(DiagKind::ResourceExhausted)) {
         // Malformed input fails the same way on every rung; refuse now.

@@ -30,7 +30,9 @@
 /// under its own ResourceGuard: a budget tripped during analysis, not
 /// just during slicing, also walks the ladder — a cheaper algorithm
 /// won't save it, but the smaller rung budgets keep the total latency
-/// bounded and the refusal deterministic.
+/// bounded and the refusal deterministic. The one exception is a tree
+/// the caller already parsed (the service keys the cache with it): the
+/// first rung analyzes that tree instead of parsing again.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +42,7 @@
 #include "slicer/SlicePrinter.h"
 #include "slicer/Slicers.h"
 
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -106,9 +109,12 @@ std::vector<SliceAlgorithm> ladderTiers(SliceAlgorithm Requested);
 /// structured jumps only, no return statements, no dead code.
 bool conservativeTierEligible(const Analysis &A);
 
-/// Runs the ladder for (\p Source, \p Crit, \p Requested).
+/// Runs the ladder for (\p Source, \p Crit, \p Requested). \p Parsed,
+/// when given, must be \p Source's parse under Opts.B; the first rung
+/// analyzes it instead of parsing \p Source.
 LadderResult runLadder(const std::string &Source, const Criterion &Crit,
-                       SliceAlgorithm Requested, const LadderOptions &Opts);
+                       SliceAlgorithm Requested, const LadderOptions &Opts,
+                       std::unique_ptr<Program> Parsed = nullptr);
 
 } // namespace jslice
 

@@ -7,6 +7,7 @@
 
 #include "service/SandboxWorker.h"
 
+#include "lang/Parser.h"
 #include "service/Ipc.h"
 #include "slicer/Criterion.h"
 
@@ -98,7 +99,10 @@ ServiceResponse jslice::executeSliceRequest(const ServiceRequest &R,
   B.Cancel = Cancel;
 
   // Cache front half: key, lookup, hit/refuse, or become the leader.
+  // A raw-key memo miss parses here, once: the tree is keyed and then
+  // handed to the ladder's first rung instead of being parsed again.
   std::string LeaderKey;
+  std::unique_ptr<Program> Parsed;
   if (Cache && Cache->options().Enabled &&
       R.Algorithm != SliceAlgorithm::Weiser) {
     std::optional<std::string> Key;
@@ -106,8 +110,14 @@ ServiceResponse jslice::executeSliceRequest(const ServiceRequest &R,
       ResourceGuard KeyG(B);
       std::string RawK = rawProgramKey(R.Program);
       Key = Cache->canonicalKeyFor(RawK);
-      if (!Key && (Key = canonicalProgramKey(R.Program, KeyG)))
-        Cache->rememberCanonicalKey(RawK, *Key);
+      if (!Key && KeyG.checkpoint("cache.key")) {
+        ErrorOr<std::unique_ptr<Program>> Prog = parseProgram(R.Program, KeyG);
+        if (Prog && !KeyG.exhausted()) {
+          Parsed = std::move(*Prog);
+          Key = canonicalProgramKey(*Parsed);
+          Cache->rememberCanonicalKey(RawK, *Key);
+        }
+      }
       if (Key && !KeyG.checkpoint("cache.lookup"))
         Key.reset();
     }
@@ -152,8 +162,8 @@ ServiceResponse jslice::executeSliceRequest(const ServiceRequest &R,
 
   LadderOptions L = Cfg.Ladder;
   L.B = B;
-  LadderResult Res =
-      runLadder(R.Program, Criterion(R.Line, R.Vars), R.Algorithm, L);
+  LadderResult Res = runLadder(R.Program, Criterion(R.Line, R.Vars),
+                               R.Algorithm, L, std::move(Parsed));
 
   for (const LadderAttempt &A : Res.Attempts) {
     TierReport T;
@@ -189,12 +199,10 @@ ServiceResponse jslice::executeSliceRequest(const ServiceRequest &R,
   if (!LeaderKey.empty()) {
     bool Published = false;
     if (Res.Ok && Res.A) {
+      // Published without closure caches: the first hit builds them
+      // under its own guard (BatchSlicer::sliceShared).
       auto Art = std::make_shared<AnalysisArtifact>(std::move(*Res.A));
-      // The closure caches were charged to the serving rung's guard; a
-      // trip mid-build leaves them invalid and they must never be
-      // indexed by later requests.
-      if (Art->BS.closures().valid() &&
-          Art->A.guard().checkpoint("cache.insert")) {
+      if (Art->A.guard().checkpoint("cache.insert")) {
         Art->CostBytes = estimateArtifactCost(*Art, R.Program);
         Cache->publish(LeaderKey, std::move(Art));
         Published = true;

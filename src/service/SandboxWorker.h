@@ -61,9 +61,11 @@ struct ExecConfig {
 /// Audited), a quarantined key is refused as Poisoned, and a miss
 /// makes this request the single-flight build leader — it runs the
 /// ladder as usual and publishes the serving rung's analysis (or
-/// reports buildFailed, promoting one waiting follower). Every cache
-/// deviation — unparseable program, tripped guard, invalid closure,
-/// coalesce timeout — falls back to the plain ladder, so responses
+/// reports buildFailed, promoting one waiting follower). A raw-key
+/// memo miss parses once, for the key, and the ladder's first rung
+/// analyzes that tree. Every cache deviation — unparseable program,
+/// tripped guard, a first hit's closure build tripping, coalesce
+/// timeout — falls back to the plain ladder, so responses
 /// differ from the cache-less path only by the `cached`/`audited`
 /// markers, never by content.
 ServiceResponse executeSliceRequest(const ServiceRequest &R,

@@ -42,6 +42,34 @@ std::vector<std::pair<unsigned, unsigned>> findCondJumpPairs(const Cfg &C) {
   return Pairs;
 }
 
+/// FOW control dependence of \p Flow, plus an edge from every switch
+/// head to each statement nested in its body that postdominates it.
+/// C's fall-through makes such statements run on every dispatch, so
+/// FOW gives them no dependence on the head — yet deleting the head
+/// deletes its whole body, so a slice keeping one of them must keep
+/// the head too (DESIGN.md, finding F1). One checkpoint per nested
+/// statement visited.
+Digraph controlDependence(const Cfg &C, const Digraph &Flow,
+                          const DomTree &Pdt, ResourceGuard *Guard) {
+  Digraph CD = buildControlDependence(Flow, Pdt, Guard);
+  for (unsigned Head = 0, E = C.numNodes(); Head != E; ++Head) {
+    const Stmt *Switch = C.node(Head).S;
+    if (C.node(Head).Kind != CfgNodeKind::Predicate ||
+        !isa<SwitchStmt>(Switch))
+      continue;
+    walkStmtTree(Switch, [&](const Stmt *S) {
+      if (S == Switch || !C.hasNodeFor(S))
+        return;
+      if (Guard && !Guard->checkpoint("controldep.switch"))
+        return; // Partial; the caller checks the guard.
+      unsigned Node = C.nodeOf(S);
+      if (Pdt.dominates(Node, Head))
+        CD.addEdge(Head, Node);
+    });
+  }
+  return CD;
+}
+
 } // namespace
 
 Analysis::Analysis(std::unique_ptr<Program> Prog, Cfg Built,
@@ -51,12 +79,23 @@ Analysis::Analysis(std::unique_ptr<Program> Prog, Cfg Built,
       Pdt(computePostDominators(C.graph(), C.exit(), GuardPtr.get())),
       DU(DefUse::build(C)),
       RD(ReachingDefinitions::compute(C, DU, GuardPtr.get())),
-      P(buildControlDependence(C.graph(), Pdt, GuardPtr.get()),
+      P(controlDependence(C, C.graph(), Pdt, GuardPtr.get()),
         buildDataDependence(C, DU, RD)),
-      AugGraph(C.buildAugmentedGraph(Lst.parents())),
-      AugPdt(computePostDominators(AugGraph, C.exit(), GuardPtr.get())),
-      AugP(buildControlDependence(AugGraph, AugPdt, GuardPtr.get()), P.Data),
+      Aug(std::make_unique<LazyBuild<Augmented>>()),
       CondJumps(findCondJumpPairs(C)) {}
+
+const Analysis::Augmented *Analysis::augmented(ResourceGuard &G) const {
+  return Aug->getOrBuild([&]() -> std::unique_ptr<Augmented> {
+    Digraph Graph = C.buildAugmentedGraph(Lst.parents());
+    DomTree AugPdt = computePostDominators(Graph, C.exit(), &G);
+    Digraph Control = controlDependence(C, Graph, AugPdt, &G);
+    // A tripped guard leaves the PDT or CD unconverged: keep nothing.
+    if (G.exhausted())
+      return nullptr;
+    return std::make_unique<Augmented>(
+        Augmented{std::move(Graph), std::move(AugPdt), std::move(Control)});
+  });
+}
 
 ErrorOr<Analysis> Analysis::fromSource(const std::string &Source) {
   return fromSource(Source, Budget::unlimited());

@@ -8,9 +8,12 @@
 /// \file
 /// Everything the slicing algorithms consume, built once per program:
 /// the CFG, the lexical successor tree, the postdominator tree, def/use
-/// and reaching definitions, the program dependence graph, and — for the
-/// Ball–Horwitz / Choi–Ferrante baseline — the augmented flowgraph with
-/// its own postdominator tree and control dependence graph.
+/// and reaching definitions, and the program dependence graph. The
+/// paper's Figure 7 / 12 / 13 algorithms read only these. The
+/// Ball–Horwitz / Choi–Ferrante baseline additionally reads the
+/// augmented flowgraph with its own postdominator tree and control
+/// dependence graph; that bundle is built on first use, so programs no
+/// one slices with the baseline never pay for it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +28,7 @@
 #include "lang/Parser.h"
 #include "pdg/ControlDependence.h"
 #include "pdg/Pdg.h"
+#include "support/LazyBuild.h"
 
 #include <memory>
 #include <string>
@@ -41,8 +45,22 @@ namespace jslice {
 /// diagnostic — never a crash, hang, or partially-built Analysis. The
 /// guard stays with the Analysis so later slicing traversals and
 /// interpreter runs draw from the same budget.
+///
+/// The augmented bundle (augmented()) is the one lazily built part. It
+/// is built under the guard of whoever first asks for it and a mutex,
+/// so concurrent readers of a shared Analysis build it once; a build
+/// whose guard trips keeps nothing, and the next caller rebuilds.
 class Analysis {
 public:
+  /// The Ball–Horwitz / Choi–Ferrante augmented flowgraph, its
+  /// postdominator tree, and the control dependence built from them.
+  /// Data dependence is the plain PDG's (see augPdg).
+  struct Augmented {
+    Digraph Graph;
+    DomTree Pdt;
+    Digraph Control;
+  };
+
   /// Parses, checks, and analyzes \p Source.
   static ErrorOr<Analysis> fromSource(const std::string &Source);
 
@@ -73,12 +91,18 @@ public:
   /// preferred construction — both graphs left intact).
   const Pdg &pdg() const { return P; }
 
-  /// The Ball–Horwitz / Choi–Ferrante augmented flowgraph and the
-  /// dependence graphs built from it (control from augmented, data from
-  /// plain).
-  const Digraph &augGraph() const { return AugGraph; }
-  const DomTree &augPdt() const { return AugPdt; }
-  const Pdg &augPdg() const { return AugP; }
+  /// The augmented bundle, built on first use charging \p G. Null when
+  /// \p G trips during the build (or already had): the caller must
+  /// treat that as exhaustion of \p G.
+  const Augmented *augmented(ResourceGuard &G) const;
+
+  /// As above, charging the analysis' own guard.
+  const Augmented *augmented() const { return augmented(guard()); }
+
+  /// The augmented PDG: \p Aug's control dependence paired with the
+  /// plain data dependence (Ball–Horwitz compute data dependence on the
+  /// unaugmented flowgraph).
+  PdgView augPdg(const Augmented &Aug) const { return {Aug.Control, P.Data}; }
 
   /// (Predicate node, jump node) pairs for every conditional-jump
   /// statement `if (p) goto/break/continue/return` — the paper's
@@ -103,9 +127,8 @@ private:
   DefUse DU;
   ReachingDefinitions RD;
   Pdg P;
-  Digraph AugGraph;
-  DomTree AugPdt;
-  Pdg AugP;
+  /// Behind a pointer so the Analysis stays movable.
+  std::unique_ptr<LazyBuild<Augmented>> Aug;
   std::vector<std::pair<unsigned, unsigned>> CondJumps;
 };
 

@@ -35,6 +35,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdlib>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <thread>
@@ -55,7 +56,7 @@ namespace {
 /// after all components it has edges into).
 class TarjanScc {
 public:
-  TarjanScc(const Pdg &P, unsigned NumNodes, ResourceGuard *Guard)
+  TarjanScc(PdgView P, unsigned NumNodes, ResourceGuard *Guard)
       : P(P), NumNodes(NumNodes), Guard(Guard) {}
 
   bool run(std::vector<unsigned> &SccId,
@@ -145,7 +146,7 @@ private:
     return true;
   }
 
-  const Pdg &P;
+  PdgView P;
   unsigned NumNodes;
   ResourceGuard *Guard;
 
@@ -158,7 +159,7 @@ private:
 
 } // namespace
 
-DependenceClosure::DependenceClosure(const Pdg &P, unsigned NumNodes,
+DependenceClosure::DependenceClosure(PdgView P, unsigned NumNodes,
                                      ResourceGuard *Guard) {
   std::vector<std::vector<unsigned>> Components;
   if (!TarjanScc(P, NumNodes, Guard).run(SccId, Components))
@@ -201,7 +202,7 @@ DependenceClosure::DependenceClosure(const Pdg &P, unsigned NumNodes,
 // Guard sharing across worker threads
 //===----------------------------------------------------------------------===//
 
-namespace jslice {
+namespace {
 
 /// Coordination for one fan-out run over a shared ResourceGuard
 /// (which is single-threaded by design): the mutex serializes bulk
@@ -211,10 +212,6 @@ struct BatchGuardState {
   std::mutex M;
   std::atomic<bool> Tripped{false};
 };
-
-} // namespace jslice
-
-namespace {
 
 /// The batch engine's view of the pipeline guard: direct in
 /// single-threaded runs (preserving exact per-checkpoint
@@ -573,14 +570,10 @@ SliceResult sliceSimpleClosureBV(const Analysis &A,
   return R;
 }
 
-/// The algorithm switch over the bitset implementations. \p Aug is the
-/// resolved augmented-PDG cache (Ball–Horwitz only, null otherwise);
-/// an invalid \p Aug means its build tripped the guard — the guard is
-/// latched, so return the same empty partial slice the checkpoint
-/// failure would have produced instead of indexing a half-built cache.
+/// The algorithm switch over the bitset implementations. \p Cache is
+/// the one the algorithm reads (BatchSlicer::closuresFor).
 SliceResult dispatchBV(const Analysis &A, const DependenceClosure &Cache,
-                       const DependenceClosure *Aug, const GuardRef &Guard,
-                       const ResolvedCriterion &RC,
+                       const GuardRef &Guard, const ResolvedCriterion &RC,
                        SliceAlgorithm Algorithm) {
   switch (Algorithm) {
   case SliceAlgorithm::Conventional:
@@ -595,15 +588,8 @@ SliceResult dispatchBV(const Analysis &A, const DependenceClosure &Cache,
     return sliceStructuredBV(A, Cache, Guard, RC);
   case SliceAlgorithm::Conservative:
     return sliceConservativeBV(A, Cache, Guard, RC);
-  case SliceAlgorithm::BallHorwitz: {
-    if (!Aug || !Aug->valid()) {
-      SliceResult R;
-      R.CriterionNode = RC.Node;
-      finishResult(A, BitVector(A.cfg().numNodes()), R);
-      return R;
-    }
-    return sliceSimpleClosureBV(A, *Aug, Guard, RC);
-  }
+  case SliceAlgorithm::BallHorwitz:
+    return sliceSimpleClosureBV(A, Cache, Guard, RC);
   case SliceAlgorithm::Lyle:
     return sliceLyleBV(A, Cache, Guard, RC);
   case SliceAlgorithm::Gallagher:
@@ -623,35 +609,51 @@ SliceResult dispatchBV(const Analysis &A, const DependenceClosure &Cache,
 // BatchSlicer
 //===----------------------------------------------------------------------===//
 
-BatchSlicer::BatchSlicer(const Analysis &A)
-    : A(A), Cache(A.pdg(), A.cfg().numNodes(), &A.guard()) {}
+BatchSlicer::BatchSlicer(const Analysis &A) : A(A) {}
 
 BatchSlicer::~BatchSlicer() = default;
 
-const DependenceClosure *BatchSlicer::augFor(SliceAlgorithm Algorithm,
-                                             ResourceGuard *G,
-                                             BatchGuardState *Shared) const {
+const DependenceClosure *
+BatchSlicer::closuresFor(SliceAlgorithm Algorithm, ResourceGuard &G) const {
+  // A build whose guard trips returns null, so LazyBuild keeps nothing
+  // and the next caller rebuilds under its own guard.
+  auto Keep = [](std::unique_ptr<DependenceClosure> C) {
+    if (!C->valid())
+      C.reset();
+    return C;
+  };
+  unsigned N = A.cfg().numNodes();
   if (Algorithm != SliceAlgorithm::BallHorwitz)
-    return nullptr;
-  std::call_once(AugOnce, [&] {
-    // The build charges \p G directly; under fan-out that guard is
-    // shared with workers flushing shards, so hold the shard mutex for
-    // the build's duration (waiters on call_once block anyway).
-    if (Shared) {
-      std::lock_guard<std::mutex> Lock(Shared->M);
-      AugCache = std::make_unique<DependenceClosure>(
-          A.augPdg(), A.cfg().numNodes(), G);
-    } else {
-      AugCache = std::make_unique<DependenceClosure>(
-          A.augPdg(), A.cfg().numNodes(), G);
-    }
+    return Plain.getOrBuild([&] {
+      return Keep(std::make_unique<DependenceClosure>(A.pdg(), N, &G));
+    });
+  return Aug.getOrBuild([&]() -> std::unique_ptr<DependenceClosure> {
+    const Analysis::Augmented *Bundle = A.augmented(G);
+    if (!Bundle)
+      return nullptr;
+    return Keep(
+        std::make_unique<DependenceClosure>(A.augPdg(*Bundle), N, &G));
   });
-  return AugCache.get();
+}
+
+const DependenceClosure &BatchSlicer::closures() const {
+  static const DependenceClosure Invalid;
+  const DependenceClosure *C = closuresFor(SliceAlgorithm::Agrawal, A.guard());
+  return C ? *C : Invalid;
 }
 
 SliceResult BatchSlicer::slice(const ResolvedCriterion &RC,
                                SliceAlgorithm Algorithm) const {
-  return sliceLocked(RC, Algorithm, nullptr);
+  if (Algorithm == SliceAlgorithm::Weiser)
+    return computeSlice(A, RC, SliceAlgorithm::Weiser);
+  if (std::optional<SliceResult> R = sliceShared(RC, Algorithm, A.guard()))
+    return std::move(*R);
+  // The guard tripped building the cache and is latched: the same
+  // empty partial slice a failed first checkpoint would produce.
+  SliceResult R;
+  R.CriterionNode = RC.Node;
+  finishResult(A, BitVector(A.cfg().numNodes()), R);
+  return R;
 }
 
 std::optional<SliceResult>
@@ -659,25 +661,11 @@ BatchSlicer::sliceShared(const ResolvedCriterion &RC,
                          SliceAlgorithm Algorithm, ResourceGuard &G) const {
   if (Algorithm == SliceAlgorithm::Weiser)
     return std::nullopt; // Iterative dataflow; nothing cached to reuse.
-  if (!Cache.valid())
-    return std::nullopt;
-  const DependenceClosure *Aug = augFor(Algorithm, &G, nullptr);
-  if (Algorithm == SliceAlgorithm::BallHorwitz && (!Aug || !Aug->valid()))
-    return std::nullopt; // First builder's budget tripped; stay uncached.
+  const DependenceClosure *Cache = closuresFor(Algorithm, G);
+  if (!Cache)
+    return std::nullopt; // Build tripped G; the next hit retries.
   GuardRef Guard{G, nullptr};
-  return dispatchBV(A, Cache, Aug, Guard, RC, Algorithm);
-}
-
-SliceResult BatchSlicer::sliceLocked(const ResolvedCriterion &RC,
-                                     SliceAlgorithm Algorithm,
-                                     BatchGuardState *Shared) const {
-  if (Algorithm == SliceAlgorithm::Weiser)
-    // No PDG to cache; Weiser's iterative dataflow runs single-shot
-    // (runAll serializes these — see below).
-    return computeSlice(A, RC, SliceAlgorithm::Weiser);
-  const DependenceClosure *Aug = augFor(Algorithm, &A.guard(), Shared);
-  GuardRef Guard{A.guard(), Shared};
-  return dispatchBV(A, Cache, Aug, Guard, RC, Algorithm);
+  return dispatchBV(A, *Cache, Guard, RC, Algorithm);
 }
 
 unsigned BatchSlicer::defaultThreads() {
@@ -701,10 +689,15 @@ BatchSlicer::runAll(const std::vector<Criterion> &Crits,
   unsigned Threads = Opts.Threads ? Opts.Threads : defaultThreads();
   // Weiser has no cache-backed implementation: its single-shot slicer
   // polls the guard directly, so concurrent criteria would race on it.
-  if (Opts.Algorithm == SliceAlgorithm::Weiser)
+  bool Weiser = Opts.Algorithm == SliceAlgorithm::Weiser;
+  if (Weiser)
     Threads = 1;
   if (Threads > Crits.size())
     Threads = static_cast<unsigned>(Crits.size() ? Crits.size() : 1);
+
+  // Build before fanning out, so workers only read the cache.
+  const DependenceClosure *Cache =
+      Weiser ? nullptr : closuresFor(Opts.Algorithm, A.guard());
 
   BatchGuardState Shared;
   BatchGuardState *SharedPtr = Threads > 1 ? &Shared : nullptr;
@@ -712,7 +705,7 @@ BatchSlicer::runAll(const std::vector<Criterion> &Crits,
   auto SliceOne = [&](size_t I) {
     BatchEntry &Entry = Out[I];
     GuardRef Guard{A.guard(), SharedPtr};
-    if (!Cache.valid() || Guard.exhausted()) {
+    if ((!Weiser && !Cache) || Guard.exhausted()) {
       Entry.Diags.report(SourceLoc(), Guard.toDiag().Message,
                          DiagKind::ResourceExhausted);
       return;
@@ -722,7 +715,9 @@ BatchSlicer::runAll(const std::vector<Criterion> &Crits,
       Entry.Diags = RC.diags();
       return;
     }
-    SliceResult R = sliceLocked(*RC, Opts.Algorithm, SharedPtr);
+    SliceResult R =
+        Weiser ? computeSlice(A, *RC, SliceAlgorithm::Weiser)
+               : dispatchBV(A, *Cache, Guard, *RC, Opts.Algorithm);
     if (Guard.exhausted()) {
       Entry.Diags.report(SourceLoc(), Guard.toDiag().Message,
                          DiagKind::ResourceExhausted);

@@ -18,6 +18,14 @@
 /// top of the same cache, sharing the per-program postdominator and
 /// lexical successor trees the Analysis already holds.
 ///
+/// The closure caches are built on first use, not at construction: an
+/// artifact the analysis cache publishes but never hits never pays for
+/// them. Each build is charged to the guard of the query that needs it
+/// (sliceShared: the hit's own guard) under a mutex, so concurrent
+/// first queries build once; a build whose guard trips keeps nothing,
+/// and the next query retries under its own guard. runAll builds before
+/// it fans out, so workers only read.
+///
 /// Results are bit-identical to the single-shot slicers (Slicers.h) for
 /// every algorithm when the resource budget is not exhausted; a tripped
 /// budget degrades per criterion into a DiagKind::ResourceExhausted
@@ -44,29 +52,27 @@
 
 #include "slicer/Slicers.h"
 #include "support/BitVector.h"
+#include "support/LazyBuild.h"
 
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
 namespace jslice {
 
-/// Shared-guard coordination for one fan-out run (defined in
-/// BatchSlicer.cpp; opaque here).
-struct BatchGuardState;
-
-/// SCC condensation of one Pdg plus the memoized backward transitive
-/// closure of every component, as bitsets over CFG node ids. Built once
-/// per (program, dependence graph); immutable afterwards, so reads are
-/// freely shareable across threads.
+/// SCC condensation of one dependence graph plus the memoized backward
+/// transitive closure of every component, as bitsets over CFG node ids.
+/// Built once per (program, dependence graph); immutable afterwards, so
+/// reads are freely shareable across threads.
 class DependenceClosure {
 public:
+  /// An empty, invalid cache.
+  DependenceClosure() = default;
+
   /// Condenses \p P (control and data edges together) over \p NumNodes
   /// nodes and computes every SCC's closure, charging one \p Guard
   /// checkpoint per node visited and per closure built. On exhaustion
   /// construction stops early and valid() is false.
-  DependenceClosure(const Pdg &P, unsigned NumNodes,
+  DependenceClosure(PdgView P, unsigned NumNodes,
                     ResourceGuard *Guard = nullptr);
 
   /// False when the guard tripped mid-build (closures unusable).
@@ -112,13 +118,12 @@ struct BatchOptions {
   unsigned Threads = 0;
 };
 
-/// The all-criteria slicing engine. Construction condenses the PDG and
-/// builds the closure cache; each query is then a bitset union plus the
-/// (cheap) jump-augmentation layer of the chosen algorithm.
+/// The all-criteria slicing engine. The first query condenses the PDG
+/// and builds the closure cache; each query is then a bitset union plus
+/// the (cheap) jump-augmentation layer of the chosen algorithm.
 class BatchSlicer {
 public:
-  /// Builds the closure cache for \p A's PDG, charging A.guard().
-  /// \p A must outlive the BatchSlicer.
+  /// Builds nothing yet. \p A must outlive the BatchSlicer.
   explicit BatchSlicer(const Analysis &A);
   ~BatchSlicer();
 
@@ -127,10 +132,13 @@ public:
 
   const Analysis &analysis() const { return A; }
 
-  /// The cache over the unaugmented PDG (for tests and introspection).
-  const DependenceClosure &closures() const { return Cache; }
+  /// The cache over the unaugmented PDG (for tests and introspection),
+  /// built now charging A.guard() if no query has built it yet. Invalid
+  /// when that build trips the guard.
+  const DependenceClosure &closures() const;
 
-  /// One slice through the cache. Bit-identical to
+  /// One slice through the cache, building it charged to A.guard() on
+  /// first use. Bit-identical to
   /// computeSlice(A, RC, Algorithm) modulo resource exhaustion;
   /// algorithms without a cache-backed implementation (Weiser) dispatch
   /// to the single-shot slicer.
@@ -141,21 +149,24 @@ public:
   /// guard \p G instead of the analysis' own — the cross-request
   /// analysis cache's hit path, where the artifact's guard belongs to
   /// the request that built it (its deadline long expired) and must
-  /// not be charged or raced on by later requests. Returns nullopt
-  /// when the algorithm has no cache-backed implementation (Weiser) or
-  /// when a closure cache this query needs failed to build; the caller
-  /// then serves without the cache. A nullopt never charges \p G past
-  /// the validity probe, and a returned slice is bit-identical to
-  /// slice() modulo exhaustion of \p G (check G.exhausted(): a tripped
-  /// guard means a partial slice that must be discarded).
+  /// not be charged or raced on by later requests. A closure cache
+  /// (or the augmented bundle) this query needs and no earlier query
+  /// built is built now, charged to \p G. Returns nullopt when the
+  /// algorithm has no cache-backed implementation (Weiser) or when that
+  /// build trips \p G; the caller then serves without the cache, and
+  /// the next query retries the build. A returned slice is
+  /// bit-identical to slice() modulo exhaustion of \p G (check
+  /// G.exhausted(): a tripped guard means a partial slice that must be
+  /// discarded).
   std::optional<SliceResult> sliceShared(const ResolvedCriterion &RC,
                                          SliceAlgorithm Algorithm,
                                          ResourceGuard &G) const;
 
   /// Resolves and slices every criterion, fanning across
-  /// Opts.Threads workers. Entry order matches \p Crits. Exhaustion of
-  /// the shared budget degrades the remaining entries into
-  /// ResourceExhausted diagnostics.
+  /// Opts.Threads workers. The closure cache the algorithm reads is
+  /// built first, charged to A.guard(), before any worker starts.
+  /// Entry order matches \p Crits. Exhaustion of the shared budget
+  /// degrades the remaining entries into ResourceExhausted diagnostics.
   std::vector<BatchEntry> runAll(const std::vector<Criterion> &Crits,
                                  const BatchOptions &Opts = {}) const;
 
@@ -166,20 +177,16 @@ public:
 
 private:
   const Analysis &A;
-  DependenceClosure Cache;
-  /// Lazily built cache over the augmented PDG (Ball–Horwitz only).
-  mutable std::once_flag AugOnce;
-  mutable std::unique_ptr<DependenceClosure> AugCache;
+  /// Closure caches over the plain PDG and the augmented PDG
+  /// (Ball–Horwitz only), each built on first use.
+  mutable LazyBuild<DependenceClosure> Plain;
+  mutable LazyBuild<DependenceClosure> Aug;
 
-  /// Resolves the closure cache for \p Algorithm, lazily building the
-  /// augmented-PDG cache (Ball–Horwitz only) charged to \p G. \p Shared,
-  /// when non-null, serializes that build against concurrent shard
-  /// flushes on the same guard.
-  const DependenceClosure *augFor(SliceAlgorithm Algorithm, ResourceGuard *G,
-                                  BatchGuardState *Shared) const;
-  SliceResult sliceLocked(const ResolvedCriterion &RC,
-                          SliceAlgorithm Algorithm,
-                          BatchGuardState *Shared) const;
+  /// The closure cache \p Algorithm reads — the augmented PDG's for
+  /// Ball–Horwitz, the plain PDG's otherwise — built on first use
+  /// charged to \p G. Null when that build trips \p G.
+  const DependenceClosure *closuresFor(SliceAlgorithm Algorithm,
+                                       ResourceGuard &G) const;
 };
 
 /// One criterion per source line that holds a statement (empty variable

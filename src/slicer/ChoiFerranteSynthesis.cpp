@@ -35,7 +35,10 @@ jslice::sliceChoiFerranteSynthesis(const Analysis &A,
   // every guard of every behaviour-relevant jump is present), minus the
   // original jump statements themselves — their routing is re-expressed
   // as synthesized transfers below.
-  std::set<unsigned> Closure = A.augPdg().backwardClosure(RC.Seeds);
+  const Analysis::Augmented *Aug = A.augmented();
+  if (!Aug)
+    return R; // The analysis' guard tripped building the bundle.
+  std::set<unsigned> Closure = A.augPdg(*Aug).backwardClosure(RC.Seeds);
   for (unsigned Node : Closure)
     if (!C.node(Node).isJump())
       R.Kept.insert(Node);

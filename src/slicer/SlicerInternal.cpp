@@ -10,7 +10,7 @@
 using namespace jslice;
 using namespace jslice::detail;
 
-void detail::closeWithAdaptation(const Analysis &A, const Pdg &P,
+void detail::closeWithAdaptation(const Analysis &A, PdgView P,
                                  std::set<unsigned> &Slice,
                                  std::vector<unsigned> Seeds) {
   std::vector<unsigned> Worklist;

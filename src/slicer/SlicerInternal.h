@@ -26,7 +26,7 @@ namespace detail {
 /// keeps applying the paper's conditional-jump adaptation (a predicate
 /// in the slice drags in its accompanying jump) until a fixpoint. Every
 /// algorithm that honours the adaptation funnels through here.
-void closeWithAdaptation(const Analysis &A, const Pdg &P,
+void closeWithAdaptation(const Analysis &A, PdgView P,
                          std::set<unsigned> &Slice,
                          std::vector<unsigned> Seeds);
 

@@ -209,7 +209,10 @@ SliceResult jslice::sliceBallHorwitz(const Analysis &A,
   // slice through augmented control dependence, so no adaptation pass is
   // needed — but running it is harmless and keeps conditional jumps
   // attached to their predicates in degenerate cases.
-  closeWithAdaptation(A, A.augPdg(), R.Nodes, RC.Seeds);
+  // A null bundle means the guard tripped building it; the ErrorOr
+  // dispatch layer reports that, as for any other partial slice.
+  if (const Analysis::Augmented *Aug = A.augmented())
+    closeWithAdaptation(A, A.augPdg(*Aug), R.Nodes, RC.Seeds);
   R.ReassociatedLabels = reassociateLabels(A, R.Nodes);
   return R;
 }

@@ -9,12 +9,15 @@
 /// canonical-key determinism across both generator dialects, the
 /// single-flight state machine (exactly one promotion when a leader
 /// fails over waiting followers), eviction racing an in-flight hit,
-/// quarantine outranking everything, and the self-audit's
+/// quarantine outranking everything, the self-audit's
 /// mismatch-invalidation path driven end to end through
-/// executeSliceRequest.
+/// executeSliceRequest, and the lazy builds: keys of a parsed tree,
+/// every-ordinal fault sweeps over a cold Ball–Horwitz request and a
+/// first hit, and eight threads racing one artifact's first hit.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "corpus/PaperPrograms.h"
 #include "gen/ProgramGenerator.h"
 #include "service/SandboxWorker.h"
 #include "slicer/Criterion.h"
@@ -48,7 +51,6 @@ std::shared_ptr<AnalysisArtifact> makeArtifact(const std::string &Source) {
   ErrorOr<Analysis> A = Analysis::fromSource(Source, bigBudget());
   EXPECT_TRUE(A.hasValue()) << (A.hasValue() ? "" : A.diags().str());
   auto Art = std::make_shared<AnalysisArtifact>(std::move(*A));
-  EXPECT_TRUE(Art->BS.closures().valid());
   Art->CostBytes = estimateArtifactCost(*Art, Source);
   return Art;
 }
@@ -95,6 +97,32 @@ TEST(CanonicalKeyTest, LineLayoutIsPartOfTheKey) {
 TEST(CanonicalKeyTest, UnparseableProgramHasNoKey) {
   ResourceGuard G(bigBudget());
   EXPECT_FALSE(canonicalProgramKey("x = ;", G).has_value());
+}
+
+TEST(CanonicalKeyTest, ParsedTreeKeysLikeItsSource) {
+  auto Check = [](const std::string &Source) {
+    ErrorOr<std::unique_ptr<Program>> Prog = parseProgram(Source);
+    ASSERT_TRUE(Prog.hasValue()) << Source;
+    EXPECT_EQ(canonicalProgramKey(**Prog), keyOf(Source)) << Source;
+  };
+  for (const PaperExample &E : paperExamples())
+    Check(E.Source);
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    GenOptions Opts;
+    Opts.Seed = Seed;
+    Opts.TargetStmts = 40;
+    Opts.AllowGotos = Seed % 2 == 0;
+    Check(generateProgram(Opts));
+  }
+}
+
+TEST(CanonicalKeyTest, KeyBytesArePinned) {
+  // Keys outlive one server (journal, quarantine records): a change to
+  // the rendering or the hash must show up here, not in production.
+  EXPECT_EQ(keyOf("read(a);\nb = a + 1;\nwrite(b);\n"), "00c26598e1d2e0f4-39");
+  EXPECT_EQ(keyOf("read(x);\nswitch (x) { case 0:\ny = 1;\ndefault:\n"
+                  "write(x);\n}\n"),
+            "375e32fda63aca67-82");
 }
 
 TEST(CanonicalKeyTest, RawKeyIsContentAddressed) {
@@ -425,6 +453,169 @@ TEST(AnalysisCacheTest, CleanAuditLeavesTheEntryAlone) {
   EXPECT_EQ(S.Audits, 1u);
   EXPECT_EQ(S.AuditMismatches, 0u);
   EXPECT_EQ(S.Entries, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Lazy builds: parse once, augmented bundle and closures on first use
+//===----------------------------------------------------------------------===//
+
+/// A goto program, so Ball–Horwitz's augmented graph differs from the
+/// plain one.
+ServiceRequest lazyRequest(SliceAlgorithm Algo) {
+  const PaperExample &E = paperExample("fig3a");
+  ServiceRequest R;
+  R.Id = "lazy";
+  R.Program = E.Source;
+  R.Line = E.Crit.Line;
+  R.Vars = E.Crit.Vars;
+  R.Algorithm = Algo;
+  return R;
+}
+
+/// The slice an unlimited, cache-less single-shot run computes.
+std::set<unsigned> referenceLines(const ServiceRequest &R) {
+  ErrorOr<Analysis> A = Analysis::fromSource(R.Program);
+  EXPECT_TRUE(A.hasValue());
+  ErrorOr<SliceResult> S =
+      computeSlice(*A, Criterion(R.Line, R.Vars), R.Algorithm);
+  EXPECT_TRUE(S.hasValue());
+  return S->lineSet(A->cfg());
+}
+
+ExecConfig lazyConfig() {
+  ExecConfig Cfg;
+  Cfg.DefaultBudget = bigBudget();
+  Cfg.Ladder.BackoffMs = 0;
+  return Cfg;
+}
+
+/// Checkpoints one \p Run passes through.
+template <typename Fn> uint64_t countCheckpoints(Fn Run) {
+  FaultInjection::resetCount();
+  Run();
+  return FaultInjection::observedCheckpoints();
+}
+
+TEST(LazyBuildFaultTest, ColdBallHorwitzRequestNeverKeepsAPartialBuild) {
+  ServiceRequest R = lazyRequest(SliceAlgorithm::BallHorwitz);
+  std::set<unsigned> Ref = referenceLines(R);
+  ExecConfig Cfg = lazyConfig();
+  uint64_t Total = countCheckpoints([&] {
+    AnalysisCache C{Cfg.Cache};
+    executeSliceRequest(R, Cfg, nullptr, nullptr, &C);
+  });
+  ASSERT_GT(Total, 100u);
+
+  for (uint64_t At = 1; At <= Total; ++At) {
+    AnalysisCache C{Cfg.Cache};
+    ServiceResponse Faulted;
+    {
+      FaultInjection::ScopedArm Arm(At);
+      Faulted = executeSliceRequest(R, Cfg, nullptr, nullptr, &C);
+    }
+    if (Faulted.Status == ResponseStatus::Ok && !Faulted.Degraded) {
+      EXPECT_EQ(Faulted.Lines, Ref) << "fault at " << At;
+    }
+    // Whatever the fault left in the cache, the follow-up (served from
+    // it or rebuilt) must be the whole slice.
+    ServiceResponse Again = executeSliceRequest(R, Cfg, nullptr, nullptr, &C);
+    ASSERT_EQ(Again.Status, ResponseStatus::Ok) << "fault at " << At;
+    EXPECT_FALSE(Again.Degraded) << "fault at " << At;
+    EXPECT_EQ(Again.Lines, Ref) << "fault at " << At;
+  }
+}
+
+TEST(LazyBuildFaultTest, FirstHitNeverKeepsAPartialBuildAndRetries) {
+  // The artifact is published by a Figure 7 request, so a Ball–Horwitz
+  // first hit builds the augmented bundle and its closures under the
+  // hit's guard; a Figure 7 first hit builds the plain closures.
+  ExecConfig Cfg = lazyConfig();
+  for (SliceAlgorithm Algo :
+       {SliceAlgorithm::Agrawal, SliceAlgorithm::BallHorwitz}) {
+    ServiceRequest R = lazyRequest(Algo);
+    std::set<unsigned> Ref = referenceLines(R);
+    auto Publish = [&](AnalysisCache &C) {
+      ServiceResponse Cold = executeSliceRequest(
+          lazyRequest(SliceAlgorithm::Agrawal), Cfg, nullptr, nullptr, &C);
+      ASSERT_EQ(Cold.Status, ResponseStatus::Ok);
+      ASSERT_EQ(C.stats().Inserts, 1u);
+    };
+    uint64_t Total = 0;
+    {
+      AnalysisCache C{Cfg.Cache};
+      Publish(C);
+      Total = countCheckpoints(
+          [&] { executeSliceRequest(R, Cfg, nullptr, nullptr, &C); });
+    }
+    ASSERT_GT(Total, 20u);
+
+    for (uint64_t At = 1; At <= Total; ++At) {
+      AnalysisCache C{Cfg.Cache};
+      Publish(C);
+      ServiceResponse Faulted;
+      {
+        FaultInjection::ScopedArm Arm(At);
+        Faulted = executeSliceRequest(R, Cfg, nullptr, nullptr, &C);
+      }
+      if (Faulted.Status == ResponseStatus::Ok && !Faulted.Degraded) {
+        EXPECT_EQ(Faulted.Lines, Ref)
+            << algorithmName(Algo) << " fault at " << At;
+      }
+      // The artifact never turns invalid: the next hit retries the
+      // build under its own guard and serves from the cache.
+      ServiceResponse Again = executeSliceRequest(R, Cfg, nullptr, nullptr, &C);
+      ASSERT_EQ(Again.Status, ResponseStatus::Ok);
+      EXPECT_TRUE(Again.FromCache) << algorithmName(Algo) << " fault at " << At;
+      EXPECT_EQ(Again.Lines, Ref) << algorithmName(Algo) << " fault at " << At;
+    }
+  }
+}
+
+TEST(LazyBuildRaceTest, EightThreadsTakeTheFirstHitOnOneArtifact) {
+  GenOptions G;
+  G.Seed = 11;
+  G.TargetStmts = 80;
+  G.AllowGotos = true;
+  const std::string Source = generateProgram(G);
+  const SliceAlgorithm Algos[] = {
+      SliceAlgorithm::Conventional, SliceAlgorithm::Agrawal,
+      SliceAlgorithm::AgrawalLst,   SliceAlgorithm::Structured,
+      SliceAlgorithm::Conservative, SliceAlgorithm::BallHorwitz,
+      SliceAlgorithm::Lyle,         SliceAlgorithm::Gallagher,
+      SliceAlgorithm::JiangZhouRobson,
+  };
+  constexpr unsigned Threads = 8;
+  for (SliceAlgorithm Algo : Algos) {
+    std::shared_ptr<AnalysisArtifact> Art = makeArtifact(Source);
+    std::vector<Criterion> Crits = allLineCriteria(Art->A);
+    ASSERT_FALSE(Crits.empty());
+    ErrorOr<ResolvedCriterion> RC = resolveCriterion(Art->A, Crits.back());
+    ASSERT_TRUE(RC.hasValue());
+
+    std::atomic<unsigned> Ready{0};
+    std::vector<std::optional<SliceResult>> Out(Threads);
+    std::vector<std::thread> Pool;
+    for (unsigned T = 0; T != Threads; ++T)
+      Pool.emplace_back([&, T] {
+        ResourceGuard Guard(bigBudget());
+        ++Ready;
+        while (Ready.load() != Threads)
+          std::this_thread::yield();
+        Out[T] = Art->BS.sliceShared(*RC, Algo, Guard);
+      });
+    for (std::thread &T : Pool)
+      T.join();
+
+    ErrorOr<Analysis> Fresh = Analysis::fromSource(Source);
+    ASSERT_TRUE(Fresh.hasValue());
+    SliceResult Single =
+        computeSlice(*Fresh, *resolveCriterion(*Fresh, Crits.back()), Algo);
+    for (unsigned T = 0; T != Threads; ++T) {
+      ASSERT_TRUE(Out[T].has_value()) << algorithmName(Algo);
+      EXPECT_EQ(Out[T]->Nodes, Single.Nodes) << algorithmName(Algo);
+      EXPECT_EQ(Out[T]->TraversalAdditions, Out[0]->TraversalAdditions);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

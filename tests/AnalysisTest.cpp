@@ -64,15 +64,18 @@ TEST(AnalysisTest, AugmentedGraphOnlyAddsJumpEdges) {
   size_t Jumps = 0;
   for (unsigned Node = 0; Node != A.cfg().numNodes(); ++Node)
     Jumps += A.cfg().node(Node).isJump();
-  EXPECT_EQ(A.augGraph().numEdges(),
-            A.cfg().graph().numEdges() + Jumps);
+  const Analysis::Augmented *Aug = A.augmented();
+  ASSERT_NE(Aug, nullptr);
+  EXPECT_EQ(Aug->Graph.numEdges(), A.cfg().graph().numEdges() + Jumps);
 }
 
 TEST(AnalysisTest, AugmentedPdtDiffersOnJumpPrograms) {
   Analysis A = analyzeOk(paperExample("fig3a").Source);
+  const Analysis::Augmented *Aug = A.augmented();
+  ASSERT_NE(Aug, nullptr);
   bool AnyDifferent = false;
   for (unsigned Node = 0; Node != A.cfg().numNodes(); ++Node)
-    if (A.pdt().idom(Node) != A.augPdt().idom(Node))
+    if (A.pdt().idom(Node) != Aug->Pdt.idom(Node))
       AnyDifferent = true;
   EXPECT_TRUE(AnyDifferent)
       << "fall-through edges must change postdominators";

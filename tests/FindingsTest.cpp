@@ -10,7 +10,9 @@
 /// (discussion in DESIGN.md, "Findings"):
 ///
 ///  1. C's fall-through `switch` breaks the "LST == PDT for jump-free
-///     programs" identity of Section 3.
+///     programs" identity of Section 3. The slices it once made unsound
+///     (a kept statement that postdominates a deleted switch head) are
+///     fixed by a control-dependence edge from the head.
 ///  2. `return` statements (multi-level exits) violate Section 4's
 ///     property 2: a structured program exists where Figure 12 and
 ///     Figure 13 drop a required jump, while Figure 7 keeps it.
@@ -58,6 +60,54 @@ TEST(FindingsTest, SwitchFallthroughBreaksLstPdtIdentity) {
       << "deleting the switch skips its whole body";
   EXPECT_NE(A.pdt().idom(Head), A.lst().parent(Head))
       << "LST == PDT fails on a jump-free program with fall-through";
+
+  // y = 2 runs on every dispatch, so FOW gives it no dependence on the
+  // head — but deleting the head deletes y = 2 with it. The extra edge
+  // keeps the head, and the slice is sound.
+  EXPECT_TRUE(A.pdg().Control.hasEdge(Head, Shared));
+  ResolvedCriterion RC = *resolveCriterion(A, Criterion(6, {"y"}));
+  SliceResult R = sliceAgrawal(A, RC);
+  EXPECT_TRUE(R.contains(Head));
+  std::set<unsigned> Kept = R.Nodes;
+  Kept.insert(A.cfg().exit());
+  ExecOptions Opts;
+  ExecResult Orig = runOriginal(A, RC.Node, RC.VarIds, Opts);
+  ExecResult Sliced = runProjection(A, Kept, RC.Node, RC.VarIds, Opts);
+  ASSERT_TRUE(Orig.Completed && Sliced.Completed);
+  EXPECT_EQ(Sliced.CriterionValues, Orig.CriterionValues);
+}
+
+/// The six-line witness: write(x) on line 5 runs on every dispatch, so
+/// without the head's edge every sound algorithm dropped the switch and
+/// the projection skipped write(x) with it.
+TEST(FindingsTest, SwitchHeadJoinsTheSliceOfItsPostdominatingBody) {
+  Analysis A = analyzeOk("read(x);\n"
+                         "switch (x) { case 0:\n"
+                         "y = 1;\n"
+                         "default:\n"
+                         "write(x);\n"
+                         "}\n");
+  ResolvedCriterion RC = *resolveCriterion(A, Criterion(5, {"x"}));
+  BatchSlicer Batch(A);
+  for (SliceAlgorithm Algo :
+       {SliceAlgorithm::Agrawal, SliceAlgorithm::AgrawalLst,
+        SliceAlgorithm::BallHorwitz, SliceAlgorithm::Lyle}) {
+    SliceResult R = computeSlice(A, RC, Algo);
+    EXPECT_EQ(R.lineSet(A.cfg()), (std::set<unsigned>{1, 2, 5}))
+        << algorithmName(Algo);
+    EXPECT_EQ(Batch.slice(RC, Algo).Nodes, R.Nodes) << algorithmName(Algo);
+    std::set<unsigned> Kept = R.Nodes;
+    Kept.insert(A.cfg().exit());
+    for (int64_t X : {0, 1, 7}) {
+      ExecOptions Opts;
+      Opts.Input = {X};
+      ExecResult Orig = runOriginal(A, RC.Node, RC.VarIds, Opts);
+      ExecResult Sliced = runProjection(A, Kept, RC.Node, RC.VarIds, Opts);
+      ASSERT_TRUE(Orig.Completed && Sliced.Completed);
+      EXPECT_EQ(Sliced.CriterionValues, Orig.CriterionValues)
+          << algorithmName(Algo) << " on input " << X;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -105,8 +105,10 @@ TEST(AugmentedControlDependenceTest, JumpsBecomeControllingNodes) {
   // point are control dependent on the jump (Ball–Horwitz).
   unsigned Goto7 = nodeOn(A, 7);
   ASSERT_TRUE(A.cfg().node(Goto7).isJump());
+  const Analysis::Augmented *Aug = A.augmented();
+  ASSERT_NE(Aug, nullptr);
   std::set<unsigned> Controlled;
-  for (unsigned Node : A.augPdg().Control.succs(Goto7))
+  for (unsigned Node : Aug->Control.succs(Goto7))
     if (const Stmt *S = A.cfg().node(Node).S)
       Controlled.insert(S->getLoc().Line);
   EXPECT_TRUE(Controlled.count(8))
@@ -115,8 +117,10 @@ TEST(AugmentedControlDependenceTest, JumpsBecomeControllingNodes) {
 
 TEST(AugmentedControlDependenceTest, PlainAndAugmentedAgreeWithoutJumps) {
   Analysis A = analyzeOk(paperExample("fig1a").Source);
+  const Analysis::Augmented *Aug = A.augmented();
+  ASSERT_NE(Aug, nullptr);
   for (unsigned Node = 0; Node != A.cfg().numNodes(); ++Node)
-    EXPECT_EQ(A.pdg().Control.succs(Node), A.augPdg().Control.succs(Node));
+    EXPECT_EQ(A.pdg().Control.succs(Node), Aug->Control.succs(Node));
 }
 
 TEST(PdgTest, CombinedGraphMergesBothEdgeKinds) {

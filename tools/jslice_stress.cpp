@@ -32,7 +32,8 @@
 ///                    crash or hang)
 ///   --dialect NAME   which generator dialects to fan out (default both)
 ///   --stmts N        target statements per generated program (default 40)
-///   --max-criteria N criteria checked per program (default 4)
+///   --max-criteria N criteria checked per generated program (default 4;
+///                    corpus files check every reachable write criterion)
 ///   --trials N       oracle inputs per criterion (default 3)
 ///   --fault-stride N additionally re-run each program's pipeline with a
 ///                    fault injected at every Nth checkpoint (default 0
@@ -54,7 +55,8 @@
 ///                    kill -9 residue — is reported but still clean),
 ///                    1 on mid-file corruption or a sequence regression
 ///   --corpus DIR     also push every file under DIR through the
-///                    pipeline (the checked-in fuzz seeds)
+///                    pipeline (the checked-in fuzz seeds), checking
+///                    every reachable write criterion
 ///   --out DIR        where minimized repros are written
 ///                    (default stress-repros)
 ///
@@ -75,6 +77,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -729,8 +732,11 @@ int main(int argc, char **argv) {
     }
   }
 
-  // Checked-in fuzz seeds first: fixed adversarial shapes.
+  // Checked-in fuzz seeds first: fixed adversarial shapes. They are few
+  // and each was checked in for some criterion, so none is capped.
   if (!Opts.CorpusDir.empty()) {
+    StressOptions CorpusOpts = Opts;
+    CorpusOpts.MaxCriteria = std::numeric_limits<unsigned>::max();
     std::error_code Ec;
     std::filesystem::directory_iterator It(Opts.CorpusDir, Ec), End;
     if (Ec) {
@@ -748,7 +754,7 @@ int main(int argc, char **argv) {
       std::stringstream Buffer;
       Buffer << In.rdbuf();
       runPipeline(Buffer.str(), "corpus_" + File.stem().string(),
-                  /*Seed=*/1, Opts, Counts);
+                  /*Seed=*/1, CorpusOpts, Counts);
     }
   }
 
