@@ -29,26 +29,30 @@ using namespace jslice::bench;
 
 namespace {
 
-/// Figure 7 without the conditional-jump adaptation: plain backward
-/// closure plus the PD-vs-LS fixpoint (closure via Pdg::growClosure,
-/// which never applies the adaptation).
+/// Figure 7 without the conditional-jump adaptation: every closure
+/// step is the engine's plain walk (addDependenceClosure), which never
+/// applies it. \p Traverse false stops at the seeds' plain closure.
 std::set<unsigned> fig7WithoutAdaptation(const Analysis &A,
-                                         const ResolvedCriterion &RC) {
-  std::set<unsigned> Slice = A.pdg().backwardClosure(RC.Seeds);
-  bool Changed = true;
-  while (Changed) {
+                                         const ResolvedCriterion &RC,
+                                         bool Traverse = true) {
+  BitVector Slice(A.cfg().numNodes());
+  for (unsigned Seed : RC.Seeds)
+    detail::addDependenceClosure(A.pdg(), Slice, Seed);
+  for (bool Changed = Traverse; Changed;) {
     Changed = false;
     for (unsigned J : A.pdt().preorder()) {
-      if (!A.cfg().node(J).isJump() || Slice.count(J))
+      if (!A.cfg().node(J).isJump() || Slice.test(J))
         continue;
       if (detail::nearestPostdomInSlice(A, J, Slice) ==
           detail::nearestLexSuccInSlice(A, J, Slice))
         continue;
-      A.pdg().growClosure(Slice, J);
+      detail::addDependenceClosure(A.pdg(), Slice, J);
       Changed = true;
     }
   }
-  return Slice;
+  std::set<unsigned> Out;
+  Slice.forEachSetBit([&](size_t N) { Out.insert(static_cast<unsigned>(N)); });
+  return Out;
 }
 
 } // namespace
@@ -62,15 +66,16 @@ int main() {
     Analysis A = analyzeExample(Ex);
     ResolvedCriterion RC = *resolveCriterion(A, Ex.Crit);
 
-    std::set<unsigned> NoAdapt = A.pdg().backwardClosure(RC.Seeds);
-    SliceResult WithAdapt = sliceConventional(A, RC);
+    std::set<unsigned> NoAdapt =
+        fig7WithoutAdaptation(A, RC, /*Traverse=*/false);
+    SliceResult WithAdapt = computeSlice(A, RC, SliceAlgorithm::Conventional);
     unsigned LostJumps = 0;
     for (unsigned Node : WithAdapt.Nodes)
       if (A.cfg().node(Node).isJump() && !NoAdapt.count(Node))
         ++LostJumps;
     R.expectValue("guarded gotos lost without adaptation", LostJumps, 2);
 
-    SliceResult Fig7 = sliceAgrawal(A, RC);
+    SliceResult Fig7 = computeSlice(A, RC, SliceAlgorithm::Agrawal);
     std::set<unsigned> Fig7NoAdapt = fig7WithoutAdaptation(A, RC);
     R.expectValue("figure 7 self-heals (same final slice)",
                   Fig7NoAdapt == Fig7.Nodes ? 1 : 0, 1);
@@ -91,7 +96,7 @@ int main() {
         ResolvedCriterion RC = *resolveCriterion(*A, Crit);
         ++Criteria;
         Same += fig7WithoutAdaptation(*A, RC) ==
-                sliceAgrawal(*A, RC).Nodes;
+                computeSlice(*A, RC, SliceAlgorithm::Agrawal).Nodes;
       }
     }
     R.measured("criteria", std::to_string(Criteria));
@@ -112,9 +117,9 @@ int main() {
         continue;
       for (const Criterion &Crit : reachableWriteCriteria(*A)) {
         ResolvedCriterion RC = *resolveCriterion(*A, Crit);
-        SliceResult Pdt = sliceAgrawal(*A, RC);
+        SliceResult Pdt = computeSlice(*A, RC, SliceAlgorithm::Agrawal);
         SliceResult Lst =
-            sliceAgrawal(*A, RC, TraversalTree::LexicalSuccessor);
+            computeSlice(*A, RC, SliceAlgorithm::AgrawalLst);
         ++Criteria;
         if (Pdt.ProductiveTraversals == Lst.ProductiveTraversals)
           ++SameCount;
@@ -136,11 +141,12 @@ int main() {
     Analysis A = analyzeExample(Ex);
     ResolvedCriterion RC = *resolveCriterion(A, Ex.Crit);
     R.measured("fig10a traversals (PDT order)",
-               std::to_string(sliceAgrawal(A, RC).ProductiveTraversals));
+               std::to_string(computeSlice(A, RC, SliceAlgorithm::Agrawal)
+                                  .ProductiveTraversals));
     R.measured(
         "fig10a traversals (LST order)",
         std::to_string(
-            sliceAgrawal(A, RC, TraversalTree::LexicalSuccessor)
+            computeSlice(A, RC, SliceAlgorithm::AgrawalLst)
                 .ProductiveTraversals));
   }
 

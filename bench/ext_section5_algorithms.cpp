@@ -37,7 +37,7 @@ int main() {
     Analysis A = analyzeExample(Ex);
     ResolvedCriterion RC = *resolveCriterion(A, Ex.Crit);
     SynthesizedSlice S = sliceChoiFerranteSynthesis(A, RC);
-    SliceResult Fig7 = sliceAgrawal(A, RC);
+    SliceResult Fig7 = computeSlice(A, RC, SliceAlgorithm::Agrawal);
     R.measured(Ex.Name + " stmts: synthesis vs fig7",
                std::to_string(S.Kept.size()) + " vs " +
                    std::to_string(Fig7.Nodes.size()) + " (" +
@@ -71,7 +71,7 @@ int main() {
     for (const Criterion &Crit : reachableWriteCriteria(*A)) {
       ResolvedCriterion RC = *resolveCriterion(*A, Crit);
       SynthesizedSlice S = sliceChoiFerranteSynthesis(*A, RC);
-      SliceResult Fig7 = sliceAgrawal(*A, RC);
+      SliceResult Fig7 = computeSlice(*A, RC, SliceAlgorithm::Agrawal);
       ++Criteria;
       Smaller += S.Kept.size() < Fig7.Nodes.size();
       StmtRatio += static_cast<double>(S.Kept.size()) /

@@ -65,8 +65,8 @@ int main() {
       continue;
     for (const Criterion &Crit : reachableWriteCriteria(*A)) {
       ResolvedCriterion RC = *resolveCriterion(*A, Crit);
-      SliceResult Conv = sliceConventional(*A, RC);
-      SliceResult Full = sliceAgrawal(*A, RC);
+      SliceResult Conv = computeSlice(*A, RC, SliceAlgorithm::Conventional);
+      SliceResult Full = computeSlice(*A, RC, SliceAlgorithm::Agrawal);
       ++Criteria;
       MaxTraversals = std::max(MaxTraversals, Full.ProductiveTraversals);
       MultiTraversal += Full.ProductiveTraversals > 1;
@@ -91,17 +91,18 @@ int main() {
     Analysis A = analyzeExample(Ex);
     ResolvedCriterion RC = *resolveCriterion(A, Ex.Crit);
     R.measured("conventional",
-               std::to_string(timeMicros(
-                   2000, [&] { sliceConventional(A, RC); })) +
-                   " us");
+               std::to_string(timeMicros(2000, [&] {
+                 computeSlice(A, RC, SliceAlgorithm::Conventional);
+               })) + " us");
     R.measured("figure 7 (PDT order)",
-               std::to_string(timeMicros(2000, [&] { sliceAgrawal(A, RC); })) +
-                   " us");
+               std::to_string(timeMicros(2000, [&] {
+                 computeSlice(A, RC, SliceAlgorithm::Agrawal);
+               })) + " us");
     R.measured(
         "figure 7 (LST order)",
         std::to_string(timeMicros(
             2000,
-            [&] { sliceAgrawal(A, RC, TraversalTree::LexicalSuccessor); })) +
+            [&] { computeSlice(A, RC, SliceAlgorithm::AgrawalLst); })) +
             " us");
   }
   return R.finish();

@@ -46,7 +46,8 @@ int main() {
     for (const Criterion &Crit : reachableWriteCriteria(*A)) {
       ResolvedCriterion RC = *resolveCriterion(*A, Crit);
       ++Criteria;
-      Equal += sliceStructured(*A, RC).Nodes == sliceAgrawal(*A, RC).Nodes;
+      Equal += computeSlice(*A, RC, SliceAlgorithm::Structured).Nodes ==
+               computeSlice(*A, RC, SliceAlgorithm::Agrawal).Nodes;
     }
   }
   R.expectValue("criteria where figure 12 == figure 7", Equal, Criteria);
@@ -64,8 +65,11 @@ int main() {
     if (A) {
       ResolvedCriterion RC =
           *resolveCriterion(*A, reachableWriteCriteria(*A).back());
-      double General = timeMicros(500, [&] { sliceAgrawal(*A, RC); });
-      double Single = timeMicros(500, [&] { sliceStructured(*A, RC); });
+      auto Time = [&](SliceAlgorithm Algo) {
+        return timeMicros(500, [&] { computeSlice(*A, RC, Algo); });
+      };
+      double General = Time(SliceAlgorithm::Agrawal);
+      double Single = Time(SliceAlgorithm::Structured);
       R.measured("figure 7", std::to_string(General) + " us");
       R.measured("figure 12", std::to_string(Single) + " us");
       R.measured("speedup", std::to_string(General / Single) + "x");

@@ -47,8 +47,8 @@ int main() {
       continue;
     for (const Criterion &Crit : reachableWriteCriteria(*A)) {
       ResolvedCriterion RC = *resolveCriterion(*A, Crit);
-      SliceResult Single = sliceStructured(*A, RC);
-      SliceResult Cons = sliceConservative(*A, RC);
+      SliceResult Single = computeSlice(*A, RC, SliceAlgorithm::Structured);
+      SliceResult Cons = computeSlice(*A, RC, SliceAlgorithm::Conservative);
       ++Criteria;
       for (unsigned Node : Single.Nodes)
         SupersetAlways = SupersetAlways && Cons.contains(Node);
@@ -70,8 +70,11 @@ int main() {
     const PaperExample &Ex = paperExample("fig14a");
     Analysis A = analyzeExample(Ex);
     ResolvedCriterion RC = *resolveCriterion(A, Ex.Crit);
-    double Single = timeMicros(2000, [&] { sliceStructured(A, RC); });
-    double Cons = timeMicros(2000, [&] { sliceConservative(A, RC); });
+    auto Time = [&](SliceAlgorithm Algo) {
+      return timeMicros(2000, [&] { computeSlice(A, RC, Algo); });
+    };
+    double Single = Time(SliceAlgorithm::Structured);
+    double Cons = Time(SliceAlgorithm::Conservative);
     R.measured("figure 12", std::to_string(Single) + " us");
     R.measured("figure 13 (no tree walks)", std::to_string(Cons) + " us");
   }

@@ -58,7 +58,8 @@ void BM_ConventionalSlice(benchmark::State &State) {
   ResolvedCriterion RC =
       *resolveCriterion(A, reachableWriteCriteria(A).front());
   for (auto _ : State)
-    benchmark::DoNotOptimize(sliceConventional(A, RC).Nodes.size());
+    benchmark::DoNotOptimize(
+        computeSlice(A, RC, SliceAlgorithm::Conventional).Nodes.size());
   State.SetComplexityN(State.range(0));
 }
 BENCHMARK(BM_ConventionalSlice)->Range(50, 3200)->Complexity();
@@ -68,7 +69,8 @@ void BM_AgrawalSlice(benchmark::State &State) {
   ResolvedCriterion RC =
       *resolveCriterion(A, reachableWriteCriteria(A).front());
   for (auto _ : State)
-    benchmark::DoNotOptimize(sliceAgrawal(A, RC).Nodes.size());
+    benchmark::DoNotOptimize(
+        computeSlice(A, RC, SliceAlgorithm::Agrawal).Nodes.size());
   State.SetComplexityN(State.range(0));
 }
 BENCHMARK(BM_AgrawalSlice)->Range(50, 3200)->Complexity();
@@ -78,7 +80,8 @@ void BM_BallHorwitzSlice(benchmark::State &State) {
   ResolvedCriterion RC =
       *resolveCriterion(A, reachableWriteCriteria(A).front());
   for (auto _ : State)
-    benchmark::DoNotOptimize(sliceBallHorwitz(A, RC).Nodes.size());
+    benchmark::DoNotOptimize(
+        computeSlice(A, RC, SliceAlgorithm::BallHorwitz).Nodes.size());
   State.SetComplexityN(State.range(0));
 }
 BENCHMARK(BM_BallHorwitzSlice)->Range(50, 3200)->Complexity();

@@ -31,7 +31,7 @@ int main() {
     return 1;
   }
   ResolvedCriterion RC = *resolveCriterion(*A, Ex.Crit);
-  SliceResult Reference = sliceAgrawal(*A, RC);
+  SliceResult Reference = computeSlice(*A, RC, SliceAlgorithm::Agrawal);
 
   std::printf("program: %s\ncriterion: (%s, line %u)\n\n",
               Ex.Caption.c_str(), Ex.Crit.Vars.front().c_str(),

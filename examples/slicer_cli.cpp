@@ -20,8 +20,8 @@
 ///   --all            print every algorithm's line set instead of one slice
 ///   --all-criteria   slice every statement line through the batch engine
 ///                    (shared closure cache); prints one summary per line
-///   --threads N      worker threads for --all-criteria (default: the
-///                    JSLICE_THREADS env var, else hardware concurrency)
+///   --threads N      worker threads for --all-criteria (default:
+///                    hardware concurrency)
 ///   --fallback       on budget exhaustion, walk the service's
 ///                    precision-degradation ladder (requested algorithm,
 ///                    then conservative-fig13 where sound, then lyle)

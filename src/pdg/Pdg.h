@@ -19,9 +19,6 @@
 
 #include "graph/Digraph.h"
 
-#include <set>
-#include <vector>
-
 namespace jslice {
 
 /// A control dependence graph paired with a data dependence graph, by
@@ -32,17 +29,6 @@ namespace jslice {
 struct PdgView {
   const Digraph &Control;
   const Digraph &Data;
-
-  /// Backward transitive closure from \p Seeds over both dependence
-  /// kinds — the conventional slicing core [17, 24]. The seeds are
-  /// included in the result.
-  std::set<unsigned> backwardClosure(const std::vector<unsigned> &Seeds) const;
-
-  /// Extends \p Slice with the backward closure of \p Node's
-  /// dependences (the Figure 7 step "add the transitive closure of the
-  /// dependence of J"). Returns the nodes newly added.
-  std::vector<unsigned> growClosure(std::set<unsigned> &Slice,
-                                    unsigned Node) const;
 };
 
 /// Control and data dependence, kept separate (the paper's algorithms
@@ -63,17 +49,6 @@ struct Pdg {
       for (unsigned To : Data.succs(From))
         Out.addEdge(From, To);
     return Out;
-  }
-
-  /// See PdgView::backwardClosure.
-  std::set<unsigned> backwardClosure(const std::vector<unsigned> &Seeds) const {
-    return PdgView(*this).backwardClosure(Seeds);
-  }
-
-  /// See PdgView::growClosure.
-  std::vector<unsigned> growClosure(std::set<unsigned> &Slice,
-                                    unsigned Node) const {
-    return PdgView(*this).growClosure(Slice, Node);
   }
 };
 

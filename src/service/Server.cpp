@@ -762,7 +762,11 @@ bool Server::handleSliceSandboxed(const ServiceRequest &R,
           Pid = WP->asInt();
       if (std::optional<CacheStats> Snap = CacheStats::fromJson(*WC)) {
         std::lock_guard<std::mutex> Lock(StateM);
-        WorkerCacheSnapshots[Pid] = *Snap;
+        // A worker killed since it answered may already be retired by
+        // stats(); re-adding its snapshot would count its counters
+        // twice. Dropping it loses only this one response's increments.
+        if (Super->stats().isLive(Pid))
+          WorkerCacheSnapshots[Pid] = *Snap;
       }
       V->remove("worker_cache");
       V->remove("worker_pid");
@@ -1028,7 +1032,19 @@ ServerStats Server::stats() const {
   if (Cache) {
     S.Cache = Cache->stats();
   } else if (Opts.Cache.Enabled) {
+    // Retire dead workers: their counters fold into the retired total
+    // once (counters stay monotone), their gauges drop to zero (the
+    // entries and bytes count only caches that still exist).
+    std::erase_if(WorkerCacheSnapshots, [&](const auto &Entry) {
+      if (S.Super.isLive(Entry.first))
+        return false;
+      CacheStats Dead = Entry.second;
+      Dead.Entries = Dead.Bytes = 0;
+      RetiredWorkerCaches.add(Dead);
+      return true;
+    });
     S.WorkerCaches = WorkerCacheSnapshots;
+    S.Cache = RetiredWorkerCaches;
     for (const auto &[Pid, Snap] : S.WorkerCaches)
       S.Cache.add(Snap);
   }

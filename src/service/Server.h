@@ -94,8 +94,8 @@ using ResponseSink = std::function<void(const std::string &Line)>;
 
 /// Server configuration.
 struct ServerOptions {
-  /// Worker threads; 0 = BatchSlicer::defaultThreads() (JSLICE_THREADS
-  /// env var, else hardware concurrency).
+  /// Worker threads; 0 = BatchSlicer::defaultThreads() (the hardware
+  /// concurrency).
   unsigned Threads = 0;
 
   /// Process isolation: run requests in forked sandbox workers under
@@ -306,8 +306,9 @@ struct ServerStats {
                             ///< derives the remaining headroom.
   bool CacheEnabled = false;
   CacheStats Cache; ///< Thread mode: the shared cache; process mode:
-                    ///< the per-worker snapshots summed.
-  /// Process mode: the latest cache snapshot from each worker pid.
+                    ///< the live workers' snapshots plus the retired
+                    ///< workers' counters.
+  /// Process mode: the latest cache snapshot from each live worker pid.
   std::map<int64_t, CacheStats> WorkerCaches;
 
   JsonValue toJson() const;
@@ -549,8 +550,13 @@ private:
   /// raw bytes — a killer program is never parsed in this process.
   std::map<std::string, unsigned> ProgramCrashCounts;
   std::set<std::string> ProgramPoison;
-  /// Process mode: latest piggybacked cache snapshot per worker pid.
-  std::map<int64_t, CacheStats> WorkerCacheSnapshots;
+  /// Process mode: latest piggybacked cache snapshot per live worker
+  /// pid. stats() folds each dead pid's entry into RetiredWorkerCaches
+  /// and erases it, so the map holds at most one entry per worker.
+  mutable std::map<int64_t, CacheStats> WorkerCacheSnapshots;
+  /// Process mode: the counters of every dead worker's cache, with the
+  /// Entries/Bytes gauges zeroed — the caches they measured are gone.
+  mutable CacheStats RetiredWorkerCaches;
   ServerStats Counters;
   std::vector<double> Latencies;
 };

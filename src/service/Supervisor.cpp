@@ -409,7 +409,10 @@ SupervisorStats Supervisor::stats() const {
   std::lock_guard<std::mutex> Lock(M);
   SupervisorStats S = Counters;
   for (const Slot &Sl : Slots)
-    S.WorkersAlive += Sl.St != Slot::State::Dead;
+    if (Sl.St != Slot::State::Dead) {
+      ++S.WorkersAlive;
+      S.LivePids.push_back(Sl.Pid);
+    }
   return S;
 }
 

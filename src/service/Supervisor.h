@@ -46,6 +46,7 @@
 
 #include "service/SandboxWorker.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -114,6 +115,11 @@ struct SupervisorStats {
   uint64_t BreakerRefusals = 0;
   uint64_t BreakerOpens = 0;
   unsigned WorkersAlive = 0;
+  std::vector<long> LivePids; ///< The WorkersAlive workers' pids.
+
+  bool isLive(int64_t Pid) const {
+    return std::find(LivePids.begin(), LivePids.end(), Pid) != LivePids.end();
+  }
 };
 
 class Supervisor {

@@ -5,24 +5,13 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Implementation notes. The cache answers "backward dependence closure
-/// of node n" in O(numNodes / 64) words; every slicing algorithm is then
-/// re-expressed over bitsets:
-///
-///  * the conventional core (closure of the seeds plus the
-///    conditional-jump adaptation fixpoint) becomes a union of cached
-///    closures, iterated over the (predicate, jump) pair list;
-///  * the Figure 7 / 12 / 13 layers keep their exact traversal
-///    structure — same trees, same visit order, same add conditions —
-///    but membership tests and closure growth run on the bitset;
-///  * the related-work baselines (Lyle, Gallagher, JZR, Ball–Horwitz)
-///    follow the same scheme; only Weiser, whose iterative-dataflow
-///    machinery shares nothing with the PDG, dispatches to the
-///    single-shot slicer.
-///
-/// Equality with the single-shot slicers is enforced by unit tests on
-/// every paper figure, a PropertyTest generator case, and the stress
-/// harness's batch cross-check (tools/jslice_stress.cpp).
+/// The closure cache and the batch front ends. The cache answers
+/// "backward dependence closure of node n" in O(numNodes / 64) words;
+/// the slicing itself is the engine's (SlicerInternal.h): the same
+/// per-algorithm traversals computeSlice runs, handed a ClosureSource
+/// that reads this cache instead of walking the dependence graphs.
+/// Only Weiser, whose iterative-dataflow machinery shares nothing with
+/// the PDG, has no cache-backed path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,11 +21,6 @@
 #include "support/WorkerPool.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cassert>
-#include <cstdlib>
-#include <mutex>
-#include <optional>
 #include <set>
 #include <thread>
 
@@ -199,413 +183,6 @@ DependenceClosure::DependenceClosure(PdgView P, unsigned NumNodes,
 }
 
 //===----------------------------------------------------------------------===//
-// Guard sharing across worker threads
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Coordination for one fan-out run over a shared ResourceGuard
-/// (which is single-threaded by design): the mutex serializes bulk
-/// charges, the flag latches an observed trip so every worker's fast
-/// path is one relaxed atomic load.
-struct BatchGuardState {
-  std::mutex M;
-  std::atomic<bool> Tripped{false};
-};
-
-/// The batch engine's view of the pipeline guard: direct in
-/// single-threaded runs (preserving exact per-checkpoint
-/// fault-injection ordinals). When criteria fan out across workers,
-/// each GuardRef buffers its checkpoints locally and flushes them to
-/// the shared guard in stride-sized batches through
-/// ResourceGuard::charge() — the shared mutex is taken once per
-/// stride, not once per checkpoint, which is what lets the pool scale
-/// past a single core. A trip observed by any worker latches the
-/// shared flag; others notice at their next checkpoint, so overshoot
-/// is bounded by one buffered stride per worker.
-class GuardRef {
-public:
-  GuardRef(ResourceGuard &G, BatchGuardState *Shared)
-      : G(G), Shared(Shared),
-        FlushStride(Shared ? G.budget().effectivePollStride() : 0) {}
-
-  GuardRef(const GuardRef &) = delete;
-  GuardRef &operator=(const GuardRef &) = delete;
-
-  /// Merge-on-exit: steps buffered below the flush stride still reach
-  /// the shared meter when the worker finishes its criterion.
-  ~GuardRef() {
-    if (Shared && Pending)
-      flushPending("batch.flush");
-  }
-
-  bool checkpoint(const char *Site) const {
-    if (!Shared)
-      return G.checkpoint(Site);
-    if (Shared->Tripped.load(std::memory_order_relaxed))
-      return false;
-    if (++Pending < FlushStride)
-      return true;
-    return flushPending(Site);
-  }
-
-  bool exhausted() const {
-    if (!Shared)
-      return G.exhausted();
-    if (Pending)
-      flushPending("batch.flush");
-    if (Shared->Tripped.load(std::memory_order_relaxed))
-      return true;
-    std::lock_guard<std::mutex> Lock(Shared->M);
-    if (!G.exhausted())
-      return false;
-    Shared->Tripped.store(true, std::memory_order_relaxed);
-    return true;
-  }
-
-  Diag toDiag() const {
-    if (!Shared)
-      return G.toDiag();
-    std::lock_guard<std::mutex> Lock(Shared->M);
-    return G.toDiag();
-  }
-
-private:
-  bool flushPending(const char *Site) const {
-    uint64_t N = Pending;
-    Pending = 0;
-    std::lock_guard<std::mutex> Lock(Shared->M);
-    if (G.charge(N, Site))
-      return true;
-    Shared->Tripped.store(true, std::memory_order_relaxed);
-    return false;
-  }
-
-  ResourceGuard &G;
-  BatchGuardState *Shared;
-  uint64_t FlushStride;
-  mutable uint64_t Pending = 0;
-};
-
-//===----------------------------------------------------------------------===//
-// Bitset re-implementations of the slicing algorithms
-//===----------------------------------------------------------------------===//
-
-/// closeWithAdaptation over the closure cache: union the seeds'
-/// closures, then iterate the conditional-jump adaptation (a predicate
-/// in the slice drags in its jump, with the jump's closure) to a
-/// fixpoint. Returns false when the guard trips (partial slice, exactly
-/// like the single-shot path).
-bool closeBV(const Analysis &A, const DependenceClosure &Cache,
-             const GuardRef &Guard, BitVector &Slice,
-             const std::vector<unsigned> &Seeds) {
-  for (unsigned Seed : Seeds) {
-    if (!Guard.checkpoint("batch.close"))
-      return false;
-    Slice |= Cache.closureOf(Seed);
-  }
-  for (;;) {
-    bool Adapted = false;
-    for (auto [Pred, Jump] : A.condJumpPairs()) {
-      if (Slice.test(Pred) && !Slice.test(Jump)) {
-        if (!Guard.checkpoint("batch.close"))
-          return false;
-        Slice |= Cache.closureOf(Jump);
-        Adapted = true;
-      }
-    }
-    if (!Adapted)
-      return true;
-  }
-}
-
-unsigned nearestPostdomInSliceBV(const Analysis &A, unsigned Node,
-                                 const BitVector &Slice) {
-  int Cur = A.pdt().idom(Node);
-  while (Cur >= 0) {
-    unsigned N = static_cast<unsigned>(Cur);
-    if (N == A.cfg().exit() || Slice.test(N))
-      return N;
-    Cur = A.pdt().idom(N);
-  }
-  return A.cfg().exit();
-}
-
-unsigned nearestLexSuccInSliceBV(const Analysis &A, unsigned Node,
-                                 const BitVector &Slice) {
-  int Cur = A.lst().parent(Node);
-  while (Cur >= 0) {
-    unsigned N = static_cast<unsigned>(Cur);
-    if (N == A.cfg().exit() || Slice.test(N))
-      return N;
-    Cur = A.lst().parent(N);
-  }
-  return A.cfg().exit();
-}
-
-bool hasControllingPredicateBV(const Pdg &P, unsigned Node,
-                               const BitVector &Slice) {
-  for (unsigned Pred : P.Control.preds(Node))
-    if (Slice.test(Pred))
-      return true;
-  return false;
-}
-
-bool allControllingPredicatesBV(const Pdg &P, unsigned Node,
-                                const BitVector &Slice) {
-  for (unsigned Pred : P.Control.preds(Node))
-    if (!Slice.test(Pred))
-      return false;
-  return true;
-}
-
-/// Converts the working bitset into the public SliceResult form and
-/// runs the Figure 7 final step (label re-association).
-void finishResult(const Analysis &A, const BitVector &Slice,
-                  SliceResult &R) {
-  Slice.forEachSetBit([&](size_t Node) {
-    R.Nodes.insert(static_cast<unsigned>(Node));
-  });
-  R.ReassociatedLabels = reassociateLabels(A, R.Nodes);
-}
-
-SliceResult sliceAgrawalBV(const Analysis &A, const DependenceClosure &Cache,
-                           const GuardRef &Guard,
-                           const ResolvedCriterion &RC, TraversalTree Tree) {
-  SliceResult R;
-  R.CriterionNode = RC.Node;
-  BitVector Slice(A.cfg().numNodes());
-  if (!closeBV(A, Cache, Guard, Slice, RC.Seeds)) {
-    finishResult(A, Slice, R);
-    return R;
-  }
-
-  const std::vector<unsigned> &Order = Tree == TraversalTree::PostDominator
-                                           ? A.pdt().preorder()
-                                           : A.lst().preorder();
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    ++R.Traversals;
-    std::vector<unsigned> AddedThisPass;
-    for (unsigned J : Order) {
-      if (!A.cfg().node(J).isJump() || Slice.test(J))
-        continue;
-      if (!Guard.checkpoint("batch.traversal")) {
-        if (Changed) {
-          ++R.ProductiveTraversals;
-          R.TraversalAdditions.push_back(std::move(AddedThisPass));
-        }
-        finishResult(A, Slice, R);
-        return R;
-      }
-      unsigned NearestPd = nearestPostdomInSliceBV(A, J, Slice);
-      unsigned NearestLs = nearestLexSuccInSliceBV(A, J, Slice);
-      if (NearestPd == NearestLs)
-        continue;
-      if (!closeBV(A, Cache, Guard, Slice, {J})) {
-        AddedThisPass.push_back(J);
-        ++R.ProductiveTraversals;
-        R.TraversalAdditions.push_back(std::move(AddedThisPass));
-        finishResult(A, Slice, R);
-        return R;
-      }
-      AddedThisPass.push_back(J);
-      Changed = true;
-    }
-    if (Changed) {
-      ++R.ProductiveTraversals;
-      R.TraversalAdditions.push_back(std::move(AddedThisPass));
-    }
-  }
-
-  finishResult(A, Slice, R);
-  return R;
-}
-
-SliceResult sliceStructuredBV(const Analysis &A,
-                              const DependenceClosure &Cache,
-                              const GuardRef &Guard,
-                              const ResolvedCriterion &RC) {
-  SliceResult R;
-  R.CriterionNode = RC.Node;
-  BitVector Slice(A.cfg().numNodes());
-  closeBV(A, Cache, Guard, Slice, RC.Seeds);
-
-  R.Traversals = 1;
-  for (unsigned J : A.pdt().preorder()) {
-    if (!A.cfg().node(J).isJump() || Slice.test(J))
-      continue;
-    if (!hasControllingPredicateBV(A.pdg(), J, Slice))
-      continue;
-    if (nearestPostdomInSliceBV(A, J, Slice) ==
-        nearestLexSuccInSliceBV(A, J, Slice))
-      continue;
-    Slice.set(J);
-    R.ProductiveTraversals = 1;
-  }
-
-  finishResult(A, Slice, R);
-  return R;
-}
-
-SliceResult sliceConservativeBV(const Analysis &A,
-                                const DependenceClosure &Cache,
-                                const GuardRef &Guard,
-                                const ResolvedCriterion &RC) {
-  SliceResult R;
-  R.CriterionNode = RC.Node;
-  BitVector Slice(A.cfg().numNodes());
-  closeBV(A, Cache, Guard, Slice, RC.Seeds);
-
-  for (unsigned J : jumpNodes(A.cfg()))
-    if (!Slice.test(J) && hasControllingPredicateBV(A.pdg(), J, Slice))
-      Slice.set(J);
-
-  finishResult(A, Slice, R);
-  return R;
-}
-
-SliceResult sliceLyleBV(const Analysis &A, const DependenceClosure &Cache,
-                        const GuardRef &Guard, const ResolvedCriterion &RC) {
-  SliceResult R;
-  R.CriterionNode = RC.Node;
-  std::vector<unsigned> Seeds = RC.Seeds;
-  for (unsigned J : jumpNodes(A.cfg()))
-    Seeds.push_back(J);
-  BitVector Slice(A.cfg().numNodes());
-  closeBV(A, Cache, Guard, Slice, Seeds);
-  finishResult(A, Slice, R);
-  return R;
-}
-
-/// Mirrors RelatedWork.cpp's basicBlockFrom (Gallagher's target-block
-/// rule needs the same block notion the single-shot slicer uses).
-std::vector<unsigned> basicBlockFromBV(const Cfg &C, unsigned Head) {
-  std::vector<unsigned> Block;
-  unsigned Cur = Head;
-  for (;;) {
-    if (Cur == C.exit() || Cur == C.entry())
-      break;
-    Block.push_back(Cur);
-    if (C.graph().succs(Cur).size() != 1)
-      break;
-    unsigned Next = C.graph().succs(Cur).front();
-    if (C.graph().preds(Next).size() != 1)
-      break;
-    Cur = Next;
-  }
-  return Block;
-}
-
-SliceResult sliceGallagherBV(const Analysis &A,
-                             const DependenceClosure &Cache,
-                             const GuardRef &Guard,
-                             const ResolvedCriterion &RC) {
-  SliceResult R;
-  R.CriterionNode = RC.Node;
-  BitVector Slice(A.cfg().numNodes());
-  closeBV(A, Cache, Guard, Slice, RC.Seeds);
-
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (unsigned J : jumpNodes(A.cfg())) {
-      if (Slice.test(J))
-        continue;
-      std::optional<unsigned> Target = A.cfg().jumpTarget(J);
-      if (!Target)
-        continue;
-      bool TargetBlockInSlice = *Target == A.cfg().exit();
-      for (unsigned Node : basicBlockFromBV(A.cfg(), *Target))
-        if (Slice.test(Node))
-          TargetBlockInSlice = true;
-      if (!TargetBlockInSlice)
-        continue;
-      if (!allControllingPredicatesBV(A.pdg(), J, Slice))
-        continue;
-      if (!closeBV(A, Cache, Guard, Slice, {J})) {
-        finishResult(A, Slice, R);
-        return R;
-      }
-      Changed = true;
-    }
-  }
-
-  finishResult(A, Slice, R);
-  return R;
-}
-
-SliceResult sliceJzrBV(const Analysis &A, const DependenceClosure &Cache,
-                       const GuardRef &Guard, const ResolvedCriterion &RC) {
-  SliceResult R;
-  R.CriterionNode = RC.Node;
-  BitVector Slice(A.cfg().numNodes());
-  closeBV(A, Cache, Guard, Slice, RC.Seeds);
-
-  for (unsigned J : jumpNodes(A.cfg())) {
-    if (Slice.test(J))
-      continue;
-    std::optional<unsigned> Target = A.cfg().jumpTarget(J);
-    if (!Target)
-      continue;
-    bool TargetInSlice = *Target == A.cfg().exit() || Slice.test(*Target);
-    if (TargetInSlice && allControllingPredicatesBV(A.pdg(), J, Slice))
-      Slice.set(J);
-  }
-
-  finishResult(A, Slice, R);
-  return R;
-}
-
-SliceResult sliceSimpleClosureBV(const Analysis &A,
-                                 const DependenceClosure &Cache,
-                                 const GuardRef &Guard,
-                                 const ResolvedCriterion &RC) {
-  SliceResult R;
-  R.CriterionNode = RC.Node;
-  BitVector Slice(A.cfg().numNodes());
-  closeBV(A, Cache, Guard, Slice, RC.Seeds);
-  finishResult(A, Slice, R);
-  return R;
-}
-
-/// The algorithm switch over the bitset implementations. \p Cache is
-/// the one the algorithm reads (BatchSlicer::closuresFor).
-SliceResult dispatchBV(const Analysis &A, const DependenceClosure &Cache,
-                       const GuardRef &Guard, const ResolvedCriterion &RC,
-                       SliceAlgorithm Algorithm) {
-  switch (Algorithm) {
-  case SliceAlgorithm::Conventional:
-    return sliceSimpleClosureBV(A, Cache, Guard, RC);
-  case SliceAlgorithm::Agrawal:
-    return sliceAgrawalBV(A, Cache, Guard, RC,
-                          TraversalTree::PostDominator);
-  case SliceAlgorithm::AgrawalLst:
-    return sliceAgrawalBV(A, Cache, Guard, RC,
-                          TraversalTree::LexicalSuccessor);
-  case SliceAlgorithm::Structured:
-    return sliceStructuredBV(A, Cache, Guard, RC);
-  case SliceAlgorithm::Conservative:
-    return sliceConservativeBV(A, Cache, Guard, RC);
-  case SliceAlgorithm::BallHorwitz:
-    return sliceSimpleClosureBV(A, Cache, Guard, RC);
-  case SliceAlgorithm::Lyle:
-    return sliceLyleBV(A, Cache, Guard, RC);
-  case SliceAlgorithm::Gallagher:
-    return sliceGallagherBV(A, Cache, Guard, RC);
-  case SliceAlgorithm::JiangZhouRobson:
-    return sliceJzrBV(A, Cache, Guard, RC);
-  case SliceAlgorithm::Weiser:
-    break; // Handled by the callers (no cache-backed implementation).
-  }
-  assert(false && "unknown slicing algorithm");
-  return SliceResult();
-}
-
-} // namespace
-
-//===----------------------------------------------------------------------===//
 // BatchSlicer
 //===----------------------------------------------------------------------===//
 
@@ -652,7 +229,6 @@ SliceResult BatchSlicer::slice(const ResolvedCriterion &RC,
   // empty partial slice a failed first checkpoint would produce.
   SliceResult R;
   R.CriterionNode = RC.Node;
-  finishResult(A, BitVector(A.cfg().numNodes()), R);
   return R;
 }
 
@@ -664,17 +240,11 @@ BatchSlicer::sliceShared(const ResolvedCriterion &RC,
   const DependenceClosure *Cache = closuresFor(Algorithm, G);
   if (!Cache)
     return std::nullopt; // Build tripped G; the next hit retries.
-  GuardRef Guard{G, nullptr};
-  return dispatchBV(A, *Cache, Guard, RC, Algorithm);
+  GuardRef Guard(G);
+  return detail::computeSlice(A, RC, Algorithm, ClosureSource(*Cache, Guard));
 }
 
 unsigned BatchSlicer::defaultThreads() {
-  if (const char *Env = std::getenv("JSLICE_THREADS")) {
-    char *End = nullptr;
-    long N = std::strtol(Env, &End, 10);
-    if (End && *End == '\0' && N > 0 && N <= 1024)
-      return static_cast<unsigned>(N);
-  }
   unsigned Hw = std::thread::hardware_concurrency();
   return Hw ? Hw : 1;
 }
@@ -704,7 +274,7 @@ BatchSlicer::runAll(const std::vector<Criterion> &Crits,
 
   auto SliceOne = [&](size_t I) {
     BatchEntry &Entry = Out[I];
-    GuardRef Guard{A.guard(), SharedPtr};
+    GuardRef Guard(A.guard(), SharedPtr);
     if ((!Weiser && !Cache) || Guard.exhausted()) {
       Entry.Diags.report(SourceLoc(), Guard.toDiag().Message,
                          DiagKind::ResourceExhausted);
@@ -717,7 +287,8 @@ BatchSlicer::runAll(const std::vector<Criterion> &Crits,
     }
     SliceResult R =
         Weiser ? computeSlice(A, *RC, SliceAlgorithm::Weiser)
-               : dispatchBV(A, *Cache, Guard, *RC, Opts.Algorithm);
+               : detail::computeSlice(A, *RC, Opts.Algorithm,
+                                      ClosureSource(*Cache, Guard));
     if (Guard.exhausted()) {
       Entry.Diags.report(SourceLoc(), Guard.toDiag().Message,
                          DiagKind::ResourceExhausted);

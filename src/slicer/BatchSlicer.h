@@ -6,17 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The batch slicing engine. The paper's algorithms are defined per
-/// criterion, but realistic clients (IDE highlighting, regression
-/// triage) slice the same program against *many* criteria, and the
-/// single-shot slicers re-walk the dependence graphs from scratch each
-/// time. This engine condenses the PDG into strongly connected
-/// components once (Tarjan over the union of control and data edges),
-/// computes a per-SCC backward-reachability closure cache as dense
-/// bitsets, and answers every criterion's conventional slice as a
-/// bitset union. The Figure 7 / 12 / 13 jump-augmentation layers run on
-/// top of the same cache, sharing the per-program postdominator and
-/// lexical successor trees the Analysis already holds.
+/// The batch front end of the slice engine. The paper's algorithms are
+/// defined per criterion, but realistic clients (IDE highlighting,
+/// regression triage, the analysis cache's hits) slice the same program
+/// against *many* criteria. Walking the dependence graphs per query
+/// (what computeSlice does for a single one) repeats work across them,
+/// so this front end condenses the PDG into strongly connected
+/// components once (Tarjan over the union of control and data edges)
+/// and caches every SCC's backward-reachability closure as a dense
+/// bitset: each closure step of a query becomes one bitset union.
 ///
 /// The closure caches are built on first use, not at construction: an
 /// artifact the analysis cache publishes but never hits never pays for
@@ -26,24 +24,17 @@
 /// and the next query retries under its own guard. runAll builds before
 /// it fans out, so workers only read.
 ///
-/// Results are bit-identical to the single-shot slicers (Slicers.h) for
+/// The traversals are the single-shot path's own (SlicerInternal.h):
+/// only the closure source differs, so results equal computeSlice's for
 /// every algorithm when the resource budget is not exhausted; a tripped
 /// budget degrades per criterion into a DiagKind::ResourceExhausted
 /// diagnostic, never a crash (see DESIGN.md, "Batch slicing engine").
 ///
-/// An opt-in thread pool fans independent criteria across workers. The
-/// Analysis' ResourceGuard is shared: each worker counts checkpoints
-/// in a thread-local shard and flushes them to the real guard in
-/// stride-sized batches (ResourceGuard::charge), reading only a shared
-/// atomic trip flag on the fast path — the budget stays one
-/// program-wide meter without a mutex acquisition per checkpoint.
-/// Exhaustion is latched; a worker observes a trip at most one
-/// locally-buffered stride late, so overshoot past the budget is
-/// bounded by threads x stride checkpoints. *Which* criterion observes
-/// the tripped budget first depends on scheduling, so budget-sensitive
-/// tests should run single-threaded (the single-threaded path polls
-/// the guard directly, checkpoint by checkpoint, preserving the exact
-/// fault-injection ordinals the every-ordinal sweeps rely on).
+/// runAll fans independent criteria across a thread pool sharing the
+/// Analysis' ResourceGuard through stride-batched charges (GuardRef in
+/// SlicerInternal.h): overshoot past the budget is bounded by threads x
+/// stride checkpoints, and *which* criterion observes a trip depends on
+/// scheduling, so budget-sensitive tests run single-threaded.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -112,9 +103,9 @@ struct BatchEntry {
 struct BatchOptions {
   SliceAlgorithm Algorithm = SliceAlgorithm::Agrawal;
 
-  /// Worker threads; 0 means the JSLICE_THREADS environment variable,
-  /// or the hardware concurrency when it is unset. Algorithms without a
-  /// closure-cache implementation (Weiser) always run single-threaded.
+  /// Worker threads; 0 means the hardware concurrency. Algorithms
+  /// without a closure-cache implementation (Weiser) always run
+  /// single-threaded.
   unsigned Threads = 0;
 };
 
@@ -138,8 +129,8 @@ public:
   const DependenceClosure &closures() const;
 
   /// One slice through the cache, building it charged to A.guard() on
-  /// first use. Bit-identical to
-  /// computeSlice(A, RC, Algorithm) modulo resource exhaustion;
+  /// first use. Equal to computeSlice(A, RC, Algorithm) modulo resource
+  /// exhaustion;
   /// algorithms without a cache-backed implementation (Weiser) dispatch
   /// to the single-shot slicer.
   SliceResult slice(const ResolvedCriterion &RC,
@@ -154,8 +145,8 @@ public:
   /// built is built now, charged to \p G. Returns nullopt when the
   /// algorithm has no cache-backed implementation (Weiser) or when that
   /// build trips \p G; the caller then serves without the cache, and
-  /// the next query retries the build. A returned slice is
-  /// bit-identical to slice() modulo exhaustion of \p G (check
+  /// the next query retries the build. A returned slice equals
+  /// slice() modulo exhaustion of \p G (check
   /// G.exhausted(): a tripped guard means a partial slice that must be
   /// discarded).
   std::optional<SliceResult> sliceShared(const ResolvedCriterion &RC,
@@ -170,9 +161,8 @@ public:
   std::vector<BatchEntry> runAll(const std::vector<Criterion> &Crits,
                                  const BatchOptions &Opts = {}) const;
 
-  /// The thread count used when BatchOptions::Threads is 0: the
-  /// JSLICE_THREADS environment variable when set to a positive
-  /// integer, otherwise std::thread::hardware_concurrency() (>= 1).
+  /// The thread count used when BatchOptions::Threads is 0:
+  /// std::thread::hardware_concurrency(), at least 1.
   static unsigned defaultThreads();
 
 private:

@@ -38,10 +38,13 @@ jslice::sliceChoiFerranteSynthesis(const Analysis &A,
   const Analysis::Augmented *Aug = A.augmented();
   if (!Aug)
     return R; // The analysis' guard tripped building the bundle.
-  std::set<unsigned> Closure = A.augPdg(*Aug).backwardClosure(RC.Seeds);
-  for (unsigned Node : Closure)
+  BitVector Closure(C.numNodes());
+  for (unsigned Seed : RC.Seeds)
+    addDependenceClosure(A.augPdg(*Aug), Closure, Seed);
+  Closure.forEachSetBit([&](size_t Node) {
     if (!C.node(Node).isJump())
-      R.Kept.insert(Node);
+      R.Kept.insert(static_cast<unsigned>(Node));
+  });
 
   // Destination of a raw control transfer to \p Target: the nearest
   // kept postdominator. Every deleted node on the way is either a

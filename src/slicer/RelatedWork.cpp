@@ -37,37 +37,23 @@
 using namespace jslice;
 using namespace jslice::detail;
 
-//===----------------------------------------------------------------------===//
-// Lyle
-//===----------------------------------------------------------------------===//
-
-SliceResult jslice::sliceLyle(const Analysis &A, const ResolvedCriterion &RC) {
-  SliceResult R;
-  R.CriterionNode = RC.Node;
-
-  std::vector<unsigned> Seeds = RC.Seeds;
-  for (unsigned J : jumpNodes(A.cfg()))
-    Seeds.push_back(J);
-  closeWithAdaptation(A, A.pdg(), R.Nodes, std::move(Seeds));
-
-  R.ReassociatedLabels = reassociateLabels(A, R.Nodes);
-  return R;
-}
-
-//===----------------------------------------------------------------------===//
-// Gallagher
-//===----------------------------------------------------------------------===//
-
 namespace {
+
+/// True when every direct control-dependence parent of \p Node is in
+/// \p Slice (vacuously true with no parents).
+bool allControllingPredicatesInSlice(const Analysis &A, unsigned Node,
+                                     const BitVector &Slice) {
+  for (unsigned Pred : A.pdg().Control.preds(Node))
+    if (!Slice.test(Pred))
+      return false;
+  return true;
+}
 
 /// The basic block starting at \p Head: the maximal straight-line chain
 /// of statement/predicate nodes beginning there.
 std::vector<unsigned> basicBlockFrom(const Cfg &C, unsigned Head) {
   std::vector<unsigned> Block;
-  unsigned Cur = Head;
-  for (;;) {
-    if (Cur == C.exit() || Cur == C.entry())
-      break;
+  for (unsigned Cur = Head; Cur != C.exit() && Cur != C.entry();) {
     Block.push_back(Cur);
     if (C.graph().succs(Cur).size() != 1)
       break;
@@ -81,62 +67,42 @@ std::vector<unsigned> basicBlockFrom(const Cfg &C, unsigned Head) {
 
 } // namespace
 
-SliceResult jslice::sliceGallagher(const Analysis &A,
-                                   const ResolvedCriterion &RC) {
-  SliceResult R;
-  R.CriterionNode = RC.Node;
-  closeWithAdaptation(A, A.pdg(), R.Nodes, RC.Seeds);
+void detail::addLyleJumps(const Analysis &A, const ClosureSource &Close,
+                          BitVector &Slice) {
+  closeWithAdaptation(A, Close, Slice, jumpNodes(A.cfg()));
+}
 
-  bool Changed = true;
-  while (Changed) {
+void detail::addGallagherJumps(const Analysis &A, const ClosureSource &Close,
+                               BitVector &Slice) {
+  for (bool Changed = true; Changed;) {
     Changed = false;
     for (unsigned J : jumpNodes(A.cfg())) {
-      if (R.contains(J))
+      if (Slice.test(J))
         continue;
       std::optional<unsigned> Target = A.cfg().jumpTarget(J);
       if (!Target)
         continue; // Unresolved (cannot happen post-sema).
-      bool TargetBlockInSlice = false;
+      // Returns always "reach" their block.
+      bool TargetBlockInSlice = *Target == A.cfg().exit();
       for (unsigned Node : basicBlockFrom(A.cfg(), *Target))
-        if (R.contains(Node))
-          TargetBlockInSlice = true;
-      if (*Target == A.cfg().exit())
-        TargetBlockInSlice = true; // Returns always "reach" their block.
-      if (!TargetBlockInSlice)
+        TargetBlockInSlice |= Slice.test(Node);
+      if (!TargetBlockInSlice ||
+          !allControllingPredicatesInSlice(A, J, Slice))
         continue;
-      if (!allControllingPredicatesInSlice(A.pdg(), J, R.Nodes))
-        continue;
-      closeWithAdaptation(A, A.pdg(), R.Nodes, {J});
-      Changed = true;
+      Changed = closeWithAdaptation(A, Close, Slice, {J});
+      if (!Changed)
+        return; // Guard tripped: partial slice, reported by the caller.
     }
   }
-
-  R.ReassociatedLabels = reassociateLabels(A, R.Nodes);
-  return R;
 }
 
-//===----------------------------------------------------------------------===//
-// Jiang–Zhou–Robson (approximation; see file header)
-//===----------------------------------------------------------------------===//
-
-SliceResult jslice::sliceJiangZhouRobson(const Analysis &A,
-                                         const ResolvedCriterion &RC) {
-  SliceResult R;
-  R.CriterionNode = RC.Node;
-  closeWithAdaptation(A, A.pdg(), R.Nodes, RC.Seeds);
-
+void detail::addJiangZhouRobsonJumps(const Analysis &A, BitVector &Slice) {
   for (unsigned J : jumpNodes(A.cfg())) {
-    if (R.contains(J))
-      continue;
     std::optional<unsigned> Target = A.cfg().jumpTarget(J);
     if (!Target)
       continue;
-    bool TargetInSlice = *Target == A.cfg().exit() || R.contains(*Target);
-    if (TargetInSlice &&
-        allControllingPredicatesInSlice(A.pdg(), J, R.Nodes))
-      R.Nodes.insert(J);
+    bool TargetInSlice = *Target == A.cfg().exit() || Slice.test(*Target);
+    if (TargetInSlice && allControllingPredicatesInSlice(A, J, Slice))
+      Slice.set(J);
   }
-
-  R.ReassociatedLabels = reassociateLabels(A, R.Nodes);
-  return R;
 }

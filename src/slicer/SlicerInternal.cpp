@@ -1,4 +1,4 @@
-//===- slicer/SlicerInternal.cpp - Shared slicer machinery -------------------===//
+//===- slicer/SlicerInternal.cpp - The slice engine's shared machinery -------===//
 //
 // Part of the jslice project: a reproduction of H. Agrawal, "On Slicing
 // Programs with Jump Statements", PLDI 1994.
@@ -7,113 +7,145 @@
 
 #include "slicer/SlicerInternal.h"
 
+#include "slicer/BatchSlicer.h"
+
 using namespace jslice;
 using namespace jslice::detail;
 
-void detail::closeWithAdaptation(const Analysis &A, PdgView P,
-                                 std::set<unsigned> &Slice,
-                                 std::vector<unsigned> Seeds) {
-  std::vector<unsigned> Worklist;
+bool GuardRef::exhausted() const {
+  if (!Shared)
+    return G.exhausted();
+  if (Pending)
+    flushPending("batch.flush");
+  if (Shared->Tripped.load(std::memory_order_relaxed))
+    return true;
+  std::lock_guard<std::mutex> Lock(Shared->M);
+  if (!G.exhausted())
+    return false;
+  Shared->Tripped.store(true, std::memory_order_relaxed);
+  return true;
+}
+
+Diag GuardRef::toDiag() const {
+  if (!Shared)
+    return G.toDiag();
+  std::lock_guard<std::mutex> Lock(Shared->M);
+  return G.toDiag();
+}
+
+bool GuardRef::flushPending(const char *Site) const {
+  uint64_t N = Pending;
+  Pending = 0;
+  std::lock_guard<std::mutex> Lock(Shared->M);
+  if (G.charge(N, Site))
+    return true;
+  Shared->Tripped.store(true, std::memory_order_relaxed);
+  return false;
+}
+
+bool detail::addDependenceClosure(PdgView P, BitVector &Slice, unsigned Node,
+                                  const GuardRef *Guard) {
+  if (Slice.test(Node))
+    return true;
+  Slice.set(Node);
+  std::vector<unsigned> Worklist{Node};
+  while (!Worklist.empty()) {
+    if (Guard && !Guard->checkpoint("slicer.close"))
+      return false;
+    unsigned Cur = Worklist.back();
+    Worklist.pop_back();
+    for (const Digraph *G : {&P.Control, &P.Data})
+      for (unsigned Dep : G->preds(Cur))
+        if (!Slice.test(Dep)) {
+          Slice.set(Dep);
+          Worklist.push_back(Dep);
+        }
+  }
+  return true;
+}
+
+bool ClosureSource::add(BitVector &Slice, unsigned Node) const {
+  if (Walk)
+    return addDependenceClosure(*Walk, Slice, Node, &Guard);
+  if (Slice.test(Node))
+    return true; // Closed slice: the closure is already in it.
+  if (!Guard.checkpoint("slicer.close"))
+    return false;
+  Slice |= Cache->closureOf(Node);
+  return true;
+}
+
+bool detail::closeWithAdaptation(const Analysis &A, const ClosureSource &Close,
+                                 BitVector &Slice,
+                                 const std::vector<unsigned> &Seeds) {
   for (unsigned Seed : Seeds)
-    if (Slice.insert(Seed).second)
-      Worklist.push_back(Seed);
-
-  for (;;) {
-    while (!Worklist.empty()) {
-      if (!A.guard().checkpoint("slicer.close"))
-        return; // Partial closure; the ErrorOr layer reports it.
-      unsigned Node = Worklist.back();
-      Worklist.pop_back();
-      for (unsigned Dep : P.Control.preds(Node))
-        if (Slice.insert(Dep).second)
-          Worklist.push_back(Dep);
-      for (unsigned Dep : P.Data.preds(Node))
-        if (Slice.insert(Dep).second)
-          Worklist.push_back(Dep);
-    }
-
-    // Conditional-jump adaptation: a conditional-jump predicate in the
-    // slice drags in the jump it guards (the predicate is useless in
-    // the slice without it). New jumps re-enter the closure loop.
-    bool Adapted = false;
+    if (!Close.add(Slice, Seed))
+      return false;
+  // Conditional-jump adaptation: a conditional-jump predicate in the
+  // slice drags in the jump it guards (the predicate is useless in the
+  // slice without it), with the jump's closure.
+  for (bool Adapted = true; Adapted;) {
+    Adapted = false;
     for (auto [Pred, Jump] : A.condJumpPairs()) {
-      if (Slice.count(Pred) && Slice.insert(Jump).second) {
-        Worklist.push_back(Jump);
+      if (Slice.test(Pred) && !Slice.test(Jump)) {
+        if (!Close.add(Slice, Jump))
+          return false;
         Adapted = true;
       }
     }
-    if (!Adapted)
-      return;
   }
+  return true;
 }
 
-unsigned detail::nearestPostdomInSlice(const Analysis &A, unsigned Node,
-                                       const std::set<unsigned> &Slice) {
-  int Cur = A.pdt().idom(Node);
-  while (Cur >= 0) {
+namespace {
+
+/// Nearest proper ancestor of \p Node in the tree \p Parent describes
+/// that is in \p Slice; Exit terminates every walk.
+template <typename ParentFn>
+unsigned nearestInSlice(const Analysis &A, unsigned Node,
+                        const BitVector &Slice, ParentFn Parent) {
+  for (int Cur = Parent(Node); Cur >= 0; Cur = Parent(unsigned(Cur))) {
     unsigned N = static_cast<unsigned>(Cur);
-    if (N == A.cfg().exit() || Slice.count(N))
+    if (N == A.cfg().exit() || Slice.test(N))
       return N;
-    Cur = A.pdt().idom(N);
   }
   return A.cfg().exit();
+}
+
+} // namespace
+
+unsigned detail::nearestPostdomInSlice(const Analysis &A, unsigned Node,
+                                       const BitVector &Slice) {
+  return nearestInSlice(A, Node, Slice,
+                        [&](unsigned N) { return A.pdt().idom(N); });
 }
 
 unsigned detail::nearestLexSuccInSlice(const Analysis &A, unsigned Node,
-                                       const std::set<unsigned> &Slice) {
-  int Cur = A.lst().parent(Node);
-  while (Cur >= 0) {
-    unsigned N = static_cast<unsigned>(Cur);
-    if (N == A.cfg().exit() || Slice.count(N))
-      return N;
-    Cur = A.lst().parent(N);
-  }
-  return A.cfg().exit();
+                                       const BitVector &Slice) {
+  return nearestInSlice(A, Node, Slice,
+                        [&](unsigned N) { return A.lst().parent(N); });
 }
 
-unsigned
-detail::nearestPostdomInSliceInclusive(const Analysis &A, unsigned Node,
-                                       const std::set<unsigned> &Slice) {
-  if (Node == A.cfg().exit() || Slice.count(Node))
-    return Node;
-  return nearestPostdomInSlice(A, Node, Slice);
-}
-
-std::map<std::string, unsigned>
-detail::reassociateLabels(const Analysis &A,
-                          const std::set<unsigned> &Slice) {
-  std::map<std::string, unsigned> Out;
-  for (unsigned Node : Slice) {
-    const CfgNode &Info = A.cfg().node(Node);
-    if (!Info.S)
-      continue;
-    const auto *Goto = dyn_cast<GotoStmt>(Info.S);
+void detail::finishResult(const Analysis &A, const BitVector &Slice,
+                          SliceResult &R) {
+  Slice.forEachSetBit([&](size_t Node) {
+    R.Nodes.insert(static_cast<unsigned>(Node));
+  });
+  // Figure 7's final step: every in-slice goto whose target statement
+  // left the slice has its label re-associated with the target's
+  // nearest postdominator in the slice (Exit: end of program).
+  for (unsigned Node : R.Nodes) {
+    const auto *Goto = dyn_cast_if_present<GotoStmt>(A.cfg().node(Node).S);
     if (!Goto)
       continue;
     std::optional<unsigned> Target = A.cfg().jumpTarget(Node);
     assert(Target && "goto in slice without resolved target");
-    if (Slice.count(*Target))
+    if (Slice.test(*Target))
       continue; // The labeled statement survived; no re-association.
-    Out[Goto->getTargetLabel()] =
-        nearestPostdomInSliceInclusive(A, *Target, Slice);
+    R.ReassociatedLabels[Goto->getTargetLabel()] =
+        *Target == A.cfg().exit() ? *Target
+                                  : nearestPostdomInSlice(A, *Target, Slice);
   }
-  return Out;
-}
-
-bool detail::hasControllingPredicateInSlice(const Pdg &P, unsigned Node,
-                                            const std::set<unsigned> &Slice) {
-  for (unsigned Pred : P.Control.preds(Node))
-    if (Slice.count(Pred))
-      return true;
-  return false;
-}
-
-bool detail::allControllingPredicatesInSlice(
-    const Pdg &P, unsigned Node, const std::set<unsigned> &Slice) {
-  for (unsigned Pred : P.Control.preds(Node))
-    if (!Slice.count(Pred))
-      return false;
-  return true;
 }
 
 std::vector<unsigned> detail::jumpNodes(const Cfg &C) {

@@ -1,4 +1,4 @@
-//===- slicer/SlicerInternal.h - Shared slicer machinery ---------------------===//
+//===- slicer/SlicerInternal.h - The slice engine's shared machinery ---------===//
 //
 // Part of the jslice project: a reproduction of H. Agrawal, "On Slicing
 // Programs with Jump Statements", PLDI 1994.
@@ -6,8 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Internal helpers shared by the slicing algorithm implementations.
-/// Not part of the public API.
+/// The one slice engine's internals. Every PDG-based algorithm has a
+/// single traversal, over a BitVector slice, parameterized only by its
+/// ClosureSource: how a node's backward dependence closure gets into
+/// the slice. computeSlice walks the dependence graphs (one query per
+/// program: nothing to amortize); BatchSlicer reads its SCC closure
+/// cache (many queries per program). Not part of the public API.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,53 +19,158 @@
 #define JSLICE_SLICER_SLICERINTERNAL_H
 
 #include "slicer/Slicers.h"
+#include "support/BitVector.h"
 
-#include <set>
+#include <atomic>
+#include <mutex>
+#include <optional>
 #include <vector>
 
 namespace jslice {
+
+class DependenceClosure;
+
 namespace detail {
 
-/// Extends \p Slice with the backward dependence closure of \p Seeds and
-/// keeps applying the paper's conditional-jump adaptation (a predicate
-/// in the slice drags in its accompanying jump) until a fixpoint. Every
-/// algorithm that honours the adaptation funnels through here.
-void closeWithAdaptation(const Analysis &A, PdgView P,
-                         std::set<unsigned> &Slice,
-                         std::vector<unsigned> Seeds);
+/// Coordination for one fan-out run over a shared ResourceGuard
+/// (which is single-threaded by design): the mutex serializes bulk
+/// charges, the flag latches an observed trip so every worker's fast
+/// path is one relaxed atomic load.
+struct BatchGuardState {
+  std::mutex M;
+  std::atomic<bool> Tripped{false};
+};
 
-/// Nearest postdominator of \p Node that is in \p Slice. Walks proper
-/// PDT ancestors; Exit terminates every walk (the paper treats Exit as
-/// the root of both trees).
+/// The engine's view of the pipeline guard. Direct (no shared state)
+/// for a single-threaded caller: every checkpoint polls the guard,
+/// preserving exact per-checkpoint fault-injection ordinals. When
+/// criteria fan out across workers, each GuardRef buffers its
+/// checkpoints locally and flushes them to the shared guard in
+/// stride-sized batches through ResourceGuard::charge() — the shared
+/// mutex is taken once per stride, not once per checkpoint. A trip
+/// observed by any worker latches the shared flag; others notice at
+/// their next checkpoint, so overshoot is bounded by one buffered
+/// stride per worker.
+class GuardRef {
+public:
+  explicit GuardRef(ResourceGuard &G, BatchGuardState *Shared = nullptr)
+      : G(G), Shared(Shared),
+        FlushStride(Shared ? G.budget().effectivePollStride() : 0) {}
+
+  GuardRef(const GuardRef &) = delete;
+  GuardRef &operator=(const GuardRef &) = delete;
+
+  /// Merge-on-exit: steps buffered below the flush stride still reach
+  /// the shared meter when the worker finishes its criterion.
+  ~GuardRef() {
+    if (Shared && Pending)
+      flushPending("batch.flush");
+  }
+
+  bool checkpoint(const char *Site) const {
+    return Shared ? charge(1, Site) : G.checkpoint(Site);
+  }
+
+  /// \p N checkpoints' worth of steps in one call (a direct guard sees
+  /// one fault-injection observation; ResourceGuard::charge).
+  bool charge(uint64_t N, const char *Site) const {
+    if (!Shared)
+      return G.charge(N, Site);
+    if (Shared->Tripped.load(std::memory_order_relaxed))
+      return false;
+    if ((Pending += N) < FlushStride)
+      return true;
+    return flushPending(Site);
+  }
+
+  bool exhausted() const;
+  Diag toDiag() const;
+
+private:
+  bool flushPending(const char *Site) const;
+
+  ResourceGuard &G;
+  BatchGuardState *Shared;
+  uint64_t FlushStride;
+  mutable uint64_t Pending = 0;
+};
+
+/// The plain closure step: adds the backward dependence closure of
+/// \p Node over \p P (control and data edges, \p Node included) to
+/// \p Slice, charging one \p Guard checkpoint per node added (null:
+/// unmetered). The walk stops at nodes already in \p Slice, so it is
+/// exact only when \p Slice is dependence-closed over \p P on entry —
+/// every member's closure already in it (see ClosureSource::add).
+/// Returns false when the guard trips; \p Slice is then partial.
+bool addDependenceClosure(PdgView P, BitVector &Slice, unsigned Node,
+                          const GuardRef *Guard = nullptr);
+
+/// Where a traversal gets a node's backward dependence closure from,
+/// and the guard it charges.
+class ClosureSource {
+public:
+  /// Walks \p Deps per request (addDependenceClosure).
+  ClosureSource(PdgView Deps, const GuardRef &Guard)
+      : Walk(Deps), Guard(Guard) {}
+  /// Reads \p Cache: one bitset union per request.
+  ClosureSource(const DependenceClosure &Cache, const GuardRef &Guard)
+      : Cache(&Cache), Guard(Guard) {}
+
+  /// Adds \p Node's backward dependence closure to \p Slice.
+  ///
+  /// Precondition: \p Slice is dependence-closed — it holds the
+  /// closure of each of its members. Both sources rely on it (the walk
+  /// prunes at members; a member's cached closure is skipped), and
+  /// every algorithm meets it: closures are only added on top of other
+  /// closures, and the bare jumps Figures 12/13 and Jiang–Zhou–Robson
+  /// insert come after their last closure step. Returns false when the
+  /// guard trips (\p Slice is then partial).
+  bool add(BitVector &Slice, unsigned Node) const;
+
+  const GuardRef &guard() const { return Guard; }
+
+private:
+  std::optional<PdgView> Walk;
+  const DependenceClosure *Cache = nullptr;
+  const GuardRef &Guard;
+};
+
+/// Figure 7's "nearest postdominator in the slice": proper PDT
+/// ancestors of \p Node; Exit terminates every walk (the paper treats
+/// Exit as the root of both trees).
 unsigned nearestPostdomInSlice(const Analysis &A, unsigned Node,
-                               const std::set<unsigned> &Slice);
+                               const BitVector &Slice);
 
-/// Nearest lexical successor of \p Node that is in \p Slice (proper LST
+/// Nearest lexical successor of \p Node in \p Slice (proper LST
 /// ancestors; Exit terminates).
 unsigned nearestLexSuccInSlice(const Analysis &A, unsigned Node,
-                               const std::set<unsigned> &Slice);
+                               const BitVector &Slice);
 
-/// Nearest postdominator of \p Node that is in \p Slice, starting the
-/// walk at \p Node itself (used for label re-association where the
-/// target may or may not be in the slice).
-unsigned nearestPostdomInSliceInclusive(const Analysis &A, unsigned Node,
-                                        const std::set<unsigned> &Slice);
+/// The single dispatch over every algorithm, each a traversal that
+/// gets its dependence closures from \p Close. Weiser's dataflow
+/// slicer ignores \p Close.
+SliceResult computeSlice(const Analysis &A, const ResolvedCriterion &RC,
+                         SliceAlgorithm Algorithm,
+                         const ClosureSource &Close);
 
-/// Figure 7's final step: re-associates the label of every in-slice
-/// goto whose target statement left the slice.
-std::map<std::string, unsigned>
-reassociateLabels(const Analysis &A, const std::set<unsigned> &Slice);
+/// Converts the working bitset into \p R's public node set and runs
+/// the Figure 7 final step (label re-association).
+void finishResult(const Analysis &A, const BitVector &Slice, SliceResult &R);
 
-/// True when \p Node has a direct control-dependence parent inside
-/// \p Slice (the paper's "directly control dependent on a predicate in
-/// the slice"; Entry — the dummy predicate — counts).
-bool hasControllingPredicateInSlice(const Pdg &P, unsigned Node,
-                                    const std::set<unsigned> &Slice);
+/// The closure of \p Seeds plus the conditional-jump adaptation to a
+/// fixpoint — the conventional slice every algorithm starts from.
+/// Returns false when the guard trips (partial slice).
+bool closeWithAdaptation(const Analysis &A, const ClosureSource &Close,
+                         BitVector &Slice,
+                         const std::vector<unsigned> &Seeds);
 
-/// True when every direct control-dependence parent of \p Node is in
-/// \p Slice (vacuously true with no parents).
-bool allControllingPredicatesInSlice(const Pdg &P, unsigned Node,
-                                     const std::set<unsigned> &Slice);
+// The related-work traversals (RelatedWork.cpp), each growing a
+// conventional slice with the jumps its rule selects.
+void addLyleJumps(const Analysis &A, const ClosureSource &Close,
+                  BitVector &Slice);
+void addGallagherJumps(const Analysis &A, const ClosureSource &Close,
+                       BitVector &Slice);
+void addJiangZhouRobsonJumps(const Analysis &A, BitVector &Slice);
 
 /// All jump nodes of the CFG, ascending.
 std::vector<unsigned> jumpNodes(const Cfg &C);

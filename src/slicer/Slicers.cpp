@@ -86,168 +86,159 @@ bool jslice::algorithmIsSound(SliceAlgorithm Algorithm) {
 }
 
 //===----------------------------------------------------------------------===//
-// Conventional slicing (with the conditional-jump adaptation)
+// The paper's traversals, over a bitset slice
 //===----------------------------------------------------------------------===//
 
-SliceResult jslice::sliceConventional(const Analysis &A,
-                                      const ResolvedCriterion &RC) {
-  SliceResult R;
-  R.CriterionNode = RC.Node;
-  closeWithAdaptation(A, A.pdg(), R.Nodes, RC.Seeds);
-  R.ReassociatedLabels = reassociateLabels(A, R.Nodes);
-  return R;
-}
+namespace {
 
-//===----------------------------------------------------------------------===//
-// Figure 7: the paper's general algorithm
-//===----------------------------------------------------------------------===//
-
-SliceResult jslice::sliceAgrawal(const Analysis &A,
-                                 const ResolvedCriterion &RC,
-                                 TraversalTree Tree) {
-  SliceResult R;
-  R.CriterionNode = RC.Node;
-  closeWithAdaptation(A, A.pdg(), R.Nodes, RC.Seeds);
-
-  const std::vector<unsigned> &Order = Tree == TraversalTree::PostDominator
-                                           ? A.pdt().preorder()
-                                           : A.lst().preorder();
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    ++R.Traversals;
-    std::vector<unsigned> AddedThisPass;
-    for (unsigned J : Order) {
-      if (!A.guard().checkpoint("slicer.traversal")) {
-        // Budget exhausted mid-traversal: stop growing the slice. The
-        // ErrorOr dispatch layer reports the tripped guard.
-        R.ReassociatedLabels = reassociateLabels(A, R.Nodes);
-        return R;
-      }
-      if (!A.cfg().node(J).isJump() || R.contains(J))
-        continue;
-      // The decisive test: a jump is needed exactly when deleting it
-      // would change where control falls relative to the slice.
-      unsigned NearestPd = nearestPostdomInSlice(A, J, R.Nodes);
-      unsigned NearestLs = nearestLexSuccInSlice(A, J, R.Nodes);
-      if (NearestPd == NearestLs)
-        continue;
-      closeWithAdaptation(A, A.pdg(), R.Nodes, {J});
-      AddedThisPass.push_back(J);
-      Changed = true;
-    }
-    if (Changed) {
-      ++R.ProductiveTraversals;
-      R.TraversalAdditions.push_back(std::move(AddedThisPass));
-    }
+/// One Figure 7 preorder pass over \p Order: adds every jump whose
+/// nearest postdominator in the slice differs from its nearest lexical
+/// successor in the slice, with the jump's closure, appending it to
+/// \p Added. The pass is charged one step per tree node up front, plus
+/// a checkpoint per jump it tests. Returns false when the guard trips
+/// (partial slice).
+bool figure7Pass(const Analysis &A, const ClosureSource &Close,
+                 const std::vector<unsigned> &Order, BitVector &Slice,
+                 std::vector<unsigned> &Added) {
+  if (!Close.guard().charge(Order.size(), "slicer.traversal"))
+    return false;
+  for (unsigned J : Order) {
+    if (!A.cfg().node(J).isJump() || Slice.test(J))
+      continue;
+    if (!Close.guard().checkpoint("slicer.traversal"))
+      return false;
+    // The decisive test: a jump is needed exactly when deleting it
+    // would change where control falls relative to the slice.
+    if (nearestPostdomInSlice(A, J, Slice) ==
+        nearestLexSuccInSlice(A, J, Slice))
+      continue;
+    Added.push_back(J);
+    if (!closeWithAdaptation(A, Close, Slice, {J}))
+      return false;
   }
-
-  R.ReassociatedLabels = reassociateLabels(A, R.Nodes);
-  return R;
+  return true;
 }
 
-//===----------------------------------------------------------------------===//
-// Figure 12: single traversal for structured programs
-//===----------------------------------------------------------------------===//
+/// Figure 7: preorder passes over the PDT (or LST) until one adds no
+/// jump. A tripped guard stops the traversal.
+void figure7(const Analysis &A, const ClosureSource &Close,
+             const std::vector<unsigned> &Order, BitVector &Slice,
+             SliceResult &R) {
+  for (bool Ok = true; Ok;) {
+    ++R.Traversals;
+    std::vector<unsigned> Added;
+    Ok = figure7Pass(A, Close, Order, Slice, Added);
+    if (Added.empty())
+      break;
+    ++R.ProductiveTraversals;
+    R.TraversalAdditions.push_back(std::move(Added));
+  }
+}
 
-SliceResult jslice::sliceStructured(const Analysis &A,
-                                    const ResolvedCriterion &RC) {
-  SliceResult R;
-  R.CriterionNode = RC.Node;
-  closeWithAdaptation(A, A.pdg(), R.Nodes, RC.Seeds);
+/// True when \p Node has a direct control-dependence parent in
+/// \p Slice (Entry — the dummy predicate — counts).
+bool hasControllingPredicateInSlice(const Analysis &A, unsigned Node,
+                                    const BitVector &Slice) {
+  for (unsigned Pred : A.pdg().Control.preds(Node))
+    if (Slice.test(Pred))
+      return true;
+  return false;
+}
 
+/// Figure 12: a single PDT traversal for structured programs, adding
+/// only jumps directly control dependent on an in-slice predicate.
+void figure12(const Analysis &A, BitVector &Slice, SliceResult &R) {
   R.Traversals = 1;
   for (unsigned J : A.pdt().preorder()) {
-    if (!A.cfg().node(J).isJump() || R.contains(J))
+    if (!A.cfg().node(J).isJump() || Slice.test(J))
       continue;
-    if (!hasControllingPredicateInSlice(A.pdg(), J, R.Nodes))
+    if (!hasControllingPredicateInSlice(A, J, Slice))
       continue;
-    unsigned NearestPd = nearestPostdomInSlice(A, J, R.Nodes);
-    unsigned NearestLs = nearestLexSuccInSlice(A, J, R.Nodes);
-    if (NearestPd == NearestLs)
+    if (nearestPostdomInSlice(A, J, Slice) ==
+        nearestLexSuccInSlice(A, J, Slice))
       continue;
     // For structured programs the jump's dependences are already in the
     // slice (Section 4, property 2) — insert the jump alone.
-    R.Nodes.insert(J);
+    Slice.set(J);
     R.ProductiveTraversals = 1;
   }
-
-  R.ReassociatedLabels = reassociateLabels(A, R.Nodes);
-  return R;
 }
 
-//===----------------------------------------------------------------------===//
-// Figure 13: conservative, tree-free
-//===----------------------------------------------------------------------===//
-
-SliceResult jslice::sliceConservative(const Analysis &A,
-                                      const ResolvedCriterion &RC) {
-  SliceResult R;
-  R.CriterionNode = RC.Node;
-  closeWithAdaptation(A, A.pdg(), R.Nodes, RC.Seeds);
-
-  for (unsigned J : jumpNodes(A.cfg())) {
-    if (R.contains(J))
-      continue;
-    if (hasControllingPredicateInSlice(A.pdg(), J, R.Nodes))
-      R.Nodes.insert(J);
-  }
-
-  R.ReassociatedLabels = reassociateLabels(A, R.Nodes);
-  return R;
+/// Figure 13: conservative and tree-free — every jump directly control
+/// dependent on an in-slice predicate.
+void figure13(const Analysis &A, BitVector &Slice) {
+  for (unsigned J : jumpNodes(A.cfg()))
+    if (hasControllingPredicateInSlice(A, J, Slice))
+      Slice.set(J);
 }
 
-//===----------------------------------------------------------------------===//
-// Ball–Horwitz / Choi–Ferrante: augmented-flowgraph baseline
-//===----------------------------------------------------------------------===//
-
-SliceResult jslice::sliceBallHorwitz(const Analysis &A,
-                                     const ResolvedCriterion &RC) {
-  SliceResult R;
-  R.CriterionNode = RC.Node;
-  // Plain backward reachability over the augmented PDG; jumps enter the
-  // slice through augmented control dependence, so no adaptation pass is
-  // needed — but running it is harmless and keeps conditional jumps
-  // attached to their predicates in degenerate cases.
-  // A null bundle means the guard tripped building it; the ErrorOr
-  // dispatch layer reports that, as for any other partial slice.
-  if (const Analysis::Augmented *Aug = A.augmented())
-    closeWithAdaptation(A, A.augPdg(*Aug), R.Nodes, RC.Seeds);
-  R.ReassociatedLabels = reassociateLabels(A, R.Nodes);
-  return R;
-}
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Dispatch
 //===----------------------------------------------------------------------===//
 
+SliceResult detail::computeSlice(const Analysis &A,
+                                 const ResolvedCriterion &RC,
+                                 SliceAlgorithm Algorithm,
+                                 const ClosureSource &Close) {
+  if (Algorithm == SliceAlgorithm::Weiser)
+    return sliceWeiser(A, RC);
+  SliceResult R;
+  R.CriterionNode = RC.Node;
+  BitVector Slice(A.cfg().numNodes());
+  // Every algorithm starts from the conventional slice. A tripped guard
+  // leaves it partial; the ErrorOr layer reports the trip.
+  if (closeWithAdaptation(A, Close, Slice, RC.Seeds)) {
+    switch (Algorithm) {
+    case SliceAlgorithm::Conventional:
+    case SliceAlgorithm::BallHorwitz: // Jumps enter through augmented CD.
+    case SliceAlgorithm::Weiser:
+      break;
+    case SliceAlgorithm::Agrawal:
+      figure7(A, Close, A.pdt().preorder(), Slice, R);
+      break;
+    case SliceAlgorithm::AgrawalLst:
+      figure7(A, Close, A.lst().preorder(), Slice, R);
+      break;
+    case SliceAlgorithm::Structured:
+      figure12(A, Slice, R);
+      break;
+    case SliceAlgorithm::Conservative:
+      figure13(A, Slice);
+      break;
+    case SliceAlgorithm::Lyle:
+      addLyleJumps(A, Close, Slice);
+      break;
+    case SliceAlgorithm::Gallagher:
+      addGallagherJumps(A, Close, Slice);
+      break;
+    case SliceAlgorithm::JiangZhouRobson:
+      addJiangZhouRobsonJumps(A, Slice);
+      break;
+    }
+  }
+  finishResult(A, Slice, R);
+  return R;
+}
+
 SliceResult jslice::computeSlice(const Analysis &A,
                                  const ResolvedCriterion &RC,
                                  SliceAlgorithm Algorithm) {
-  switch (Algorithm) {
-  case SliceAlgorithm::Conventional:
-    return sliceConventional(A, RC);
-  case SliceAlgorithm::Agrawal:
-    return sliceAgrawal(A, RC, TraversalTree::PostDominator);
-  case SliceAlgorithm::AgrawalLst:
-    return sliceAgrawal(A, RC, TraversalTree::LexicalSuccessor);
-  case SliceAlgorithm::Structured:
-    return sliceStructured(A, RC);
-  case SliceAlgorithm::Conservative:
-    return sliceConservative(A, RC);
-  case SliceAlgorithm::BallHorwitz:
-    return sliceBallHorwitz(A, RC);
-  case SliceAlgorithm::Lyle:
-    return sliceLyle(A, RC);
-  case SliceAlgorithm::Gallagher:
-    return sliceGallagher(A, RC);
-  case SliceAlgorithm::JiangZhouRobson:
-    return sliceJiangZhouRobson(A, RC);
-  case SliceAlgorithm::Weiser:
-    return sliceWeiser(A, RC);
-  }
-  assert(false && "unknown slicing algorithm");
-  return SliceResult();
+  // One query: walk the dependence graphs instead of building the
+  // closure cache (BatchSlicer) that only pays off over many.
+  GuardRef Guard(A.guard());
+  if (Algorithm != SliceAlgorithm::BallHorwitz)
+    return detail::computeSlice(A, RC, Algorithm,
+                                ClosureSource(A.pdg(), Guard));
+  if (const Analysis::Augmented *Aug = A.augmented())
+    return detail::computeSlice(A, RC, Algorithm,
+                                ClosureSource(A.augPdg(*Aug), Guard));
+  // The guard tripped building the augmented bundle; the ErrorOr
+  // dispatch layer reports that, as for any other partial slice.
+  SliceResult R;
+  R.CriterionNode = RC.Node;
+  return R;
 }
 
 ErrorOr<SliceResult> jslice::computeSlice(const Analysis &A,

@@ -48,6 +48,11 @@
 ///    the slice. Misses the jumps on lines 11 and 13 of Figure 8,
 ///    matching the failure the paper reports.
 ///
+/// computeSlice is the one entry point. Every algorithm but Weiser is a
+/// single traversal (Slicers.cpp, RelatedWork.cpp) shared with the
+/// batch engine (BatchSlicer.h); only the source of dependence closures
+/// differs.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JSLICE_SLICER_SLICERS_H
@@ -62,9 +67,6 @@
 #include <vector>
 
 namespace jslice {
-
-/// Which tree drives the Figure 7 traversal.
-enum class TraversalTree { PostDominator, LexicalSuccessor };
 
 /// All implemented algorithms, for table-driven benches and tests.
 enum class SliceAlgorithm {
@@ -119,18 +121,12 @@ struct SliceResult {
   std::set<unsigned> stmtIds(const Cfg &C) const;
 };
 
-SliceResult sliceConventional(const Analysis &A, const ResolvedCriterion &RC);
-SliceResult sliceAgrawal(const Analysis &A, const ResolvedCriterion &RC,
-                         TraversalTree Tree = TraversalTree::PostDominator);
-SliceResult sliceStructured(const Analysis &A, const ResolvedCriterion &RC);
-SliceResult sliceConservative(const Analysis &A, const ResolvedCriterion &RC);
-SliceResult sliceBallHorwitz(const Analysis &A, const ResolvedCriterion &RC);
-SliceResult sliceLyle(const Analysis &A, const ResolvedCriterion &RC);
-SliceResult sliceGallagher(const Analysis &A, const ResolvedCriterion &RC);
-SliceResult sliceJiangZhouRobson(const Analysis &A,
-                                 const ResolvedCriterion &RC);
-
-/// Table-driven dispatch over SliceAlgorithm.
+/// \p RC's slice under \p Algorithm. Every PDG-based algorithm runs
+/// its one traversal (SlicerInternal.h), taking each dependence closure
+/// by walking the dependence graphs — the right trade for a single
+/// query; BatchSlicer runs the same traversals over a closure cache. A
+/// guard that trips mid-slice leaves a partial result; the overload
+/// below reports that as a diagnostic.
 SliceResult computeSlice(const Analysis &A, const ResolvedCriterion &RC,
                          SliceAlgorithm Algorithm);
 

@@ -20,7 +20,7 @@ namespace {
 /// defines a relevant variable to \p Slice. \p Relevant[n] holds the
 /// variables relevant at the *entry* of node n.
 void propagateRelevance(const Analysis &A, std::vector<BitVector> &Relevant,
-                        std::set<unsigned> &Slice) {
+                        BitVector &Slice) {
   const Cfg &C = A.cfg();
   const DefUse &DU = A.defUse();
   unsigned NumVars = DU.numVars();
@@ -48,8 +48,9 @@ void propagateRelevance(const Analysis &A, std::vector<BitVector> &Relevant,
       if (DefinesRelevant) {
         for (unsigned Var : DU.usesOf(Node))
           AtEntry.set(Var);
-        if (Slice.insert(Node).second)
+        if (!Slice.test(Node))
           Changed = true;
+        Slice.set(Node);
       }
 
       AtEntry |= Relevant[Node]; // Keep criterion/branch seeds.
@@ -70,8 +71,9 @@ SliceResult jslice::sliceWeiser(const Analysis &A,
 
   SliceResult R;
   R.CriterionNode = RC.Node;
-  R.Nodes.insert(RC.Node);
-  R.Nodes.insert(C.entry());
+  BitVector Slice(C.numNodes());
+  Slice.set(RC.Node);
+  Slice.set(C.entry());
 
   std::vector<BitVector> Relevant(C.numNodes(), BitVector(DU.numVars()));
   for (unsigned Var : RC.VarIds)
@@ -82,19 +84,19 @@ SliceResult jslice::sliceWeiser(const Analysis &A,
   // b's control-dependence successor set (FOW region between b and its
   // immediate postdominator).
   for (;;) {
-    propagateRelevance(A, Relevant, R.Nodes);
+    propagateRelevance(A, Relevant, Slice);
 
     bool AddedBranch = false;
     for (unsigned B = 0, E = C.numNodes(); B != E; ++B) {
-      if (C.node(B).Kind != CfgNodeKind::Predicate || R.contains(B))
+      if (C.node(B).Kind != CfgNodeKind::Predicate || Slice.test(B))
         continue;
       bool Influences = false;
       for (unsigned Influenced : A.pdg().Control.succs(B))
-        if (R.contains(Influenced))
+        if (Slice.test(Influenced))
           Influences = true;
       if (!Influences)
         continue;
-      R.Nodes.insert(B);
+      Slice.set(B);
       // The branch's condition variables become relevant at the branch.
       BitVector WithUses = Relevant[B];
       for (unsigned Var : DU.usesOf(B))
@@ -108,6 +110,6 @@ SliceResult jslice::sliceWeiser(const Analysis &A,
       break;
   }
 
-  R.ReassociatedLabels = reassociateLabels(A, R.Nodes);
+  finishResult(A, Slice, R);
   return R;
 }

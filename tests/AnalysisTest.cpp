@@ -98,7 +98,7 @@ TEST(MultiCriterionTest, UnionOfSeedsCoversBothLocations) {
   Analysis A = analyzeOk("a = 1;\nb = 2;\nwrite(a);\nwrite(b);\n");
   ResolvedCriterion RC =
       *resolveCriteria(A, {Criterion(3, {"a"}), Criterion(4, {"b"})});
-  SliceResult R = sliceAgrawal(A, RC);
+  SliceResult R = computeSlice(A, RC, SliceAlgorithm::Agrawal);
   EXPECT_EQ(R.lineSet(A.cfg()), (std::set<unsigned>{1, 2, 3, 4}));
 }
 
@@ -106,10 +106,11 @@ TEST(MultiCriterionTest, SupersetOfEachSingleSlice) {
   Analysis A = analyzeOk(paperExample("fig3a").Source);
   ResolvedCriterion Both = *resolveCriteria(
       A, {Criterion(14, {"sum"}), Criterion(15, {"positives"})});
-  SliceResult Union = sliceAgrawal(A, Both);
+  SliceResult Union = computeSlice(A, Both, SliceAlgorithm::Agrawal);
   for (const Criterion &One :
        {Criterion(14, {"sum"}), Criterion(15, {"positives"})}) {
-    SliceResult Single = sliceAgrawal(A, *resolveCriterion(A, One));
+    SliceResult Single =
+        computeSlice(A, *resolveCriterion(A, One), SliceAlgorithm::Agrawal);
     for (unsigned Node : Single.Nodes)
       EXPECT_TRUE(Union.contains(Node));
   }

@@ -73,7 +73,7 @@ TEST_P(WeiserProperty, EqualsConventionalOnJumpFreePrograms) {
   for (const Criterion &Crit : reachableWriteCriteria(A)) {
     ResolvedCriterion RC = *resolveCriterion(A, Crit);
     SliceResult Weiser = sliceWeiser(A, RC);
-    SliceResult Conv = sliceConventional(A, RC);
+    SliceResult Conv = computeSlice(A, RC, SliceAlgorithm::Conventional);
     EXPECT_EQ(Weiser.Nodes, Conv.Nodes)
         << "criterion line " << Crit.Line << "\n"
         << Source;
@@ -92,7 +92,7 @@ TEST_P(WeiserProperty, MatchesConventionalMinusJumpsWithJumps) {
   for (const Criterion &Crit : reachableWriteCriteria(A)) {
     ResolvedCriterion RC = *resolveCriterion(A, Crit);
     SliceResult Weiser = sliceWeiser(A, RC);
-    SliceResult Conv = sliceConventional(A, RC);
+    SliceResult Conv = computeSlice(A, RC, SliceAlgorithm::Conventional);
     std::set<unsigned> ConvNoJumps;
     for (unsigned Node : Conv.Nodes)
       if (!A.cfg().node(Node).isJump())
@@ -127,7 +127,7 @@ TEST(SynthesisTest, StatementSetIsNeverLargerThanFigure7) {
     Analysis A = analyzeOk(Ex.Source);
     ResolvedCriterion RC = *resolveCriterion(A, Ex.Crit);
     SynthesizedSlice S = sliceChoiFerranteSynthesis(A, RC);
-    SliceResult Fig7 = sliceAgrawal(A, RC);
+    SliceResult Fig7 = computeSlice(A, RC, SliceAlgorithm::Agrawal);
     EXPECT_LE(S.Kept.size(), Fig7.Nodes.size()) << Ex.Name;
     for (unsigned Node : S.Kept)
       EXPECT_TRUE(Fig7.contains(Node))
@@ -217,7 +217,7 @@ TEST_P(SynthesisProperty, KeptSetIsFigure7MinusJumpClosureResidue) {
   for (const Criterion &Crit : reachableWriteCriteria(A)) {
     ResolvedCriterion RC = *resolveCriterion(A, Crit);
     SynthesizedSlice S = sliceChoiFerranteSynthesis(A, RC);
-    SliceResult Fig7 = sliceAgrawal(A, RC);
+    SliceResult Fig7 = computeSlice(A, RC, SliceAlgorithm::Agrawal);
     EXPECT_LE(S.Kept.size(), Fig7.Nodes.size()) << Source;
   }
 }

@@ -21,6 +21,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceSlicer.h"
 #include "jslice/jslice.h"
 
 #include <gtest/gtest.h>
@@ -66,7 +67,7 @@ TEST(FindingsTest, SwitchFallthroughBreaksLstPdtIdentity) {
   // keeps the head, and the slice is sound.
   EXPECT_TRUE(A.pdg().Control.hasEdge(Head, Shared));
   ResolvedCriterion RC = *resolveCriterion(A, Criterion(6, {"y"}));
-  SliceResult R = sliceAgrawal(A, RC);
+  SliceResult R = computeSlice(A, RC, SliceAlgorithm::Agrawal);
   EXPECT_TRUE(R.contains(Head));
   std::set<unsigned> Kept = R.Nodes;
   Kept.insert(A.cfg().exit());
@@ -96,6 +97,8 @@ TEST(FindingsTest, SwitchHeadJoinsTheSliceOfItsPostdominatingBody) {
     EXPECT_EQ(R.lineSet(A.cfg()), (std::set<unsigned>{1, 2, 5}))
         << algorithmName(Algo);
     EXPECT_EQ(Batch.slice(RC, Algo).Nodes, R.Nodes) << algorithmName(Algo);
+    EXPECT_EQ(reference::computeSlice(A, RC, Algo).Nodes, R.Nodes)
+        << algorithmName(Algo);
     std::set<unsigned> Kept = R.Nodes;
     Kept.insert(A.cfg().exit());
     for (int64_t X : {0, 1, 7}) {
@@ -142,7 +145,7 @@ TEST(FindingsTest, ReturnViolatesPropertyTwo) {
   Analysis A = analyzeOk(PropertyTwoCounterexample);
   ResolvedCriterion RC = *resolveCriterion(A, Criterion(10, {"c"}));
 
-  SliceResult Conv = sliceConventional(A, RC);
+  SliceResult Conv = computeSlice(A, RC, SliceAlgorithm::Conventional);
   unsigned InnerReturn = A.cfg().nodesOnLine(5).front();
   unsigned WhileCond = A.cfg().nodesOnLine(4).front();
   ASSERT_TRUE(A.cfg().node(InnerReturn).isJump());
@@ -151,12 +154,12 @@ TEST(FindingsTest, ReturnViolatesPropertyTwo) {
 
   // Property 2 would keep the return out; Figure 7's nearest-PD vs
   // nearest-LS test correctly pulls it (and its dependences) in.
-  SliceResult General = sliceAgrawal(A, RC);
+  SliceResult General = computeSlice(A, RC, SliceAlgorithm::Agrawal);
   EXPECT_TRUE(General.contains(InnerReturn));
   EXPECT_TRUE(General.contains(WhileCond));
 
-  SliceResult Single = sliceStructured(A, RC);
-  SliceResult Cons = sliceConservative(A, RC);
+  SliceResult Single = computeSlice(A, RC, SliceAlgorithm::Structured);
+  SliceResult Cons = computeSlice(A, RC, SliceAlgorithm::Conservative);
   EXPECT_FALSE(Single.contains(InnerReturn))
       << "Figure 12 follows property 2 and drops the required return";
   EXPECT_FALSE(Cons.contains(InnerReturn))
@@ -181,12 +184,12 @@ TEST(FindingsTest, DroppedReturnChangesBehaviourKeptReturnDoesNot) {
     return runProjection(A, Kept, RC.Node, RC.VarIds, Opts);
   };
 
-  ExecResult Fig7 = RunSlice(sliceAgrawal(A, RC));
+  ExecResult Fig7 = RunSlice(computeSlice(A, RC, SliceAlgorithm::Agrawal));
   ASSERT_TRUE(Fig7.Completed);
   EXPECT_EQ(Fig7.CriterionValues, Orig.CriterionValues)
       << "Figure 7's slice is behaviour-preserving";
 
-  ExecResult Fig12 = RunSlice(sliceStructured(A, RC));
+  ExecResult Fig12 = RunSlice(computeSlice(A, RC, SliceAlgorithm::Structured));
   ASSERT_TRUE(Fig12.Completed);
   EXPECT_FALSE(Fig12.CriterionValues.empty())
       << "Figure 12's slice reaches write(c), which the original skips "
@@ -196,7 +199,8 @@ TEST(FindingsTest, DroppedReturnChangesBehaviourKeptReturnDoesNot) {
 TEST(FindingsTest, BallHorwitzAgreesWithFigure7OnTheCounterexample) {
   Analysis A = analyzeOk(PropertyTwoCounterexample);
   ResolvedCriterion RC = *resolveCriterion(A, Criterion(10, {"c"}));
-  EXPECT_EQ(sliceAgrawal(A, RC).Nodes, sliceBallHorwitz(A, RC).Nodes);
+  EXPECT_EQ(computeSlice(A, RC, SliceAlgorithm::Agrawal).Nodes,
+            computeSlice(A, RC, SliceAlgorithm::BallHorwitz).Nodes);
 }
 
 //===----------------------------------------------------------------------===//
@@ -253,7 +257,7 @@ TEST(FindingsTest, FallthroughSwitchNeedsTwoTraversals) {
   ASSERT_TRUE(A.cfg().unreachableNodes().empty());
 
   ResolvedCriterion RC = *resolveCriterion(A, Criterion(5, {"c"}));
-  SliceResult General = sliceAgrawal(A, RC);
+  SliceResult General = computeSlice(A, RC, SliceAlgorithm::Agrawal);
   unsigned Continue = A.cfg().nodesOnLine(7).front();
   unsigned Break = A.cfg().nodesOnLine(11).front();
   EXPECT_TRUE(General.contains(Break));
@@ -262,7 +266,7 @@ TEST(FindingsTest, FallthroughSwitchNeedsTwoTraversals) {
       << "the break must land in the slice before the continue's test "
          "can fire";
 
-  SliceResult Single = sliceStructured(A, RC);
+  SliceResult Single = computeSlice(A, RC, SliceAlgorithm::Structured);
   EXPECT_FALSE(Single.contains(Continue))
       << "Figure 12's single pass visits the continue too early";
 
@@ -294,11 +298,11 @@ TEST(FindingsTest, DroppedContinueChangesBehaviour) {
     Kept.insert(A.cfg().exit());
     return runProjection(A, Kept, RC.Node, RC.VarIds, Opts);
   };
-  ExecResult Fig7 = RunSlice(sliceAgrawal(A, RC));
+  ExecResult Fig7 = RunSlice(computeSlice(A, RC, SliceAlgorithm::Agrawal));
   ASSERT_TRUE(Fig7.Completed);
   EXPECT_EQ(Fig7.CriterionValues, Orig.CriterionValues);
 
-  ExecResult Fig12 = RunSlice(sliceStructured(A, RC));
+  ExecResult Fig12 = RunSlice(computeSlice(A, RC, SliceAlgorithm::Structured));
   ASSERT_TRUE(Fig12.Completed);
   EXPECT_NE(Fig12.CriterionValues, Orig.CriterionValues)
       << "without the continue, the slice breaks out after one visit";

@@ -177,7 +177,8 @@ TEST(ProjectionTest, DeletedCompoundSkipsItsWholeBody) {
 TEST(ProjectionTest, GotoToDeletedTargetUsesNearestPostdominator) {
   Analysis A = analyzeOk(paperExample("fig10a").Source);
   // The paper's final slice {1,2,3,4,7,9}: L6 -> 7, L8 -> 9.
-  SliceResult R = sliceAgrawal(A, *resolveCriterion(A, Criterion(9, {"y"})));
+  SliceResult R =
+      *computeSlice(A, Criterion(9, {"y"}), SliceAlgorithm::Agrawal);
   std::set<unsigned> Kept = R.Nodes;
   Kept.insert(A.cfg().exit());
   ExecResult Slice = runProjection(A, Kept, R.CriterionNode,

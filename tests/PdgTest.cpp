@@ -7,6 +7,7 @@
 
 #include "corpus/PaperPrograms.h"
 #include "jslice/jslice.h"
+#include "slicer/SlicerInternal.h"
 
 #include <gtest/gtest.h>
 
@@ -134,21 +135,27 @@ TEST(PdgTest, CombinedGraphMergesBothEdgeKinds) {
 TEST(PdgTest, BackwardClosureFollowsBothKinds) {
   Analysis A = analyzeOk("read(c);\nif (c > 0)\nx = 1;\nwrite(x);\n");
   unsigned Write = nodeOn(A, 4);
-  std::set<unsigned> Closure = A.pdg().backwardClosure({Write});
+  BitVector Closure(A.cfg().numNodes());
+  ASSERT_TRUE(detail::addDependenceClosure(A.pdg(), Closure, Write));
   std::set<unsigned> Lines;
-  for (unsigned Node : Closure)
-    if (const Stmt *S = A.cfg().node(Node).S)
+  Closure.forEachSetBit([&](size_t Node) {
+    if (const Stmt *S = A.cfg().node(static_cast<unsigned>(Node)).S)
       Lines.insert(S->getLoc().Line);
+  });
   EXPECT_EQ(Lines, (std::set<unsigned>{1, 2, 3, 4}));
 }
 
 TEST(PdgTest, GrowClosureReportsOnlyNewNodes) {
   Analysis A = analyzeOk("read(c);\nif (c > 0)\nx = 1;\nwrite(x);\n");
   unsigned Cond = nodeOn(A, 2), Then = nodeOn(A, 3);
-  std::set<unsigned> Slice = {Cond, nodeOn(A, 1), A.cfg().entry()};
-  std::vector<unsigned> Added = A.pdg().growClosure(Slice, Then);
-  EXPECT_EQ(Added, (std::vector<unsigned>{Then}))
-      << "everything Then depends on was already present";
+  BitVector Slice(A.cfg().numNodes());
+  for (unsigned Node : {Cond, nodeOn(A, 1), A.cfg().entry()})
+    Slice.set(Node);
+  BitVector Added = Slice;
+  detail::addDependenceClosure(A.pdg(), Added, Then);
+  Added.resetOf(Slice);
+  EXPECT_TRUE(Added.test(Then));
+  EXPECT_EQ(Added.count(), 1u) << "everything Then depends on was present";
 }
 
 } // namespace

@@ -21,6 +21,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceSlicer.h"
 #include "gen/ProgramGenerator.h"
 #include "jslice/jslice.h"
 
@@ -147,8 +148,8 @@ TEST_P(SliceProperty, AgrawalEqualsBallHorwitz) {
     GTEST_SKIP() << "program has dead code";
   for (const Criterion &Crit : reachableWriteCriteria(A)) {
     ResolvedCriterion RC = *resolveCriterion(A, Crit);
-    SliceResult Ours = sliceAgrawal(A, RC);
-    SliceResult Baseline = sliceBallHorwitz(A, RC);
+    SliceResult Ours = computeSlice(A, RC, SliceAlgorithm::Agrawal);
+    SliceResult Baseline = computeSlice(A, RC, SliceAlgorithm::BallHorwitz);
     EXPECT_EQ(Ours.Nodes, Baseline.Nodes)
         << "criterion line " << Crit.Line << "\n"
         << Source;
@@ -161,8 +162,8 @@ TEST_P(SliceProperty, LstDrivenTraversalGivesSameSlice) {
     GTEST_SKIP() << "program has dead code";
   for (const Criterion &Crit : reachableWriteCriteria(A)) {
     ResolvedCriterion RC = *resolveCriterion(A, Crit);
-    EXPECT_EQ(sliceAgrawal(A, RC, TraversalTree::PostDominator).Nodes,
-              sliceAgrawal(A, RC, TraversalTree::LexicalSuccessor).Nodes)
+    EXPECT_EQ(computeSlice(A, RC, SliceAlgorithm::Agrawal).Nodes,
+              computeSlice(A, RC, SliceAlgorithm::AgrawalLst).Nodes)
         << Source;
   }
 }
@@ -191,9 +192,10 @@ TEST_P(SliceProperty, StructuredProgramProperties) {
 
   for (const Criterion &Crit : reachableWriteCriteria(A)) {
     ResolvedCriterion RC = *resolveCriterion(A, Crit);
-    SliceResult General = sliceAgrawal(A, RC);
-    SliceResult Single = sliceStructured(A, RC);
-    SliceResult Conservative = sliceConservative(A, RC);
+    SliceResult General = computeSlice(A, RC, SliceAlgorithm::Agrawal);
+    SliceResult Single = computeSlice(A, RC, SliceAlgorithm::Structured);
+    SliceResult Conservative =
+        computeSlice(A, RC, SliceAlgorithm::Conservative);
 
     // Figure 12 == Figure 7 on structured programs.
     EXPECT_EQ(Single.Nodes, General.Nodes) << Source;
@@ -211,7 +213,7 @@ TEST_P(SliceProperty, SlicesContainConventionalAndCriterion) {
     GTEST_SKIP() << "program has dead code";
   for (const Criterion &Crit : reachableWriteCriteria(A)) {
     ResolvedCriterion RC = *resolveCriterion(A, Crit);
-    SliceResult Conv = sliceConventional(A, RC);
+    SliceResult Conv = computeSlice(A, RC, SliceAlgorithm::Conventional);
     for (SliceAlgorithm Algorithm :
          {SliceAlgorithm::Agrawal, SliceAlgorithm::Conservative,
           SliceAlgorithm::BallHorwitz, SliceAlgorithm::Lyle,
@@ -232,12 +234,12 @@ TEST_P(SliceProperty, AgrawalIsIdempotent) {
     GTEST_SKIP() << "program has dead code";
   for (const Criterion &Crit : reachableWriteCriteria(A)) {
     ResolvedCriterion RC = *resolveCriterion(A, Crit);
-    SliceResult First = sliceAgrawal(A, RC);
+    SliceResult First = computeSlice(A, RC, SliceAlgorithm::Agrawal);
     // Re-running with the first slice's nodes as extra seeds must not
     // grow the slice: it is already dependence- and jump-closed.
     ResolvedCriterion Wider = RC;
     Wider.Seeds.assign(First.Nodes.begin(), First.Nodes.end());
-    SliceResult Second = sliceAgrawal(A, Wider);
+    SliceResult Second = computeSlice(A, Wider, SliceAlgorithm::Agrawal);
     EXPECT_EQ(First.Nodes, Second.Nodes) << Source;
   }
 }
@@ -245,9 +247,10 @@ TEST_P(SliceProperty, AgrawalIsIdempotent) {
 TEST_P(SliceProperty, BatchEngineMatchesSingleShotSlicers) {
   Analysis A = analyze();
   BatchSlicer Batch(A);
-  // Every algorithm with a cache-backed implementation, over every
-  // reachable write criterion: the batch engine must reproduce the
-  // single-shot slicer bit for bit (nodes, labels, counters).
+  // Every PDG-based algorithm over every reachable write criterion: the
+  // reference slicers must agree with the engine under both closure
+  // sources, the cache (BatchSlicer) and the walk (computeSlice) —
+  // nodes, labels, and the traversal counters and trace.
   for (SliceAlgorithm Algorithm :
        {SliceAlgorithm::Conventional, SliceAlgorithm::Agrawal,
         SliceAlgorithm::AgrawalLst, SliceAlgorithm::Structured,
@@ -256,17 +259,19 @@ TEST_P(SliceProperty, BatchEngineMatchesSingleShotSlicers) {
         SliceAlgorithm::JiangZhouRobson}) {
     for (const Criterion &Crit : reachableWriteCriteria(A)) {
       ResolvedCriterion RC = *resolveCriterion(A, Crit);
-      SliceResult Single = computeSlice(A, RC, Algorithm);
-      SliceResult Batched = Batch.slice(RC, Algorithm);
-      EXPECT_EQ(Batched.Nodes, Single.Nodes)
-          << algorithmName(Algorithm) << " line " << Crit.Line << "\n"
-          << Source;
-      EXPECT_EQ(Batched.ReassociatedLabels, Single.ReassociatedLabels)
-          << algorithmName(Algorithm) << " line " << Crit.Line << "\n"
-          << Source;
-      EXPECT_EQ(Batched.TraversalAdditions, Single.TraversalAdditions)
-          << algorithmName(Algorithm) << " line " << Crit.Line << "\n"
-          << Source;
+      SliceResult Ref = reference::computeSlice(A, RC, Algorithm);
+      for (bool Cached : {true, false}) {
+        SliceResult Got = Cached ? Batch.slice(RC, Algorithm)
+                                 : computeSlice(A, RC, Algorithm);
+        std::string What = std::string(algorithmName(Algorithm)) +
+                           (Cached ? " / cache" : " / walk") + " line " +
+                           std::to_string(Crit.Line) + "\n" + Source;
+        EXPECT_EQ(Got.Nodes, Ref.Nodes) << What;
+        EXPECT_EQ(Got.ReassociatedLabels, Ref.ReassociatedLabels) << What;
+        EXPECT_EQ(Got.Traversals, Ref.Traversals) << What;
+        EXPECT_EQ(Got.ProductiveTraversals, Ref.ProductiveTraversals) << What;
+        EXPECT_EQ(Got.TraversalAdditions, Ref.TraversalAdditions) << What;
+      }
     }
   }
 }

@@ -150,7 +150,7 @@ TEST(ScannerScenario, ConventionalSliceBreaksTheScanner) {
   Analysis A = analyzeOk(Scanner);
   Criterion Crit(11, {"tokens"});
   ResolvedCriterion RC = *resolveCriterion(A, Crit);
-  SliceResult Conv = sliceConventional(A, RC);
+  SliceResult Conv = computeSlice(A, RC, SliceAlgorithm::Conventional);
   std::set<unsigned> Kept = Conv.Nodes;
   Kept.insert(A.cfg().exit());
   ExecOptions Opts;

@@ -1443,6 +1443,51 @@ TEST(ServerProcessModeTest, ServesThroughSandboxWorkers) {
   ASSERT_TRUE(V.find("latency_ms"));
 }
 
+TEST(ServerProcessModeTest, DeadWorkersCachesLeaveTheGaugesNotTheCounters) {
+  // Every sandbox-worker life piggybacks its own cache's counters. Kill
+  // more workers than the fleet holds, with traffic in between: the
+  // per-pid snapshots stay bounded by the fleet, the entries gauge
+  // counts only live caches, and the hit counter never drops.
+  ServerOptions Opts;
+  Opts.IsolateProcess = true;
+  Opts.Super.Workers = 2;
+  Opts.Super.BackoffBaseMs = 1;
+  std::ostringstream Out, Log;
+  Server S(Opts, Out, Log);
+  ASSERT_NE(S.supervisor(), nullptr);
+  uint64_t Rng = 11, LastHits = 0;
+  for (unsigned Kills = 0;; ++Kills) {
+    std::string Lines;
+    for (unsigned I = 0; I != 6; ++I)
+      Lines += "{\"id\":\"r" + std::to_string(Kills * 6 + I) +
+               "\",\"program\":\"read(a);\\nb = a + " +
+               std::to_string(I % 2) + ";\\nwrite(b);\\n\",\"line\":3}\n";
+    std::istringstream In(Lines);
+    S.serve(In);
+    ServerStats St = S.stats();
+    EXPECT_LE(St.WorkerCaches.size(), Opts.Super.Workers);
+    uint64_t LiveEntries = 0;
+    for (const auto &[Pid, Snap] : St.WorkerCaches) {
+      EXPECT_TRUE(St.Super.isLive(Pid)) << "pid " << Pid;
+      LiveEntries += Snap.Entries;
+    }
+    EXPECT_EQ(St.Cache.Entries, LiveEntries) << "after " << Kills << " kills";
+    EXPECT_GE(St.Cache.Hits, LastHits);
+    LastHits = St.Cache.Hits;
+    if (Kills == 5)
+      break;
+    // Kill an idle worker; wait until it is reaped and respawned.
+    uint64_t Before = S.supervisor()->restarts();
+    ASSERT_GT(S.supervisor()->chaosKillWorker(Rng), 0);
+    for (unsigned Ms = 0; S.supervisor()->restarts() == Before; Ms += 10) {
+      ASSERT_LT(Ms, 5000u) << "killed worker never respawned";
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  EXPECT_GT(LastHits, 0u);
+  S.finish();
+}
+
 #endif // JSLICE_HAVE_POSIX_PROCESS
 
 TEST(ServerStatsTest, HistogramAndLatenciesAccumulate) {

@@ -5,8 +5,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceSlicer.h"
 #include "corpus/PaperPrograms.h"
+#include "gen/ProgramGenerator.h"
 #include "jslice/jslice.h"
+#include "slicer/SlicerInternal.h"
 
 #include <gtest/gtest.h>
 
@@ -109,16 +112,6 @@ TEST(SlicerTest, SoundnessFlagsMatchThePaper) {
       << "Weiser never includes the jump statements (Section 5)";
 }
 
-TEST(SlicerTest, DispatchMatchesDirectCalls) {
-  Analysis A = analyzeOk(paperExample("fig3a").Source);
-  ResolvedCriterion RC =
-      *resolveCriterion(A, paperExample("fig3a").Crit);
-  EXPECT_EQ(computeSlice(A, RC, SliceAlgorithm::Agrawal).Nodes,
-            sliceAgrawal(A, RC).Nodes);
-  EXPECT_EQ(computeSlice(A, RC, SliceAlgorithm::Lyle).Nodes,
-            sliceLyle(A, RC).Nodes);
-}
-
 TEST(SlicerTest, ConvenienceOverloadPropagatesErrors) {
   Analysis A = analyzeOk("write(1);\n");
   ErrorOr<SliceResult> R =
@@ -141,8 +134,8 @@ TEST(SlicerTest, EntryIsAlwaysInTheSlice) {
 TEST(SlicerTest, TraversalCountersOnlySetByFigure7) {
   Analysis A = analyzeOk(paperExample("fig3a").Source);
   ResolvedCriterion RC = *resolveCriterion(A, paperExample("fig3a").Crit);
-  EXPECT_EQ(sliceConventional(A, RC).Traversals, 0u);
-  SliceResult General = sliceAgrawal(A, RC);
+  EXPECT_EQ(computeSlice(A, RC, SliceAlgorithm::Conventional).Traversals, 0u);
+  SliceResult General = computeSlice(A, RC, SliceAlgorithm::Agrawal);
   EXPECT_EQ(General.ProductiveTraversals, 1u);
   EXPECT_EQ(General.Traversals, 2u) << "one productive + one fixpoint check";
 }
@@ -191,7 +184,7 @@ TEST(SlicePrinterTest, LabelReassociatedToExitPrintsTrailing) {
   Analysis A = analyzeOk("read(c);\nif (c > 0) goto L;\nwrite(c);\n"
                          "L: write(9);\n");
   ResolvedCriterion RC = *resolveCriterion(A, Criterion(3, {"c"}));
-  SliceResult R = sliceAgrawal(A, RC);
+  SliceResult R = computeSlice(A, RC, SliceAlgorithm::Agrawal);
   ASSERT_TRUE(R.ReassociatedLabels.count("L"));
   EXPECT_EQ(R.ReassociatedLabels.at("L"), A.cfg().exit());
   std::string Text = printSlice(A, R);
@@ -216,7 +209,7 @@ TEST(SlicePrinterTest, ReassociatedLabelIsNotPrintedTwice) {
                          "} while (i < n);\n"
                          "write(i);\n");
   ResolvedCriterion RC = *resolveCriterion(A, Criterion(9, {"i"}));
-  SliceResult R = sliceAgrawal(A, RC);
+  SliceResult R = computeSlice(A, RC, SliceAlgorithm::Agrawal);
   ASSERT_TRUE(R.ReassociatedLabels.count("L"))
       << "label must move: the goto stays but write(0) leaves the slice";
   std::string Text = printSlice(A, R, SlicePrintOptions{false});
@@ -313,16 +306,15 @@ const std::vector<SliceAlgorithm> &allAlgorithms() {
   return All;
 }
 
-/// Full SliceResult equality, counters and traces included — "bit
-/// identical" in the acceptance-criteria sense.
-void expectSameResult(const SliceResult &Batch, const SliceResult &Single,
+/// Full SliceResult equality, counters and traces included.
+void expectSameResult(const SliceResult &Got, const SliceResult &Want,
                       const std::string &What) {
-  EXPECT_EQ(Batch.Nodes, Single.Nodes) << What;
-  EXPECT_EQ(Batch.ReassociatedLabels, Single.ReassociatedLabels) << What;
-  EXPECT_EQ(Batch.CriterionNode, Single.CriterionNode) << What;
-  EXPECT_EQ(Batch.Traversals, Single.Traversals) << What;
-  EXPECT_EQ(Batch.ProductiveTraversals, Single.ProductiveTraversals) << What;
-  EXPECT_EQ(Batch.TraversalAdditions, Single.TraversalAdditions) << What;
+  EXPECT_EQ(Got.Nodes, Want.Nodes) << What;
+  EXPECT_EQ(Got.ReassociatedLabels, Want.ReassociatedLabels) << What;
+  EXPECT_EQ(Got.CriterionNode, Want.CriterionNode) << What;
+  EXPECT_EQ(Got.Traversals, Want.Traversals) << What;
+  EXPECT_EQ(Got.ProductiveTraversals, Want.ProductiveTraversals) << What;
+  EXPECT_EQ(Got.TraversalAdditions, Want.TraversalAdditions) << What;
 }
 
 TEST(DependenceClosureTest, StraightLineClosureIsPrefixOfDeps) {
@@ -365,15 +357,48 @@ TEST(DependenceClosureTest, GuardExhaustionInvalidatesCache) {
   EXPECT_TRUE(Tight.exhausted());
 }
 
+TEST(DependenceClosureTest, WalkMatchesCacheOnEveryNode) {
+  // The two closure sources agree node by node, on the plain and the
+  // augmented PDG of every paper figure and 200 generated programs.
+  std::vector<std::string> Sources;
+  for (const PaperExample &Ex : paperExamples())
+    Sources.push_back(Ex.Source);
+  for (unsigned Seed = 1; Seed <= 200; ++Seed) {
+    GenOptions Gen;
+    Gen.Seed = Seed;
+    Gen.TargetStmts = 30;
+    Gen.AllowGotos = Seed % 2 == 1;
+    Sources.push_back(generateProgram(Gen));
+  }
+  for (const std::string &Source : Sources) {
+    Analysis A = analyzeOk(Source);
+    unsigned N = A.cfg().numNodes();
+    for (PdgView P : {PdgView(A.pdg()), A.augPdg(*A.augmented())}) {
+      DependenceClosure Cache(P, N);
+      ASSERT_TRUE(Cache.valid());
+      for (unsigned Node = 0; Node != N; ++Node) {
+        BitVector Walked(N);
+        detail::addDependenceClosure(P, Walked, Node);
+        EXPECT_EQ(Walked, Cache.closureOf(Node)) << "node " << Node << "\n"
+                                                 << Source;
+      }
+    }
+  }
+}
+
 TEST(BatchSlicerTest, MatchesSingleShotOnEveryPaperFigure) {
+  // The reference slicers against both closure sources: the closure
+  // cache (BatchSlicer) and the dependence-graph walk (computeSlice).
   for (const PaperExample &Ex : paperExamples()) {
     Analysis A = analyzeOk(Ex.Source);
     BatchSlicer Batch(A);
     ResolvedCriterion RC = *resolveCriterion(A, Ex.Crit);
-    for (SliceAlgorithm Algorithm : allAlgorithms())
-      expectSameResult(Batch.slice(RC, Algorithm),
-                       computeSlice(A, RC, Algorithm),
-                       Ex.Name + " / " + algorithmName(Algorithm));
+    for (SliceAlgorithm Algorithm : allAlgorithms()) {
+      SliceResult Ref = reference::computeSlice(A, RC, Algorithm);
+      std::string What = Ex.Name + " / " + algorithmName(Algorithm);
+      expectSameResult(Batch.slice(RC, Algorithm), Ref, What + " / cache");
+      expectSameResult(computeSlice(A, RC, Algorithm), Ref, What + " / walk");
+    }
   }
 }
 

@@ -119,8 +119,7 @@
 ///                     progressed for N ms is reported wedged in
 ///                     {"health"} and {"stats"} (default 5000)
 ///   --quarantine DIR  where poisoned reproducers go (default poisoned)
-///   --threads N       worker threads (default: JSLICE_THREADS env var,
-///                     else hardware concurrency)
+///   --threads N       worker threads (default: hardware concurrency)
 ///   --budget-ms N     default per-request deadline (requests override)
 ///   --max-steps N     default per-request step budget
 ///   --poll-stride N   guard checkpoints between deadline polls

@@ -12,11 +12,12 @@
 /// survivors, and triages every oracle mismatch with a greedy
 /// statement-deletion reducer that writes a minimized repro to disk.
 ///
-/// Every program additionally runs through the batch slicing engine
-/// (BatchSlicer): all line criteria, every cache-backed algorithm,
-/// cross-checked bit for bit against the single-shot slicers. A
-/// divergence is triaged exactly like an oracle mismatch — reduced and
-/// written out as a repro.
+/// Every program additionally runs through the slice engine under both
+/// closure sources (BatchSlicer's cache and computeSlice's walk): all
+/// line criteria, every PDG-based algorithm, cross-checked against the
+/// std::set reference slicers (tests/reference) on nodes, labels and
+/// traversal counters. A divergence is triaged exactly like an oracle
+/// mismatch — reduced and written out as a repro.
 ///
 ///   jslice_stress [--seeds A..B] [--budget tight|default|unlimited]
 ///                 [--dialect structured|goto|both] [--stmts N]
@@ -39,7 +40,7 @@
 ///                    fault injected at every Nth checkpoint (default 0
 ///                    = off); every injected failure must surface as
 ///                    diagnostics and the disarmed re-run must succeed
-///   --no-batch-check skip the batch-vs-single-shot cross-check
+///   --no-batch-check skip the engine-vs-reference cross-check
 ///   --replay-journal FILE
 ///                    push every request a crashed jslice_serve left in
 ///                    flight in FILE (its write-ahead journal) through
@@ -67,6 +68,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceSlicer.h"
 #include "gen/ProgramGenerator.h"
 #include "jslice/jslice.h"
 #include "service/Journal.h"
@@ -120,10 +122,10 @@ const SliceAlgorithm OracleAlgorithms[] = {
     SliceAlgorithm::Lyle,
 };
 
-/// Every algorithm the batch engine implements over the closure cache
-/// (Weiser dispatches to the single-shot slicer, so comparing it only
-/// tests the dispatcher). Soundness is irrelevant here — the check is
-/// batch == single-shot, not slice == behaviour.
+/// Every PDG-based algorithm (Weiser's dataflow slicer has a single
+/// implementation, so there is nothing to cross-check). Soundness is
+/// irrelevant here — the check is engine == reference, not slice ==
+/// behaviour.
 const SliceAlgorithm BatchAlgorithms[] = {
     SliceAlgorithm::Conventional, SliceAlgorithm::Agrawal,
     SliceAlgorithm::AgrawalLst,   SliceAlgorithm::Structured,
@@ -140,8 +142,8 @@ struct Tally {
   uint64_t SlicesChecked = 0;    ///< (criterion, algorithm) slices run.
   uint64_t OracleRuns = 0;       ///< Interpreter comparisons executed.
   uint64_t Mismatches = 0;       ///< Oracle disagreements (repro written).
-  uint64_t BatchCompared = 0;    ///< Batch-vs-single-shot comparisons.
-  uint64_t BatchDivergences = 0; ///< Batch disagreements (repro written).
+  uint64_t BatchCompared = 0;    ///< Engine-vs-reference comparisons.
+  uint64_t BatchDivergences = 0; ///< Engine disagreements (repro written).
   uint64_t FaultRuns = 0;        ///< Fault-injected pipeline re-runs.
   uint64_t ContractViolations = 0; ///< Failure without diagnostics.
 };
@@ -277,65 +279,82 @@ std::optional<Mismatch> checkOracle(const Analysis &A, uint64_t Seed,
   return std::nullopt;
 }
 
-/// One batch-vs-single-shot disagreement.
+/// One disagreement between the slice engine and the reference
+/// slicers (tests/reference).
 struct BatchDivergence {
   SliceAlgorithm Algorithm = SliceAlgorithm::Agrawal;
+  const char *Via = ""; ///< The engine's closure source: cache or walk.
   Criterion Crit;
-  std::set<unsigned> BatchLines;
-  std::set<unsigned> SingleLines;
-  bool OkMismatch = false; ///< One side degraded/failed, the other not.
+  std::set<unsigned> EngineLines;
+  std::set<unsigned> ReferenceLines;
+  bool OkMismatch = false; ///< One side sliced, the other failed.
 };
 
-/// Cross-checks the batch engine against the single-shot slicers on
-/// every line criterion of \p Source, every cache-backed algorithm.
-/// Each side runs on its own Analysis (own ResourceGuard) so a budget
-/// tripped by one cannot skew the other; a (criterion, algorithm) pair
-/// where either side degrades is skipped — the engines poll the guard
-/// at different sites by design, so exhaustion points differ.
+/// Cross-checks the slice engine under both closure sources — the
+/// cache (BatchSlicer::runAll) and the walk (computeSlice) — against
+/// the reference slicers on every line criterion of \p Source, every
+/// PDG-based algorithm. Each engine side runs on its own Analysis (own
+/// ResourceGuard) so a budget tripped by one cannot skew the other; a
+/// side that degrades on the budget is skipped for that criterion. The
+/// reference runs unmetered on a third Analysis.
 std::optional<BatchDivergence> checkBatchAgreement(const std::string &Source,
                                                    const StressOptions &Opts,
                                                    Tally *Counts) {
   for (SliceAlgorithm Algorithm : BatchAlgorithms) {
     ErrorOr<Analysis> BatchA = Analysis::fromSource(Source, Opts.B);
     ErrorOr<Analysis> SingleA = Analysis::fromSource(Source, Opts.B);
-    if (!BatchA || !SingleA)
+    ErrorOr<Analysis> RefA = Analysis::fromSource(Source);
+    if (!BatchA || !SingleA || !RefA)
       return std::nullopt; // Analysis degradation is the pipeline's story.
 
     BatchSlicer Batch(*BatchA);
-    std::vector<Criterion> Crits = allLineCriteria(*BatchA);
+    std::vector<Criterion> Crits = allLineCriteria(*RefA);
     BatchOptions BatchOpts;
     BatchOpts.Algorithm = Algorithm;
     BatchOpts.Threads = 1; // Deterministic budget trip points.
     std::vector<BatchEntry> Entries = Batch.runAll(Crits, BatchOpts);
 
     for (size_t I = 0; I != Entries.size(); ++I) {
+      ErrorOr<ResolvedCriterion> RC = resolveCriterion(*RefA, Crits[I]);
+      std::optional<SliceResult> Ref;
+      if (RC)
+        Ref = reference::computeSlice(*RefA, *RC, Algorithm);
       ErrorOr<SliceResult> Single = computeSlice(*SingleA, Crits[I], Algorithm);
-      bool SingleDegraded =
-          !Single && Single.diags().hasKind(DiagKind::ResourceExhausted);
-      bool BatchDegraded =
-          !Entries[I].Ok &&
-          Entries[I].Diags.hasKind(DiagKind::ResourceExhausted);
-      if (SingleDegraded || BatchDegraded)
-        continue; // Budgets trip at different sites; not comparable.
 
-      BatchDivergence D;
-      D.Algorithm = Algorithm;
-      D.Crit = Crits[I];
-      if (Entries[I].Ok != Single.hasValue()) {
-        D.OkMismatch = true;
-        return D;
-      }
-      if (!Entries[I].Ok)
-        continue; // Both failed to resolve — agreed.
-      if (Counts)
-        ++Counts->BatchCompared;
-      const SliceResult &B = Entries[I].Result;
-      const SliceResult &S = *Single;
-      if (B.Nodes != S.Nodes || B.ReassociatedLabels != S.ReassociatedLabels ||
-          B.TraversalAdditions != S.TraversalAdditions) {
-        D.BatchLines = B.lineSet(BatchA->cfg());
-        D.SingleLines = S.lineSet(SingleA->cfg());
-        return D;
+      struct Side {
+        const char *Via;
+        const SliceResult *Got;
+        bool Degraded;
+      } Sides[] = {
+          {"cache", Entries[I].Ok ? &Entries[I].Result : nullptr,
+           Entries[I].Diags.hasKind(DiagKind::ResourceExhausted)},
+          {"walk", Single ? &*Single : nullptr,
+           !Single && Single.diags().hasKind(DiagKind::ResourceExhausted)},
+      };
+      for (const Side &S : Sides) {
+        if (S.Degraded)
+          continue; // Not comparable with an unmetered run.
+        BatchDivergence D;
+        D.Algorithm = Algorithm;
+        D.Via = S.Via;
+        D.Crit = Crits[I];
+        if (!S.Got != !Ref) {
+          D.OkMismatch = true;
+          return D;
+        }
+        if (!S.Got)
+          continue; // Both failed to resolve — agreed.
+        if (Counts)
+          ++Counts->BatchCompared;
+        if (S.Got->Nodes != Ref->Nodes ||
+            S.Got->ReassociatedLabels != Ref->ReassociatedLabels ||
+            S.Got->Traversals != Ref->Traversals ||
+            S.Got->ProductiveTraversals != Ref->ProductiveTraversals ||
+            S.Got->TraversalAdditions != Ref->TraversalAdditions) {
+          D.EngineLines = S.Got->lineSet(RefA->cfg());
+          D.ReferenceLines = Ref->lineSet(RefA->cfg());
+          return D;
+        }
       }
     }
   }
@@ -418,62 +437,58 @@ std::string describeInput(const std::vector<int64_t> &Values) {
   return "[" + join(Parts, ", ") + "]";
 }
 
+/// Writes \p Reduced to OutDir/<Name>.mc and \p Meta plus the reduction
+/// summary to the .txt sidecar; returns the .mc path.
+std::string writeReproFiles(const std::string &Name,
+                            const std::string &Original,
+                            const std::string &Reduced,
+                            const std::string &Meta,
+                            const StressOptions &Opts) {
+  std::error_code Ec;
+  std::filesystem::create_directories(Opts.OutDir, Ec);
+  std::string Base = Opts.OutDir + "/" + Name;
+  std::ofstream(Base + ".mc") << Reduced;
+  std::ofstream(Base + ".txt") << Meta << "reduced from "
+                               << splitLines(Original).size() << " to "
+                               << splitLines(Reduced).size() << " lines\n";
+  return Base + ".mc";
+}
+
 /// Writes the minimized repro plus a metadata sidecar; returns the path.
 std::string writeRepro(const std::string &Tag, const std::string &Original,
                        const std::string &Reduced, const Mismatch &M,
                        const StressOptions &Opts) {
-  std::error_code Ec;
-  std::filesystem::create_directories(Opts.OutDir, Ec);
-  std::string Base = Opts.OutDir + "/repro_" + Tag;
-  {
-    std::ofstream Out(Base + ".mc");
-    Out << Reduced;
-  }
-  {
-    std::ofstream Out(Base + ".txt");
-    Out << "algorithm: " << algorithmName(M.Algorithm) << "\n"
-        << "criterion: line " << M.Crit.Line << " vars "
-        << join(M.Crit.Vars, ",") << " (line number refers to the\n"
-        << "  original program; re-derive criteria on the reduced one)\n"
-        << "input: " << describeInput(M.Input) << "\n"
-        << "expected criterion values: " << describeInput(M.Expected) << "\n"
-        << "actual criterion values:   " << describeInput(M.Actual) << "\n"
-        << "reduced from " << splitLines(Original).size() << " to "
-        << splitLines(Reduced).size() << " lines\n";
-  }
-  return Base + ".mc";
+  std::ostringstream Out;
+  Out << "algorithm: " << algorithmName(M.Algorithm) << "\n"
+      << "criterion: line " << M.Crit.Line << " vars "
+      << join(M.Crit.Vars, ",") << " (line number refers to the\n"
+      << "  original program; re-derive criteria on the reduced one)\n"
+      << "input: " << describeInput(M.Input) << "\n"
+      << "expected criterion values: " << describeInput(M.Expected) << "\n"
+      << "actual criterion values:   " << describeInput(M.Actual) << "\n";
+  return writeReproFiles("repro_" + Tag, Original, Reduced, Out.str(), Opts);
 }
 
-/// Writes a minimized batch-divergence repro plus metadata; returns the
+/// Writes a minimized engine-divergence repro plus metadata; returns the
 /// path.
 std::string writeBatchRepro(const std::string &Tag,
                             const std::string &Original,
                             const std::string &Reduced,
                             const BatchDivergence &D,
                             const StressOptions &Opts) {
-  std::error_code Ec;
-  std::filesystem::create_directories(Opts.OutDir, Ec);
-  std::string Base = Opts.OutDir + "/batch_" + Tag;
-  {
-    std::ofstream Out(Base + ".mc");
-    Out << Reduced;
-  }
-  {
-    std::ofstream Out(Base + ".txt");
-    Out << "batch-vs-single-shot divergence\n"
-        << "algorithm: " << algorithmName(D.Algorithm) << "\n"
-        << "criterion: line " << D.Crit.Line << " (line number refers to "
-        << "the\n  original program; re-derive criteria on the reduced "
-        << "one)\n";
-    if (D.OkMismatch)
-      Out << "one engine produced a slice, the other a diagnostic\n";
-    else
-      Out << "batch lines:       " << formatLineSet(D.BatchLines) << "\n"
-          << "single-shot lines: " << formatLineSet(D.SingleLines) << "\n";
-    Out << "reduced from " << splitLines(Original).size() << " to "
-        << splitLines(Reduced).size() << " lines\n";
-  }
-  return Base + ".mc";
+  std::ostringstream Out;
+  Out << "engine-vs-reference divergence (closure source: " << D.Via
+      << ")\n"
+      << "algorithm: " << algorithmName(D.Algorithm) << "\n"
+      << "criterion: line " << D.Crit.Line << " (line number refers to "
+      << "the\n  original program; re-derive criteria on the reduced "
+      << "one)\n";
+  if (D.OkMismatch)
+    Out << "one side produced a slice, the other a diagnostic\n";
+  else
+    Out << "engine lines:    " << formatLineSet(D.EngineLines) << "\n"
+        << "reference lines: " << formatLineSet(D.ReferenceLines) << "\n";
+  return writeReproFiles("batch_" + Tag, Original, Reduced, Out.str(), Opts);
 }
 
 /// Re-runs \p Source's pipeline with a fault injected at every
@@ -564,10 +579,11 @@ void runPipeline(const std::string &Source, const std::string &Tag,
       std::string Reduced = reduceBatchDivergence(Source, Opts);
       std::string Path = writeBatchRepro(Tag, Source, Reduced, *D, Opts);
       std::fprintf(stderr,
-                   "BATCH DIVERGENCE %s: %s batch slice differs from "
-                   "single-shot on criterion line %u; minimized repro: %s\n",
-                   Tag.c_str(), algorithmName(D->Algorithm), D->Crit.Line,
-                   Path.c_str());
+                   "ENGINE DIVERGENCE %s: %s slice (%s) differs from "
+                   "the reference on criterion line %u; minimized repro: "
+                   "%s\n",
+                   Tag.c_str(), algorithmName(D->Algorithm), D->Via,
+                   D->Crit.Line, Path.c_str());
     }
   }
 
@@ -788,7 +804,7 @@ int main(int argc, char **argv) {
               static_cast<unsigned long long>(Counts.Mismatches),
               static_cast<unsigned long long>(Counts.FaultRuns),
               static_cast<unsigned long long>(Counts.ContractViolations));
-  std::printf("               %llu batch comparisons, %llu batch "
+  std::printf("               %llu engine-vs-reference comparisons, %llu "
               "divergences\n",
               static_cast<unsigned long long>(Counts.BatchCompared),
               static_cast<unsigned long long>(Counts.BatchDivergences));
