@@ -103,15 +103,15 @@ bool StandbyTail::applyFrame(const std::string &Frame, uint64_t &AckOut) {
     ++Stats.CorruptFrames;
     return false;
   }
-  const std::string &Rec = Line->asString();
-  uint64_t Seq = 0;
   // End-to-end verification on the exact bytes the primary journaled:
   // the record's own CRC32, not the transport's checksum, decides.
-  if (verifyJournalLine(Rec, &Seq) == JournalLineCheck::Corrupt) {
+  std::optional<JournalRecord> Rec = decodeJournalLine(Line->asString());
+  if (!Rec) {
     std::lock_guard<std::mutex> Lock(M);
     ++Stats.CorruptFrames;
     return false;
   }
+  uint64_t Seq = Rec->Seq;
   {
     std::lock_guard<std::mutex> Lock(M);
     // Taps are seq-ordered on the primary, so a high-water mark dedups
@@ -121,7 +121,7 @@ bool StandbyTail::applyFrame(const std::string &Frame, uint64_t &AckOut) {
       return true;
     }
   }
-  if (!Replica.appendReplica(Rec))
+  if (!Replica.appendReplica(Line->asString(), std::move(*Rec)))
     return false; // Replica disk trouble: tear, back off, resubscribe.
   std::lock_guard<std::mutex> Lock(M);
   ++Stats.Applied;

@@ -92,59 +92,153 @@ std::string crcHex(uint32_t C) {
   return Buf;
 }
 
-/// Minimal record probe: event + id (+ epoch stamp when asked), without
-/// materializing requests.
-bool probeRecord(const std::string &Line, std::string &Event,
-                 std::string &Id, uint64_t *EpochOut = nullptr) {
-  std::optional<JsonValue> V = JsonValue::parse(Line);
-  if (!V || !V->isObject())
-    return false;
-  const JsonValue *E = V->find("event");
-  if (!E || !E->isString())
-    return false;
-  Event = E->asString();
-  const JsonValue *I = V->find("id");
-  Id = (I && I->isString()) ? I->asString() : "";
-  if (EpochOut) {
-    *EpochOut = 0;
-    const JsonValue *Ep = V->find("epoch");
-    if (Ep && Ep->isNumber() && Ep->asInt() > 0)
-      *EpochOut = static_cast<uint64_t>(Ep->asInt());
-  }
-  return true;
-}
-
 bool isBlank(const std::string &Line) {
   return Line.find_first_not_of(" \t\r") == std::string::npos;
 }
 
+/// A positive integer member, else 0 (the unstamped value).
+uint64_t stamp(const JsonValue &Rec, const char *Key) {
+  const JsonValue *V = Rec.find(Key);
+  return V && V->isNumber() && V->asInt() > 0
+             ? static_cast<uint64_t>(V->asInt())
+             : 0;
+}
+
 } // namespace
 
-JournalLineCheck jslice::verifyJournalLine(const std::string &Line,
-                                           uint64_t *SeqOut) {
+std::string jslice::encodeJournalRecord(const JournalRecord &Head,
+                                        JsonValue Body) {
+  Body.set("event", Head.Event);
+  if (!Head.Id.empty())
+    Body.set("id", Head.Id);
+  if (Head.Gen)
+    Body.set("gen", Head.Gen);
+  if (Head.Epoch)
+    Body.set("epoch", Head.Epoch);
+  Body.set("seq", Head.Seq);
+  // Keys serialize sorted and "crc" sorts before every record key, so
+  // the checksummed record is the crc-less serialization with the crc
+  // member spliced in after its opening brace.
+  std::string Payload = Body.str();
+  std::string Line = "{\"crc\":\"" + crcHex(journalCrc32(Payload)) + "\",";
+  Line.append(Payload, 1, std::string::npos);
+  return Line;
+}
+
+std::optional<JournalRecord>
+jslice::decodeJournalLine(const std::string &Line) {
   std::optional<JsonValue> V = JsonValue::parse(Line);
   if (!V || !V->isObject())
-    return JournalLineCheck::Corrupt;
-  const JsonValue *E = V->find("event");
-  if (!E || !E->isString())
-    return JournalLineCheck::Corrupt;
+    return std::nullopt;
+  const JsonValue *Event = V->find("event");
   const JsonValue *Crc = V->find("crc");
-  if (!Crc || !Crc->isString() || Crc->asString().size() != 8)
-    return JournalLineCheck::Corrupt;
   const JsonValue *Seq = V->find("seq");
-  if (!Seq || !Seq->isNumber() || Seq->asInt() <= 0)
-    return JournalLineCheck::Corrupt;
+  if (!Event || !Event->isString() || !Crc || !Crc->isString() ||
+      Crc->asString().size() != 8 || !Seq || !Seq->isNumber() ||
+      Seq->asInt() <= 0)
+    return std::nullopt;
   // Serialization is deterministic (sorted keys, no whitespace), so
   // the payload the writer checksummed is exactly this record minus
   // its crc member, re-serialized.
-  JsonValue Stripped = *V;
-  Stripped.remove("crc");
-  if (Crc->asString() != crcHex(journalCrc32(Stripped.str())))
-    return JournalLineCheck::Corrupt;
-  if (SeqOut)
-    *SeqOut = static_cast<uint64_t>(Seq->asInt());
-  return JournalLineCheck::Valid;
+  std::string Want = Crc->asString();
+  V->remove("crc");
+  if (Want != crcHex(journalCrc32(V->str())))
+    return std::nullopt;
+
+  JournalRecord R;
+  R.Event = Event->asString();
+  if (const JsonValue *Id = V->find("id"); Id && Id->isString())
+    R.Id = Id->asString();
+  R.Seq = static_cast<uint64_t>(Seq->asInt());
+  R.Gen = stamp(*V, "gen");
+  R.Epoch = stamp(*V, "epoch");
+  if (R.Event == "begin")
+    if (const JsonValue *Req = V->find("request")) {
+      ServiceRequest Q;
+      if (requestFromJson(*Req, Q))
+        R.Request = std::move(Q);
+    }
+  return R;
 }
+
+namespace {
+
+/// The one in-flight fold: a begin with an id opens it (a later begin
+/// with the same id replaces it), an end closes it, nothing else
+/// touches the index.
+void foldInFlight(InFlightIndex &Open, JournalRecord Rec,
+                  const std::string &Line) {
+  if (Rec.Event == "begin" && !Rec.Id.empty()) {
+    OpenBegin &Slot = Open[Rec.Id];
+    Slot = OpenBegin{std::move(Rec), Line};
+  } else if (Rec.Event == "end") {
+    Open.erase(Rec.Id);
+  }
+}
+
+/// The one pass over a journal file: decodes every line once, folds
+/// the verified records into \p Open, and reports what it saw. The
+/// public scan and Journal::open (which seeds its in-flight index and
+/// sequence counter from \p Open and the result) both read through it.
+JournalScan scanInto(const std::string &Path, InFlightIndex &Open) {
+  JournalScan S;
+  std::ifstream In(Path, std::ios::binary);
+  if (!In)
+    return S;
+  S.Exists = true;
+  std::string All((std::istreambuf_iterator<char>(In)),
+                  std::istreambuf_iterator<char>());
+
+  // Per-generation sequence high-water marks: the upgrade overlap
+  // interleaves two writers, each monotonic within its own stamp.
+  std::map<uint64_t, uint64_t> SeqHigh;
+  std::string LastEvent;
+  uint64_t TrailingCorrupt = 0; // Damaged lines after the last good one.
+
+  size_t Pos = 0;
+  while (Pos < All.size()) {
+    size_t Nl = All.find('\n', Pos);
+    size_t End = Nl == std::string::npos ? All.size() : Nl;
+    std::string Line = All.substr(Pos, End - Pos);
+    size_t LineEnd = Nl == std::string::npos ? All.size() : Nl + 1;
+    Pos = LineEnd;
+    if (isBlank(Line)) {
+      if (!TrailingCorrupt)
+        S.GoodBytes = LineEnd; // Blank lines are framing, not damage.
+      continue;
+    }
+
+    std::optional<JournalRecord> R = decodeJournalLine(Line);
+    if (!R) {
+      ++TrailingCorrupt;
+      continue;
+    }
+    // A good line after damage proves the damage was mid-file, not a
+    // torn tail.
+    S.CorruptRecords += TrailingCorrupt;
+    TrailingCorrupt = 0;
+    S.GoodBytes = LineEnd;
+    ++S.Records;
+
+    LastEvent = R->Event;
+    S.MaxEpoch = std::max(S.MaxEpoch, R->Epoch);
+    S.MaxSeq = std::max(S.MaxSeq, R->Seq);
+    // Strict regressions only: older writers could emit a begin in a
+    // rotation rewrite and then append it again, duplicating one
+    // sequence number without reordering anything.
+    uint64_t &High = SeqHigh[R->Gen];
+    if (R->Seq < High)
+      ++S.SeqRegressions;
+    High = std::max(High, R->Seq);
+    foldInFlight(Open, std::move(*R), Line);
+  }
+
+  S.TornTail = TrailingCorrupt > 0;
+  S.CleanShutdown = LastEvent == "shutdown";
+  return S;
+}
+
+} // namespace
 
 Journal::~Journal() {
   std::unique_lock<std::mutex> Lock(M);
@@ -186,9 +280,16 @@ bool Journal::open(const std::string &P, uint64_t Rotate, JournalSync S,
   if (Repair)
     Io->remove(P + ".rotate");
 
-  JournalScan Scan =
-      Repair ? scanJournalDetailed(P) : JournalScan();
-  if (Scan.Exists && Scan.CorruptRecords) {
+  // One pass seeds everything: the in-flight index (rotation must
+  // preserve a predecessor's unmatched begins until recover() closes
+  // them, even if the first rotation fires before that), the sequence
+  // counter (resumed past everything on disk) and the epoch high-water
+  // mark. The repairs below keep exactly the records the scan
+  // verified, so its fold stays true of the repaired file.
+  JournalScan Scan = scanInto(P, OpenBegins);
+  NextSeq = Scan.MaxSeq + 1;
+  MaxEpoch = std::max(MaxEpoch, Scan.MaxEpoch);
+  if (Repair && Scan.CorruptRecords) {
     // Mid-file corruption: something rewrote history. Quarantine the
     // damaged file aside for forensics and salvage every record that
     // still verifies into a fresh journal.
@@ -205,8 +306,7 @@ bool Journal::open(const std::string &P, uint64_t Rotate, JournalSync S,
         std::string Line;
         bool Ok = true;
         while (In && std::getline(In, Line)) {
-          if (isBlank(Line) ||
-              verifyJournalLine(Line) == JournalLineCheck::Corrupt)
+          if (isBlank(Line) || !decodeJournalLine(Line))
             continue;
           std::string Buf = Line + "\n";
           Ok = Io->write(Fresh, Buf.data(), Buf.size()) == Buf.size() && Ok;
@@ -223,7 +323,7 @@ bool Journal::open(const std::string &P, uint64_t Rotate, JournalSync S,
         }
       }
     }
-  } else if (Scan.Exists && Scan.TornTail) {
+  } else if (Repair && Scan.TornTail) {
     // The expected kill -9 / power-loss signature: the final record is
     // partial. Truncate to the last verified record and proceed.
     Stats.TornTails = 1;
@@ -250,34 +350,10 @@ bool Journal::open(const std::string &P, uint64_t Rotate, JournalSync S,
       }
     }
   }
-
-  // Seed the in-flight index from the (now repaired) file: rotation
-  // must preserve a predecessor's unmatched begins until recover()
-  // closes them, even if the first rotation fires before that. Also
-  // resume the sequence counter past everything on disk.
-  {
-    std::ifstream In(P, std::ios::binary);
-    std::string Line;
-    while (In && std::getline(In, Line)) {
-      Bytes += Line.size() + 1;
-      if (isBlank(Line))
-        continue;
-      uint64_t Seq = 0;
-      if (verifyJournalLine(Line, &Seq) == JournalLineCheck::Corrupt)
-        continue; // Unrepaired damage (see above); never fabricate.
-      if (Seq >= NextSeq)
-        NextSeq = Seq + 1;
-      std::string Event, Id;
-      uint64_t RecEpoch = 0;
-      if (!probeRecord(Line, Event, Id, &RecEpoch))
-        continue;
-      MaxEpoch = std::max(MaxEpoch, RecEpoch);
-      if (Event == "begin" && !Id.empty())
-        OpenBegins[Id] = OpenBegin{Seq, Line};
-      else if (Event == "end")
-        OpenBegins.erase(Id);
-    }
-  }
+  std::error_code Ec;
+  Bytes = std::filesystem::file_size(P, Ec);
+  if (Ec)
+    Bytes = 0; // No file yet: the append open below creates it.
 
   File = Io->open(P, "ab");
   if (!File)
@@ -399,21 +475,22 @@ void Journal::flusherMain() {
   }
 }
 
-/// One line into the file and out to the OS. Bytes is only advanced on
-/// full success, so it always names the boundary of the last good
-/// record — exactly where reopenLocked() truncates torn bytes away.
+/// One line into the file, out to the OS, and committed by the sync
+/// policy. Bytes advances only after the commit, so it always names the
+/// end of the last committed record — exactly where reopenLocked()
+/// truncates a failed record, torn or whole, away.
 bool Journal::writeLineLocked(const std::string &Line) {
   std::string Buf = Line;
   Buf += '\n';
-  if (Io->write(File, Buf.data(), Buf.size()) != Buf.size())
-    return false;
-  if (!Io->flush(File))
+  if (Io->write(File, Buf.data(), Buf.size()) != Buf.size() ||
+      !Io->flush(File) || !commitLocked())
     return false;
   Bytes += Buf.size();
   return true;
 }
 
-/// The post-write durability step for the active sync policy.
+/// The post-write durability step for the active sync policy. In Batch
+/// mode the commit is the handoff to the flusher.
 bool Journal::commitLocked() {
   switch (Sync) {
   case JournalSync::Full:
@@ -457,7 +534,7 @@ bool Journal::appendLocked(const std::string &Line) {
   if (RotateBytes && !RotationHeld && Bytes + Line.size() + 1 > RotateBytes &&
       Bytes > OpenBegins.size() * 64) // Don't thrash a tiny threshold.
     rewriteLocked();
-  if (File && writeLineLocked(Line) && commitLocked()) {
+  if (File && writeLineLocked(Line)) {
     ++Stats.Appends;
     return true;
   }
@@ -465,127 +542,93 @@ bool Journal::appendLocked(const std::string &Line) {
   // Retry exactly once through a fresh handle — a failed write or
   // fsync may have left a torn record and/or dropped pages; the same
   // fd can report success for data it already lost.
-  if (reopenLocked() && writeLineLocked(Line) && commitLocked()) {
+  if (reopenLocked() && writeLineLocked(Line)) {
     ++Stats.Reopens;
     ++Stats.Appends;
     return true;
   }
   // Persistent failure: latch. The server's --journal-failure policy
-  // turns this into shed / degrade / abort — never silence.
+  // turns this into shed / degrade / abort — never silence. The retry's
+  // bytes may have reached the file without committing; shave them
+  // too, or a begin that never ran reads back as poison at next boot.
+  reopenLocked();
   Failed = true;
   return false;
 }
 
-/// Stamps gen + epoch + seq + crc onto \p Rec and appends it. The
-/// caller passes the record without those fields; serialization order
-/// is deterministic, so the crc is computed over the record minus the
-/// crc member itself. The ship tap fires outside the mutex.
-bool Journal::appendRecord(JsonValue Rec) {
-  std::lock_guard<std::mutex> Lock(M);
+/// The one append path: stamps gen + epoch + seq onto the record,
+/// encodes it with \p Body once, and appends the line. Only a committed
+/// record is folded into the in-flight index and shipped through the
+/// tap (under the mutex, so taps stay in seq order).
+bool Journal::appendRecordLocked(const char *Event, const std::string &Id,
+                                 JsonValue Body, uint64_t *SeqOut) {
   if (!File)
     return false;
-  if (Gen)
-    Rec.set("gen", Gen);
-  if (Epoch)
-    Rec.set("epoch", Epoch);
-  uint64_t Seq = NextSeq++;
-  Rec.set("seq", Seq);
-  Rec.set("crc", crcHex(journalCrc32(Rec.str())));
-  std::string Line = Rec.str();
+  JournalRecord Head;
+  Head.Event = Event;
+  Head.Id = Id;
+  Head.Gen = Gen;
+  Head.Epoch = Epoch;
+  uint64_t Seq = Head.Seq = NextSeq++;
+  std::string Line = encodeJournalRecord(Head, std::move(Body));
   if (!appendLocked(Line))
     return false;
+  foldInFlight(OpenBegins, std::move(Head), Line);
+  if (SeqOut)
+    *SeqOut = Seq;
   if (ShipTap)
-    ShipTap(Line, Seq); // Under the mutex: taps stay in seq order.
+    ShipTap(Line, Seq);
   return true;
 }
 
 bool Journal::begin(const ServiceRequest &R, uint64_t *SeqOut) {
-  JsonValue Rec = JsonValue::object();
-  Rec.set("event", "begin");
-  Rec.set("id", R.Id);
-  Rec.set("request", R.toJson());
+  JsonValue Body = JsonValue::object();
+  Body.set("request", R.toJson());
   std::lock_guard<std::mutex> Lock(M);
-  if (!File)
-    return false;
-  if (Gen)
-    Rec.set("gen", Gen);
-  if (Epoch)
-    Rec.set("epoch", Epoch);
-  uint64_t Seq = NextSeq++;
-  Rec.set("seq", Seq);
-  Rec.set("crc", crcHex(journalCrc32(Rec.str())));
-  std::string Line = Rec.str();
-  OpenBegins[R.Id] = OpenBegin{Seq, Line};
-  if (!appendLocked(Line))
-    return false;
-  if (SeqOut)
-    *SeqOut = Seq;
-  if (ShipTap)
-    ShipTap(Line, Seq); // Under the mutex: taps stay in seq order.
-  return true;
+  return appendRecordLocked("begin", R.Id, std::move(Body), SeqOut);
 }
 
 bool Journal::end(const std::string &Id, const std::string &Status) {
-  JsonValue Rec = JsonValue::object();
-  Rec.set("event", "end");
-  Rec.set("id", Id);
-  Rec.set("status", Status);
+  JsonValue Body = JsonValue::object();
+  Body.set("status", Status);
+  std::lock_guard<std::mutex> Lock(M);
+  return appendRecordLocked("end", Id, std::move(Body));
+}
+
+bool Journal::shutdownRecord() {
+  JsonValue Body = JsonValue::object();
+  Body.set("status", "clean");
+  std::lock_guard<std::mutex> Lock(M);
+  return appendRecordLocked("shutdown", "", std::move(Body));
+}
+
+bool Journal::appendReplica(const std::string &Line, JournalRecord Rec) {
   std::lock_guard<std::mutex> Lock(M);
   if (!File)
     return false;
-  OpenBegins.erase(Id);
-  if (Gen)
-    Rec.set("gen", Gen);
-  if (Epoch)
-    Rec.set("epoch", Epoch);
-  uint64_t Seq = NextSeq++;
-  Rec.set("seq", Seq);
-  Rec.set("crc", crcHex(journalCrc32(Rec.str())));
-  std::string Line = Rec.str();
+  MaxEpoch = std::max(MaxEpoch, Rec.Epoch);
+  NextSeq = std::max(NextSeq, Rec.Seq + 1);
   if (!appendLocked(Line))
     return false;
-  if (ShipTap)
-    ShipTap(Line, Seq); // Under the mutex: taps stay in seq order.
+  foldInFlight(OpenBegins, std::move(Rec), Line);
   return true;
 }
 
-bool Journal::appendReplica(const std::string &Line) {
-  uint64_t Seq = 0;
-  JournalLineCheck C = verifyJournalLine(Line, &Seq);
-  if (C == JournalLineCheck::Corrupt)
-    return false;
-  std::string Event, Id;
-  uint64_t RecEpoch = 0;
-  if (!probeRecord(Line, Event, Id, &RecEpoch))
-    return false;
-  std::lock_guard<std::mutex> Lock(M);
-  if (!File)
-    return false;
-  MaxEpoch = std::max(MaxEpoch, RecEpoch);
-  if (Seq >= NextSeq)
-    NextSeq = Seq + 1;
-  if (Event == "begin" && !Id.empty())
-    OpenBegins[Id] = OpenBegin{Seq, Line};
-  else if (Event == "end")
-    OpenBegins.erase(Id);
-  return appendLocked(Line);
-}
-
-std::vector<std::string>
+std::vector<std::pair<uint64_t, std::string>>
 Journal::snapshotRecords(uint64_t &ThroughSeq) const {
   std::lock_guard<std::mutex> Lock(M);
   ThroughSeq = NextSeq - 1;
-  std::vector<std::string> Records;
+  std::vector<std::pair<uint64_t, std::string>> Records;
   // Every append fflushes before returning, so a plain read of the
   // path sees everything appended so far; holding the mutex keeps the
   // file from rotating or growing underneath the read.
   std::ifstream In(Path, std::ios::binary);
   std::string Line;
   while (In && std::getline(In, Line)) {
-    if (isBlank(Line) ||
-        verifyJournalLine(Line) == JournalLineCheck::Corrupt)
+    if (isBlank(Line))
       continue;
-    Records.push_back(Line);
+    if (std::optional<JournalRecord> R = decodeJournalLine(Line))
+      Records.emplace_back(R->Seq, std::move(Line));
   }
   return Records;
 }
@@ -610,8 +653,6 @@ bool Journal::resetForSnapshot() {
 }
 
 bool Journal::tryReattach() {
-  JsonValue Rec = JsonValue::object();
-  Rec.set("event", "reattach");
   std::lock_guard<std::mutex> Lock(M);
   if (!Failed)
     return File != nullptr;
@@ -625,21 +666,8 @@ bool Journal::tryReattach() {
   }
   ++Stats.Reopens;
   SyncBroken = false;
-  if (Gen)
-    Rec.set("gen", Gen);
-  if (Epoch)
-    Rec.set("epoch", Epoch);
-  Rec.set("seq", NextSeq);
-  ++NextSeq;
-  Rec.set("crc", crcHex(journalCrc32(Rec.str())));
-  return appendLocked(Rec.str()); // Re-latches Failed on failure.
-}
-
-bool Journal::shutdownRecord() {
-  JsonValue Rec = JsonValue::object();
-  Rec.set("event", "shutdown");
-  Rec.set("status", "clean");
-  return appendRecord(std::move(Rec));
+  // Re-latches Failed on failure.
+  return appendRecordLocked("reattach", "", JsonValue::object());
 }
 
 /// Rewrites the file to exactly the unmatched begins. Called with the
@@ -662,7 +690,7 @@ bool Journal::rewriteLocked() {
     Ordered.push_back(&B);
   std::sort(Ordered.begin(), Ordered.end(),
             [](const OpenBegin *A, const OpenBegin *B) {
-              return A->Seq < B->Seq;
+              return A->Rec.Seq < B->Rec.Seq;
             });
   bool Ok = true;
   uint64_t NewBytes = 0;
@@ -720,99 +748,13 @@ uint64_t Journal::bytes() const {
 }
 
 JournalScan jslice::scanJournalDetailed(const std::string &Path) {
-  JournalScan S;
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return S;
-  S.Exists = true;
-  std::string All((std::istreambuf_iterator<char>(In)),
-                  std::istreambuf_iterator<char>());
-
-  // Id -> last unmatched begin. Ids may legitimately recur across
-  // completed begin/end pairs; only a begin still open at EOF counts.
-  std::map<std::string, PoisonedRequest> Open;
-  // Per-generation sequence high-water marks: the upgrade overlap
-  // interleaves two writers, each monotonic within its own stamp.
-  std::map<uint64_t, uint64_t> SeqHigh;
-  std::string LastEvent;
-  uint64_t TrailingCorrupt = 0; // Damaged lines after the last good one.
-
-  size_t Pos = 0;
-  while (Pos < All.size()) {
-    size_t Nl = All.find('\n', Pos);
-    size_t End = Nl == std::string::npos ? All.size() : Nl;
-    std::string Line = All.substr(Pos, End - Pos);
-    size_t LineEnd = Nl == std::string::npos ? All.size() : Nl + 1;
-    Pos = LineEnd;
-    if (isBlank(Line)) {
-      if (!TrailingCorrupt)
-        S.GoodBytes = LineEnd; // Blank lines are framing, not damage.
-      continue;
-    }
-
-    uint64_t Seq = 0;
-    JournalLineCheck C = verifyJournalLine(Line, &Seq);
-    if (C == JournalLineCheck::Corrupt) {
-      ++TrailingCorrupt;
-      continue;
-    }
-    // A good line after damage proves the damage was mid-file, not a
-    // torn tail.
-    S.CorruptRecords += TrailingCorrupt;
-    TrailingCorrupt = 0;
-    S.GoodBytes = LineEnd;
-    ++S.Records;
-
-    std::optional<JsonValue> V = JsonValue::parse(Line);
-    const JsonValue *Event = V->find("event");
-    LastEvent = Event->asString();
-    uint64_t Gen = 0;
-    const JsonValue *G = V->find("gen");
-    if (G && G->isNumber() && G->asInt() > 0)
-      Gen = static_cast<uint64_t>(G->asInt());
-    uint64_t Epoch = 0;
-    const JsonValue *Ep = V->find("epoch");
-    if (Ep && Ep->isNumber() && Ep->asInt() > 0)
-      Epoch = static_cast<uint64_t>(Ep->asInt());
-    S.MaxEpoch = std::max(S.MaxEpoch, Epoch);
-    S.MaxSeq = std::max(S.MaxSeq, Seq);
-    // Strict regressions only: a rotation rewrite can legally emit a
-    // begin the appender then re-appends, duplicating one sequence
-    // number without reordering anything.
-    uint64_t &High = SeqHigh[Gen];
-    if (Seq < High)
-      ++S.SeqRegressions;
-    High = std::max(High, Seq);
-
-    const JsonValue *Id = V->find("id");
-    if (!Id || !Id->isString())
-      continue; // Id-less records (the shutdown marker) carry no
-                // in-flight state.
-    if (LastEvent == "begin") {
-      const JsonValue *Req = V->find("request");
-      ServiceRequest R;
-      if (Req && requestFromJson(*Req, R)) {
-        PoisonedRequest P;
-        P.Id = Id->asString();
-        P.Request = std::move(R);
-        P.Gen = Gen;
-        P.Epoch = Epoch;
-        Open[P.Id] = std::move(P);
-      }
-    } else if (LastEvent == "end") {
-      Open.erase(Id->asString());
-    }
-  }
-
-  S.TornTail = TrailingCorrupt > 0;
-  S.CleanShutdown = LastEvent == "shutdown";
-  for (auto &[Id, P] : Open)
-    S.InFlight.push_back(std::move(P));
+  InFlightIndex Open;
+  JournalScan S = scanInto(Path, Open);
+  for (auto &[Id, B] : Open)
+    if (B.Rec.Request)
+      S.InFlight.push_back(PoisonedRequest{Id, std::move(*B.Rec.Request),
+                                           B.Rec.Gen, B.Rec.Epoch});
   return S;
-}
-
-std::vector<PoisonedRequest> jslice::scanJournal(const std::string &Path) {
-  return scanJournalDetailed(Path).InFlight;
 }
 
 bool jslice::journalEndsWithCleanShutdown(const std::string &Path) {

@@ -30,6 +30,19 @@
 ///   {"crc":"5d9f0e11","event":"end","id":"r1","seq":2,"status":"ok"}
 ///   {"crc":"8b7a0f2e","event":"shutdown","seq":3,"status":"clean"}
 ///
+/// The format has exactly one writer and one reader. encodeJournalRecord
+/// stamps and serializes a record once and frames it with its CRC
+/// (`"crc"` sorts before every other key, so the frame is a prefix);
+/// every append — begin, end, shutdown, reattach — goes through it.
+/// decodeJournalLine parses a line once, verifies the CRC and returns
+/// the fields every reader needs (JournalRecord): recovery, rotation
+/// seeding, the scrubber, replication catch-up and the standby tail
+/// all read through it. What a record means for the in-flight set —
+/// a begin opens its id, an end closes it — is one fold into one
+/// InFlightIndex, shared by the appender, the scan, open() and the
+/// replica path.
+/// tests/journal/pinned_records.jsonl pins the bytes.
+///
 /// A record without a valid `crc` is corrupt, whatever else it holds.
 /// Recovery distinguishes two kinds of damage. A *torn tail* — the
 /// file's final record is partial or fails its checksum — is the
@@ -68,7 +81,11 @@
 /// handle — never by re-flushing the same fd, which after a failed
 /// fsync may silently drop the dirty pages it claimed to hold (the
 /// fsyncgate trap) — and if the retry also fails the journal latches
-/// `failed()`. What the *server* does then is the --journal-failure
+/// `failed()`. A record counts only once its commit succeeded: the
+/// tracked file size and the in-flight index advance after the commit,
+/// never before, so every reopen shaves a failed record off the file
+/// (a begin whose append failed never ran and must not read back as
+/// poison). What the *server* does then is the --journal-failure
 /// policy (JournalFailure below): refuse requests, serve on with the
 /// journal marked lost in {"health"}, or abort. All file I/O goes
 /// through the JournalIo seam (service/JournalIo.h) so the disk-chaos
@@ -99,8 +116,10 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace jslice {
@@ -144,6 +163,45 @@ struct JournalCounters {
   uint64_t SalvagedRecords = 0;  ///< Records rescued from a corrupt file.
   bool Failed = false;           ///< Persistent-failure latch.
 };
+
+/// One journal record, decoded and CRC-verified (decodeJournalLine), or
+/// the head of one about to be encoded (encodeJournalRecord).
+struct JournalRecord {
+  std::string Event;  ///< "begin", "end", "shutdown", "reattach".
+  std::string Id;     ///< Empty for id-less records (shutdown, reattach).
+  uint64_t Seq = 0;   ///< Per-writer sequence number (> 0).
+  uint64_t Gen = 0;   ///< Generation stamp (0 = unstamped).
+  uint64_t Epoch = 0; ///< Replication epoch stamp (0 = unstamped).
+  /// A decoded begin's request. Empty for every other event and for a
+  /// begin whose request does not decode: such a begin still counts as
+  /// in flight (rotation keeps it) but can never be quarantined.
+  std::optional<ServiceRequest> Request;
+};
+
+/// The one record encoder. \p Body holds the event's own members
+/// (`request`, `status`); the encoder adds `event`, `id` (when
+/// non-empty), the `gen`/`epoch` stamps (when non-zero) and `seq` from
+/// \p Head, serializes once, and frames the result with the CRC of that
+/// serialization. Returns the line without its newline.
+std::string encodeJournalRecord(const JournalRecord &Head, JsonValue Body);
+
+/// The one record decoder: parses \p Line once and verifies its CRC by
+/// the format's rule (strip `crc`, re-serialize, compare). Nullopt for
+/// anything unparseable, missing its `event`/`crc`/`seq`, or failing
+/// the check.
+std::optional<JournalRecord> decodeJournalLine(const std::string &Line);
+
+/// One begin with no end yet: its record and raw line (rotation
+/// rewrites the line verbatim, in sequence order).
+struct OpenBegin {
+  JournalRecord Rec;
+  std::string Line;
+};
+
+/// Id -> open begin. Every reader and the appender change it through
+/// one fold (Journal.cpp), and only with records that are durably in
+/// the file.
+using InFlightIndex = std::map<std::string, OpenBegin>;
 
 /// Append side. Thread-safe; every append reaches the OS before
 /// returning (the journal's whole point is surviving the process) —
@@ -227,18 +285,20 @@ public:
   void setTap(Tap T);
 
   /// Appends a pre-formed record line received from a replication
-  /// stream verbatim: verifies it, folds its begin/end into the
-  /// in-flight index, advances the sequence counter past it, and
-  /// tracks its epoch stamp. Returns false on a corrupt line or when
-  /// the append did not become durable. Does not invoke the tap
-  /// (replicas do not re-ship).
-  bool appendReplica(const std::string &Line);
+  /// stream verbatim. \p Rec is decodeJournalLine(\p Line): the caller
+  /// verified the line once and passes what it decoded. Advances the
+  /// sequence counter past the record and tracks its epoch stamp; once
+  /// the append is durable, folds it into the in-flight index. Returns
+  /// false when the append did not become durable. Does not invoke the
+  /// tap (replicas do not re-ship).
+  bool appendReplica(const std::string &Line, JournalRecord Rec);
 
-  /// Snapshot of every verifiable record currently in the file, plus
-  /// the sequence the snapshot is complete through (records with
-  /// higher seq were appended after). The replication hub's catch-up
-  /// source.
-  std::vector<std::string> snapshotRecords(uint64_t &ThroughSeq) const;
+  /// Snapshot of every verifiable record currently in the file as
+  /// (seq, line) pairs, plus the sequence the snapshot is complete
+  /// through (records with higher seq were appended after). The
+  /// replication hub's catch-up source.
+  std::vector<std::pair<uint64_t, std::string>>
+  snapshotRecords(uint64_t &ThroughSeq) const;
 
   /// Standby side: empties the replica journal before applying a full
   /// snapshot stream (replaying a compacted file over stale records
@@ -249,9 +309,10 @@ public:
 
   /// Recovery probe for a latched failed() journal: reopens through a
   /// fresh handle and appends a `reattach` record through the normal
-  /// retry path. True (and failed() clears) when the disk took the
-  /// record durably — the --journal-failure=degrade reopen probe.
-  /// No-op returning true when the journal never failed.
+  /// retry path (and the ship tap, like every record). True (and
+  /// failed() clears) when the disk took the record durably — the
+  /// --journal-failure=degrade reopen probe. No-op returning true when
+  /// the journal never failed.
   bool tryReattach();
 
   /// While held, size-triggered rotation and compact() are suppressed.
@@ -284,7 +345,8 @@ private:
   bool writeLineLocked(const std::string &Line);
   bool commitLocked();
   bool reopenLocked();
-  bool appendRecord(JsonValue Rec);
+  bool appendRecordLocked(const char *Event, const std::string &Id,
+                          JsonValue Body, uint64_t *SeqOut = nullptr);
   bool rewriteLocked();
   void stopFlusherLocked(std::unique_lock<std::mutex> &Lock);
   void flusherMain();
@@ -306,14 +368,8 @@ private:
   bool SyncBroken = false; ///< Batch flusher saw a failed fsync; the
                            ///< next append must reopen-or-fail.
   JournalCounters Stats;
-  /// One unmatched begin: its sequence number (rewrites preserve
-  /// append order by emitting in seq order) and its raw line.
-  struct OpenBegin {
-    uint64_t Seq = 0;
-    std::string Line;
-  };
-  /// Id -> open begin, for every begin without a matching end.
-  std::map<std::string, OpenBegin> OpenBegins;
+  /// Every committed begin without a committed end.
+  InFlightIndex OpenBegins;
 
   JournalSync Sync = JournalSync::Full;
   uint64_t FlushIntervalMs = 25;
@@ -333,24 +389,14 @@ struct PoisonedRequest {
   uint64_t Epoch = 0;
 };
 
-/// How one journal line verified.
-enum class JournalLineCheck {
-  Valid,   ///< Checksummed record; CRC and framing check out.
-  Corrupt, ///< Unparseable, missing or wrong CRC, or malformed framing.
-};
-
-/// Verifies one raw journal line. \p SeqOut (when non-null) receives
-/// the record's sequence number for Valid lines.
-JournalLineCheck verifyJournalLine(const std::string &Line,
-                                   uint64_t *SeqOut = nullptr);
-
 /// CRC32 (the zlib/IEEE polynomial) of \p Data — the journal's record
 /// checksum, exposed for tests and the scrub tool.
 uint32_t journalCrc32(const std::string &Data);
 
 /// Everything one pass over a journal file can tell you.
 struct JournalScan {
-  std::vector<PoisonedRequest> InFlight; ///< Begins with no end.
+  std::vector<PoisonedRequest> InFlight; ///< Begins with no end whose
+                                         ///< request decodes, by id.
   uint64_t Records = 0;        ///< Checksummed records that verified.
   uint64_t CorruptRecords = 0; ///< Mid-file verification failures.
   bool TornTail = false;       ///< The final record is damaged —
@@ -371,16 +417,12 @@ struct JournalScan {
                                ///< what a replica provably holds.
 };
 
-/// Scans \p Path, verifying every record. Missing or empty files yield
-/// a default result (first boot is not an error). Read-only: the
-/// repair decisions (truncate the tail, quarantine the file) belong to
-/// Journal::open and the callers of this scan.
+/// Scans \p Path, decoding every record once. Missing or empty files
+/// yield a default result (first boot is not an error); damaged records
+/// never crash the scan and never fabricate an in-flight entry.
+/// Read-only: the repair decisions (truncate the tail, quarantine the
+/// file) belong to Journal::open and the callers of this scan.
 JournalScan scanJournalDetailed(const std::string &Path);
-
-/// Scans \p Path for begin records with no matching end. Missing or
-/// empty files yield an empty list (first boot is not an error).
-/// Damaged records never crash the scan and never fabricate an entry.
-std::vector<PoisonedRequest> scanJournal(const std::string &Path);
 
 /// True when \p Path's last meaningful record is a clean `shutdown`
 /// marker (the graceful-drain test and operators use this). A record

@@ -129,7 +129,8 @@ uint64_t ReplicationHub::subscribe(uint64_t FromSeq, Sink Out) {
   uint64_t Epoch = Wal.epoch();
   bool Snapshot = FromSeq < CompactSeq;
   uint64_t Through = 0;
-  std::vector<std::string> Backlog = Wal.snapshotRecords(Through);
+  std::vector<std::pair<uint64_t, std::string>> Backlog =
+      Wal.snapshotRecords(Through);
 
   std::lock_guard<std::mutex> Lock(M);
   uint64_t Id = NextSubscriberId++;
@@ -150,9 +151,7 @@ uint64_t ReplicationHub::subscribe(uint64_t FromSeq, Sink Out) {
 
   // Catch-up: the file backlog (all of it after a compaction gap,
   // else only records past the subscriber's resume point)...
-  for (const std::string &Line : Backlog) {
-    uint64_t Seq = 0;
-    verifyJournalLine(Line, &Seq);
+  for (const auto &[Seq, Line] : Backlog) {
     if (!Snapshot && Seq <= FromSeq)
       continue;
     Out(recordFrame(Line));

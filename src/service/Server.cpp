@@ -221,7 +221,8 @@ unsigned Server::completeHandoff() {
 void Server::holdJournalRotation(bool Hold) { Wal.holdRotation(Hold); }
 
 unsigned Server::recoverNow(bool OnlyEarlierGenerations) {
-  std::vector<PoisonedRequest> Poisoned = scanJournal(Opts.JournalPath);
+  std::vector<PoisonedRequest> Poisoned =
+      scanJournalDetailed(Opts.JournalPath).InFlight;
   unsigned N = 0;
   for (const PoisonedRequest &P : Poisoned) {
     if (OnlyEarlierGenerations && P.Gen >= Opts.Generation)
@@ -883,6 +884,13 @@ void Server::handleSlice(ServiceRequest R, const ResponseSink &Sink) {
       !JournalLost.load(std::memory_order_relaxed) &&
       !Wal.end(Resp.Id, responseStatusName(Resp.Status)))
     noteJournalFailure();
+  // Release the id before the caller can see the response: a client
+  // that resubmits the same id once it holds its answer must be
+  // admitted, not told the id is still in flight.
+  {
+    std::lock_guard<std::mutex> Lock(StateM);
+    Registry.erase(Resp.Id);
+  }
   if (Raw) {
     // Pass the worker's line through, stamped with the latency the
     // caller actually experienced (IPC included).
@@ -898,11 +906,6 @@ void Server::handleSlice(ServiceRequest R, const ResponseSink &Sink) {
   }
   recordOutcome(Resp.Status, Resp.ServedTier, Resp.Degraded, LatencyMs,
                 RungTrips, ShedCause);
-
-  {
-    std::lock_guard<std::mutex> Lock(StateM);
-    Registry.erase(Resp.Id);
-  }
   QueueDepth.fetch_sub(1, std::memory_order_relaxed);
 }
 

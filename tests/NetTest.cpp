@@ -1008,6 +1008,36 @@ TEST(ShardedTcpServerTest, DrainCoordinatesAcrossAllShards) {
 // ClientConnection retries
 //===----------------------------------------------------------------------===//
 
+/// A loopback port that refuses every connect for as long as this
+/// object lives: the socket is bound but never listens. Closing a
+/// listener instead would free the port, and a parallel test could
+/// take it and answer. Bound without SO_REUSEADDR, so no other socket
+/// can bind the port, and the kernel never hands an explicitly bound
+/// port to an outgoing connect.
+class DeadPort {
+public:
+  DeadPort() {
+    Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in A{};
+    A.sin_family = AF_INET;
+    A.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    A.sin_port = 0;
+    if (Fd >= 0 &&
+        ::bind(Fd, reinterpret_cast<sockaddr *>(&A), sizeof(A)) == 0)
+      Port = tcpLocalPort(Fd);
+  }
+  ~DeadPort() { closeQuietly(Fd); }
+  DeadPort(const DeadPort &) = delete;
+  DeadPort &operator=(const DeadPort &) = delete;
+
+  /// The refusing port; 0 when the bind failed.
+  uint16_t port() const { return Port; }
+
+private:
+  int Fd = -1;
+  uint16_t Port = 0;
+};
+
 TEST(ClientTest, RetriesPastConnectionsDroppedBeforeResponding) {
   // A hand-rolled flaky endpoint: kills the first two connections
   // without answering, then answers the third properly.
@@ -1063,16 +1093,12 @@ TEST(ClientTest, RetriesPastConnectionsDroppedBeforeResponding) {
 }
 
 TEST(ClientTest, BoundedRetriesReportTransportFailure) {
-  // Nothing listens here: bind an ephemeral port, then close it so
-  // connects are refused deterministically.
-  std::string Err;
-  int Fd = listenTcp("127.0.0.1", 0, 1, Err);
-  ASSERT_GE(Fd, 0) << Err;
-  uint16_t DeadPort = tcpLocalPort(Fd);
-  closeQuietly(Fd);
+  // Nothing listens here, so connects are refused deterministically.
+  DeadPort Dead;
+  ASSERT_NE(Dead.port(), 0);
 
   ClientOptions COpts;
-  COpts.Port = DeadPort;
+  COpts.Port = Dead.port();
   COpts.MaxAttempts = 3;
   COpts.ConnectTimeoutMs = 500;
   COpts.BackoffBaseMs = 1;
@@ -1143,14 +1169,11 @@ TEST(ClientTest, RetryBudgetBoundsTheBackoffLadder) {
   // A dead endpoint with a generous attempt count but a small wall-
   // clock budget: the request must fail fast, clipped by the budget,
   // not sleep through the whole exponential ladder.
-  std::string Err;
-  int Fd = listenTcp("127.0.0.1", 0, 1, Err);
-  ASSERT_GE(Fd, 0) << Err;
-  uint16_t DeadPort = tcpLocalPort(Fd);
-  closeQuietly(Fd);
+  DeadPort Dead;
+  ASSERT_NE(Dead.port(), 0);
 
   ClientOptions COpts;
-  COpts.Port = DeadPort;
+  COpts.Port = Dead.port();
   COpts.MaxAttempts = 64;
   COpts.ConnectTimeoutMs = 500;
   COpts.BackoffBaseMs = 200;
@@ -1189,17 +1212,14 @@ TEST(ClientTest, FailsOverToTheNextEndpointAndServes) {
   // Endpoint failover: the primary in the list is dead, the standby is
   // live. The transport failure must rotate, resubmit, and succeed —
   // the jslice_client --connect A --connect B contract.
-  std::string Err;
-  int Fd = listenTcp("127.0.0.1", 0, 1, Err);
-  ASSERT_GE(Fd, 0) << Err;
-  uint16_t DeadPort = tcpLocalPort(Fd);
-  closeQuietly(Fd);
+  DeadPort Dead;
+  ASSERT_NE(Dead.port(), 0);
 
   LiveServer L({});
   ASSERT_TRUE(L.Started);
 
   ClientOptions COpts;
-  COpts.Endpoints = {"127.0.0.1:" + std::to_string(DeadPort),
+  COpts.Endpoints = {"127.0.0.1:" + std::to_string(Dead.port()),
                      "127.0.0.1:" + std::to_string(L.port())};
   COpts.MaxAttempts = 4;
   COpts.ConnectTimeoutMs = 500;
@@ -1208,7 +1228,7 @@ TEST(ClientTest, FailsOverToTheNextEndpointAndServes) {
   COpts.JitterSeed = 7;
   ClientConnection CC(COpts);
   EXPECT_EQ(CC.currentEndpoint(),
-            "127.0.0.1:" + std::to_string(DeadPort));
+            "127.0.0.1:" + std::to_string(Dead.port()));
   std::string Line = sliceRequest("fo-1");
   Line.pop_back(); // request() appends the newline.
   ClientResult R = CC.request(Line);

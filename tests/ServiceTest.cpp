@@ -293,7 +293,7 @@ TEST(JournalTest, UnmatchedBeginSurvivesScanning) {
     std::ofstream Out(Path, std::ios::app);
     Out << "{\"event\":\"begin\",\"id\":\"to";
   }
-  std::vector<PoisonedRequest> Poisoned = scanJournal(Path);
+  std::vector<PoisonedRequest> Poisoned = scanJournalDetailed(Path).InFlight;
   ASSERT_EQ(Poisoned.size(), 1u);
   EXPECT_EQ(Poisoned.front().Id, "stuck");
   EXPECT_EQ(Poisoned.front().Request.Program, TinyProgram);
@@ -301,7 +301,8 @@ TEST(JournalTest, UnmatchedBeginSurvivesScanning) {
 }
 
 TEST(JournalTest, MissingFileScansEmpty) {
-  EXPECT_TRUE(scanJournal(::testing::TempDir() + "no_such_journal").empty());
+  EXPECT_TRUE(scanJournalDetailed(::testing::TempDir() + "no_such_journal")
+                  .InFlight.empty());
 }
 
 TEST(JournalTest, QuarantineWritesReplayableRepro) {
@@ -349,7 +350,7 @@ TEST(JournalTest, RotationKeepsOnlyUnmatchedBeginsAndReplaySurvivesIt) {
   }
   // Replay across the rotation boundary: the stuck request is intact,
   // program and all; the 50 completed pairs are gone.
-  std::vector<PoisonedRequest> Poisoned = scanJournal(Path);
+  std::vector<PoisonedRequest> Poisoned = scanJournalDetailed(Path).InFlight;
   ASSERT_EQ(Poisoned.size(), 1u);
   EXPECT_EQ(Poisoned.front().Id, "stuck");
   EXPECT_EQ(Poisoned.front().Request.Program, TinyProgram);
@@ -374,7 +375,7 @@ TEST(JournalTest, CompactKeepsOpenBeginsAndEmptiesABracketedJournal) {
     J.end(Pair.Id, "ok");
   }
   EXPECT_EQ(J.compact(), 1u);
-  std::vector<PoisonedRequest> Poisoned = scanJournal(Path);
+  std::vector<PoisonedRequest> Poisoned = scanJournalDetailed(Path).InFlight;
   ASSERT_EQ(Poisoned.size(), 1u);
   EXPECT_EQ(Poisoned.front().Id, "open");
 
@@ -382,7 +383,7 @@ TEST(JournalTest, CompactKeepsOpenBeginsAndEmptiesABracketedJournal) {
   J.end("open", "ok");
   EXPECT_EQ(J.compact(), 0u);
   EXPECT_EQ(J.bytes(), 0u);
-  EXPECT_TRUE(scanJournal(Path).empty());
+  EXPECT_TRUE(scanJournalDetailed(Path).InFlight.empty());
   std::remove(Path.c_str());
 }
 
@@ -404,7 +405,7 @@ TEST(JournalTest, CleanShutdownRecordIsDetectedAndSkippedByReplay) {
   EXPECT_TRUE(journalEndsWithCleanShutdown(Path));
   // The id-less shutdown record is bookkeeping, not a request: replay
   // must not try to quarantine it.
-  EXPECT_TRUE(scanJournal(Path).empty());
+  EXPECT_TRUE(scanJournalDetailed(Path).InFlight.empty());
 
   // New work after the marker means the shutdown is no longer the last
   // word: a crash now is a dirty crash.
@@ -418,7 +419,7 @@ TEST(JournalTest, CleanShutdownRecordIsDetectedAndSkippedByReplay) {
     J.begin(R);
   }
   EXPECT_FALSE(journalEndsWithCleanShutdown(Path));
-  ASSERT_EQ(scanJournal(Path).size(), 1u);
+  ASSERT_EQ(scanJournalDetailed(Path).InFlight.size(), 1u);
   std::remove(Path.c_str());
 }
 
@@ -447,7 +448,7 @@ TEST(JournalTest, GenerationStampsAttributeUnmatchedBegins) {
     R.Line = 1;
     J.begin(R);
   }
-  std::vector<PoisonedRequest> Poisoned = scanJournal(Path);
+  std::vector<PoisonedRequest> Poisoned = scanJournalDetailed(Path).InFlight;
   ASSERT_EQ(Poisoned.size(), 2u);
   for (const PoisonedRequest &P : Poisoned) {
     if (P.Id == "old-stuck")
@@ -479,7 +480,7 @@ TEST(JournalTest, BatchPolicyStillRecordsEverything) {
     R.Id = "stuck";
     J.begin(R);
   }
-  std::vector<PoisonedRequest> Poisoned = scanJournal(Path);
+  std::vector<PoisonedRequest> Poisoned = scanJournalDetailed(Path).InFlight;
   ASSERT_EQ(Poisoned.size(), 1u);
   EXPECT_EQ(Poisoned.front().Id, "stuck");
   std::remove(Path.c_str());
@@ -548,10 +549,10 @@ TEST(JournalTest, RecordsAreChecksummedAndSequenced) {
   std::string Line;
   uint64_t LastSeq = 0, Lines = 0;
   while (std::getline(In, Line)) {
-    uint64_t Seq = 0;
-    EXPECT_EQ(verifyJournalLine(Line, &Seq), JournalLineCheck::Valid) << Line;
-    EXPECT_GT(Seq, LastSeq) << "sequence must be strictly monotonic";
-    LastSeq = Seq;
+    std::optional<JournalRecord> Rec = decodeJournalLine(Line);
+    ASSERT_TRUE(Rec) << Line;
+    EXPECT_GT(Rec->Seq, LastSeq) << "sequence must be strictly monotonic";
+    LastSeq = Rec->Seq;
     ++Lines;
   }
   EXPECT_EQ(Lines, 3u);
@@ -567,6 +568,116 @@ TEST(JournalTest, RecordsAreChecksummedAndSequenced) {
   std::remove(Path.c_str());
 }
 
+/// A record head for encodeJournalRecord.
+JournalRecord recordHead(const std::string &Event, const std::string &Id,
+                         uint64_t Seq, uint64_t Gen = 0, uint64_t Epoch = 0) {
+  JournalRecord H;
+  H.Event = Event;
+  H.Id = Id;
+  H.Seq = Seq;
+  H.Gen = Gen;
+  H.Epoch = Epoch;
+  return H;
+}
+
+/// Whole-file bytes ("" when unreadable).
+std::string fileBytes(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(In),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(JournalTest, RecordBytesArePinned) {
+  // tests/journal/pinned_records.jsonl was written by the journal as it
+  // stood before records went through one encoder and one decoder
+  // (commit 5af8f1f), by exactly the calls below. A rolled-back binary
+  // must verify every line a newer one writes, so the bytes never move.
+  std::string Fixture =
+      std::string(JSLICE_REPO_ROOT) + "/tests/journal/pinned_records.jsonl";
+  std::string Pinned = fileBytes(Fixture);
+  ASSERT_FALSE(Pinned.empty()) << "missing fixture " << Fixture;
+
+  ServiceRequest Plain;
+  Plain.Id = "plain";
+  Plain.Program = TinyProgram;
+  Plain.Line = 2;
+  ServiceRequest Done;
+  Done.Id = "done";
+  Done.Program = "read(a);\n\tb = a + 1;\nwrite(b);\n";
+  Done.Line = 3;
+  Done.Vars = {"b"};
+  Done.BudgetMs = 250;
+  Done.MaxSteps = 10000;
+  ServiceRequest Stuck = Done;
+  Stuck.Id = "stuck";
+  Stuck.Vars = {"a", "b"};
+  Stuck.BudgetMs = 0;
+  Stuck.MaxSteps = 0;
+  Stuck.MinEpoch = 3;
+  Stuck.Algorithm = SliceAlgorithm::Lyle;
+  ServiceRequest Lost = Done;
+  Lost.Id = "lost";
+
+  std::string Path = ::testing::TempDir() + "jslice_journal_pinned.jsonl";
+  std::remove(Path.c_str());
+  {
+    FaultyJournalIo Io;
+    Journal J;
+    J.setIo(&Io);
+    ASSERT_TRUE(J.open(Path));
+    EXPECT_TRUE(J.begin(Plain));          // seq 1, unstamped
+    EXPECT_TRUE(J.end("plain", "ok"));    // seq 2
+    J.setGeneration(2);
+    J.setEpoch(3);
+    EXPECT_TRUE(J.begin(Done));           // seq 3, gen 2 epoch 3
+    EXPECT_TRUE(J.end("done", "ok"));     // seq 4
+    EXPECT_TRUE(J.begin(Stuck));          // seq 5, left unmatched
+    Io.armEvery(JournalFault::WriteEio, 1);
+    EXPECT_FALSE(J.begin(Lost));          // seq 6, never reaches the file
+    Io.disarm();
+    EXPECT_TRUE(J.tryReattach());         // seq 7
+    EXPECT_TRUE(J.shutdownRecord());      // seq 8
+  }
+  EXPECT_EQ(fileBytes(Path), Pinned);
+
+  // The encoder by itself, from the same inputs.
+  std::vector<std::string> Lines;
+  {
+    std::istringstream In(Pinned);
+    std::string Line;
+    while (std::getline(In, Line))
+      Lines.push_back(Line);
+  }
+  ASSERT_EQ(Lines.size(), 7u);
+  JsonValue Request = JsonValue::object();
+  Request.set("request", Stuck.toJson());
+  EXPECT_EQ(encodeJournalRecord(recordHead("begin", "stuck", 5, 2, 3), Request),
+            Lines[4]);
+  JsonValue Ok = JsonValue::object();
+  Ok.set("status", "ok");
+  EXPECT_EQ(encodeJournalRecord(recordHead("end", "plain", 2), Ok), Lines[1]);
+  EXPECT_EQ(encodeJournalRecord(recordHead("reattach", "", 7, 2, 3),
+                                JsonValue::object()),
+            Lines[5]);
+
+  // And the scan reads back what the old scan read from these bytes.
+  JournalScan Scan = scanJournalDetailed(Fixture);
+  EXPECT_EQ(Scan.Records, 7u);
+  EXPECT_EQ(Scan.CorruptRecords, 0u);
+  EXPECT_EQ(Scan.SeqRegressions, 0u);
+  EXPECT_EQ(Scan.MaxSeq, 8u);
+  EXPECT_EQ(Scan.MaxEpoch, 3u);
+  EXPECT_TRUE(Scan.CleanShutdown);
+  EXPECT_FALSE(Scan.TornTail);
+  ASSERT_EQ(Scan.InFlight.size(), 1u);
+  const PoisonedRequest &P = Scan.InFlight.front();
+  EXPECT_EQ(P.Id, "stuck");
+  EXPECT_EQ(P.Gen, 2u);
+  EXPECT_EQ(P.Epoch, 3u);
+  EXPECT_EQ(P.Request.toJson().str(), Stuck.toJson().str());
+  std::remove(Path.c_str());
+}
+
 TEST(JournalTest, FlippingAnyByteFailsVerification) {
   std::string Path = writeSmallJournal("jslice_journal_flip.jsonl");
   std::ifstream In(Path);
@@ -575,7 +686,7 @@ TEST(JournalTest, FlippingAnyByteFailsVerification) {
   for (size_t I = 0; I != Line.size(); ++I) {
     std::string Mutated = Line;
     Mutated[I] ^= 0x01;
-    EXPECT_NE(verifyJournalLine(Mutated), JournalLineCheck::Valid)
+    EXPECT_FALSE(decodeJournalLine(Mutated))
         << "byte " << I << " flip went undetected: " << Mutated;
   }
   std::remove(Path.c_str());
@@ -600,7 +711,7 @@ TEST(JournalTest, RecordWithoutCrcIsCorruptAndQuarantined) {
   ASSERT_TRUE(First);
   First->remove("crc");
   Lines[0] = First->str();
-  EXPECT_EQ(verifyJournalLine(Lines[0]), JournalLineCheck::Corrupt);
+  EXPECT_FALSE(decodeJournalLine(Lines[0]));
   {
     std::ofstream Out(Path, std::ios::trunc);
     for (const std::string &L : Lines)
@@ -764,9 +875,12 @@ TEST(JournalTest, FailedFsyncReopensOnceAndRetries) {
   EXPECT_EQ(C.Reopens, 1u);
   EXPECT_FALSE(J.failed());
 
-  // The record that survived via the retry is durable and verifiable.
+  // The record that survived via the retry is durable and verifiable,
+  // and it is there once: the failed attempt's bytes never committed,
+  // so the reopen shaved them before the retry appended.
   JournalScan Scan = scanJournalDetailed(Path);
   EXPECT_EQ(Scan.CorruptRecords, 0u);
+  EXPECT_EQ(Scan.Records, 1u) << "the failed attempt survived the retry";
   ASSERT_EQ(Scan.InFlight.size(), 1u);
   EXPECT_EQ(Scan.InFlight.front().Id, "r1");
 
@@ -837,7 +951,7 @@ TEST(JournalTest, RotationCrashEitherSideOfRenameLosesNothing) {
     // Whichever side of the rename the crash landed on, the next boot
     // must see the stuck begin (plus at most the one pair that was
     // mid-flight when the disk froze) and clean up the temp.
-    std::vector<PoisonedRequest> Poisoned = scanJournal(Path);
+    std::vector<PoisonedRequest> Poisoned = scanJournalDetailed(Path).InFlight;
     ASSERT_GE(Poisoned.size(), 1u) << journalFaultName(Crash);
     ASSERT_LE(Poisoned.size(), 2u) << journalFaultName(Crash);
     bool FoundStuck = false;
@@ -990,7 +1104,7 @@ TEST(ServerTest, RecoveryQuarantinesAndRefusesResubmission) {
   EXPECT_EQ(parsed(Lines[1]).find("status")->asString(), "ok");
 
   // The recovery closed the journal pair: a restart sees nothing stuck.
-  EXPECT_TRUE(scanJournal(JournalPath).empty());
+  EXPECT_TRUE(scanJournalDetailed(JournalPath).InFlight.empty());
   std::remove(JournalPath.c_str());
 }
 
@@ -1066,7 +1180,7 @@ TEST(ServerTest, QuarantineFailureKeepsThePoisonInTheJournal) {
 
   // The begin survived recovery's compaction: a later boot (with a
   // writable quarantine dir) still sees it.
-  std::vector<PoisonedRequest> Left = scanJournal(JournalPath);
+  std::vector<PoisonedRequest> Left = scanJournalDetailed(JournalPath).InFlight;
   ASSERT_EQ(Left.size(), 1u);
   EXPECT_EQ(Left.front().Id, "stuck");
   std::remove(JournalPath.c_str());
@@ -1076,33 +1190,50 @@ TEST(ServerTest, QuarantineFailureKeepsThePoisonInTheJournal) {
 TEST(ServerTest, JournalFailureShedPolicyRefusesInsteadOfForgetting) {
   std::string Tmp = ::testing::TempDir();
   std::string JournalPath = Tmp + "jslice_server_jfail_shed.jsonl";
-  std::remove(JournalPath.c_str());
-  FaultyJournalIo Io;
-  Io.armEvery(JournalFault::WriteEio, 1); // Dead on arrival.
+  // A write that never lands and an fsync that fails after the bytes
+  // reached the file: either way the request is shed, and a shed
+  // request never ran, so the next boot must not find it in flight.
+  for (JournalFault Fault : {JournalFault::WriteEio, JournalFault::FsyncFail}) {
+    SCOPED_TRACE(journalFaultName(Fault));
+    std::remove(JournalPath.c_str());
+    FaultyJournalIo Io;
+    Io.armEvery(Fault, 1); // Dead on arrival.
 
-  std::istringstream In(
-      "{\"id\":\"r1\",\"program\":\"read(a);\\nwrite(a);\\n\",\"line\":2,"
-      "\"vars\":[\"a\"]}\n");
-  std::ostringstream Out, Log;
-  ServerOptions Opts;
-  Opts.Threads = 1;
-  Opts.JournalPath = JournalPath;
-  Opts.JournalIoHook = &Io;
-  Opts.JournalFailurePolicy = JournalFailure::Shed;
-  Server S(Opts, Out, Log);
-  S.recover();
-  S.serve(In);
-  S.finish();
+    std::istringstream In(
+        "{\"id\":\"r1\",\"program\":\"read(a);\\nwrite(a);\\n\",\"line\":2,"
+        "\"vars\":[\"a\"]}\n");
+    std::ostringstream Out, Log;
+    ServerOptions Opts;
+    Opts.Threads = 1;
+    Opts.JournalPath = JournalPath;
+    Opts.JournalIoHook = &Io;
+    Opts.JournalFailurePolicy = JournalFailure::Shed;
+    {
+      Server S(Opts, Out, Log);
+      S.recover();
+      S.serve(In);
+      S.finish();
 
-  std::optional<JsonValue> R = JsonValue::parse(Out.str());
-  ASSERT_TRUE(R.has_value()) << Out.str();
-  EXPECT_EQ(R->find("status")->asString(), "shed");
-  EXPECT_NE(R->find("error")->asString().find("journal"), std::string::npos);
-  EXPECT_TRUE(S.journalLost());
-  ServerStats Stats = S.stats();
-  EXPECT_EQ(Stats.ShedByCause["journal-failed"], 1u);
-  EXPECT_TRUE(Stats.JournalLost);
-  EXPECT_GE(Stats.JournalAppendFailures, 1u);
+      std::optional<JsonValue> R = JsonValue::parse(Out.str());
+      ASSERT_TRUE(R.has_value()) << Out.str();
+      EXPECT_EQ(R->find("status")->asString(), "shed");
+      EXPECT_NE(R->find("error")->asString().find("journal"),
+                std::string::npos);
+      EXPECT_TRUE(S.journalLost());
+      ServerStats Stats = S.stats();
+      EXPECT_EQ(Stats.ShedByCause["journal-failed"], 1u);
+      EXPECT_TRUE(Stats.JournalLost);
+      EXPECT_GE(Stats.JournalAppendFailures, 1u);
+    }
+
+    ServerOptions Reboot;
+    Reboot.Threads = 1;
+    Reboot.JournalPath = JournalPath;
+    Reboot.QuarantineDir = Tmp + "jslice_server_jfail_shed_q";
+    std::ostringstream RebootOut, RebootLog;
+    Server Next(Reboot, RebootOut, RebootLog);
+    EXPECT_EQ(Next.recover(), 0u) << "a shed request became false poison";
+  }
   std::remove(JournalPath.c_str());
 }
 
@@ -1232,7 +1363,7 @@ TEST(ServerTest, CompleteHandoffQuarantinesOnlyEarlierGenerations) {
   EXPECT_FALSE(S.handoffPending());
   S.finish();
 
-  std::vector<PoisonedRequest> Left = scanJournal(JournalPath);
+  std::vector<PoisonedRequest> Left = scanJournalDetailed(JournalPath).InFlight;
   ASSERT_EQ(Left.size(), 1u);
   EXPECT_EQ(Left.front().Id, "own-live");
   EXPECT_EQ(Left.front().Gen, 2u);
@@ -1633,7 +1764,9 @@ TEST(ReplicationHubTest, FlushPolicyShipsEveryAppendInOrder) {
   for (size_t I = 1; I != Frames.size(); ++I) {
     std::string Line = frameLine(Frames[I]);
     ASSERT_FALSE(Line.empty()) << Frames[I];
-    EXPECT_TRUE(Replica.appendReplica(Line));
+    std::optional<JournalRecord> Rec = decodeJournalLine(Line);
+    ASSERT_TRUE(Rec) << Line;
+    EXPECT_TRUE(Replica.appendReplica(Line, std::move(*Rec)));
   }
   EXPECT_EQ(Replica.lastSeq(), J.lastSeq());
   EXPECT_EQ(Replica.maxEpochSeen(), 2u);
@@ -1836,6 +1969,21 @@ TEST(ServerTest, DegradedJournalReattachesWhenTheDiskHeals) {
   JournalScan Scan = scanJournalDetailed(Path);
   EXPECT_EQ(Scan.CorruptRecords, 0u);
   EXPECT_GE(Scan.Records, 2u);
+
+  // h1 was answered ok while its begin never committed: that begin
+  // must not survive the reattach as an unmatched record, or the next
+  // boot quarantines a request that ran fine and refuses it as poison.
+  ServerOptions Reboot;
+  Reboot.Threads = 1;
+  Reboot.JournalPath = Path;
+  Reboot.QuarantineDir = ::testing::TempDir() + "jslice_journal_heal_q";
+  std::ostringstream RebootOut, RebootLog;
+  Server Next(Reboot, RebootOut, RebootLog);
+  EXPECT_EQ(Next.recover(), 0u) << "an answered request became false poison";
+  SinkLog Again;
+  Next.serveLine(Slice, [&](const std::string &L) { Again.push(L); });
+  EXPECT_EQ(parsed(Again.waitFor(1)).find("status")->asString(), "ok");
+  Next.finish();
   std::remove(Path.c_str());
 }
 

@@ -966,13 +966,9 @@ std::set<std::string> journalBeginIds(const std::string &Path) {
   std::ifstream In(Path);
   std::string Line;
   while (std::getline(In, Line)) {
-    if (verifyJournalLine(Line) == JournalLineCheck::Corrupt)
-      continue;
-    std::optional<JsonValue> V = JsonValue::parse(Line);
-    const JsonValue *Ev = V->find("event");
-    const JsonValue *Id = V->find("id");
-    if (Ev->asString() == "begin" && Id && Id->isString())
-      Out.insert(Id->asString());
+    std::optional<JournalRecord> R = decodeJournalLine(Line);
+    if (R && R->Event == "begin" && !R->Id.empty())
+      Out.insert(R->Id);
   }
   return Out;
 }

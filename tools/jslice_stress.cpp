@@ -736,7 +736,8 @@ int main(int argc, char **argv) {
   // goes through the same triage + ddmin as a generator mismatch, so
   // the quarantine turns into a root cause.
   if (!Opts.ReplayJournal.empty()) {
-    std::vector<PoisonedRequest> Poisoned = scanJournal(Opts.ReplayJournal);
+    std::vector<PoisonedRequest> Poisoned =
+        scanJournalDetailed(Opts.ReplayJournal).InFlight;
     if (Poisoned.empty())
       std::fprintf(stderr, "jslice_stress: no poisoned requests in %s\n",
                    Opts.ReplayJournal.c_str());
