@@ -89,21 +89,6 @@ int usage(const char *Prog) {
   return ExitUsage;
 }
 
-/// Strict unsigned parse; nullopt on garbage, sign, or overflow.
-std::optional<uint64_t> parseCount(const char *Text) {
-  if (!*Text)
-    return std::nullopt;
-  uint64_t Value = 0;
-  for (const char *P = Text; *P; ++P) {
-    if (*P < '0' || *P > '9')
-      return std::nullopt;
-    if (Value > (UINT64_MAX - static_cast<uint64_t>(*P - '0')) / 10)
-      return std::nullopt;
-    Value = Value * 10 + static_cast<uint64_t>(*P - '0');
-  }
-  return Value;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -131,8 +116,8 @@ int main(int argc, char **argv) {
       const char *Value = NextValue("--line");
       if (!Value)
         return usage(argv[0]);
-      std::optional<uint64_t> Parsed = parseCount(Value);
-      if (!Parsed || *Parsed == 0 || *Parsed > 0xffffffffull) {
+      std::optional<uint64_t> Parsed = parseCount(Value, UINT32_MAX);
+      if (!Parsed || *Parsed == 0) {
         std::fprintf(stderr, "error: --line expects a positive line number, "
                              "got '%s'\n",
                      Value);
@@ -198,8 +183,8 @@ int main(int argc, char **argv) {
       const char *Value = NextValue("--threads");
       if (!Value)
         return usage(argv[0]);
-      std::optional<uint64_t> Parsed = parseCount(Value);
-      if (!Parsed || *Parsed == 0 || *Parsed > 1024) {
+      std::optional<uint64_t> Parsed = parseCount(Value, 1024);
+      if (!Parsed || *Parsed == 0) {
         std::fprintf(stderr, "error: --threads expects a worker count in "
                              "[1, 1024], got '%s'\n",
                      Value);

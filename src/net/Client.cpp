@@ -50,7 +50,7 @@ ClientConnection::~ClientConnection() { disconnect(); }
 
 void ClientConnection::disconnect() {
   closeQuietly(Fd);
-  RecvBuf.clear();
+  In = LineFramer();
 }
 
 std::string ClientConnection::currentEndpoint() const {
@@ -79,7 +79,7 @@ bool ClientConnection::ensureConnected(std::string &Err) {
   Fd = connectTcp(Host, Port, Opts.ConnectTimeoutMs, Err);
   if (Fd < 0)
     return false;
-  RecvBuf.clear();
+  In = LineFramer();
   // The first connection of the lifetime is not a *re*connect.
   if (EverConnected)
     ++Reconnects;
@@ -130,10 +130,8 @@ bool ClientConnection::attempt(const std::string &Line,
   Clock::time_point Deadline =
       Clock::now() + std::chrono::milliseconds(Opts.ResponseTimeoutMs);
   for (;;) {
-    size_t NL = RecvBuf.find('\n');
-    if (NL != std::string::npos) {
-      Response = RecvBuf.substr(0, NL);
-      RecvBuf.erase(0, NL + 1);
+    if (std::optional<LineFramer::Frame> F = In.next()) {
+      Response.assign(F->Line);
       return true;
     }
     auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -164,8 +162,8 @@ bool ClientConnection::attempt(const std::string &Line,
     if (R == 0) {
       // EOF with a partial line buffered = torn response; either way
       // the response is absent and the attempt failed.
-      Err = RecvBuf.empty() ? "connection closed before response"
-                            : "torn response (connection closed mid-line)";
+      Err = In.midLine() ? "torn response (connection closed mid-line)"
+                         : "connection closed before response";
       disconnect();
       return false;
     }
@@ -174,7 +172,7 @@ bool ClientConnection::attempt(const std::string &Line,
       disconnect();
       return false;
     }
-    RecvBuf.append(Chunk, static_cast<size_t>(R));
+    In.feed(Chunk, static_cast<size_t>(R));
   }
 }
 

@@ -34,6 +34,8 @@
 #ifndef JSLICE_NET_CLIENT_H
 #define JSLICE_NET_CLIENT_H
 
+#include "support/LineFramer.h"
+
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -130,7 +132,7 @@ private:
 
   ClientOptions Opts;
   int Fd = -1;
-  std::string RecvBuf; ///< Bytes past the last consumed newline.
+  LineFramer In; ///< Responses; uncapped, the server is trusted.
   bool EverConnected = false;
   uint64_t Reconnects = 0;
   uint64_t Failovers = 0;

@@ -9,6 +9,7 @@
 
 #include "net/Socket.h"
 #include "service/Json.h"
+#include "support/LineFramer.h"
 #include "support/Pipe.h"
 
 #include <cerrno>
@@ -164,7 +165,7 @@ void StandbyTail::runSession(int Fd) {
     Stats.Connected = true;
   }
 
-  std::string RecvBuf;
+  LineFramer Frames; // Uncapped: the primary's records are trusted.
   uint64_t LastAcked = FromSeq;
   while (!Stop) {
     struct pollfd P;
@@ -185,19 +186,16 @@ void StandbyTail::runSession(int Fd) {
       continue;
     if (R <= 0)
       return; // EOF or reset: the stream tore.
-    RecvBuf.append(Chunk, static_cast<size_t>(R));
+    Frames.feed(Chunk, static_cast<size_t>(R));
 
     // Apply every complete line in the burst, then ack the durable
     // high-water mark once — batched acks lose nothing because the
     // ack names a sequence, not a record.
     uint64_t AckHigh = 0;
-    size_t NL;
-    while ((NL = RecvBuf.find('\n')) != std::string::npos) {
-      std::string Frame = RecvBuf.substr(0, NL);
-      RecvBuf.erase(0, NL + 1);
-      if (Frame.empty())
+    while (std::optional<LineFramer::Frame> F = Frames.next()) {
+      if (F->Line.empty())
         continue;
-      if (!applyFrame(Frame, AckHigh))
+      if (!applyFrame(std::string(F->Line), AckHigh))
         return;
     }
     if (AckHigh > LastAcked) {

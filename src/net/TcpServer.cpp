@@ -9,6 +9,7 @@
 
 #include "net/Socket.h"
 #include "net/WriteBuffer.h"
+#include "support/LineFramer.h"
 #include "support/Pipe.h"
 
 #include <algorithm>
@@ -75,8 +76,7 @@ struct TcpServer::ConnShared {
 struct TcpServer::Conn {
   int Fd = -1;
   uint64_t Id = 0;
-  std::string InBuf;
-  bool Discarding = false; ///< Swallowing the tail of an oversized line.
+  LineFramer In; ///< Cut under the server's line cap.
   bool ReadClosed = false;
   bool Doomed = false;
   Clock::time_point LastActivity;
@@ -384,6 +384,7 @@ void TcpServer::adoptConn(Shard &S, int Fd) {
 
   auto C = std::make_unique<Conn>();
   C->Fd = Fd;
+  C->In = LineFramer(Srv.maxLineBytes());
   C->Id = NextConnId.fetch_add(1, std::memory_order_relaxed);
   C->LastActivity = Clock::now();
   C->Shared = std::make_shared<ConnShared>(
@@ -496,41 +497,21 @@ void TcpServer::dispatchLine(Shard &S, Conn &C, const std::string &Line) {
 }
 
 void TcpServer::processInput(Shard &S, Conn &C) {
-  size_t Pos;
-  while ((Pos = C.InBuf.find('\n')) != std::string::npos) {
-    std::string Line = C.InBuf.substr(0, Pos);
-    C.InBuf.erase(0, Pos + 1);
-    if (C.Discarding) {
-      // The newline ends the oversized line we already refused; what
-      // follows it starts a fresh line with a fresh deadline clock.
-      C.Discarding = false;
-      C.LineStart = Clock::now();
+  while (std::optional<LineFramer::Frame> F = C.In.next()) {
+    if (!F->Oversized) {
+      dispatchLine(S, C, std::string(F->Line));
       continue;
     }
-    dispatchLine(S, C, Line);
-  }
-  // No newline left past this point. A connection still mid-discard
-  // holds only refused bytes — drop them now rather than letting a
-  // newline-free stream grow InBuf at full bandwidth until one shows
-  // up (the invariant is that the buffer does not grow while
-  // discarding, whatever the peer sends).
-  if (C.Discarding)
-    C.InBuf.clear();
-  uint64_t Cap = Srv.maxLineBytes();
-  if (!C.Discarding && Cap && C.InBuf.size() > Cap) {
-    // A line longer than the cap and still no newline: refuse it now,
-    // deterministically, and swallow the remainder as it streams in —
-    // the connection survives, the buffer does not grow.
+    // One refusal per oversized line, whether it completed inside this
+    // read or is still streaming; the framer drops the rest on arrival.
     S.OversizedLines.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> L(C.Shared->M);
       ++C.Shared->Pending;
     }
     Srv.refuseOversizedLine(C.Sink);
-    C.InBuf.clear();
-    C.Discarding = true;
   }
-  if (C.InBuf.empty() && !C.Discarding)
+  if (!C.In.midLine())
     C.LineStart = Clock::time_point();
 }
 
@@ -545,27 +526,28 @@ void TcpServer::handleReadable(Shard &S, Conn &C) {
   }
   C.LastActivity = Clock::now();
   if (N == 0) {
-    C.ReadClosed = true;
     // EOF terminates a final unterminated line, same as the stdin
     // transport; the response will still be flushed before close.
-    if (!C.Discarding && !C.InBuf.empty()) {
-      std::string Line;
-      Line.swap(C.InBuf);
-      dispatchLine(S, C, Line);
-    }
-    C.InBuf.clear();
+    C.ReadClosed = true;
+    C.In.finish();
+    processInput(S, C);
     return;
   }
-  if (C.InBuf.empty() && !C.Discarding)
+  bool WasDiscarding = C.In.discarding();
+  if (!C.In.midLine())
     C.LineStart = C.LastActivity;
-  C.InBuf.append(Chunk, static_cast<size_t>(N));
+  C.In.feed(Chunk, static_cast<size_t>(N));
+  // The newline that ends a refused line starts a fresh line with a
+  // fresh deadline clock.
+  if (WasDiscarding && !C.In.discarding())
+    C.LineStart = C.LastActivity;
   processInput(S, C);
   // Retained-bytes high-water mark, measured after trimming: complete
   // lines are dispatched and discarded tails dropped, so this tracks
   // what the transport actually holds onto per connection. Raised with
   // a CAS loop: the mark is per shard but stats() merges across
   // shards, and a load-then-store max would lose races.
-  storeMaxRelaxed(S.InBufHighWaterBytes, C.InBuf.size());
+  storeMaxRelaxed(S.InBufHighWaterBytes, C.In.buffered());
 }
 
 void TcpServer::drainReadable(Shard &S, Conn &C) {
@@ -587,7 +569,7 @@ void TcpServer::drainReadable(Shard &S, Conn &C) {
   C.LastActivity = Clock::now();
   if (N == 0) {
     C.ReadClosed = true;
-    C.InBuf.clear();
+    C.In = LineFramer(); // Draining: a partial line is never served.
     return;
   }
   S.DrainDiscardedBytes.fetch_add(static_cast<uint64_t>(N),
@@ -836,11 +818,11 @@ bool TcpServer::shardLoop(Shard &S) {
         closeConn(S, *C, "peer finished", &S.CleanClosed);
         continue;
       }
-      // Discarding counts as a partial line too: the refused line is
-      // still unterminated, and its bytes are dropped on arrival so
-      // InBuf stays empty — without this a client could hold the slot
-      // forever by streaming newline-free garbage.
-      if (Opts.ReadDeadlineMs && (!C->InBuf.empty() || C->Discarding) &&
+      // Discarding counts as a partial line too (midLine()): the
+      // refused line is still unterminated though its bytes are dropped
+      // on arrival — without this a client could hold the slot forever
+      // by streaming newline-free garbage.
+      if (Opts.ReadDeadlineMs && C->In.midLine() &&
           C->LineStart != Clock::time_point() &&
           Now - C->LineStart >
               std::chrono::milliseconds(Opts.ReadDeadlineMs)) {
@@ -848,7 +830,7 @@ bool TcpServer::shardLoop(Shard &S) {
                   &S.DeadlineClosed);
         continue;
       }
-      if (Opts.IdleTimeoutMs && Idle && C->InBuf.empty() &&
+      if (Opts.IdleTimeoutMs && Idle && !C->In.midLine() &&
           !C->ReadClosed &&
           Now - C->LastActivity >
               std::chrono::milliseconds(Opts.IdleTimeoutMs)) {

@@ -28,9 +28,11 @@
 ///    ReadDeadlineMs (slowloris defense);
 ///  * idle timeout — a connection with no traffic and nothing pending
 ///    for IdleTimeoutMs is closed;
-///  * line cap — the server's MaxLineBytes bounds the input buffer; an
-///    oversized line is answered with a deterministic `shed` refusal
-///    and the remainder discarded through its newline;
+///  * line cap — each connection cuts its input with a LineFramer
+///    under the server's MaxLineBytes (the same rule as the stdin
+///    transport), so it retains at most the cap plus one read chunk;
+///    an oversized line is answered with one deterministic `shed`
+///    refusal and the remainder dropped on arrival through its newline;
 ///  * bounded write buffers — a reader that stops draining its
 ///    responses (backpressure past MaxWriteBufferBytes) is
 ///    disconnected; it never blocks its shard's loop, let alone
@@ -174,7 +176,7 @@ struct TransportStats {
   uint64_t DeadlineClosed = 0;     ///< Slowloris: partial line too old.
   uint64_t BackpressureClosed = 0; ///< Write buffer overflow.
   uint64_t PeerResets = 0;         ///< Read/write error closes.
-  uint64_t OversizedLines = 0;     ///< Refused while still streaming.
+  uint64_t OversizedLines = 0;     ///< Line-cap refusals.
   uint64_t LinesDispatched = 0;
   uint64_t ResponsesDelivered = 0; ///< Appended to some write buffer.
   /// Largest per-connection input retention ever observed (after

@@ -9,6 +9,7 @@
 
 #include "service/SandboxWorker.h"
 #include "slicer/BatchSlicer.h"
+#include "support/LineFramer.h"
 #include "support/Pipe.h"
 
 #include <algorithm>
@@ -260,63 +261,54 @@ unsigned Server::recoverNow(bool OnlyEarlierGenerations) {
   return N;
 }
 
-namespace {
-
-/// getline with a ceiling: reads one '\n'-terminated line into \p Line
-/// but stops accumulating at \p Cap bytes — the rest of an oversized
-/// line is discarded, \p Overflowed is set, and the stream is left at
-/// the next line. Returns false only at EOF with nothing read. This is
-/// the stdin/file twin of the TCP reader's cap: an adversarial input
-/// with no newline can no longer grow the buffer without limit.
-bool readLineBounded(std::istream &In, std::string &Line, uint64_t Cap,
-                     bool &Overflowed) {
-  Line.clear();
-  Overflowed = false;
-  std::streambuf *SB = In.rdbuf();
-  int C = SB->sbumpc();
-  if (C == std::char_traits<char>::eof()) {
-    In.setstate(std::ios::eofbit);
-    return false;
-  }
-  for (; C != std::char_traits<char>::eof(); C = SB->sbumpc()) {
-    if (C == '\n')
-      return true;
-    if (!Overflowed) {
-      Line.push_back(static_cast<char>(C));
-      if (Cap && Line.size() > Cap) {
-        Overflowed = true;
-        Line.clear();
-      }
+void Server::serve(const ByteReader &Read) {
+  auto ShutdownRequested = [this] {
+    return Opts.ShutdownFlag &&
+           Opts.ShutdownFlag->load(std::memory_order_relaxed);
+  };
+  LineFramer Lines(Opts.MaxLineBytes);
+  char Chunk[65536];
+  while (!ShutdownRequested()) {
+    if (std::optional<LineFramer::Frame> F = Lines.next()) {
+      if (F->Oversized)
+        refuseOversizedLine(DefaultSink);
+      else
+        serveLine(std::string(F->Line));
+      continue;
     }
+    if (Lines.eof())
+      break;
+    int64_t N = Read(Chunk, sizeof(Chunk));
+    if (N < 0)
+      break;
+    if (N == 0)
+      Lines.finish();
+    else
+      Lines.feed(Chunk, static_cast<size_t>(N));
   }
-  In.setstate(std::ios::eofbit);
-  return true; // Final unterminated line.
+  if (ShutdownRequested())
+    Draining.store(true, std::memory_order_relaxed);
+  Pool.drain();
 }
 
-} // namespace
-
 void Server::serve(std::istream &In) {
-  std::string Line;
-  bool Overflowed = false;
-  while (readLineBounded(In, Line, Opts.MaxLineBytes, Overflowed)) {
-    if (Opts.ShutdownFlag &&
-        Opts.ShutdownFlag->load(std::memory_order_relaxed)) {
-      Draining.store(true, std::memory_order_relaxed);
-      break;
-    }
-    if (Overflowed)
-      refuseOversizedLine();
-    else
-      serveLine(Line);
-  }
-  Pool.drain();
+  std::streambuf *SB = In.rdbuf();
+  serve([SB](char *Buf, size_t Size) -> int64_t {
+    std::streamsize Avail = SB->in_avail();
+    if (Avail > 0)
+      return SB->sgetn(Buf, std::min<std::streamsize>(
+                                Avail, static_cast<std::streamsize>(Size)));
+    int C = SB->sbumpc();
+    if (C == std::char_traits<char>::eof())
+      return 0;
+    Buf[0] = static_cast<char>(C);
+    return 1;
+  });
 }
 
 void Server::serveLine(const std::string &Line) {
   serveLine(Line, DefaultSink);
 }
-
-void Server::refuseOversizedLine() { refuseOversizedLine(DefaultSink); }
 
 void Server::refuseOversizedLine(const ResponseSink &Sink) {
   {
@@ -334,10 +326,6 @@ void Server::refuseOversizedLine(const ResponseSink &Sink) {
 bool Server::serveLine(const std::string &Line, ResponseSink Sink) {
   if (Line.empty() || Line.find_first_not_of(" \t\r") == std::string::npos)
     return true;
-  if (Opts.MaxLineBytes && Line.size() > Opts.MaxLineBytes) {
-    refuseOversizedLine(Sink);
-    return true;
-  }
   ParsedRequest P = parseRequestLine(Line);
 
   // Health probes bypass every lock by design: a load balancer must

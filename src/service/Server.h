@@ -12,8 +12,8 @@
 /// runs each under its own per-request Budget through the
 /// precision-degradation ladder (service/Ladder.h), and writes one
 /// JSON response line per request. The server is transport-agnostic:
-/// serve() drives it from an istream, and the TCP listener
-/// (net/TcpServer.h) drives serveLine() with a per-connection
+/// serve() drives it from a byte reader (an fd or an istream), and the
+/// TCP listener (net/TcpServer.h) drives serveLine() with a per-connection
 /// ResponseSink so many independent clients share one server without
 /// sharing each other's failures.
 ///
@@ -180,11 +180,14 @@ struct ServerOptions {
   /// unsupported.
   std::atomic<bool> *UpgradeFlag = nullptr;
 
-  /// Hard cap on one protocol line, shared by every transport (the
-  /// bounded stdin/file reader and the TCP line reader). An input that
-  /// exceeds it — adversarially newline-free or just oversized — is
-  /// answered with a deterministic `shed` refusal instead of growing a
-  /// read buffer without bound. 0 = unlimited (not recommended).
+  /// Hard cap on one protocol line, shared by every transport: serve()
+  /// (stdin and --input) and the TCP reactor both cut their streams
+  /// with one LineFramer (support/LineFramer.h) built on this value.
+  /// An input that exceeds it — adversarially newline-free or just
+  /// oversized — is answered with one deterministic `shed` refusal,
+  /// and the rest of the line is dropped as it arrives, so no read
+  /// buffer ever holds more than the cap plus one read chunk. 0 =
+  /// unlimited (not recommended).
   uint64_t MaxLineBytes = 4u << 20;
 
   /// Where recover() dumps poisoned reproducers.
@@ -353,13 +356,22 @@ public:
   /// never race the successor's open of the same path.
   void holdJournalRotation(bool Hold);
 
-  /// Reads requests from \p In until EOF or the shutdown flag trips;
-  /// returns after every accepted request has been answered.
+  /// Fills up to Size bytes of its buffer from the input stream and
+  /// returns the count, 0 at end of stream, or -1 to stop reading (a
+  /// shutdown signal landed while it waited).
+  using ByteReader = std::function<int64_t(char *Buf, size_t Size)>;
+
+  /// Reads requests through \p Read until end of stream, a -1 from it,
+  /// or the shutdown flag; returns after every accepted request has
+  /// been answered. Lines are cut by one LineFramer under MaxLineBytes,
+  /// and each is served as soon as its newline is read.
+  void serve(const ByteReader &Read);
+
+  /// serve() over an istream: takes whatever the stream already holds
+  /// and blocks for one byte only when it holds nothing.
   void serve(std::istream &In);
 
-  /// Processes one protocol line. serve() is a loop over this;
-  /// jslice_serve's signal-aware front end calls it directly so a
-  /// SIGTERM can interrupt between lines.
+  /// Processes one protocol line. serve() is a loop over this.
   void serveLine(const std::string &Line);
 
   /// Same, but the response line(s) go to \p Sink instead of the
@@ -376,13 +388,12 @@ public:
 
   /// Answers an input line that blew past MaxLineBytes with the
   /// deterministic `shed` refusal (cause "line-cap"). Transports call
-  /// this instead of buffering the rest of the line.
-  void refuseOversizedLine();
+  /// this when their LineFramer reports an Oversized frame.
   void refuseOversizedLine(const ResponseSink &Sink);
 
   /// The shared request-line cap (ServerOptions::MaxLineBytes, 0 =
-  /// unlimited). The TCP transport reads it so stdin and socket input
-  /// are bounded by the same knob.
+  /// unlimited). The TCP transport frames with it so stdin and socket
+  /// input are bounded by the same knob.
   uint64_t maxLineBytes() const { return Opts.MaxLineBytes; }
 
   /// Registers a transport-statistics provider (the TCP listener's

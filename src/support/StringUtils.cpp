@@ -52,3 +52,19 @@ std::vector<std::string> jslice::splitLines(const std::string &Text) {
 std::string jslice::indent(unsigned Count) {
   return std::string(static_cast<size_t>(Count) * 2, ' ');
 }
+
+std::optional<uint64_t> jslice::parseCount(std::string_view Text,
+                                           uint64_t Max) {
+  if (Text.empty())
+    return std::nullopt;
+  uint64_t Value = 0;
+  for (char C : Text) {
+    if (C < '0' || C > '9')
+      return std::nullopt;
+    uint64_t Digit = static_cast<uint64_t>(C - '0');
+    if (Digit > Max || Value > (Max - Digit) / 10)
+      return std::nullopt;
+    Value = Value * 10 + Digit;
+  }
+  return Value;
+}

@@ -642,6 +642,23 @@ TEST(TcpServerTest, DiscardingDoesNotBufferANewlineFreeFlood) {
   EXPECT_LE(S.InBufHighWaterBytes, (64u << 10) + 1024u);
 }
 
+TEST(TcpServerTest, EveryLineCapRefusalIsCounted) {
+  ServerOptions SOpts;
+  SOpts.MaxLineBytes = 1024;
+  LiveServer L({}, SOpts);
+  ASSERT_TRUE(L.Started);
+
+  RawClient C(L.port());
+  ASSERT_GE(C.Fd, 0);
+  // Short enough to arrive in one read, newline included: the line is
+  // refused complete rather than while streaming, and counted the same.
+  ASSERT_TRUE(C.sendAll(std::string(2000, 'z') + "\n"));
+  std::optional<std::string> Line = C.readLine();
+  ASSERT_TRUE(Line.has_value());
+  EXPECT_NE(Line->find("line exceeds"), std::string::npos) << *Line;
+  EXPECT_EQ(L.T.stats().OversizedLines, 1u);
+}
+
 TEST(TcpServerTest, ConnectionCapShedsTheExtraConnection) {
   TcpServerOptions TOpts;
   TOpts.MaxConnections = 1;
@@ -1274,6 +1291,11 @@ TEST(StandbyTailTest, TailsALivePrimaryIntoAVerifiableReplica) {
   ASSERT_TRUE(waitForCount(
                   [&] { return Tail.stats().Connected ? 1u : 0u; }, 1) == 1)
       << "tail never subscribed";
+  // The tail reports Connected once its subscribe is sent; the primary
+  // registers it when the line is read. A request admitted in between
+  // would find no standby to wait for.
+  ASSERT_GE(waitForCount([&] { return L.S.stats().Repl.Subscribes; }, 1), 1u)
+      << "primary never registered the subscription";
 
   // A slice served under sync policy proves the ack round-trip: the
   // response cannot have been released before the replica acked, and

@@ -26,6 +26,7 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -1058,6 +1059,42 @@ TEST(ServerTest, AnswersGarbageAndControlLines) {
   ASSERT_TRUE(Stats.find("stats"));
   EXPECT_EQ(Stats.find("stats")->find("received")->asInt(), 3);
   EXPECT_EQ(Stats.find("stats")->find("bad_requests")->asInt(), 1);
+}
+
+TEST(ServerTest, StreamLineCapRefusesOnceAndServesTheRest) {
+  // serve() cuts its stream with the same framer as the TCP reactor:
+  // one shed per oversized line, refused before its newline or after;
+  // the final unterminated line is still served, and an unterminated
+  // tail past the cap is refused like any other line.
+  ServerOptions Opts;
+  Opts.MaxLineBytes = 256;
+  const std::string Req =
+      "{\"id\":\"r%\",\"program\":\"read(a);\\nwrite(a);\\n\","
+      "\"line\":2,\"vars\":[\"a\"]}";
+  auto Named = [&](char Id) {
+    std::string R = Req;
+    R[R.find('%')] = Id;
+    return R;
+  };
+  // Refusals answer inline, slices from the pool: count, not order.
+  auto Statuses = [&](const std::string &Input) {
+    std::multiset<std::string> Out;
+    for (const std::string &L : serveLines(Input, Opts)) {
+      JsonValue V = parsed(L);
+      std::string Status = V.find("status")->asString();
+      if (Status == "shed") {
+        EXPECT_NE(V.find("error")->asString().find("line exceeds"),
+                  std::string::npos);
+      }
+      Out.insert(Status);
+    }
+    return Out;
+  };
+  EXPECT_EQ(Statuses(std::string(100000, 'z') + "\n" + Named('1') + "\n" +
+                     std::string(300, 'y') + "\n" + Named('2')),
+            (std::multiset<std::string>{"ok", "ok", "shed", "shed"}));
+  EXPECT_EQ(Statuses(Named('3') + "\n" + std::string(1000, 'z')),
+            (std::multiset<std::string>{"ok", "shed"}));
 }
 
 TEST(ServerTest, RecoveryQuarantinesAndRefusesResubmission) {

@@ -8,6 +8,7 @@
 #include "support/BitVector.h"
 #include "support/Casting.h"
 #include "support/Error.h"
+#include "support/LineFramer.h"
 #include "support/ResourceGuard.h"
 #include "support/StringUtils.h"
 #include "support/WorkerPool.h"
@@ -16,6 +17,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
+#include <random>
 #include <thread>
 
 using namespace jslice;
@@ -273,6 +276,192 @@ TEST(StringUtilsTest, SplitLines) {
 TEST(StringUtilsTest, Indent) {
   EXPECT_EQ(indent(0), "");
   EXPECT_EQ(indent(3), "      ");
+}
+
+TEST(StringUtilsTest, ParseCountIsStrictAndRangeChecked) {
+  EXPECT_EQ(parseCount("0"), 0u);
+  EXPECT_EQ(parseCount("42"), 42u);
+  EXPECT_EQ(parseCount("18446744073709551615"), UINT64_MAX);
+  EXPECT_FALSE(parseCount("18446744073709551616")); // Overflow.
+  for (const char *Bad : {"", "-1", "+1", " 1", "1 ", "1x", "0x10"})
+    EXPECT_FALSE(parseCount(Bad)) << Bad;
+  EXPECT_EQ(parseCount("1024", 1024), 1024u);
+  EXPECT_FALSE(parseCount("1025", 1024));
+  EXPECT_EQ(parseCount("1", 1), 1u);
+  EXPECT_FALSE(parseCount("7", 5)); // One digit past a one-digit cap.
+
+  // Narrowing fields reject what they cannot hold instead of wrapping
+  // (4294967296 into an unsigned would otherwise read as 0).
+  unsigned U = 7;
+  EXPECT_FALSE(parseCountInto("4294967296", U));
+  EXPECT_EQ(U, 7u);
+  EXPECT_TRUE(parseCountInto("4294967295", U));
+  EXPECT_EQ(U, UINT_MAX);
+  int I = -1;
+  EXPECT_FALSE(parseCountInto("2147483648", I));
+  EXPECT_TRUE(parseCountInto("2147483647", I));
+  EXPECT_EQ(I, INT_MAX);
+  uint64_t W = 0;
+  EXPECT_TRUE(parseCountInto("4294967296", W));
+  EXPECT_EQ(W, 4294967296u);
+}
+
+//===----------------------------------------------------------------------===//
+// LineFramer
+//===----------------------------------------------------------------------===//
+
+/// Every frame the framer yields, "!" standing for an Oversized report.
+std::vector<std::string> drain(LineFramer &F) {
+  std::vector<std::string> Out;
+  while (std::optional<LineFramer::Frame> Fr = F.next())
+    Out.push_back(Fr->Oversized ? "!" : std::string(Fr->Line));
+  return Out;
+}
+
+std::vector<std::string> feedAll(LineFramer &F, const std::string &Bytes) {
+  F.feed(Bytes.data(), Bytes.size());
+  return drain(F);
+}
+
+using Lines = std::vector<std::string>;
+
+TEST(LineFramerTest, CutsLinesAndPassesBlankAndCrThrough) {
+  LineFramer F;
+  EXPECT_EQ(feedAll(F, "a\r\n\nbc\n"), (Lines{"a\r", "", "bc"}));
+  EXPECT_FALSE(F.midLine());
+  EXPECT_EQ(feedAll(F, "de"), Lines{});
+  EXPECT_TRUE(F.midLine());
+  EXPECT_EQ(F.buffered(), 2u);
+  EXPECT_EQ(feedAll(F, "f\ng"), Lines{"def"});
+  EXPECT_EQ(F.buffered(), 1u);
+}
+
+TEST(LineFramerTest, CapIsInclusive) {
+  LineFramer AtCap(4);
+  EXPECT_EQ(feedAll(AtCap, "abcd\n"), Lines{"abcd"});
+  EXPECT_EQ(feedAll(AtCap, "abcd"), Lines{}); // Unterminated, at cap.
+  EXPECT_FALSE(AtCap.discarding());
+  EXPECT_EQ(feedAll(AtCap, "\n"), Lines{"abcd"});
+
+  LineFramer PastCap(4);
+  EXPECT_EQ(feedAll(PastCap, "abcde\n"), Lines{"!"});
+  EXPECT_EQ(feedAll(PastCap, "abcde"), Lines{"!"}); // Known before '\n'.
+  EXPECT_TRUE(PastCap.discarding());
+  EXPECT_EQ(PastCap.buffered(), 0u);
+}
+
+TEST(LineFramerTest, OversizedLineCompletingInOneFeedThenAGoodLine) {
+  LineFramer F(8);
+  EXPECT_EQ(feedAll(F, std::string(20, 'z') + "\nok\n"), (Lines{"!", "ok"}));
+  EXPECT_FALSE(F.discarding());
+  EXPECT_FALSE(F.midLine());
+}
+
+TEST(LineFramerTest, OversizedLineIsReportedOnceAndTheNextLineServed) {
+  LineFramer F(8);
+  EXPECT_EQ(feedAll(F, std::string(9, 'z')), Lines{"!"});
+  EXPECT_EQ(feedAll(F, std::string(100, 'z')), Lines{});
+  EXPECT_EQ(feedAll(F, "zz\ngood\n"), Lines{"good"});
+}
+
+TEST(LineFramerTest, NewlineFreeFloodStaysBounded) {
+  const uint64_t Cap = 1024;
+  const std::string Chunk(64 << 10, 'z');
+  LineFramer F(Cap);
+  size_t MaxHeld = 0;
+  unsigned Reports = 0;
+  for (int I = 0; I != 256; ++I) { // 16 MiB, no newline.
+    F.feed(Chunk.data(), Chunk.size());
+    MaxHeld = std::max(MaxHeld, F.buffered());
+    for (const std::string &L : drain(F))
+      Reports += L == "!";
+    EXPECT_EQ(F.buffered(), 0u);
+    EXPECT_TRUE(F.midLine());
+  }
+  EXPECT_EQ(Reports, 1u);
+  EXPECT_LE(MaxHeld, Cap + Chunk.size());
+  EXPECT_EQ(feedAll(F, "\nnext\n"), Lines{"next"});
+}
+
+TEST(LineFramerTest, EndOfStream) {
+  LineFramer MidLine(8);
+  EXPECT_EQ(feedAll(MidLine, "a\ntail"), Lines{"a"});
+  MidLine.finish();
+  EXPECT_EQ(drain(MidLine), Lines{"tail"});
+  EXPECT_TRUE(MidLine.eof());
+  EXPECT_FALSE(MidLine.midLine());
+
+  LineFramer MidDiscard(8);
+  EXPECT_EQ(feedAll(MidDiscard, std::string(12, 'z')), Lines{"!"});
+  MidDiscard.finish();
+  EXPECT_EQ(drain(MidDiscard), Lines{});
+
+  LineFramer Empty;
+  EXPECT_EQ(feedAll(Empty, "a\n"), Lines{"a"});
+  Empty.finish();
+  EXPECT_EQ(drain(Empty), Lines{});
+}
+
+TEST(LineFramerTest, ConsumerCanStopBetweenLines) {
+  LineFramer F;
+  F.feed("one\ntwo\nthr", 11);
+  std::optional<LineFramer::Frame> First = F.next();
+  ASSERT_TRUE(First);
+  EXPECT_EQ(First->Line, "one");
+  EXPECT_EQ(F.buffered(), 7u); // "two\nthr" stays put.
+  F.feed("ee\n", 3);
+  EXPECT_EQ(drain(F), (Lines{"two", "three"}));
+}
+
+TEST(LineFramerTest, ChunkingDoesNotChangeTheFrames) {
+  // One stream mixing short lines, blank lines, lines exactly at and
+  // one past the cap, long refused lines and an unterminated tail: any
+  // chunking must yield the same frames as feeding it whole.
+  const uint64_t Cap = 16;
+  std::string Stream;
+  std::mt19937 Rng(7);
+  for (int I = 0; I != 200; ++I) {
+    size_t Len = std::uniform_int_distribution<size_t>(0, 3)(Rng) == 0
+                     ? std::uniform_int_distribution<size_t>(0, 80)(Rng)
+                     : std::uniform_int_distribution<size_t>(0, 18)(Rng);
+    Stream += std::string(Len, static_cast<char>('a' + I % 26)) + "\n";
+  }
+  Stream += std::string(Cap, 't');
+
+  auto Frames = [&](const std::vector<size_t> &Cuts) {
+    LineFramer F(Cap);
+    Lines Out;
+    size_t Pos = 0;
+    for (size_t Cut : Cuts) {
+      F.feed(Stream.data() + Pos, Cut - Pos);
+      Pos = Cut;
+      for (std::string &L : drain(F))
+        Out.push_back(std::move(L));
+    }
+    F.feed(Stream.data() + Pos, Stream.size() - Pos);
+    F.finish();
+    for (std::string &L : drain(F))
+      Out.push_back(std::move(L));
+    return Out;
+  };
+
+  Lines Whole = Frames({});
+  ASSERT_GT(std::count(Whole.begin(), Whole.end(), "!"), 0);
+  EXPECT_EQ(Whole.back(), std::string(Cap, 't'));
+  std::vector<size_t> Bytewise;
+  for (size_t I = 1; I < Stream.size(); ++I)
+    Bytewise.push_back(I);
+  EXPECT_EQ(Frames(Bytewise), Whole);
+  for (int Trial = 0; Trial != 50; ++Trial) {
+    std::vector<size_t> Cuts;
+    for (size_t Pos = 0;;) {
+      Pos += std::uniform_int_distribution<size_t>(1, 40)(Rng);
+      if (Pos >= Stream.size())
+        break;
+      Cuts.push_back(Pos);
+    }
+    EXPECT_EQ(Frames(Cuts), Whole) << "trial " << Trial;
+  }
 }
 
 } // namespace

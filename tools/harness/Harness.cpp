@@ -8,6 +8,7 @@
 #include "harness/Harness.h"
 
 #include "gen/ProgramGenerator.h"
+#include "support/LineFramer.h"
 
 #include <chrono>
 #include <cstdarg>
@@ -409,7 +410,7 @@ ServeNode::~ServeNode() {
 }
 
 void ServeNode::readLoop() {
-  std::string Buf;
+  LineFramer Lines;
   char Chunk[4096];
   while (!Stop.load()) {
     int Ready = pollReadable2(Fds[0], -1, 100);
@@ -420,11 +421,9 @@ void ServeNode::readLoop() {
     int64_t N = readSome(Fds[0], Chunk, sizeof(Chunk));
     if (N <= 0)
       break;
-    Buf.append(Chunk, static_cast<size_t>(N));
-    size_t Pos;
-    while ((Pos = Buf.find('\n')) != std::string::npos) {
-      std::string Line = Buf.substr(0, Pos);
-      Buf.erase(0, Pos + 1);
+    Lines.feed(Chunk, static_cast<size_t>(N));
+    while (std::optional<LineFramer::Frame> F = Lines.next()) {
+      std::string Line(F->Line);
       Log.feed(Line);
       if (Echo)
         std::fprintf(stderr, "%s\n", Line.c_str());

@@ -66,6 +66,7 @@
 #include "net/Client.h"
 #include "net/Socket.h"
 #include "service/Json.h"
+#include "support/StringUtils.h"
 
 #include <cstdio>
 #include <fstream>
@@ -89,20 +90,6 @@ int usage() {
       "                     [--backoff-cap-ms N] [--retry-budget-ms N] "
       "[--seed N]\n");
   return 2;
-}
-
-std::optional<uint64_t> parseCount(const std::string &Text) {
-  if (Text.empty())
-    return std::nullopt;
-  uint64_t Value = 0;
-  for (char C : Text) {
-    if (C < '0' || C > '9')
-      return std::nullopt;
-    if (Value > (UINT64_MAX - static_cast<uint64_t>(C - '0')) / 10)
-      return std::nullopt;
-    Value = Value * 10 + static_cast<uint64_t>(C - '0');
-  }
-  return Value;
 }
 
 /// Severity of one response for the exit taxonomy.
@@ -213,25 +200,28 @@ int main(int argc, char **argv) {
                Arg == "--backoff-cap-ms" || Arg == "--retry-budget-ms" ||
                Arg == "--seed") {
       std::optional<std::string> Value = NextValue();
-      std::optional<uint64_t> N = Value ? parseCount(*Value) : std::nullopt;
-      if (!N) {
-        std::fprintf(stderr, "error: %s expects a number\n", Arg.c_str());
+      std::string V = Value.value_or("");
+      bool Ok;
+      if (Arg == "--connect-timeout-ms")
+        Ok = parseCountInto(V, Opts.ConnectTimeoutMs);
+      else if (Arg == "--timeout-ms")
+        Ok = parseCountInto(V, Opts.ResponseTimeoutMs);
+      else if (Arg == "--attempts")
+        Ok = parseCountInto(V, Opts.MaxAttempts);
+      else if (Arg == "--backoff-ms")
+        Ok = parseCountInto(V, Opts.BackoffBaseMs);
+      else if (Arg == "--backoff-cap-ms")
+        Ok = parseCountInto(V, Opts.BackoffCapMs);
+      else if (Arg == "--retry-budget-ms")
+        Ok = parseCountInto(V, Opts.RetryBudgetMs);
+      else
+        Ok = parseCountInto(V, Opts.JitterSeed);
+      if (!Ok) {
+        std::fprintf(stderr,
+                     "error: %s expects a non-negative integer in range\n",
+                     Arg.c_str());
         return usage();
       }
-      if (Arg == "--connect-timeout-ms")
-        Opts.ConnectTimeoutMs = static_cast<int>(*N);
-      else if (Arg == "--timeout-ms")
-        Opts.ResponseTimeoutMs = static_cast<int>(*N);
-      else if (Arg == "--attempts")
-        Opts.MaxAttempts = static_cast<unsigned>(*N);
-      else if (Arg == "--backoff-ms")
-        Opts.BackoffBaseMs = *N;
-      else if (Arg == "--backoff-cap-ms")
-        Opts.BackoffCapMs = *N;
-      else if (Arg == "--retry-budget-ms")
-        Opts.RetryBudgetMs = *N;
-      else
-        Opts.JitterSeed = *N;
     } else {
       std::fprintf(stderr, "error: unknown option '%s'\n", Arg.c_str());
       return usage();

@@ -24,6 +24,7 @@
 
 #include "net/ChaosProxy.h"
 #include "net/Socket.h"
+#include "support/StringUtils.h"
 
 #include <atomic>
 #include <chrono>
@@ -45,20 +46,6 @@ int usage() {
       "                       [--stall-permille N] [--delay-permille N]\n"
       "                       [--delay-ms N] [--stall-ms N] [--seed N]\n");
   return 2;
-}
-
-std::optional<uint64_t> parseCount(const std::string &Text) {
-  if (Text.empty())
-    return std::nullopt;
-  uint64_t Value = 0;
-  for (char C : Text) {
-    if (C < '0' || C > '9')
-      return std::nullopt;
-    if (Value > (UINT64_MAX - static_cast<uint64_t>(C - '0')) / 10)
-      return std::nullopt;
-    Value = Value * 10 + static_cast<uint64_t>(C - '0');
-  }
-  return Value;
 }
 
 std::atomic<bool> StopRequested{false};
@@ -97,25 +84,28 @@ int main(int argc, char **argv) {
                Arg == "--delay-ms" || Arg == "--stall-ms" ||
                Arg == "--seed") {
       std::optional<std::string> Value = NextValue();
-      std::optional<uint64_t> N = Value ? parseCount(*Value) : std::nullopt;
-      if (!N) {
-        std::fprintf(stderr, "error: %s expects a number\n", Arg.c_str());
+      std::string V = Value.value_or("");
+      bool Ok;
+      if (Arg == "--reset-permille")
+        Ok = parseCountInto(V, Opts.ResetPermille);
+      else if (Arg == "--truncate-permille")
+        Ok = parseCountInto(V, Opts.TruncatePermille);
+      else if (Arg == "--stall-permille")
+        Ok = parseCountInto(V, Opts.StallPermille);
+      else if (Arg == "--delay-permille")
+        Ok = parseCountInto(V, Opts.DelayPermille);
+      else if (Arg == "--delay-ms")
+        Ok = parseCountInto(V, Opts.DelayMs);
+      else if (Arg == "--stall-ms")
+        Ok = parseCountInto(V, Opts.StallMs);
+      else
+        Ok = parseCountInto(V, Opts.Seed);
+      if (!Ok) {
+        std::fprintf(stderr,
+                     "error: %s expects a non-negative integer in range\n",
+                     Arg.c_str());
         return usage();
       }
-      if (Arg == "--reset-permille")
-        Opts.ResetPermille = static_cast<unsigned>(*N);
-      else if (Arg == "--truncate-permille")
-        Opts.TruncatePermille = static_cast<unsigned>(*N);
-      else if (Arg == "--stall-permille")
-        Opts.StallPermille = static_cast<unsigned>(*N);
-      else if (Arg == "--delay-permille")
-        Opts.DelayPermille = static_cast<unsigned>(*N);
-      else if (Arg == "--delay-ms")
-        Opts.DelayMs = *N;
-      else if (Arg == "--stall-ms")
-        Opts.StallMs = *N;
-      else
-        Opts.Seed = *N;
     } else {
       std::fprintf(stderr, "error: unknown option '%s'\n", Arg.c_str());
       return usage();

@@ -183,14 +183,14 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "net/Client.h"
 #include "net/Socket.h"
 #include "net/StandbyTail.h"
 #include "net/TcpServer.h"
 #include "service/Json.h"
 #include "service/Server.h"
 #include "support/Pipe.h"
-
-#include <memory>
+#include "support/StringUtils.h"
 
 #include <atomic>
 #include <cerrno>
@@ -198,13 +198,17 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #ifdef JSLICE_HAVE_POSIX_PROCESS
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -250,20 +254,6 @@ int usage() {
   return 2;
 }
 
-std::optional<uint64_t> parseCount(const std::string &Text) {
-  if (Text.empty())
-    return std::nullopt;
-  uint64_t Value = 0;
-  for (char C : Text) {
-    if (C < '0' || C > '9')
-      return std::nullopt;
-    if (Value > (UINT64_MAX - static_cast<uint64_t>(C - '0')) / 10)
-      return std::nullopt;
-    Value = Value * 10 + static_cast<uint64_t>(C - '0');
-  }
-  return Value;
-}
-
 std::atomic<bool> ShutdownRequested{false};
 std::atomic<bool> UpgradeRequested{false};
 
@@ -285,66 +275,36 @@ extern "C" void onUpgradeSignal(int) {
   UpgradeRequested.store(true, std::memory_order_relaxed);
 }
 
-/// Reads stdin line by line with poll() across both stdin and the
-/// self-pipe, feeding each line to the server. Returns when stdin hits
-/// EOF or a shutdown signal lands — a signal interrupts even an idle
-/// blocking read, which plain std::getline cannot guarantee.
-void serveSignalAware(Server &S) {
-  Pipe Self;
-  if (!Self.make()) {
-    S.serve(std::cin); // Degraded: signals still set the flag.
-    return;
-  }
-  SelfPipeWrite = Self.WriteFd;
-
+/// Installs the signal handlers, once for every transport. No
+/// SA_RESTART: a blocked poll or read must break.
+void installSignalHandlers(bool Upgradable) {
   struct sigaction SA = {};
-  SA.sa_handler = onShutdownSignal; // No SA_RESTART: reads must break.
+  SA.sa_handler = onShutdownSignal;
   sigemptyset(&SA.sa_mask);
   ::sigaction(SIGTERM, &SA, nullptr);
   ::sigaction(SIGINT, &SA, nullptr);
-
-  std::string Buf;
-  char Chunk[4096];
-  bool Eof = false;
-  bool Discarding = false; // Swallowing the tail of an oversized line.
-  while (!Eof && !ShutdownRequested.load(std::memory_order_relaxed)) {
-    int Ready = pollReadable2(0, Self.ReadFd, -1);
-    if (Ready < 0)
-      break;
-    if (Ready & 2) // Self-pipe: a signal landed.
-      break;
-    if (!(Ready & 1))
-      continue;
-    int64_t N = readSome(0, Chunk, sizeof(Chunk));
-    if (N <= 0)
-      Eof = true;
-    else
-      Buf.append(Chunk, static_cast<size_t>(N));
-    size_t Pos;
-    while ((Pos = Buf.find('\n')) != std::string::npos) {
-      if (Discarding)
-        Discarding = false; // The newline ends the refused line.
-      else
-        S.serveLine(Buf.substr(0, Pos));
-      Buf.erase(0, Pos + 1);
-      if (ShutdownRequested.load(std::memory_order_relaxed))
-        break;
-    }
-    // A line past the cap with no newline in sight: refuse it now and
-    // swallow the rest as it streams in, so an adversarial input with
-    // no newline cannot grow this buffer without limit.
-    if (!Discarding && S.maxLineBytes() && Buf.size() > S.maxLineBytes()) {
-      S.refuseOversizedLine();
-      Buf.clear();
-      Discarding = true;
-    }
+  if (Upgradable) {
+    SA.sa_handler = onUpgradeSignal;
+    ::sigaction(SIGUSR2, &SA, nullptr);
   }
-  if (Eof && !Buf.empty() && !Discarding &&
-      !ShutdownRequested.load(std::memory_order_relaxed))
-    S.serveLine(Buf); // Final unterminated line.
+}
 
+/// Serves the requests on \p Fd (stdin or --input FILE) until EOF or a
+/// shutdown signal. poll() watches the fd and a self-pipe the shutdown
+/// handler writes, so a signal interrupts even an idle blocking read;
+/// Server::serve does the framing under the line cap.
+void serveFd(Server &S, int Fd) {
+  Pipe Self;
+  if (Self.make())
+    SelfPipeWrite = Self.WriteFd;
+  S.serve([&](char *Buf, size_t Size) -> int64_t {
+    int Ready = pollReadable2(Fd, Self.ReadFd, -1);
+    if (Ready < 0 || (Ready & 2)) // Self-pipe: a signal landed.
+      return -1;
+    int64_t N = readSome(Fd, Buf, Size);
+    return N < 0 ? 0 : N;
+  });
   SelfPipeWrite = -1;
-  Self.close();
 }
 
 /// Everything the upgrade monitor needs to spawn, supervise, and (on
@@ -369,40 +329,22 @@ struct UpgradeContext {
 /// probe can land on the predecessor — that is a retry, not a failure.
 bool selfProbeReady(const std::string &Host, uint16_t Port, uint64_t Gen,
                     const std::atomic<bool> &Abort) {
+  ClientOptions CO;
+  CO.Host = Host;
+  CO.Port = Port;
+  CO.ConnectTimeoutMs = 250;
+  CO.ResponseTimeoutMs = 1000;
+  ClientConnection Probe(CO);
   for (int Attempt = 0; Attempt != 50; ++Attempt) {
     if (Abort.load(std::memory_order_relaxed))
       return false;
-    std::string Err;
-    int Fd = connectTcp(Host, Port, /*TimeoutMs=*/250, Err);
-    if (Fd >= 0) {
-      static const char Probe[] = "{\"health\":true}\n";
-      size_t Off = 0;
-      bool Sent = true;
-      while (Off < sizeof(Probe) - 1) {
-        int64_t W = sendSome(Fd, Probe + Off, sizeof(Probe) - 1 - Off);
-        if (W <= 0) {
-          Sent = false;
-          break;
-        }
-        Off += static_cast<size_t>(W);
-      }
-      std::string Line;
-      if (Sent) {
-        char C;
-        while (Line.size() < 65536) {
-          int64_t R = recvSome(Fd, &C, 1);
-          if (R <= 0 || C == '\n')
-            break;
-          Line.push_back(C);
-        }
-      }
-      ::close(Fd);
-      std::optional<JsonValue> V = JsonValue::parse(Line, nullptr);
-      const JsonValue *G = V ? V->find("generation") : nullptr;
-      if (G && G->isNumber() &&
-          static_cast<uint64_t>(G->asInt()) == Gen)
-        return true;
-    }
+    ClientResult R = Probe.requestOnce("{\"health\":true}");
+    Probe.disconnect(); // The next probe may land on the other generation.
+    std::optional<JsonValue> V =
+        R.Ok ? JsonValue::parse(R.Response, nullptr) : std::nullopt;
+    const JsonValue *G = V ? V->find("generation") : nullptr;
+    if (G && G->isNumber() && static_cast<uint64_t>(G->asInt()) == Gen)
+      return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   return false;
@@ -579,13 +521,56 @@ int main(int argc, char **argv) {
   std::string InputPath;
   std::string ListenSpec;
   std::string StandbySpec; // --standby-of HOST:PORT
+  StandbyTailOptions TailOpts;
   bool UpgradeEnabled = true;   // --upgrade on|off
-  long ListenerSocketFd = -1;   // --listener-socket (internal plumbing)
-  long ReadyFd = -1;            // --ready-fd (internal plumbing)
+  int ListenerSocketFd = -1;    // --listener-socket (internal plumbing)
+  int ReadyFd = -1;             // --ready-fd (internal plumbing)
   uint64_t ReadyDelayMs = 0;    // --ready-delay-ms (test hook)
   Opts.ShutdownFlag = &ShutdownRequested;
   Opts.AbortFlag = &ShutdownRequested;
   TcpOpts.ShutdownFlag = &ShutdownRequested;
+
+  // Every numeric flag and its field. A value the field's type cannot
+  // hold is a usage error, never a silently narrowed one.
+  std::map<std::string, std::function<bool(const std::string &)>> Counts;
+  auto Count = [&Counts](const char *Flag, auto &Field) {
+    Counts[Flag] = [&Field](const std::string &V) {
+      return parseCountInto(V, Field);
+    };
+  };
+  Count("--threads", Opts.Threads);
+  Count("--budget-ms", Opts.DefaultBudget.DeadlineMs);
+  Count("--max-steps", Opts.DefaultBudget.MaxSteps);
+  Count("--poll-stride", Opts.DefaultBudget.PollStride);
+  Count("--scale-percent", Opts.Ladder.ScalePercent);
+  Count("--backoff-ms", Opts.Ladder.BackoffMs);
+  Count("--workers", Opts.Super.Workers);
+  Count("--max-queue-depth", Opts.MaxQueueDepth);
+  Count("--queue-deadline-ms", Opts.QueueDeadlineMs);
+  Count("--max-rss-mb", Opts.MaxRssMb);
+  Count("--journal-rotate-bytes", Opts.JournalRotateBytes);
+  Count("--max-line-bytes", Opts.MaxLineBytes);
+  Count("--max-conns", TcpOpts.MaxConnections);
+  Count("--idle-timeout-ms", TcpOpts.IdleTimeoutMs);
+  Count("--read-deadline-ms", TcpOpts.ReadDeadlineMs);
+  Count("--write-buffer-bytes", TcpOpts.MaxWriteBufferBytes);
+  Count("--drain-grace-ms", TcpOpts.DrainGraceMs);
+  Count("--send-buffer-bytes", TcpOpts.SendBufferBytes);
+  Count("--shards", TcpOpts.Shards);
+  Count("--journal-flush-ms", Opts.JournalFlushIntervalMs);
+  Count("--wedge-threshold-ms", TcpOpts.WedgeThresholdMs);
+  Count("--generation", Opts.Generation);
+  Count("--upgrade-from", Opts.PredecessorPid);
+  Count("--ready-fd", ReadyFd);
+  Count("--listener-socket", ListenerSocketFd);
+  Count("--ready-delay-ms", ReadyDelayMs);
+  Count("--cache-entries", Opts.Cache.MaxEntries);
+  Count("--cache-bytes", Opts.Cache.MaxBytes);
+  Count("--cache-audit-every", Opts.Cache.AuditEvery);
+  Count("--cache-audit-seed", Opts.Cache.AuditSeed);
+  Count("--journal-reattach-ms", Opts.JournalReattachIntervalMs);
+  Count("--epoch", Opts.Epoch);
+  Count("--repl-ack-timeout-ms", Opts.ReplAckTimeoutMs);
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -635,9 +620,8 @@ int main(int argc, char **argv) {
       }
     } else if (Arg == "--standby-of") {
       std::optional<std::string> Value = NextValue();
-      std::string Host;
-      uint16_t Port = 0;
-      if (!Value || !parseHostPort(*Value, Host, Port) || !Port) {
+      if (!Value || !parseHostPort(*Value, TailOpts.Host, TailOpts.Port) ||
+          !TailOpts.Port) {
         std::fprintf(stderr,
                      "error: --standby-of expects HOST:PORT (port != 0)\n");
         return usage();
@@ -678,95 +662,14 @@ int main(int argc, char **argv) {
         }
       } else
         Opts.HangAfterBeginId = *Value; // Test hook (see Server.h).
-    } else if (Arg == "--threads" || Arg == "--budget-ms" ||
-               Arg == "--max-steps" || Arg == "--poll-stride" ||
-               Arg == "--scale-percent" || Arg == "--backoff-ms" ||
-               Arg == "--workers" || Arg == "--max-queue-depth" ||
-               Arg == "--queue-deadline-ms" || Arg == "--max-rss-mb" ||
-               Arg == "--journal-rotate-bytes" || Arg == "--max-line-bytes" ||
-               Arg == "--max-conns" || Arg == "--idle-timeout-ms" ||
-               Arg == "--read-deadline-ms" || Arg == "--write-buffer-bytes" ||
-               Arg == "--drain-grace-ms" || Arg == "--send-buffer-bytes" ||
-               Arg == "--shards" || Arg == "--journal-flush-ms" ||
-               Arg == "--wedge-threshold-ms" || Arg == "--generation" ||
-               Arg == "--upgrade-from" || Arg == "--ready-fd" ||
-               Arg == "--listener-socket" || Arg == "--ready-delay-ms" ||
-               Arg == "--cache-entries" || Arg == "--cache-bytes" ||
-               Arg == "--cache-audit-every" || Arg == "--cache-audit-seed" ||
-               Arg == "--journal-reattach-ms" || Arg == "--epoch" ||
-               Arg == "--repl-ack-timeout-ms") {
+    } else if (auto C = Counts.find(Arg); C != Counts.end()) {
       std::optional<std::string> Value = NextValue();
-      std::optional<uint64_t> N = Value ? parseCount(*Value) : std::nullopt;
-      if (!N) {
-        std::fprintf(stderr, "error: %s expects a number\n", Arg.c_str());
+      if (!Value || !C->second(*Value)) {
+        std::fprintf(stderr,
+                     "error: %s expects a non-negative integer in range\n",
+                     Arg.c_str());
         return usage();
       }
-      if (Arg == "--threads")
-        Opts.Threads = static_cast<unsigned>(*N);
-      else if (Arg == "--budget-ms")
-        Opts.DefaultBudget.DeadlineMs = *N;
-      else if (Arg == "--max-steps")
-        Opts.DefaultBudget.MaxSteps = *N;
-      else if (Arg == "--poll-stride")
-        Opts.DefaultBudget.PollStride = *N;
-      else if (Arg == "--scale-percent")
-        Opts.Ladder.ScalePercent = static_cast<unsigned>(*N);
-      else if (Arg == "--workers")
-        Opts.Super.Workers = static_cast<unsigned>(*N);
-      else if (Arg == "--max-queue-depth")
-        Opts.MaxQueueDepth = *N;
-      else if (Arg == "--queue-deadline-ms")
-        Opts.QueueDeadlineMs = *N;
-      else if (Arg == "--max-rss-mb")
-        Opts.MaxRssMb = *N;
-      else if (Arg == "--journal-rotate-bytes")
-        Opts.JournalRotateBytes = *N;
-      else if (Arg == "--max-line-bytes")
-        Opts.MaxLineBytes = *N;
-      else if (Arg == "--max-conns")
-        TcpOpts.MaxConnections = static_cast<unsigned>(*N);
-      else if (Arg == "--idle-timeout-ms")
-        TcpOpts.IdleTimeoutMs = *N;
-      else if (Arg == "--read-deadline-ms")
-        TcpOpts.ReadDeadlineMs = *N;
-      else if (Arg == "--write-buffer-bytes")
-        TcpOpts.MaxWriteBufferBytes = *N;
-      else if (Arg == "--drain-grace-ms")
-        TcpOpts.DrainGraceMs = *N;
-      else if (Arg == "--send-buffer-bytes")
-        TcpOpts.SendBufferBytes = static_cast<int>(*N);
-      else if (Arg == "--shards")
-        TcpOpts.Shards = static_cast<unsigned>(*N);
-      else if (Arg == "--journal-flush-ms")
-        Opts.JournalFlushIntervalMs = *N;
-      else if (Arg == "--wedge-threshold-ms")
-        TcpOpts.WedgeThresholdMs = *N;
-      else if (Arg == "--generation")
-        Opts.Generation = *N;
-      else if (Arg == "--upgrade-from")
-        Opts.PredecessorPid = static_cast<long>(*N);
-      else if (Arg == "--ready-fd")
-        ReadyFd = static_cast<long>(*N);
-      else if (Arg == "--listener-socket")
-        ListenerSocketFd = static_cast<long>(*N);
-      else if (Arg == "--ready-delay-ms")
-        ReadyDelayMs = *N;
-      else if (Arg == "--cache-entries")
-        Opts.Cache.MaxEntries = static_cast<unsigned>(*N);
-      else if (Arg == "--cache-bytes")
-        Opts.Cache.MaxBytes = *N;
-      else if (Arg == "--cache-audit-every")
-        Opts.Cache.AuditEvery = static_cast<unsigned>(*N);
-      else if (Arg == "--cache-audit-seed")
-        Opts.Cache.AuditSeed = *N;
-      else if (Arg == "--journal-reattach-ms")
-        Opts.JournalReattachIntervalMs = *N;
-      else if (Arg == "--epoch")
-        Opts.Epoch = *N;
-      else if (Arg == "--repl-ack-timeout-ms")
-        Opts.ReplAckTimeoutMs = *N;
-      else
-        Opts.Ladder.BackoffMs = static_cast<unsigned>(*N);
     } else if (Arg == "--no-degrade") {
       Opts.Ladder.Degrade = false;
     } else {
@@ -812,10 +715,28 @@ int main(int argc, char **argv) {
   }
 #endif
 
+  // Every usage error is decided here, before the Server exists: its
+  // constructor opens the journal and recover() may quarantine and
+  // compact it, which a rejected command line must never do.
   if (Opts.Standby && Opts.JournalPath.empty()) {
     std::fprintf(stderr,
                  "error: --standby-of requires --journal (the replica "
                  "journal is the warm state)\n");
+    return usage();
+  }
+  if (!ListenSpec.empty() && !InputPath.empty()) {
+    std::fprintf(stderr, "error: --listen and --input are exclusive\n");
+    return usage();
+  }
+#ifdef JSLICE_HAVE_POSIX_PROCESS
+  int InputFd = 0; // stdin
+  if (!InputPath.empty() &&
+      (InputFd = ::open(InputPath.c_str(), O_RDONLY | O_CLOEXEC)) < 0) {
+#else
+  std::ifstream InputFile;
+  if (!InputPath.empty() && (InputFile.open(InputPath), !InputFile)) {
+#endif
+    std::fprintf(stderr, "error: cannot open %s\n", InputPath.c_str());
     return usage();
   }
 
@@ -838,12 +759,6 @@ int main(int argc, char **argv) {
   // *primary's* live requests, not casualties.
   std::unique_ptr<StandbyTail> Tail;
   if (Opts.Standby) {
-    StandbyTailOptions TailOpts;
-    if (!parseHostPort(StandbySpec, TailOpts.Host, TailOpts.Port)) {
-      std::fprintf(stderr, "error: bad --standby-of '%s'\n",
-                   StandbySpec.c_str());
-      return usage();
-    }
     if (!S.journal().resetForSnapshot()) {
       std::fprintf(stderr,
                    "error: cannot initialize replica journal %s\n",
@@ -878,12 +793,17 @@ int main(int argc, char **argv) {
                  StandbySpec.c_str());
   }
 
-  if (!ListenSpec.empty()) {
-    if (!InputPath.empty()) {
-      std::fprintf(stderr, "error: --listen and --input are exclusive\n");
-      return usage();
-    }
-    std::optional<TcpServer> TOpt;
+#ifdef JSLICE_HAVE_POSIX_PROCESS
+  installSignalHandlers(Upgradable);
+#endif
+  std::optional<TcpServer> TOpt;
+  if (ListenSpec.empty()) {
+#ifdef JSLICE_HAVE_POSIX_PROCESS
+    serveFd(S, InputFd);
+#else
+    S.serve(InputPath.empty() ? std::cin : InputFile);
+#endif
+  } else {
     TOpt.emplace(S, TcpOpts, std::cerr);
     std::string Err;
     bool Started = TOpt->start(Err);
@@ -892,7 +812,7 @@ int main(int argc, char **argv) {
       // Successor fallback: the predecessor shipped its listener over
       // SCM_RIGHTS for exactly this case (no SO_REUSEPORT, or the bind
       // raced a port reuse). Adopt the inherited fd and retry.
-      int Lfd = recvFdOverSocket(static_cast<int>(ListenerSocketFd), 5000);
+      int Lfd = recvFdOverSocket(ListenerSocketFd, 5000);
       if (Lfd >= 0) {
         TcpOpts.InheritedListenerFd = Lfd;
         TOpt.emplace(S, TcpOpts, std::cerr);
@@ -908,7 +828,7 @@ int main(int argc, char **argv) {
       }
     }
     if (ListenerSocketFd >= 0)
-      ::close(static_cast<int>(ListenerSocketFd));
+      ::close(ListenerSocketFd);
 #endif
     if (!Started) {
       std::fprintf(stderr, "error: cannot listen on %s: %s\n",
@@ -916,19 +836,6 @@ int main(int argc, char **argv) {
       return usage();
     }
     TcpServer &T = *TOpt;
-#ifdef JSLICE_HAVE_POSIX_PROCESS
-    struct sigaction SA = {};
-    SA.sa_handler = onShutdownSignal; // No SA_RESTART: poll must break.
-    sigemptyset(&SA.sa_mask);
-    ::sigaction(SIGTERM, &SA, nullptr);
-    ::sigaction(SIGINT, &SA, nullptr);
-    if (Upgradable) {
-      struct sigaction UA = {};
-      UA.sa_handler = onUpgradeSignal;
-      sigemptyset(&UA.sa_mask);
-      ::sigaction(SIGUSR2, &UA, nullptr);
-    }
-#endif
     // Parsable by wrappers (the port matters with --listen HOST:0);
     // keep the port at end of line, scripts anchor on it.
     std::fprintf(stderr, "jslice_serve: listening on %s:%u\n",
@@ -952,7 +859,7 @@ int main(int argc, char **argv) {
       uint64_t Gen = Opts.Generation;
       std::string Host = TcpOpts.Host;
       uint16_t Port = T.port();
-      int Fd = static_cast<int>(ReadyFd);
+      int Fd = ReadyFd;
       uint64_t Delay = ReadyDelayMs;
       ReadyThread = std::thread([&ThreadsStop, Gen, Host, Port, Fd, Delay] {
         for (uint64_t Slept = 0;
@@ -1025,38 +932,6 @@ int main(int argc, char **argv) {
       ReadyThread.join();
 #else
     T.run();
-#endif
-    S.finish();
-    if (S.journalAborted()) {
-      std::fprintf(stderr, "jslice_serve: journal failed; drained and "
-                           "exiting (--journal-failure=abort)\n");
-      return 3;
-    }
-    if (ShutdownRequested.load(std::memory_order_relaxed))
-      std::fprintf(stderr, "jslice_serve: drained and shut down cleanly\n");
-    return 0;
-  }
-
-  if (!InputPath.empty()) {
-#ifdef JSLICE_HAVE_POSIX_PROCESS
-    std::signal(SIGTERM, [](int) {
-      ShutdownRequested.store(true, std::memory_order_relaxed);
-    });
-    std::signal(SIGINT, [](int) {
-      ShutdownRequested.store(true, std::memory_order_relaxed);
-    });
-#endif
-    std::ifstream In(InputPath);
-    if (!In) {
-      std::fprintf(stderr, "error: cannot open %s\n", InputPath.c_str());
-      return usage();
-    }
-    S.serve(In);
-  } else {
-#ifdef JSLICE_HAVE_POSIX_PROCESS
-    serveSignalAware(S);
-#else
-    S.serve(std::cin);
 #endif
   }
 

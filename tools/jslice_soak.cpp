@@ -38,9 +38,12 @@
 #include "net/StandbyTail.h"
 #include "service/Journal.h"
 #include "service/JournalIo.h"
+#include "support/LineFramer.h"
+#include "support/StringUtils.h"
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -76,20 +79,6 @@ int usage() {
       "  [--cache-audit-every N] [--audit-seeds N] [--verbose]\n",
       stderr);
   return 2;
-}
-
-std::optional<uint64_t> parseCount(const std::string &Text) {
-  if (Text.empty())
-    return std::nullopt;
-  uint64_t Value = 0;
-  for (char C : Text) {
-    if (C < '0' || C > '9')
-      return std::nullopt;
-    if (Value > (UINT64_MAX - static_cast<uint64_t>(C - '0')) / 10)
-      return std::nullopt;
-    Value = Value * 10 + static_cast<uint64_t>(C - '0');
-  }
-  return Value;
 }
 
 /// A pure slice-request stream: no garbage, no cancels, so "answered
@@ -1331,22 +1320,17 @@ std::optional<BenchRun> benchTcp(const ServerOptions &SOpts, unsigned Shards,
         }
       });
       std::vector<std::string> Local;
-      std::string Partial;
+      LineFramer Responses;
       char Chunk[65536];
       for (uint64_t Got = 0; Got < Expect[CI];) {
         int64_t N = recvSome(Fd, Chunk, sizeof(Chunk));
         if (N <= 0)
           break;
-        for (int64_t I = 0; I != N; ++I) {
-          if (Chunk[I] != '\n') {
-            if (A)
-              Partial.push_back(Chunk[I]);
-            continue;
-          }
+        Responses.feed(Chunk, static_cast<size_t>(N));
+        while (std::optional<LineFramer::Frame> F = Responses.next()) {
           ++Got;
           if (A)
-            Local.push_back(std::move(Partial));
-          Partial.clear();
+            Local.emplace_back(F->Line);
         }
       }
       Writer.join();
@@ -1746,12 +1730,15 @@ int main(int argc, char **argv) {
       return usage();
     }
     std::string Value = argv[++I];
-    std::optional<uint64_t> N = parseCount(Value);
+    std::optional<uint64_t> N =
+        parseCount(Value, Narrow.count(Arg) ? UINT_MAX : UINT64_MAX);
     if (AtLeastOne.count(Arg) && N)
       N = std::max<uint64_t>(1, *N);
     bool Numeric = Wide.count(Arg) || Narrow.count(Arg);
     if (Numeric && !N) {
-      std::fprintf(stderr, "error: %s expects a number\n", Arg.c_str());
+      std::fprintf(stderr,
+                   "error: %s expects a non-negative integer in range\n",
+                   Arg.c_str());
       return usage();
     }
     if (auto W = Wide.find(Arg); W != Wide.end())

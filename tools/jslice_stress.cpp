@@ -163,20 +163,6 @@ int usage() {
   return 2;
 }
 
-std::optional<uint64_t> parseCount(const std::string &Text) {
-  if (Text.empty())
-    return std::nullopt;
-  uint64_t Value = 0;
-  for (char C : Text) {
-    if (C < '0' || C > '9')
-      return std::nullopt;
-    if (Value > (UINT64_MAX - static_cast<uint64_t>(C - '0')) / 10)
-      return std::nullopt;
-    Value = Value * 10 + static_cast<uint64_t>(C - '0');
-  }
-  return Value;
-}
-
 bool parseSeedRange(const std::string &Text, StressOptions &Opts) {
   size_t Dots = Text.find("..");
   if (Dots == std::string::npos) {
@@ -643,19 +629,22 @@ int main(int argc, char **argv) {
     } else if (Arg == "--stmts" || Arg == "--max-criteria" ||
                Arg == "--trials" || Arg == "--fault-stride") {
       std::optional<std::string> Value = NextValue();
-      std::optional<uint64_t> N = Value ? parseCount(*Value) : std::nullopt;
-      if (!N) {
-        std::fprintf(stderr, "error: %s expects a number\n", Arg.c_str());
+      std::string V = Value.value_or("");
+      bool Ok;
+      if (Arg == "--stmts")
+        Ok = parseCountInto(V, Opts.TargetStmts);
+      else if (Arg == "--max-criteria")
+        Ok = parseCountInto(V, Opts.MaxCriteria);
+      else if (Arg == "--trials")
+        Ok = parseCountInto(V, Opts.Trials);
+      else
+        Ok = parseCountInto(V, Opts.FaultStride);
+      if (!Ok) {
+        std::fprintf(stderr,
+                     "error: %s expects a non-negative integer in range\n",
+                     Arg.c_str());
         return usage();
       }
-      if (Arg == "--stmts")
-        Opts.TargetStmts = static_cast<unsigned>(*N);
-      else if (Arg == "--max-criteria")
-        Opts.MaxCriteria = static_cast<unsigned>(*N);
-      else if (Arg == "--trials")
-        Opts.Trials = static_cast<unsigned>(*N);
-      else
-        Opts.FaultStride = *N;
     } else if (Arg == "--replay-journal") {
       std::optional<std::string> Value = NextValue();
       if (!Value) {

@@ -72,6 +72,7 @@
 
 #include "harness/Harness.h"
 #include "net/Socket.h"
+#include "support/StringUtils.h"
 
 #include <chrono>
 #include <csignal>
@@ -98,20 +99,6 @@ int usage() {
       "                       [--standby HOST:PORT]\n"
       "                       -- jslice_serve --listen HOST:PORT ...\n");
   return 2;
-}
-
-std::optional<uint64_t> parseCount(const std::string &Text) {
-  if (Text.empty())
-    return std::nullopt;
-  uint64_t Value = 0;
-  for (char C : Text) {
-    if (C < '0' || C > '9')
-      return std::nullopt;
-    if (Value > (UINT64_MAX - static_cast<uint64_t>(C - '0')) / 10)
-      return std::nullopt;
-    Value = Value * 10 + static_cast<uint64_t>(C - '0');
-  }
-  return Value;
 }
 
 std::atomic<bool> ShutdownRequested{false};
@@ -194,23 +181,26 @@ int main(int argc, char **argv) {
         Arg == "--grace-ms" || Arg == "--restart-threshold" ||
         Arg == "--restart-window-ms" || Arg == "--restart-cooldown-ms") {
       std::optional<std::string> Value = NextValue();
-      std::optional<uint64_t> N = Value ? parseCount(*Value) : std::nullopt;
-      if (!N) {
-        std::fprintf(stderr, "error: %s expects a number\n", Arg.c_str());
+      std::string V = Value.value_or("");
+      bool Ok;
+      if (Arg == "--health-interval-ms")
+        Ok = parseCountInto(V, Opts.HealthIntervalMs);
+      else if (Arg == "--health-failures")
+        Ok = parseCountInto(V, Opts.HealthFailures);
+      else if (Arg == "--grace-ms")
+        Ok = parseCountInto(V, Opts.GraceMs);
+      else if (Arg == "--restart-threshold")
+        Ok = parseCountInto(V, Opts.RestartThreshold);
+      else if (Arg == "--restart-window-ms")
+        Ok = parseCountInto(V, Opts.RestartWindowMs);
+      else
+        Ok = parseCountInto(V, Opts.RestartCooldownMs);
+      if (!Ok) {
+        std::fprintf(stderr,
+                     "error: %s expects a non-negative integer in range\n",
+                     Arg.c_str());
         return usage();
       }
-      if (Arg == "--health-interval-ms")
-        Opts.HealthIntervalMs = *N;
-      else if (Arg == "--health-failures")
-        Opts.HealthFailures = static_cast<unsigned>(*N);
-      else if (Arg == "--grace-ms")
-        Opts.GraceMs = *N;
-      else if (Arg == "--restart-threshold")
-        Opts.RestartThreshold = static_cast<unsigned>(*N);
-      else if (Arg == "--restart-window-ms")
-        Opts.RestartWindowMs = *N;
-      else
-        Opts.RestartCooldownMs = *N;
     } else {
       std::fprintf(stderr, "error: unknown option '%s'\n", Arg.c_str());
       return usage();
