@@ -78,7 +78,7 @@ int main() {
     SliceResult Fig7 = computeSlice(A, RC, SliceAlgorithm::Agrawal);
     std::set<unsigned> Fig7NoAdapt = fig7WithoutAdaptation(A, RC);
     R.expectValue("figure 7 self-heals (same final slice)",
-                  Fig7NoAdapt == Fig7.Nodes ? 1 : 0, 1);
+                  Fig7NoAdapt == std::set<unsigned>(Fig7.Nodes) ? 1 : 0, 1);
   }
 
   R.section("A1 on corpus (does figure 7 always self-heal?)");
@@ -96,7 +96,8 @@ int main() {
         ResolvedCriterion RC = *resolveCriterion(*A, Crit);
         ++Criteria;
         Same += fig7WithoutAdaptation(*A, RC) ==
-                computeSlice(*A, RC, SliceAlgorithm::Agrawal).Nodes;
+                std::set<unsigned>(
+                    computeSlice(*A, RC, SliceAlgorithm::Agrawal).Nodes);
       }
     }
     R.measured("criteria", std::to_string(Criteria));

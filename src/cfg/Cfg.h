@@ -117,7 +117,8 @@ public:
   /// Display label: "entry", "exit", or the statement's line number.
   std::string labelOf(unsigned NodeId) const;
 
-  /// All statement/predicate nodes whose statement starts on \p Line.
+  /// All statement/predicate nodes whose statement starts on \p Line,
+  /// ascending. Reads the line index Cfg::build makes.
   std::vector<unsigned> nodesOnLine(unsigned Line) const;
 
   /// Statement/predicate nodes not reachable from Entry (dead code).
@@ -141,6 +142,10 @@ private:
 
   Cfg() = default;
 
+  /// Builds the line index: one counting pass over the nodes, so
+  /// O(nodes + lines) with no hashing.
+  void indexLines();
+
   const Program *Prog = nullptr;
   Digraph G;
   unsigned Entry = 0;
@@ -151,6 +156,10 @@ private:
   std::unordered_map<unsigned, unsigned> JumpTargets;
   std::unordered_map<unsigned, BranchTargets> Branches;
   std::unordered_map<unsigned, SwitchTargets> Switches;
+  /// Line index, CSR style: the nodes on line L are
+  /// LineNodes[LineStart[L] .. LineStart[L + 1]), ascending.
+  std::vector<unsigned> LineStart;
+  std::vector<unsigned> LineNodes;
 };
 
 } // namespace jslice

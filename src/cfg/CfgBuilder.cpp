@@ -16,6 +16,8 @@
 
 #include "lang/AstWalk.h"
 
+#include <algorithm>
+
 using namespace jslice;
 
 namespace jslice {
@@ -298,6 +300,7 @@ ErrorOr<Cfg> Cfg::build(const Program &Prog, ResourceGuard *Guard) {
   CfgBuilder Builder(Prog, Result, Guard);
   if (!Builder.run(Diags))
     return Diags;
+  Result.indexLines();
   return Result;
 }
 
@@ -356,12 +359,31 @@ std::vector<unsigned> Cfg::unreachableNodes() const {
   return Out;
 }
 
-std::vector<unsigned> Cfg::nodesOnLine(unsigned Line) const {
-  std::vector<unsigned> Out;
+void Cfg::indexLines() {
+  unsigned MaxLine = 0;
   for (const CfgNode &Node : Nodes)
-    if (Node.S && Node.S->getLoc().Line == Line)
-      Out.push_back(Node.Id);
-  return Out;
+    if (Node.S)
+      MaxLine = std::max(MaxLine, Node.S->getLoc().Line);
+  // Count each line's nodes one slot ahead, prefix-sum the counts into
+  // start offsets, then place the nodes in ascending id order.
+  LineStart.assign(MaxLine + 2, 0);
+  for (const CfgNode &Node : Nodes)
+    if (Node.S)
+      ++LineStart[Node.S->getLoc().Line + 1];
+  for (unsigned Line = 1; Line != LineStart.size(); ++Line)
+    LineStart[Line] += LineStart[Line - 1];
+  LineNodes.resize(LineStart.back());
+  std::vector<unsigned> Next(LineStart.begin(), LineStart.end() - 1);
+  for (const CfgNode &Node : Nodes)
+    if (Node.S)
+      LineNodes[Next[Node.S->getLoc().Line]++] = Node.Id;
+}
+
+std::vector<unsigned> Cfg::nodesOnLine(unsigned Line) const {
+  if (size_t(Line) + 1 >= LineStart.size())
+    return {};
+  return std::vector<unsigned>(LineNodes.begin() + LineStart[Line],
+                               LineNodes.begin() + LineStart[Line + 1]);
 }
 
 Digraph Cfg::buildAugmentedGraph(const std::vector<int> &IlsParent) const {

@@ -42,6 +42,25 @@ std::vector<std::pair<unsigned, unsigned>> findCondJumpPairs(const Cfg &C) {
   return Pairs;
 }
 
+/// The jump nodes of \p Order, in that order.
+std::vector<unsigned> jumpsIn(const Cfg &C,
+                              const std::vector<unsigned> &Order) {
+  std::vector<unsigned> Out;
+  for (unsigned Node : Order)
+    if (C.node(Node).isJump())
+      Out.push_back(Node);
+  return Out;
+}
+
+/// All jump nodes of \p C, ascending.
+std::vector<unsigned> allJumps(const Cfg &C) {
+  std::vector<unsigned> Out;
+  for (unsigned Node = 0, E = C.numNodes(); Node != E; ++Node)
+    if (C.node(Node).isJump())
+      Out.push_back(Node);
+  return Out;
+}
+
 /// FOW control dependence of \p Flow, plus an edge from every switch
 /// head to each statement nested in its body that postdominates it.
 /// C's fall-through makes such statements run on every dispatch, so
@@ -82,7 +101,9 @@ Analysis::Analysis(std::unique_ptr<Program> Prog, Cfg Built,
       P(controlDependence(C, C.graph(), Pdt, GuardPtr.get()),
         buildDataDependence(C, DU, RD)),
       Aug(std::make_unique<LazyBuild<Augmented>>()),
-      CondJumps(findCondJumpPairs(C)) {}
+      CondJumps(findCondJumpPairs(C)), Jumps(allJumps(C)),
+      PdtJumps(jumpsIn(C, Pdt.preorder())),
+      LstJumps(jumpsIn(C, Lst.preorder())) {}
 
 const Analysis::Augmented *Analysis::augmented(ResourceGuard &G) const {
   return Aug->getOrBuild([&]() -> std::unique_ptr<Augmented> {

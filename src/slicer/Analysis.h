@@ -111,6 +111,14 @@ public:
     return CondJumps;
   }
 
+  /// Every jump node (goto/break/continue/return), ascending.
+  const std::vector<unsigned> &jumps() const { return Jumps; }
+
+  /// The jump subsequence of pdt().preorder() and lst().preorder(), in
+  /// preorder: the only nodes a Figure 7 pass tests.
+  const std::vector<unsigned> &pdtJumpOrder() const { return PdtJumps; }
+  const std::vector<unsigned> &lstJumpOrder() const { return LstJumps; }
+
 private:
   Analysis(std::unique_ptr<Program> Prog, Cfg Built,
            std::shared_ptr<ResourceGuard> Guard);
@@ -130,6 +138,9 @@ private:
   /// Behind a pointer so the Analysis stays movable.
   std::unique_ptr<LazyBuild<Augmented>> Aug;
   std::vector<std::pair<unsigned, unsigned>> CondJumps;
+  std::vector<unsigned> Jumps;
+  std::vector<unsigned> PdtJumps;
+  std::vector<unsigned> LstJumps;
 };
 
 } // namespace jslice

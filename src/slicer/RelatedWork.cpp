@@ -69,14 +69,14 @@ std::vector<unsigned> basicBlockFrom(const Cfg &C, unsigned Head) {
 
 void detail::addLyleJumps(const Analysis &A, const ClosureSource &Close,
                           BitVector &Slice) {
-  closeWithAdaptation(A, Close, Slice, jumpNodes(A.cfg()));
+  closeWithAdaptation(A, Close, Slice, A.jumps());
 }
 
 void detail::addGallagherJumps(const Analysis &A, const ClosureSource &Close,
                                BitVector &Slice) {
   for (bool Changed = true; Changed;) {
     Changed = false;
-    for (unsigned J : jumpNodes(A.cfg())) {
+    for (unsigned J : A.jumps()) {
       if (Slice.test(J))
         continue;
       std::optional<unsigned> Target = A.cfg().jumpTarget(J);
@@ -97,7 +97,7 @@ void detail::addGallagherJumps(const Analysis &A, const ClosureSource &Close,
 }
 
 void detail::addJiangZhouRobsonJumps(const Analysis &A, BitVector &Slice) {
-  for (unsigned J : jumpNodes(A.cfg())) {
+  for (unsigned J : A.jumps()) {
     std::optional<unsigned> Target = A.cfg().jumpTarget(J);
     if (!Target)
       continue;

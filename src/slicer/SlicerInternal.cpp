@@ -126,16 +126,15 @@ unsigned detail::nearestLexSuccInSlice(const Analysis &A, unsigned Node,
                         [&](unsigned N) { return A.lst().parent(N); });
 }
 
-void detail::finishResult(const Analysis &A, const BitVector &Slice,
+void detail::finishResult(const Analysis &A, BitVector Slice,
                           SliceResult &R) {
-  Slice.forEachSetBit([&](size_t Node) {
-    R.Nodes.insert(static_cast<unsigned>(Node));
-  });
   // Figure 7's final step: every in-slice goto whose target statement
   // left the slice has its label re-associated with the target's
   // nearest postdominator in the slice (Exit: end of program).
-  for (unsigned Node : R.Nodes) {
-    const auto *Goto = dyn_cast_if_present<GotoStmt>(A.cfg().node(Node).S);
+  for (unsigned Node : A.jumps()) {
+    if (!Slice.test(Node))
+      continue;
+    const auto *Goto = dyn_cast<GotoStmt>(A.cfg().node(Node).S);
     if (!Goto)
       continue;
     std::optional<unsigned> Target = A.cfg().jumpTarget(Node);
@@ -146,12 +145,5 @@ void detail::finishResult(const Analysis &A, const BitVector &Slice,
         *Target == A.cfg().exit() ? *Target
                                   : nearestPostdomInSlice(A, *Target, Slice);
   }
-}
-
-std::vector<unsigned> detail::jumpNodes(const Cfg &C) {
-  std::vector<unsigned> Out;
-  for (unsigned Node = 0, E = C.numNodes(); Node != E; ++Node)
-    if (C.node(Node).isJump())
-      Out.push_back(Node);
-  return Out;
+  R.Nodes = NodeSet(std::move(Slice));
 }

@@ -153,9 +153,9 @@ SliceResult computeSlice(const Analysis &A, const ResolvedCriterion &RC,
                          SliceAlgorithm Algorithm,
                          const ClosureSource &Close);
 
-/// Converts the working bitset into \p R's public node set and runs
-/// the Figure 7 final step (label re-association).
-void finishResult(const Analysis &A, const BitVector &Slice, SliceResult &R);
+/// Runs the Figure 7 final step (label re-association) over the
+/// slice's jumps and moves the working bitset into \p R's node set.
+void finishResult(const Analysis &A, BitVector Slice, SliceResult &R);
 
 /// The closure of \p Seeds plus the conditional-jump adaptation to a
 /// fixpoint — the conventional slice every algorithm starts from.
@@ -171,9 +171,6 @@ void addLyleJumps(const Analysis &A, const ClosureSource &Close,
 void addGallagherJumps(const Analysis &A, const ClosureSource &Close,
                        BitVector &Slice);
 void addJiangZhouRobsonJumps(const Analysis &A, BitVector &Slice);
-
-/// All jump nodes of the CFG, ascending.
-std::vector<unsigned> jumpNodes(const Cfg &C);
 
 } // namespace detail
 } // namespace jslice

@@ -91,19 +91,21 @@ bool jslice::algorithmIsSound(SliceAlgorithm Algorithm) {
 
 namespace {
 
-/// One Figure 7 preorder pass over \p Order: adds every jump whose
-/// nearest postdominator in the slice differs from its nearest lexical
-/// successor in the slice, with the jump's closure, appending it to
-/// \p Added. The pass is charged one step per tree node up front, plus
-/// a checkpoint per jump it tests. Returns false when the guard trips
+/// One Figure 7 preorder pass over a tree of \p TreeNodes nodes whose
+/// preorder holds the jumps \p Jumps, in that order: adds every jump
+/// whose nearest postdominator in the slice differs from its nearest
+/// lexical successor in the slice, with the jump's closure, appending
+/// it to \p Added. Only jumps can be added, so the pass visits only
+/// them; it is still charged one step per tree node up front, plus a
+/// checkpoint per jump it tests. Returns false when the guard trips
 /// (partial slice).
 bool figure7Pass(const Analysis &A, const ClosureSource &Close,
-                 const std::vector<unsigned> &Order, BitVector &Slice,
-                 std::vector<unsigned> &Added) {
-  if (!Close.guard().charge(Order.size(), "slicer.traversal"))
+                 size_t TreeNodes, const std::vector<unsigned> &Jumps,
+                 BitVector &Slice, std::vector<unsigned> &Added) {
+  if (!Close.guard().charge(TreeNodes, "slicer.traversal"))
     return false;
-  for (unsigned J : Order) {
-    if (!A.cfg().node(J).isJump() || Slice.test(J))
+  for (unsigned J : Jumps) {
+    if (Slice.test(J))
       continue;
     if (!Close.guard().checkpoint("slicer.traversal"))
       return false;
@@ -122,12 +124,12 @@ bool figure7Pass(const Analysis &A, const ClosureSource &Close,
 /// Figure 7: preorder passes over the PDT (or LST) until one adds no
 /// jump. A tripped guard stops the traversal.
 void figure7(const Analysis &A, const ClosureSource &Close,
-             const std::vector<unsigned> &Order, BitVector &Slice,
-             SliceResult &R) {
+             size_t TreeNodes, const std::vector<unsigned> &Jumps,
+             BitVector &Slice, SliceResult &R) {
   for (bool Ok = true; Ok;) {
     ++R.Traversals;
     std::vector<unsigned> Added;
-    Ok = figure7Pass(A, Close, Order, Slice, Added);
+    Ok = figure7Pass(A, Close, TreeNodes, Jumps, Slice, Added);
     if (Added.empty())
       break;
     ++R.ProductiveTraversals;
@@ -149,8 +151,8 @@ bool hasControllingPredicateInSlice(const Analysis &A, unsigned Node,
 /// only jumps directly control dependent on an in-slice predicate.
 void figure12(const Analysis &A, BitVector &Slice, SliceResult &R) {
   R.Traversals = 1;
-  for (unsigned J : A.pdt().preorder()) {
-    if (!A.cfg().node(J).isJump() || Slice.test(J))
+  for (unsigned J : A.pdtJumpOrder()) {
+    if (Slice.test(J))
       continue;
     if (!hasControllingPredicateInSlice(A, J, Slice))
       continue;
@@ -167,7 +169,7 @@ void figure12(const Analysis &A, BitVector &Slice, SliceResult &R) {
 /// Figure 13: conservative and tree-free — every jump directly control
 /// dependent on an in-slice predicate.
 void figure13(const Analysis &A, BitVector &Slice) {
-  for (unsigned J : jumpNodes(A.cfg()))
+  for (unsigned J : A.jumps())
     if (hasControllingPredicateInSlice(A, J, Slice))
       Slice.set(J);
 }
@@ -196,10 +198,12 @@ SliceResult detail::computeSlice(const Analysis &A,
     case SliceAlgorithm::Weiser:
       break;
     case SliceAlgorithm::Agrawal:
-      figure7(A, Close, A.pdt().preorder(), Slice, R);
+      figure7(A, Close, A.pdt().preorder().size(), A.pdtJumpOrder(), Slice,
+              R);
       break;
     case SliceAlgorithm::AgrawalLst:
-      figure7(A, Close, A.lst().preorder(), Slice, R);
+      figure7(A, Close, A.lst().preorder().size(), A.lstJumpOrder(), Slice,
+              R);
       break;
     case SliceAlgorithm::Structured:
       figure12(A, Slice, R);
@@ -218,7 +222,7 @@ SliceResult detail::computeSlice(const Analysis &A,
       break;
     }
   }
-  finishResult(A, Slice, R);
+  finishResult(A, std::move(Slice), R);
   return R;
 }
 

@@ -60,6 +60,7 @@
 
 #include "slicer/Analysis.h"
 #include "slicer/Criterion.h"
+#include "slicer/NodeSet.h"
 
 #include <map>
 #include <set>
@@ -92,8 +93,9 @@ bool algorithmIsSound(SliceAlgorithm Algorithm);
 /// The outcome of one slicing run.
 struct SliceResult {
   /// CFG nodes in the slice (Entry is always a member — the paper's
-  /// dummy predicate node; Exit only when seeded explicitly).
-  std::set<unsigned> Nodes;
+  /// dummy predicate node; Exit only when seeded explicitly): the
+  /// traversal's own bitset, moved out of the engine.
+  NodeSet Nodes;
 
   unsigned CriterionNode = 0;
 
@@ -112,7 +114,7 @@ struct SliceResult {
   /// step). Values are CFG node ids; Exit means "end of program".
   std::map<std::string, unsigned> ReassociatedLabels;
 
-  bool contains(unsigned Node) const { return Nodes.count(Node) != 0; }
+  bool contains(unsigned Node) const { return Nodes.contains(Node); }
 
   /// The slice as source line numbers (paper-figure form).
   std::set<unsigned> lineSet(const Cfg &C) const;

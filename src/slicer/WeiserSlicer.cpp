@@ -110,6 +110,6 @@ SliceResult jslice::sliceWeiser(const Analysis &A,
       break;
   }
 
-  finishResult(A, Slice, R);
+  finishResult(A, std::move(Slice), R);
   return R;
 }

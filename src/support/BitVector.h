@@ -24,6 +24,9 @@ namespace jslice {
 /// Dense bit set over the index range [0, size()).
 class BitVector {
 public:
+  using Word = uint64_t;
+  static constexpr size_t BitsPerWord = 64;
+
   BitVector() = default;
   explicit BitVector(size_t NumBits) { resize(NumBits); }
 
@@ -33,6 +36,11 @@ public:
   }
 
   size_t size() const { return Size; }
+
+  /// The backing words, bit i of word w being index w * BitsPerWord + i
+  /// (bits past size() are zero).
+  size_t numWords() const { return Words.size(); }
+  Word word(size_t WordIdx) const { return Words[WordIdx]; }
 
   bool test(size_t Idx) const {
     assert(Idx < Size && "bit index out of range");
@@ -113,9 +121,6 @@ public:
   }
 
 private:
-  using Word = uint64_t;
-  static constexpr size_t BitsPerWord = 64;
-
   size_t Size = 0;
   std::vector<Word> Words;
 };

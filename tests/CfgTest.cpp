@@ -6,9 +6,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "cfg/Cfg.h"
+#include "corpus/PaperPrograms.h"
+#include "gen/ProgramGenerator.h"
 #include "lang/Parser.h"
 
 #include <gtest/gtest.h>
+
+#include <climits>
 
 using namespace jslice;
 
@@ -249,6 +253,51 @@ TEST(CfgTest, UnreachableCodeStillBuilds) {
   Built B = buildOk("return;\nwrite(1);\n");
   unsigned Dead = nodeOn(B.C, 2);
   EXPECT_TRUE(B.C.graph().preds(Dead).empty());
+}
+
+/// Lines of \p C that hold several nodes and that hold none, while
+/// checking the line index against a scan of every node on each line
+/// up to one past the last.
+std::pair<unsigned, unsigned>
+expectLineIndexMatchesScan(const Cfg &C, const std::string &What) {
+  unsigned MaxLine = 0;
+  for (unsigned Node = 0, E = C.numNodes(); Node != E; ++Node)
+    if (const Stmt *S = C.node(Node).S)
+      MaxLine = std::max(MaxLine, S->getLoc().Line);
+  unsigned Several = 0, None = 0;
+  for (unsigned Line = 0; Line <= MaxLine + 1; ++Line) {
+    std::vector<unsigned> Scan;
+    for (unsigned Node = 0, E = C.numNodes(); Node != E; ++Node)
+      if (C.node(Node).S && C.node(Node).S->getLoc().Line == Line)
+        Scan.push_back(Node);
+    EXPECT_EQ(C.nodesOnLine(Line), Scan) << What << ", line " << Line;
+    Several += Scan.size() > 1;
+    None += Scan.empty();
+  }
+  EXPECT_TRUE(C.nodesOnLine(UINT_MAX).empty()) << What;
+  return {Several, None};
+}
+
+TEST(CfgTest, LineIndexMatchesAFullScan) {
+  unsigned Several = 0, None = 0;
+  auto Check = [&](const std::string &Source, const std::string &What) {
+    Built B = buildOk(Source);
+    auto [S, N] = expectLineIndexMatchesScan(B.C, What);
+    Several += S;
+    None += N;
+  };
+  for (const PaperExample &Ex : paperExamples())
+    Check(Ex.Source, Ex.Name);
+  for (unsigned Seed = 1; Seed <= 200; ++Seed) {
+    GenOptions Opts;
+    Opts.Seed = Seed;
+    Opts.AllowGotos = Seed % 2 == 0;
+    Check(generateProgram(Opts), "seed " + std::to_string(Seed));
+  }
+  // Both shapes occurred: `for` headers put init, condition and step
+  // on one line; blank and brace-only lines hold no node.
+  EXPECT_GT(Several, 0u);
+  EXPECT_GT(None, 0u);
 }
 
 } // namespace

@@ -97,7 +97,7 @@ TEST_P(WeiserProperty, MatchesConventionalMinusJumpsWithJumps) {
     for (unsigned Node : Conv.Nodes)
       if (!A.cfg().node(Node).isJump())
         ConvNoJumps.insert(Node);
-    EXPECT_EQ(Weiser.Nodes, ConvNoJumps)
+    EXPECT_EQ(std::set<unsigned>(Weiser.Nodes), ConvNoJumps)
         << "criterion line " << Crit.Line << "\n"
         << Source;
   }

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -472,6 +473,97 @@ TEST(BatchSlicerTest, AllLineCriteriaAscendingAndOnStatementLines) {
   for (const Criterion &Crit : Crits) {
     EXPECT_TRUE(Crit.Vars.empty());
     EXPECT_FALSE(A.cfg().nodesOnLine(Crit.Line).empty());
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// NodeSet (the node set a slice leaves the engine as)
+//===----------------------------------------------------------------------===//
+
+NodeSet nodeSetOf(size_t Universe, std::initializer_list<unsigned> Members) {
+  BitVector Bits(Universe);
+  for (unsigned Node : Members)
+    Bits.set(Node);
+  return NodeSet(std::move(Bits));
+}
+
+std::vector<unsigned> membersOf(const NodeSet &S) {
+  return std::vector<unsigned>(S.begin(), S.end());
+}
+
+TEST(NodeSetTest, IteratesAscendingAcrossWordBoundaries) {
+  // 130 bits: two full words, then a partial one whose last bit is 129.
+  NodeSet S = nodeSetOf(130, {129, 64, 0, 63, 1});
+  EXPECT_EQ(membersOf(S), (std::vector<unsigned>{0, 1, 63, 64, 129}));
+  EXPECT_EQ(S.size(), 5u);
+  // Zero words between members, and before the first, are skipped.
+  EXPECT_EQ(membersOf(nodeSetOf(300, {299, 130})),
+            (std::vector<unsigned>{130, 299}));
+  NodeSet None = nodeSetOf(300, {});
+  EXPECT_TRUE(None.begin() == None.end());
+  EXPECT_TRUE(None.empty());
+}
+
+TEST(NodeSetTest, SizeFollowsAMoveAndTheSourceEmpties) {
+  NodeSet S = nodeSetOf(100, {3, 70, 99});
+  NodeSet Moved = std::move(S);
+  EXPECT_EQ(Moved.size(), 3u);
+  EXPECT_EQ(membersOf(Moved), (std::vector<unsigned>{3, 70, 99}));
+  EXPECT_EQ(S.size(), 0u); // A moved-from set is empty.
+  EXPECT_TRUE(S.begin() == S.end());
+  EXPECT_EQ(S.count(70), 0u);
+  NodeSet Assigned;
+  Assigned = std::move(Moved);
+  EXPECT_EQ(Assigned.size(), 3u);
+  EXPECT_EQ(Moved.size(), 0u);
+}
+
+TEST(NodeSetTest, EqualityIsOverMembersNotUniverseSize) {
+  EXPECT_EQ(NodeSet(), nodeSetOf(200, {}));
+  EXPECT_EQ(nodeSetOf(10, {1, 5}), nodeSetOf(200, {1, 5}));
+  EXPECT_NE(nodeSetOf(10, {1, 5}), nodeSetOf(200, {1, 5, 150}));
+  EXPECT_NE(nodeSetOf(70, {1, 65}), nodeSetOf(70, {1, 66}));
+}
+
+TEST(NodeSetTest, CountOutOfRangeIsZero) {
+  NodeSet S = nodeSetOf(64, {0, 63});
+  EXPECT_EQ(S.count(63), 1u);
+  EXPECT_EQ(S.count(64), 0u);
+  EXPECT_EQ(S.count(UINT_MAX), 0u);
+  EXPECT_EQ(NodeSet().count(0), 0u);
+  EXPECT_FALSE(NodeSet().contains(0));
+}
+
+TEST(NodeSetTest, ConversionToStdSetRoundTrips) {
+  std::set<unsigned> Want = {0, 63, 64, 127, 128, 190};
+  BitVector Bits(191);
+  for (unsigned Node : Want)
+    Bits.set(Node);
+  NodeSet S(std::move(Bits));
+  std::set<unsigned> Got = S;
+  EXPECT_EQ(Got, Want);
+  BitVector Again(191);
+  for (unsigned Node : Got)
+    Again.set(Node);
+  EXPECT_EQ(NodeSet(std::move(Again)), S);
+}
+
+TEST(NodeSetTest, RunAllEntryIsTheLineSetPreimage) {
+  // Figure 3-a: a statement line's nodes enter and leave a slice
+  // together, so the slice is Entry plus every node on its lines.
+  Analysis A = analyzeOk(paperExample("fig3a").Source);
+  BatchSlicer Batch(A);
+  BatchOptions Opts;
+  Opts.Threads = 1;
+  for (const BatchEntry &E : Batch.runAll(allLineCriteria(A), Opts)) {
+    ASSERT_TRUE(E.Ok) << "line " << E.Crit.Line;
+    BitVector Preimage(A.cfg().numNodes());
+    Preimage.set(A.cfg().entry());
+    for (unsigned Line : E.Result.lineSet(A.cfg()))
+      for (unsigned Node : A.cfg().nodesOnLine(Line))
+        Preimage.set(Node);
+    EXPECT_EQ(E.Result.Nodes, NodeSet(std::move(Preimage)))
+        << "line " << E.Crit.Line;
   }
 }
 

@@ -15,12 +15,13 @@ using namespace jslice;
 
 namespace {
 
-using NodeSet = std::set<unsigned>;
+/// The oracle's working slice (independent of the engine's bitsets).
+using NodeIds = std::set<unsigned>;
 
 /// Extends \p Slice with the backward dependence closure of \p Seeds
 /// and applies the conditional-jump adaptation (a predicate in the
 /// slice drags in its accompanying jump) until a fixpoint.
-void closeWithAdaptation(const Analysis &A, PdgView P, NodeSet &Slice,
+void closeWithAdaptation(const Analysis &A, PdgView P, NodeIds &Slice,
                          const std::vector<unsigned> &Seeds) {
   std::vector<unsigned> Worklist;
   for (unsigned Seed : Seeds)
@@ -50,7 +51,7 @@ void closeWithAdaptation(const Analysis &A, PdgView P, NodeSet &Slice,
 /// Nearest proper PDT (\p Postdom) or LST ancestor of \p Node in
 /// \p Slice; Exit terminates every walk.
 unsigned nearestInSlice(const Analysis &A, unsigned Node,
-                        const NodeSet &Slice, bool Postdom) {
+                        const NodeIds &Slice, bool Postdom) {
   auto Up = [&](unsigned N) {
     return Postdom ? A.pdt().idom(N) : A.lst().parent(N);
   };
@@ -62,13 +63,13 @@ unsigned nearestInSlice(const Analysis &A, unsigned Node,
 
 /// Figure 7's test: deleting jump \p J would change where control
 /// falls relative to \p Slice.
-bool jumpNeeded(const Analysis &A, unsigned J, const NodeSet &Slice) {
+bool jumpNeeded(const Analysis &A, unsigned J, const NodeIds &Slice) {
   return nearestInSlice(A, J, Slice, true) !=
          nearestInSlice(A, J, Slice, false);
 }
 
 std::map<std::string, unsigned> reassociateLabels(const Analysis &A,
-                                                  const NodeSet &Slice) {
+                                                  const NodeIds &Slice) {
   std::map<std::string, unsigned> Out;
   for (unsigned Node : Slice) {
     const auto *Goto = dyn_cast_if_present<GotoStmt>(A.cfg().node(Node).S);
@@ -87,7 +88,7 @@ std::map<std::string, unsigned> reassociateLabels(const Analysis &A,
 /// How many of \p Node's direct control-dependence parents are in
 /// \p Slice, and how many it has.
 std::pair<size_t, size_t> controllersInSlice(const Analysis &A, unsigned Node,
-                                             const NodeSet &Slice) {
+                                             const NodeIds &Slice) {
   const auto &Preds = A.pdg().Control.preds(Node);
   size_t In = 0;
   for (unsigned Pred : Preds)
@@ -105,18 +106,18 @@ std::vector<unsigned> jumps(const Cfg &C) {
 
 /// Figure 7 over the tree whose preorder is \p Order.
 void agrawal(const Analysis &A, const std::vector<unsigned> &Order,
-             SliceResult &R) {
+             NodeIds &Slice, SliceResult &R) {
   bool Changed = true;
   while (Changed) {
     Changed = false;
     ++R.Traversals;
     std::vector<unsigned> AddedThisPass;
     for (unsigned J : Order) {
-      if (!A.cfg().node(J).isJump() || R.contains(J))
+      if (!A.cfg().node(J).isJump() || Slice.count(J))
         continue;
-      if (!jumpNeeded(A, J, R.Nodes))
+      if (!jumpNeeded(A, J, Slice))
         continue;
-      closeWithAdaptation(A, A.pdg(), R.Nodes, {J});
+      closeWithAdaptation(A, A.pdg(), Slice, {J});
       AddedThisPass.push_back(J);
       Changed = true;
     }
@@ -128,14 +129,14 @@ void agrawal(const Analysis &A, const std::vector<unsigned> &Order,
 }
 
 /// Figure 12: one PDT pass, bare jumps under an in-slice predicate.
-void structured(const Analysis &A, SliceResult &R) {
+void structured(const Analysis &A, NodeIds &Slice, SliceResult &R) {
   R.Traversals = 1;
   for (unsigned J : A.pdt().preorder()) {
-    if (!A.cfg().node(J).isJump() || R.contains(J) ||
-        !controllersInSlice(A, J, R.Nodes).first ||
-        !jumpNeeded(A, J, R.Nodes))
+    if (!A.cfg().node(J).isJump() || Slice.count(J) ||
+        !controllersInSlice(A, J, Slice).first ||
+        !jumpNeeded(A, J, Slice))
       continue;
-    R.Nodes.insert(J);
+    Slice.insert(J);
     R.ProductiveTraversals = 1;
   }
 }
@@ -155,21 +156,21 @@ std::vector<unsigned> basicBlockFrom(const Cfg &C, unsigned Head) {
   return Block;
 }
 
-void gallagher(const Analysis &A, SliceResult &R) {
+void gallagher(const Analysis &A, NodeIds &Slice) {
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (unsigned J : jumps(A.cfg())) {
-      if (R.contains(J))
+      if (Slice.count(J))
         continue;
       unsigned Target = *A.cfg().jumpTarget(J);
       bool TargetBlockInSlice = Target == A.cfg().exit();
       for (unsigned Node : basicBlockFrom(A.cfg(), Target))
-        TargetBlockInSlice |= R.contains(Node);
-      auto [In, All] = controllersInSlice(A, J, R.Nodes);
+        TargetBlockInSlice |= Slice.count(Node) != 0;
+      auto [In, All] = controllersInSlice(A, J, Slice);
       if (!TargetBlockInSlice || In != All)
         continue;
-      closeWithAdaptation(A, A.pdg(), R.Nodes, {J});
+      closeWithAdaptation(A, A.pdg(), Slice, {J});
       Changed = true;
     }
   }
@@ -185,6 +186,7 @@ SliceResult reference::computeSlice(const Analysis &A,
 
   SliceResult R;
   R.CriterionNode = RC.Node;
+  NodeIds Slice;
   std::vector<unsigned> Seeds = RC.Seeds;
   if (Algorithm == SliceAlgorithm::Lyle)
     for (unsigned J : jumps(A.cfg()))
@@ -192,35 +194,35 @@ SliceResult reference::computeSlice(const Analysis &A,
   if (Algorithm == SliceAlgorithm::BallHorwitz) {
     const Analysis::Augmented *Aug = A.augmented();
     assert(Aug && "the reference runs unmetered");
-    closeWithAdaptation(A, A.augPdg(*Aug), R.Nodes, Seeds);
+    closeWithAdaptation(A, A.augPdg(*Aug), Slice, Seeds);
   } else {
-    closeWithAdaptation(A, A.pdg(), R.Nodes, Seeds);
+    closeWithAdaptation(A, A.pdg(), Slice, Seeds);
   }
 
   switch (Algorithm) {
   case SliceAlgorithm::Agrawal:
-    agrawal(A, A.pdt().preorder(), R);
+    agrawal(A, A.pdt().preorder(), Slice, R);
     break;
   case SliceAlgorithm::AgrawalLst:
-    agrawal(A, A.lst().preorder(), R);
+    agrawal(A, A.lst().preorder(), Slice, R);
     break;
   case SliceAlgorithm::Structured:
-    structured(A, R);
+    structured(A, Slice, R);
     break;
   case SliceAlgorithm::Conservative:
     for (unsigned J : jumps(A.cfg()))
-      if (controllersInSlice(A, J, R.Nodes).first)
-        R.Nodes.insert(J);
+      if (controllersInSlice(A, J, Slice).first)
+        Slice.insert(J);
     break;
   case SliceAlgorithm::Gallagher:
-    gallagher(A, R);
+    gallagher(A, Slice);
     break;
   case SliceAlgorithm::JiangZhouRobson:
     for (unsigned J : jumps(A.cfg())) {
       unsigned Target = *A.cfg().jumpTarget(J);
-      auto [In, All] = controllersInSlice(A, J, R.Nodes);
-      if ((Target == A.cfg().exit() || R.contains(Target)) && In == All)
-        R.Nodes.insert(J);
+      auto [In, All] = controllersInSlice(A, J, Slice);
+      if ((Target == A.cfg().exit() || Slice.count(Target)) && In == All)
+        Slice.insert(J);
     }
     break;
   case SliceAlgorithm::Conventional:
@@ -229,6 +231,11 @@ SliceResult reference::computeSlice(const Analysis &A,
   case SliceAlgorithm::Weiser:
     break;
   }
-  R.ReassociatedLabels = reassociateLabels(A, R.Nodes);
+  R.ReassociatedLabels = reassociateLabels(A, Slice);
+  // The result type is the engine's; build it once, at the end.
+  BitVector Bits(A.cfg().numNodes());
+  for (unsigned Node : Slice)
+    Bits.set(Node);
+  R.Nodes = NodeSet(std::move(Bits));
   return R;
 }
