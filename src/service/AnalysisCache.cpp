@@ -95,7 +95,6 @@ JsonValue CacheStats::toJson() const {
   Out.set("evictions", Evictions);
   Out.set("watermark_evictions", WatermarkEvictions);
   Out.set("build_failures", BuildFailures);
-  Out.set("poisoned", Poisoned);
   Out.set("audits", Audits);
   Out.set("audit_mismatches", AuditMismatches);
   Out.set("entries", Entries);
@@ -113,7 +112,6 @@ void CacheStats::add(const CacheStats &O) {
   Evictions += O.Evictions;
   WatermarkEvictions += O.WatermarkEvictions;
   BuildFailures += O.BuildFailures;
-  Poisoned += O.Poisoned;
   Audits += O.Audits;
   AuditMismatches += O.AuditMismatches;
   Entries += O.Entries;
@@ -138,7 +136,6 @@ std::optional<CacheStats> CacheStats::fromJson(const JsonValue &V) {
   Read("evictions", S.Evictions);
   Read("watermark_evictions", S.WatermarkEvictions);
   Read("build_failures", S.BuildFailures);
-  Read("poisoned", S.Poisoned);
   Read("audits", S.Audits);
   Read("audit_mismatches", S.AuditMismatches);
   Read("entries", S.Entries);
@@ -175,9 +172,6 @@ AnalysisCache::lookup(const std::string &Key,
     }
     Slot &S = It->second;
     switch (S.St) {
-    case State::Quarantined:
-      ++Counters.Poisoned;
-      return {Outcome::Quarantined, nullptr, false};
     case State::Ready: {
       Lru.splice(Lru.begin(), Lru, S.LruIt);
       ++Counters.Hits;
@@ -250,24 +244,16 @@ void AnalysisCache::publish(const std::string &Key,
                             std::shared_ptr<const AnalysisArtifact> Art) {
   std::lock_guard<std::mutex> Lock(M);
   auto It = Slots.find(Key);
-  if (It == Slots.end())
-    It = Slots.emplace(Key, Slot()).first;
-  Slot &S = It->second;
-  if (S.St == State::Quarantined)
-    return; // Quarantine outranks a late publish.
-  if (S.St == State::Ready)
-    evictSlotLocked(It, /*Watermark=*/false); // Replace (re-find below).
-  It = Slots.find(Key);
-  if (It == Slots.end())
-    It = Slots.emplace(Key, Slot()).first;
-  Slot &S2 = It->second;
-  S2.St = State::Ready;
-  S2.Art = std::move(Art);
-  S2.Failures = 0;
-  S2.NeedLeader = false;
+  if (It != Slots.end() && It->second.St == State::Ready)
+    evictSlotLocked(It, /*Watermark=*/false); // Replace.
+  Slot &S = Slots[Key];
+  S.St = State::Ready;
+  S.Art = std::move(Art);
+  S.Failures = 0;
+  S.NeedLeader = false;
   Lru.push_front(Key);
-  S2.LruIt = Lru.begin();
-  Bytes_ += S2.Art->CostBytes;
+  S.LruIt = Lru.begin();
+  Bytes_ += S.Art->CostBytes;
   ++Counters.Inserts;
 
   // Capacity eviction: never the entry just published (a single
@@ -300,29 +286,6 @@ void AnalysisCache::buildFailed(const std::string &Key) {
     S.RetryAtLookup = LookupSeq; // Retry allowed immediately.
   }
   CV.notify_all();
-}
-
-void AnalysisCache::quarantine(const std::string &Key) {
-  std::lock_guard<std::mutex> Lock(M);
-  auto It = Slots.find(Key);
-  if (It == Slots.end())
-    It = Slots.emplace(Key, Slot()).first;
-  Slot &S = It->second;
-  if (S.St == State::Ready) {
-    Bytes_ -= S.Art->CostBytes;
-    Lru.erase(S.LruIt);
-    S.Art.reset();
-  }
-  S.St = State::Quarantined;
-  S.NeedLeader = false;
-  CV.notify_all();
-}
-
-void AnalysisCache::invalidate(const std::string &Key) {
-  std::lock_guard<std::mutex> Lock(M);
-  auto It = Slots.find(Key);
-  if (It != Slots.end() && It->second.St == State::Ready)
-    evictSlotLocked(It, /*Watermark=*/false);
 }
 
 void AnalysisCache::auditMismatch(const std::string &Key) {
@@ -391,7 +354,7 @@ void AnalysisCache::evictSlotLocked(std::map<std::string, Slot>::iterator It,
 /// Failed slots are bookkeeping, not artifacts, but an adversary
 /// cycling unique unparseable-budget programs could still grow the map
 /// without bound; drop retryable ones once the map outgrows the LRU by
-/// a comfortable margin. Quarantined slots are permanent by contract.
+/// a comfortable margin.
 void AnalysisCache::sweepStaleFailuresLocked() {
   if (Slots.size() <= 2 * static_cast<size_t>(Opts.MaxEntries) + 16)
     return;

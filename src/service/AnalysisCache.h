@@ -25,10 +25,9 @@
 ///    follower is promoted to rebuild; the rest keep waiting with
 ///    their own deadlines intact. A key whose builds keep failing is
 ///    backed off (served cache-less) so a starved budget cannot wedge
-///    a hot program, and quarantine() — wired to the PR-3 poison
-///    machinery on worker-crash verdicts — permanently refuses a key
-///    that has proven it can kill workers: a twice-crashing program
-///    never re-enters the cache.
+///    a hot program. (Refusing a program that crashed a server is the
+///    server's job, by raw key, before the cache is consulted — see
+///    Server::ProgramPoison.)
 ///
 ///  * **Watermark-coupled eviction.** Every artifact carries a cost
 ///    estimate; the LRU evicts on capacity at publish time and on
@@ -107,7 +106,6 @@ struct CacheStats {
   uint64_t Evictions = 0;        ///< All evictions (capacity + watermark).
   uint64_t WatermarkEvictions = 0; ///< Subset driven by evictToward().
   uint64_t BuildFailures = 0;      ///< Leader builds that failed.
-  uint64_t Poisoned = 0;           ///< Lookups refused by quarantine.
   uint64_t Audits = 0;             ///< Hits re-analyzed by the sampler.
   uint64_t AuditMismatches = 0;    ///< Audits that diffed (invalidated).
   uint64_t Entries = 0;            ///< Current ready artifacts.
@@ -186,7 +184,6 @@ public:
     MustBuild,   ///< Caller is the (possibly promoted) build leader:
                  ///< it must end with publish() or buildFailed().
     Bypass,      ///< Serve without the cache (backoff, timeout).
-    Quarantined, ///< Key is poisoned; refuse the request.
   };
 
   struct LookupResult {
@@ -214,15 +211,8 @@ public:
   /// the key is backed off instead.
   void buildFailed(const std::string &Key);
 
-  /// Permanently refuses \p Key (worker-crash verdicts; survives
-  /// eviction). Waiters are woken and refused.
-  void quarantine(const std::string &Key);
-
-  /// Drops \p Key's ready artifact, if any (audit mismatch, external
-  /// invalidation). In-flight readers keep their shared_ptr.
-  void invalidate(const std::string &Key);
-
-  /// invalidate() plus the audit_mismatches counter.
+  /// Audit mismatch: drops \p Key's ready artifact, if any, and counts
+  /// audit_mismatches. In-flight readers keep their shared_ptr.
   void auditMismatch(const std::string &Key);
 
   /// Watermark eviction: LRU-evicts ready artifacts until the cost
@@ -246,7 +236,7 @@ public:
   CacheStats stats() const;
 
 private:
-  enum class State { Building, Ready, Failed, Quarantined };
+  enum class State { Building, Ready, Failed };
 
   struct Slot {
     State St = State::Building;

@@ -614,23 +614,24 @@ bool Journal::appendReplica(const std::string &Line, JournalRecord Rec) {
   return true;
 }
 
-std::vector<std::pair<uint64_t, std::string>>
-Journal::snapshotRecords(uint64_t &ThroughSeq) const {
+void Journal::catchUp(const std::function<void(const CatchUp &)> &Fn) const {
   std::lock_guard<std::mutex> Lock(M);
-  ThroughSeq = NextSeq - 1;
-  std::vector<std::pair<uint64_t, std::string>> Records;
+  CatchUp C;
+  C.ThroughSeq = NextSeq - 1;
+  C.LastCompactSeq = LastCompactSeq;
+  C.Epoch = Epoch;
   // Every append fflushes before returning, so a plain read of the
   // path sees everything appended so far; holding the mutex keeps the
-  // file from rotating or growing underneath the read.
+  // file from rotating or growing until Fn is done with it.
   std::ifstream In(Path, std::ios::binary);
   std::string Line;
   while (In && std::getline(In, Line)) {
     if (isBlank(Line))
       continue;
     if (std::optional<JournalRecord> R = decodeJournalLine(Line))
-      Records.emplace_back(R->Seq, std::move(Line));
+      C.Records.emplace_back(R->Seq, std::move(Line));
   }
-  return Records;
+  Fn(C);
 }
 
 bool Journal::resetForSnapshot() {

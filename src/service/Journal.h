@@ -293,12 +293,22 @@ public:
   /// tap (replicas do not re-ship).
   bool appendReplica(const std::string &Line, JournalRecord Rec);
 
-  /// Snapshot of every verifiable record currently in the file as
-  /// (seq, line) pairs, plus the sequence the snapshot is complete
-  /// through (records with higher seq were appended after). The
-  /// replication hub's catch-up source.
-  std::vector<std::pair<uint64_t, std::string>>
-  snapshotRecords(uint64_t &ThroughSeq) const;
+  /// The journal as a replication catch-up sees it.
+  struct CatchUp {
+    /// Every verifiable record in the file as (seq, line), file order.
+    std::vector<std::pair<uint64_t, std::string>> Records;
+    uint64_t ThroughSeq = 0;     ///< Last sequence appended so far.
+    uint64_t LastCompactSeq = 0; ///< As lastCompactSeq().
+    uint64_t Epoch = 0;          ///< As epoch().
+  };
+
+  /// Reads the file into a CatchUp and runs \p Fn on it, all inside one
+  /// journal critical section: no append, rotation or compaction lands
+  /// until \p Fn returns, so a subscriber \p Fn registers with the tap
+  /// sees every record past ThroughSeq live and none twice. The
+  /// replication hub's catch-up. \p Fn runs under the journal mutex:
+  /// like the tap, it must never call back into this journal.
+  void catchUp(const std::function<void(const CatchUp &)> &Fn) const;
 
   /// Standby side: empties the replica journal before applying a full
   /// snapshot stream (replaying a compacted file over stale records

@@ -74,9 +74,6 @@ std::string ReplicationHub::recordFrame(const std::string &Line) {
 /// must not call back into the journal.
 void ReplicationHub::onRecord(const std::string &Line, uint64_t Seq) {
   std::lock_guard<std::mutex> Lock(M);
-  Tail.emplace_back(Seq, Line);
-  while (Tail.size() > TailCap)
-    Tail.pop_front();
   if (Policy == ReplAckPolicy::Async) {
     if (!Subscribers.empty()) {
       Pending.emplace_back(Seq, Line);
@@ -121,53 +118,40 @@ void ReplicationHub::shipperMain() {
 }
 
 uint64_t ReplicationHub::subscribe(uint64_t FromSeq, Sink Out) {
-  // Gather the journal state *before* taking the hub lock (the tap
-  // holds journal-then-hub; taking hub-then-journal here would
-  // deadlock). Records appended between this snapshot and the
-  // registration below are replayed from the hub's tail buffer.
-  uint64_t CompactSeq = Wal.lastCompactSeq();
-  uint64_t Epoch = Wal.epoch();
-  bool Snapshot = FromSeq < CompactSeq;
-  uint64_t Through = 0;
-  std::vector<std::pair<uint64_t, std::string>> Backlog =
-      Wal.snapshotRecords(Through);
+  uint64_t Id = 0;
+  // The file read and the registration share one journal critical
+  // section, taken journal-then-hub like the tap: no append can land
+  // between them, so the backlog ends exactly where the live stream
+  // begins.
+  Wal.catchUp([&](const Journal::CatchUp &C) {
+    bool Snapshot = FromSeq < C.LastCompactSeq;
+    std::lock_guard<std::mutex> Lock(M);
+    Id = NextSubscriberId++;
+    if (Subscribers.size() >= MaxSubscribers)
+      Subscribers.erase(Subscribers.begin());
+    ++Stats.Subscribes;
+    if (Snapshot)
+      ++Stats.Snapshots;
+    else
+      ++Stats.Resumes;
 
-  std::lock_guard<std::mutex> Lock(M);
-  uint64_t Id = NextSubscriberId++;
-  if (Subscribers.size() >= MaxSubscribers)
-    Subscribers.erase(Subscribers.begin());
-  ++Stats.Subscribes;
-  if (Snapshot)
-    ++Stats.Snapshots;
-  else
-    ++Stats.Resumes;
+    JsonValue Hello = JsonValue::object();
+    Hello.set("repl", "hello");
+    Hello.set("epoch", C.Epoch);
+    Hello.set("last_seq", C.ThroughSeq);
+    Hello.set("snapshot", Snapshot);
+    Out(Hello.str());
 
-  JsonValue Hello = JsonValue::object();
-  Hello.set("repl", "hello");
-  Hello.set("epoch", Epoch);
-  Hello.set("last_seq", Through);
-  Hello.set("snapshot", Snapshot);
-  Out(Hello.str());
-
-  // Catch-up: the file backlog (all of it after a compaction gap,
-  // else only records past the subscriber's resume point)...
-  for (const auto &[Seq, Line] : Backlog) {
-    if (!Snapshot && Seq <= FromSeq)
-      continue;
-    Out(recordFrame(Line));
-    ++Stats.Shipped;
-  }
-  // ...then anything the tap saw while the snapshot was being read.
-  // The standby dedups by sequence, so an overlap with the backlog is
-  // harmless; taps are seq-ordered, so a high-water mark suffices.
-  for (const auto &[Seq, Line] : Tail) {
-    if (Seq <= Through || (!Snapshot && Seq <= FromSeq))
-      continue;
-    Out(recordFrame(Line));
-    ++Stats.Shipped;
-    LastShipped = std::max(LastShipped, Seq);
-  }
-  Subscribers.push_back(Subscriber{Id, std::move(Out)});
+    // The whole file after a compaction gap, else only the records
+    // past the subscriber's resume point.
+    for (const auto &[Seq, Line] : C.Records) {
+      if (!Snapshot && Seq <= FromSeq)
+        continue;
+      Out(recordFrame(Line));
+      ++Stats.Shipped;
+    }
+    Subscribers.push_back(Subscriber{Id, std::move(Out)});
+  });
   return Id;
 }
 
@@ -191,9 +175,11 @@ uint64_t ReplicationHub::lastShippedSeq() const {
 
 bool ReplicationHub::waitAcked(uint64_t Seq, uint64_t TimeoutMs) {
   std::unique_lock<std::mutex> Lock(M);
-  if (Subscribers.empty())
-    return false; // No standby: the loss window is open, not hidden.
   ++Stats.SyncWaits;
+  if (Subscribers.empty()) {
+    ++Stats.SyncTimeouts; // No standby: the loss window is open, counted.
+    return false;
+  }
   bool Acked = AckCv.wait_for(
       Lock, std::chrono::milliseconds(TimeoutMs),
       [this, Seq] { return ShipperStop || AckedSeq >= Seq; });

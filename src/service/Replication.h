@@ -35,7 +35,13 @@
 /// saw, so the hub sends the whole compacted file and stamps the hello
 /// "snapshot":true — the standby truncates its replica first (applying
 /// a compacted file over stale begins would resurrect matched pairs as
-/// in-flight).
+/// in-flight). The file read, the hello and backlog frames and the
+/// registration all happen in one journal critical section
+/// (Journal::catchUp), so no record can be appended between the read
+/// and the registration: the backlog ends exactly where the live tap
+/// takes over, and the hub keeps no copy of any record. The price is
+/// that appends wait while a subscriber's backlog is read and framed
+/// (DESIGN.md §18 measures the stall).
 ///
 /// The ack policy prices durability against latency exactly like
 /// --journal-sync does for the local disk (the bench's `replication`
@@ -96,14 +102,16 @@ struct ReplicationCounters {
   uint64_t Snapshots = 0;    ///< Catch-ups that resent the whole file.
   uint64_t Resumes = 0;      ///< Incremental catch-ups from from_seq.
   uint64_t SyncWaits = 0;    ///< Appends that waited for an ack.
-  uint64_t SyncTimeouts = 0; ///< ...and timed out (loss window open).
+  uint64_t SyncTimeouts = 0; ///< ...and timed out or found no standby
+                             ///< (loss window open).
 };
 
 /// Primary-side fan-out: taps the journal and streams every appended
-/// record to subscribed standbys. Thread-safe. The tap runs under the
-/// journal mutex, so hub internals never call back into the journal
-/// from the record path; subscribe() gathers its journal snapshot
-/// before taking the hub lock (lock order: journal, then hub).
+/// record to subscribed standbys. Thread-safe. The tap and subscribe()'s
+/// catch-up both run under the journal mutex and take the hub mutex
+/// inside it (lock order: journal, then hub), so hub internals never
+/// call back into the journal. With no subscriber the hub holds no
+/// record at all.
 class ReplicationHub {
 public:
   using Sink = std::function<void(const std::string &)>;
@@ -118,7 +126,8 @@ public:
   ReplicationHub &operator=(const ReplicationHub &) = delete;
 
   /// Registers \p Out as a record stream resuming past \p FromSeq and
-  /// performs catch-up synchronously (hello frame + backlog records).
+  /// performs catch-up synchronously (hello frame + backlog records),
+  /// with journal appends held off until \p Out is registered.
   /// Returns the subscriber id. At most MaxSubscribers are kept; the
   /// oldest is evicted (its connection is presumed dead — writes to a
   /// closed connection's sink are swallowed by the transport).
@@ -135,9 +144,10 @@ public:
   uint64_t lastShippedSeq() const;
 
   /// Sync policy: blocks until ackedSeq() >= \p Seq or \p TimeoutMs
-  /// elapses. Returns false on timeout *or* when no subscriber is
-  /// connected (a primary without a standby must not hang — the loss
-  /// window is open and counted, not hidden).
+  /// elapses. Returns false on timeout *or* at once when no subscriber
+  /// is connected (a primary without a standby must not hang); both
+  /// count as a sync wait and a sync timeout — the loss window is open
+  /// and counted, not hidden.
   bool waitAcked(uint64_t Seq, uint64_t TimeoutMs);
 
   size_t subscriberCount() const;
@@ -163,13 +173,8 @@ private:
   uint64_t NextSubscriberId = 1;
   static constexpr size_t MaxSubscribers = 4;
 
-  /// Bounded tail of recent records: closes the race between a
-  /// subscriber's file snapshot and the live tap (records appended
-  /// while the snapshot was being read are replayed from here).
-  std::deque<std::pair<uint64_t, std::string>> Tail;
-  static constexpr size_t TailCap = 8192;
-
-  /// Async policy: records pending shipment by the shipper thread.
+  /// Async policy: records pending shipment by the shipper thread
+  /// (queued only while a subscriber exists).
   std::deque<std::pair<uint64_t, std::string>> Pending;
   bool ShipperStop = false;
   std::thread Shipper;

@@ -98,7 +98,7 @@ ServiceResponse jslice::executeSliceRequest(const ServiceRequest &R,
     B.MaxSteps = R.MaxSteps;
   B.Cancel = Cancel;
 
-  // Cache front half: key, lookup, hit/refuse, or become the leader.
+  // Cache front half: key, lookup, hit, or become the leader.
   // A raw-key memo miss parses here, once: the tree is keyed and then
   // handed to the ladder's first rung instead of being parsed again.
   std::string LeaderKey;
@@ -128,11 +128,6 @@ ServiceResponse jslice::executeSliceRequest(const ServiceRequest &R,
           std::chrono::milliseconds(B.DeadlineMs ? B.DeadlineMs : 1000);
       AnalysisCache::LookupResult L = Cache->lookup(*Key, Deadline);
       switch (L.K) {
-      case AnalysisCache::Outcome::Quarantined:
-        Resp.Status = ResponseStatus::Poisoned;
-        Resp.Error = "program quarantined: repeated worker crashes "
-                     "building its analysis";
-        return Resp;
       case AnalysisCache::Outcome::Hit: {
         std::optional<ServiceResponse> Hit = serveFromArtifact(R, *L.Artifact, B);
         if (Hit) {

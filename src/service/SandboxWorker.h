@@ -58,10 +58,10 @@ struct ExecConfig {
 /// \p Cache, when non-null and enabled, short-circuits the pipeline:
 /// the canonical program key is resolved, a ready artifact serves the
 /// slice under the request's own budget (FromCache, optionally
-/// Audited), a quarantined key is refused as Poisoned, and a miss
-/// makes this request the single-flight build leader — it runs the
-/// ladder as usual and publishes the serving rung's analysis (or
-/// reports buildFailed, promoting one waiting follower). A raw-key
+/// Audited), and a miss makes this request the single-flight build
+/// leader — it runs the ladder as usual and publishes the serving
+/// rung's analysis (or reports buildFailed, promoting one waiting
+/// follower). A raw-key
 /// memo miss parses once, for the key, and the ladder's first rung
 /// analyzes that tree. Every cache deviation — unparseable program,
 /// tripped guard, a first hit's closure build tripping, coalesce

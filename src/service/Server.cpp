@@ -821,10 +821,8 @@ void Server::handleSlice(ServiceRequest R, const ResponseSink &Sink) {
   {
     std::lock_guard<std::mutex> Lock(StateM);
     auto It = Registry.find(R.Id);
-    if (It != Registry.end()) {
+    if (It != Registry.end())
       Flight = It->second;
-      Flight->Started.store(true, std::memory_order_relaxed);
-    }
   }
 
   ServiceResponse Resp;
@@ -911,7 +909,7 @@ void Server::recordOutcome(ResponseStatus Status,
   if (!ShedCause.empty())
     ++Counters.ShedByCause[ShedCause];
   if (LatencyMs >= 0)
-    Latencies.push_back(LatencyMs);
+    LatencyUs.record(static_cast<uint64_t>(LatencyMs * 1000));
   switch (Status) {
   case ResponseStatus::Ok:
     ++Counters.Served;
@@ -999,12 +997,8 @@ ServerStats Server::stats() const {
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - StartTime)
           .count());
-  if (!Latencies.empty()) {
-    std::vector<double> Sorted = Latencies;
-    std::sort(Sorted.begin(), Sorted.end());
-    S.P50Ms = Sorted[Sorted.size() / 2];
-    S.P95Ms = Sorted[std::min(Sorted.size() - 1, Sorted.size() * 95 / 100)];
-  }
+  S.P50Ms = LatencyUs.percentile(50) / 1000;
+  S.P95Ms = LatencyUs.percentile(95) / 1000;
   S.ProcessIsolation = Super != nullptr;
   if (Super)
     S.Super = Super->stats();

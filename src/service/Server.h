@@ -68,6 +68,7 @@
 #include "service/Replication.h"
 #include "service/Request.h"
 #include "service/Supervisor.h"
+#include "support/LogHistogram.h"
 #include "support/WorkerPool.h"
 
 #include <atomic>
@@ -291,6 +292,9 @@ struct ServerStats {
   uint64_t JournalTornTails = 0;  ///< Torn tails truncated at boot.
   uint64_t JournalRotationFailures = 0;
   bool JournalLost = false; ///< Persistent failure latched.
+  /// Response latency percentiles (latency_p50_ms / latency_p95_ms)
+  /// from a LogHistogram of whole microseconds: within 1/32 of the
+  /// sample's value, plus under 1 µs of rounding.
   double P50Ms = 0;
   double P95Ms = 0;
   bool ProcessIsolation = false;
@@ -494,7 +498,6 @@ public:
 private:
   struct InFlight {
     std::atomic<bool> Cancel{false};
-    std::atomic<bool> Started{false};
     std::chrono::steady_clock::time_point Enqueued;
   };
 
@@ -569,7 +572,7 @@ private:
   /// Entries/Bytes gauges zeroed — the caches they measured are gone.
   mutable CacheStats RetiredWorkerCaches;
   ServerStats Counters;
-  std::vector<double> Latencies;
+  LogHistogram LatencyUs; ///< Every response's latency; fixed size.
 };
 
 } // namespace jslice

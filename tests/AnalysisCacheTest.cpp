@@ -306,48 +306,6 @@ TEST(AnalysisCacheTest, EvictionRacingAHitCannotInvalidateTheReader) {
 }
 
 //===----------------------------------------------------------------------===//
-// Quarantine
-//===----------------------------------------------------------------------===//
-
-TEST(AnalysisCacheTest, QuarantineOutranksPublishAndSurvivesEviction) {
-  AnalysisCache C{CacheOptions{}};
-  const std::string Src = "read(a);\nwrite(a);\n";
-  const std::string K = keyOf(Src);
-
-  ASSERT_EQ(C.lookup(K, farDeadline()).K, AnalysisCache::Outcome::MustBuild);
-  C.publish(K, makeArtifact(Src));
-  C.quarantine(K);
-
-  EXPECT_EQ(C.lookup(K, farDeadline()).K, AnalysisCache::Outcome::Quarantined);
-  // A late publish (say, a promoted follower finishing after the
-  // crash verdict landed) must not resurrect the key.
-  C.publish(K, makeArtifact(Src));
-  EXPECT_EQ(C.lookup(K, farDeadline()).K, AnalysisCache::Outcome::Quarantined);
-  // Watermark pressure cannot flush a quarantine record.
-  C.evictToward(0);
-  EXPECT_EQ(C.lookup(K, farDeadline()).K, AnalysisCache::Outcome::Quarantined);
-  EXPECT_EQ(C.stats().Poisoned, 3u);
-}
-
-TEST(AnalysisCacheTest, QuarantinedKeyIsRefusedThroughExecute) {
-  CacheOptions Opts;
-  AnalysisCache C{Opts};
-  const std::string Src = "read(a);\nwrite(a);\n";
-  C.quarantine(keyOf(Src));
-
-  ExecConfig Cfg;
-  Cfg.DefaultBudget = bigBudget();
-  Cfg.Cache = Opts;
-  ServiceRequest R;
-  R.Id = "q1";
-  R.Program = Src;
-  R.Line = 2;
-  ServiceResponse Resp =
-      executeSliceRequest(R, Cfg, nullptr, nullptr, &C);
-  EXPECT_EQ(Resp.Status, ResponseStatus::Poisoned);
-}
-
-//===----------------------------------------------------------------------===//
 // Execute integration: hit parity and the audit
 //===----------------------------------------------------------------------===//
 
@@ -630,7 +588,6 @@ TEST(CacheStatsTest, JsonRoundTripsAndAccumulates) {
   S.Promotions = 4;
   S.Evictions = 5;
   S.WatermarkEvictions = 2;
-  S.Poisoned = 7;
   S.Audits = 8;
   S.AuditMismatches = 1;
   S.Entries = 9;

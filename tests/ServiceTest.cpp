@@ -1838,6 +1838,9 @@ TEST(ReplicationHubTest, WaitAckedFailsFastWithNoSubscriber) {
                        .count();
   EXPECT_LT(ElapsedMs, 1000) << "no-subscriber wait must not consume "
                                 "the timeout";
+  ReplicationCounters C = Hub.counters();
+  EXPECT_EQ(C.SyncWaits, 1u);
+  EXPECT_EQ(C.SyncTimeouts, 1u) << "the loss window must be counted";
   std::remove(Path.c_str());
 }
 
@@ -1869,6 +1872,124 @@ TEST(ReplicationHubTest, CompactionGapForcesASnapshotCatchUp) {
   EXPECT_EQ(C.Snapshots, 1u);
   EXPECT_EQ(C.Resumes, 0u);
   std::remove(Path.c_str());
+}
+
+/// A standby's view of one subscription: record frames deduped by a
+/// sequence high-water mark, exactly as StandbyTail applies them.
+struct HubSubscriber {
+  std::mutex M;
+  uint64_t FromSeq = 0;
+  uint64_t Applied = 0;
+  uint64_t HelloLast = 0;
+  bool Hello = false;
+  bool Snapshot = false;
+  std::set<uint64_t> Seqs;
+
+  void frame(const std::string &F) {
+    JsonValue V = parsed(F);
+    std::lock_guard<std::mutex> G(M);
+    if (V.find("repl")->asString() == "hello") {
+      Hello = true;
+      Snapshot = V.find("snapshot")->asBool();
+      HelloLast = static_cast<uint64_t>(V.find("last_seq")->asInt());
+      Applied = Snapshot ? 0 : FromSeq;
+      return;
+    }
+    std::optional<JournalRecord> Rec = decodeJournalLine(frameLine(F));
+    ASSERT_TRUE(Rec) << F;
+    if (Rec->Seq <= Applied)
+      return;
+    Seqs.insert(Rec->Seq);
+    Applied = Rec->Seq;
+  }
+  uint64_t applied() {
+    std::lock_guard<std::mutex> G(M);
+    return Applied;
+  }
+};
+
+TEST(ReplicationHubTest, SubscribersJoiningMidAppendMissNoRecord) {
+  // The catch-up reads the file and registers the subscriber in one
+  // journal critical section, so a standby joining while appends race
+  // — at seq 0, mid-journal, or from before a compaction — must see
+  // every record with no gap, though the hub keeps no copy of any.
+  for (ReplAckPolicy Policy : {ReplAckPolicy::Flush, ReplAckPolicy::Async}) {
+    SCOPED_TRACE(replAckPolicyName(Policy));
+    std::string Path = ::testing::TempDir() + "jslice_repl_join.jsonl";
+    std::remove(Path.c_str());
+    Journal J;
+    // Small enough that the pairs below compact the file many times.
+    ASSERT_TRUE(J.open(Path, /*RotateBytes=*/8 << 10));
+    HubSubscriber Subs[3]; // Outlive the hub: its shipper calls their sinks.
+    ReplicationHub Hub(J, Policy);
+
+    std::atomic<bool> Stop{false};
+    std::vector<std::thread> Appenders;
+    for (unsigned T = 0; T != 3; ++T)
+      Appenders.emplace_back([&J, &Stop, T] {
+        ServiceRequest R;
+        R.Program = TinyProgram;
+        R.Line = 2;
+        for (unsigned I = 0; !Stop.load(); ++I) {
+          R.Id = "a" + std::to_string(T) + "-" + std::to_string(I);
+          ASSERT_TRUE(J.begin(R));
+          ASSERT_TRUE(J.end(R.Id, "ok"));
+        }
+      });
+    auto waitUntil = [](const std::function<bool()> &Pred) {
+      for (int Spin = 0; Spin != 10000 && !Pred(); ++Spin)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      return Pred();
+    };
+
+    auto join = [&](HubSubscriber &S, uint64_t FromSeq) {
+      S.FromSeq = FromSeq;
+      Hub.subscribe(FromSeq, [&S](const std::string &F) { S.frame(F); });
+    };
+    join(Subs[0], 0);
+    ASSERT_TRUE(waitUntil([&] { return J.lastCompactSeq() > 0; }));
+    join(Subs[1], J.lastSeq());
+    uint64_t Compacted = J.lastCompactSeq();
+    ASSERT_TRUE(waitUntil([&] { return J.lastCompactSeq() > Compacted; }));
+    join(Subs[2], 1);
+    uint64_t Joined = J.lastSeq();
+    ASSERT_TRUE(waitUntil([&] { return J.lastSeq() > Joined + 200; }));
+    Stop = true;
+    for (std::thread &T : Appenders)
+      T.join();
+
+    uint64_t Last = J.lastSeq();
+    std::set<uint64_t> InFile;
+    {
+      std::ifstream In(Path);
+      std::string Line;
+      while (std::getline(In, Line))
+        if (std::optional<JournalRecord> Rec = decodeJournalLine(Line))
+          InFile.insert(Rec->Seq);
+    }
+    for (HubSubscriber &S : Subs) {
+      SCOPED_TRACE("from_seq " + std::to_string(S.FromSeq));
+      ASSERT_TRUE(waitUntil([&] { return S.applied() >= Last; }))
+          << "stream stalled at " << S.applied() << " of " << Last;
+      std::lock_guard<std::mutex> G(S.M);
+      ASSERT_TRUE(S.Hello);
+      // Live records: every seq past the catch-up read, no gap.
+      uint64_t LiveFrom = S.Snapshot ? S.HelloLast : S.FromSeq;
+      for (uint64_t Seq = LiveFrom + 1; Seq <= Last; ++Seq)
+        ASSERT_TRUE(S.Seqs.count(Seq)) << "gap at seq " << Seq;
+      // A snapshot resends the file: every record still in it arrived.
+      if (S.Snapshot) {
+        for (uint64_t Seq : InFile)
+          ASSERT_TRUE(S.Seqs.count(Seq)) << "snapshot missed seq " << Seq;
+      }
+    }
+    EXPECT_TRUE(Subs[2].Snapshot) << "resuming from before a compaction "
+                                     "must be a snapshot";
+    ReplicationCounters C = Hub.counters();
+    EXPECT_EQ(C.Subscribes, 3u);
+    EXPECT_EQ(C.Snapshots + C.Resumes, 3u);
+    std::remove(Path.c_str());
+  }
 }
 
 /// Thread-safe sink log: slice responses arrive from pool threads,

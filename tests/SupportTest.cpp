@@ -9,15 +9,18 @@
 #include "support/Casting.h"
 #include "support/Error.h"
 #include "support/LineFramer.h"
+#include "support/LogHistogram.h"
 #include "support/ResourceGuard.h"
 #include "support/StringUtils.h"
 #include "support/WorkerPool.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <climits>
+#include <cmath>
 #include <random>
 #include <thread>
 
@@ -462,6 +465,68 @@ TEST(LineFramerTest, ChunkingDoesNotChangeTheFrames) {
     }
     EXPECT_EQ(Frames(Cuts), Whole) << "trial " << Trial;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// LogHistogram
+//===----------------------------------------------------------------------===//
+
+/// Every percentile the server reports (and a few more) against the
+/// exact sample of the same rank: within 1/32, exact below 32.
+void expectPercentilesWithinBound(std::vector<uint64_t> Samples) {
+  LogHistogram H;
+  for (uint64_t V : Samples)
+    H.record(V);
+  ASSERT_EQ(H.count(), Samples.size());
+  std::sort(Samples.begin(), Samples.end());
+  for (unsigned Pct : {0u, 1u, 25u, 50u, 90u, 95u, 99u, 100u}) {
+    size_t Rank = std::min(Samples.size() - 1, Samples.size() * Pct / 100);
+    double Exact = static_cast<double>(Samples[Rank]);
+    double Got = H.percentile(Pct);
+    if (Exact < 2 * LogHistogram::Sub)
+      EXPECT_EQ(Got, Exact) << "p" << Pct;
+    else
+      EXPECT_LE(std::abs(Got - Exact), Exact / 32) << "p" << Pct;
+  }
+}
+
+TEST(LogHistogramTest, PercentilesOfKnownDistributionsStayWithinBound) {
+  std::mt19937_64 Rng(11);
+  std::vector<uint64_t> Uniform, Exponential, Small, Spread;
+  for (int I = 0; I != 20000; ++I) {
+    Uniform.push_back(std::uniform_int_distribution<uint64_t>(0, 100000)(Rng));
+    Exponential.push_back(static_cast<uint64_t>(
+        std::exponential_distribution<double>(1.0 / 3000)(Rng)));
+    Small.push_back(std::uniform_int_distribution<uint64_t>(0, 31)(Rng));
+    // Log-uniform over the whole 64-bit range.
+    Spread.push_back(Rng() >> std::uniform_int_distribution<int>(0, 63)(Rng));
+  }
+  expectPercentilesWithinBound(Uniform);
+  expectPercentilesWithinBound(Exponential);
+  expectPercentilesWithinBound(Small);
+  expectPercentilesWithinBound(Spread);
+  expectPercentilesWithinBound(std::vector<uint64_t>(7, 123456));
+  expectPercentilesWithinBound({UINT64_MAX, 0, 1ull << 63, 31, 32, 33});
+}
+
+TEST(LogHistogramTest, EveryOctaveBoundaryStaysWithinBound) {
+  for (unsigned Bit = 0; Bit != 64; ++Bit) {
+    uint64_t V = uint64_t(1) << Bit;
+    expectPercentilesWithinBound({V - 1});
+    expectPercentilesWithinBound({V});
+    expectPercentilesWithinBound({V + 1});
+  }
+}
+
+TEST(LogHistogramTest, EmptyAndFixedSize) {
+  LogHistogram H;
+  EXPECT_EQ(H.percentile(50), 0);
+  for (uint64_t V = 0; V != 100000; ++V)
+    H.record(V * 7919);
+  // A million samples or none: the histogram is the same object.
+  static_assert(sizeof(LogHistogram) ==
+                (LogHistogram::NumBuckets + 1) * sizeof(uint64_t));
+  EXPECT_EQ(H.count(), 100000u);
 }
 
 } // namespace

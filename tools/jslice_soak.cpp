@@ -1163,23 +1163,30 @@ int runFailoverMatrix(const SoakOptions &Opts) {
   PumpResult R = Pump.finish();
 
   // The acked-durability audit: under --repl-ack=sync every response
-  // follows the standby's durable ack of its begin, so a tail batch
-  // then kill -9 of the primary must leave every id in the replica
-  // journal. Sync-ack timeouts legally waive this and skip the check.
+  // follows the standby's durable ack of its begin, so each ok response
+  // of a tail batch must find its begin in the replica journal, and a
+  // kill -9 of the primary afterwards must not disturb the replica.
+  // The replica is read right after each response, before the next
+  // request: once the tail's end lands too, the replica's own rotation
+  // past --journal-rotate-bytes may compact the finished pair away, and
+  // only a later append can trigger that. Sync-ack timeouts (or a
+  // missing standby, counted the same way) legally waive the check.
   uint64_t TailOk = 0;
   if (!Violations && Opts.ReplAck == ReplAckPolicy::Sync && Stb) {
     auto Before = replCounters(PriPort, true);
-    std::vector<std::string> TailIds;
+    std::vector<std::string> Unreplicated;
     for (unsigned I = 0; I != 16; ++I) {
       std::string Id = "tail" + std::to_string(I);
       std::string Resp = ask(
           PriPort, soakRequest(Programs, I, Id, false).toJson().str(), 8);
-      if (Resp.find("\"status\":\"ok\"") != std::string::npos) {
-        ++TailOk;
-        TailIds.push_back(Id);
-      }
+      if (Resp.find("\"status\":\"ok\"") == std::string::npos)
+        continue;
+      ++TailOk;
+      if (!journalBeginIds(JPath[StbSlot]).count(Id))
+        Unreplicated.push_back(Id);
     }
     auto After = replCounters(PriPort, true);
+    auto Replica = replCounters(StbPort, false);
     bool Strict = Before && After &&
                   (*After)["sync_timeouts"] == (*Before)["sync_timeouts"];
     ServeNode::signal(Pri->leader(), SIGKILL);
@@ -1196,15 +1203,27 @@ int runFailoverMatrix(const SoakOptions &Opts) {
     if (!TailOk)
       fail("acked-durability tail batch produced no ok responses — the "
            "audit proved nothing");
-    if (Strict) {
-      std::set<std::string> Begins = journalBeginIds(JPath[StbSlot]);
-      for (const std::string &Id : TailIds)
-        if (!Begins.count(Id))
-          fail("acknowledged-but-lost: response for id " + Id +
-               " has no replica-journal record");
-    } else {
+    if (!Strict) {
       std::fprintf(stderr, "jslice_soak: sync ack timeouts during the tail "
                            "batch; acked-durability audit skipped\n");
+    } else if (!Unreplicated.empty()) {
+      for (const std::string &Id : Unreplicated)
+        fail("acknowledged-but-lost: response for id " + Id +
+             " has no replica-journal record");
+      // Enough state to tell a lost ack from a lost record in a CI log.
+      for (const auto &[What, C] : {std::pair{"before", &Before},
+                                    std::pair{"after", &After}}) {
+        std::fprintf(stderr, "jslice_soak: primary replication %s the tail "
+                             "batch:", What);
+        for (const auto &[Key, N] : **C)
+          std::fprintf(stderr, " %s=%llu", Key.c_str(), ull(N));
+        std::fprintf(stderr, "\n");
+      }
+      std::fprintf(stderr,
+                   "jslice_soak: replica applied_seq=%llu, last journal "
+                   "seq=%llu\n",
+                   ull(Replica ? (*Replica)["applied_seq"] : 0),
+                   ull(Scan.MaxSeq));
     }
   } else if (Stb) {
     Stb->terminate(Stb->leader(), 15000);
