@@ -620,18 +620,23 @@ void Journal::catchUp(const std::function<void(const CatchUp &)> &Fn) const {
   C.ThroughSeq = NextSeq - 1;
   C.LastCompactSeq = LastCompactSeq;
   C.Epoch = Epoch;
+  C.Path = &Path;
+  Fn(C);
+}
+
+void Journal::CatchUp::forEachRecord(
+    const std::function<void(uint64_t, const std::string &)> &Fn) const {
   // Every append fflushes before returning, so a plain read of the
-  // path sees everything appended so far; holding the mutex keeps the
-  // file from rotating or growing until Fn is done with it.
-  std::ifstream In(Path, std::ios::binary);
+  // path sees everything appended so far; catchUp() holds the mutex,
+  // which keeps the file from rotating or growing meanwhile.
+  std::ifstream In(*Path, std::ios::binary);
   std::string Line;
   while (In && std::getline(In, Line)) {
     if (isBlank(Line))
       continue;
     if (std::optional<JournalRecord> R = decodeJournalLine(Line))
-      C.Records.emplace_back(R->Seq, std::move(Line));
+      Fn(R->Seq, Line);
   }
-  Fn(C);
 }
 
 bool Journal::resetForSnapshot() {

@@ -293,21 +293,30 @@ public:
   /// tap (replicas do not re-ship).
   bool appendReplica(const std::string &Line, JournalRecord Rec);
 
-  /// The journal as a replication catch-up sees it.
-  struct CatchUp {
-    /// Every verifiable record in the file as (seq, line), file order.
-    std::vector<std::pair<uint64_t, std::string>> Records;
+  /// The journal as a replication catch-up sees it; valid only inside
+  /// catchUp()'s callback.
+  class CatchUp {
+  public:
     uint64_t ThroughSeq = 0;     ///< Last sequence appended so far.
     uint64_t LastCompactSeq = 0; ///< As lastCompactSeq().
     uint64_t Epoch = 0;          ///< As epoch().
+
+    /// Reads the file and calls \p Fn on every verifiable record as
+    /// (seq, line), in file order. Holds one line at a time.
+    void forEachRecord(
+        const std::function<void(uint64_t, const std::string &)> &Fn) const;
+
+  private:
+    friend class Journal;
+    const std::string *Path = nullptr;
   };
 
-  /// Reads the file into a CatchUp and runs \p Fn on it, all inside one
-  /// journal critical section: no append, rotation or compaction lands
-  /// until \p Fn returns, so a subscriber \p Fn registers with the tap
-  /// sees every record past ThroughSeq live and none twice. The
-  /// replication hub's catch-up. \p Fn runs under the journal mutex:
-  /// like the tap, it must never call back into this journal.
+  /// Runs \p Fn on a CatchUp of this journal inside one journal
+  /// critical section: no append, rotation or compaction lands until
+  /// \p Fn returns, so a subscriber \p Fn registers with the tap sees
+  /// every record past ThroughSeq live and none twice. The replication
+  /// hub's catch-up. \p Fn runs under the journal mutex: like the tap,
+  /// it must never call back into this journal.
   void catchUp(const std::function<void(const CatchUp &)> &Fn) const;
 
   /// Standby side: empties the replica journal before applying a full

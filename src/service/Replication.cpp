@@ -144,12 +144,12 @@ uint64_t ReplicationHub::subscribe(uint64_t FromSeq, Sink Out) {
 
     // The whole file after a compaction gap, else only the records
     // past the subscriber's resume point.
-    for (const auto &[Seq, Line] : C.Records) {
+    C.forEachRecord([&](uint64_t Seq, const std::string &Line) {
       if (!Snapshot && Seq <= FromSeq)
-        continue;
+        return;
       Out(recordFrame(Line));
       ++Stats.Shipped;
-    }
+    });
     Subscribers.push_back(Subscriber{Id, std::move(Out)});
   });
   return Id;
@@ -177,7 +177,7 @@ bool ReplicationHub::waitAcked(uint64_t Seq, uint64_t TimeoutMs) {
   std::unique_lock<std::mutex> Lock(M);
   ++Stats.SyncWaits;
   if (Subscribers.empty()) {
-    ++Stats.SyncTimeouts; // No standby: the loss window is open, counted.
+    ++Stats.SyncNoStandby; // The loss window is open, counted.
     return false;
   }
   bool Acked = AckCv.wait_for(

@@ -97,13 +97,14 @@ bool parseReplAckPolicyName(const std::string &Name, ReplAckPolicy &Out);
 
 /// Counters for {"stats"} and the failover matrix's assertions.
 struct ReplicationCounters {
-  uint64_t Shipped = 0;      ///< Record frames handed to subscribers.
-  uint64_t Subscribes = 0;   ///< repl_subscribe requests served.
-  uint64_t Snapshots = 0;    ///< Catch-ups that resent the whole file.
-  uint64_t Resumes = 0;      ///< Incremental catch-ups from from_seq.
-  uint64_t SyncWaits = 0;    ///< Appends that waited for an ack.
-  uint64_t SyncTimeouts = 0; ///< ...and timed out or found no standby
-                             ///< (loss window open).
+  uint64_t Shipped = 0;       ///< Record frames handed to subscribers.
+  uint64_t Subscribes = 0;    ///< repl_subscribe requests served.
+  uint64_t Snapshots = 0;     ///< Catch-ups that resent the whole file.
+  uint64_t Resumes = 0;       ///< Incremental catch-ups from from_seq.
+  uint64_t SyncWaits = 0;     ///< Appends that waited for an ack.
+  uint64_t SyncTimeouts = 0;  ///< ...and timed out (loss window open).
+  uint64_t SyncNoStandby = 0; ///< ...and found no subscriber to wait
+                              ///< for (loss window open).
 };
 
 /// Primary-side fan-out: taps the journal and streams every appended
@@ -145,9 +146,9 @@ public:
 
   /// Sync policy: blocks until ackedSeq() >= \p Seq or \p TimeoutMs
   /// elapses. Returns false on timeout *or* at once when no subscriber
-  /// is connected (a primary without a standby must not hang); both
-  /// count as a sync wait and a sync timeout — the loss window is open
-  /// and counted, not hidden.
+  /// is connected (a primary without a standby must not hang). Each
+  /// counts as a sync wait, plus a sync timeout or a no-standby wait —
+  /// the loss window is open and counted, not hidden.
   bool waitAcked(uint64_t Seq, uint64_t TimeoutMs);
 
   size_t subscriberCount() const;

@@ -69,6 +69,7 @@ JsonValue ServerStats::toJson() const {
     R.set("resumes", Repl.Resumes);
     R.set("sync_waits", Repl.SyncWaits);
     R.set("sync_timeouts", Repl.SyncTimeouts);
+    R.set("sync_no_standby", Repl.SyncNoStandby);
     R.set("acked_seq", ReplAckedSeq);
     R.set("last_shipped_seq", ReplLastShippedSeq);
     Out.set("replication", std::move(R));

@@ -1169,8 +1169,11 @@ int runFailoverMatrix(const SoakOptions &Opts) {
   // The replica is read right after each response, before the next
   // request: once the tail's end lands too, the replica's own rotation
   // past --journal-rotate-bytes may compact the finished pair away, and
-  // only a later append can trigger that. Sync-ack timeouts (or a
-  // missing standby, counted the same way) legally waive the check.
+  // only a later append can trigger that. Sync-ack timeouts legally
+  // waive the check; a response served with no standby registered
+  // (sync_no_standby) does not. The closing reattach waited for the
+  // hub's subscribe count, which moves in the same critical section
+  // as the registration, so the batch starts with a subscriber.
   uint64_t TailOk = 0;
   if (!Violations && Opts.ReplAck == ReplAckPolicy::Sync && Stb) {
     auto Before = replCounters(PriPort, true);
