@@ -38,15 +38,14 @@ std::set<unsigned> fig7WithoutAdaptation(const Analysis &A,
   BitVector Slice(A.cfg().numNodes());
   for (unsigned Seed : RC.Seeds)
     detail::addDependenceClosure(A.pdg(), Slice, Seed);
+  detail::NearestInSlice Near(A, Slice);
   for (bool Changed = Traverse; Changed;) {
     Changed = false;
     for (unsigned J : A.pdt().preorder()) {
-      if (!A.cfg().node(J).isJump() || Slice.test(J))
-        continue;
-      if (detail::nearestPostdomInSlice(A, J, Slice) ==
-          detail::nearestLexSuccInSlice(A, J, Slice))
+      if (!A.cfg().node(J).isJump() || Slice.test(J) || !Near.jumpNeeded(J))
         continue;
       detail::addDependenceClosure(A.pdg(), Slice, J);
+      Near.sliceGrew();
       Changed = true;
     }
   }

@@ -44,6 +44,7 @@ public:
 
   /// Immediate dominator; -1 for the root and for unreachable nodes.
   int idom(unsigned Node) const { return IDom[Node]; }
+  const std::vector<int> &idoms() const { return IDom; }
 
   const std::vector<unsigned> &children(unsigned Node) const {
     return Children[Node];

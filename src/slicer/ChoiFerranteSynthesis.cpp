@@ -38,40 +38,27 @@ jslice::sliceChoiFerranteSynthesis(const Analysis &A,
   const Analysis::Augmented *Aug = A.augmented();
   if (!Aug)
     return R; // The analysis' guard tripped building the bundle.
-  BitVector Closure(C.numNodes());
+  BitVector Kept(C.numNodes());
   for (unsigned Seed : RC.Seeds)
-    addDependenceClosure(A.augPdg(*Aug), Closure, Seed);
-  Closure.forEachSetBit([&](size_t Node) {
-    if (!C.node(Node).isJump())
-      R.Kept.insert(static_cast<unsigned>(Node));
-  });
+    addDependenceClosure(A.augPdg(*Aug), Kept, Seed);
+  for (unsigned Jump : A.jumps())
+    Kept.reset(Jump);
+  Kept.forEachSetBit(
+      [&](size_t Node) { R.Kept.insert(static_cast<unsigned>(Node)); });
 
   // Destination of a raw control transfer to \p Target: the nearest
   // kept postdominator. Every deleted node on the way is either a
   // non-branching statement, a predicate none of whose outcomes a kept
   // statement distinguishes (else it would be in the closure), or a
-  // jump whose routing the postdominator walk absorbs.
-  auto Destination = [&](unsigned Target) {
-    unsigned Cur = Target;
-    while (Cur != C.exit() && !R.Kept.count(Cur)) {
-      int Up = A.pdt().idom(Cur);
-      assert(Up >= 0 && "PDT walk escaped the tree");
-      Cur = static_cast<unsigned>(Up);
-    }
-    return Cur;
+  // jump whose routing the postdominator walk absorbs. Its textual
+  // fall-through destination — where the printed slice would go without
+  // an explicit goto — is the nearest kept lexical successor.
+  NearestInSlice Near(A, Kept);
+  auto Destination = [&](unsigned T) {
+    return Kept.test(T) ? T : Near.postdom(T);
   };
-
-  // Textual fall-through destination: where the printed slice would go
-  // without an explicit goto — the nearest kept lexical successor.
-  auto TextualNext = [&](unsigned Target) {
-    unsigned Cur = Target;
-    while (Cur != C.exit() && !R.Kept.count(Cur)) {
-      int Up = A.lst().parent(Cur);
-      if (Up < 0)
-        return C.exit();
-      Cur = static_cast<unsigned>(Up);
-    }
-    return Cur;
+  auto TextualNext = [&](unsigned T) {
+    return Kept.test(T) ? T : Near.lexSucc(T);
   };
 
   for (unsigned Node : R.Kept) {

@@ -97,33 +97,41 @@ bool detail::closeWithAdaptation(const Analysis &A, const ClosureSource &Close,
   return true;
 }
 
-namespace {
+struct NearestInSlice::Scratch {
+  uint64_t Epoch = 0;
+  struct Entry {
+    unsigned Answer[2]; // Per tree (PDT, LST): the nearest member found,
+    uint64_t Stamp[2];  // and the epoch it was found in.
+  };
+  std::vector<Entry> Memo; // Per node.
+};
 
-/// Nearest proper ancestor of \p Node in the tree \p Parent describes
-/// that is in \p Slice; Exit terminates every walk.
-template <typename ParentFn>
-unsigned nearestInSlice(const Analysis &A, unsigned Node,
-                        const BitVector &Slice, ParentFn Parent) {
-  for (int Cur = Parent(Node); Cur >= 0; Cur = Parent(unsigned(Cur))) {
-    unsigned N = static_cast<unsigned>(Cur);
-    if (N == A.cfg().exit() || Slice.test(N))
-      return N;
+static thread_local NearestInSlice::Scratch PerThreadScratch;
+
+NearestInSlice::NearestInSlice(const Analysis &A, const BitVector &Slice)
+    : A(A), Slice(Slice), S(PerThreadScratch), Epoch(++S.Epoch) {
+  if (S.Memo.size() < A.cfg().numNodes())
+    S.Memo.resize(A.cfg().numNodes());
+}
+
+void NearestInSlice::sliceGrew() { Epoch = ++S.Epoch; }
+
+unsigned NearestInSlice::nearest(unsigned Node, bool Lex) {
+  const std::vector<int> &Parent = Lex ? A.lst().parents() : A.pdt().idoms();
+  std::vector<Scratch::Entry> &M = S.Memo;
+  unsigned Exit = A.cfg().exit();
+  int Stop = Parent[Node];
+  while (Stop >= 0 && M[Stop].Stamp[Lex] != Epoch && unsigned(Stop) != Exit &&
+         !Slice.test(Stop))
+    Stop = Parent[Stop];
+  unsigned Result = Exit;
+  if (Stop >= 0)
+    Result = M[Stop].Stamp[Lex] == Epoch ? M[Stop].Answer[Lex] : Stop;
+  for (int N = Parent[Node]; N != Stop; N = Parent[N]) {
+    M[N].Answer[Lex] = Result;
+    M[N].Stamp[Lex] = Epoch;
   }
-  return A.cfg().exit();
-}
-
-} // namespace
-
-unsigned detail::nearestPostdomInSlice(const Analysis &A, unsigned Node,
-                                       const BitVector &Slice) {
-  return nearestInSlice(A, Node, Slice,
-                        [&](unsigned N) { return A.pdt().idom(N); });
-}
-
-unsigned detail::nearestLexSuccInSlice(const Analysis &A, unsigned Node,
-                                       const BitVector &Slice) {
-  return nearestInSlice(A, Node, Slice,
-                        [&](unsigned N) { return A.lst().parent(N); });
+  return Result;
 }
 
 void detail::finishResult(const Analysis &A, BitVector Slice,
@@ -131,6 +139,7 @@ void detail::finishResult(const Analysis &A, BitVector Slice,
   // Figure 7's final step: every in-slice goto whose target statement
   // left the slice has its label re-associated with the target's
   // nearest postdominator in the slice (Exit: end of program).
+  NearestInSlice Near(A, Slice);
   for (unsigned Node : A.jumps()) {
     if (!Slice.test(Node))
       continue;
@@ -141,9 +150,7 @@ void detail::finishResult(const Analysis &A, BitVector Slice,
     assert(Target && "goto in slice without resolved target");
     if (Slice.test(*Target))
       continue; // The labeled statement survived; no re-association.
-    R.ReassociatedLabels[Goto->getTargetLabel()] =
-        *Target == A.cfg().exit() ? *Target
-                                  : nearestPostdomInSlice(A, *Target, Slice);
+    R.ReassociatedLabels[Goto->getTargetLabel()] = Near.postdom(*Target);
   }
   R.Nodes = NodeSet(std::move(Slice));
 }

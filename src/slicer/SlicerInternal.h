@@ -135,16 +135,38 @@ private:
   const GuardRef &Guard;
 };
 
-/// Figure 7's "nearest postdominator in the slice": proper PDT
-/// ancestors of \p Node; Exit terminates every walk (the paper treats
-/// Exit as the root of both trees).
-unsigned nearestPostdomInSlice(const Analysis &A, unsigned Node,
-                               const BitVector &Slice);
+/// Figure 7's two questions: a node's nearest postdominator and nearest
+/// lexical successor in \p Slice, i.e. its nearest proper PDT and LST
+/// ancestors in it (Exit, the root of both trees, ends every walk). A
+/// walk stops at Exit, a member, or the first node already answered in
+/// this epoch, and stamps the nodes it passed with the answer: within an
+/// epoch each tree node is walked at most once. The memo is per thread
+/// (24 B per node of the largest CFG the thread has sliced), reused and
+/// never cleared; its 64-bit epoch only grows, so a new view starts one.
+class NearestInSlice {
+public:
+  NearestInSlice(const Analysis &A, const BitVector &Slice);
 
-/// Nearest lexical successor of \p Node in \p Slice (proper LST
-/// ancestors; Exit terminates).
-unsigned nearestLexSuccInSlice(const Analysis &A, unsigned Node,
-                               const BitVector &Slice);
+  unsigned postdom(unsigned Node) { return nearest(Node, false); }
+  unsigned lexSucc(unsigned Node) { return nearest(Node, true); }
+
+  /// The decisive test: a jump is needed exactly when deleting it
+  /// would change where control falls relative to the slice.
+  bool jumpNeeded(unsigned J) { return postdom(J) != lexSucc(J); }
+
+  /// \p Slice gained members (it only grows): every answer is stale.
+  void sliceGrew();
+
+  struct Scratch;
+
+private:
+  unsigned nearest(unsigned Node, bool Lex);
+
+  const Analysis &A;
+  const BitVector &Slice;
+  Scratch &S;
+  uint64_t Epoch;
+};
 
 /// The single dispatch over every algorithm, each a traversal that
 /// gets its dependence closures from \p Close. Weiser's dataflow

@@ -91,45 +91,31 @@ bool jslice::algorithmIsSound(SliceAlgorithm Algorithm) {
 
 namespace {
 
-/// One Figure 7 preorder pass over a tree of \p TreeNodes nodes whose
-/// preorder holds the jumps \p Jumps, in that order: adds every jump
-/// whose nearest postdominator in the slice differs from its nearest
-/// lexical successor in the slice, with the jump's closure, appending
-/// it to \p Added. Only jumps can be added, so the pass visits only
-/// them; it is still charged one step per tree node up front, plus a
-/// checkpoint per jump it tests. Returns false when the guard trips
-/// (partial slice).
-bool figure7Pass(const Analysis &A, const ClosureSource &Close,
-                 size_t TreeNodes, const std::vector<unsigned> &Jumps,
-                 BitVector &Slice, std::vector<unsigned> &Added) {
-  if (!Close.guard().charge(TreeNodes, "slicer.traversal"))
-    return false;
-  for (unsigned J : Jumps) {
-    if (Slice.test(J))
-      continue;
-    if (!Close.guard().checkpoint("slicer.traversal"))
-      return false;
-    // The decisive test: a jump is needed exactly when deleting it
-    // would change where control falls relative to the slice.
-    if (nearestPostdomInSlice(A, J, Slice) ==
-        nearestLexSuccInSlice(A, J, Slice))
-      continue;
-    Added.push_back(J);
-    if (!closeWithAdaptation(A, Close, Slice, {J}))
-      return false;
-  }
-  return true;
-}
-
-/// Figure 7: preorder passes over the PDT (or LST) until one adds no
-/// jump. A tripped guard stops the traversal.
+/// Figure 7: preorder passes over a tree of \p TreeNodes nodes, whose
+/// preorder holds the jumps \p Jumps, until one adds no jump. A pass
+/// adds, with its closure, every jump whose nearest postdominator and
+/// nearest lexical successor in the slice differ. It visits only the
+/// jumps (nothing else can be added), yet is charged one step per tree
+/// node up front plus a checkpoint per jump it tests. A tripped guard
+/// stops the traversal (partial slice).
 void figure7(const Analysis &A, const ClosureSource &Close,
              size_t TreeNodes, const std::vector<unsigned> &Jumps,
              BitVector &Slice, SliceResult &R) {
+  NearestInSlice Near(A, Slice);
   for (bool Ok = true; Ok;) {
     ++R.Traversals;
     std::vector<unsigned> Added;
-    Ok = figure7Pass(A, Close, TreeNodes, Jumps, Slice, Added);
+    Ok = Close.guard().charge(TreeNodes, "slicer.traversal");
+    for (auto J = Jumps.begin(); Ok && J != Jumps.end(); ++J) {
+      if (Slice.test(*J))
+        continue;
+      Ok = Close.guard().checkpoint("slicer.traversal");
+      if (!Ok || !Near.jumpNeeded(*J))
+        continue;
+      Added.push_back(*J);
+      Near.sliceGrew();
+      Ok = closeWithAdaptation(A, Close, Slice, {*J});
+    }
     if (Added.empty())
       break;
     ++R.ProductiveTraversals;
@@ -151,17 +137,15 @@ bool hasControllingPredicateInSlice(const Analysis &A, unsigned Node,
 /// only jumps directly control dependent on an in-slice predicate.
 void figure12(const Analysis &A, BitVector &Slice, SliceResult &R) {
   R.Traversals = 1;
+  NearestInSlice Near(A, Slice);
   for (unsigned J : A.pdtJumpOrder()) {
-    if (Slice.test(J))
-      continue;
-    if (!hasControllingPredicateInSlice(A, J, Slice))
-      continue;
-    if (nearestPostdomInSlice(A, J, Slice) ==
-        nearestLexSuccInSlice(A, J, Slice))
+    if (Slice.test(J) || !hasControllingPredicateInSlice(A, J, Slice) ||
+        !Near.jumpNeeded(J))
       continue;
     // For structured programs the jump's dependences are already in the
     // slice (Section 4, property 2) — insert the jump alone.
     Slice.set(J);
+    Near.sliceGrew();
     R.ProductiveTraversals = 1;
   }
 }

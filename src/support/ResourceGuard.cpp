@@ -9,11 +9,13 @@
 
 using namespace jslice;
 
+std::atomic<bool> FaultInjection::Observing{false};
 std::atomic<uint64_t> FaultInjection::FailAt{0};
 std::atomic<uint64_t> FaultInjection::Count{0};
 std::atomic<const char *> FaultInjection::LastSite{""};
 
 void FaultInjection::arm(uint64_t FailAtCheckpoint) {
+  Observing.store(true, std::memory_order_relaxed);
   Count.store(0, std::memory_order_relaxed);
   LastSite.store("", std::memory_order_relaxed);
   FailAt.store(FailAtCheckpoint, std::memory_order_release);
@@ -29,9 +31,12 @@ uint64_t FaultInjection::observedCheckpoints() {
   return Count.load(std::memory_order_relaxed);
 }
 
-void FaultInjection::resetCount() { Count.store(0, std::memory_order_relaxed); }
+void FaultInjection::resetCount() {
+  Observing.store(true, std::memory_order_relaxed);
+  Count.store(0, std::memory_order_relaxed);
+}
 
-bool FaultInjection::shouldFail(const char *Site, uint64_t SiteCount) {
+bool FaultInjection::countAndTest(const char *Site, uint64_t SiteCount) {
   (void)SiteCount;
   uint64_t Seen = Count.fetch_add(1, std::memory_order_relaxed) + 1;
   uint64_t At = FailAt.load(std::memory_order_acquire);

@@ -120,13 +120,22 @@ struct Budget {
 /// freely, but arming is only *deterministic* when a single pipeline
 /// runs between arm() and the trip — fault-sweep drivers serialize
 /// their requests. Tests arm it through the RAII ScopedArm.
+///
+/// The observing rule: checkpoints are counted only once the process
+/// has called arm() or resetCount(). The first such call sets a sticky
+/// flag; until then shouldFail() returns false after one relaxed load,
+/// so a process that never injects faults pays no shared-counter write
+/// per checkpoint. Counts since the last arm()/resetCount() — every
+/// ordinal a sweep iterates — are the same as if every checkpoint were
+/// counted; a checkpoint racing with the first arm()/resetCount() on
+/// another thread may go uncounted, as it could be reset away anyway.
 class FaultInjection {
 public:
   /// Arms the hook: the \p FailAtCheckpoint-th checkpoint (1-based)
   /// observed from now on fails. Resets the observation counter.
   static void arm(uint64_t FailAtCheckpoint);
 
-  /// Disarms the hook; checkpoints keep being counted.
+  /// Disarms the hook; checkpoints keep being counted (once observing).
   static void disarm();
 
   static bool armed();
@@ -139,8 +148,13 @@ public:
   static void resetCount();
 
   /// The guard's question: should the checkpoint at \p Site, the
-  /// \p SiteCount-th at that site, fail now? Counts every call.
-  static bool shouldFail(const char *Site, uint64_t SiteCount);
+  /// \p SiteCount-th at that site, fail now? Counts every call once
+  /// observing (see the observing rule above).
+  static bool shouldFail(const char *Site, uint64_t SiteCount) {
+    if (!Observing.load(std::memory_order_relaxed))
+      return false;
+    return countAndTest(Site, SiteCount);
+  }
 
   /// The site name of the checkpoint that last tripped (empty if none).
   static const char *trippedSite();
@@ -154,6 +168,9 @@ public:
   };
 
 private:
+  static bool countAndTest(const char *Site, uint64_t SiteCount);
+
+  static std::atomic<bool> Observing; // Sticky: set by arm()/resetCount().
   static std::atomic<uint64_t> FailAt; // 0 = disarmed.
   static std::atomic<uint64_t> Count;
   static std::atomic<const char *> LastSite;

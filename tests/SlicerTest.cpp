@@ -10,12 +10,16 @@
 #include "gen/ProgramGenerator.h"
 #include "jslice/jslice.h"
 #include "slicer/SlicerInternal.h"
+#include "support/WorkerPool.h"
 
 #include <gtest/gtest.h>
 
 #include <climits>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
+#include <optional>
+#include <random>
 #include <sstream>
 
 using namespace jslice;
@@ -139,6 +143,51 @@ TEST(SlicerTest, TraversalCountersOnlySetByFigure7) {
   SliceResult General = computeSlice(A, RC, SliceAlgorithm::Agrawal);
   EXPECT_EQ(General.ProductiveTraversals, 1u);
   EXPECT_EQ(General.Traversals, 2u) << "one productive + one fixpoint check";
+}
+
+TEST(SlicerTest, NearestInSliceMemoTracksAGrowingSlice) {
+  // The memo is sound only if every addition starts an epoch and every
+  // view starts its own. Grow a slice to half the nodes, one at a time
+  // in a seeded order, checking every node's answers against plain
+  // walks after each addition; then a new view over an empty slice
+  // must not read the stamps the last checks left.
+  for (unsigned Seed = 1; Seed <= 12; ++Seed) {
+    GenOptions Gen;
+    Gen.Seed = Seed;
+    Gen.TargetStmts = 50;
+    Gen.AllowGotos = Seed % 2 == 0;
+    Analysis A = analyzeOk(generateProgram(Gen));
+    unsigned N = A.cfg().numNodes(), Exit = A.cfg().exit();
+    auto Walk = [&](const std::vector<int> &Parent, unsigned Node,
+                    const BitVector &Slice) {
+      for (int Cur = Parent[Node]; Cur >= 0; Cur = Parent[Cur])
+        if (unsigned(Cur) == Exit || Slice.test(Cur))
+          return unsigned(Cur);
+      return Exit;
+    };
+    size_t Wrong = 0;
+    auto Check = [&](detail::NearestInSlice &Near, const BitVector &Slice) {
+      for (unsigned Node = 0; Node != N; ++Node)
+        Wrong += Near.postdom(Node) != Walk(A.pdt().idoms(), Node, Slice) ||
+                 Near.lexSucc(Node) != Walk(A.lst().parents(), Node, Slice);
+    };
+    std::vector<unsigned> Order(N);
+    std::iota(Order.begin(), Order.end(), 0u);
+    std::shuffle(Order.begin(), Order.end(), std::mt19937(Seed));
+    Order.resize(N / 2);
+    BitVector Slice(N);
+    detail::NearestInSlice Near(A, Slice);
+    for (unsigned Node : Order) {
+      Check(Near, Slice);
+      Slice.set(Node);
+      Near.sliceGrew();
+    }
+    Check(Near, Slice);
+    BitVector Empty(N);
+    detail::NearestInSlice Fresh(A, Empty);
+    Check(Fresh, Empty);
+    EXPECT_EQ(Wrong, 0u) << "seed " << Seed;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -428,23 +477,56 @@ TEST(BatchSlicerTest, RunAllCoversEveryLineAndMatchesSingleShot) {
 }
 
 TEST(BatchSlicerTest, ThreadedRunMatchesSerialRun) {
-  const PaperExample &Ex = paperExample("fig8a");
-  Analysis A = analyzeOk(Ex.Source);
-  BatchSlicer Batch(A);
-  std::vector<Criterion> Crits = allLineCriteria(A);
+  // Figure 7's nearest-in-slice memo is per-thread scratch that outlives
+  // a criterion and a program. The same four pool threads slice every
+  // line of a ~2000-statement unstructured program and then of fig8a
+  // (largest first: memo entries sized and stamped for the large CFG
+  // carry into the small one), and a threaded runAll does too; every
+  // entry must equal a one-thread run's.
+  GenOptions Gen;
+  Gen.Seed = 11;
+  Gen.TargetStmts = 2000;
+  Gen.AllowGotos = true;
+  Gen.NumVars = 8;
+  Analysis Large = analyzeOk(generateProgram(Gen));
+  Analysis Small = analyzeOk(paperExample("fig8a").Source);
+  ASSERT_GT(Large.cfg().numNodes(), 10 * Small.cfg().numNodes());
 
-  BatchOptions Serial;
-  Serial.Threads = 1;
-  BatchOptions Threaded;
-  Threaded.Threads = 4;
-  std::vector<BatchEntry> S = Batch.runAll(Crits, Serial);
-  std::vector<BatchEntry> T = Batch.runAll(Crits, Threaded);
-  ASSERT_EQ(S.size(), T.size());
-  for (size_t I = 0; I != S.size(); ++I) {
-    ASSERT_EQ(S[I].Ok, T[I].Ok);
-    if (S[I].Ok)
-      expectSameResult(T[I].Result, S[I].Result,
-                       "line " + std::to_string(Crits[I].Line));
+  WorkerPool Pool(4);
+  for (const Analysis *A : {&Large, &Small}) {
+    BatchSlicer Batch(*A);
+    std::vector<Criterion> Crits = allLineCriteria(*A);
+    BatchOptions Serial;
+    Serial.Threads = 1;
+    BatchOptions Threaded;
+    Threaded.Threads = 4;
+    std::vector<BatchEntry> S = Batch.runAll(Crits, Serial);
+    std::vector<BatchEntry> T = Batch.runAll(Crits, Threaded);
+    std::vector<std::optional<SliceResult>> P(Crits.size());
+    for (size_t I = 0; I != Crits.size(); ++I)
+      Pool.submit([&, I] {
+        ResourceGuard G;
+        if (ErrorOr<ResolvedCriterion> RC = resolveCriterion(*A, Crits[I]))
+          P[I] = Batch.sliceShared(*RC, SliceAlgorithm::Agrawal, G);
+      });
+    Pool.drain();
+    ASSERT_EQ(S.size(), T.size());
+    size_t Added = 0;
+    for (size_t I = 0; I != S.size(); ++I) {
+      std::string What = std::to_string(A->cfg().numNodes()) +
+                         "-node program, line " +
+                         std::to_string(Crits[I].Line);
+      ASSERT_EQ(S[I].Ok, T[I].Ok) << What;
+      ASSERT_EQ(S[I].Ok, P[I].has_value()) << What;
+      if (!S[I].Ok)
+        continue;
+      expectSameResult(T[I].Result, S[I].Result, What + " / runAll");
+      expectSameResult(*P[I], S[I].Result, What + " / pool");
+      for (const std::vector<unsigned> &Pass : S[I].Result.TraversalAdditions)
+        Added += Pass.size();
+    }
+    // Additions invalidate the memo; the comparison must exercise them.
+    EXPECT_GT(Added, 0u);
   }
 }
 
