@@ -65,31 +65,62 @@ bool jslice::parseJournalFailureName(const std::string &Name,
   return true;
 }
 
-uint32_t jslice::journalCrc32(const std::string &Data) {
-  // The zlib/IEEE CRC32, table-driven; built once, thread-safe since
-  // C++11 static initialization.
-  static const std::array<uint32_t, 256> Table = [] {
-    std::array<uint32_t, 256> T{};
-    for (uint32_t I = 0; I < 256; ++I) {
-      uint32_t C = I;
-      for (int K = 0; K < 8; ++K)
-        C = (C & 1) ? 0xedb88320u ^ (C >> 1) : C >> 1;
-      T[I] = C;
-    }
-    return T;
-  }();
+namespace {
+
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+/// Slice-by-8 tables for the reflected IEEE polynomial. Row 0 is the
+/// classic bytewise table; row K advances a byte's contribution past K
+/// more zero bytes, so eight table lookups consume eight input bytes.
+constexpr Crc32Tables makeCrc32Tables() {
+  Crc32Tables T{};
+  for (uint32_t I = 0; I < 256; ++I) {
+    uint32_t C = I;
+    for (int K = 0; K < 8; ++K)
+      C = (C & 1) ? 0xedb88320u ^ (C >> 1) : C >> 1;
+    T[0][I] = C;
+  }
+  for (size_t K = 1; K < 8; ++K)
+    for (uint32_t I = 0; I < 256; ++I)
+      T[K][I] = (T[K - 1][I] >> 8) ^ T[0][T[K - 1][I] & 0xffu];
+  return T;
+}
+
+constexpr Crc32Tables Crc32Table = makeCrc32Tables();
+
+/// Four bytes as a little-endian word, whatever the host's byte order.
+uint32_t loadLe32(const unsigned char *P) {
+  return uint32_t(P[0]) | uint32_t(P[1]) << 8 | uint32_t(P[2]) << 16 |
+         uint32_t(P[3]) << 24;
+}
+
+} // namespace
+
+uint32_t jslice::journalCrc32(std::string_view Data) {
+  const auto &T = Crc32Table;
+  const unsigned char *P = reinterpret_cast<const unsigned char *>(Data.data());
+  const unsigned char *End = P + Data.size();
   uint32_t C = 0xffffffffu;
-  for (unsigned char B : Data)
-    C = Table[(C ^ B) & 0xffu] ^ (C >> 8);
+  for (; End - P >= 8; P += 8) {
+    uint32_t Lo = C ^ loadLe32(P), Hi = loadLe32(P + 4);
+    C = T[7][Lo & 0xffu] ^ T[6][(Lo >> 8) & 0xffu] ^
+        T[5][(Lo >> 16) & 0xffu] ^ T[4][Lo >> 24] ^ T[3][Hi & 0xffu] ^
+        T[2][(Hi >> 8) & 0xffu] ^ T[1][(Hi >> 16) & 0xffu] ^ T[0][Hi >> 24];
+  }
+  for (; P != End; ++P)
+    C = T[0][(C ^ *P) & 0xffu] ^ (C >> 8);
   return C ^ 0xffffffffu;
 }
 
 namespace {
 
-std::string crcHex(uint32_t C) {
-  char Buf[9];
-  std::snprintf(Buf, sizeof(Buf), "%08x", C);
-  return Buf;
+/// The crc member's value: eight lowercase hex digits (printf's %08x).
+constexpr size_t CrcDigits = 8;
+
+void writeCrcHex(char *Out, uint32_t C) {
+  static constexpr char Hex[] = "0123456789abcdef";
+  for (size_t I = CrcDigits; I-- > 0; C >>= 4)
+    Out[I] = Hex[C & 0xfu];
 }
 
 bool isBlank(const std::string &Line) {
@@ -118,10 +149,17 @@ std::string jslice::encodeJournalRecord(const JournalRecord &Head,
   Body.set("seq", Head.Seq);
   // Keys serialize sorted and "crc" sorts before every record key, so
   // the checksummed record is the crc-less serialization with the crc
-  // member spliced in after its opening brace.
-  std::string Payload = Body.str();
-  std::string Line = "{\"crc\":\"" + crcHex(journalCrc32(Payload)) + "\",";
-  Line.append(Payload, 1, std::string::npos);
+  // member spliced in after its opening brace. The payload is written
+  // once, behind a placeholder crc member; it is checksummed where it
+  // lies, then its '{' becomes the ',' that joins the two.
+  static constexpr std::string_view Placeholder = "{\"crc\":\"00000000\"";
+  static constexpr size_t CrcAt = 8; // After {"crc":"
+  std::string Line(Placeholder);
+  Body.appendTo(Line);
+  std::string_view Payload(Line);
+  Payload.remove_prefix(Placeholder.size());
+  writeCrcHex(&Line[CrcAt], journalCrc32(Payload));
+  Line[Placeholder.size()] = ',';
   return Line;
 }
 
@@ -140,9 +178,11 @@ jslice::decodeJournalLine(const std::string &Line) {
   // Serialization is deterministic (sorted keys, no whitespace), so
   // the payload the writer checksummed is exactly this record minus
   // its crc member, re-serialized.
+  char Got[CrcDigits];
   std::string Want = Crc->asString();
   V->remove("crc");
-  if (Want != crcHex(journalCrc32(V->str())))
+  writeCrcHex(Got, journalCrc32(V->str()));
+  if (Want != std::string_view(Got, CrcDigits))
     return std::nullopt;
 
   JournalRecord R;
@@ -166,11 +206,10 @@ namespace {
 /// The one in-flight fold: a begin with an id opens it (a later begin
 /// with the same id replaces it), an end closes it, nothing else
 /// touches the index.
-void foldInFlight(InFlightIndex &Open, JournalRecord Rec,
-                  const std::string &Line) {
+void foldInFlight(InFlightIndex &Open, JournalRecord Rec, std::string Line) {
   if (Rec.Event == "begin" && !Rec.Id.empty()) {
     OpenBegin &Slot = Open[Rec.Id];
-    Slot = OpenBegin{std::move(Rec), Line};
+    Slot = OpenBegin{std::move(Rec), std::move(Line)};
   } else if (Rec.Event == "end") {
     Open.erase(Rec.Id);
   }
@@ -230,7 +269,7 @@ JournalScan scanInto(const std::string &Path, InFlightIndex &Open) {
     if (R->Seq < High)
       ++S.SeqRegressions;
     High = std::max(High, R->Seq);
-    foldInFlight(Open, std::move(*R), Line);
+    foldInFlight(Open, std::move(*R), std::move(Line));
   }
 
   S.TornTail = TrailingCorrupt > 0;
@@ -476,16 +515,16 @@ void Journal::flusherMain() {
 }
 
 /// One line into the file, out to the OS, and committed by the sync
-/// policy. Bytes advances only after the commit, so it always names the
-/// end of the last committed record — exactly where reopenLocked()
-/// truncates a failed record, torn or whole, away.
+/// policy. The line and its newline are two writes into the same stdio
+/// buffer, so the line is never copied to append the newline. Bytes
+/// advances only after the commit, so it always names the end of the
+/// last committed record — exactly where reopenLocked() truncates a
+/// failed record, torn or whole, away.
 bool Journal::writeLineLocked(const std::string &Line) {
-  std::string Buf = Line;
-  Buf += '\n';
-  if (Io->write(File, Buf.data(), Buf.size()) != Buf.size() ||
-      !Io->flush(File) || !commitLocked())
+  if (Io->write(File, Line.data(), Line.size()) != Line.size() ||
+      Io->write(File, "\n", 1) != 1 || !Io->flush(File) || !commitLocked())
     return false;
-  Bytes += Buf.size();
+  Bytes += Line.size() + 1;
   return true;
 }
 
@@ -558,8 +597,9 @@ bool Journal::appendLocked(const std::string &Line) {
 
 /// The one append path: stamps gen + epoch + seq onto the record,
 /// encodes it with \p Body once, and appends the line. Only a committed
-/// record is folded into the in-flight index and shipped through the
-/// tap (under the mutex, so taps stay in seq order).
+/// record is shipped through the tap (under the mutex, so taps stay in
+/// seq order) and then folded into the in-flight index, which takes
+/// the line itself rather than a copy.
 bool Journal::appendRecordLocked(const char *Event, const std::string &Id,
                                  JsonValue Body, uint64_t *SeqOut) {
   if (!File)
@@ -573,11 +613,11 @@ bool Journal::appendRecordLocked(const char *Event, const std::string &Id,
   std::string Line = encodeJournalRecord(Head, std::move(Body));
   if (!appendLocked(Line))
     return false;
-  foldInFlight(OpenBegins, std::move(Head), Line);
   if (SeqOut)
     *SeqOut = Seq;
   if (ShipTap)
     ShipTap(Line, Seq);
+  foldInFlight(OpenBegins, std::move(Head), std::move(Line));
   return true;
 }
 

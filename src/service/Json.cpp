@@ -7,21 +7,56 @@
 
 #include "service/Json.h"
 
-#include <cerrno>
+#include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 
 using namespace jslice;
+
+namespace {
+
+/// What a byte means inside a string literal. Plain bytes copy through
+/// unchanged in both directions; the run scanners stop at anything
+/// else. The same three stop classes serve the escaper (which must
+/// escape them) and the parser (which must act on them).
+enum ByteClass : unsigned char { Plain = 0, Quote, Backslash, Control };
+
+constexpr std::array<unsigned char, 256> makeByteClasses() {
+  std::array<unsigned char, 256> T{};
+  for (unsigned C = 0; C < 0x20; ++C)
+    T[C] = Control;
+  T['"'] = Quote;
+  T['\\'] = Backslash;
+  return T;
+}
+
+constexpr std::array<unsigned char, 256> ByteClasses = makeByteClasses();
+
+/// The first non-Plain byte in [P, End), or End.
+const char *skipPlain(const char *P, const char *End) {
+  while (P != End && ByteClasses[static_cast<unsigned char>(*P)] == Plain)
+    ++P;
+  return P;
+}
 
 //===----------------------------------------------------------------------===//
 // Serialization
 //===----------------------------------------------------------------------===//
 
-std::string jslice::jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (unsigned char C : S) {
+/// Appends \p S escaped for a JSON string literal (no quotes): plain
+/// runs whole, then the one escape that ended the run.
+void appendEscaped(std::string &Out, const std::string &S) {
+  static constexpr char Hex[] = "0123456789abcdef";
+  const char *P = S.data(), *End = P + S.size();
+  for (;;) {
+    const char *Stop = skipPlain(P, End);
+    Out.append(P, Stop - P);
+    if (Stop == End)
+      return;
+    unsigned char C = static_cast<unsigned char>(*Stop);
+    P = Stop + 1;
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -44,193 +79,230 @@ std::string jslice::jsonEscape(const std::string &S) {
     case '\t':
       Out += "\\t";
       break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(C);
-      }
+    default: {
+      // The remaining control bytes, as lowercase \u00xx.
+      const char U[] = {'\\', 'u', '0', '0', Hex[C >> 4], Hex[C & 0xf]};
+      Out.append(U, sizeof(U));
+    }
     }
   }
+}
+
+void appendQuoted(std::string &Out, const std::string &S) {
+  Out += '"';
+  appendEscaped(Out, S);
+  Out += '"';
+}
+
+} // namespace
+
+std::string jslice::jsonEscape(const std::string &S) {
+  std::string Out;
+  Out.reserve(S.size());
+  appendEscaped(Out, S);
   return Out;
 }
 
 std::string JsonValue::str() const {
+  std::string Out;
+  appendTo(Out);
+  return Out;
+}
+
+void JsonValue::appendTo(std::string &Out) const {
   switch (K) {
   case Kind::Null:
-    return "null";
+    Out += "null";
+    return;
   case Kind::Bool:
-    return BoolV ? "true" : "false";
+    Out += BoolV ? "true" : "false";
+    return;
   case Kind::Number: {
-    if (!IsDouble)
-      return std::to_string(NumV);
-    if (std::isfinite(DblV)) {
-      char Buf[32];
+    char Buf[32];
+    if (!IsDouble) {
+      Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), NumV).ptr);
+    } else if (std::isfinite(DblV)) {
       std::snprintf(Buf, sizeof(Buf), "%.3f", DblV);
-      return Buf;
+      Out += Buf;
+    } else {
+      Out += "null"; // JSON has no NaN/Inf.
     }
-    return "null"; // JSON has no NaN/Inf.
+    return;
   }
   case Kind::String:
-    return "\"" + jsonEscape(StrV) + "\"";
+    appendQuoted(Out, StrV);
+    return;
   case Kind::Array: {
-    std::string Out = "[";
+    Out += '[';
+    bool First = true;
     for (const JsonValue &V : Arr) {
-      if (Out.size() > 1)
-        Out += ",";
-      Out += V.str();
+      if (!First)
+        Out += ',';
+      First = false;
+      V.appendTo(Out);
     }
-    return Out + "]";
+    Out += ']';
+    return;
   }
   case Kind::Object: {
-    std::string Out = "{";
+    Out += '{';
+    bool First = true;
     for (const auto &[Key, V] : Obj) {
-      if (Out.size() > 1)
-        Out += ",";
-      Out += "\"" + jsonEscape(Key) + "\":" + V.str();
+      if (!First)
+        Out += ',';
+      First = false;
+      appendQuoted(Out, Key);
+      Out += ':';
+      V.appendTo(Out);
     }
-    return Out + "}";
+    Out += '}';
+    return;
   }
   }
-  return "null";
+  Out += "null";
 }
 
 //===----------------------------------------------------------------------===//
 // Parsing
 //===----------------------------------------------------------------------===//
 
-namespace {
-
 /// Hand-rolled recursive-descent parser with an explicit depth cap (the
 /// service reads untrusted request lines; a deep [[[[... must degrade,
 /// not overflow the stack — the same discipline as the Mini-C parser).
-class Parser {
+/// Values are built in place in their parent's container. Error
+/// positions are byte offsets of the cursor when the error is seen.
+class JsonValue::Parser {
 public:
   Parser(const std::string &Text, std::string *Error)
-      : Text(Text), Error(Error) {}
+      : Begin(Text.data()), Cur(Begin), End(Begin + Text.size()),
+        Error(Error) {}
 
   std::optional<JsonValue> run() {
-    std::optional<JsonValue> V = value(0);
-    if (!V)
+    JsonValue V;
+    if (!value(V, 0))
       return std::nullopt;
     skipWs();
-    if (Pos != Text.size())
-      return fail("trailing characters after value");
+    if (Cur != End) {
+      fail("trailing characters after value");
+      return std::nullopt;
+    }
     return V;
   }
 
 private:
   static constexpr unsigned MaxDepth = 64;
 
-  std::optional<JsonValue> fail(const std::string &What) {
+  /// Records the first error; always false.
+  bool fail(const char *What) {
     if (Error && Error->empty())
-      *Error = "byte " + std::to_string(Pos) + ": " + What;
-    return std::nullopt;
+      *Error = "byte " + std::to_string(Cur - Begin) + ": " + What;
+    return false;
   }
 
   void skipWs() {
-    while (Pos < Text.size() &&
-           (Text[Pos] == ' ' || Text[Pos] == '\t' || Text[Pos] == '\n' ||
-            Text[Pos] == '\r'))
-      ++Pos;
+    while (Cur != End &&
+           (*Cur == ' ' || *Cur == '\t' || *Cur == '\n' || *Cur == '\r'))
+      ++Cur;
   }
 
   bool consume(char C) {
-    if (Pos < Text.size() && Text[Pos] == C) {
-      ++Pos;
+    if (Cur != End && *Cur == C) {
+      ++Cur;
       return true;
     }
     return false;
   }
 
   bool literal(const char *Word) {
-    size_t Len = std::char_traits<char>::length(Word);
-    if (Text.compare(Pos, Len, Word) != 0)
+    size_t Len = std::strlen(Word);
+    if (static_cast<size_t>(End - Cur) < Len ||
+        std::memcmp(Cur, Word, Len) != 0)
       return false;
-    Pos += Len;
+    Cur += Len;
     return true;
   }
 
-  std::optional<JsonValue> value(unsigned Depth) {
+  bool value(JsonValue &Out, unsigned Depth) {
     if (Depth > MaxDepth)
       return fail("nesting too deep");
     skipWs();
-    if (Pos >= Text.size())
+    if (Cur == End)
       return fail("unexpected end of input");
-    char C = Text[Pos];
+    char C = *Cur;
     if (C == '{')
-      return object(Depth);
+      return object(Out, Depth);
     if (C == '[')
-      return array(Depth);
-    if (C == '"')
-      return string();
+      return array(Out, Depth);
+    if (C == '"') {
+      Out.K = Kind::String;
+      return string(Out.StrV);
+    }
     if (C == 't') {
-      if (literal("true"))
-        return JsonValue(true);
-      return fail("bad literal");
+      if (!literal("true"))
+        return fail("bad literal");
+      Out = JsonValue(true);
+      return true;
     }
     if (C == 'f') {
-      if (literal("false"))
-        return JsonValue(false);
-      return fail("bad literal");
+      if (!literal("false"))
+        return fail("bad literal");
+      Out = JsonValue(false);
+      return true;
     }
     if (C == 'n') {
-      if (literal("null"))
-        return JsonValue();
-      return fail("bad literal");
+      if (!literal("null"))
+        return fail("bad literal");
+      return true; // Out is already null.
     }
     if (C == '-' || (C >= '0' && C <= '9'))
-      return number();
+      return number(Out);
     return fail("unexpected character");
   }
 
-  std::optional<JsonValue> object(unsigned Depth) {
+  bool object(JsonValue &Out, unsigned Depth) {
     consume('{');
-    JsonValue Out = JsonValue::object();
+    Out.K = Kind::Object;
     skipWs();
     if (consume('}'))
-      return Out;
+      return true;
     for (;;) {
       skipWs();
-      if (Pos >= Text.size() || Text[Pos] != '"')
+      if (Cur == End || *Cur != '"')
         return fail("expected object key");
-      std::optional<JsonValue> Key = string();
-      if (!Key)
-        return std::nullopt;
+      std::string Key;
+      if (!string(Key))
+        return false;
       skipWs();
       if (!consume(':'))
         return fail("expected ':'");
-      std::optional<JsonValue> V = value(Depth + 1);
-      if (!V)
-        return std::nullopt;
-      Out.set(Key->asString(), std::move(*V));
+      // A repeated key replaces the earlier value.
+      JsonValue &Slot = Out.Obj[std::move(Key)];
+      Slot = JsonValue();
+      if (!value(Slot, Depth + 1))
+        return false;
       skipWs();
       if (consume(','))
         continue;
       if (consume('}'))
-        return Out;
+        return true;
       return fail("expected ',' or '}'");
     }
   }
 
-  std::optional<JsonValue> array(unsigned Depth) {
+  bool array(JsonValue &Out, unsigned Depth) {
     consume('[');
-    JsonValue Out = JsonValue::array();
+    Out.K = Kind::Array;
     skipWs();
     if (consume(']'))
-      return Out;
+      return true;
     for (;;) {
-      std::optional<JsonValue> V = value(Depth + 1);
-      if (!V)
-        return std::nullopt;
-      Out.push(std::move(*V));
+      if (!value(Out.Arr.emplace_back(), Depth + 1))
+        return false;
       skipWs();
       if (consume(','))
         continue;
       if (consume(']'))
-        return Out;
+        return true;
       return fail("expected ',' or ']'");
     }
   }
@@ -238,13 +310,11 @@ private:
   /// Reads exactly four hex digits into \p Code. On failure reports
   /// and returns false.
   bool hex4(unsigned &Code) {
-    if (Pos + 4 > Text.size()) {
-      fail("truncated \\u escape");
-      return false;
-    }
+    if (End - Cur < 4)
+      return fail("truncated \\u escape");
     Code = 0;
     for (int I = 0; I != 4; ++I) {
-      char H = Text[Pos++];
+      char H = *Cur++;
       Code <<= 4;
       if (H >= '0' && H <= '9')
         Code |= static_cast<unsigned>(H - '0');
@@ -252,10 +322,8 @@ private:
         Code |= static_cast<unsigned>(H - 'a' + 10);
       else if (H >= 'A' && H <= 'F')
         Code |= static_cast<unsigned>(H - 'A' + 10);
-      else {
-        fail("bad \\u escape");
-        return false;
-      }
+      else
+        return fail("bad \\u escape");
     }
     return true;
   }
@@ -278,24 +346,24 @@ private:
     }
   }
 
-  std::optional<JsonValue> string() {
+  /// The string literal at the cursor, decoded into \p Out: each plain
+  /// run is appended whole, then the byte that ended it is acted on.
+  bool string(std::string &Out) {
     consume('"');
-    std::string Out;
     for (;;) {
-      if (Pos >= Text.size())
+      const char *Stop = skipPlain(Cur, End);
+      Out.append(Cur, Stop - Cur);
+      Cur = Stop;
+      if (Cur == End)
         return fail("unterminated string");
-      char C = Text[Pos++];
-      if (C == '"')
-        return JsonValue(std::move(Out));
-      if (static_cast<unsigned char>(C) < 0x20)
+      unsigned char Class = ByteClasses[static_cast<unsigned char>(*Cur++)];
+      if (Class == Quote)
+        return true;
+      if (Class == Control)
         return fail("raw control character in string");
-      if (C != '\\') {
-        Out += C;
-        continue;
-      }
-      if (Pos >= Text.size())
+      if (Cur == End)
         return fail("unterminated escape");
-      char E = Text[Pos++];
+      char E = *Cur++;
       switch (E) {
       case '"':
       case '\\':
@@ -320,7 +388,7 @@ private:
       case 'u': {
         unsigned Code = 0;
         if (!hex4(Code))
-          return std::nullopt;
+          return false;
         // Surrogate handling: a \uD800-\uDBFF immediately followed by
         // \uDC00-\uDFFF decodes as one supplementary code point
         // (4-byte UTF-8). A lone surrogate — either half on its own —
@@ -329,19 +397,18 @@ private:
         // of the service (tolerant by design: the journal must be
         // able to round-trip any request the server ever accepted).
         if (Code >= 0xD800 && Code <= 0xDBFF) {
-          size_t Save = Pos;
+          const char *Save = Cur;
           unsigned Low = 0;
-          if (Pos + 1 < Text.size() && Text[Pos] == '\\' &&
-              Text[Pos + 1] == 'u') {
-            Pos += 2;
+          if (End - Cur >= 2 && Cur[0] == '\\' && Cur[1] == 'u') {
+            Cur += 2;
             if (!hex4(Low))
-              return std::nullopt;
+              return false;
             if (Low >= 0xDC00 && Low <= 0xDFFF) {
               appendUtf8(Out, 0x10000 + ((Code - 0xD800) << 10) +
                                   (Low - 0xDC00));
               break;
             }
-            Pos = Save; // Not the pair's low half; reparse it alone.
+            Cur = Save; // Not the pair's low half; reparse it alone.
           }
           Code = 0xFFFD;
         } else if (Code >= 0xDC00 && Code <= 0xDFFF) {
@@ -356,49 +423,51 @@ private:
     }
   }
 
-  std::optional<JsonValue> number() {
-    size_t Start = Pos;
-    if (consume('-')) {
-    }
-    while (Pos < Text.size() && Text[Pos] >= '0' && Text[Pos] <= '9')
-      ++Pos;
+  bool number(JsonValue &Out) {
+    auto Digits = [this] {
+      while (Cur != End && *Cur >= '0' && *Cur <= '9')
+        ++Cur;
+    };
+    const char *Start = Cur;
+    consume('-');
+    Digits();
     bool Fractional = false;
-    if (Pos < Text.size() && Text[Pos] == '.') {
+    if (consume('.')) {
       Fractional = true;
-      ++Pos;
-      while (Pos < Text.size() && Text[Pos] >= '0' && Text[Pos] <= '9')
-        ++Pos;
+      Digits();
     }
-    if (Pos < Text.size() && (Text[Pos] == 'e' || Text[Pos] == 'E')) {
+    if (Cur != End && (*Cur == 'e' || *Cur == 'E')) {
       Fractional = true;
-      ++Pos;
-      if (Pos < Text.size() && (Text[Pos] == '+' || Text[Pos] == '-'))
-        ++Pos;
-      while (Pos < Text.size() && Text[Pos] >= '0' && Text[Pos] <= '9')
-        ++Pos;
+      ++Cur;
+      if (Cur != End && (*Cur == '+' || *Cur == '-'))
+        ++Cur;
+      Digits();
     }
-    std::string Tok = Text.substr(Start, Pos - Start);
-    if (Tok.empty() || Tok == "-")
+    if (Cur == Start || (Cur - Start == 1 && *Start == '-'))
       return fail("bad number");
     if (Fractional) {
+      // Fractions are rare on the wire (the protocol has none); sscanf
+      // keeps its exact acceptance of forms like "1." and "1e".
+      std::string Tok(Start, Cur);
       double D = 0;
       if (std::sscanf(Tok.c_str(), "%lf", &D) != 1)
         return fail("bad number");
-      return JsonValue(D);
+      Out = JsonValue(D);
+      return true;
     }
-    errno = 0;
-    long long N = std::strtoll(Tok.c_str(), nullptr, 10);
-    if (errno != 0)
+    // The token is -?[0-9]+ here, which from_chars reads exactly.
+    int64_t N = 0;
+    if (std::from_chars(Start, Cur, N).ec != std::errc())
       return fail("number out of range");
-    return JsonValue(static_cast<int64_t>(N));
+    Out = JsonValue(N);
+    return true;
   }
 
-  const std::string &Text;
+  const char *Begin;
+  const char *Cur;
+  const char *End;
   std::string *Error;
-  size_t Pos = 0;
 };
-
-} // namespace
 
 std::optional<JsonValue> JsonValue::parse(const std::string &Text,
                                           std::string *Error) {

@@ -15,7 +15,10 @@
 /// must round-trip through the journal, and an invalid sequence must
 /// never leak downstream). Raw non-escape bytes pass through
 /// byte-transparently — the parser validates JSON structure, not
-/// UTF-8 well-formedness. No external dependency — the container
+/// UTF-8 well-formedness. Both directions work in runs: a 256-entry
+/// byte-class table finds the next quote, backslash or control byte,
+/// and everything before it is appended at once. No external
+/// dependency — the container
 /// bakes in nothing — and no exceptions: parse() returns nullopt with
 /// a position-carrying message, matching the library's ErrorOr
 /// discipline one level down.
@@ -107,6 +110,10 @@ public:
   /// Compact single-line serialization (keys sorted, no whitespace).
   std::string str() const;
 
+  /// Appends str()'s bytes to \p Out: the one writer every
+  /// serialization goes through, filling a single buffer.
+  void appendTo(std::string &Out) const;
+
   /// Parses exactly one JSON value spanning all of \p Text (trailing
   /// whitespace allowed). On failure returns nullopt and, when \p Error
   /// is given, a "byte N: what" message.
@@ -114,6 +121,8 @@ public:
                                         std::string *Error = nullptr);
 
 private:
+  class Parser;
+
   Kind K;
   bool BoolV = false;
   int64_t NumV = 0;

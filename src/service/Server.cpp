@@ -492,9 +492,11 @@ bool Server::serveLine(const std::string &Line, ResponseSink Sink) {
     bool IsPoisoned = false;
     bool Duplicate = false;
     std::shared_ptr<InFlight> Flight;
+    // The key copies and hashes the whole program: outside the lock
+    // every worker's outcome accounting and {"stats"} wait on.
+    std::string Key = R.contentKey();
     {
       std::lock_guard<std::mutex> Lock(StateM);
-      std::string Key = R.contentKey();
       if (PoisonKeys.count(Key) ||
           (!ProgramPoison.empty() &&
            ProgramPoison.count(rawProgramKey(R.Program)))) {

@@ -23,9 +23,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
+#include <random>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -133,6 +137,228 @@ TEST(JsonTest, RawInvalidUtf8PassesThroughByteTransparently) {
   EXPECT_EQ(V->str(), Text);
 }
 
+/// The per-byte escaper the run-scanning writer replaced, kept as the
+/// writer's oracle.
+std::string referenceEscape(const std::string &S) {
+  std::string Out;
+  for (unsigned char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\b':
+      Out += "\\b";
+      break;
+    case '\f':
+      Out += "\\f";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    default:
+      if (C < 0x20) {
+        char Buf[8];
+        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+        Out += Buf;
+      } else {
+        Out += static_cast<char>(C);
+      }
+    }
+  }
+  return Out;
+}
+
+/// A random string over all 256 byte values: plain runs of random
+/// length (printable ASCII and raw non-UTF-8 bytes alike) broken by
+/// quotes, backslashes, control bytes and more raw high bytes.
+std::string randomJsonString(std::mt19937 &Rng) {
+  std::string S;
+  size_t Runs = Rng() % 6;
+  for (size_t R = 0; R != Runs; ++R) {
+    size_t Len = Rng() % 3 == 0 ? Rng() % 64 : Rng() % 8;
+    for (size_t I = 0; I != Len; ++I) {
+      unsigned char C = static_cast<unsigned char>(0x20 + Rng() % 0xe0);
+      S += (C == '"' || C == '\\') ? 'x' : static_cast<char>(C);
+    }
+    switch (Rng() % 4) {
+    case 0:
+      S += '"';
+      break;
+    case 1:
+      S += '\\';
+      break;
+    case 2:
+      S += static_cast<char>(Rng() % 0x20); // Every control byte, NUL too.
+      break;
+    default:
+      S += static_cast<char>(0x80 + Rng() % 0x80);
+    }
+  }
+  return S;
+}
+
+/// A random value together with the bytes the per-byte serializer the
+/// writer replaced produced for it (sorted keys, last duplicate wins,
+/// integers by to_string, fractions by %.3f). Doubles are multiples of
+/// 1/8, so they survive the three-decimal round trip exactly.
+std::pair<JsonValue, std::string> randomJsonValue(std::mt19937 &Rng,
+                                                  unsigned Depth) {
+  switch (Rng() % (Depth < 4 ? 8 : 6)) {
+  case 0:
+    return {JsonValue(), "null"};
+  case 1: {
+    bool B = Rng() % 2;
+    return {JsonValue(B), B ? "true" : "false"};
+  }
+  case 2: {
+    uint64_t Hi = Rng(), Lo = Rng();
+    int64_t N = static_cast<int64_t>((Hi << 32 | Lo) >> (1 + Rng() % 63));
+    if (Rng() % 2)
+      N = -N;
+    return {JsonValue(N), std::to_string(N)};
+  }
+  case 3: {
+    double D = static_cast<double>(static_cast<int>(Rng() % 200001) - 100000) /
+               8;
+    char Buf[32];
+    std::snprintf(Buf, sizeof(Buf), "%.3f", D);
+    return {JsonValue(D), Buf};
+  }
+  case 4:
+  case 5: {
+    std::string S = randomJsonString(Rng);
+    return {JsonValue(S), "\"" + referenceEscape(S) + "\""};
+  }
+  case 6: {
+    JsonValue A = JsonValue::array();
+    std::string Out = "[";
+    for (size_t I = 0, N = Rng() % 5; I != N; ++I) {
+      auto [V, Bytes] = randomJsonValue(Rng, Depth + 1);
+      A.push(std::move(V));
+      Out += (I ? "," : "") + Bytes;
+    }
+    return {std::move(A), Out + "]"};
+  }
+  default: {
+    JsonValue O = JsonValue::object();
+    std::map<std::string, std::string> Members;
+    for (size_t I = 0, N = Rng() % 5; I != N; ++I) {
+      std::string Key = Rng() % 3 ? randomJsonString(Rng) : "k";
+      auto [V, Bytes] = randomJsonValue(Rng, Depth + 1);
+      O.set(Key, std::move(V));
+      Members[Key] = Bytes;
+    }
+    std::string Out = "{";
+    for (const auto &[Key, Bytes] : Members)
+      Out += (Out.size() > 1 ? ",\"" : "\"") + referenceEscape(Key) +
+             "\":" + Bytes;
+    return {std::move(O), Out + "}"};
+  }
+  }
+}
+
+/// Structural equality through the public accessors.
+bool sameJson(const JsonValue &A, const JsonValue &B) {
+  if (A.kind() != B.kind())
+    return false;
+  switch (A.kind()) {
+  case JsonValue::Kind::Null:
+    return true;
+  case JsonValue::Kind::Bool:
+    return A.asBool() == B.asBool();
+  case JsonValue::Kind::Number:
+    return A.asInt() == B.asInt() && A.asDouble() == B.asDouble();
+  case JsonValue::Kind::String:
+    return A.asString() == B.asString();
+  case JsonValue::Kind::Array:
+    return std::equal(A.elements().begin(), A.elements().end(),
+                      B.elements().begin(), B.elements().end(), sameJson);
+  case JsonValue::Kind::Object:
+    return std::equal(
+        A.members().begin(), A.members().end(), B.members().begin(),
+        B.members().end(), [](const auto &X, const auto &Y) {
+          return X.first == Y.first && sameJson(X.second, Y.second);
+        });
+  }
+  return false;
+}
+
+TEST(JsonTest, WriterMatchesBytewiseReference) {
+  std::mt19937 Rng(20261018);
+  for (int I = 0; I != 3000; ++I) {
+    auto [V, Want] = randomJsonValue(Rng, 0);
+    ASSERT_EQ(V.str(), Want) << "value " << I;
+    std::string Appended = "prefix";
+    V.appendTo(Appended);
+    ASSERT_EQ(Appended, "prefix" + Want);
+    if (V.isString()) {
+      ASSERT_EQ(jsonEscape(V.asString()), referenceEscape(V.asString()));
+    }
+    std::string Error;
+    std::optional<JsonValue> Back = JsonValue::parse(Want, &Error);
+    ASSERT_TRUE(Back.has_value()) << Want << " -> " << Error;
+    ASSERT_TRUE(sameJson(*Back, V)) << Want;
+  }
+  for (int64_t N : {INT64_MIN, INT64_MAX, int64_t(0), int64_t(-1)})
+    EXPECT_EQ(JsonValue(N).str(), std::to_string(N));
+  // Fractions of every magnitude go through the same %.3f.
+  for (int I = 0; I != 2000; ++I) {
+    double D = std::ldexp(static_cast<double>(Rng()) - 2147483648.0,
+                          static_cast<int>(Rng() % 160) - 80);
+    char Buf[32];
+    std::snprintf(Buf, sizeof(Buf), "%.3f", D);
+    ASSERT_EQ(JsonValue(D).str(), Buf);
+  }
+
+  // Escape-dense strings parse the same at every plain-run length.
+  // Each escape form the parser accepts, with the bytes it decodes to
+  // (including forms the writer never emits).
+  const std::pair<const char *, std::string> Escapes[] = {
+      {"\\\"", "\""},
+      {"\\\\", "\\"},
+      {"\\/", "/"},
+      {"\\b", "\b"},
+      {"\\f", "\f"},
+      {"\\n", "\n"},
+      {"\\r", "\r"},
+      {"\\t", "\t"},
+      {"\\u0000", std::string(1, '\0')},
+      {"\\u001F", "\x1f"},
+      {"\\u00e9", "\xC3\xA9"},
+      {"\\uD83D\\uDE00", "\xF0\x9F\x98\x80"},
+      {"\\uDC00", "\xEF\xBF\xBD"},
+  };
+  for (size_t Run = 0; Run <= 40; ++Run) {
+    for (const auto &[Escape, Decoded] : Escapes) {
+      std::string Plain;
+      for (size_t I = 0; I != Run; ++I)
+        Plain += static_cast<char>(I % 2 ? 'a' + I % 26 : 0x80 + I);
+      std::string Text = "\"", Want;
+      for (int Rep = 0; Rep != 3; ++Rep) {
+        Text += Plain + Escape;
+        Want += Plain + Decoded;
+      }
+      Text += Plain + "\"";
+      Want += Plain;
+      std::string Error;
+      std::optional<JsonValue> V = JsonValue::parse(Text, &Error);
+      ASSERT_TRUE(V.has_value()) << Text << " -> " << Error;
+      ASSERT_EQ(V->asString(), Want) << "run " << Run << " " << Escape;
+      // And the writer's escaping of the decoded bytes round-trips.
+      ASSERT_EQ(JsonValue::parse(JsonValue(Want).str())->asString(), Want);
+    }
+  }
+}
+
 /// Every line of the checked-in corpus file, skipping blanks.
 std::vector<std::string> corpusLines(const std::string &Name) {
   std::ifstream In(std::string(JSLICE_REPO_ROOT) + "/tests/json_corpus/" +
@@ -164,13 +390,36 @@ TEST(JsonCorpusTest, AcceptCorpusParsesAndReserializes) {
 }
 
 TEST(JsonCorpusTest, RejectCorpusFailsWithPositions) {
+  // reject_errors.txt holds, line for line, the exact message the
+  // per-byte parser gave for each rejected line; run scanning must not
+  // move an error position.
   std::vector<std::string> Lines = corpusLines("reject.jsonl");
+  std::vector<std::string> Errors = corpusLines("reject_errors.txt");
   ASSERT_FALSE(Lines.empty());
-  for (const std::string &Line : Lines) {
+  ASSERT_EQ(Lines.size(), Errors.size());
+  for (size_t I = 0; I != Lines.size(); ++I) {
     std::string Error;
-    EXPECT_FALSE(JsonValue::parse(Line, &Error).has_value())
-        << "corpus line unexpectedly parsed: " << Line;
-    EXPECT_NE(Error.find("byte "), std::string::npos) << Line;
+    EXPECT_FALSE(JsonValue::parse(Lines[I], &Error).has_value())
+        << "corpus line unexpectedly parsed: " << Lines[I];
+    EXPECT_EQ(Error, Errors[I]) << Lines[I];
+  }
+  // Input that ends inside a token, which no corpus line does; the
+  // messages are the per-byte parser's too.
+  const std::pair<const char *, const char *> Truncated[] = {
+      {"{\"s\":\"\\u12", "byte 8: truncated \\u escape"},
+      {"{\"s\":\"\\uD83D\\u12", "byte 14: truncated \\u escape"},
+      {"{\"s\":\"\\uD83D\\u12G4\"}", "byte 17: bad \\u escape"},
+      {"{\"s\":\"ab", "byte 8: unterminated string"},
+      {"{\"s\":\"ab\\", "byte 9: unterminated escape"},
+      {"[1,", "byte 3: unexpected end of input"},
+      {"tru", "byte 0: bad literal"},
+      {"-", "byte 1: bad number"},
+      {"1.5.", "byte 3: trailing characters after value"},
+  };
+  for (const auto &[Text, Want] : Truncated) {
+    std::string Error;
+    EXPECT_FALSE(JsonValue::parse(Text, &Error).has_value()) << Text;
+    EXPECT_EQ(Error, Want) << Text;
   }
 }
 
@@ -542,6 +791,51 @@ TEST(JournalTest, Crc32MatchesTheIeeeCheckValue) {
   // reflection bug changes this constant.
   EXPECT_EQ(journalCrc32("123456789"), 0xcbf43926u);
   EXPECT_EQ(journalCrc32(""), 0u);
+}
+
+/// The bytewise table CRC the slice-by-8 one replaced.
+uint32_t bytewiseCrc32(const unsigned char *P, size_t N) {
+  static const std::vector<uint32_t> Table = [] {
+    std::vector<uint32_t> T(256);
+    for (uint32_t I = 0; I < 256; ++I) {
+      uint32_t C = I;
+      for (int K = 0; K < 8; ++K)
+        C = (C & 1) ? 0xedb88320u ^ (C >> 1) : C >> 1;
+      T[I] = C;
+    }
+    return T;
+  }();
+  uint32_t C = 0xffffffffu;
+  for (size_t I = 0; I != N; ++I)
+    C = Table[(C ^ P[I]) & 0xffu] ^ (C >> 8);
+  return C ^ 0xffffffffu;
+}
+
+TEST(JournalTest, Crc32SliceBy8MatchesBytewise) {
+  std::mt19937 Rng(8);
+  std::vector<unsigned char> Buf(16 * 1024 + 8);
+  for (unsigned char &B : Buf)
+    B = static_cast<unsigned char>(Rng());
+  // Every length through eight blocks, at every alignment of the start.
+  for (size_t Offset = 0; Offset != 8; ++Offset)
+    for (size_t Len = 0; Len <= 64; ++Len) {
+      const unsigned char *P = Buf.data() + Offset;
+      ASSERT_EQ(journalCrc32(std::string_view(
+                    reinterpret_cast<const char *>(P), Len)),
+                bytewiseCrc32(P, Len))
+          << "offset " << Offset << " length " << Len;
+    }
+  for (int I = 0; I != 16; ++I) {
+    size_t Len = 4096 + Rng() % (12 * 1024 + 1);
+    size_t Offset = Rng() % 8;
+    for (size_t J = 0; J != Len; ++J)
+      Buf[Offset + J] = static_cast<unsigned char>(Rng());
+    const unsigned char *P = Buf.data() + Offset;
+    ASSERT_EQ(journalCrc32(std::string_view(
+                  reinterpret_cast<const char *>(P), Len)),
+              bytewiseCrc32(P, Len))
+        << "length " << Len;
+  }
 }
 
 TEST(JournalTest, RecordsAreChecksummedAndSequenced) {

@@ -541,10 +541,12 @@ TEST(BatchSlicerTest, ExhaustedBudgetDegradesEntriesNotCrashes) {
   }
   BatchSlicer Batch(*A);
   std::vector<BatchEntry> Entries = Batch.runAll(allLineCriteria(*A));
-  for (const BatchEntry &Entry : Entries)
-    if (!Entry.Ok)
+  for (const BatchEntry &Entry : Entries) {
+    if (!Entry.Ok) {
       EXPECT_TRUE(Entry.Diags.hasKind(DiagKind::ResourceExhausted))
           << Entry.Diags.str();
+    }
+  }
 }
 
 TEST(BatchSlicerTest, AllLineCriteriaAscendingAndOnStatementLines) {
