@@ -88,6 +88,7 @@ JsonValue CacheStats::toJson() const {
   JsonValue Out = JsonValue::object();
   Out.set("hits", Hits);
   Out.set("misses", Misses);
+  Out.set("declined", Declined);
   Out.set("coalesced", Coalesced);
   Out.set("coalesce_timeouts", CoalesceTimeouts);
   Out.set("promotions", Promotions);
@@ -105,6 +106,7 @@ JsonValue CacheStats::toJson() const {
 void CacheStats::add(const CacheStats &O) {
   Hits += O.Hits;
   Misses += O.Misses;
+  Declined += O.Declined;
   Coalesced += O.Coalesced;
   CoalesceTimeouts += O.CoalesceTimeouts;
   Promotions += O.Promotions;
@@ -129,6 +131,7 @@ std::optional<CacheStats> CacheStats::fromJson(const JsonValue &V) {
   };
   Read("hits", S.Hits);
   Read("misses", S.Misses);
+  Read("declined", S.Declined);
   Read("coalesced", S.Coalesced);
   Read("coalesce_timeouts", S.CoalesceTimeouts);
   Read("promotions", S.Promotions);
@@ -166,8 +169,14 @@ AnalysisCache::lookup(const std::string &Key,
   for (;;) {
     auto It = Slots.find(Key);
     if (It == Slots.end()) {
-      Slots[Key].St = State::Building;
       ++Counters.Misses;
+      // Scan resistance: a full cache admits a key on its second
+      // sighting, so a one-shot program does not evict a resident one.
+      if (fullLocked() && !secondSightingLocked(Key)) {
+        ++Counters.Declined;
+        return {Outcome::Bypass, nullptr, false};
+      }
+      Slots[Key].St = State::Building;
       return {Outcome::MustBuild, nullptr, false};
     }
     Slot &S = It->second;
@@ -242,10 +251,11 @@ AnalysisCache::lookup(const std::string &Key,
 
 void AnalysisCache::publish(const std::string &Key,
                             std::shared_ptr<const AnalysisArtifact> Art) {
+  Victims Evicted; // Freed after the unlock.
   std::lock_guard<std::mutex> Lock(M);
   auto It = Slots.find(Key);
   if (It != Slots.end() && It->second.St == State::Ready)
-    evictSlotLocked(It, /*Watermark=*/false); // Replace.
+    evictSlotLocked(It, /*Watermark=*/false, Evicted); // Replace.
   Slot &S = Slots[Key];
   S.St = State::Ready;
   S.Art = std::move(Art);
@@ -261,7 +271,7 @@ void AnalysisCache::publish(const std::string &Key,
   while ((Bytes_ > Opts.MaxBytes ||
           Lru.size() > Opts.MaxEntries) &&
          Lru.size() > 1)
-    evictSlotLocked(Slots.find(Lru.back()), /*Watermark=*/false);
+    evictSlotLocked(Slots.find(Lru.back()), /*Watermark=*/false, Evicted);
   CV.notify_all();
 }
 
@@ -289,21 +299,20 @@ void AnalysisCache::buildFailed(const std::string &Key) {
 }
 
 void AnalysisCache::auditMismatch(const std::string &Key) {
+  Victims Evicted; // Freed after the unlock.
   std::lock_guard<std::mutex> Lock(M);
   ++Counters.AuditMismatches;
   auto It = Slots.find(Key);
   if (It != Slots.end() && It->second.St == State::Ready)
-    evictSlotLocked(It, /*Watermark=*/false);
+    evictSlotLocked(It, /*Watermark=*/false, Evicted);
 }
 
 uint64_t AnalysisCache::evictToward(uint64_t TargetBytes) {
+  Victims Evicted; // Freed after the unlock.
   std::lock_guard<std::mutex> Lock(M);
-  uint64_t Evicted = 0;
-  while (Bytes_ > TargetBytes && !Lru.empty()) {
-    evictSlotLocked(Slots.find(Lru.back()), /*Watermark=*/true);
-    ++Evicted;
-  }
-  return Evicted;
+  while (Bytes_ > TargetBytes && !Lru.empty())
+    evictSlotLocked(Slots.find(Lru.back()), /*Watermark=*/true, Evicted);
+  return Evicted.size();
 }
 
 uint64_t AnalysisCache::bytes() const {
@@ -339,12 +348,28 @@ CacheStats AnalysisCache::stats() const {
   return S;
 }
 
+bool AnalysisCache::fullLocked() const {
+  return Lru.size() >= Opts.MaxEntries || Bytes_ >= Opts.MaxBytes;
+}
+
+bool AnalysisCache::secondSightingLocked(const std::string &Key) {
+  // Direct-mapped: a colliding key overwrites the slot, which costs at
+  // worst one more declined sighting. Zero marks an empty slot.
+  // FNV-1a's multiply mixes upward, so the high half picks the slot.
+  uint64_t Fp = fnv1a(Key) | 1;
+  uint64_t &Entry = Doorkeeper[(Fp >> 32) % DoorkeeperSlots];
+  bool Seen = Entry == Fp;
+  Entry = Seen ? 0 : Fp;
+  return Seen;
+}
+
 void AnalysisCache::evictSlotLocked(std::map<std::string, Slot>::iterator It,
-                                    bool Watermark) {
+                                    bool Watermark, Victims &Out) {
   if (It == Slots.end() || It->second.St != State::Ready)
     return;
   Bytes_ -= It->second.Art->CostBytes;
   Lru.erase(It->second.LruIt);
+  Out.push_back(std::move(It->second.Art));
   Slots.erase(It);
   ++Counters.Evictions;
   if (Watermark)

@@ -36,6 +36,21 @@
 ///    sheds, and an evict storm shows up in the counters rather than
 ///    passing silently.
 ///
+///  * **Scan-resistant admission.** Once the cache is full (MaxEntries
+///    ready entries, or MaxBytes of cost estimate), a key with no slot
+///    is admitted only on its second sighting. The first sighting
+///    records the key's fingerprint in a fixed direct-mapped table (the
+///    doorkeeper of TinyLFU, Einziger, Friedman & Manes, ACM TOS 2017),
+///    counts `declined`, and returns Bypass: the caller serves through
+///    the ladder (on the tree it parsed for the key, if it parsed one),
+///    publishes nothing, and frees its analysis itself while that
+///    memory is still warm. The
+///    second sighting takes the fingerprint out and leads the build, so
+///    a key evicted later must be seen twice again. A stream of
+///    one-shot programs therefore no longer evicts the resident
+///    entries one by one. While the cache has room nothing changes:
+///    the first miss leads the build.
+///
 ///  * **Self-audit.** A seeded 1-in-N sample of hits is re-analyzed
 ///    from source and diffed against the cached artifact
 ///    (SandboxWorker.cpp); a mismatch invalidates the entry, serves
@@ -56,6 +71,7 @@
 #include "service/Json.h"
 #include "slicer/BatchSlicer.h"
 
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -65,6 +81,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace jslice {
 
@@ -99,6 +116,7 @@ struct CacheOptions {
 struct CacheStats {
   uint64_t Hits = 0;      ///< Ready artifact served.
   uint64_t Misses = 0;    ///< No artifact: leader builds or bypass.
+  uint64_t Declined = 0;  ///< Misses of a full cache on a first sighting.
   uint64_t Coalesced = 0; ///< Requests that waited on a leader.
   uint64_t CoalesceTimeouts = 0; ///< Waits that hit their deadline.
   uint64_t Promotions = 0;       ///< Followers promoted to leader.
@@ -195,7 +213,8 @@ public:
   /// Resolves \p Key: returns a ready artifact, makes the caller the
   /// build leader, or — when a leader is already building — waits for
   /// it until \p Deadline (coalescing). A timed-out wait returns
-  /// Bypass: the caller serves solo under its own budget.
+  /// Bypass: the caller serves solo under its own budget. So does the
+  /// first sighting of a key while the cache is full (declined).
   LookupResult lookup(const std::string &Key,
                       std::chrono::steady_clock::time_point Deadline);
 
@@ -249,9 +268,21 @@ private:
     std::list<std::string>::iterator LruIt; ///< Ready only.
   };
 
+  /// Artifacts evicted under M. Their owners declare this before
+  /// taking the lock, so the last reference to an Analysis dies after
+  /// the unlock, not inside the critical section every lookup waits on.
+  using Victims = std::vector<std::shared_ptr<const AnalysisArtifact>>;
+
   void evictSlotLocked(std::map<std::string, Slot>::iterator It,
-                       bool Watermark);
+                       bool Watermark, Victims &Out);
   void sweepStaleFailuresLocked();
+  bool fullLocked() const;
+  /// Full cache only: true, taking the fingerprint out, when the
+  /// doorkeeper holds \p Key's; otherwise records it and returns false.
+  bool secondSightingLocked(const std::string &Key);
+
+  /// Doorkeeper slots: a fixed 32 KiB, bounded by construction.
+  static constexpr size_t DoorkeeperSlots = 4096;
 
   CacheOptions Opts;
   mutable std::mutex M;
@@ -259,6 +290,7 @@ private:
   std::map<std::string, Slot> Slots;
   std::map<std::string, std::string> KeyMemo; ///< raw key -> canonical.
   std::list<std::string> Lru; ///< Front = most recent; ready keys only.
+  std::array<uint64_t, DoorkeeperSlots> Doorkeeper{}; ///< 0 = empty.
   uint64_t Bytes_ = 0;
   uint64_t LookupSeq = 0;
   uint64_t AuditRng = 0;

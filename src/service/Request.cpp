@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <functional>
 #include <optional>
+#include <string_view>
 
 using namespace jslice;
 
@@ -40,18 +41,21 @@ bool readCount(const JsonValue &V, uint64_t &Out) {
 } // namespace
 
 std::string ServiceRequest::contentKey() const {
-  std::string Material = Program;
-  Material += '\x1f';
-  Material += std::to_string(Line);
+  // The program is hashed where it lies; only the criterion and the
+  // algorithm, a few bytes, are copied. The keys live only in memory
+  // (recovery rebuilds them at boot), so std::hash's per-build values
+  // are fine.
+  std::string Criterion = std::to_string(Line);
   for (const std::string &V : Vars) {
-    Material += '\x1f';
-    Material += V;
+    Criterion += '\x1f';
+    Criterion += V;
   }
-  Material += '\x1f';
-  Material += algorithmName(Algorithm);
-  size_t H = std::hash<std::string>{}(Material);
-  char Buf[2 * sizeof(size_t) + 1];
-  std::snprintf(Buf, sizeof(Buf), "%zx", H);
+  Criterion += '\x1f';
+  Criterion += algorithmName(Algorithm);
+  char Buf[2 * (2 * sizeof(size_t)) + 2];
+  std::snprintf(Buf, sizeof(Buf), "%zx-%zx",
+                std::hash<std::string_view>{}(Program),
+                std::hash<std::string>{}(Criterion));
   return Buf;
 }
 

@@ -112,7 +112,8 @@ struct ServiceRequest {
 
   /// Content key for poison matching: identical program + criterion +
   /// algorithm hash to the same key regardless of id, so a crashing
-  /// request stays quarantined when resubmitted under a fresh id.
+  /// request stays quarantined when resubmitted under a fresh id. The
+  /// value is stable within one build only: keys are never persisted.
   std::string contentKey() const;
 
   /// The request as a protocol JSON object (journal entries round-trip

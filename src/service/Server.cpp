@@ -234,6 +234,7 @@ unsigned Server::recoverNow(bool OnlyEarlierGenerations) {
       std::lock_guard<std::mutex> Lock(StateM);
       std::string Key = P.Request.contentKey();
       PoisonKeys.insert(Key);
+      PoisonKeyCount.store(PoisonKeys.size(), std::memory_order_relaxed);
       if (!Repro.empty())
         PoisonRepros[Key] = Repro;
       else
@@ -492,12 +493,15 @@ bool Server::serveLine(const std::string &Line, ResponseSink Sink) {
     bool IsPoisoned = false;
     bool Duplicate = false;
     std::shared_ptr<InFlight> Flight;
-    // The key copies and hashes the whole program: outside the lock
-    // every worker's outcome accounting and {"stats"} wait on.
-    std::string Key = R.contentKey();
+    // The key hashes the whole program, so it is computed only once
+    // something is poisoned, and outside the lock every worker's
+    // outcome accounting and {"stats"} wait on.
+    std::string Key;
+    if (PoisonKeyCount.load(std::memory_order_relaxed))
+      Key = R.contentKey();
     {
       std::lock_guard<std::mutex> Lock(StateM);
-      if (PoisonKeys.count(Key) ||
+      if ((!Key.empty() && PoisonKeys.count(Key)) ||
           (!ProgramPoison.empty() &&
            ProgramPoison.count(rawProgramKey(R.Program)))) {
         IsPoisoned = true;
@@ -801,6 +805,7 @@ void Server::quarantineCrashed(const ServiceRequest &R,
     std::lock_guard<std::mutex> Lock(StateM);
     std::string Key = R.contentKey();
     PoisonKeys.insert(Key);
+    PoisonKeyCount.store(PoisonKeys.size(), std::memory_order_relaxed);
     if (!Repro.empty())
       PoisonRepros[Key] = Repro;
     else

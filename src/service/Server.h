@@ -554,6 +554,9 @@ private:
   mutable std::mutex StateM;
   std::map<std::string, std::shared_ptr<InFlight>> Registry;
   std::set<std::string> PoisonKeys;
+  /// PoisonKeys.size(), stored under StateM and read relaxed without
+  /// it: while it is zero, admission skips computing the content key.
+  std::atomic<size_t> PoisonKeyCount{0};
   std::map<std::string, std::string> PoisonRepros; ///< key -> .mc path.
 
   /// Thread mode only; null in process mode (workers own theirs).

@@ -13,7 +13,9 @@
 /// mismatch-invalidation path driven end to end through
 /// executeSliceRequest, and the lazy builds: keys of a parsed tree,
 /// every-ordinal fault sweeps over a cold Ball–Horwitz request and a
-/// first hit, and eight threads racing one artifact's first hit.
+/// first hit, and eight threads racing one artifact's first hit; the
+/// full cache's second-sighting admission, and evicted artifacts freed
+/// after the cache's mutex is released.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,9 +26,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <functional>
+#include <future>
+#include <list>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 using namespace jslice;
@@ -258,13 +266,20 @@ TEST(AnalysisCacheTest, CapacityEvictsLeastRecentlyUsed) {
   // Touch K1 so K2 is the LRU victim.
   ASSERT_EQ(C.lookup(K1, farDeadline()).K, AnalysisCache::Outcome::Hit);
 
+  // The cache is full: K3's first sighting is declined (a miss that
+  // publishes nothing), its second builds.
+  ASSERT_EQ(C.lookup(K3, farDeadline()).K, AnalysisCache::Outcome::Bypass);
+  EXPECT_EQ(C.stats().Declined, 1u);
+  EXPECT_EQ(C.stats().Misses, 3u);
+  EXPECT_EQ(C.stats().Entries, 2u);
   ASSERT_EQ(C.lookup(K3, farDeadline()).K, AnalysisCache::Outcome::MustBuild);
   C.publish(K3, makeArtifact(S3));
 
   EXPECT_EQ(C.stats().Evictions, 1u);
   EXPECT_EQ(C.stats().Entries, 2u);
   EXPECT_EQ(C.lookup(K1, farDeadline()).K, AnalysisCache::Outcome::Hit);
-  EXPECT_EQ(C.lookup(K2, farDeadline()).K, AnalysisCache::Outcome::MustBuild);
+  // K2 is gone: in the full cache its next lookup is a first sighting.
+  EXPECT_EQ(C.lookup(K2, farDeadline()).K, AnalysisCache::Outcome::Bypass);
 }
 
 TEST(AnalysisCacheTest, EvictionRacingAHitCannotInvalidateTheReader) {
@@ -306,6 +321,185 @@ TEST(AnalysisCacheTest, EvictionRacingAHitCannotInvalidateTheReader) {
 }
 
 //===----------------------------------------------------------------------===//
+// Admission: a full cache admits a key on its second sighting
+//===----------------------------------------------------------------------===//
+
+TEST(AnalysisCacheTest, CacheWithRoomBuildsOnTheFirstSighting) {
+  CacheOptions Opts;
+  Opts.MaxEntries = 2;
+  AnalysisCache C{Opts};
+  const std::string S1 = "read(a);\nwrite(a);\n";
+  const std::string K1 = keyOf(S1), K2 = keyOf("read(b);\nwrite(b);\n");
+  ASSERT_EQ(C.lookup(K1, farDeadline()).K, AnalysisCache::Outcome::MustBuild);
+  C.publish(K1, makeArtifact(S1));
+  EXPECT_EQ(C.lookup(K2, farDeadline()).K, AnalysisCache::Outcome::MustBuild);
+  EXPECT_EQ(C.stats().Declined, 0u);
+}
+
+TEST(AnalysisCacheTest, CacheAtItsByteCapCountsAsFull) {
+  const std::string S1 = "read(a);\nwrite(a);\n";
+  std::shared_ptr<AnalysisArtifact> Art = makeArtifact(S1);
+  CacheOptions Opts;
+  Opts.MaxBytes = Art->CostBytes;
+  AnalysisCache C{Opts};
+  const std::string K1 = keyOf(S1), K2 = keyOf("read(b);\nwrite(b);\n");
+  ASSERT_EQ(C.lookup(K1, farDeadline()).K, AnalysisCache::Outcome::MustBuild);
+  C.publish(K1, std::move(Art));
+  EXPECT_EQ(C.lookup(K2, farDeadline()).K, AnalysisCache::Outcome::Bypass);
+  EXPECT_EQ(C.stats().Declined, 1u);
+  EXPECT_EQ(C.lookup(K2, farDeadline()).K, AnalysisCache::Outcome::MustBuild);
+}
+
+TEST(AnalysisCacheTest, OneShotScanOfAFullCacheKeepsItsResidentsAndBound) {
+  // The doorkeeper is a fixed table inside the cache object: however
+  // many keys a scan shows it, the object does not grow.
+  static_assert(sizeof(AnalysisCache) <= (40u << 10),
+                "the doorkeeper is 32 KiB; the cache object stays fixed");
+  CacheOptions Opts;
+  Opts.MaxEntries = 8;
+  AnalysisCache C{Opts};
+  std::shared_ptr<AnalysisArtifact> Art = makeArtifact("read(a);\nwrite(a);\n");
+  for (unsigned I = 0; I != Opts.MaxEntries; ++I) {
+    std::string K = "resident-" + std::to_string(I);
+    ASSERT_EQ(C.lookup(K, farDeadline()).K, AnalysisCache::Outcome::MustBuild);
+    C.publish(K, Art);
+  }
+  const unsigned Scan = 20000; // Five times the doorkeeper's slots.
+  for (unsigned I = 0; I != Scan; ++I)
+    ASSERT_EQ(C.lookup("scan-" + std::to_string(I), farDeadline()).K,
+              AnalysisCache::Outcome::Bypass);
+  CacheStats S = C.stats();
+  EXPECT_EQ(S.Declined, Scan);
+  EXPECT_EQ(S.Inserts, Opts.MaxEntries);
+  EXPECT_EQ(S.Evictions, 0u);
+  for (unsigned I = 0; I != Opts.MaxEntries; ++I)
+    EXPECT_EQ(C.lookup("resident-" + std::to_string(I), farDeadline()).K,
+              AnalysisCache::Outcome::Hit);
+}
+
+/// Draws Zipf(\p S) ranks over \p N keys from a fixed xorshift stream:
+/// the same sequence on every platform and run.
+std::vector<unsigned> zipfStream(unsigned N, double S, unsigned Draws,
+                                 uint64_t Seed) {
+  std::vector<double> Cdf(N);
+  double Sum = 0;
+  for (unsigned I = 0; I != N; ++I)
+    Cdf[I] = Sum += 1.0 / std::pow(I + 1, S);
+  std::vector<unsigned> Out;
+  uint64_t X = Seed;
+  for (unsigned D = 0; D != Draws; ++D) {
+    X ^= X << 13;
+    X ^= X >> 7;
+    X ^= X << 17;
+    double U = double(X >> 11) / double(1ull << 53) * Sum;
+    Out.push_back(unsigned(std::lower_bound(Cdf.begin(), Cdf.end(), U) -
+                           Cdf.begin()));
+  }
+  return Out;
+}
+
+/// Hits of a plain LRU of \p Capacity entries over \p Stream.
+uint64_t plainLruHits(const std::vector<unsigned> &Stream, size_t Capacity) {
+  std::list<unsigned> Lru;
+  std::unordered_map<unsigned, std::list<unsigned>::iterator> Where;
+  uint64_t Hits = 0;
+  for (unsigned K : Stream) {
+    auto It = Where.find(K);
+    if (It != Where.end()) {
+      ++Hits;
+      Lru.splice(Lru.begin(), Lru, It->second);
+      continue;
+    }
+    Lru.push_front(K);
+    Where[K] = Lru.begin();
+    if (Lru.size() > Capacity) {
+      Where.erase(Lru.back());
+      Lru.pop_back();
+    }
+  }
+  return Hits;
+}
+
+TEST(AnalysisCacheTest, AdmissionNeverHitsLessThanPlainLruOnZipfStreams) {
+  // One tiny artifact stands in for every program: only the key
+  // stream and the admission rule decide hits.
+  std::shared_ptr<AnalysisArtifact> Art = makeArtifact("read(a);\nwrite(a);\n");
+  for (double S : {0.8, 1.0, 1.2})
+    for (unsigned N : {128u, 1024u, 4096u}) {
+      std::vector<unsigned> Stream = zipfStream(N, S, 20000, 0x9e3779b97f4a7c15);
+      AnalysisCache C{CacheOptions{}};
+      for (unsigned K : Stream) {
+        std::string Key = "zipf-" + std::to_string(K);
+        if (C.lookup(Key, farDeadline()).K == AnalysisCache::Outcome::MustBuild)
+          C.publish(Key, Art);
+      }
+      CacheStats Got = C.stats();
+      uint64_t Lru = plainLruHits(Stream, CacheOptions{}.MaxEntries);
+      EXPECT_GE(Got.Hits, Lru) << "s " << S << " programs " << N;
+      EXPECT_GT(Got.Declined, 0u) << "s " << S << " programs " << N;
+    }
+}
+
+/// An artifact whose deleter asks the cache for its stats from another
+/// thread and waits at most two seconds for the answer. Freed while
+/// the cache holds its mutex, the wait times out; the helper thread
+/// still finishes once the mutex is released, so a regression fails
+/// the test instead of deadlocking it.
+struct FreeProbe {
+  std::future<CacheStats> Pending;
+  bool Freed = false;
+  bool StatsAnswered = false;
+
+  std::shared_ptr<const AnalysisArtifact> artifact(AnalysisCache &C) {
+    ErrorOr<Analysis> A =
+        Analysis::fromSource("read(p);\nwrite(p);\n", bigBudget());
+    EXPECT_TRUE(A.hasValue());
+    auto *Raw = new AnalysisArtifact(std::move(*A));
+    Raw->CostBytes = 1;
+    return std::shared_ptr<const AnalysisArtifact>(
+        Raw, [this, &C](const AnalysisArtifact *Art) {
+          Pending = std::async(std::launch::async, [&C] { return C.stats(); });
+          StatsAnswered = Pending.wait_for(std::chrono::seconds(2)) ==
+                          std::future_status::ready;
+          Freed = true;
+          delete Art;
+        });
+  }
+};
+
+TEST(AnalysisCacheTest, EvictedArtifactsAreFreedAfterTheMutexIsReleased) {
+  const std::string Other = "read(a);\nwrite(a);\n";
+  const std::string KP = "k-probe", KO = keyOf(Other);
+  const std::pair<const char *, std::function<void(AnalysisCache &)>>
+      Evictions[] = {
+          {"capacity eviction in publish",
+           [&](AnalysisCache &C) {
+             ASSERT_EQ(C.lookup(KO, farDeadline()).K,
+                       AnalysisCache::Outcome::Bypass);
+             ASSERT_EQ(C.lookup(KO, farDeadline()).K,
+                       AnalysisCache::Outcome::MustBuild);
+             C.publish(KO, makeArtifact(Other));
+           }},
+          {"auditMismatch", [&](AnalysisCache &C) { C.auditMismatch(KP); }},
+          {"evictToward",
+           [](AnalysisCache &C) { EXPECT_EQ(C.evictToward(0), 1u); }},
+      };
+  for (const auto &[Name, Evict] : Evictions) {
+    SCOPED_TRACE(Name);
+    FreeProbe P;
+    CacheOptions Opts;
+    Opts.MaxEntries = 1;
+    AnalysisCache C{Opts};
+    ASSERT_EQ(C.lookup(KP, farDeadline()).K, AnalysisCache::Outcome::MustBuild);
+    C.publish(KP, P.artifact(C));
+    Evict(C);
+    ASSERT_TRUE(P.Freed);
+    EXPECT_TRUE(P.StatsAnswered);
+    P.Pending.wait();
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Execute integration: hit parity and the audit
 //===----------------------------------------------------------------------===//
 
@@ -337,6 +531,58 @@ TEST(AnalysisCacheTest, SecondRequestIsServedFromCacheBitIdentically) {
     EXPECT_EQ(First.ServedTier, Second.ServedTier);
   }
   EXPECT_GE(C.stats().Hits + C.stats().Misses, 2u);
+}
+
+TEST(AnalysisCacheTest, DeclinedRequestServesLikeCacheLessAndPublishesNothing) {
+  CacheOptions Opts;
+  Opts.MaxEntries = 2;
+  AnalysisCache C{Opts};
+  ExecConfig Cfg;
+  Cfg.DefaultBudget = bigBudget();
+  Cfg.Cache = Opts;
+
+  // Fill both entries with two other programs.
+  for (const char *Fill : {"read(a);\nwrite(a);\n", "read(b);\nwrite(b);\n"}) {
+    ServiceRequest F;
+    F.Id = "fill";
+    F.Program = Fill;
+    F.Line = 2;
+    ASSERT_EQ(executeSliceRequest(F, Cfg, nullptr, nullptr, &C).Status,
+              ResponseStatus::Ok);
+  }
+  ASSERT_EQ(C.stats().Inserts, 2u);
+
+  GenOptions G;
+  G.Seed = 7;
+  G.TargetStmts = 60;
+  G.AllowGotos = true;
+  ServiceRequest R;
+  R.Id = "d1";
+  R.Program = generateProgram(G);
+  ErrorOr<Analysis> A = Analysis::fromSource(R.Program, bigBudget());
+  ASSERT_TRUE(A.hasValue());
+  Criterion Crit = allLineCriteria(*A).back();
+  R.Line = Crit.Line;
+  R.Vars = Crit.Vars;
+  ServiceResponse CacheLess = executeSliceRequest(R, Cfg, nullptr, nullptr,
+                                                  /*Cache=*/nullptr);
+  ASSERT_EQ(CacheLess.Status, ResponseStatus::Ok);
+
+  ServiceResponse Declined = executeSliceRequest(R, Cfg, nullptr, nullptr, &C);
+  EXPECT_EQ(Declined.str(), CacheLess.str());
+  EXPECT_EQ(C.stats().Declined, 1u);
+  EXPECT_EQ(C.stats().Inserts, 2u);
+
+  ServiceResponse Admitted = executeSliceRequest(R, Cfg, nullptr, nullptr, &C);
+  EXPECT_FALSE(Admitted.FromCache);
+  EXPECT_EQ(Admitted.Lines, CacheLess.Lines);
+  EXPECT_EQ(C.stats().Inserts, 3u);
+  EXPECT_EQ(C.stats().Evictions, 1u);
+
+  ServiceResponse Hit = executeSliceRequest(R, Cfg, nullptr, nullptr, &C);
+  EXPECT_TRUE(Hit.FromCache);
+  EXPECT_EQ(Hit.Lines, CacheLess.Lines);
+  EXPECT_EQ(C.stats().Declined, 1u);
 }
 
 TEST(AnalysisCacheTest, AuditMismatchInvalidatesAndServesFresh) {
@@ -584,6 +830,7 @@ TEST(CacheStatsTest, JsonRoundTripsAndAccumulates) {
   CacheStats S;
   S.Hits = 3;
   S.Misses = 2;
+  S.Declined = 7;
   S.Coalesced = 1;
   S.Promotions = 4;
   S.Evictions = 5;
@@ -596,6 +843,7 @@ TEST(CacheStatsTest, JsonRoundTripsAndAccumulates) {
   std::optional<CacheStats> Back = CacheStats::fromJson(S.toJson());
   ASSERT_TRUE(Back.has_value());
   EXPECT_EQ(Back->Hits, 3u);
+  EXPECT_EQ(Back->Declined, 7u);
   EXPECT_EQ(Back->WatermarkEvictions, 2u);
   EXPECT_EQ(Back->Bytes, 12345u);
 
@@ -603,6 +851,7 @@ TEST(CacheStatsTest, JsonRoundTripsAndAccumulates) {
   Sum.add(*Back);
   Sum.add(*Back);
   EXPECT_EQ(Sum.Hits, 6u);
+  EXPECT_EQ(Sum.Declined, 14u);
   EXPECT_EQ(Sum.Entries, 18u);
 
   EXPECT_FALSE(CacheStats::fromJson(JsonValue(42)).has_value());

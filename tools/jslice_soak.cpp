@@ -271,17 +271,27 @@ int runVolumeSoak(const SoakOptions &Opts) {
            std::to_string(Cancels) + ")");
   std::optional<CacheStats> CS = checkCacheStats(Opts, Final, A.Violations);
   checkStatsExposure(Opts, A, A.Violations);
+  // More programs than one shared cache holds: the cache fills, so the
+  // run must decline first sightings and still hit, or the full-cache
+  // admission path went unexercised.
+  if (CS && !Opts.IsolateProcess && Opts.CacheEntries &&
+      Opts.Programs > Opts.CacheEntries && (!CS->Declined || !CS->Hits))
+    violation(A.Violations,
+              "full-cache run saw %llu declined admissions and %llu hits; "
+              "both must be nonzero",
+              ull(CS->Declined), ull(CS->Hits));
 
   std::printf("jslice_soak: %llu requests (%llu slices, %llu cancels, %llu "
               "bad lines) -> %llu responses, %llu degraded serves\n",
               ull(Slices + Cancels + BadLines + 1), ull(Slices), ull(Cancels),
               ull(BadLines), ull(A.Responses), ull(A.DegradedServes));
   if (CS)
-    std::printf("               cache              %llu hits / %llu misses, "
-                "%llu coalesced, %llu evictions, %llu audits (%llu "
-                "mismatches)\n",
-                ull(CS->Hits), ull(CS->Misses), ull(CS->Coalesced),
-                ull(CS->Evictions), ull(CS->Audits), ull(CS->AuditMismatches));
+    std::printf("               cache              %llu hits / %llu misses "
+                "(%llu declined), %llu coalesced, %llu evictions, %llu "
+                "audits (%llu mismatches)\n",
+                ull(CS->Hits), ull(CS->Misses), ull(CS->Declined),
+                ull(CS->Coalesced), ull(CS->Evictions), ull(CS->Audits),
+                ull(CS->AuditMismatches));
   A.printSummary();
   return A.Violations ? 1 : 0;
 }
