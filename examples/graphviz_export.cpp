@@ -62,12 +62,13 @@ int main(int argc, char **argv) {
               toDot(A->pdg().Control, std::string(Name) + " control deps",
                     Label, &InSlice));
     // The LST renders through its parent vector as a Digraph.
-    Digraph LstEdges(A->cfg().numNodes());
+    DigraphBuilder LstEdges(A->cfg().numNodes());
     for (unsigned Node = 0; Node != A->cfg().numNodes(); ++Node)
       if (A->lst().parent(Node) >= 0)
         LstEdges.addEdge(static_cast<unsigned>(A->lst().parent(Node)), Node);
     writeFile(Prefix + "lst.dot",
-              toDot(LstEdges, std::string(Name) + " lexical successors",
+              toDot(LstEdges.freeze(),
+                    std::string(Name) + " lexical successors",
                     Label, &InSlice));
     writeFile(Prefix + "pdg.dot",
               toDot(A->pdg().combined(), std::string(Name) + " PDG", Label,

@@ -35,10 +35,9 @@
 #include "support/Error.h"
 #include "support/ResourceGuard.h"
 
-#include <map>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace jslice {
@@ -69,9 +68,10 @@ struct BranchTargets {
   unsigned FalseTarget = 0;
 };
 
-/// Dispatch targets of a switch predicate node.
+/// Dispatch targets of a switch predicate node. `Cases` views the
+/// Cfg's flat case table, so it lives as long as the Cfg.
 struct SwitchTargets {
-  std::vector<std::pair<int64_t, unsigned>> Cases;
+  std::span<const std::pair<int64_t, unsigned>> Cases;
   unsigned DefaultTarget = 0; ///< Falls past the switch when no default.
 };
 
@@ -98,7 +98,9 @@ public:
   /// statements, the predicate node for compounds. Asserts for blocks
   /// (they have no node).
   unsigned nodeOf(const Stmt *S) const;
-  bool hasNodeFor(const Stmt *S) const { return StmtNode.count(S) != 0; }
+  bool hasNodeFor(const Stmt *S) const {
+    return StmtNode[S->getId()] != NoNode;
+  }
 
   /// The first node executed when control reaches \p S. Differs from
   /// nodeOf for do-while (body first) and for for-loops with an init
@@ -111,8 +113,8 @@ public:
   /// Branch targets for two-way predicate nodes; null otherwise.
   const BranchTargets *branchTargets(unsigned NodeId) const;
 
-  /// Case targets for switch predicate nodes; null otherwise.
-  const SwitchTargets *switchTargets(unsigned NodeId) const;
+  /// Case targets for switch predicate nodes; nullopt otherwise.
+  std::optional<SwitchTargets> switchTargets(unsigned NodeId) const;
 
   /// Display label: "entry", "exit", or the statement's line number.
   std::string labelOf(unsigned NodeId) const;
@@ -146,16 +148,31 @@ private:
   /// O(nodes + lines) with no hashing.
   void indexLines();
 
+  /// Marks a statement without a node (blocks) in StmtNode.
+  static constexpr unsigned NoNode = ~0u;
+
+  /// Where switch \p NodeId's cases sit in CaseTargets.
+  struct CaseRange {
+    unsigned Begin = 0;
+    unsigned End = 0;
+    unsigned DefaultTarget = 0;
+  };
+
   const Program *Prog = nullptr;
   Digraph G;
   unsigned Entry = 0;
   unsigned Exit = 0;
   std::vector<CfgNode> Nodes;
-  std::unordered_map<const Stmt *, unsigned> StmtNode;
-  std::unordered_map<const Stmt *, unsigned> StmtEntry;
-  std::unordered_map<unsigned, unsigned> JumpTargets;
-  std::unordered_map<unsigned, BranchTargets> Branches;
-  std::unordered_map<unsigned, SwitchTargets> Switches;
+  /// Indexed by statement id.
+  std::vector<unsigned> StmtNode;
+  std::vector<unsigned> StmtEntry;
+  /// Indexed by node id; each entry means something only for the node
+  /// kind it serves (jumps, two-way predicates, switch heads).
+  std::vector<unsigned> JumpTargets;
+  std::vector<BranchTargets> Branches;
+  std::vector<CaseRange> Switches;
+  /// Every switch's (value, target) pairs, one switch after another.
+  std::vector<std::pair<int64_t, unsigned>> CaseTargets;
   /// Line index, CSR style: the nodes on line L are
   /// LineNodes[LineStart[L] .. LineStart[L + 1]), ascending.
   std::vector<unsigned> LineStart;

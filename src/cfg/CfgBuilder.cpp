@@ -34,13 +34,16 @@ private:
   unsigned makeNode(CfgNodeKind Kind, const Stmt *S, const Expr *Cond) {
     if (Guard && !Guard->countNode("cfg.node"))
       GuardTripped = true;
-    unsigned Id = Result.G.addNode();
+    unsigned Id = G.addNode();
     CfgNode Node;
     Node.Id = Id;
     Node.Kind = Kind;
     Node.S = S;
     Node.Cond = Cond;
     Result.Nodes.push_back(Node);
+    Result.JumpTargets.push_back(Cfg::NoNode);
+    Result.Branches.emplace_back();
+    Result.Switches.emplace_back();
     return Id;
   }
 
@@ -51,6 +54,7 @@ private:
 
   const Program &Prog;
   Cfg &Result;
+  DigraphBuilder G;
   ResourceGuard *Guard;
   bool GuardTripped = false;
 
@@ -62,6 +66,7 @@ private:
   std::vector<LoopContext> Loops;
 
   std::vector<std::pair<unsigned, const Stmt *>> PendingGotos;
+  std::vector<unsigned> ClauseEntries;
 };
 
 } // namespace jslice
@@ -81,7 +86,7 @@ unsigned CfgBuilder::wire(const Stmt *S, unsigned Next) {
   // Budget exhausted: stop growing the graph. run() turns the tripped
   // guard into a diagnostic, so the half-wired Cfg never escapes.
   if (GuardTripped) {
-    Result.StmtEntry[S] = Entry;
+    Result.StmtEntry[S->getId()] = Entry;
     return Entry;
   }
 
@@ -91,15 +96,15 @@ unsigned CfgBuilder::wire(const Stmt *S, unsigned Next) {
   case StmtKind::Write:
   case StmtKind::Empty: {
     unsigned Node = makeNode(CfgNodeKind::Statement, S, nullptr);
-    Result.G.addEdge(Node, Next);
-    Result.StmtNode[S] = Node;
+    G.addEdge(Node, Next);
+    Result.StmtNode[S->getId()] = Node;
     Entry = Node;
     break;
   }
 
   case StmtKind::Goto: {
     unsigned Node = makeNode(CfgNodeKind::Statement, S, nullptr);
-    Result.StmtNode[S] = Node;
+    Result.StmtNode[S->getId()] = Node;
     PendingGotos.emplace_back(Node, cast<GotoStmt>(S)->getTarget());
     Entry = Node;
     break;
@@ -109,9 +114,9 @@ unsigned CfgBuilder::wire(const Stmt *S, unsigned Next) {
     assert(!Loops.empty() && "sema guarantees an enclosing breakable");
     unsigned Node = makeNode(CfgNodeKind::Statement, S, nullptr);
     unsigned Target = Loops.back().BreakTarget;
-    Result.G.addEdge(Node, Target);
+    G.addEdge(Node, Target);
     Result.JumpTargets[Node] = Target;
-    Result.StmtNode[S] = Node;
+    Result.StmtNode[S->getId()] = Node;
     Entry = Node;
     break;
   }
@@ -129,18 +134,18 @@ unsigned CfgBuilder::wire(const Stmt *S, unsigned Next) {
     assert(Found && "sema guarantees an enclosing loop");
     (void)Found;
     unsigned Node = makeNode(CfgNodeKind::Statement, S, nullptr);
-    Result.G.addEdge(Node, Target);
+    G.addEdge(Node, Target);
     Result.JumpTargets[Node] = Target;
-    Result.StmtNode[S] = Node;
+    Result.StmtNode[S->getId()] = Node;
     Entry = Node;
     break;
   }
 
   case StmtKind::Return: {
     unsigned Node = makeNode(CfgNodeKind::Statement, S, nullptr);
-    Result.G.addEdge(Node, Result.Exit);
+    G.addEdge(Node, Result.Exit);
     Result.JumpTargets[Node] = Result.Exit;
-    Result.StmtNode[S] = Node;
+    Result.StmtNode[S->getId()] = Node;
     Entry = Node;
     break;
   }
@@ -154,10 +159,10 @@ unsigned CfgBuilder::wire(const Stmt *S, unsigned Next) {
     unsigned Cond = makeNode(CfgNodeKind::Predicate, S, If->getCond());
     unsigned ThenEntry = wire(If->getThen(), Next);
     unsigned ElseEntry = If->hasElse() ? wire(If->getElse(), Next) : Next;
-    Result.G.addEdge(Cond, ThenEntry);
-    Result.G.addEdge(Cond, ElseEntry);
+    G.addEdge(Cond, ThenEntry);
+    G.addEdge(Cond, ElseEntry);
     Result.Branches[Cond] = {ThenEntry, ElseEntry};
-    Result.StmtNode[S] = Cond;
+    Result.StmtNode[S->getId()] = Cond;
     Entry = Cond;
     break;
   }
@@ -168,10 +173,10 @@ unsigned CfgBuilder::wire(const Stmt *S, unsigned Next) {
     Loops.push_back({Next, Cond, /*AcceptsContinue=*/true});
     unsigned BodyEntry = wire(While->getBody(), Cond);
     Loops.pop_back();
-    Result.G.addEdge(Cond, BodyEntry);
-    Result.G.addEdge(Cond, Next);
+    G.addEdge(Cond, BodyEntry);
+    G.addEdge(Cond, Next);
     Result.Branches[Cond] = {BodyEntry, Next};
-    Result.StmtNode[S] = Cond;
+    Result.StmtNode[S->getId()] = Cond;
     Entry = Cond;
     break;
   }
@@ -182,10 +187,10 @@ unsigned CfgBuilder::wire(const Stmt *S, unsigned Next) {
     Loops.push_back({Next, Cond, /*AcceptsContinue=*/true});
     unsigned BodyEntry = wire(Do->getBody(), Cond);
     Loops.pop_back();
-    Result.G.addEdge(Cond, BodyEntry);
-    Result.G.addEdge(Cond, Next);
+    G.addEdge(Cond, BodyEntry);
+    G.addEdge(Cond, Next);
     Result.Branches[Cond] = {BodyEntry, Next};
-    Result.StmtNode[S] = Cond;
+    Result.StmtNode[S->getId()] = Cond;
     Entry = BodyEntry;
     break;
   }
@@ -199,14 +204,14 @@ unsigned CfgBuilder::wire(const Stmt *S, unsigned Next) {
     Loops.push_back({Next, StepEntry, /*AcceptsContinue=*/true});
     unsigned BodyEntry = wire(For->getBody(), StepEntry);
     Loops.pop_back();
-    Result.G.addEdge(Cond, BodyEntry);
+    G.addEdge(Cond, BodyEntry);
     if (For->getCond()) {
-      Result.G.addEdge(Cond, Next);
+      G.addEdge(Cond, Next);
       Result.Branches[Cond] = {BodyEntry, Next};
     } else {
       Result.Branches[Cond] = {BodyEntry, BodyEntry};
     }
-    Result.StmtNode[S] = Cond;
+    Result.StmtNode[S->getId()] = Cond;
     Entry = For->getInit() ? wire(For->getInit(), Cond) : Cond;
     break;
   }
@@ -217,47 +222,65 @@ unsigned CfgBuilder::wire(const Stmt *S, unsigned Next) {
     Loops.push_back({Next, 0, /*AcceptsContinue=*/false});
 
     // Wire clauses in reverse so each knows its fall-through successor.
+    // Their entries go on a stack that nested switches share.
     const auto &Clauses = Switch->getClauses();
-    std::vector<unsigned> ClauseEntry(Clauses.size());
+    size_t Base = ClauseEntries.size();
+    ClauseEntries.resize(Base + Clauses.size());
     unsigned Following = Next;
     for (size_t I = Clauses.size(); I-- > 0;) {
-      ClauseEntry[I] = wireList(Clauses[I].Body, Following);
-      Following = ClauseEntry[I];
+      Following = wireList(Clauses[I].Body, Following);
+      ClauseEntries[Base + I] = Following;
     }
+    const unsigned *ClauseEntry = ClauseEntries.data() + Base;
     Loops.pop_back();
 
-    SwitchTargets Targets;
+    Cfg::CaseRange &Targets = Result.Switches[Cond];
+    Targets.Begin = static_cast<unsigned>(Result.CaseTargets.size());
     Targets.DefaultTarget = Next;
     for (size_t I = 0, E = Clauses.size(); I != E; ++I) {
       if (Clauses[I].IsDefault)
         Targets.DefaultTarget = ClauseEntry[I];
       else
-        Targets.Cases.emplace_back(Clauses[I].Value, ClauseEntry[I]);
-      Result.G.addEdge(Cond, ClauseEntry[I]);
+        Result.CaseTargets.emplace_back(Clauses[I].Value, ClauseEntry[I]);
+      G.addEdge(Cond, ClauseEntry[I]);
     }
-    Result.G.addEdge(Cond, Targets.DefaultTarget);
-    Result.Switches[Cond] = std::move(Targets);
-    Result.StmtNode[S] = Cond;
+    Targets.End = static_cast<unsigned>(Result.CaseTargets.size());
+    G.addEdge(Cond, Targets.DefaultTarget);
+    ClauseEntries.resize(Base);
+    Result.StmtNode[S->getId()] = Cond;
     Entry = Cond;
     break;
   }
   }
 
-  Result.StmtEntry[S] = Entry;
+  Result.StmtEntry[S->getId()] = Entry;
   return Entry;
 }
 
 bool CfgBuilder::run(DiagList &Diags) {
   Result.Prog = &Prog;
+  // Every statement makes at most one node, and most nodes one or two
+  // edges: the side tables never regrow.
+  size_t MaxNodes = size_t(Prog.numStmts()) + 2;
+  Result.Nodes.reserve(MaxNodes);
+  Result.JumpTargets.reserve(MaxNodes);
+  Result.Branches.reserve(MaxNodes);
+  Result.Switches.reserve(MaxNodes);
+  Result.StmtNode.assign(Prog.numStmts(), Cfg::NoNode);
+  Result.StmtEntry.assign(Prog.numStmts(), Cfg::NoNode);
+  G.reserveEdges(2 * MaxNodes);
+  Result.CaseTargets.reserve(MaxNodes);
+  PendingGotos.reserve(MaxNodes);
+  ClauseEntries.reserve(MaxNodes);
   Result.Entry = makeNode(CfgNodeKind::Entry, nullptr, nullptr);
   Result.Exit = makeNode(CfgNodeKind::Exit, nullptr, nullptr);
 
   unsigned First = wireList(Prog.topLevel(), Result.Exit);
-  Result.G.addEdge(Result.Entry, First);
+  G.addEdge(Result.Entry, First);
   // The standard control-dependence augmentation: Entry -> Exit makes
   // every always-executed statement control dependent on Entry (the
   // paper's dummy predicate node 0).
-  Result.G.addEdge(Result.Entry, Result.Exit);
+  G.addEdge(Result.Entry, Result.Exit);
 
   if (GuardTripped) {
     Diags.report(SourceLoc(), Guard->reason(), DiagKind::ResourceExhausted);
@@ -267,11 +290,12 @@ bool CfgBuilder::run(DiagList &Diags) {
   // Resolve gotos now that every labeled statement has an entry node.
   for (auto [GotoNode, TargetStmt] : PendingGotos) {
     assert(TargetStmt && "sema guarantees goto resolution");
-    auto It = Result.StmtEntry.find(TargetStmt);
-    assert(It != Result.StmtEntry.end() && "target statement was not wired");
-    Result.G.addEdge(GotoNode, It->second);
-    Result.JumpTargets[GotoNode] = It->second;
+    unsigned Target = Result.StmtEntry[TargetStmt->getId()];
+    assert(Target != Cfg::NoNode && "target statement was not wired");
+    G.addEdge(GotoNode, Target);
+    Result.JumpTargets[GotoNode] = Target;
   }
+  Result.G = G.freeze();
 
   // Every node must reach Exit or the postdominator machinery the
   // algorithms depend on is undefined (DESIGN.md).
@@ -305,32 +329,37 @@ ErrorOr<Cfg> Cfg::build(const Program &Prog, ResourceGuard *Guard) {
 }
 
 unsigned Cfg::nodeOf(const Stmt *S) const {
-  auto It = StmtNode.find(S);
-  assert(It != StmtNode.end() && "statement has no representative node");
-  return It->second;
+  unsigned Node = StmtNode[S->getId()];
+  assert(Node != NoNode && "statement has no representative node");
+  return Node;
 }
 
 unsigned Cfg::entryOf(const Stmt *S) const {
-  auto It = StmtEntry.find(S);
-  assert(It != StmtEntry.end() && "statement was never wired");
-  return It->second;
+  unsigned Node = StmtEntry[S->getId()];
+  assert(Node != NoNode && "statement was never wired");
+  return Node;
 }
 
 std::optional<unsigned> Cfg::jumpTarget(unsigned NodeId) const {
-  auto It = JumpTargets.find(NodeId);
-  if (It == JumpTargets.end())
+  if (!Nodes[NodeId].isJump())
     return std::nullopt;
-  return It->second;
+  return JumpTargets[NodeId];
 }
 
 const BranchTargets *Cfg::branchTargets(unsigned NodeId) const {
-  auto It = Branches.find(NodeId);
-  return It == Branches.end() ? nullptr : &It->second;
+  const CfgNode &Node = Nodes[NodeId];
+  if (Node.Kind != CfgNodeKind::Predicate || isa<SwitchStmt>(Node.S))
+    return nullptr;
+  return &Branches[NodeId];
 }
 
-const SwitchTargets *Cfg::switchTargets(unsigned NodeId) const {
-  auto It = Switches.find(NodeId);
-  return It == Switches.end() ? nullptr : &It->second;
+std::optional<SwitchTargets> Cfg::switchTargets(unsigned NodeId) const {
+  const CfgNode &Node = Nodes[NodeId];
+  if (Node.Kind != CfgNodeKind::Predicate || !isa<SwitchStmt>(Node.S))
+    return std::nullopt;
+  const CaseRange &R = Switches[NodeId];
+  return SwitchTargets{{CaseTargets.data() + R.Begin, R.End - R.Begin},
+                       R.DefaultTarget};
 }
 
 std::string Cfg::labelOf(unsigned NodeId) const {
@@ -387,7 +416,7 @@ std::vector<unsigned> Cfg::nodesOnLine(unsigned Line) const {
 }
 
 Digraph Cfg::buildAugmentedGraph(const std::vector<int> &IlsParent) const {
-  Digraph Augmented = G;
+  DigraphBuilder Augmented(G);
   for (const CfgNode &Node : Nodes) {
     if (!Node.isJump())
       continue;
@@ -395,5 +424,5 @@ Digraph Cfg::buildAugmentedGraph(const std::vector<int> &IlsParent) const {
            "jump node missing from the lexical successor tree");
     Augmented.addEdge(Node.Id, static_cast<unsigned>(IlsParent[Node.Id]));
   }
-  return Augmented;
+  return Augmented.freeze();
 }

@@ -7,41 +7,11 @@
 
 #include "cfg/LexicalSuccessorTree.h"
 
-#include <algorithm>
-
 using namespace jslice;
 
 LexicalSuccessorTree::LexicalSuccessorTree(unsigned Root,
                                            std::vector<int> Parent)
-    : Root(Root), ParentOf(std::move(Parent)) {
-  unsigned N = static_cast<unsigned>(ParentOf.size());
-  Children.resize(N);
-  for (unsigned Node = 0; Node != N; ++Node)
-    if (ParentOf[Node] >= 0)
-      Children[static_cast<unsigned>(ParentOf[Node])].push_back(Node);
-  for (auto &Kids : Children)
-    std::sort(Kids.begin(), Kids.end());
-
-  TreeIn.assign(N, 0);
-  TreeOut.assign(N, 0);
-  unsigned Clock = 0;
-  std::vector<std::pair<unsigned, size_t>> Stack;
-  Stack.emplace_back(Root, 0);
-  TreeIn[Root] = ++Clock;
-  Preorder.push_back(Root);
-  while (!Stack.empty()) {
-    auto &[Node, NextIdx] = Stack.back();
-    if (NextIdx < Children[Node].size()) {
-      unsigned Child = Children[Node][NextIdx++];
-      TreeIn[Child] = ++Clock;
-      Preorder.push_back(Child);
-      Stack.emplace_back(Child, 0);
-      continue;
-    }
-    TreeOut[Node] = ++Clock;
-    Stack.pop_back();
-  }
-}
+    : Root(Root), ParentOf(std::move(Parent)), Tree(Root, ParentOf) {}
 
 namespace {
 

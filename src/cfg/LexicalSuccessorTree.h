@@ -23,6 +23,7 @@
 #define JSLICE_CFG_LEXICALSUCCESSORTREE_H
 
 #include "cfg/Cfg.h"
+#include "graph/Tree.h"
 
 #include <vector>
 
@@ -45,21 +46,20 @@ public:
     return Node == Root || ParentOf[Node] >= 0;
   }
 
-  const std::vector<unsigned> &children(unsigned Node) const {
-    return Children[Node];
-  }
+  /// Children of \p Node in the tree, ascending.
+  NodeList children(unsigned Node) const { return Tree.children(Node); }
 
   /// True when \p A is a lexical successor of \p B, i.e. an ancestor of
   /// \p B in this tree (reflexive).
   bool isLexicalSuccessorOf(unsigned A, unsigned B) const {
     if (!inTree(A) || !inTree(B))
       return false;
-    return TreeIn[A] <= TreeIn[B] && TreeOut[B] <= TreeOut[A];
+    return Tree.isAncestor(A, B);
   }
 
   /// Tree preorder (children in ascending node order) — the alternative
   /// traversal order the paper permits for the Figure 7 algorithm.
-  const std::vector<unsigned> &preorder() const { return Preorder; }
+  const std::vector<unsigned> &preorder() const { return Tree.preorder(); }
 
   unsigned numNodes() const {
     return static_cast<unsigned>(ParentOf.size());
@@ -71,10 +71,7 @@ public:
 private:
   unsigned Root;
   std::vector<int> ParentOf;
-  std::vector<std::vector<unsigned>> Children;
-  std::vector<unsigned> Preorder;
-  std::vector<unsigned> TreeIn;
-  std::vector<unsigned> TreeOut;
+  TreeIndex Tree;
 };
 
 /// Builds the LST of \p C syntax-directedly.

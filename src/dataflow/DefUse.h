@@ -24,12 +24,15 @@
 #include "cfg/Cfg.h"
 
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 namespace jslice {
 
-/// Interned variable table plus per-node def/use sets.
+/// Interned variable table plus per-node def/use sets, each kept in CSR
+/// form over the node ids. The table keys names by views into the
+/// analyzed program's AST, so a DefUse must not outlive that program.
 class DefUse {
 public:
   /// Name of the pseudo-variable modelling the input stream position.
@@ -42,30 +45,33 @@ public:
   const std::string &varName(unsigned VarId) const { return Names[VarId]; }
 
   /// Dense id of \p Name, or -1 when the program never mentions it.
-  int varId(const std::string &Name) const {
+  int varId(std::string_view Name) const {
     auto It = Ids.find(Name);
     return It == Ids.end() ? -1 : static_cast<int>(It->second);
   }
 
-  /// Variables defined by \p Node (empty for most; a read defines its
-  /// target and $input). Jump nodes never define anything — the root
-  /// cause of the paper's problem.
-  const std::vector<unsigned> &defsOf(unsigned Node) const {
-    return Defs[Node];
-  }
+  /// Variables defined by \p Node, sorted (empty for most; a read
+  /// defines its target and $input). Jump nodes never define anything —
+  /// the root cause of the paper's problem.
+  NodeList defsOf(unsigned Node) const { return row(DefOff, DefVars, Node); }
 
   /// Variables used by the node's own expressions, sorted.
-  const std::vector<unsigned> &usesOf(unsigned Node) const {
-    return Uses[Node];
-  }
+  NodeList usesOf(unsigned Node) const { return row(UseOff, UseVars, Node); }
 
 private:
-  unsigned intern(const std::string &Name);
+  unsigned intern(std::string_view Name);
+
+  static NodeList row(const std::vector<unsigned> &Off,
+                      const std::vector<unsigned> &Vars, unsigned Node) {
+    return NodeList(Vars.data() + Off[Node], Off[Node + 1] - Off[Node]);
+  }
 
   std::vector<std::string> Names;
-  std::unordered_map<std::string, unsigned> Ids;
-  std::vector<std::vector<unsigned>> Defs;
-  std::vector<std::vector<unsigned>> Uses;
+  std::unordered_map<std::string_view, unsigned> Ids;
+  std::vector<unsigned> DefOff;  ///< numNodes() + 1 offsets into DefVars.
+  std::vector<unsigned> DefVars;
+  std::vector<unsigned> UseOff;  ///< numNodes() + 1 offsets into UseVars.
+  std::vector<unsigned> UseVars;
 };
 
 } // namespace jslice

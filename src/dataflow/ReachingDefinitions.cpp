@@ -7,83 +7,110 @@
 
 #include "dataflow/ReachingDefinitions.h"
 
+#include <algorithm>
+
 using namespace jslice;
 
 ReachingDefinitions ReachingDefinitions::compute(const Cfg &C,
                                                  const DefUse &DU,
                                                  ResourceGuard *Guard) {
+  using Word = BitVector::Word;
+  constexpr size_t Bits = BitVector::BitsPerWord;
   ReachingDefinitions Result;
   unsigned N = C.numNodes();
 
-  // Enumerate definition sites; a node may host several (a read defines
-  // its target and the $input pseudo-variable).
-  std::vector<std::vector<unsigned>> DefIdsOf(N);
+  // Enumerate definition sites in node order; a node may host several
+  // (a read defines its target and the $input pseudo-variable), and
+  // node n's sites are the ids FirstDef[n] .. FirstDef[n + 1].
+  std::vector<unsigned> FirstDef(size_t(N) + 1, 0);
+  for (unsigned Node = 0; Node != N; ++Node)
+    FirstDef[Node + 1] = FirstDef[Node] +
+                         static_cast<unsigned>(DU.defsOf(Node).size());
+  unsigned D = FirstDef[N];
+  Result.DefNode.reserve(D);
+  Result.DefVar.reserve(D);
   for (unsigned Node = 0; Node != N; ++Node) {
     for (unsigned Var : DU.defsOf(Node)) {
-      DefIdsOf[Node].push_back(static_cast<unsigned>(Result.DefNode.size()));
       Result.DefNode.push_back(Node);
       Result.DefVar.push_back(Var);
     }
   }
-  unsigned D = Result.numDefSites();
+  const size_t W = (D + Bits - 1) / Bits;
+  Result.Words = W;
 
   // Per-variable kill masks.
-  std::vector<BitVector> VarDefs(DU.numVars(), BitVector(D));
+  Result.VarDefs.assign(DU.numVars() * W, 0);
   for (unsigned DefId = 0; DefId != D; ++DefId)
-    VarDefs[Result.DefVar[DefId]].set(DefId);
+    Result.VarDefs[Result.DefVar[DefId] * W + DefId / Bits] |=
+        Word(1) << (DefId % Bits);
 
-  std::vector<BitVector> In(N, BitVector(D));
-  std::vector<BitVector> Out(N, BitVector(D));
+  // In and Out, one row of W words per node, plus the transfer's
+  // scratch row.
+  Result.In.assign(size_t(N) * W, 0);
+  std::vector<Word> Out(size_t(N) * W + W, 0);
+  Word *Tmp = Out.data() + size_t(N) * W;
 
   std::vector<unsigned> RPO = reversePostorder(C.graph(), C.entry());
   bool Changed = true;
-  BitVector Tmp(D);
   while (Changed) {
     Changed = false;
     for (unsigned Node : RPO) {
       if (Guard && !Guard->checkpoint("reachingdefs.transfer")) {
         // Budget exhausted: abandon the fixpoint. The caller observes
         // the tripped guard and discards the unconverged facts.
-        Result.In = std::move(In);
         return Result;
       }
-      Tmp.clear();
-      for (unsigned Pred : C.graph().preds(Node))
-        Tmp |= Out[Pred];
-      In[Node] = Tmp;
+      std::fill(Tmp, Tmp + W, 0);
+      for (unsigned Pred : C.graph().preds(Node)) {
+        const Word *PredOut = Out.data() + size_t(Pred) * W;
+        for (size_t I = 0; I != W; ++I)
+          Tmp[I] |= PredOut[I];
+      }
+      std::copy(Tmp, Tmp + W, Result.In.data() + size_t(Node) * W);
 
       // Transfer: Out = Gen ∪ (In − Kill).
-      for (unsigned Var : DU.defsOf(Node))
-        Tmp.resetOf(VarDefs[Var]);
-      for (unsigned DefId : DefIdsOf[Node])
-        Tmp.set(DefId);
-      if (Tmp != Out[Node]) {
-        Out[Node] = Tmp;
+      for (unsigned Var : DU.defsOf(Node)) {
+        const Word *Kill = Result.VarDefs.data() + size_t(Var) * W;
+        for (size_t I = 0; I != W; ++I)
+          Tmp[I] &= ~Kill[I];
+      }
+      for (unsigned DefId = FirstDef[Node]; DefId != FirstDef[Node + 1];
+           ++DefId)
+        Tmp[DefId / Bits] |= Word(1) << (DefId % Bits);
+      Word *NodeOut = Out.data() + size_t(Node) * W;
+      if (!std::equal(Tmp, Tmp + W, NodeOut)) {
+        std::copy(Tmp, Tmp + W, NodeOut);
         Changed = true;
       }
     }
   }
-
-  Result.In = std::move(In);
   return Result;
 }
 
 std::vector<unsigned>
 ReachingDefinitions::reachingDefNodes(unsigned Node, unsigned Var) const {
   std::vector<unsigned> Out;
-  In[Node].forEachSetBit([&](size_t DefId) {
-    if (DefVar[DefId] == Var)
-      Out.push_back(DefNode[DefId]);
-  });
+  forEachReachingDef(Node, Var,
+                     [&](unsigned DefId) { Out.push_back(DefNode[DefId]); });
   return Out;
 }
 
 Digraph jslice::buildDataDependence(const Cfg &C, const DefUse &DU,
                                     const ReachingDefinitions &RD) {
-  Digraph DD(C.numNodes());
-  for (unsigned Node = 0, N = C.numNodes(); Node != N; ++Node)
+  unsigned N = C.numNodes();
+  DigraphBuilder DD(N);
+  DD.reserveEdges(4 * size_t(N));
+  // Stamp[d] == u + 1 once the edge d -> u is recorded: a def node
+  // reaching several of u's uses gets one edge, the first.
+  std::vector<unsigned> Stamp(N, 0);
+  for (unsigned Node = 0; Node != N; ++Node)
     for (unsigned Var : DU.usesOf(Node))
-      for (unsigned DefNode : RD.reachingDefNodes(Node, Var))
-        DD.addEdge(DefNode, Node);
-  return DD;
+      RD.forEachReachingDef(Node, Var, [&](unsigned DefId) {
+        unsigned Def = RD.defSiteNode(DefId);
+        if (Stamp[Def] == Node + 1)
+          return;
+        Stamp[Def] = Node + 1;
+        DD.addEdge(Def, Node);
+      });
+  return DD.freeze();
 }

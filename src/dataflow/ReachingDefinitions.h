@@ -26,7 +26,10 @@
 namespace jslice {
 
 /// Solved reaching-definitions facts. Definition *sites* are the CFG
-/// nodes with non-empty defsOf; the bit index of a site is its dense def id.
+/// nodes with non-empty defsOf; the bit index of a site is its dense def
+/// id, which numbers the sites in node order. The facts live in two flat
+/// word matrices: In (one row per node) and the per-variable def masks
+/// (one row per variable).
 class ReachingDefinitions {
 public:
   /// With a \p Guard, the fixpoint polls one checkpoint per node
@@ -42,17 +45,38 @@ public:
   unsigned defSiteVar(unsigned DefId) const { return DefVar[DefId]; }
 
   /// Definitions reaching the *entry* of \p Node.
-  const BitVector &in(unsigned Node) const { return In[Node]; }
+  BitVectorRef in(unsigned Node) const {
+    return BitVectorRef(In.data() + size_t(Node) * Words, numDefSites());
+  }
 
   /// CFG nodes whose definition of \p Var reaches the entry of \p Node —
   /// the data-dependence predecessors for a use of Var at Node, and the
   /// seeds of a (Var, loc) slicing criterion.
   std::vector<unsigned> reachingDefNodes(unsigned Node, unsigned Var) const;
 
+  /// Invokes \p Fn on the def id of every definition of \p Var reaching
+  /// the entry of \p Node, ascending: In[Node] & VarDefs[Var], a word at
+  /// a time.
+  template <typename Callable>
+  void forEachReachingDef(unsigned Node, unsigned Var, Callable Fn) const {
+    const BitVector::Word *InRow = In.data() + size_t(Node) * Words;
+    const BitVector::Word *VarRow = VarDefs.data() + size_t(Var) * Words;
+    for (size_t WI = 0; WI != Words; ++WI) {
+      BitVector::Word W = InRow[WI] & VarRow[WI];
+      while (W) {
+        Fn(static_cast<unsigned>(WI * BitVector::BitsPerWord +
+                                 __builtin_ctzll(W)));
+        W &= W - 1;
+      }
+    }
+  }
+
 private:
   std::vector<unsigned> DefNode;
   std::vector<unsigned> DefVar;
-  std::vector<BitVector> In;
+  size_t Words = 0; ///< Words per row.
+  std::vector<BitVector::Word> In;
+  std::vector<BitVector::Word> VarDefs;
 };
 
 /// Builds the data dependence graph: an edge D -> U for every definition

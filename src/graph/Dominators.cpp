@@ -7,43 +7,12 @@
 
 #include "graph/Dominators.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace jslice;
 
 DomTree::DomTree(unsigned Root, std::vector<int> IDomIn)
-    : Root(Root), IDom(std::move(IDomIn)) {
-  unsigned N = static_cast<unsigned>(IDom.size());
-  assert(Root < N && "root out of range");
-  Children.resize(N);
-  for (unsigned Node = 0; Node != N; ++Node)
-    if (IDom[Node] >= 0)
-      Children[static_cast<unsigned>(IDom[Node])].push_back(Node);
-  for (auto &Kids : Children)
-    std::sort(Kids.begin(), Kids.end());
-
-  // Preorder + interval numbering for O(1) dominance queries.
-  TreeIn.assign(N, 0);
-  TreeOut.assign(N, 0);
-  unsigned Clock = 0;
-  std::vector<std::pair<unsigned, size_t>> Stack;
-  Stack.emplace_back(Root, 0);
-  TreeIn[Root] = ++Clock;
-  Preorder.push_back(Root);
-  while (!Stack.empty()) {
-    auto &[Node, NextIdx] = Stack.back();
-    if (NextIdx < Children[Node].size()) {
-      unsigned Child = Children[Node][NextIdx++];
-      TreeIn[Child] = ++Clock;
-      Preorder.push_back(Child);
-      Stack.emplace_back(Child, 0);
-      continue;
-    }
-    TreeOut[Node] = ++Clock;
-    Stack.pop_back();
-  }
-}
+    : Root(Root), IDom(std::move(IDomIn)), Tree(Root, IDom) {}
 
 //===----------------------------------------------------------------------===//
 // Cooper–Harvey–Kennedy iterative algorithm

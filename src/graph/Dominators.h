@@ -24,6 +24,7 @@
 #define JSLICE_GRAPH_DOMINATORS_H
 
 #include "graph/Digraph.h"
+#include "graph/Tree.h"
 #include "support/ResourceGuard.h"
 
 #include <vector>
@@ -46,15 +47,14 @@ public:
   int idom(unsigned Node) const { return IDom[Node]; }
   const std::vector<int> &idoms() const { return IDom; }
 
-  const std::vector<unsigned> &children(unsigned Node) const {
-    return Children[Node];
-  }
+  /// Children of \p Node in the tree, ascending.
+  NodeList children(unsigned Node) const { return Tree.children(Node); }
 
   /// True when \p A dominates \p B (reflexively).
   bool dominates(unsigned A, unsigned B) const {
     if (!isReachable(A) || !isReachable(B))
       return false;
-    return TreeIn[A] <= TreeIn[B] && TreeOut[B] <= TreeOut[A];
+    return Tree.isAncestor(A, B);
   }
 
   bool properlyDominates(unsigned A, unsigned B) const {
@@ -63,17 +63,14 @@ public:
 
   /// Tree preorder over reachable nodes, children in ascending node
   /// order (deterministic; the paper's Figure 7 traversal order).
-  const std::vector<unsigned> &preorder() const { return Preorder; }
+  const std::vector<unsigned> &preorder() const { return Tree.preorder(); }
 
   unsigned numNodes() const { return static_cast<unsigned>(IDom.size()); }
 
 private:
   unsigned Root;
   std::vector<int> IDom;
-  std::vector<std::vector<unsigned>> Children;
-  std::vector<unsigned> Preorder;
-  std::vector<unsigned> TreeIn;
-  std::vector<unsigned> TreeOut;
+  TreeIndex Tree;
 };
 
 /// Cooper–Harvey–Kennedy iterative dominators of \p G rooted at \p Root.

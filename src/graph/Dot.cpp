@@ -38,7 +38,8 @@ std::string jslice::toDot(const Digraph &G, const std::string &Name,
     Out += "];\n";
   }
   for (unsigned From = 0, E = G.numNodes(); From != E; ++From) {
-    std::vector<unsigned> Succs = G.succs(From);
+    NodeList Row = G.succs(From);
+    std::vector<unsigned> Succs(Row.begin(), Row.end());
     std::sort(Succs.begin(), Succs.end());
     for (unsigned To : Succs)
       Out += "  n" + std::to_string(From) + " -> n" + std::to_string(To) +
@@ -72,7 +73,8 @@ std::string jslice::toEdgeListText(const Digraph &G,
                                    const NodeLabelFn &Label) {
   std::string Out;
   for (unsigned From = 0, E = G.numNodes(); From != E; ++From) {
-    std::vector<unsigned> Succs = G.succs(From);
+    NodeList Row = G.succs(From);
+    std::vector<unsigned> Succs(Row.begin(), Row.end());
     if (Succs.empty())
       continue;
     std::sort(Succs.begin(), Succs.end());

@@ -251,7 +251,7 @@ ExecResult Machine::run() {
     }
 
     case CfgNodeKind::Predicate: {
-      if (const SwitchTargets *Switch = C.switchTargets(Cur)) {
+      if (std::optional<SwitchTargets> Switch = C.switchTargets(Cur)) {
         int64_t V = eval(Node.Cond);
         unsigned Next = Switch->DefaultTarget;
         for (auto [Value, Target] : Switch->Cases) {

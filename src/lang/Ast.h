@@ -20,6 +20,7 @@
 #ifndef JSLICE_LANG_AST_H
 #define JSLICE_LANG_AST_H
 
+#include "lang/Token.h"
 #include "support/Casting.h"
 #include "support/SourceLoc.h"
 
@@ -488,10 +489,11 @@ public:
 //===----------------------------------------------------------------------===//
 
 /// Owns every AST node of one Mini-C program and the top-level statement
-/// list. Statements receive dense ids in creation order.
+/// list. Statements receive dense ids in creation order. A Program is
+/// only ever made from a lexed token stream, whose key it carries.
 class Program {
 public:
-  Program() = default;
+  explicit Program(const TokenStreamKey &Key) : Key(Key) {}
   Program(const Program &) = delete;
   Program &operator=(const Program &) = delete;
   Program(Program &&) = default;
@@ -533,7 +535,11 @@ public:
     return Out;
   }
 
+  /// The key of the token stream this program was parsed from.
+  const TokenStreamKey &tokenKey() const { return Key; }
+
 private:
+  TokenStreamKey Key;
   std::vector<std::unique_ptr<Expr>> Exprs;
   std::vector<std::unique_ptr<Stmt>> Stmts;
   std::vector<const Stmt *> TopLevel;

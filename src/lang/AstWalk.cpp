@@ -9,121 +9,6 @@
 
 using namespace jslice;
 
-void jslice::forEachChildStmt(const Stmt *S,
-                              const std::function<void(const Stmt *)> &Fn) {
-  switch (S->getKind()) {
-  case StmtKind::Assign:
-  case StmtKind::Read:
-  case StmtKind::Write:
-  case StmtKind::Goto:
-  case StmtKind::Break:
-  case StmtKind::Continue:
-  case StmtKind::Return:
-  case StmtKind::Empty:
-    return;
-
-  case StmtKind::If: {
-    const auto *If = cast<IfStmt>(S);
-    Fn(If->getThen());
-    if (If->hasElse())
-      Fn(If->getElse());
-    return;
-  }
-  case StmtKind::While:
-    Fn(cast<WhileStmt>(S)->getBody());
-    return;
-  case StmtKind::DoWhile:
-    Fn(cast<DoWhileStmt>(S)->getBody());
-    return;
-  case StmtKind::For: {
-    const auto *For = cast<ForStmt>(S);
-    if (For->getInit())
-      Fn(For->getInit());
-    if (For->getStep())
-      Fn(For->getStep());
-    Fn(For->getBody());
-    return;
-  }
-  case StmtKind::Switch:
-    for (const CaseClause &Clause : cast<SwitchStmt>(S)->getClauses())
-      for (const Stmt *Child : Clause.Body)
-        Fn(Child);
-    return;
-  case StmtKind::Block:
-    for (const Stmt *Child : cast<BlockStmt>(S)->getBody())
-      Fn(Child);
-    return;
-  }
-}
-
-void jslice::walkStmtTree(const Stmt *S,
-                          const std::function<void(const Stmt *)> &Fn) {
-  Fn(S);
-  forEachChildStmt(S, [&](const Stmt *Child) { walkStmtTree(Child, Fn); });
-}
-
-void jslice::forEachStmtExpr(const Stmt *S,
-                             const std::function<void(const Expr *)> &Fn) {
-  switch (S->getKind()) {
-  case StmtKind::Assign:
-    Fn(cast<AssignStmt>(S)->getValue());
-    return;
-  case StmtKind::Write:
-    Fn(cast<WriteStmt>(S)->getValue());
-    return;
-  case StmtKind::If:
-    Fn(cast<IfStmt>(S)->getCond());
-    return;
-  case StmtKind::While:
-    Fn(cast<WhileStmt>(S)->getCond());
-    return;
-  case StmtKind::DoWhile:
-    Fn(cast<DoWhileStmt>(S)->getCond());
-    return;
-  case StmtKind::For:
-    if (const Expr *Cond = cast<ForStmt>(S)->getCond())
-      Fn(Cond);
-    return;
-  case StmtKind::Switch:
-    Fn(cast<SwitchStmt>(S)->getCond());
-    return;
-  case StmtKind::Return:
-    if (const Expr *Value = cast<ReturnStmt>(S)->getValue())
-      Fn(Value);
-    return;
-  case StmtKind::Read:
-  case StmtKind::Goto:
-  case StmtKind::Break:
-  case StmtKind::Continue:
-  case StmtKind::Block:
-  case StmtKind::Empty:
-    return;
-  }
-}
-
-void jslice::walkExprTree(const Expr *E,
-                          const std::function<void(const Expr *)> &Fn) {
-  Fn(E);
-  switch (E->getKind()) {
-  case ExprKind::IntLit:
-  case ExprKind::VarRef:
-    return;
-  case ExprKind::Unary:
-    walkExprTree(cast<UnaryExpr>(E)->getOperand(), Fn);
-    return;
-  case ExprKind::Binary: {
-    const auto *Bin = cast<BinaryExpr>(E);
-    walkExprTree(Bin->getLHS(), Fn);
-    walkExprTree(Bin->getRHS(), Fn);
-    return;
-  }
-  case ExprKind::Call:
-    for (const Expr *Arg : cast<CallExpr>(E)->getArgs())
-      walkExprTree(Arg, Fn);
-    return;
-  }
-}
-
 void jslice::collectUsedVars(const Stmt *S, std::set<std::string> &Out) {
   forEachStmtExpr(S, [&](const Expr *Root) {
     walkExprTree(Root, [&](const Expr *E) {

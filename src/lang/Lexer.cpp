@@ -7,8 +7,7 @@
 
 #include "lang/Lexer.h"
 
-#include <cctype>
-#include <unordered_map>
+#include <cassert>
 
 using namespace jslice;
 
@@ -98,20 +97,77 @@ const char *jslice::tokenKindName(TokenKind Kind) {
   return "<unknown token>";
 }
 
+namespace {
+
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
+bool isIdentStart(char C) {
+  return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') || C == '_';
+}
+bool isIdentChar(char C) { return isIdentStart(C) || isDigit(C); }
+
+/// The keyword spelled \p S, or Identifier.
+TokenKind keywordKind(std::string_view S) {
+  switch (S.size()) {
+  case 2:
+    if (S == "if")
+      return TokenKind::KwIf;
+    if (S == "do")
+      return TokenKind::KwDo;
+    break;
+  case 3:
+    if (S == "for")
+      return TokenKind::KwFor;
+    break;
+  case 4:
+    if (S == "else")
+      return TokenKind::KwElse;
+    if (S == "case")
+      return TokenKind::KwCase;
+    if (S == "goto")
+      return TokenKind::KwGoto;
+    if (S == "read")
+      return TokenKind::KwRead;
+    break;
+  case 5:
+    if (S == "while")
+      return TokenKind::KwWhile;
+    if (S == "break")
+      return TokenKind::KwBreak;
+    if (S == "write")
+      return TokenKind::KwWrite;
+    break;
+  case 6:
+    if (S == "switch")
+      return TokenKind::KwSwitch;
+    if (S == "return")
+      return TokenKind::KwReturn;
+    break;
+  case 7:
+    if (S == "default")
+      return TokenKind::KwDefault;
+    break;
+  case 8:
+    if (S == "continue")
+      return TokenKind::KwContinue;
+    break;
+  }
+  return TokenKind::Identifier;
+}
+
+} // namespace
+
 char Lexer::peek(size_t Ahead) const {
   return Pos + Ahead < Source.size() ? Source[Pos + Ahead] : '\0';
 }
 
-char Lexer::advance() {
+void Lexer::advance() {
   assert(!atEnd() && "advancing past end of buffer");
-  char C = Source[Pos++];
-  if (C == '\n') {
+  if (Source[Pos++] == '\n') {
     ++Line;
     Col = 1;
   } else {
     ++Col;
   }
-  return C;
 }
 
 void Lexer::skipTrivia(DiagList &Diags) {
@@ -122,8 +178,12 @@ void Lexer::skipTrivia(DiagList &Diags) {
       continue;
     }
     if (C == '/' && peek(1) == '/') {
-      while (!atEnd() && peek() != '\n')
-        advance();
+      // The comment runs to the newline, which stays for the next round.
+      size_t End = Source.find('\n', Pos);
+      if (End == std::string_view::npos)
+        End = Source.size();
+      Col += static_cast<uint32_t>(End - Pos);
+      Pos = End;
       continue;
     }
     if (C == '/' && peek(1) == '*') {
@@ -149,25 +209,14 @@ void Lexer::skipTrivia(DiagList &Diags) {
 }
 
 Token Lexer::lexIdentifierOrKeyword() {
-  static const std::unordered_map<std::string, TokenKind> Keywords = {
-      {"if", TokenKind::KwIf},           {"else", TokenKind::KwElse},
-      {"while", TokenKind::KwWhile},     {"do", TokenKind::KwDo},
-      {"for", TokenKind::KwFor},         {"switch", TokenKind::KwSwitch},
-      {"case", TokenKind::KwCase},       {"default", TokenKind::KwDefault},
-      {"break", TokenKind::KwBreak},     {"continue", TokenKind::KwContinue},
-      {"return", TokenKind::KwReturn},   {"goto", TokenKind::KwGoto},
-      {"read", TokenKind::KwRead},       {"write", TokenKind::KwWrite},
-  };
-
   Token Tok;
   Tok.Loc = here();
-  std::string Text;
-  while (!atEnd() && (std::isalnum(static_cast<unsigned char>(peek())) ||
-                      peek() == '_'))
-    Text += advance();
-  auto It = Keywords.find(Text);
-  Tok.Kind = It != Keywords.end() ? It->second : TokenKind::Identifier;
-  Tok.Text = std::move(Text);
+  size_t Start = Pos;
+  while (!atEnd() && isIdentChar(Source[Pos]))
+    ++Pos; // Never a newline: the column moves by the length.
+  Col += static_cast<uint32_t>(Pos - Start);
+  Tok.Text = Source.substr(Start, Pos - Start);
+  Tok.Kind = keywordKind(Tok.Text);
   return Tok;
 }
 
@@ -175,9 +224,11 @@ Token Lexer::lexNumber() {
   Token Tok;
   Tok.Kind = TokenKind::IntLiteral;
   Tok.Loc = here();
+  size_t Start = Pos;
   int64_t Value = 0;
-  while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek())))
-    Value = Value * 10 + (advance() - '0');
+  while (!atEnd() && isDigit(Source[Pos]))
+    Value = Value * 10 + (Source[Pos++] - '0');
+  Col += static_cast<uint32_t>(Pos - Start);
   Tok.IntValue = Value;
   return Tok;
 }
@@ -193,9 +244,9 @@ Token Lexer::lexToken(DiagList &Diags) {
   }
 
   char C = peek();
-  if (std::isalpha(static_cast<unsigned char>(C)) || C == '_')
+  if (isIdentStart(C))
     return lexIdentifierOrKeyword();
-  if (std::isdigit(static_cast<unsigned char>(C)))
+  if (isDigit(C))
     return lexNumber();
 
   advance();
@@ -293,12 +344,15 @@ Token Lexer::lexToken(DiagList &Diags) {
 
 std::vector<Token> Lexer::lexAll(DiagList &Diags) {
   std::vector<Token> Tokens;
+  // Mini-C averages over two source bytes per token.
+  Tokens.reserve(Source.size() / 2 + 2);
   for (;;) {
-    Token Tok = lexToken(Diags);
-    bool IsEof = Tok.is(TokenKind::Eof);
-    Tokens.push_back(std::move(Tok));
-    if (IsEof)
+    Tokens.push_back(lexToken(Diags));
+    const Token &Tok = Tokens.back();
+    if (Tok.is(TokenKind::Eof))
       break;
+    if (Tok.isNot(TokenKind::Error))
+      Key.add(Tok);
   }
   return Tokens;
 }

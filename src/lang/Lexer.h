@@ -18,15 +18,17 @@
 #include "lang/Token.h"
 #include "support/Error.h"
 
-#include <string>
+#include <string_view>
 #include <vector>
 
 namespace jslice {
 
 /// Lexes a complete Mini-C buffer into a token vector ending in Eof.
+/// The lexer scans \p Source in place: tokens view their spellings in
+/// it, so the buffer must outlive them.
 class Lexer {
 public:
-  explicit Lexer(std::string Source) : Source(std::move(Source)) {}
+  explicit Lexer(std::string_view Source) : Source(Source) {}
 
   /// Lexes the whole buffer. On malformed input (stray characters,
   /// unterminated comments) diagnostics are produced and an Error token
@@ -34,9 +36,12 @@ public:
   /// the Eof.
   std::vector<Token> lexAll(DiagList &Diags);
 
+  /// The key of every token lexAll produced but Error and Eof.
+  const TokenStreamKey &key() const { return Key; }
+
 private:
   char peek(size_t Ahead = 0) const;
-  char advance();
+  void advance();
   bool atEnd() const { return Pos >= Source.size(); }
   SourceLoc here() const { return SourceLoc(Line, Col); }
 
@@ -45,10 +50,11 @@ private:
   Token lexIdentifierOrKeyword();
   Token lexNumber();
 
-  std::string Source;
+  std::string_view Source;
   size_t Pos = 0;
   uint32_t Line = 1;
   uint32_t Col = 1;
+  TokenStreamKey Key;
 };
 
 } // namespace jslice

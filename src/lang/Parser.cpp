@@ -19,8 +19,8 @@ const Token &Parser::peek(size_t Ahead) const {
   return Tokens[Idx];
 }
 
-Token Parser::consume() {
-  Token Tok = current();
+const Token &Parser::consume() {
+  const Token &Tok = current();
   if (Pos + 1 < Tokens.size())
     ++Pos;
   return Tok;
@@ -82,7 +82,7 @@ const Stmt *Parser::parseStmt() {
   std::string Label;
   SourceLoc LabelLoc;
   if (check(TokenKind::Identifier) && peek(1).is(TokenKind::Colon)) {
-    Token LabelTok = consume();
+    const Token &LabelTok = consume();
     consume(); // ':'
     Label = LabelTok.Text;
     LabelLoc = LabelTok.Loc;
@@ -146,11 +146,11 @@ const Stmt *Parser::parseUnlabeledStmt() {
       HadError = true;
       return nullptr;
     }
-    Token Var = consume();
+    const Token &Var = consume();
     if (!expect(TokenKind::RParen, "after 'read' variable") ||
         !expect(TokenKind::Semi, "after 'read' statement"))
       return nullptr;
-    return Prog.createStmt<ReadStmt>(Loc, Var.Text);
+    return Prog.createStmt<ReadStmt>(Loc, std::string(Var.Text));
   }
 
   case TokenKind::KwWrite: {
@@ -173,10 +173,10 @@ const Stmt *Parser::parseUnlabeledStmt() {
       HadError = true;
       return nullptr;
     }
-    Token Target = consume();
+    const Token &Target = consume();
     if (!expect(TokenKind::Semi, "after 'goto' statement"))
       return nullptr;
-    return Prog.createStmt<GotoStmt>(Loc, Target.Text);
+    return Prog.createStmt<GotoStmt>(Loc, std::string(Target.Text));
   }
 
   case TokenKind::KwBreak:
@@ -205,7 +205,7 @@ const Stmt *Parser::parseUnlabeledStmt() {
   }
 
   case TokenKind::Identifier: {
-    Token Var = consume();
+    const Token &Var = consume();
     if (!expect(TokenKind::Assign, "in assignment"))
       return nullptr;
     const Expr *Value = parseExpr();
@@ -213,7 +213,7 @@ const Stmt *Parser::parseUnlabeledStmt() {
       return nullptr;
     if (!expect(TokenKind::Semi, "after assignment"))
       return nullptr;
-    return Prog.createStmt<AssignStmt>(Loc, Var.Text, Value);
+    return Prog.createStmt<AssignStmt>(Loc, std::string(Var.Text), Value);
   }
 
   default:
@@ -301,23 +301,23 @@ const Stmt *Parser::parseSimpleForClause() {
       HadError = true;
       return nullptr;
     }
-    Token Var = consume();
+    const Token &Var = consume();
     if (!expect(TokenKind::RParen, "after 'read' variable"))
       return nullptr;
-    return Prog.createStmt<ReadStmt>(Loc, Var.Text);
+    return Prog.createStmt<ReadStmt>(Loc, std::string(Var.Text));
   }
   if (!check(TokenKind::Identifier)) {
     Diags.report(Loc, "expected assignment or 'read' in for-clause");
     HadError = true;
     return nullptr;
   }
-  Token Var = consume();
+  const Token &Var = consume();
   if (!expect(TokenKind::Assign, "in for-clause assignment"))
     return nullptr;
   const Expr *Value = parseExpr();
   if (!Value)
     return nullptr;
-  return Prog.createStmt<AssignStmt>(Loc, Var.Text, Value);
+  return Prog.createStmt<AssignStmt>(Loc, std::string(Var.Text), Value);
 }
 
 const Stmt *Parser::parseFor(SourceLoc Loc) {
@@ -384,7 +384,7 @@ const Stmt *Parser::parseSwitch(SourceLoc Loc) {
         HadError = true;
         return nullptr;
       }
-      Token Value = consume();
+      const Token &Value = consume();
       Clause.Value = Negative ? -Value.IntValue : Value.IntValue;
     } else if (check(TokenKind::KwDefault)) {
       consume();
@@ -458,7 +458,7 @@ const Expr *Parser::parseAnd() {
 const Expr *Parser::parseEquality() {
   const Expr *LHS = parseRelational();
   while (LHS && (check(TokenKind::EqEq) || check(TokenKind::NotEq))) {
-    Token Op = consume();
+    const Token &Op = consume();
     const Expr *RHS = parseRelational();
     if (!RHS)
       return nullptr;
@@ -473,7 +473,7 @@ const Expr *Parser::parseRelational() {
   const Expr *LHS = parseAdditive();
   while (LHS && (check(TokenKind::Lt) || check(TokenKind::Le) ||
                  check(TokenKind::Gt) || check(TokenKind::Ge))) {
-    Token Op = consume();
+    const Token &Op = consume();
     const Expr *RHS = parseAdditive();
     if (!RHS)
       return nullptr;
@@ -492,7 +492,7 @@ const Expr *Parser::parseRelational() {
 const Expr *Parser::parseAdditive() {
   const Expr *LHS = parseMultiplicative();
   while (LHS && (check(TokenKind::Plus) || check(TokenKind::Minus))) {
-    Token Op = consume();
+    const Token &Op = consume();
     const Expr *RHS = parseMultiplicative();
     if (!RHS)
       return nullptr;
@@ -506,7 +506,7 @@ const Expr *Parser::parseMultiplicative() {
   const Expr *LHS = parseUnary();
   while (LHS && (check(TokenKind::Star) || check(TokenKind::Slash) ||
                  check(TokenKind::Percent))) {
-    Token Op = consume();
+    const Token &Op = consume();
     const Expr *RHS = parseUnary();
     if (!RHS)
       return nullptr;
@@ -526,7 +526,7 @@ const Expr *Parser::parseUnary() {
     DepthScope Scope(*this, current().Loc);
     if (!Scope.Ok)
       return nullptr;
-    Token Op = consume();
+    const Token &Op = consume();
     const Expr *Operand = parseUnary();
     if (!Operand)
       return nullptr;
@@ -540,7 +540,7 @@ const Expr *Parser::parsePrimary() {
   SourceLoc Loc = current().Loc;
   switch (current().Kind) {
   case TokenKind::IntLiteral: {
-    Token Tok = consume();
+    const Token &Tok = consume();
     return Prog.createExpr<IntLitExpr>(Loc, Tok.IntValue);
   }
   case TokenKind::LParen: {
@@ -553,9 +553,9 @@ const Expr *Parser::parsePrimary() {
     return Inner;
   }
   case TokenKind::Identifier: {
-    Token Name = consume();
+    const Token &Name = consume();
     if (!check(TokenKind::LParen))
-      return Prog.createExpr<VarRefExpr>(Loc, Name.Text);
+      return Prog.createExpr<VarRefExpr>(Loc, std::string(Name.Text));
     consume(); // '('
     std::vector<const Expr *> Args;
     if (!check(TokenKind::RParen)) {
@@ -571,7 +571,8 @@ const Expr *Parser::parsePrimary() {
     }
     if (!expect(TokenKind::RParen, "to close call argument list"))
       return nullptr;
-    return Prog.createExpr<CallExpr>(Loc, Name.Text, std::move(Args));
+    return Prog.createExpr<CallExpr>(Loc, std::string(Name.Text),
+                                     std::move(Args));
   }
   default:
     Diags.report(Loc, std::string("expected an expression, found ") +
@@ -593,7 +594,7 @@ parseProgramImpl(const std::string &Source, ResourceGuard *Guard) {
   if (!Diags.empty())
     return Diags;
 
-  auto Prog = std::make_unique<Program>();
+  auto Prog = std::make_unique<Program>(Lex.key());
   Parser P(std::move(Tokens), *Prog, Diags, Guard);
   if (!P.parseTopLevel()) {
     if (Diags.empty())

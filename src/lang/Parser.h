@@ -49,7 +49,7 @@ public:
 private:
   const Token &peek(size_t Ahead = 0) const;
   const Token &current() const { return peek(); }
-  Token consume();
+  const Token &consume();
   bool expect(TokenKind Kind, const char *Context);
   bool check(TokenKind Kind) const { return current().is(Kind); }
 

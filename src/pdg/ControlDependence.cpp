@@ -14,11 +14,19 @@ using namespace jslice;
 Digraph jslice::buildControlDependence(const Digraph &FlowGraph,
                                        const DomTree &Pdt,
                                        ResourceGuard *Guard) {
-  Digraph CD(FlowGraph.numNodes());
+  DigraphBuilder CD(FlowGraph.numNodes());
+  addControlDependence(CD, FlowGraph, Pdt, Guard);
+  return CD.freeze();
+}
+
+void jslice::addControlDependence(DigraphBuilder &CD,
+                                  const Digraph &FlowGraph,
+                                  const DomTree &Pdt, ResourceGuard *Guard) {
+  CD.reserveEdges(2 * size_t(FlowGraph.numNodes()));
   for (unsigned X = 0, N = FlowGraph.numNodes(); X != N; ++X) {
     for (unsigned Y : FlowGraph.succs(X)) {
       if (Guard && !Guard->checkpoint("controldep.edge"))
-        return CD; // Partial; the caller checks the guard.
+        return; // Partial; the caller checks the guard.
       if (Pdt.dominates(Y, X))
         continue;
       // Walk the postdominator tree from Y up to (exclusive) ipdom(X);
@@ -33,5 +41,4 @@ Digraph jslice::buildControlDependence(const Digraph &FlowGraph,
       }
     }
   }
-  return CD;
 }

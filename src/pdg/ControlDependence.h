@@ -36,6 +36,11 @@ namespace jslice {
 Digraph buildControlDependence(const Digraph &FlowGraph, const DomTree &Pdt,
                                ResourceGuard *Guard = nullptr);
 
+/// As above, recording the edges in \p CD (a builder over the
+/// flowgraph's nodes) so the caller can add more before freezing.
+void addControlDependence(DigraphBuilder &CD, const Digraph &FlowGraph,
+                          const DomTree &Pdt, ResourceGuard *Guard = nullptr);
+
 } // namespace jslice
 
 #endif // JSLICE_PDG_CONTROLDEPENDENCE_H

@@ -44,11 +44,11 @@ struct Pdg {
 
   /// The merged graph (Figure 2-d style).
   Digraph combined() const {
-    Digraph Out = Control;
+    DigraphBuilder Out(Control);
     for (unsigned From = 0, N = Data.numNodes(); From != N; ++From)
       for (unsigned To : Data.succs(From))
         Out.addEdge(From, To);
-    return Out;
+    return Out.freeze();
   }
 };
 

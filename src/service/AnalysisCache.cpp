@@ -8,7 +8,6 @@
 #include "service/AnalysisCache.h"
 
 #include "lang/Parser.h"
-#include "lang/PrettyPrinter.h"
 
 #include <cstdio>
 
@@ -20,9 +19,8 @@ using namespace jslice;
 
 namespace {
 
-/// FNV-1a, 64-bit: deterministic across processes and builds (the
-/// journal and quarantine records outlive one server), unlike
-/// std::hash.
+/// FNV-1a, 64-bit: a fixed function of the bytes, unlike std::hash, so
+/// keys are the same in every process and build (tests pin them).
 uint64_t fnv1a(const std::string &S) {
   uint64_t H = 1469598103934665603ull;
   for (unsigned char C : S) {
@@ -32,27 +30,23 @@ uint64_t fnv1a(const std::string &S) {
   return H;
 }
 
-std::string hashKey(const std::string &Material) {
+std::string formatKey(uint64_t Hash, uint64_t Length) {
   char Buf[16 + 1 + 20 + 1];
   std::snprintf(Buf, sizeof(Buf), "%016llx-%llu",
-                static_cast<unsigned long long>(fnv1a(Material)),
-                static_cast<unsigned long long>(Material.size()));
+                static_cast<unsigned long long>(Hash),
+                static_cast<unsigned long long>(Length));
   return Buf;
 }
 
 } // namespace
 
 std::string jslice::rawProgramKey(const std::string &Source) {
-  return hashKey(Source);
+  return formatKey(fnv1a(Source), Source.size());
 }
 
 std::string jslice::canonicalProgramKey(const Program &Prog) {
-  PrintOptions P;
-  // Line numbers are part of the identity: criteria are (line, vars)
-  // and responses are line sets, so sources whose statements sit on
-  // different lines must never share an artifact.
-  P.ShowLineNumbers = true;
-  return hashKey(printProgram(Prog, P));
+  const TokenStreamKey &K = Prog.tokenKey();
+  return formatKey(K.hash(), K.numTokens());
 }
 
 std::optional<std::string>

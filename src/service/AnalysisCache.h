@@ -172,13 +172,17 @@ uint64_t estimateArtifactCost(const AnalysisArtifact &Art,
 /// *without* parsing it in the server.
 std::string rawProgramKey(const std::string &Source);
 
-/// The cache key: a 64-bit FNV-1a over the canonical line-numbered
-/// rendering of the parsed program (plus its length), so trivially
-/// reformatted duplicates of the same program hit the same entry. The
-/// rendering keeps original line numbers: a criterion is (line, vars),
-/// so two sources may share an artifact only when their statements
-/// live on the same lines. The worker keys the tree it parsed once and
-/// then hands to the analysis.
+/// The cache key: the token-stream key the lexer folded while the
+/// program was parsed (lang/Token.h), rendered as "<FNV-1a hex>-<token
+/// count>". It covers every token's kind, line and spelling or value
+/// but not its column, so trivially reformatted duplicates of the same
+/// program hit the same entry. Lines are part of the identity: a
+/// criterion is (line, vars), so two sources may share an artifact only
+/// when their tokens sit on the same lines. Reading the key costs
+/// nothing: the worker keys the tree it parsed once and then hands to
+/// the analysis. Keys live only in memory (no journal, quarantine or
+/// snapshot record holds one), so their bytes may change between
+/// builds.
 std::string canonicalProgramKey(const Program &Prog);
 
 /// Parses \p Source charging \p G and keys the tree. Nullopt when the
@@ -242,12 +246,15 @@ public:
   /// Current cost-estimate total, for picking an eviction target.
   uint64_t bytes() const;
 
-  /// Raw-bytes → canonical-key memo. Canonicalization parses and
-  /// prints the program, which on the hit path would cost a large
-  /// fraction of what the cache saves; byte-identical re-requests (the
-  /// common case) skip it via this memo. The mapping is a pure
-  /// function of the source bytes, so entries never go stale; the memo
-  /// is bounded and simply cleared when it outgrows the slot table.
+  /// Raw-bytes → canonical-key memo. Canonicalization parses the
+  /// program, which on the hit path would cost a large fraction of what
+  /// the cache saves; byte-identical re-requests (the common case) skip
+  /// it via this memo. Callers remember only keys whose lookup hit or
+  /// made them the build leader — programs the cache holds or is about
+  /// to — never a declined one-shot, which would only churn the memo.
+  /// The mapping is a pure function of the source bytes, so entries
+  /// never go stale; the memo is bounded and simply cleared when it
+  /// outgrows the slot table.
   std::optional<std::string> canonicalKeyFor(const std::string &RawKey) const;
   void rememberCanonicalKey(const std::string &RawKey,
                             const std::string &Key);

@@ -106,16 +106,17 @@ ServiceResponse jslice::executeSliceRequest(const ServiceRequest &R,
   if (Cache && Cache->options().Enabled &&
       R.Algorithm != SliceAlgorithm::Weiser) {
     std::optional<std::string> Key;
+    std::string RawK = rawProgramKey(R.Program);
+    bool Memoized = false;
     {
       ResourceGuard KeyG(B);
-      std::string RawK = rawProgramKey(R.Program);
       Key = Cache->canonicalKeyFor(RawK);
+      Memoized = Key.has_value();
       if (!Key && KeyG.checkpoint("cache.key")) {
         ErrorOr<std::unique_ptr<Program>> Prog = parseProgram(R.Program, KeyG);
         if (Prog && !KeyG.exhausted()) {
           Parsed = std::move(*Prog);
           Key = canonicalProgramKey(*Parsed);
-          Cache->rememberCanonicalKey(RawK, *Key);
         }
       }
       if (Key && !KeyG.checkpoint("cache.lookup"))
@@ -127,6 +128,10 @@ ServiceResponse jslice::executeSliceRequest(const ServiceRequest &R,
           std::chrono::steady_clock::now() +
           std::chrono::milliseconds(B.DeadlineMs ? B.DeadlineMs : 1000);
       AnalysisCache::LookupResult L = Cache->lookup(*Key, Deadline);
+      // Memoize only programs the cache holds or is about to: a
+      // declined one-shot would push the repeated programs out.
+      if (!Memoized && L.K != AnalysisCache::Outcome::Bypass)
+        Cache->rememberCanonicalKey(RawK, *Key);
       switch (L.K) {
       case AnalysisCache::Outcome::Hit: {
         std::optional<ServiceResponse> Hit = serveFromArtifact(R, *L.Artifact, B);

@@ -23,11 +23,19 @@ const Stmt *unwrapSingleton(const Stmt *S) {
   return S;
 }
 
+unsigned countJumps(const Cfg &C) {
+  unsigned N = 0;
+  for (unsigned Node = 0, E = C.numNodes(); Node != E; ++Node)
+    N += C.node(Node).isJump();
+  return N;
+}
+
 /// Collects the (predicate, jump) node pairs of conditional-jump
 /// statements: an if without else whose entire body is one unconditional
 /// jump. The paper's conventional-algorithm adaptation ties the two.
 std::vector<std::pair<unsigned, unsigned>> findCondJumpPairs(const Cfg &C) {
   std::vector<std::pair<unsigned, unsigned>> Pairs;
+  Pairs.reserve(countJumps(C));
   for (const Stmt *Top : C.program().topLevel()) {
     walkStmtTree(Top, [&](const Stmt *S) {
       const auto *If = dyn_cast<IfStmt>(S);
@@ -46,6 +54,7 @@ std::vector<std::pair<unsigned, unsigned>> findCondJumpPairs(const Cfg &C) {
 std::vector<unsigned> jumpsIn(const Cfg &C,
                               const std::vector<unsigned> &Order) {
   std::vector<unsigned> Out;
+  Out.reserve(countJumps(C));
   for (unsigned Node : Order)
     if (C.node(Node).isJump())
       Out.push_back(Node);
@@ -55,6 +64,7 @@ std::vector<unsigned> jumpsIn(const Cfg &C,
 /// All jump nodes of \p C, ascending.
 std::vector<unsigned> allJumps(const Cfg &C) {
   std::vector<unsigned> Out;
+  Out.reserve(countJumps(C));
   for (unsigned Node = 0, E = C.numNodes(); Node != E; ++Node)
     if (C.node(Node).isJump())
       Out.push_back(Node);
@@ -70,7 +80,8 @@ std::vector<unsigned> allJumps(const Cfg &C) {
 /// statement visited.
 Digraph controlDependence(const Cfg &C, const Digraph &Flow,
                           const DomTree &Pdt, ResourceGuard *Guard) {
-  Digraph CD = buildControlDependence(Flow, Pdt, Guard);
+  DigraphBuilder CD(Flow.numNodes());
+  addControlDependence(CD, Flow, Pdt, Guard);
   for (unsigned Head = 0, E = C.numNodes(); Head != E; ++Head) {
     const Stmt *Switch = C.node(Head).S;
     if (C.node(Head).Kind != CfgNodeKind::Predicate ||
@@ -86,7 +97,7 @@ Digraph controlDependence(const Cfg &C, const Digraph &Flow,
         CD.addEdge(Head, Node);
     });
   }
-  return CD;
+  return CD.freeze();
 }
 
 } // namespace

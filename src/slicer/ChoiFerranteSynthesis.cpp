@@ -174,7 +174,7 @@ PrintedSynthesis jslice::printSynthesizedSlice(const Analysis &A,
     }
 
     assert(Info.Kind == CfgNodeKind::Predicate && "unexpected kept node");
-    if (const SwitchTargets *Switch = C.switchTargets(Node)) {
+    if (std::optional<SwitchTargets> Switch = C.switchTargets(Node)) {
       std::string Head =
           Label + "switch (" + printExpr(Info.Cond) + ") {";
       for (auto [Value, Target] : Switch->Cases)

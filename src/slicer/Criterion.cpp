@@ -35,7 +35,8 @@ ErrorOr<ResolvedCriterion> jslice::resolveCriterion(const Analysis &A,
   Resolved.Node = Node;
 
   if (Crit.Vars.empty()) {
-    Resolved.VarIds = A.defUse().usesOf(Node);
+    NodeList Uses = A.defUse().usesOf(Node);
+    Resolved.VarIds.assign(Uses.begin(), Uses.end());
   } else {
     for (const std::string &Name : Crit.Vars) {
       int Var = A.defUse().varId(Name);

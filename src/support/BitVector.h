@@ -125,6 +125,41 @@ private:
   std::vector<Word> Words;
 };
 
+/// A read-only view of a fixed-width bit set stored elsewhere, as whole
+/// words (bits past size() are zero): one row of a flat bit matrix.
+class BitVectorRef {
+public:
+  using Word = BitVector::Word;
+  static constexpr size_t BitsPerWord = BitVector::BitsPerWord;
+
+  BitVectorRef(const Word *Words, size_t NumBits)
+      : Words(Words), Size(NumBits) {}
+
+  size_t size() const { return Size; }
+
+  bool test(size_t Idx) const {
+    assert(Idx < Size && "bit index out of range");
+    return (Words[Idx / BitsPerWord] >> (Idx % BitsPerWord)) & 1;
+  }
+
+  /// Invokes \p Fn on every set index, in increasing order.
+  template <typename Callable> void forEachSetBit(Callable Fn) const {
+    for (size_t WI = 0, WE = (Size + BitsPerWord - 1) / BitsPerWord;
+         WI != WE; ++WI) {
+      Word W = Words[WI];
+      while (W) {
+        unsigned Bit = static_cast<unsigned>(__builtin_ctzll(W));
+        Fn(WI * BitsPerWord + Bit);
+        W &= W - 1;
+      }
+    }
+  }
+
+private:
+  const Word *Words;
+  size_t Size;
+};
+
 } // namespace jslice
 
 #endif // JSLICE_SUPPORT_BITVECTOR_H

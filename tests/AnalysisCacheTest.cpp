@@ -33,6 +33,7 @@
 #include <functional>
 #include <future>
 #include <list>
+#include <set>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -125,12 +126,36 @@ TEST(CanonicalKeyTest, ParsedTreeKeysLikeItsSource) {
 }
 
 TEST(CanonicalKeyTest, KeyBytesArePinned) {
-  // Keys outlive one server (journal, quarantine records): a change to
-  // the rendering or the hash must show up here, not in production.
-  EXPECT_EQ(keyOf("read(a);\nb = a + 1;\nwrite(b);\n"), "00c26598e1d2e0f4-39");
+  // Keys live only in memory, but every process and build must agree on
+  // them: a change to what the lexer folds or to the hash must show up
+  // here, on purpose.
+  EXPECT_EQ(keyOf("read(a);\nb = a + 1;\nwrite(b);\n"), "b9087d979a8c9f2b-16");
   EXPECT_EQ(keyOf("read(x);\nswitch (x) { case 0:\ny = 1;\ndefault:\n"
                   "write(x);\n}\n"),
-            "375e32fda63aca67-82");
+            "948987c930090520-25");
+}
+
+TEST(CanonicalKeyTest, GeneratedProgramsHaveDistinctKeys) {
+  std::set<std::string> Keys;
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    GenOptions Opts;
+    Opts.Seed = Seed;
+    Opts.TargetStmts = 40;
+    Opts.AllowGotos = Seed % 2 == 0;
+    Keys.insert(keyOf(generateProgram(Opts)));
+  }
+  EXPECT_EQ(Keys.size(), 200u);
+}
+
+TEST(CanonicalKeyTest, CommentsAndSpacingKeepTheKeyLinesDoNot) {
+  std::string A = "read(a);\nif (a > 0) b = a; else b = 0;\nwrite(b);\n";
+  // Re-spaced within lines, with comments added.
+  std::string B = "read( a );  // input\nif(a>0)b=a;else /* c */ b = 0;\n"
+                  "  write(b);\n// end\n";
+  EXPECT_EQ(keyOf(A), keyOf(B));
+  // The same statements, one moved to another line.
+  std::string C = "read(a);\nif (a > 0) b = a;\nelse b = 0;\nwrite(b);\n";
+  EXPECT_NE(keyOf(A), keyOf(C));
 }
 
 TEST(CanonicalKeyTest, RawKeyIsContentAddressed) {
@@ -531,6 +556,42 @@ TEST(AnalysisCacheTest, SecondRequestIsServedFromCacheBitIdentically) {
     EXPECT_EQ(First.ServedTier, Second.ServedTier);
   }
   EXPECT_GE(C.stats().Hits + C.stats().Misses, 2u);
+}
+
+TEST(AnalysisCacheTest, DeclinedOneShotsDoNotChurnTheKeyMemo) {
+  // The cold stream's shape: 8 repeated programs, one in every 16th
+  // slot, among programs seen once. Once the cache is full the one-shots
+  // are declined; remembering their keys would fill the raw-key memo
+  // and clear it every few hundred requests, so the repeated programs
+  // would re-parse before their hits.
+  CacheOptions Opts;
+  AnalysisCache C{Opts};
+  ExecConfig Cfg;
+  Cfg.DefaultBudget = bigBudget();
+  Cfg.Cache = Opts;
+  auto Serve = [&](const std::string &Program) {
+    ServiceRequest R;
+    R.Id = "r";
+    R.Program = Program;
+    R.Line = 3;
+    ASSERT_EQ(executeSliceRequest(R, Cfg, nullptr, nullptr, &C).Status,
+              ResponseStatus::Ok);
+  };
+  unsigned Repeated = 0, MemoMisses = 0, Unique = 0;
+  for (unsigned Slot = 0; Repeated != 1000; ++Slot) {
+    if (Slot % 16 != 15) {
+      Serve("read(a);\nb = a + " + std::to_string(Unique++) +
+            ";\nwrite(b);\n");
+      continue;
+    }
+    std::string Program = "read(a);\nc = a * " +
+                          std::to_string(Repeated++ % 8) + ";\nwrite(c);\n";
+    MemoMisses += !C.canonicalKeyFor(rawProgramKey(Program)).has_value();
+    Serve(Program);
+  }
+  EXPECT_GT(C.stats().Declined, 10000u) << "the one-shots filled the cache";
+  RecordProperty("memo_misses", MemoMisses);
+  EXPECT_LT(MemoMisses, 20u);
 }
 
 TEST(AnalysisCacheTest, DeclinedRequestServesLikeCacheLessAndPublishesNothing) {

@@ -185,8 +185,8 @@ TEST(CfgTest, SwitchDispatchAndFallthrough) {
   const Cfg &C = B.C;
   unsigned Cond = nodeOn(C, 1), Case1 = nodeOn(C, 2), Case2 = nodeOn(C, 4),
            Break = nodeOn(C, 5), Default = nodeOn(C, 6), After = nodeOn(C, 8);
-  const SwitchTargets *Switch = C.switchTargets(Cond);
-  ASSERT_NE(Switch, nullptr);
+  std::optional<SwitchTargets> Switch = C.switchTargets(Cond);
+  ASSERT_TRUE(Switch.has_value());
   ASSERT_EQ(Switch->Cases.size(), 2u);
   EXPECT_EQ(Switch->Cases[0], (std::pair<int64_t, unsigned>{1, Case1}));
   EXPECT_EQ(Switch->Cases[1], (std::pair<int64_t, unsigned>{2, Case2}));
@@ -199,8 +199,8 @@ TEST(CfgTest, SwitchWithoutDefaultFallsPast) {
   Built B = buildOk("switch (x) { case 1:\ny = 1; }\nwrite(y);\n");
   const Cfg &C = B.C;
   unsigned Cond = nodeOn(C, 1), After = nodeOn(C, 3);
-  const SwitchTargets *Switch = C.switchTargets(Cond);
-  ASSERT_NE(Switch, nullptr);
+  std::optional<SwitchTargets> Switch = C.switchTargets(Cond);
+  ASSERT_TRUE(Switch.has_value());
   EXPECT_EQ(Switch->DefaultTarget, After);
 }
 

@@ -13,7 +13,9 @@ using namespace jslice;
 
 namespace {
 
-std::vector<Token> lexOk(const std::string &Source) {
+/// Tokens view their spellings in the source, so the tests lex string
+/// literals, which outlive every token.
+std::vector<Token> lexOk(std::string_view Source) {
   DiagList Diags;
   Lexer Lex(Source);
   std::vector<Token> Tokens = Lex.lexAll(Diags);
@@ -120,6 +122,61 @@ TEST(LexerTest, StrayAmpersandAndPipeAreErrors) {
   Lexer Lex("a & b | c");
   Lex.lexAll(Diags);
   EXPECT_EQ(Diags.size(), 2u);
+}
+
+TEST(LexerTest, KeywordPrefixesAndSuffixesAreIdentifiers) {
+  std::vector<Token> Tokens =
+      lexOk("iff do_ writex _if doread continue1 Read elsewhile");
+  for (size_t I = 0; I + 1 < Tokens.size(); ++I)
+    EXPECT_EQ(Tokens[I].Kind, TokenKind::Identifier) << Tokens[I].Text;
+  EXPECT_EQ(Tokens[0].Text, "iff");
+  EXPECT_EQ(Tokens[1].Text, "do_");
+  EXPECT_EQ(Tokens[2].Text, "writex");
+  EXPECT_EQ(Tokens.back().Kind, TokenKind::Eof);
+}
+
+TEST(LexerTest, IdentifierAtEndOfInput) {
+  std::vector<Token> Tokens = lexOk("x = abc");
+  ASSERT_EQ(Tokens.size(), 4u);
+  EXPECT_EQ(Tokens[2].Kind, TokenKind::Identifier);
+  EXPECT_EQ(Tokens[2].Text, "abc");
+  EXPECT_EQ(Tokens[3].Kind, TokenKind::Eof);
+  EXPECT_EQ(Tokens[3].Loc, SourceLoc(1, 8));
+  // A keyword at end of input is still a keyword.
+  EXPECT_EQ(lexOk("write")[0].Kind, TokenKind::KwWrite);
+}
+
+TEST(LexerTest, PositionsAfterLongIdentifiersAndComments) {
+  std::vector<Token> Tokens = lexOk("longname = 12345; /* a\n bc */ xy "
+                                    "// tail\n\tz = 1;");
+  EXPECT_EQ(Tokens[0].Loc, SourceLoc(1, 1));
+  EXPECT_EQ(Tokens[1].Loc, SourceLoc(1, 10)); // '=' after the name.
+  EXPECT_EQ(Tokens[2].Loc, SourceLoc(1, 12));
+  EXPECT_EQ(Tokens[2].IntValue, 12345);
+  EXPECT_EQ(Tokens[3].Loc, SourceLoc(1, 17)); // ';' after the literal.
+  EXPECT_EQ(Tokens[4].Text, "xy");
+  EXPECT_EQ(Tokens[4].Loc, SourceLoc(2, 8)); // After the block comment.
+  EXPECT_EQ(Tokens[5].Text, "z");
+  EXPECT_EQ(Tokens[5].Loc, SourceLoc(3, 2)); // A tab is one column.
+}
+
+TEST(LexerTest, KeyIgnoresColumnsAndComments) {
+  auto KeyOf = [](std::string_view Source) {
+    DiagList Diags;
+    Lexer Lex(Source);
+    Lex.lexAll(Diags);
+    EXPECT_TRUE(Diags.empty());
+    return std::make_pair(Lex.key().hash(), Lex.key().numTokens());
+  };
+  auto Base = KeyOf("read(a);\nb = a + 1;\nwrite(b);\n");
+  EXPECT_EQ(Base.second, 16u);
+  EXPECT_EQ(KeyOf("read( a ) ;\n  b=a+1; // c\n/* d */write(b);\n\n"), Base);
+  EXPECT_NE(KeyOf("read(a);\n\nb = a + 1;\nwrite(b);\n"), Base);
+  EXPECT_NE(KeyOf("read(a); b = a + 1;\n\nwrite(b);\n"), Base);
+  EXPECT_NE(KeyOf("read(a);\nb = a + 2;\nwrite(b);\n"), Base);
+  EXPECT_NE(KeyOf("read(a);\nb = a + 1;\nwrite(bb);\n"), Base);
+  // Spellings are delimited: "ab c" and "a bc" differ.
+  EXPECT_NE(KeyOf("ab c"), KeyOf("a bc"));
 }
 
 TEST(LexerTest, TokenKindNamesAreStable) {

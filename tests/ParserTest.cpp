@@ -190,6 +190,21 @@ TEST(ParserTest, RejectsStatementStartingWithOperator) {
             std::string::npos);
 }
 
+TEST(ParserTest, DiagnosticsKeepTheirLineAndColumn) {
+  auto DiagText = [](const std::string &Source) {
+    ErrorOr<std::unique_ptr<Program>> Prog = parseProgram(Source);
+    return Prog.hasValue() ? std::string() : Prog.diags().str();
+  };
+  EXPECT_EQ(DiagText("a = 1;\n  total = ;\n"),
+            "2:11: error: expected an expression, found ';'");
+  EXPECT_EQ(DiagText("longname = 1; /* x\n y */ q = 2 r = 3;"),
+            "2:13: error: expected ';' after assignment, found identifier");
+  EXPECT_EQ(DiagText("x = 1;\n\tif (x) { y = 2;\n"),
+            "3:1: error: expected '}' to close block, found end of input");
+  EXPECT_EQ(DiagText("abc = 1;\nabc = abc # 2;\n"),
+            "2:11: error: unexpected character '#'");
+}
+
 TEST(ParserTest, StatementIdsAreDense) {
   auto Prog = parseOk("x = 1; y = 2; { z = 3; }");
   std::vector<const Stmt *> All = Prog->allStmts();
