@@ -39,6 +39,10 @@ uint64_t steadyMs() {
           .count());
 }
 
+/// The wake pipe of the shard whose loop runs on this thread; null off
+/// the reactor threads. Compared, never dereferenced.
+thread_local const Pipe *ReactorWake = nullptr;
+
 } // namespace
 
 JsonValue TransportStats::toJson() const {
@@ -390,9 +394,12 @@ void TcpServer::adoptConn(Shard &S, int Fd) {
   C->Shared = std::make_shared<ConnShared>(
       static_cast<size_t>(Opts.MaxWriteBufferBytes));
 
-  // The response path. Runs on pool threads: bounded append under the
-  // connection mutex, then one byte down the *owning shard's* self-pipe
-  // so that shard — and only that shard — wakes to flush.
+  // The response path: a bounded append under the connection mutex.
+  // On a pool thread it then writes one byte down the *owning shard's*
+  // self-pipe so that shard — and only that shard — wakes to flush. On
+  // the owning shard's own thread (control lines, inline cache hits) it
+  // skips the byte: that shard is mid-iteration, not in poll(), and the
+  // same iteration's opportunistic flush writes the line.
   std::shared_ptr<ConnShared> SP = C->Shared;
   std::shared_ptr<Pipe> WK = S.Wake;
   std::shared_ptr<std::atomic<uint64_t>> Delivered = S.Delivered;
@@ -403,13 +410,11 @@ void TcpServer::adoptConn(Shard &S, int Fd) {
       if (SP->Pending)
         --SP->Pending;
       if (!SP->Closed) {
-        std::string Framed = Line;
-        Framed.push_back('\n');
-        if (SP->Out.append(Framed))
+        if (SP->Out.appendLine(Line))
           Delivered->fetch_add(1, std::memory_order_relaxed);
         else
           SP->Overflowed = true; // Stalled reader; shard disconnects.
-        NeedWake = true;
+        NeedWake = ReactorWake != WK.get();
       }
     }
     if (NeedWake && WK->WriteFd >= 0) {
@@ -654,6 +659,10 @@ void TcpServer::run() {
 }
 
 bool TcpServer::shardLoop(Shard &S) {
+  struct OwnThread {
+    explicit OwnThread(const Pipe *P) { ReactorWake = P; }
+    ~OwnThread() { ReactorWake = nullptr; }
+  } Own(S.Wake.get());
   bool Draining = false;
   bool QuietDrain = true;
   Clock::time_point DrainBy;
@@ -798,7 +807,8 @@ bool TcpServer::shardLoop(Shard &S) {
         Overflowed = C->Shared->Overflowed;
         Idle = C->Shared->Pending == 0 && C->Shared->Out.empty();
         // Flush opportunistically: responses may have arrived from
-        // pool threads after the poll set was built.
+        // pool threads after the poll set was built, and those this
+        // thread answered itself (which wrote no wake byte) are here.
         if (!Idle && !C->Shared->Out.empty())
           if (C->Shared->Out.flush(C->Fd) ==
               WriteBuffer::FlushResult::PeerClosed)

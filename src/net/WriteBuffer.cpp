@@ -11,8 +11,8 @@
 
 using namespace jslice;
 
-bool WriteBuffer::append(const std::string &Data) {
-  if (Cap && pending() + Data.size() > Cap)
+bool WriteBuffer::appendLine(std::string_view Line) {
+  if (Cap && pending() + Line.size() + 1 > Cap)
     return false;
   // Compact before growing once the dead prefix dominates; amortized
   // one move per buffer-half.
@@ -20,7 +20,8 @@ bool WriteBuffer::append(const std::string &Data) {
     Buf.erase(0, Off);
     Off = 0;
   }
-  Buf.append(Data);
+  Buf.append(Line);
+  Buf.push_back('\n');
   return true;
 }
 

@@ -29,6 +29,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 namespace jslice {
 
@@ -37,10 +38,11 @@ public:
   /// \p CapBytes bounds *pending* (unsent) bytes; 0 means unbounded.
   explicit WriteBuffer(size_t CapBytes) : Cap(CapBytes) {}
 
-  /// Queues \p Data. False — and nothing queued — when pending bytes
-  /// would exceed the cap; the caller must treat the connection as a
-  /// stalled reader and disconnect it.
-  bool append(const std::string &Data);
+  /// Queues \p Line and a newline (the transport's framing). False —
+  /// and nothing queued — when pending bytes would exceed the cap; the
+  /// caller must treat the connection as a stalled reader and
+  /// disconnect it.
+  bool appendLine(std::string_view Line);
 
   enum class FlushResult {
     Drained,    ///< Everything pending was written.

@@ -175,21 +175,8 @@ AnalysisCache::lookup(const std::string &Key,
     }
     Slot &S = It->second;
     switch (S.St) {
-    case State::Ready: {
-      Lru.splice(Lru.begin(), Lru, S.LruIt);
-      ++Counters.Hits;
-      bool Audit = false;
-      if (Opts.AuditEvery) {
-        // xorshift64: cheap, seeded, deterministic per construction.
-        AuditRng ^= AuditRng << 13;
-        AuditRng ^= AuditRng >> 7;
-        AuditRng ^= AuditRng << 17;
-        Audit = (AuditRng % Opts.AuditEvery) == 0;
-        if (Audit)
-          ++Counters.Audits;
-      }
-      return {Outcome::Hit, S.Art, Audit};
-    }
+    case State::Ready:
+      return {Outcome::Hit, S.Art, hitLocked(S)};
     case State::Failed:
       if (LookupSeq >= S.RetryAtLookup) {
         S.St = State::Building;
@@ -241,6 +228,42 @@ AnalysisCache::lookup(const std::string &Key,
     }
     }
   }
+}
+
+AnalysisCache::ProbeResult
+AnalysisCache::probe(const std::string &RawKey, SliceAlgorithm Algorithm) {
+  ProbeResult R;
+  std::lock_guard<std::mutex> Lock(M);
+  auto Memo = KeyMemo.find(RawKey);
+  if (Memo == KeyMemo.end())
+    return R;
+  auto It = Slots.find(Memo->second);
+  if (It == Slots.end() || It->second.St != State::Ready ||
+      !It->second.Art->BS.closuresReady(Algorithm)) {
+    R.Key = Memo->second;
+    return R;
+  }
+  ++LookupSeq;
+  R.Hit = It->second.Art;
+  R.Audit = hitLocked(It->second);
+  if (R.Audit)
+    R.Key = Memo->second; // An audit mismatch drops the entry by key.
+  return R;
+}
+
+bool AnalysisCache::hitLocked(Slot &S) {
+  Lru.splice(Lru.begin(), Lru, S.LruIt);
+  ++Counters.Hits;
+  if (!Opts.AuditEvery)
+    return false;
+  // xorshift64: cheap, seeded, deterministic per construction.
+  AuditRng ^= AuditRng << 13;
+  AuditRng ^= AuditRng >> 7;
+  AuditRng ^= AuditRng << 17;
+  bool Audit = (AuditRng % Opts.AuditEvery) == 0;
+  if (Audit)
+    ++Counters.Audits;
+  return Audit;
 }
 
 void AnalysisCache::publish(const std::string &Key,

@@ -63,6 +63,16 @@
 /// single-threaded loops, so their instances see no coalescing and
 /// piggyback their counters on response frames for aggregation).
 ///
+/// In thread mode the server also probes the cache at admission, on the
+/// transport thread that read the request (probe()). The probe never
+/// waits, parses or builds: it answers a hit only for a program whose
+/// raw-key memo entry, Ready slot and closure cache for the requested
+/// algorithm all exist, and the server then serves that hit where it
+/// stands (unless its journal fsyncs every record). Every other request — a memo miss, a Building or Failed
+/// slot, a first hit that still builds closures, an audited hit — goes
+/// to the pool carrying the probe's answer, so each request is counted
+/// once as a hit or a miss and the audit sampler rolls once for it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JSLICE_SERVICE_ANALYSISCACHE_H
@@ -214,6 +224,29 @@ public:
     bool Audit = false; ///< Hit: the sampler picked this one.
   };
 
+  /// The admission probe's answer (probe()).
+  struct ProbeResult {
+    /// The canonical key, when the raw-key memo knows it and the caller
+    /// will need it (everything but an unaudited hit).
+    std::optional<std::string> Key;
+    /// A ready artifact whose closure cache for the probed algorithm is
+    /// built. The hit is already counted (and sampled): the caller
+    /// serves it from here and does not look the key up again.
+    std::shared_ptr<const AnalysisArtifact> Hit;
+    bool Audit = false; ///< Hit: the sampler picked this one.
+  };
+
+  /// Non-blocking hit probe, one critical section: a hit only when the
+  /// raw-key memo knows \p RawKey, its slot is Ready, and the closure
+  /// cache \p Algorithm reads is already built
+  /// (BatchSlicer::closuresReady), so serving it parses, waits and
+  /// builds nothing. Such a hit is counted exactly as lookup() counts
+  /// one (LRU touch, `hits`, one roll of the audit sampler). Anything
+  /// else counts nothing and returns only the canonical key, if the
+  /// memo has one; the caller then takes the ordinary path
+  /// (canonicalize on a memo miss, lookup()), which counts it.
+  ProbeResult probe(const std::string &RawKey, SliceAlgorithm Algorithm);
+
   /// Resolves \p Key: returns a ready artifact, makes the caller the
   /// build leader, or — when a leader is already building — waits for
   /// it until \p Deadline (coalescing). A timed-out wait returns
@@ -280,6 +313,9 @@ private:
   /// the unlock, not inside the critical section every lookup waits on.
   using Victims = std::vector<std::shared_ptr<const AnalysisArtifact>>;
 
+  /// Counts a hit on Ready slot \p S: LRU touch, `hits`, and one roll
+  /// of the audit sampler, whose verdict it returns.
+  bool hitLocked(Slot &S);
   void evictSlotLocked(std::map<std::string, Slot>::iterator It,
                        bool Watermark, Victims &Out);
   void sweepStaleFailuresLocked();

@@ -80,38 +80,66 @@ std::optional<bool> auditHit(const ServiceRequest &R, const Budget &B,
   return FreshLines == CachedLines;
 }
 
-} // namespace
-
-ServiceResponse jslice::executeSliceRequest(const ServiceRequest &R,
-                                            const ExecConfig &Cfg,
-                                            const std::atomic<bool> *Cancel,
-                                            uint64_t *RungTrips,
-                                            AnalysisCache *Cache) {
-  ServiceResponse Resp;
-  Resp.Id = R.Id;
-  Resp.Requested = algorithmName(R.Algorithm);
-
+/// The request's budget: the configured defaults, with the request's
+/// budget_ms / max_steps overriding those dimensions.
+Budget requestBudget(const ServiceRequest &R, const ExecConfig &Cfg,
+                     const std::atomic<bool> *Cancel) {
   Budget B = Cfg.DefaultBudget;
   if (R.BudgetMs)
     B.DeadlineMs = R.BudgetMs;
   if (R.MaxSteps)
     B.MaxSteps = R.MaxSteps;
   B.Cancel = Cancel;
+  return B;
+}
+
+} // namespace
+
+std::optional<ServiceResponse>
+jslice::serveProbedHit(const ServiceRequest &R, const ExecConfig &Cfg,
+                       const std::atomic<bool> *Cancel,
+                       const AnalysisArtifact &Art) {
+  Budget B = requestBudget(R, Cfg, Cancel);
+  {
+    // The checkpoint the pool path charges before its lookup.
+    ResourceGuard KeyG(B);
+    if (!KeyG.checkpoint("cache.lookup"))
+      return std::nullopt;
+  }
+  return serveFromArtifact(R, Art, B);
+}
+
+ServiceResponse jslice::executeSliceRequest(const ServiceRequest &R,
+                                            const ExecConfig &Cfg,
+                                            const std::atomic<bool> *Cancel,
+                                            uint64_t *RungTrips,
+                                            AnalysisCache *Cache,
+                                            const CacheAdmission *Adm) {
+  ServiceResponse Resp;
+  Resp.Id = R.Id;
+  Resp.Requested = algorithmName(R.Algorithm);
+
+  Budget B = requestBudget(R, Cfg, Cancel);
 
   // Cache front half: key, lookup, hit, or become the leader.
   // A raw-key memo miss parses here, once: the tree is keyed and then
   // handed to the ladder's first rung instead of being parsed again.
+  // What an admission probe already learned is not asked again.
   std::string LeaderKey;
   std::unique_ptr<Program> Parsed;
   if (Cache && Cache->options().Enabled &&
-      R.Algorithm != SliceAlgorithm::Weiser) {
-    std::optional<std::string> Key;
-    std::string RawK = rawProgramKey(R.Program);
-    bool Memoized = false;
+      R.Algorithm != SliceAlgorithm::Weiser && !(Adm && Adm->HitUnusable)) {
+    std::string OwnRawK;
+    const std::string &RawK =
+        Adm ? Adm->RawKey : (OwnRawK = rawProgramKey(R.Program));
+    std::optional<std::string> Key = Adm ? Adm->Probe.Key : std::nullopt;
+    bool Memoized = Key.has_value();
     {
       ResourceGuard KeyG(B);
-      Key = Cache->canonicalKeyFor(RawK);
-      Memoized = Key.has_value();
+      if (!Key) {
+        Key = Cache->canonicalKeyFor(RawK);
+        Memoized = Key.has_value();
+      }
       if (!Key && KeyG.checkpoint("cache.key")) {
         ErrorOr<std::unique_ptr<Program>> Prog = parseProgram(R.Program, KeyG);
         if (Prog && !KeyG.exhausted()) {
@@ -123,15 +151,21 @@ ServiceResponse jslice::executeSliceRequest(const ServiceRequest &R,
         Key.reset();
     }
     if (Key) {
-      // Coalesced waits are bounded by the request's own deadline.
-      auto Deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::milliseconds(B.DeadlineMs ? B.DeadlineMs : 1000);
-      AnalysisCache::LookupResult L = Cache->lookup(*Key, Deadline);
-      // Memoize only programs the cache holds or is about to: a
-      // declined one-shot would push the repeated programs out.
-      if (!Memoized && L.K != AnalysisCache::Outcome::Bypass)
-        Cache->rememberCanonicalKey(RawK, *Key);
+      AnalysisCache::LookupResult L;
+      if (Adm && Adm->Probe.Hit) {
+        // An audited hit: counted, and sampled, by the probe.
+        L = {AnalysisCache::Outcome::Hit, Adm->Probe.Hit, Adm->Probe.Audit};
+      } else {
+        // Coalesced waits are bounded by the request's own deadline.
+        auto Deadline =
+            std::chrono::steady_clock::now() +
+            std::chrono::milliseconds(B.DeadlineMs ? B.DeadlineMs : 1000);
+        L = Cache->lookup(*Key, Deadline);
+        // Memoize only programs the cache holds or is about to: a
+        // declined one-shot would push the repeated programs out.
+        if (!Memoized && L.K != AnalysisCache::Outcome::Bypass)
+          Cache->rememberCanonicalKey(RawK, *Key);
+      }
       switch (L.K) {
       case AnalysisCache::Outcome::Hit: {
         std::optional<ServiceResponse> Hit = serveFromArtifact(R, *L.Artifact, B);

@@ -32,6 +32,7 @@
 #include "service/Request.h"
 
 #include <atomic>
+#include <optional>
 
 namespace jslice {
 
@@ -48,6 +49,33 @@ struct ExecConfig {
   /// this config inside sandboxWorkerMain.
   CacheOptions Cache;
 };
+
+/// What the server's admission probe (AnalysisCache::probe) learned
+/// about a request's cache entry, carried to the pool in thread mode so
+/// executeSliceRequest neither hashes the program again nor repeats a
+/// lookup the probe already counted.
+struct CacheAdmission {
+  /// rawProgramKey(R.Program), hashed once at admission.
+  std::string RawKey;
+  /// The probe's answer for RawKey. A Hit here is one the reading
+  /// thread did not serve because the sampler picked it for an audit,
+  /// so its Key is set.
+  AnalysisCache::ProbeResult Probe;
+  /// The probe's (counted) hit was unusable on the reading thread — a
+  /// guard tripped or the criterion does not resolve — so the pool
+  /// serves the request through the plain ladder, cache untouched.
+  bool HitUnusable = false;
+};
+
+/// Serves \p R from \p Art, a ready artifact the admission probe
+/// returned with its closure cache built, under the request's own
+/// budget and through the same code as a pool-side hit. Parses, waits
+/// and builds nothing, so it may run on a transport thread. Nullopt
+/// when the hit is unusable (see CacheAdmission::HitUnusable).
+std::optional<ServiceResponse> serveProbedHit(const ServiceRequest &R,
+                                              const ExecConfig &Cfg,
+                                              const std::atomic<bool> *Cancel,
+                                              const AnalysisArtifact &Art);
 
 /// Runs one slice request through the degradation ladder and renders
 /// the response (status, served tier, lines, attempts; LatencyMs is
@@ -67,12 +95,16 @@ struct ExecConfig {
 /// tripped guard, a first hit's closure build tripping, coalesce
 /// timeout — falls back to the plain ladder, so responses
 /// differ from the cache-less path only by the `cached`/`audited`
-/// markers, never by content.
+/// markers, never by content. \p Adm, when non-null, is the admission
+/// probe's answer for \p R in \p Cache: its raw key stands in for
+/// hashing the program, its canonical key for the memo lookup, and its
+/// counted hit for the cache lookup.
 ServiceResponse executeSliceRequest(const ServiceRequest &R,
                                     const ExecConfig &Cfg,
                                     const std::atomic<bool> *Cancel,
                                     uint64_t *RungTrips,
-                                    AnalysisCache *Cache = nullptr);
+                                    AnalysisCache *Cache = nullptr,
+                                    const CacheAdmission *Adm = nullptr);
 
 /// The sandbox child's main loop: framed requests in on \p InFd,
 /// framed responses out on \p OutFd, until EOF on \p InFd. Returns the

@@ -37,6 +37,7 @@ JsonValue ServerStats::toJson() const {
   Out.set("poisoned", Poisoned);
   Out.set("crashed", Crashed);
   Out.set("shed", Shed);
+  Out.set("served_inline", ServedInline);
   Out.set("guard_trips", GuardTrips);
   JsonValue Tiers = JsonValue::object();
   for (const auto &[Tier, N] : TierHistogram)
@@ -170,6 +171,9 @@ Server::Server(const ServerOptions &Opts, std::ostream &Out, std::ostream &Log)
   // across the pool; process-mode workers each own theirs.
   if (!Super && Opts.Cache.Enabled)
     Cache = std::make_unique<AnalysisCache>(Opts.Cache);
+  Exec.DefaultBudget = Opts.DefaultBudget;
+  Exec.Ladder = Opts.Ladder;
+  Exec.Cache = Opts.Cache;
 }
 
 Server::~Server() {
@@ -313,10 +317,7 @@ void Server::serveLine(const std::string &Line) {
 }
 
 void Server::refuseOversizedLine(const ResponseSink &Sink) {
-  {
-    std::lock_guard<std::mutex> Lock(StateM);
-    ++Counters.Received;
-  }
+  Received.fetch_add(1, std::memory_order_relaxed);
   ServiceResponse Resp;
   Resp.Status = ResponseStatus::Shed;
   Resp.Error = "request line exceeds the " +
@@ -325,7 +326,7 @@ void Server::refuseOversizedLine(const ResponseSink &Sink) {
   recordOutcome(Resp.Status, "", false, -1, 0, "line-cap");
 }
 
-bool Server::serveLine(const std::string &Line, ResponseSink Sink) {
+bool Server::serveLine(const std::string &Line, const ResponseSink &Sink) {
   if (Line.empty() || Line.find_first_not_of(" \t\r") == std::string::npos)
     return true;
   ParsedRequest P = parseRequestLine(Line);
@@ -339,10 +340,7 @@ bool Server::serveLine(const std::string &Line, ResponseSink Sink) {
     return true;
   }
 
-  {
-    std::lock_guard<std::mutex> Lock(StateM);
-    ++Counters.Received;
-  }
+  Received.fetch_add(1, std::memory_order_relaxed);
 
   if (!P.Ok) {
     ServiceResponse R;
@@ -493,8 +491,15 @@ bool Server::serveLine(const std::string &Line, ResponseSink Sink) {
     bool IsPoisoned = false;
     bool Duplicate = false;
     std::shared_ptr<InFlight> Flight;
-    // The key hashes the whole program, so it is computed only once
-    // something is poisoned, and outside the lock every worker's
+    // The cache front (thread mode, any algorithm but Weiser) hashes
+    // the raw program once, here; the poison check, the hit probe and
+    // the pool path all read this one hash.
+    bool CacheFront = Cache && R.Algorithm != SliceAlgorithm::Weiser;
+    CacheAdmission Adm;
+    if (CacheFront)
+      Adm.RawKey = rawProgramKey(R.Program);
+    // The content key hashes the whole request, so it is computed only
+    // once something is poisoned, and outside the lock every worker's
     // outcome accounting and {"stats"} wait on.
     std::string Key;
     if (PoisonKeyCount.load(std::memory_order_relaxed))
@@ -503,7 +508,8 @@ bool Server::serveLine(const std::string &Line, ResponseSink Sink) {
       std::lock_guard<std::mutex> Lock(StateM);
       if ((!Key.empty() && PoisonKeys.count(Key)) ||
           (!ProgramPoison.empty() &&
-           ProgramPoison.count(rawProgramKey(R.Program)))) {
+           ProgramPoison.count(CacheFront ? Adm.RawKey
+                                          : rawProgramKey(R.Program)))) {
         IsPoisoned = true;
         auto It = PoisonRepros.find(Key);
         if (It != PoisonRepros.end())
@@ -563,7 +569,6 @@ bool Server::serveLine(const std::string &Line, ResponseSink Sink) {
       // Degrade: serve on; the journal is marked lost and {"health"}
       // says so.
     }
-    QueueDepth.fetch_add(1, std::memory_order_relaxed);
     bool Hang = !Opts.HangAfterBeginId.empty() &&
                 R.Id == Opts.HangAfterBeginId;
     // --repl-ack=sync: hold the response (bounded) until a standby has
@@ -574,13 +579,43 @@ bool Server::serveLine(const std::string &Line, ResponseSink Sink) {
     // window; it never blocks serving.
     bool AwaitAck =
         BeginSeq != 0 && Repl && Repl->policy() == ReplAckPolicy::Sync;
-    Pool.submit([this, R = std::move(R), Hang, AwaitAck, BeginSeq,
-                 Sink = std::move(Sink)]() mutable {
+
+    // A cache hit that is ready to serve — memo, slot and closures all
+    // built — is answered here, on the thread that read the line: it
+    // parses, waits and builds nothing, so it costs less than the hop
+    // to a pool thread and back. Everything else goes to the pool with
+    // what the probe learned. A journal that fsyncs every record
+    // (--journal-sync=full) would make the end record a disk wait on
+    // this thread, so there every slice stays on the pool.
+    bool EndMayWaitOnDisk = !Opts.JournalPath.empty() &&
+                            Opts.JournalSyncPolicy == JournalSync::Full;
+    if (CacheFront && !Hang && !AwaitAck && !EndMayWaitOnDisk) {
+      Adm.Probe = Cache->probe(Adm.RawKey, R.Algorithm);
+      if (Adm.Probe.Hit && !Adm.Probe.Audit) {
+        auto Start = std::chrono::steady_clock::now();
+        if (std::optional<ServiceResponse> Resp =
+                serveProbedHit(R, Exec, &Flight->Cancel, *Adm.Probe.Hit)) {
+          Resp->LatencyMs = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - Start)
+                                .count();
+          finishSlice(*Resp, Resp->str(), Sink, /*RungTrips=*/0, "",
+                      /*Inline=*/true);
+          break;
+        }
+        Adm.Probe.Hit.reset();
+        Adm.HitUnusable = true;
+      }
+    }
+
+    QueueDepth.fetch_add(1, std::memory_order_relaxed);
+    Pool.submit([this, R = std::move(R), Flight = std::move(Flight),
+                 Adm = std::move(Adm), CacheFront, Hang, AwaitAck, BeginSeq,
+                 Sink]() mutable {
       if (Hang)
         std::this_thread::sleep_for(std::chrono::hours(1));
       if (AwaitAck)
         Repl->waitAcked(BeginSeq, Opts.ReplAckTimeoutMs);
-      handleSlice(std::move(R), Sink);
+      handleSlice(std::move(R), Flight, CacheFront ? &Adm : nullptr, Sink);
     });
     break;
   }
@@ -694,17 +729,6 @@ void Server::handleCancel(const ServiceRequest &R,
   V.set("status", "ok");
   V.set("signalled", Signalled);
   Sink(V.str());
-}
-
-void Server::handleSliceInProcess(ServiceRequest R, ServiceResponse &Resp,
-                                  const std::shared_ptr<InFlight> &Flight,
-                                  uint64_t &RungTrips) {
-  ExecConfig Cfg;
-  Cfg.DefaultBudget = Opts.DefaultBudget;
-  Cfg.Ladder = Opts.Ladder;
-  Cfg.Cache = Opts.Cache;
-  Resp = executeSliceRequest(R, Cfg, Flight ? &Flight->Cancel : nullptr,
-                             &RungTrips, Cache.get());
 }
 
 /// Ships the request to a sandbox worker. Returns true when \p
@@ -824,15 +848,9 @@ void Server::quarantineCrashed(const ServiceRequest &R,
       << Resp.Error << ")" << (Repro.empty() ? "" : " -> " + Repro) << "\n";
 }
 
-void Server::handleSlice(ServiceRequest R, const ResponseSink &Sink) {
-  std::shared_ptr<InFlight> Flight;
-  {
-    std::lock_guard<std::mutex> Lock(StateM);
-    auto It = Registry.find(R.Id);
-    if (It != Registry.end())
-      Flight = It->second;
-  }
-
+void Server::handleSlice(ServiceRequest R,
+                         const std::shared_ptr<InFlight> &Flight,
+                         const CacheAdmission *Adm, const ResponseSink &Sink) {
   ServiceResponse Resp;
   Resp.Id = R.Id;
   Resp.Requested = algorithmName(R.Algorithm);
@@ -843,13 +861,11 @@ void Server::handleSlice(ServiceRequest R, const ResponseSink &Sink) {
   std::string RawResponse;
 
   double QueuedMs =
-      Flight ? std::chrono::duration<double, std::milli>(
-                   Start - Flight->Enqueued)
-                   .count()
-             : 0;
+      std::chrono::duration<double, std::milli>(Start - Flight->Enqueued)
+          .count();
 
   std::string ShedCause;
-  if (Flight && Flight->Cancel.load(std::memory_order_relaxed)) {
+  if (Flight->Cancel.load(std::memory_order_relaxed)) {
     // Cancelled while still queued: never ran, nothing to report.
     Resp.Status = ResponseStatus::Cancelled;
     Resp.Error = "cancelled before execution";
@@ -865,7 +881,8 @@ void Server::handleSlice(ServiceRequest R, const ResponseSink &Sink) {
     if (Resp.Status == ResponseStatus::Shed)
       ShedCause = "breaker-open"; // The only shed the sandbox path emits.
   } else {
-    handleSliceInProcess(std::move(R), Resp, Flight, RungTrips);
+    Resp = executeSliceRequest(R, Exec, &Flight->Cancel, &RungTrips,
+                               Cache.get(), Adm);
   }
 
   double LatencyMs =
@@ -874,33 +891,43 @@ void Server::handleSlice(ServiceRequest R, const ResponseSink &Sink) {
           .count();
   Resp.LatencyMs = LatencyMs;
 
-  if (!Opts.JournalPath.empty() &&
-      !JournalLost.load(std::memory_order_relaxed) &&
-      !Wal.end(Resp.Id, responseStatusName(Resp.Status)))
-    noteJournalFailure();
-  // Release the id before the caller can see the response: a client
-  // that resubmits the same id once it holds its answer must be
-  // admitted, not told the id is still in flight.
-  {
-    std::lock_guard<std::mutex> Lock(StateM);
-    Registry.erase(Resp.Id);
-  }
+  std::string Line;
   if (Raw) {
     // Pass the worker's line through, stamped with the latency the
     // caller actually experienced (IPC included).
     std::optional<JsonValue> V = JsonValue::parse(RawResponse);
     if (V) {
       V->set("latency_ms", LatencyMs);
-      Sink(V->str());
+      Line = V->str();
     } else {
-      Sink(RawResponse);
+      Line = std::move(RawResponse);
     }
   } else {
-    writeResponse(Resp, Sink);
+    Line = Resp.str();
   }
-  recordOutcome(Resp.Status, Resp.ServedTier, Resp.Degraded, LatencyMs,
-                RungTrips, ShedCause);
+  finishSlice(Resp, Line, Sink, RungTrips, ShedCause, /*Inline=*/false);
   QueueDepth.fetch_sub(1, std::memory_order_relaxed);
+}
+
+void Server::finishSlice(const ServiceResponse &Resp, const std::string &Line,
+                         const ResponseSink &Sink, uint64_t RungTrips,
+                         const std::string &ShedCause, bool Inline) {
+  if (!Opts.JournalPath.empty() &&
+      !JournalLost.load(std::memory_order_relaxed) &&
+      !Wal.end(Resp.Id, responseStatusName(Resp.Status)))
+    noteJournalFailure();
+  // Release the id and count the outcome before the caller can see the
+  // response: a client that resubmits the same id once it holds its
+  // answer must be admitted, not told the id is still in flight, and a
+  // {"stats"} it sends next must already count this answer.
+  {
+    std::lock_guard<std::mutex> Lock(StateM);
+    Registry.erase(Resp.Id);
+    recordOutcomeLocked(Resp.Status, Resp.ServedTier, Resp.Degraded,
+                        Resp.LatencyMs, RungTrips, ShedCause);
+    Counters.ServedInline += Inline;
+  }
+  Sink(Line);
 }
 
 void Server::writeResponse(const ServiceResponse &R,
@@ -913,6 +940,14 @@ void Server::recordOutcome(ResponseStatus Status,
                            double LatencyMs, uint64_t RungTrips,
                            const std::string &ShedCause) {
   std::lock_guard<std::mutex> Lock(StateM);
+  recordOutcomeLocked(Status, ServedTier, Degraded, LatencyMs, RungTrips,
+                      ShedCause);
+}
+
+void Server::recordOutcomeLocked(ResponseStatus Status,
+                                 const std::string &ServedTier, bool Degraded,
+                                 double LatencyMs, uint64_t RungTrips,
+                                 const std::string &ShedCause) {
   Counters.GuardTrips += RungTrips;
   if (!ShedCause.empty())
     ++Counters.ShedByCause[ShedCause];
@@ -993,6 +1028,7 @@ JsonValue Server::healthJson() const {
 ServerStats Server::stats() const {
   std::lock_guard<std::mutex> Lock(StateM);
   ServerStats S = Counters;
+  S.Received = Received.load(std::memory_order_relaxed);
   S.Generation = Opts.Generation;
   S.Epoch = EpochA.load(std::memory_order_relaxed);
   S.Standby = StandbyMode.load(std::memory_order_relaxed);

@@ -21,7 +21,13 @@
 ///
 ///  * thread (default): each request runs on a pool thread with its
 ///    own Analysis, ResourceGuard, and cancellation flag — one
-///    poisonous program can exhaust only its own budget.
+///    poisonous program can exhaust only its own budget. The one
+///    exception is a cache hit whose artifact is ready to serve: the
+///    admission probe (AnalysisCache::probe) finds it and the thread
+///    that read the line answers it, since it parses, waits and builds
+///    nothing (served_inline in {"stats"}). Under a journal that fsyncs
+///    every record the end record would be a disk wait, so there hits
+///    stay on the pool too.
 ///  * process: each pool thread is a dispatcher that ships its request
 ///    to a forked sandbox worker over pipe IPC (service/Supervisor.h).
 ///    A worker that segfaults, gets OOM-killed, or hangs costs exactly
@@ -67,6 +73,7 @@
 #include "service/Ladder.h"
 #include "service/Replication.h"
 #include "service/Request.h"
+#include "service/SandboxWorker.h"
 #include "service/Supervisor.h"
 #include "support/LogHistogram.h"
 #include "support/WorkerPool.h"
@@ -272,6 +279,9 @@ struct ServerStats {
   uint64_t Poisoned = 0;    ///< Resubmissions refused by quarantine.
   uint64_t Crashed = 0;     ///< Sandbox worker died/hung on a request.
   uint64_t Shed = 0;        ///< Overload-control refusals.
+  /// Cache hits answered on the thread that read their line (thread
+  /// mode's admission probe); always 0 in process mode.
+  uint64_t ServedInline = 0;
   uint64_t GuardTrips = 0;  ///< Ladder rungs that tripped a budget.
   std::map<std::string, uint64_t> TierHistogram; ///< served tier -> count.
   /// Shed refusals broken down by cause ("queue-full",
@@ -380,15 +390,19 @@ public:
 
   /// Same, but the response line(s) go to \p Sink instead of the
   /// shared output stream — the TCP transport's per-connection entry
-  /// point. Every non-blank line produces exactly one response line,
-  /// with two replication exceptions: {"repl_subscribe"} turns the
-  /// sink into a long-lived record stream (the hello frame is its
-  /// response), and {"repl_ack"} is one-way (a response line would
-  /// interleave with the record frames on the same connection).
+  /// point. \p Sink is called on this thread for every answer that
+  /// does not need the pool (control lines, refusals, and in thread
+  /// mode cache hits the admission probe finds ready); a request handed
+  /// to the pool carries its own copy. Every non-blank line produces
+  /// exactly one response line, with two replication exceptions:
+  /// {"repl_subscribe"} turns the sink into a long-lived record stream
+  /// (the hello frame is its response), and {"repl_ack"} is one-way (a
+  /// response line would interleave with the record frames on the same
+  /// connection).
   /// Returns false for the one-way case — no response was or will be
   /// delivered for this line — so transports that count a pending
   /// response per dispatched line can give the slot back.
-  bool serveLine(const std::string &Line, ResponseSink Sink);
+  bool serveLine(const std::string &Line, const ResponseSink &Sink);
 
   /// Answers an input line that blew past MaxLineBytes with the
   /// deterministic `shed` refusal (cause "line-cap"). Transports call
@@ -451,6 +465,11 @@ public:
   /// counters.
   Supervisor *supervisor() { return Super.get(); }
 
+  /// The shared analysis cache: thread mode with the cache enabled,
+  /// else null. Tests reach through it to hold a key's build
+  /// leadership or read its counters.
+  AnalysisCache *cache() { return Cache.get(); }
+
   /// The server's journal. A standby tool hands this to its
   /// net::StandbyTail so the tail and the (post-promotion) server
   /// share one replica journal — one file, one in-flight index, one
@@ -506,10 +525,15 @@ private:
   /// Degrade-policy disk-recovery probe: rate-limited
   /// Journal::tryReattach; clears the lost latch on success.
   void maybeReattachJournal();
-  void handleSlice(ServiceRequest R, const ResponseSink &Sink);
-  void handleSliceInProcess(ServiceRequest R, ServiceResponse &Resp,
-                            const std::shared_ptr<InFlight> &Flight,
-                            uint64_t &RungTrips);
+  void handleSlice(ServiceRequest R, const std::shared_ptr<InFlight> &Flight,
+                   const CacheAdmission *Adm, const ResponseSink &Sink);
+  /// A slice's completion, wherever it ran: journal end, then the id's
+  /// release and its outcome in one StateM section — before the sink,
+  /// so a client holding its answer may reuse the id and {"stats"}
+  /// already counts it — then \p Line to \p Sink.
+  void finishSlice(const ServiceResponse &Resp, const std::string &Line,
+                   const ResponseSink &Sink, uint64_t RungTrips,
+                   const std::string &ShedCause, bool Inline);
   bool handleSliceSandboxed(const ServiceRequest &R, ServiceResponse &Resp,
                             std::string &RawResponse, uint64_t &RungTrips);
   void quarantineCrashed(const ServiceRequest &R, ServiceResponse &Resp);
@@ -520,6 +544,10 @@ private:
   void recordOutcome(ResponseStatus Status, const std::string &ServedTier,
                      bool Degraded, double LatencyMs, uint64_t RungTrips,
                      const std::string &ShedCause = "");
+  void recordOutcomeLocked(ResponseStatus Status,
+                           const std::string &ServedTier, bool Degraded,
+                           double LatencyMs, uint64_t RungTrips,
+                           const std::string &ShedCause);
 
   ServerOptions Opts;
   std::ostream &Out;
@@ -537,8 +565,11 @@ private:
   std::function<JsonValue()> ReplProbeFn;
   WorkerPool Pool;
   std::unique_ptr<Supervisor> Super; ///< Process mode only.
+  ExecConfig Exec; ///< Thread mode's per-request configuration.
 
   std::atomic<uint64_t> QueueDepth{0};
+  /// Protocol lines read (ServerStats::Received), counted without StateM.
+  std::atomic<uint64_t> Received{0};
   std::atomic<bool> Draining{false};
   std::atomic<bool> JournalLost{false};
   std::atomic<bool> JournalAborted{false};

@@ -153,6 +153,17 @@ public:
                                          SliceAlgorithm Algorithm,
                                          ResourceGuard &G) const;
 
+  /// True when the closure cache \p Algorithm reads (closuresFor) is
+  /// already built, so sliceShared builds nothing: one acquire load. The
+  /// analysis cache's hit probe serves such queries on the thread that
+  /// read the request. False for Weiser, which reads no closure cache.
+  bool closuresReady(SliceAlgorithm Algorithm) const {
+    if (Algorithm == SliceAlgorithm::Weiser)
+      return false;
+    return (Algorithm == SliceAlgorithm::BallHorwitz ? Aug : Plain).get() !=
+           nullptr;
+  }
+
   /// Resolves and slices every criterion, fanning across
   /// Opts.Threads workers. The closure cache the algorithm reads is
   /// built first, charged to A.guard(), before any worker starts.

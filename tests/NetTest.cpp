@@ -38,6 +38,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #ifdef JSLICE_HAVE_POSIX_PROCESS
 #include <csignal>
@@ -112,11 +113,15 @@ struct TinySocketPair {
 
 TEST(WriteBufferTest, AppendRefusesPastCapAndQueuesNothing) {
   WriteBuffer WB(/*CapBytes=*/10);
-  EXPECT_TRUE(WB.append("12345"));
-  EXPECT_TRUE(WB.append("67890"));
+  EXPECT_TRUE(WB.appendLine("1234"));
+  EXPECT_EQ(WB.pending(), 5u); // The newline counts against the cap.
+  // Five bytes fit, but not with their newline: refused whole.
+  EXPECT_FALSE(WB.appendLine("abcde"));
+  EXPECT_EQ(WB.pending(), 5u);
+  EXPECT_TRUE(WB.appendLine("6789"));
   EXPECT_EQ(WB.pending(), 10u);
   // One byte over the cap: refused whole, pending unchanged.
-  EXPECT_FALSE(WB.append("x"));
+  EXPECT_FALSE(WB.appendLine(""));
   EXPECT_EQ(WB.pending(), 10u);
 }
 
@@ -125,9 +130,10 @@ TEST(WriteBufferTest, FlushBlocksOnFullSocketThenDrains) {
   ASSERT_GE(P.A, 0);
 
   // Far more than the shrunken kernel buffers hold.
-  const std::string Chunk(1u << 20, 'x');
+  const std::string Line((1u << 20) - 1, 'x');
+  const std::string Chunk = Line + "\n";
   WriteBuffer WB(/*CapBytes=*/0);
-  ASSERT_TRUE(WB.append(Chunk));
+  ASSERT_TRUE(WB.appendLine(Line));
 
   // First flush makes partial progress (short write) and then blocks.
   ASSERT_EQ(WB.flush(P.A), WriteBuffer::FlushResult::Blocked);
@@ -159,7 +165,7 @@ TEST(WriteBufferTest, FlushReportsPeerResetMidFrame) {
   ASSERT_GE(P.A, 0);
 
   WriteBuffer WB(/*CapBytes=*/0);
-  ASSERT_TRUE(WB.append(std::string(1u << 20, 'y')));
+  ASSERT_TRUE(WB.appendLine(std::string(1u << 20, 'y')));
   ASSERT_EQ(WB.flush(P.A), WriteBuffer::FlushResult::Blocked);
 
   // The peer dies mid-frame with unread data: the next flushes surface
@@ -946,6 +952,65 @@ TEST(ShardedTcpServerTest, SlowPeerOnOneShardDoesNotDisturbAnother) {
   std::optional<std::string> Line = B.readLine();
   ASSERT_TRUE(Line.has_value());
   EXPECT_NE(Line->find("\"status\":\"ok\""), std::string::npos);
+}
+
+TEST(InlineHitTcpTest, ConcurrentInlineHitsRaceEvictionsOnFourShards) {
+  // Four shards answer warm hits on their own threads while pool
+  // threads build misses and a two-entry cache evicts under them: one
+  // hot program stays resident, five cold ones churn through the rest.
+  TcpServerOptions TOpts;
+  TOpts.Shards = 4;
+  TOpts.AcceptMode = TcpAcceptMode::Handoff; // Round-robin: all shards.
+  ServerOptions SOpts;
+  SOpts.Threads = 2;
+  SOpts.Cache.MaxEntries = 2;
+  LiveServer L(TOpts, SOpts);
+  ASSERT_TRUE(L.Started);
+
+  const SliceAlgorithm Algos[] = {SliceAlgorithm::Agrawal,
+                                  SliceAlgorithm::BallHorwitz,
+                                  SliceAlgorithm::Lyle};
+  const unsigned Clients = 8, PerClient = 120;
+  std::atomic<unsigned> Ok{0}, Wrong{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != Clients; ++T)
+    Threads.emplace_back([&, T] {
+      RawClient C(L.port());
+      if (C.Fd < 0)
+        return;
+      std::string Batch;
+      for (unsigned J = 0; J != PerClient; ++J) {
+        unsigned Prog = J % 2 ? 0 : 1 + (J / 2 + T) % 5;
+        ServiceRequest R;
+        R.Id = "t" + std::to_string(T) + "-" + std::to_string(J);
+        R.Program = "read(a);\nb = a + " + std::to_string(Prog) +
+                    ";\nwrite(b);\n";
+        R.Line = 3;
+        R.Vars = {"b"};
+        R.Algorithm = Algos[J % 3];
+        Batch += R.toJson().str() + "\n";
+      }
+      if (!C.sendAll(Batch))
+        return;
+      for (unsigned J = 0; J != PerClient; ++J) {
+        std::optional<std::string> Line = C.readLine(20000);
+        if (!Line)
+          return;
+        bool Good = Line->find("\"status\":\"ok\"") != std::string::npos &&
+                    Line->find("\"lines\":[1,2,3]") != std::string::npos;
+        (Good ? Ok : Wrong).fetch_add(1);
+      }
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+  EXPECT_EQ(Ok.load(), Clients * PerClient);
+  EXPECT_EQ(Wrong.load(), 0u);
+  for (unsigned I = 0; I != 4; ++I)
+    EXPECT_EQ(L.T.shardStats(I).Accepted, 2u) << "shard " << I;
+  ServerStats St = L.S.stats();
+  EXPECT_GT(St.ServedInline, 0u);
+  EXPECT_GT(St.Cache.Evictions, 0u);
+  EXPECT_EQ(St.Cache.Hits + St.Cache.Misses, uint64_t(Clients) * PerClient);
 }
 
 TEST(ShardedTcpServerTest, ConnectionBudgetIsGlobalAcrossShards) {

@@ -24,6 +24,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -1970,6 +1971,307 @@ TEST(ServerStatsTest, HistogramAndLatenciesAccumulate) {
   EXPECT_EQ(Stats.TierHistogram["lyle"], 1u);
   EXPECT_GE(Stats.P95Ms, Stats.P50Ms);
 }
+
+//===----------------------------------------------------------------------===//
+// Inline cache hits: what the reading thread answers, and what it never runs
+//===----------------------------------------------------------------------===//
+
+/// A sink that records each response line with the thread that
+/// delivered it, and lets the test wait for them.
+class Collector {
+public:
+  ResponseSink sink() {
+    return [this](const std::string &Line) {
+      std::lock_guard<std::mutex> L(M);
+      Got.emplace_back(Line, std::this_thread::get_id());
+      CV.notify_all();
+    };
+  }
+
+  /// True once \p N responses arrived (waits up to 10 s).
+  bool waitFor(size_t N) {
+    std::unique_lock<std::mutex> L(M);
+    return CV.wait_for(L, std::chrono::seconds(10),
+                       [&] { return Got.size() >= N; });
+  }
+
+  size_t size() {
+    std::lock_guard<std::mutex> L(M);
+    return Got.size();
+  }
+
+  JsonValue line(size_t I) {
+    std::lock_guard<std::mutex> L(M);
+    return parsed(Got.at(I).first);
+  }
+
+  std::thread::id thread(size_t I) {
+    std::lock_guard<std::mutex> L(M);
+    return Got.at(I).second;
+  }
+
+private:
+  std::mutex M;
+  std::condition_variable CV;
+  std::vector<std::pair<std::string, std::thread::id>> Got;
+};
+
+const char *HitProgram = "read(a);\nb = a + 1;\nwrite(b);\n";
+
+std::string hitLine(const std::string &Id,
+                    SliceAlgorithm Algo = SliceAlgorithm::Agrawal,
+                    const std::string &Program = HitProgram) {
+  ServiceRequest R;
+  R.Id = Id;
+  R.Program = Program;
+  R.Line = 3;
+  R.Vars = {"b"};
+  R.Algorithm = Algo;
+  return R.toJson().str();
+}
+
+/// Serves \p Line through \p S and waits for its answer in \p C.
+void serveAndWait(Server &S, Collector &C, const std::string &Line) {
+  size_t Before = C.size();
+  S.serveLine(Line, C.sink());
+  ASSERT_TRUE(C.waitFor(Before + 1)) << Line;
+}
+
+TEST(InlineHitTest, FirstHitBuildsClosuresOnThePoolSecondIsServedInline) {
+  ServerOptions Opts;
+  Opts.Threads = 2;
+  std::ostringstream Out, Log;
+  Server S(Opts, Out, Log);
+  Collector C;
+  const std::thread::id Me = std::this_thread::get_id();
+
+  serveAndWait(S, C, hitLine("miss"));
+  serveAndWait(S, C, hitLine("first-hit"));
+  serveAndWait(S, C, hitLine("second-hit"));
+  EXPECT_NE(C.thread(0), Me) << "a miss parses and builds on the pool";
+  EXPECT_NE(C.thread(1), Me) << "the first hit builds closures on the pool";
+  EXPECT_EQ(C.thread(2), Me) << "a ready hit is answered where it was read";
+
+  // Ball–Horwitz reads the augmented closures, which no hit built yet:
+  // its first hit goes to the pool too, and its second stays here.
+  serveAndWait(S, C, hitLine("bh-first", SliceAlgorithm::BallHorwitz));
+  serveAndWait(S, C, hitLine("bh-second", SliceAlgorithm::BallHorwitz));
+  EXPECT_NE(C.thread(3), Me);
+  EXPECT_EQ(C.thread(4), Me);
+
+  for (size_t I = 0; I != 5; ++I) {
+    JsonValue V = C.line(I);
+    EXPECT_EQ(V.find("status")->asString(), "ok") << V.str();
+    EXPECT_EQ(V.find("lines")->str(), "[1,2,3]") << V.str();
+    EXPECT_EQ(V.find("cached") != nullptr, I != 0) << V.str();
+  }
+  ServerStats St = S.stats();
+  EXPECT_EQ(St.Cache.Misses, 1u);
+  EXPECT_EQ(St.Cache.Hits, 4u);
+  EXPECT_EQ(St.ServedInline, 2u);
+  EXPECT_EQ(St.Served, 5u);
+  S.finish();
+}
+
+TEST(InlineHitTest, WarmHitsAreAnsweredBeforeServeLineReturns) {
+  ServerOptions Opts;
+  Opts.Threads = 2;
+  std::ostringstream Out, Log;
+  Server S(Opts, Out, Log);
+  Collector C;
+  serveAndWait(S, C, hitLine("miss"));
+  serveAndWait(S, C, hitLine("warm"));
+
+  ServerStats Before = S.stats();
+  for (unsigned I = 0; I != 10; ++I) {
+    size_t N = C.size();
+    S.serveLine(hitLine("hit" + std::to_string(I)), C.sink());
+    ASSERT_EQ(C.size(), N + 1) << "the sink ran before serveLine returned";
+    EXPECT_EQ(C.thread(N), std::this_thread::get_id());
+  }
+  ServerStats After = S.stats();
+  EXPECT_EQ(After.Cache.Hits - Before.Cache.Hits, 10u);
+  EXPECT_EQ(After.ServedInline - Before.ServedInline,
+            After.Cache.Hits - Before.Cache.Hits)
+      << "on a warm cache every hit is served inline";
+  EXPECT_EQ(After.Cache.Misses, Before.Cache.Misses);
+  EXPECT_EQ(After.toJson().find("served_inline")->asInt(),
+            static_cast<int64_t>(After.ServedInline));
+  S.finish();
+}
+
+TEST(InlineHitTest, BuildingSlotSendsTheRequestToThePoolAsAWaiter) {
+  ServerOptions Opts;
+  Opts.Threads = 2;
+  std::ostringstream Out, Log;
+  Server S(Opts, Out, Log);
+  AnalysisCache *Cache = S.cache();
+  ASSERT_NE(Cache, nullptr);
+
+  // The test leads the program's build, so its slot stays Building
+  // until the test lets go; the memo already knows the key, so the
+  // probe sees the Building slot itself.
+  ResourceGuard G;
+  std::optional<std::string> Key = canonicalProgramKey(HitProgram, G);
+  ASSERT_TRUE(Key.has_value());
+  Cache->rememberCanonicalKey(rawProgramKey(HitProgram), *Key);
+  auto Far = std::chrono::steady_clock::now() + std::chrono::hours(1);
+  ASSERT_EQ(Cache->lookup(*Key, Far).K, AnalysisCache::Outcome::MustBuild);
+
+  Collector C;
+  auto T0 = std::chrono::steady_clock::now();
+  S.serveLine(hitLine("waiter"), C.sink());
+  auto Ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - T0)
+                .count();
+  EXPECT_LT(Ms, 50) << "the reading thread never waits on a build";
+  EXPECT_EQ(C.size(), 0u);
+
+  // The pool thread now waits on the test's build.
+  for (unsigned Spin = 0; Cache->stats().Coalesced == 0; ++Spin) {
+    ASSERT_LT(Spin, 5000u) << "the request never became a coalesced waiter";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  Cache->buildFailed(*Key); // Promotes the waiter, which builds itself.
+  ASSERT_TRUE(C.waitFor(1));
+  EXPECT_NE(C.thread(0), std::this_thread::get_id());
+  EXPECT_EQ(C.line(0).find("status")->asString(), "ok");
+  CacheStats CS = Cache->stats();
+  EXPECT_EQ(CS.Coalesced, 1u);
+  EXPECT_EQ(CS.Promotions, 1u);
+  EXPECT_EQ(S.stats().ServedInline, 0u);
+  S.finish();
+}
+
+TEST(InlineHitTest, AuditEveryOneAuditsEachHitExactlyOnce) {
+  ServerOptions Opts;
+  Opts.Threads = 2;
+  Opts.Cache.AuditEvery = 1;
+  std::ostringstream Out, Log;
+  Server S(Opts, Out, Log);
+  Collector C;
+  for (unsigned I = 0; I != 7; ++I)
+    serveAndWait(S, C, hitLine("r" + std::to_string(I)));
+  for (size_t I = 1; I != 7; ++I) {
+    EXPECT_NE(C.thread(I), std::this_thread::get_id())
+        << "an audit re-runs the pipeline, so it runs on the pool";
+    JsonValue V = C.line(I);
+    EXPECT_EQ(V.find("status")->asString(), "ok") << V.str();
+    ASSERT_NE(V.find("audited"), nullptr) << V.str();
+  }
+  ServerStats St = S.stats();
+  EXPECT_EQ(St.Cache.Hits, 6u);
+  EXPECT_EQ(St.Cache.Audits, St.Cache.Hits);
+  EXPECT_EQ(St.Cache.AuditMismatches, 0u);
+  EXPECT_EQ(St.ServedInline, 0u);
+  S.finish();
+}
+
+TEST(InlineHitTest, SyncReplicationAckNeverServesInline) {
+  std::string Dir = ::testing::TempDir() + "jslice_inline_sync";
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir);
+  ServerOptions Opts;
+  Opts.Threads = 2;
+  Opts.JournalPath = Dir + "/wal.jsonl";
+  Opts.QuarantineDir = Dir + "/quarantine";
+  Opts.JournalSyncPolicy = JournalSync::Batch; // Inline-eligible otherwise.
+  Opts.ReplAck = ReplAckPolicy::Sync;
+  Opts.ReplAckTimeoutMs = 200;
+  std::ostringstream Out, Log;
+  {
+    Server S(Opts, Out, Log);
+    S.recover();
+    Collector C;
+    for (unsigned I = 0; I != 5; ++I)
+      serveAndWait(S, C, hitLine("r" + std::to_string(I)));
+    for (size_t I = 0; I != 5; ++I) {
+      EXPECT_NE(C.thread(I), std::this_thread::get_id())
+          << "a sync-acked request waits for its ack on the pool";
+      EXPECT_EQ(C.line(I).find("status")->asString(), "ok");
+    }
+    ServerStats St = S.stats();
+    EXPECT_EQ(St.Cache.Hits, 4u);
+    EXPECT_EQ(St.ServedInline, 0u);
+    S.finish();
+  }
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(InlineHitTest, FsyncPerRecordJournalKeepsHitsOnThePool) {
+  // Under --journal-sync=full the end record is an fsync, a disk wait
+  // the reading thread must not take; under batch it is a buffered
+  // write and warm hits are answered inline again.
+  for (JournalSync Sync : {JournalSync::Full, JournalSync::Batch}) {
+    std::string Dir = ::testing::TempDir() + "jslice_inline_fsync";
+    std::filesystem::remove_all(Dir);
+    std::filesystem::create_directories(Dir);
+    ServerOptions Opts;
+    Opts.Threads = 2;
+    Opts.JournalPath = Dir + "/wal.jsonl";
+    Opts.QuarantineDir = Dir + "/quarantine";
+    Opts.JournalSyncPolicy = Sync;
+    std::ostringstream Out, Log;
+    {
+      Server S(Opts, Out, Log);
+      S.recover();
+      Collector C;
+      for (unsigned I = 0; I != 4; ++I)
+        serveAndWait(S, C, hitLine("r" + std::to_string(I)));
+      bool Full = Sync == JournalSync::Full;
+      EXPECT_EQ(C.thread(3) == std::this_thread::get_id(), !Full)
+          << journalSyncName(Sync);
+      EXPECT_EQ(S.stats().ServedInline, Full ? 0u : 2u)
+          << journalSyncName(Sync);
+      S.finish();
+    }
+    std::filesystem::remove_all(Dir);
+  }
+}
+
+TEST(InlineHitTest, StatsCountAResponseAsSoonAsItArrives) {
+  // The outcome is recorded before the sink runs, so a {"stats"} read
+  // the moment an answer lands already counts it — on the pool path
+  // (misses) and the inline one (warm hits) alike.
+  ServerOptions Opts;
+  Opts.Threads = 2;
+  std::ostringstream Out, Log;
+  Server S(Opts, Out, Log);
+  Collector C, Stats;
+  for (unsigned I = 0; I != 24; ++I) {
+    // Every third request is a new program (a miss); the rest repeat.
+    std::string Program = "read(a);\nb = a + " + std::to_string(I / 3) +
+                          ";\nwrite(b);\n";
+    serveAndWait(S, C, hitLine("r" + std::to_string(I),
+                               SliceAlgorithm::Agrawal, Program));
+    S.serveLine("{\"stats\": true}", Stats.sink());
+    ASSERT_EQ(Stats.size(), I + 1);
+    JsonValue St = *Stats.line(I).find("stats");
+    EXPECT_EQ(St.find("served")->asInt(), static_cast<int64_t>(I + 1));
+  }
+  EXPECT_GT(S.stats().ServedInline, 0u);
+  S.finish();
+}
+
+#ifdef JSLICE_HAVE_POSIX_PROCESS
+TEST(InlineHitTest, ProcessModeNeverServesInline) {
+  ServerOptions Opts;
+  Opts.IsolateProcess = true;
+  Opts.Super.Workers = 1;
+  std::ostringstream Out, Log;
+  Server S(Opts, Out, Log);
+  ASSERT_NE(S.supervisor(), nullptr);
+  EXPECT_EQ(S.cache(), nullptr);
+  Collector C;
+  for (unsigned I = 0; I != 5; ++I)
+    serveAndWait(S, C, hitLine("r" + std::to_string(I)));
+  ServerStats St = S.stats();
+  EXPECT_GT(St.Cache.Hits, 0u);
+  EXPECT_EQ(St.ServedInline, 0u);
+  EXPECT_EQ(St.toJson().find("served_inline")->asInt(), 0);
+  S.finish();
+}
+#endif // JSLICE_HAVE_POSIX_PROCESS
 
 //===----------------------------------------------------------------------===//
 // Journal vintages: unstamped and stamped records coexist

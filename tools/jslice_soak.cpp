@@ -286,12 +286,12 @@ int runVolumeSoak(const SoakOptions &Opts) {
               ull(Slices + Cancels + BadLines + 1), ull(Slices), ull(Cancels),
               ull(BadLines), ull(A.Responses), ull(A.DegradedServes));
   if (CS)
-    std::printf("               cache              %llu hits / %llu misses "
-                "(%llu declined), %llu coalesced, %llu evictions, %llu "
-                "audits (%llu mismatches)\n",
-                ull(CS->Hits), ull(CS->Misses), ull(CS->Declined),
-                ull(CS->Coalesced), ull(CS->Evictions), ull(CS->Audits),
-                ull(CS->AuditMismatches));
+    std::printf("               cache              %llu hits (%llu served "
+                "inline) / %llu misses (%llu declined), %llu coalesced, "
+                "%llu evictions, %llu audits (%llu mismatches)\n",
+                ull(CS->Hits), ull(Final.ServedInline), ull(CS->Misses),
+                ull(CS->Declined), ull(CS->Coalesced), ull(CS->Evictions),
+                ull(CS->Audits), ull(CS->AuditMismatches));
   A.printSummary();
   return A.Violations ? 1 : 0;
 }
