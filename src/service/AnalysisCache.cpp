@@ -231,7 +231,8 @@ AnalysisCache::lookup(const std::string &Key,
 }
 
 AnalysisCache::ProbeResult
-AnalysisCache::probe(const std::string &RawKey, SliceAlgorithm Algorithm) {
+AnalysisCache::probe(const std::string &RawKey, SliceAlgorithm Algorithm,
+                     ResourceGuard &G) {
   ProbeResult R;
   std::lock_guard<std::mutex> Lock(M);
   auto Memo = KeyMemo.find(RawKey);
@@ -239,8 +240,10 @@ AnalysisCache::probe(const std::string &RawKey, SliceAlgorithm Algorithm) {
     return R;
   auto It = Slots.find(Memo->second);
   if (It == Slots.end() || It->second.St != State::Ready ||
-      !It->second.Art->BS.closuresReady(Algorithm)) {
-    R.Key = Memo->second;
+      !It->second.Art->BS.closuresReady(Algorithm))
+    return R;
+  if (!G.checkpoint("cache.lookup")) {
+    R.Tripped = true;
     return R;
   }
   ++LookupSeq;

@@ -68,10 +68,11 @@
 /// waits, parses or builds: it answers a hit only for a program whose
 /// raw-key memo entry, Ready slot and closure cache for the requested
 /// algorithm all exist, and the server then serves that hit where it
-/// stands (unless its journal fsyncs every record). Every other request — a memo miss, a Building or Failed
+/// stands. Every other request — a memo miss, a Building or Failed
 /// slot, a first hit that still builds closures, an audited hit — goes
 /// to the pool carrying the probe's answer, so each request is counted
-/// once as a hit or a miss and the audit sampler rolls once for it.
+/// once as a hit or a miss, the audit sampler rolls once for it, and
+/// its cache.lookup checkpoint is charged once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -226,26 +227,29 @@ public:
 
   /// The admission probe's answer (probe()).
   struct ProbeResult {
-    /// The canonical key, when the raw-key memo knows it and the caller
-    /// will need it (everything but an unaudited hit).
-    std::optional<std::string> Key;
     /// A ready artifact whose closure cache for the probed algorithm is
     /// built. The hit is already counted (and sampled): the caller
     /// serves it from here and does not look the key up again.
     std::shared_ptr<const AnalysisArtifact> Hit;
     bool Audit = false; ///< Hit: the sampler picked this one.
+    /// Audited hit: the canonical key, which an audit mismatch drops.
+    std::optional<std::string> Key;
+    /// The guard tripped at the hit's cache.lookup checkpoint, so
+    /// nothing was counted; the caller serves without the cache.
+    bool Tripped = false;
   };
 
   /// Non-blocking hit probe, one critical section: a hit only when the
   /// raw-key memo knows \p RawKey, its slot is Ready, and the closure
   /// cache \p Algorithm reads is already built
   /// (BatchSlicer::closuresReady), so serving it parses, waits and
-  /// builds nothing. Such a hit is counted exactly as lookup() counts
-  /// one (LRU touch, `hits`, one roll of the audit sampler). Anything
-  /// else counts nothing and returns only the canonical key, if the
-  /// memo has one; the caller then takes the ordinary path
-  /// (canonicalize on a memo miss, lookup()), which counts it.
-  ProbeResult probe(const std::string &RawKey, SliceAlgorithm Algorithm);
+  /// builds nothing. Such a hit first charges \p G the cache.lookup
+  /// checkpoint a lookup() caller charges, then is counted exactly as
+  /// lookup() counts one (LRU touch, `hits`, one roll of the audit
+  /// sampler). Anything else charges and counts nothing; the caller
+  /// then takes the ordinary path (canonicalKeyFor, lookup()).
+  ProbeResult probe(const std::string &RawKey, SliceAlgorithm Algorithm,
+                    ResourceGuard &G);
 
   /// Resolves \p Key: returns a ready artifact, makes the caller the
   /// build leader, or — when a leader is already building — waits for

@@ -96,17 +96,26 @@ Budget requestBudget(const ServiceRequest &R, const ExecConfig &Cfg,
 } // namespace
 
 std::optional<ServiceResponse>
-jslice::serveProbedHit(const ServiceRequest &R, const ExecConfig &Cfg,
-                       const std::atomic<bool> *Cancel,
-                       const AnalysisArtifact &Art) {
+jslice::serveReadyHit(const ServiceRequest &R, const ExecConfig &Cfg,
+                      const std::atomic<bool> *Cancel, AnalysisCache &Cache,
+                      CacheAdmission &Adm) {
   Budget B = requestBudget(R, Cfg, Cancel);
   {
-    // The checkpoint the pool path charges before its lookup.
     ResourceGuard KeyG(B);
-    if (!KeyG.checkpoint("cache.lookup"))
-      return std::nullopt;
+    Adm.Probe = Cache.probe(Adm.RawKey, R.Algorithm, KeyG);
   }
-  return serveFromArtifact(R, Art, B);
+  if (Adm.Probe.Tripped) {
+    Adm.SkipCache = true;
+    return std::nullopt;
+  }
+  if (!Adm.Probe.Hit || Adm.Probe.Audit)
+    return std::nullopt;
+  if (std::optional<ServiceResponse> Hit =
+          serveFromArtifact(R, *Adm.Probe.Hit, B))
+    return Hit;
+  Adm.Probe.Hit.reset();
+  Adm.SkipCache = true;
+  return std::nullopt;
 }
 
 ServiceResponse jslice::executeSliceRequest(const ServiceRequest &R,
@@ -128,18 +137,21 @@ ServiceResponse jslice::executeSliceRequest(const ServiceRequest &R,
   std::string LeaderKey;
   std::unique_ptr<Program> Parsed;
   if (Cache && Cache->options().Enabled &&
-      R.Algorithm != SliceAlgorithm::Weiser && !(Adm && Adm->HitUnusable)) {
+      R.Algorithm != SliceAlgorithm::Weiser && !(Adm && Adm->SkipCache)) {
+    // An audited probed hit was charged, counted and sampled by the
+    // probe; only its key is needed here.
+    bool Probed = Adm && Adm->Probe.Hit;
     std::string OwnRawK;
     const std::string &RawK =
         Adm ? Adm->RawKey : (OwnRawK = rawProgramKey(R.Program));
-    std::optional<std::string> Key = Adm ? Adm->Probe.Key : std::nullopt;
-    bool Memoized = Key.has_value();
-    {
+    std::optional<std::string> Key;
+    bool Memoized = false;
+    if (Probed) {
+      Key = Adm->Probe.Key;
+    } else {
       ResourceGuard KeyG(B);
-      if (!Key) {
-        Key = Cache->canonicalKeyFor(RawK);
-        Memoized = Key.has_value();
-      }
+      Key = Cache->canonicalKeyFor(RawK);
+      Memoized = Key.has_value();
       if (!Key && KeyG.checkpoint("cache.key")) {
         ErrorOr<std::unique_ptr<Program>> Prog = parseProgram(R.Program, KeyG);
         if (Prog && !KeyG.exhausted()) {
@@ -152,8 +164,7 @@ ServiceResponse jslice::executeSliceRequest(const ServiceRequest &R,
     }
     if (Key) {
       AnalysisCache::LookupResult L;
-      if (Adm && Adm->Probe.Hit) {
-        // An audited hit: counted, and sampled, by the probe.
+      if (Probed) {
         L = {AnalysisCache::Outcome::Hit, Adm->Probe.Hit, Adm->Probe.Audit};
       } else {
         // Coalesced waits are bounded by the request's own deadline.

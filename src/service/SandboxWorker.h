@@ -58,24 +58,26 @@ struct CacheAdmission {
   /// rawProgramKey(R.Program), hashed once at admission.
   std::string RawKey;
   /// The probe's answer for RawKey. A Hit here is one the reading
-  /// thread did not serve because the sampler picked it for an audit,
-  /// so its Key is set.
+  /// thread did not serve because the sampler picked it for an audit.
   AnalysisCache::ProbeResult Probe;
-  /// The probe's (counted) hit was unusable on the reading thread — a
-  /// guard tripped or the criterion does not resolve — so the pool
-  /// serves the request through the plain ladder, cache untouched.
-  bool HitUnusable = false;
+  /// The pool serves through the plain ladder, cache untouched: the
+  /// guard tripped at the probe's cache.lookup checkpoint (nothing
+  /// counted), or the probe's counted hit was unusable on the reading
+  /// thread (a guard trip, or a criterion that does not resolve).
+  bool SkipCache = false;
 };
 
-/// Serves \p R from \p Art, a ready artifact the admission probe
-/// returned with its closure cache built, under the request's own
-/// budget and through the same code as a pool-side hit. Parses, waits
-/// and builds nothing, so it may run on a transport thread. Nullopt
-/// when the hit is unusable (see CacheAdmission::HitUnusable).
-std::optional<ServiceResponse> serveProbedHit(const ServiceRequest &R,
-                                              const ExecConfig &Cfg,
-                                              const std::atomic<bool> *Cancel,
-                                              const AnalysisArtifact &Art);
+/// Thread mode's admission front: probes \p Cache for \p Adm.RawKey
+/// under the request's own budget and, for a ready hit the sampler did
+/// not pick, serves it through the same code as a pool-side hit.
+/// Parses, waits and builds nothing, so it may run on a transport
+/// thread. Nullopt leaves in \p Adm what the pool needs to serve the
+/// request.
+std::optional<ServiceResponse> serveReadyHit(const ServiceRequest &R,
+                                             const ExecConfig &Cfg,
+                                             const std::atomic<bool> *Cancel,
+                                             AnalysisCache &Cache,
+                                             CacheAdmission &Adm);
 
 /// Runs one slice request through the degradation ladder and renders
 /// the response (status, served tier, lines, attempts; LatencyMs is
@@ -97,8 +99,7 @@ std::optional<ServiceResponse> serveProbedHit(const ServiceRequest &R,
 /// differ from the cache-less path only by the `cached`/`audited`
 /// markers, never by content. \p Adm, when non-null, is the admission
 /// probe's answer for \p R in \p Cache: its raw key stands in for
-/// hashing the program, its canonical key for the memo lookup, and its
-/// counted hit for the cache lookup.
+/// hashing the program, and an audited hit it carries for the lookup.
 ServiceResponse executeSliceRequest(const ServiceRequest &R,
                                     const ExecConfig &Cfg,
                                     const std::atomic<bool> *Cancel,

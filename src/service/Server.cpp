@@ -584,26 +584,17 @@ bool Server::serveLine(const std::string &Line, const ResponseSink &Sink) {
     // built — is answered here, on the thread that read the line: it
     // parses, waits and builds nothing, so it costs less than the hop
     // to a pool thread and back. Everything else goes to the pool with
-    // what the probe learned. A journal that fsyncs every record
-    // (--journal-sync=full) would make the end record a disk wait on
-    // this thread, so there every slice stays on the pool.
-    bool EndMayWaitOnDisk = !Opts.JournalPath.empty() &&
-                            Opts.JournalSyncPolicy == JournalSync::Full;
-    if (CacheFront && !Hang && !AwaitAck && !EndMayWaitOnDisk) {
-      Adm.Probe = Cache->probe(Adm.RawKey, R.Algorithm);
-      if (Adm.Probe.Hit && !Adm.Probe.Audit) {
-        auto Start = std::chrono::steady_clock::now();
-        if (std::optional<ServiceResponse> Resp =
-                serveProbedHit(R, Exec, &Flight->Cancel, *Adm.Probe.Hit)) {
-          Resp->LatencyMs = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - Start)
-                                .count();
-          finishSlice(*Resp, Resp->str(), Sink, /*RungTrips=*/0, "",
-                      /*Inline=*/true);
-          break;
-        }
-        Adm.Probe.Hit.reset();
-        Adm.HitUnusable = true;
+    // what the probe learned.
+    if (CacheFront && !Hang && !AwaitAck) {
+      auto Start = std::chrono::steady_clock::now();
+      if (std::optional<ServiceResponse> Resp =
+              serveReadyHit(R, Exec, &Flight->Cancel, *Cache, Adm)) {
+        Resp->LatencyMs = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - Start)
+                              .count();
+        finishSlice(*Resp, Resp->str(), Sink, /*RungTrips=*/0, "",
+                    /*Inline=*/true);
+        break;
       }
     }
 

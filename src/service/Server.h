@@ -25,9 +25,7 @@
 ///    exception is a cache hit whose artifact is ready to serve: the
 ///    admission probe (AnalysisCache::probe) finds it and the thread
 ///    that read the line answers it, since it parses, waits and builds
-///    nothing (served_inline in {"stats"}). Under a journal that fsyncs
-///    every record the end record would be a disk wait, so there hits
-///    stay on the pool too.
+///    nothing (served_inline in {"stats"}).
 ///  * process: each pool thread is a dispatcher that ships its request
 ///    to a forked sandbox worker over pipe IPC (service/Supervisor.h).
 ///    A worker that segfaults, gets OOM-killed, or hangs costs exactly

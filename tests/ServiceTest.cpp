@@ -2167,6 +2167,45 @@ TEST(InlineHitTest, AuditEveryOneAuditsEachHitExactlyOnce) {
   S.finish();
 }
 
+TEST(InlineHitTest, TripAtCacheLookupCountsNothingInlineOrOnThePool) {
+  // A guard that trips at cache.lookup serves through the plain ladder
+  // and counts no hit and no audit, whether the checkpoint is charged
+  // by the admission probe (a warm hit) or on the pool (a first hit,
+  // whose closures the probe found unbuilt).
+  for (uint64_t AuditEvery : {0u, 1u}) {
+    ServerOptions Opts;
+    Opts.Threads = 2;
+    Opts.Cache.AuditEvery = AuditEvery;
+    std::ostringstream Out, Log;
+    Server S(Opts, Out, Log);
+    Collector C;
+    serveAndWait(S, C, hitLine("miss"));
+    serveAndWait(S, C, hitLine("warm"));
+
+    for (SliceAlgorithm Algo :
+         {SliceAlgorithm::Agrawal, SliceAlgorithm::BallHorwitz}) {
+      ServerStats Before = S.stats();
+      {
+        FaultInjection::ScopedArm Arm(1);
+        serveAndWait(S, C, hitLine(algorithmName(Algo), Algo));
+      }
+      EXPECT_STREQ(FaultInjection::trippedSite(), "cache.lookup")
+          << algorithmName(Algo);
+      JsonValue V = C.line(C.size() - 1);
+      EXPECT_EQ(V.find("status")->asString(), "ok") << V.str();
+      EXPECT_EQ(V.find("lines")->str(), "[1,2,3]") << V.str();
+      EXPECT_EQ(V.find("cached"), nullptr) << V.str();
+      EXPECT_NE(C.thread(C.size() - 1), std::this_thread::get_id());
+      ServerStats After = S.stats();
+      EXPECT_EQ(After.Cache.Hits, Before.Cache.Hits) << V.str();
+      EXPECT_EQ(After.Cache.Misses, Before.Cache.Misses) << V.str();
+      EXPECT_EQ(After.Cache.Audits, Before.Cache.Audits) << V.str();
+      EXPECT_EQ(After.ServedInline, Before.ServedInline) << V.str();
+    }
+    S.finish();
+  }
+}
+
 TEST(InlineHitTest, SyncReplicationAckNeverServesInline) {
   std::string Dir = ::testing::TempDir() + "jslice_inline_sync";
   std::filesystem::remove_all(Dir);
@@ -2198,10 +2237,9 @@ TEST(InlineHitTest, SyncReplicationAckNeverServesInline) {
   std::filesystem::remove_all(Dir);
 }
 
-TEST(InlineHitTest, FsyncPerRecordJournalKeepsHitsOnThePool) {
-  // Under --journal-sync=full the end record is an fsync, a disk wait
-  // the reading thread must not take; under batch it is a buffered
-  // write and warm hits are answered inline again.
+TEST(InlineHitTest, JournaledWarmHitsAreServedInlineUnderEverySyncPolicy) {
+  // The journal end record is written where the hit is served, as the
+  // begin record is, whatever the sync policy.
   for (JournalSync Sync : {JournalSync::Full, JournalSync::Batch}) {
     std::string Dir = ::testing::TempDir() + "jslice_inline_fsync";
     std::filesystem::remove_all(Dir);
@@ -2218,11 +2256,9 @@ TEST(InlineHitTest, FsyncPerRecordJournalKeepsHitsOnThePool) {
       Collector C;
       for (unsigned I = 0; I != 4; ++I)
         serveAndWait(S, C, hitLine("r" + std::to_string(I)));
-      bool Full = Sync == JournalSync::Full;
-      EXPECT_EQ(C.thread(3) == std::this_thread::get_id(), !Full)
+      EXPECT_EQ(C.thread(3), std::this_thread::get_id())
           << journalSyncName(Sync);
-      EXPECT_EQ(S.stats().ServedInline, Full ? 0u : 2u)
-          << journalSyncName(Sync);
+      EXPECT_EQ(S.stats().ServedInline, 2u) << journalSyncName(Sync);
       S.finish();
     }
     std::filesystem::remove_all(Dir);

@@ -372,6 +372,27 @@ void runUpgrade(UpgradeContext &Ctx) {
   int SP[2] = {-1, -1};
   bool HavePair = makeSocketPair(SP);
 
+  // The successor's argv is built here, before the fork: the child of
+  // a multithreaded process may not allocate, since another thread can
+  // hold the allocator's lock at the fork and nothing in the child
+  // would release it (the child then never reaches exec).
+  std::vector<std::string> Args = Ctx.RespawnArgs;
+  Args.push_back("--generation");
+  Args.push_back(std::to_string(NextGen));
+  Args.push_back("--upgrade-from");
+  Args.push_back(std::to_string(static_cast<long>(::getpid())));
+  Args.push_back("--ready-fd");
+  Args.push_back(std::to_string(ReadyPipe[1]));
+  if (HavePair) {
+    Args.push_back("--listener-socket");
+    Args.push_back(std::to_string(SP[1]));
+  }
+  std::vector<char *> Argv;
+  Argv.reserve(Args.size() + 1);
+  for (std::string &A : Args)
+    Argv.push_back(const_cast<char *>(A.c_str()));
+  Argv.push_back(nullptr);
+
   pid_t Pid = ::fork();
   if (Pid < 0) {
     std::fprintf(stderr, "jslice_serve: upgrade failed: fork failed\n");
@@ -393,22 +414,6 @@ void runUpgrade(UpgradeContext &Ctx) {
     ::close(ReadyPipe[0]);
     if (HavePair)
       ::close(SP[0]);
-    std::vector<std::string> Args = Ctx.RespawnArgs;
-    Args.push_back("--generation");
-    Args.push_back(std::to_string(NextGen));
-    Args.push_back("--upgrade-from");
-    Args.push_back(std::to_string(static_cast<long>(::getppid())));
-    Args.push_back("--ready-fd");
-    Args.push_back(std::to_string(ReadyPipe[1]));
-    if (HavePair) {
-      Args.push_back("--listener-socket");
-      Args.push_back(std::to_string(SP[1]));
-    }
-    std::vector<char *> Argv;
-    Argv.reserve(Args.size() + 1);
-    for (std::string &A : Args)
-      Argv.push_back(const_cast<char *>(A.c_str()));
-    Argv.push_back(nullptr);
     ::execvp(Argv[0], Argv.data());
     _exit(127); // Exec failed; the parent sees death-before-ready.
   }
