@@ -137,25 +137,59 @@ uint64_t stamp(const JsonValue &Rec, const char *Key) {
 
 } // namespace
 
-std::string jslice::encodeJournalRecord(const JournalRecord &Head,
-                                        JsonValue Body) {
-  Body.set("event", Head.Event);
-  if (!Head.Id.empty())
-    Body.set("id", Head.Id);
-  if (Head.Gen)
-    Body.set("gen", Head.Gen);
-  if (Head.Epoch)
-    Body.set("epoch", Head.Epoch);
-  Body.set("seq", Head.Seq);
+std::string
+jslice::encodeJournalRecord(const JournalRecord &Head,
+                            std::initializer_list<JournalMember> Body) {
   // Keys serialize sorted and "crc" sorts before every record key, so
   // the checksummed record is the crc-less serialization with the crc
   // member spliced in after its opening brace. The payload is written
-  // once, behind a placeholder crc member; it is checksummed where it
-  // lies, then its '{' becomes the ',' that joins the two.
+  // once, behind a placeholder crc member, each member led by its ','.
+  // The first ',' stands in for the payload's '{' while the payload is
+  // checksummed where it lies.
   static constexpr std::string_view Placeholder = "{\"crc\":\"00000000\"";
   static constexpr size_t CrcAt = 8; // After {"crc":"
-  std::string Line(Placeholder);
-  Body.appendTo(Line);
+  size_t Size = Placeholder.size() + 96 + Head.Event.size() + Head.Id.size();
+  for (const JournalMember &M : Body)
+    Size += M.Key.size() + M.Json.size() + 4;
+  std::string Line;
+  Line.reserve(Size);
+  Line += Placeholder;
+  // The head's members merge into the body's at their sorted places.
+  const JournalMember *Next = Body.begin();
+  auto Emit = [&Line](std::string_view Key) {
+    Line += ",\"";
+    Line += Key;
+    Line += "\":";
+  };
+  auto Member = [&](std::string_view Key) {
+    for (; Next != Body.end() && Next->Key < Key; ++Next) {
+      Emit(Next->Key);
+      Line += Next->Json;
+    }
+    Emit(Key);
+  };
+  if (Head.Epoch) {
+    Member("epoch");
+    appendJsonInt(Line, static_cast<int64_t>(Head.Epoch));
+  }
+  Member("event");
+  appendJsonString(Line, Head.Event);
+  if (Head.Gen) {
+    Member("gen");
+    appendJsonInt(Line, static_cast<int64_t>(Head.Gen));
+  }
+  if (!Head.Id.empty()) {
+    Member("id");
+    appendJsonString(Line, Head.Id);
+  }
+  Member("seq");
+  appendJsonInt(Line, static_cast<int64_t>(Head.Seq));
+  for (; Next != Body.end(); ++Next) {
+    Emit(Next->Key);
+    Line += Next->Json;
+  }
+  Line += '}';
+  Line[Placeholder.size()] = '{';
   std::string_view Payload(Line);
   Payload.remove_prefix(Placeholder.size());
   writeCrcHex(&Line[CrcAt], journalCrc32(Payload));
@@ -193,9 +227,9 @@ jslice::decodeJournalLine(const std::string &Line) {
   R.Gen = stamp(*V, "gen");
   R.Epoch = stamp(*V, "epoch");
   if (R.Event == "begin")
-    if (const JsonValue *Req = V->find("request")) {
+    if (JsonValue *Req = V->find("request")) {
       ServiceRequest Q;
-      if (requestFromJson(*Req, Q))
+      if (requestFromJson(std::move(*Req), Q))
         R.Request = std::move(Q);
     }
   return R;
@@ -601,7 +635,8 @@ bool Journal::appendLocked(const std::string &Line) {
 /// seq order) and then folded into the in-flight index, which takes
 /// the line itself rather than a copy.
 bool Journal::appendRecordLocked(const char *Event, const std::string &Id,
-                                 JsonValue Body, uint64_t *SeqOut) {
+                                 std::initializer_list<JournalMember> Body,
+                                 uint64_t *SeqOut) {
   if (!File)
     return false;
   JournalRecord Head;
@@ -610,7 +645,7 @@ bool Journal::appendRecordLocked(const char *Event, const std::string &Id,
   Head.Gen = Gen;
   Head.Epoch = Epoch;
   uint64_t Seq = Head.Seq = NextSeq++;
-  std::string Line = encodeJournalRecord(Head, std::move(Body));
+  std::string Line = encodeJournalRecord(Head, Body);
   if (!appendLocked(Line))
     return false;
   if (SeqOut)
@@ -622,24 +657,30 @@ bool Journal::appendRecordLocked(const char *Event, const std::string &Id,
 }
 
 bool Journal::begin(const ServiceRequest &R, uint64_t *SeqOut) {
-  JsonValue Body = JsonValue::object();
-  Body.set("request", R.toJson());
+  // Serialized before the lock; a canonical program literal is copied,
+  // not escaped again.
+  std::string Request;
+  size_t Size = 128 + R.Id.size() +
+                (R.ProgramLiteral.empty() ? R.Program.size() * 9 / 8
+                                          : R.ProgramLiteral.size());
+  for (const std::string &V : R.Vars)
+    Size += V.size() + 3;
+  Request.reserve(Size);
+  R.appendJson(Request);
   std::lock_guard<std::mutex> Lock(M);
-  return appendRecordLocked("begin", R.Id, std::move(Body), SeqOut);
+  return appendRecordLocked("begin", R.Id, {{"request", Request}}, SeqOut);
 }
 
 bool Journal::end(const std::string &Id, const std::string &Status) {
-  JsonValue Body = JsonValue::object();
-  Body.set("status", Status);
+  std::string Quoted;
+  appendJsonString(Quoted, Status);
   std::lock_guard<std::mutex> Lock(M);
-  return appendRecordLocked("end", Id, std::move(Body));
+  return appendRecordLocked("end", Id, {{"status", Quoted}});
 }
 
 bool Journal::shutdownRecord() {
-  JsonValue Body = JsonValue::object();
-  Body.set("status", "clean");
   std::lock_guard<std::mutex> Lock(M);
-  return appendRecordLocked("shutdown", "", std::move(Body));
+  return appendRecordLocked("shutdown", "", {{"status", "\"clean\""}});
 }
 
 bool Journal::appendReplica(const std::string &Line, JournalRecord Rec) {
@@ -713,7 +754,7 @@ bool Journal::tryReattach() {
   ++Stats.Reopens;
   SyncBroken = false;
   // Re-latches Failed on failure.
-  return appendRecordLocked("reattach", "", JsonValue::object());
+  return appendRecordLocked("reattach", "", {});
 }
 
 /// Rewrites the file to exactly the unmatched begins. Called with the

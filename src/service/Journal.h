@@ -114,6 +114,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -179,12 +180,22 @@ struct JournalRecord {
   std::optional<ServiceRequest> Request;
 };
 
+/// One member of a record body, already serialized: its key and the
+/// JSON bytes of its value.
+struct JournalMember {
+  std::string_view Key;
+  std::string_view Json;
+};
+
 /// The one record encoder. \p Body holds the event's own members
-/// (`request`, `status`); the encoder adds `event`, `id` (when
-/// non-empty), the `gen`/`epoch` stamps (when non-zero) and `seq` from
-/// \p Head, serializes once, and frames the result with the CRC of that
-/// serialization. Returns the line without its newline.
-std::string encodeJournalRecord(const JournalRecord &Head, JsonValue Body);
+/// (`request`, `status`) in ascending key order, none of them a head
+/// key; the encoder merges in `event`, `id` (when non-empty), the
+/// `gen`/`epoch` stamps (when non-zero) and `seq` from \p Head, writes
+/// every member once in the sorted order JsonValue objects serialize
+/// in, and frames the result with the CRC of that serialization.
+/// Returns the line without its newline.
+std::string encodeJournalRecord(const JournalRecord &Head,
+                                std::initializer_list<JournalMember> Body);
 
 /// The one record decoder: parses \p Line once and verifies its CRC by
 /// the format's rule (strip `crc`, re-serialize, compare). Nullopt for
@@ -340,9 +351,9 @@ public:
   /// survivor releases once the other process is gone.
   void holdRotation(bool Hold);
 
-  /// Appends the write-ahead record for \p R. False when the record
-  /// did not become durable (the journal is disabled or failed).
-  /// \p SeqOut (when non-null) receives the record's sequence number —
+  /// Appends the write-ahead record for slice request \p R. False when
+  /// the record did not become durable (the journal is disabled or
+  /// failed). \p SeqOut (when non-null) receives the record's sequence number —
   /// what a sync-ack replication policy waits on.
   bool begin(const ServiceRequest &R, uint64_t *SeqOut = nullptr);
 
@@ -366,7 +377,8 @@ private:
   bool commitLocked();
   bool reopenLocked();
   bool appendRecordLocked(const char *Event, const std::string &Id,
-                          JsonValue Body, uint64_t *SeqOut = nullptr);
+                          std::initializer_list<JournalMember> Body,
+                          uint64_t *SeqOut = nullptr);
   bool rewriteLocked();
   void stopFlusherLocked(std::unique_lock<std::mutex> &Lock);
   void flusherMain();

@@ -8,6 +8,7 @@
 #include "service/Json.h"
 
 #include <array>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -34,12 +35,38 @@ constexpr std::array<unsigned char, 256> makeByteClasses() {
 
 constexpr std::array<unsigned char, 256> ByteClasses = makeByteClasses();
 
-/// The first non-Plain byte in [P, End), or End.
-const char *skipPlain(const char *P, const char *End) {
+} // namespace
+
+/// Eight bytes at a time where a 64-bit word holds them in address
+/// order from its low byte up: a word's stop bytes — a quote, a
+/// backslash, or a byte below 0x20 — are flagged in their top bits by
+/// the has-zero-byte and has-less-than tests. A borrow can only flag a
+/// byte above a real stop byte, so the lowest flag is exact, and it
+/// is the only one read. The tail, and every other byte order, goes
+/// through the table.
+const char *jslice::detail::skipPlainJson(const char *P, const char *End) {
+  if constexpr (std::endian::native == std::endian::little) {
+    constexpr uint64_t Ones = 0x0101010101010101ull;
+    constexpr uint64_t Highs = 0x8080808080808080ull;
+    auto ZeroBytes = [](uint64_t X) { return (X - Ones) & ~X & Highs; };
+    for (; End - P >= 8; P += 8) {
+      uint64_t W;
+      std::memcpy(&W, P, sizeof(W));
+      uint64_t Stops = ZeroBytes(W ^ (Ones * '"')) |
+                       ZeroBytes(W ^ (Ones * '\\')) |
+                       ((W - Ones * 0x20) & ~W & Highs);
+      if (Stops)
+        return P + std::countr_zero(Stops) / 8;
+    }
+  }
   while (P != End && ByteClasses[static_cast<unsigned char>(*P)] == Plain)
     ++P;
   return P;
 }
+
+namespace {
+
+using jslice::detail::skipPlainJson;
 
 //===----------------------------------------------------------------------===//
 // Serialization
@@ -47,11 +74,13 @@ const char *skipPlain(const char *P, const char *End) {
 
 /// Appends \p S escaped for a JSON string literal (no quotes): plain
 /// runs whole, then the one escape that ended the run.
-void appendEscaped(std::string &Out, const std::string &S) {
-  static constexpr char Hex[] = "0123456789abcdef";
+/// The digits the escaper writes \u00xx with.
+constexpr char HexDigits[] = "0123456789abcdef";
+
+void appendEscaped(std::string &Out, std::string_view S) {
   const char *P = S.data(), *End = P + S.size();
   for (;;) {
-    const char *Stop = skipPlain(P, End);
+    const char *Stop = skipPlainJson(P, End);
     Out.append(P, Stop - P);
     if (Stop == End)
       return;
@@ -81,20 +110,41 @@ void appendEscaped(std::string &Out, const std::string &S) {
       break;
     default: {
       // The remaining control bytes, as lowercase \u00xx.
-      const char U[] = {'\\', 'u', '0', '0', Hex[C >> 4], Hex[C & 0xf]};
+      const char U[] = {'\\', 'u', '0', '0', HexDigits[C >> 4],
+                       HexDigits[C & 0xf]};
       Out.append(U, sizeof(U));
     }
     }
   }
 }
 
-void appendQuoted(std::string &Out, const std::string &S) {
+} // namespace
+
+void jslice::appendJsonString(std::string &Out, std::string_view S) {
   Out += '"';
   appendEscaped(Out, S);
   Out += '"';
 }
 
-} // namespace
+void jslice::appendJsonInt(std::string &Out, int64_t N) {
+  char Buf[24];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), N).ptr);
+}
+
+void jslice::appendJsonDouble(std::string &Out, double D) {
+  if (!std::isfinite(D)) {
+    Out += "null"; // JSON has no NaN/Inf.
+    return;
+  }
+  char Buf[32];
+  int N = std::snprintf(Buf, sizeof(Buf), "%.3f", D);
+  if (N >= static_cast<int>(sizeof(Buf))) {
+    // Past 1e27 the fixed form outgrows the buffer; the tree writer
+    // kept the truncated prefix, so this one does too.
+    N = sizeof(Buf) - 1;
+  }
+  Out.append(Buf, static_cast<size_t>(N));
+}
 
 std::string jslice::jsonEscape(const std::string &S) {
   std::string Out;
@@ -117,20 +167,14 @@ void JsonValue::appendTo(std::string &Out) const {
   case Kind::Bool:
     Out += BoolV ? "true" : "false";
     return;
-  case Kind::Number: {
-    char Buf[32];
-    if (!IsDouble) {
-      Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), NumV).ptr);
-    } else if (std::isfinite(DblV)) {
-      std::snprintf(Buf, sizeof(Buf), "%.3f", DblV);
-      Out += Buf;
-    } else {
-      Out += "null"; // JSON has no NaN/Inf.
-    }
+  case Kind::Number:
+    if (IsDouble)
+      appendJsonDouble(Out, DblV);
+    else
+      appendJsonInt(Out, NumV);
     return;
-  }
   case Kind::String:
-    appendQuoted(Out, StrV);
+    appendJsonString(Out, StrV);
     return;
   case Kind::Array: {
     Out += '[';
@@ -151,7 +195,7 @@ void JsonValue::appendTo(std::string &Out) const {
       if (!First)
         Out += ',';
       First = false;
-      appendQuoted(Out, Key);
+      appendJsonString(Out, Key);
       Out += ':';
       V.appendTo(Out);
     }
@@ -235,7 +279,15 @@ private:
       return array(Out, Depth);
     if (C == '"') {
       Out.K = Kind::String;
-      return string(Out.StrV);
+      size_t At = static_cast<size_t>(Cur + 1 - Begin);
+      bool Canonical = true;
+      if (!string(Out.StrV, Canonical))
+        return false;
+      if (Canonical) {
+        Out.LiteralAt = At;
+        Out.LiteralLen = static_cast<size_t>(Cur - 1 - Begin) - At;
+      }
+      return true;
     }
     if (C == 't') {
       if (!literal("true"))
@@ -270,7 +322,8 @@ private:
       if (Cur == End || *Cur != '"')
         return fail("expected object key");
       std::string Key;
-      if (!string(Key))
+      bool Canonical = true;
+      if (!string(Key, Canonical))
         return false;
       skipWs();
       if (!consume(':'))
@@ -348,10 +401,12 @@ private:
 
   /// The string literal at the cursor, decoded into \p Out: each plain
   /// run is appended whole, then the byte that ended it is acted on.
-  bool string(std::string &Out) {
+  /// \p Canonical is cleared on the first escape the writer would not
+  /// have produced for the byte it decodes to (appendEscaped).
+  bool string(std::string &Out, bool &Canonical) {
     consume('"');
     for (;;) {
-      const char *Stop = skipPlain(Cur, End);
+      const char *Stop = skipPlainJson(Cur, End);
       Out.append(Cur, Stop - Cur);
       Cur = Stop;
       if (Cur == End)
@@ -365,9 +420,11 @@ private:
         return fail("unterminated escape");
       char E = *Cur++;
       switch (E) {
+      case '/':
+        Canonical = false;
+        [[fallthrough]];
       case '"':
       case '\\':
-      case '/':
         Out += E;
         break;
       case 'b':
@@ -389,6 +446,14 @@ private:
         unsigned Code = 0;
         if (!hex4(Code))
           return false;
+        // The writer spells only the control bytes without a short
+        // escape this way, as lower-case \u00xx.
+        if (Canonical && !(Code < 0x20 && Code != '\b' && Code != '\f' &&
+                           Code != '\n' && Code != '\r' && Code != '\t' &&
+                           Cur[-4] == '0' && Cur[-3] == '0' &&
+                           Cur[-2] == HexDigits[Code >> 4] &&
+                           Cur[-1] == HexDigits[Code & 0xf]))
+          Canonical = false;
         // Surrogate handling: a \uD800-\uDBFF immediately followed by
         // \uDC00-\uDFFF decodes as one supplementary code point
         // (4-byte UTF-8). A lone surrogate — either half on its own —

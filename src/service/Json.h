@@ -16,8 +16,9 @@
 /// never leak downstream). Raw non-escape bytes pass through
 /// byte-transparently — the parser validates JSON structure, not
 /// UTF-8 well-formedness. Both directions work in runs: a 256-entry
-/// byte-class table finds the next quote, backslash or control byte,
-/// and everything before it is appended at once. No external
+/// scanner (detail::skipPlainJson) finds the next quote, backslash or
+/// control byte eight bytes at a time, and everything before it is
+/// appended at once. No external
 /// dependency — the container
 /// bakes in nothing — and no exceptions: parse() returns nullopt with
 /// a position-carrying message, matching the library's ErrorOr
@@ -32,6 +33,8 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace jslice {
@@ -78,6 +81,11 @@ public:
   int64_t asInt() const { return NumV; }
   double asDouble() const { return IsDouble ? DblV : double(NumV); }
   const std::string &asString() const { return StrV; }
+  /// Moves the string out, leaving this value's string empty.
+  std::string takeString() {
+    LiteralLen = NoLiteral;
+    return std::move(StrV);
+  }
   const std::vector<JsonValue> &elements() const { return Arr; }
   const std::map<std::string, JsonValue> &members() const { return Obj; }
 
@@ -106,6 +114,23 @@ public:
     auto It = Obj.find(Key);
     return It == Obj.end() ? nullptr : &It->second;
   }
+  JsonValue *find(const std::string &Key) {
+    return const_cast<JsonValue *>(std::as_const(*this).find(Key));
+  }
+
+  /// For a string parse() read from \p Text whose literal is already
+  /// canonical — exactly the bytes appendTo() writes between the
+  /// quotes — that literal within \p Text; nullopt for any other
+  /// value. A literal is canonical when its only escapes are \" \\ \b
+  /// \f \n \r \t and lower-case \u00xx for the other control bytes:
+  /// no \/, no other \u escape, no upper-case hex digit.
+  std::optional<std::string_view>
+  canonicalLiteral(std::string_view Text) const {
+    if (K != Kind::String || LiteralLen == NoLiteral ||
+        LiteralAt + LiteralLen > Text.size())
+      return std::nullopt;
+    return Text.substr(LiteralAt, LiteralLen);
+  }
 
   /// Compact single-line serialization (keys sorted, no whitespace).
   std::string str() const;
@@ -123,6 +148,8 @@ public:
 private:
   class Parser;
 
+  static constexpr size_t NoLiteral = ~size_t(0);
+
   Kind K;
   bool BoolV = false;
   int64_t NumV = 0;
@@ -131,10 +158,31 @@ private:
   std::string StrV;
   std::vector<JsonValue> Arr;
   std::map<std::string, JsonValue> Obj;
+  /// A parsed string's canonical literal: its offset and length in the
+  /// parsed text (NoLiteral when not canonical or not parsed).
+  size_t LiteralAt = 0;
+  size_t LiteralLen = NoLiteral;
 };
 
 /// Escapes \p S for embedding in a JSON string literal (no quotes).
 std::string jsonEscape(const std::string &S);
+
+/// Writers for callers that serialize an object straight into one
+/// buffer instead of building a tree; each appends the bytes
+/// JsonValue::appendTo writes for the same value.
+/// \p S as a quoted string literal.
+void appendJsonString(std::string &Out, std::string_view S);
+/// \p N as an integer.
+void appendJsonInt(std::string &Out, int64_t N);
+/// \p D as a fraction: three decimals, null when not finite.
+void appendJsonDouble(std::string &Out, double D);
+
+namespace detail {
+/// The first byte in [\p P, \p End) that a JSON string literal cannot
+/// hold as is — a quote, a backslash or a byte below 0x20 — or \p End.
+/// The escaper and the parser both scan with it.
+const char *skipPlainJson(const char *P, const char *End);
+} // namespace detail
 
 } // namespace jslice
 

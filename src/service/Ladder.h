@@ -94,7 +94,7 @@ struct LadderResult {
   SliceAlgorithm Requested = SliceAlgorithm::Agrawal;
   SliceAlgorithm Served = SliceAlgorithm::Agrawal;
   SliceResult Result;          ///< Valid when Ok.
-  std::set<unsigned> Lines;    ///< Result as source lines, when Ok.
+  LineList Lines;              ///< Result as source lines, when Ok.
   std::optional<Analysis> A;   ///< The serving rung's analysis, when Ok.
   DiagList Diags;              ///< Why, when !Ok.
   std::vector<LadderAttempt> Attempts;

@@ -106,18 +106,55 @@ JsonValue ServiceRequest::toJson() const {
   return Out;
 }
 
-bool jslice::requestFromJson(const JsonValue &V, ServiceRequest &Out) {
+void ServiceRequest::appendJson(std::string &Out) const {
+  // Members in the sorted key order JsonValue objects serialize in.
+  auto Count = [&Out](const char *Key, uint64_t N) {
+    Out += Key;
+    appendJsonInt(Out, static_cast<int64_t>(N));
+  };
+  Out += "{\"algorithm\":";
+  appendJsonString(Out, algorithmName(Algorithm));
+  if (BudgetMs)
+    Count(",\"budget_ms\":", BudgetMs);
+  Out += ",\"id\":";
+  appendJsonString(Out, Id);
+  Count(",\"line\":", Line);
+  if (MaxSteps)
+    Count(",\"max_steps\":", MaxSteps);
+  if (MinEpoch)
+    Count(",\"min_epoch\":", MinEpoch);
+  Out += ",\"program\":";
+  if (ProgramLiteral.empty()) {
+    appendJsonString(Out, Program);
+  } else {
+    Out += '"';
+    Out += ProgramLiteral;
+    Out += '"';
+  }
+  if (!Vars.empty()) {
+    Out += ",\"vars\":[";
+    for (size_t I = 0; I != Vars.size(); ++I) {
+      if (I)
+        Out += ',';
+      appendJsonString(Out, Vars[I]);
+    }
+    Out += ']';
+  }
+  Out += '}';
+}
+
+bool jslice::requestFromJson(JsonValue &&V, ServiceRequest &Out) {
   if (!V.isObject())
     return false;
-  const JsonValue *Id = V.find("id");
-  const JsonValue *Program = V.find("program");
+  JsonValue *Id = V.find("id");
+  JsonValue *Program = V.find("program");
   const JsonValue *Line = V.find("line");
   if (!Id || !Id->isString() || !Program || !Program->isString() || !Line ||
       !Line->isNumber() || Line->asInt() <= 0)
     return false;
   Out.Kind = RequestKind::Slice;
-  Out.Id = Id->asString();
-  Out.Program = Program->asString();
+  Out.Id = Id->takeString();
+  Out.Program = Program->takeString();
   Out.Line = static_cast<unsigned>(Line->asInt());
   Out.Vars.clear();
   if (const JsonValue *Vars = V.find("vars")) {
@@ -232,11 +269,15 @@ ParsedRequest jslice::parseRequestLine(const std::string &Line) {
     Out.Error = "slice request requires a positive \"line\"";
     return Out;
   }
-  if (!requestFromJson(*V, Out.Request)) {
+  std::optional<std::string_view> Literal =
+      V->find("program")->canonicalLiteral(Line);
+  if (!requestFromJson(std::move(*V), Out.Request)) {
     Out.Error = "malformed field (vars must be non-empty strings, "
                 "algorithm a known name, budgets non-negative numbers)";
     return Out;
   }
+  if (Literal)
+    Out.Request.ProgramLiteral = *Literal;
   Out.Ok = true;
   return Out;
 }
@@ -278,41 +319,93 @@ jslice::responseStatusByName(const std::string &Name) {
 }
 
 std::string ServiceResponse::str() const {
-  JsonValue Out = JsonValue::object();
-  if (!Id.empty())
-    Out.set("id", Id);
-  Out.set("status", responseStatusName(Status));
-  if (!Requested.empty())
-    Out.set("requested", Requested);
-  if (Status == ResponseStatus::Ok) {
-    Out.set("served_tier", ServedTier);
-    Out.set("degraded", Degraded);
-    if (FromCache)
-      Out.set("cached", true);
-    if (Audited)
-      Out.set("audited", true);
-    JsonValue Ls = JsonValue::array();
-    for (unsigned L : Lines)
-      Ls.push(static_cast<int64_t>(L));
-    Out.set("lines", std::move(Ls));
-  }
+  // One pass, members in the sorted key order JsonValue objects
+  // serialize in; the reserve covers everything but escapes.
+  bool Ok = Status == ResponseStatus::Ok;
+  size_t Size = 160 + Id.size() + Requested.size() + ServedTier.size() +
+                Error.size() + ReproPath.size() + 11 * Lines.size();
+  for (const TierReport &A : Attempts)
+    Size += 48 + A.Tier.size() + A.Outcome.size() + A.Detail.size();
+  std::string Out;
+  Out.reserve(Size);
+  char Sep = '{';
+  auto Key = [&](const char *Name) {
+    Out += Sep;
+    Sep = ',';
+    Out += '"';
+    Out += Name;
+    Out += "\":";
+  };
   if (!Attempts.empty()) {
-    JsonValue As = JsonValue::array();
+    Key("attempts");
+    char ASep = '[';
     for (const TierReport &A : Attempts) {
-      JsonValue V = JsonValue::object();
-      V.set("tier", A.Tier);
-      V.set("outcome", A.Outcome);
-      if (!A.Detail.empty())
-        V.set("detail", A.Detail);
-      As.push(std::move(V));
+      Out += ASep;
+      ASep = ',';
+      Out += '{';
+      if (!A.Detail.empty()) {
+        Out += "\"detail\":";
+        appendJsonString(Out, A.Detail);
+        Out += ',';
+      }
+      Out += "\"outcome\":";
+      appendJsonString(Out, A.Outcome);
+      Out += ",\"tier\":";
+      appendJsonString(Out, A.Tier);
+      Out += '}';
     }
-    Out.set("attempts", std::move(As));
+    Out += ']';
   }
-  if (!Error.empty())
-    Out.set("error", Error);
-  if (!ReproPath.empty())
-    Out.set("repro", ReproPath);
-  if (LatencyMs >= 0)
-    Out.set("latency_ms", LatencyMs);
-  return Out.str();
+  if (Ok && Audited) {
+    Key("audited");
+    Out += "true";
+  }
+  if (Ok && FromCache) {
+    Key("cached");
+    Out += "true";
+  }
+  if (Ok) {
+    Key("degraded");
+    Out += Degraded ? "true" : "false";
+  }
+  if (!Error.empty()) {
+    Key("error");
+    appendJsonString(Out, Error);
+  }
+  if (!Id.empty()) {
+    Key("id");
+    appendJsonString(Out, Id);
+  }
+  if (LatencyMs >= 0) {
+    Key("latency_ms");
+    appendJsonDouble(Out, LatencyMs);
+  }
+  if (Ok) {
+    Key("lines");
+    char LSep = '[';
+    for (unsigned L : Lines) {
+      Out += LSep;
+      LSep = ',';
+      appendJsonInt(Out, L);
+    }
+    if (Lines.empty())
+      Out += '[';
+    Out += ']';
+  }
+  if (!ReproPath.empty()) {
+    Key("repro");
+    appendJsonString(Out, ReproPath);
+  }
+  if (!Requested.empty()) {
+    Key("requested");
+    appendJsonString(Out, Requested);
+  }
+  if (Ok) {
+    Key("served_tier");
+    appendJsonString(Out, ServedTier);
+  }
+  Key("status");
+  appendJsonString(Out, responseStatusName(Status));
+  Out += '}';
+  return Out;
 }

@@ -70,8 +70,8 @@
 #include "service/Json.h"
 #include "slicer/Slicers.h"
 
-#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace jslice {
@@ -94,6 +94,13 @@ struct ServiceRequest {
 
   std::string Id;      ///< Slice: caller's correlation id (required).
   std::string Program; ///< Slice: Mini-C source text.
+  /// Slice: the program as the request line spelled it between its
+  /// quotes, when that spelling is canonical — the bytes the JSON
+  /// writer produces for Program — so the journal copies it instead of
+  /// escaping Program again; empty otherwise. A view into the line
+  /// parseRequestLine read: valid only while that line lives, and
+  /// cleared before the request outlives it (Server::serveLine).
+  std::string_view ProgramLiteral;
   unsigned Line = 0;   ///< Slice: criterion line (required).
   std::vector<std::string> Vars; ///< Slice: empty = vars used at line.
   SliceAlgorithm Algorithm = SliceAlgorithm::Agrawal;
@@ -116,13 +123,19 @@ struct ServiceRequest {
   /// value is stable within one build only: keys are never persisted.
   std::string contentKey() const;
 
-  /// The request as a protocol JSON object (journal entries round-trip
-  /// through this).
+  /// The request as a protocol JSON object.
   JsonValue toJson() const;
+
+  /// For a slice request: appends toJson()'s serialization to \p Out
+  /// without building the tree, copying ProgramLiteral where it is set
+  /// (journal begin records and sandbox frames are written through
+  /// this; neither carries any other kind).
+  void appendJson(std::string &Out) const;
 };
 
 /// Parses one request line. On failure the string is a human-readable
-/// reason (the server wraps it in a bad-request response).
+/// reason (the server wraps it in a bad-request response). A slice
+/// request's ProgramLiteral views \p Line.
 struct ParsedRequest {
   bool Ok = false;
   ServiceRequest Request;
@@ -131,9 +144,10 @@ struct ParsedRequest {
 };
 ParsedRequest parseRequestLine(const std::string &Line);
 
-/// Reconstructs a slice request from a journal "request" object.
-/// Returns false when required fields are missing.
-bool requestFromJson(const JsonValue &V, ServiceRequest &Out);
+/// Reconstructs a slice request from a journal "request" object,
+/// moving its strings out of \p V. Returns false when required fields
+/// are missing.
+bool requestFromJson(JsonValue &&V, ServiceRequest &Out);
 
 /// Response statuses, as wire strings.
 enum class ResponseStatus {
@@ -169,7 +183,7 @@ struct ServiceResponse {
   bool Degraded = false;
   bool FromCache = false; ///< Served from the analysis cache.
   bool Audited = false;   ///< Cache hit re-verified against a fresh run.
-  std::set<unsigned> Lines; ///< The slice, as source lines (when Ok).
+  LineList Lines; ///< The slice, as source lines (when Ok).
   std::vector<TierReport> Attempts;
   std::string Error;     ///< Diagnostics (error / refusal statuses).
   std::string ReproPath; ///< Poisoned: where the reproducer lives.

@@ -59,8 +59,8 @@ std::optional<ServiceResponse> serveFromArtifact(const ServiceRequest &R,
 /// = inconclusive (budget tripped or the fresh pipeline failed) — an
 /// inconclusive audit must not invalidate.
 std::optional<bool> auditHit(const ServiceRequest &R, const Budget &B,
-                             const std::set<unsigned> &CachedLines,
-                             std::set<unsigned> &FreshLines) {
+                             const LineList &CachedLines,
+                             LineList &FreshLines) {
   {
     ResourceGuard Probe(B);
     if (!Probe.checkpoint("cache.audit"))
@@ -183,7 +183,7 @@ ServiceResponse jslice::executeSliceRequest(const ServiceRequest &R,
         if (Hit) {
           if (L.Audit) {
             Hit->Audited = true;
-            std::set<unsigned> Fresh;
+            LineList Fresh;
             std::optional<bool> Same = auditHit(R, B, Hit->Lines, Fresh);
             if (Same && !*Same) {
               // The fresh pipeline is ground truth: drop the entry and
@@ -192,7 +192,7 @@ ServiceResponse jslice::executeSliceRequest(const ServiceRequest &R,
               Hit->Lines = std::move(Fresh);
             }
           }
-          return *Hit;
+          return std::move(*Hit);
         }
         break; // Hit unusable under this budget: plain ladder.
       }
@@ -226,7 +226,7 @@ ServiceResponse jslice::executeSliceRequest(const ServiceRequest &R,
     Resp.Status = ResponseStatus::Ok;
     Resp.ServedTier = algorithmName(Res.Served);
     Resp.Degraded = Res.Degraded;
-    Resp.Lines = Res.Lines;
+    Resp.Lines = std::move(Res.Lines);
   } else if (Cancel && Cancel->load(std::memory_order_relaxed)) {
     Resp.Status = ResponseStatus::Cancelled;
     Resp.Error = "cancelled";
@@ -280,7 +280,7 @@ int jslice::sandboxWorkerMain(int InFd, int OutFd, const ExecConfig &Cfg) {
     ServiceResponse Resp;
     std::optional<JsonValue> V = JsonValue::parse(Payload);
     ServiceRequest R;
-    if (V && requestFromJson(*V, R)) {
+    if (V && requestFromJson(std::move(*V), R)) {
       Resp = executeSliceRequest(R, Cfg, /*Cancel=*/nullptr,
                                  /*RungTrips=*/nullptr,
                                  Cache ? &*Cache : nullptr);

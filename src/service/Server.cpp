@@ -107,6 +107,36 @@ JsonValue ServerStats::toJson() const {
   return Out;
 }
 
+namespace {
+
+unsigned poolThreads(const ServerOptions &Opts) {
+  return Opts.Threads ? Opts.Threads : BatchSlicer::defaultThreads();
+}
+
+/// Process mode: the supervisor, its fleet already forked; null in
+/// thread mode and where processes cannot be forked (the server then
+/// falls back to thread isolation).
+std::unique_ptr<Supervisor> startSupervisor(const ServerOptions &Opts,
+                                            std::ostream &Log) {
+  if (!Opts.IsolateProcess)
+    return nullptr;
+  SupervisorOptions SOpts = Opts.Super;
+  if (!SOpts.Workers)
+    SOpts.Workers = poolThreads(Opts);
+  SOpts.Exec.DefaultBudget = Opts.DefaultBudget;
+  SOpts.Exec.DefaultBudget.Cancel = nullptr; // Never crosses the fork.
+  SOpts.Exec.Ladder = Opts.Ladder;
+  SOpts.Exec.Cache = Opts.Cache; // Workers build their own.
+  auto Super = std::make_unique<Supervisor>(SOpts);
+  if (Super->start())
+    return Super;
+  Log << "jslice_serve: process isolation unavailable on this "
+         "platform; falling back to thread isolation\n";
+  return nullptr;
+}
+
+} // namespace
+
 Server::Server(const ServerOptions &Opts, std::ostream &Out, std::ostream &Log)
     : Opts(Opts), Out(Out), Log(Log),
       DefaultSink([this](const std::string &Line) {
@@ -114,7 +144,8 @@ Server::Server(const ServerOptions &Opts, std::ostream &Out, std::ostream &Log)
         this->Out << Line << "\n" << std::flush;
       }),
       StartTime(std::chrono::steady_clock::now()),
-      Pool(Opts.Threads ? Opts.Threads : BatchSlicer::defaultThreads()) {
+      Super(startSupervisor(Opts, Log)),
+      Pool(poolThreads(Opts)) {
   StandbyMode.store(Opts.Standby, std::memory_order_relaxed);
   EpochA.store(Opts.Epoch, std::memory_order_relaxed);
   if (!Opts.JournalPath.empty()) {
@@ -152,21 +183,6 @@ Server::Server(const ServerOptions &Opts, std::ostream &Out, std::ostream &Log)
     }
   }
 
-  if (Opts.IsolateProcess) {
-    SupervisorOptions SOpts = Opts.Super;
-    if (!SOpts.Workers)
-      SOpts.Workers = Pool.threads();
-    SOpts.Exec.DefaultBudget = Opts.DefaultBudget;
-    SOpts.Exec.DefaultBudget.Cancel = nullptr; // Never crosses the fork.
-    SOpts.Exec.Ladder = Opts.Ladder;
-    SOpts.Exec.Cache = Opts.Cache; // Workers build their own.
-    Super = std::make_unique<Supervisor>(SOpts);
-    if (!Super->start()) {
-      Log << "jslice_serve: process isolation unavailable on this "
-             "platform; falling back to thread isolation\n";
-      Super.reset();
-    }
-  }
   // Thread mode (including the fallback above) shares one cache
   // across the pool; process-mode workers each own theirs.
   if (!Super && Opts.Cache.Enabled)
@@ -598,6 +614,8 @@ bool Server::serveLine(const std::string &Line, const ResponseSink &Sink) {
       }
     }
 
+    // The program literal views the line, which dies with this call.
+    R.ProgramLiteral = {};
     QueueDepth.fetch_add(1, std::memory_order_relaxed);
     Pool.submit([this, R = std::move(R), Flight = std::move(Flight),
                  Adm = std::move(Adm), CacheFront, Hang, AwaitAck, BeginSeq,

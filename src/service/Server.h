@@ -554,6 +554,12 @@ private:
   std::function<JsonValue()> TransportStatsFn;
   std::function<JsonValue()> HealthProbeFn;
   std::chrono::steady_clock::time_point StartTime;
+  /// Process mode only. Declared before every member that starts a
+  /// thread (the journal's flusher, the hub, the pool): the initial
+  /// fleet is forked while this process still runs only its caller's
+  /// threads, so no worker inherits a lock another thread held at the
+  /// fork (a sanitizer allocator's, which no fork handler releases).
+  std::unique_ptr<Supervisor> Super;
   std::atomic<bool> HandoffPending{false};
   Journal Wal;
   /// Declared after Wal: destroyed first, so the hub detaches its tap
@@ -562,7 +568,6 @@ private:
   std::function<void()> PromoteHook;
   std::function<JsonValue()> ReplProbeFn;
   WorkerPool Pool;
-  std::unique_ptr<Supervisor> Super; ///< Process mode only.
   ExecConfig Exec; ///< Thread mode's per-request configuration.
 
   std::atomic<uint64_t> QueueDepth{0};

@@ -220,7 +220,8 @@ DispatchResult Supervisor::dispatch(const ServiceRequest &R,
   Clock::time_point Deadline =
       Clock::now() + std::chrono::milliseconds(TimeoutMs);
 
-  std::string Payload = R.toJson().str();
+  std::string Payload;
+  R.appendJson(Payload);
 
   // A worker found dead *before* the request reached it proves nothing
   // about the request — retry on a fresh worker, bounded so a fork

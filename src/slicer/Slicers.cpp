@@ -24,13 +24,14 @@ using namespace jslice::detail;
 // SliceResult helpers
 //===----------------------------------------------------------------------===//
 
-std::set<unsigned> SliceResult::lineSet(const Cfg &C) const {
-  std::set<unsigned> Lines;
+LineList SliceResult::lineSet(const Cfg &C) const {
+  std::vector<unsigned> Lines;
+  Lines.reserve(Nodes.size());
   for (unsigned Node : Nodes)
     if (const Stmt *S = C.node(Node).S)
       if (S->getLoc().isValid())
-        Lines.insert(S->getLoc().Line);
-  return Lines;
+        Lines.push_back(S->getLoc().Line);
+  return LineList(std::move(Lines));
 }
 
 std::set<unsigned> SliceResult::stmtIds(const Cfg &C) const {

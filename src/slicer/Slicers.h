@@ -60,6 +60,7 @@
 
 #include "slicer/Analysis.h"
 #include "slicer/Criterion.h"
+#include "slicer/LineList.h"
 #include "slicer/NodeSet.h"
 
 #include <map>
@@ -116,8 +117,9 @@ struct SliceResult {
 
   bool contains(unsigned Node) const { return Nodes.contains(Node); }
 
-  /// The slice as source line numbers (paper-figure form).
-  std::set<unsigned> lineSet(const Cfg &C) const;
+  /// The slice as source line numbers (paper-figure form): ascending,
+  /// each once, in one flat array.
+  LineList lineSet(const Cfg &C) const;
 
   /// The slice as statement ids (what the projection printer keeps).
   std::set<unsigned> stmtIds(const Cfg &C) const;

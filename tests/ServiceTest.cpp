@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <random>
@@ -424,6 +425,94 @@ TEST(JsonCorpusTest, RejectCorpusFailsWithPositions) {
   }
 }
 
+/// The table scanner the word-at-a-time one replaced: the first quote,
+/// backslash or control byte.
+const char *referenceSkipPlain(const char *P, const char *End) {
+  return std::find_if(P, End, [](char C) {
+    unsigned char U = static_cast<unsigned char>(C);
+    return U < 0x20 || U == '"' || U == '\\';
+  });
+}
+
+TEST(JsonTest, WordScannerMatchesTheTableAtEveryOffset) {
+  // Every byte value, then every ordered pair of byte values, at every
+  // offset mod 8 and at both alignments of the buffer: the pairs catch
+  // a stop byte whose borrow would flag the byte above it.
+  char Buf[40];
+  for (size_t Align = 0; Align != 2; ++Align) {
+    char *Begin = Buf + Align, *End = Begin + 32;
+    for (unsigned First = 0; First != 256; ++First) {
+      for (size_t At = 0; At != 16; ++At) {
+        std::fill(Begin, End, 'a');
+        Begin[At] = static_cast<char>(First);
+        ASSERT_EQ(detail::skipPlainJson(Begin, End),
+                  referenceSkipPlain(Begin, End))
+            << "byte " << First << " at " << At << " align " << Align;
+        ASSERT_EQ(detail::skipPlainJson(Begin + At, Begin + At + 1),
+                  referenceSkipPlain(Begin + At, Begin + At + 1));
+        for (unsigned Second = 0; Second != 256; ++Second) {
+          Begin[At + 1] = static_cast<char>(Second);
+          ASSERT_EQ(detail::skipPlainJson(Begin, End),
+                    referenceSkipPlain(Begin, End))
+              << "bytes " << First << "," << Second << " at " << At;
+        }
+      }
+    }
+  }
+  // Plain runs of every length up to three words, then one stop.
+  for (size_t Len = 0; Len != 25; ++Len) {
+    std::string S(Len, '\x7f');
+    EXPECT_EQ(detail::skipPlainJson(S.data(), S.data() + Len), S.data() + Len);
+    S += '"';
+    EXPECT_EQ(detail::skipPlainJson(S.data(), S.data() + S.size()),
+              S.data() + Len);
+  }
+}
+
+TEST(JsonTest, CanonicalLiteralsAreReportedWhereTheyLie) {
+  // Literals the writer would produce byte for byte, and literals it
+  // would not, each with the string it decodes to.
+  const char *Canonical[] = {
+      "",
+      "read(a);\\nwrite(a);\\n",
+      "quote \\\" and backslash \\\\ inside",
+      "\\b\\f\\n\\r\\t",
+      "\\u0000\\u0001\\u000b\\u001f\\u0010",
+      "raw utf-8 \xC3\xA9 and \x7f",
+  };
+  const char *NotCanonical[] = {
+      "\\/",          "\\u0041",       "\\u001F",   "\\u000a",
+      "\\u0009",      "\\uD83D\\uDE00", "\\uDC00",   "\\uD800x",
+      "\\u00e9",      "\\u007f",       "a\\u001Fb", "ok\\n\\/",
+  };
+  for (const char *Lit : Canonical) {
+    std::string Text = std::string("[1,\"") + Lit + "\"]";
+    std::optional<JsonValue> V = JsonValue::parse(Text);
+    ASSERT_TRUE(V.has_value()) << Text;
+    const JsonValue &S = V->elements()[1];
+    std::optional<std::string_view> L = S.canonicalLiteral(Text);
+    ASSERT_TRUE(L.has_value()) << Lit;
+    EXPECT_EQ(*L, Lit);
+    EXPECT_EQ(jsonEscape(S.asString()), Lit);
+  }
+  for (const char *Lit : NotCanonical) {
+    std::string Text = std::string("{\"k\":\"") + Lit + "\"}";
+    std::optional<JsonValue> V = JsonValue::parse(Text);
+    ASSERT_TRUE(V.has_value()) << Text;
+    EXPECT_FALSE(V->find("k")->canonicalLiteral(Text).has_value()) << Lit;
+  }
+  // Built values and non-strings have none; a repeated key reports the
+  // literal of the value that won.
+  EXPECT_FALSE(JsonValue("x").canonicalLiteral("\"x\"").has_value());
+  EXPECT_FALSE(JsonValue::parse("7")->canonicalLiteral("7").has_value());
+  std::string Twice = "{\"k\":\"\\/\",\"k\":\"b\\n\"}";
+  EXPECT_EQ(JsonValue::parse(Twice)->find("k")->canonicalLiteral(Twice),
+            std::optional<std::string_view>("b\\n"));
+  std::string Once = "{\"k\":\"b\\n\",\"k\":\"\\/\"}";
+  EXPECT_FALSE(
+      JsonValue::parse(Once)->find("k")->canonicalLiteral(Once).has_value());
+}
+
 //===----------------------------------------------------------------------===//
 // Protocol
 //===----------------------------------------------------------------------===//
@@ -511,7 +600,7 @@ TEST(RequestTest, JournalRoundTripPreservesTheRequest) {
   std::optional<JsonValue> V = JsonValue::parse(R.toJson().str());
   ASSERT_TRUE(V.has_value());
   ServiceRequest Back;
-  ASSERT_TRUE(requestFromJson(*V, Back));
+  ASSERT_TRUE(requestFromJson(std::move(*V), Back));
   EXPECT_EQ(Back.Program, R.Program);
   EXPECT_EQ(Back.Line, R.Line);
   EXPECT_EQ(Back.Vars, R.Vars);
@@ -945,15 +1034,14 @@ TEST(JournalTest, RecordBytesArePinned) {
       Lines.push_back(Line);
   }
   ASSERT_EQ(Lines.size(), 7u);
-  JsonValue Request = JsonValue::object();
-  Request.set("request", Stuck.toJson());
-  EXPECT_EQ(encodeJournalRecord(recordHead("begin", "stuck", 5, 2, 3), Request),
+  std::string Request = Stuck.toJson().str();
+  EXPECT_EQ(encodeJournalRecord(recordHead("begin", "stuck", 5, 2, 3),
+                                {{"request", Request}}),
             Lines[4]);
-  JsonValue Ok = JsonValue::object();
-  Ok.set("status", "ok");
-  EXPECT_EQ(encodeJournalRecord(recordHead("end", "plain", 2), Ok), Lines[1]);
-  EXPECT_EQ(encodeJournalRecord(recordHead("reattach", "", 7, 2, 3),
-                                JsonValue::object()),
+  EXPECT_EQ(encodeJournalRecord(recordHead("end", "plain", 2),
+                                {{"status", "\"ok\""}}),
+            Lines[1]);
+  EXPECT_EQ(encodeJournalRecord(recordHead("reattach", "", 7, 2, 3), {}),
             Lines[5]);
 
   // And the scan reads back what the old scan read from these bytes.
@@ -971,6 +1059,222 @@ TEST(JournalTest, RecordBytesArePinned) {
   EXPECT_EQ(P.Gen, 2u);
   EXPECT_EQ(P.Epoch, 3u);
   EXPECT_EQ(P.Request.toJson().str(), Stuck.toJson().str());
+  std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// One-pass writers against the tree encoders they replaced
+//===----------------------------------------------------------------------===//
+
+/// ServiceResponse::str() as it was: one JsonValue tree, serialized.
+std::string treeResponse(const ServiceResponse &R) {
+  JsonValue Out = JsonValue::object();
+  if (!R.Id.empty())
+    Out.set("id", R.Id);
+  Out.set("status", responseStatusName(R.Status));
+  if (!R.Requested.empty())
+    Out.set("requested", R.Requested);
+  if (R.Status == ResponseStatus::Ok) {
+    Out.set("served_tier", R.ServedTier);
+    Out.set("degraded", R.Degraded);
+    if (R.FromCache)
+      Out.set("cached", true);
+    if (R.Audited)
+      Out.set("audited", true);
+    JsonValue Ls = JsonValue::array();
+    for (unsigned L : R.Lines)
+      Ls.push(static_cast<int64_t>(L));
+    Out.set("lines", std::move(Ls));
+  }
+  if (!R.Attempts.empty()) {
+    JsonValue As = JsonValue::array();
+    for (const TierReport &A : R.Attempts) {
+      JsonValue V = JsonValue::object();
+      V.set("tier", A.Tier);
+      V.set("outcome", A.Outcome);
+      if (!A.Detail.empty())
+        V.set("detail", A.Detail);
+      As.push(std::move(V));
+    }
+    Out.set("attempts", std::move(As));
+  }
+  if (!R.Error.empty())
+    Out.set("error", R.Error);
+  if (!R.ReproPath.empty())
+    Out.set("repro", R.ReproPath);
+  if (R.LatencyMs >= 0)
+    Out.set("latency_ms", R.LatencyMs);
+  return Out.str();
+}
+
+/// A LineList of 1..N (every line of an N-line slice).
+LineList firstLines(unsigned N) {
+  std::vector<unsigned> Ls(N);
+  for (unsigned I = 0; I != N; ++I)
+    Ls[I] = I + 1;
+  return LineList(std::move(Ls));
+}
+
+TEST(ResponseEncodingTest, OnePassWriterMatchesTheTree) {
+  const ResponseStatus All[] = {
+      ResponseStatus::Ok,        ResponseStatus::ResourceExhausted,
+      ResponseStatus::Error,     ResponseStatus::BadRequest,
+      ResponseStatus::Cancelled, ResponseStatus::Poisoned,
+      ResponseStatus::Crashed,   ResponseStatus::Shed,
+  };
+  const std::string Ids[] = {"", "r1", "quote\" back\\ nl\n \x01 \xC3\xA9"};
+  const double Latencies[] = {-1,     0,       0.0004, 0.0005, 1.2345,
+                              99.999, 1e6,     1e30,   -0.0,
+                              std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()};
+  const unsigned LineCounts[] = {0, 1, 76, 10000};
+  size_t Cases = 0;
+  for (ResponseStatus St : All)
+    for (const std::string &Id : Ids)
+      for (unsigned Mask = 0; Mask != 64; ++Mask) {
+        ServiceResponse R;
+        R.Id = Id;
+        R.Status = St;
+        R.Requested = Mask & 1 ? "agrawal-fig7" : "";
+        R.ServedTier = Mask & 2 ? "conservative-fig13" : "";
+        R.Degraded = Mask & 4;
+        R.FromCache = Mask & 8;
+        R.Audited = Mask & 16;
+        if (Mask & 32) {
+          R.Error = "line 3: \"x\" undefined\tthere\\";
+          R.ReproPath = "/q/r\"1\".mc";
+          R.Attempts.push_back({"agrawal-fig7", "resource-exhausted",
+                                "deadline \"exceeded\"\n\x1f"});
+          R.Attempts.push_back({"lyle", "skipped", ""});
+          R.Attempts.push_back({"conservative-fig13", "served", ""});
+        } else if (Mask & 8) {
+          R.Attempts.push_back({"agrawal-fig7", "served", "analysis-cache"});
+        }
+        R.Lines = firstLines(LineCounts[Mask % 4]);
+        R.LatencyMs = Latencies[(Mask + Cases) % std::size(Latencies)];
+        ASSERT_EQ(R.str(), treeResponse(R))
+            << responseStatusName(St) << " mask " << Mask;
+        ++Cases;
+      }
+  // Sparse, large line numbers too.
+  ServiceResponse R;
+  R.Lines = LineList({4000000000u, 7, 7, 1, 65536});
+  R.ServedTier = "lyle";
+  EXPECT_EQ(R.str(), treeResponse(R));
+  EXPECT_NE(R.str().find("\"lines\":[1,7,65536,4000000000]"),
+            std::string::npos);
+}
+
+/// Journal records as encodeJournalRecord wrote them over a JsonValue
+/// body: head members set on the tree, serialized once, checksummed.
+std::string treeRecord(const JournalRecord &Head, JsonValue Body) {
+  Body.set("event", Head.Event);
+  if (!Head.Id.empty())
+    Body.set("id", Head.Id);
+  if (Head.Gen)
+    Body.set("gen", Head.Gen);
+  if (Head.Epoch)
+    Body.set("epoch", Head.Epoch);
+  Body.set("seq", Head.Seq);
+  char Crc[9];
+  std::snprintf(Crc, sizeof(Crc), "%08x", journalCrc32(Body.str()));
+  Body.set("crc", std::string(Crc));
+  return Body.str();
+}
+
+TEST(JournalEncodingTest, BeginAndEndRecordsMatchTheTreeEncoder) {
+  // Program literals as a client may spell them: canonical ones are
+  // copied into the begin record, the rest are decoded and escaped
+  // again; both must give the tree encoder's bytes.
+  const std::pair<const char *, bool> Programs[] = {
+      {"read(a);\\nwrite(a);\\n", true},
+      {"", true},
+      {"read(a);\\n\\tb = a + 1; // \\\"q\\\" \\\\ \\b\\f\\r\\nwrite(b);\\n", true},
+      {"x\\u0001\\u001f\\u000b\\n", true},
+      {"raw \xC3\xA9 \xF0\x9F\x98\x80 \xFF\x7f\\n", true},
+      {"read(a);\\/\\/ slash\\nwrite(a);\\n", false},
+      {"\\u0041\\u0042", false},
+      {"x\\u001F\\n", false},
+      {"x\\u000a", false},
+      {"\\uD83D\\uDE00\\n", false},
+      {"lone \\uD800 and \\uDC00", false},
+      {"\\u00e9", false},
+  };
+  std::string Path = ::testing::TempDir() + "jslice_journal_onepass.jsonl";
+  std::remove(Path.c_str());
+  std::vector<std::string> Want;
+  {
+    Journal J;
+    ASSERT_TRUE(J.open(Path));
+    uint64_t Seq = 0;
+    for (int Stamped = 0; Stamped != 2; ++Stamped) {
+      if (Stamped) {
+        J.setGeneration(4);
+        J.setEpoch(9);
+      }
+      for (const auto &[Literal, Canonical] : Programs) {
+        std::string Id = "r" + std::to_string(Seq) + (Stamped ? "\"\\" : "");
+        std::string Line = "{\"vars\":[\"a\",\"b\\\"\"],\"id\":" +
+                           JsonValue(Id).str() + ",\"program\":\"" + Literal +
+                           "\",\"line\":2" +
+                           (Stamped ? ",\"algorithm\":\"lyle\",\"budget_ms\":5,"
+                                      "\"max_steps\":7,\"min_epoch\":3"
+                                    : "") +
+                           "}";
+        ParsedRequest P = parseRequestLine(Line);
+        ASSERT_TRUE(P.Ok) << Line << ": " << P.Error;
+        EXPECT_EQ(!P.Request.ProgramLiteral.empty(),
+                  Canonical && *Literal != '\0')
+            << Literal;
+        if (!P.Request.ProgramLiteral.empty()) {
+          EXPECT_EQ(P.Request.ProgramLiteral, Literal);
+        }
+        std::string Direct;
+        P.Request.appendJson(Direct);
+        EXPECT_EQ(Direct, P.Request.toJson().str()) << Literal;
+
+        JournalRecord Head;
+        Head.Event = "begin";
+        Head.Id = Id;
+        Head.Seq = ++Seq;
+        Head.Gen = Stamped ? 4 : 0;
+        Head.Epoch = Stamped ? 9 : 0;
+        JsonValue Begin = JsonValue::object();
+        Begin.set("request", P.Request.toJson());
+        Want.push_back(treeRecord(Head, Begin));
+        EXPECT_EQ(encodeJournalRecord(Head, {{"request", Direct}}),
+                  Want.back());
+        ASSERT_TRUE(J.begin(P.Request));
+
+        const char *Status = Seq % 2 ? "ok" : "resource-exhausted";
+        Head.Event = "end";
+        Head.Seq = ++Seq;
+        JsonValue End = JsonValue::object();
+        End.set("status", Status);
+        Want.push_back(treeRecord(Head, End));
+        ASSERT_TRUE(J.end(Id, Status));
+      }
+    }
+    JournalRecord Shutdown;
+    Shutdown.Event = "shutdown";
+    Shutdown.Seq = ++Seq;
+    Shutdown.Gen = 4;
+    Shutdown.Epoch = 9;
+    JsonValue Clean = JsonValue::object();
+    Clean.set("status", "clean");
+    Want.push_back(treeRecord(Shutdown, Clean));
+    ASSERT_TRUE(J.shutdownRecord());
+  }
+  std::istringstream In(fileBytes(Path));
+  std::string Line;
+  size_t I = 0;
+  while (std::getline(In, Line)) {
+    ASSERT_LT(I, Want.size());
+    EXPECT_EQ(Line, Want[I]) << "record " << I;
+    EXPECT_TRUE(decodeJournalLine(Line).has_value()) << Line;
+    ++I;
+  }
+  EXPECT_EQ(I, Want.size());
   std::remove(Path.c_str());
 }
 
