@@ -8,8 +8,6 @@
 #include "service/Ladder.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 using namespace jslice;
 
@@ -29,25 +27,15 @@ unsigned tierRank(SliceAlgorithm A) {
   }
 }
 
-/// Budget for rung \p Rung (0-based): a fresh full step budget, but a
-/// deadline scaled by ScalePercent^Rung (see LadderOptions for why the
-/// dimensions differ), floored at 1 so "scaled" never turns into the
-/// budget code's 0 == unlimited.
-Budget rungBudget(const LadderOptions &Opts, unsigned Rung) {
-  Budget B = Opts.B;
-  unsigned Scale = std::clamp(Opts.ScalePercent, 1u, 100u);
-  for (unsigned I = 0; I != Rung; ++I)
-    if (B.DeadlineMs)
-      B.DeadlineMs = std::max<uint64_t>(1, B.DeadlineMs * Scale / 100);
+/// Budget for rung \p Rung (0-based): a fresh full step budget, but the
+/// deadline halved per rung (see LadderOptions for why the dimensions
+/// differ), floored at 1 so "halved" never turns into the budget code's
+/// 0 == unlimited.
+Budget rungBudget(const Budget &First, unsigned Rung) {
+  Budget B = First;
+  if (B.DeadlineMs)
+    B.DeadlineMs = std::max<uint64_t>(1, B.DeadlineMs >> Rung);
   return B;
-}
-
-void backoff(const LadderOptions &Opts, unsigned Rung) {
-  if (!Opts.BackoffMs || Rung == 0)
-    return;
-  uint64_t Ms = static_cast<uint64_t>(Opts.BackoffMs) << (Rung - 1);
-  std::this_thread::sleep_for(
-      std::chrono::milliseconds(std::min<uint64_t>(Ms, 100)));
 }
 
 } // namespace
@@ -77,8 +65,13 @@ bool jslice::conservativeTierEligible(const Analysis &A) {
 LadderResult jslice::runLadder(const std::string &Source,
                                const Criterion &Crit,
                                SliceAlgorithm Requested,
-                               const LadderOptions &Opts,
-                               std::unique_ptr<Program> Parsed) {
+                               const LadderOptions &Opts) {
+  return runLadder(Analysis(Source), Crit, Requested, Opts);
+}
+
+LadderResult jslice::runLadder(Analysis A, const Criterion &Crit,
+                               SliceAlgorithm Requested,
+                               const LadderOptions &Opts) {
   LadderResult Out;
   Out.Requested = Requested;
 
@@ -102,27 +95,14 @@ LadderResult jslice::runLadder(const std::string &Source,
       return Out;
     }
 
-    backoff(Opts, Rung);
-    Budget RB = rungBudget(Opts, Rung);
-    ErrorOr<Analysis> A = Parsed ? Analysis::fromProgram(std::move(Parsed), RB)
-                                 : Analysis::fromSource(Source, RB);
-    if (!A) {
-      if (!A.diags().hasKind(DiagKind::ResourceExhausted)) {
-        // Malformed input fails the same way on every rung; refuse now.
-        Out.Diags = A.diags();
-        Out.Attempts.push_back(std::move(Attempt));
-        return Out;
-      }
-      Attempt.Trip = A.diags().str();
-      LastExhaustion = A.diags();
-      Out.Attempts.push_back(std::move(Attempt));
-      continue;
-    }
+    // The rung's fresh guard builds only the stages no earlier rung
+    // finished; a trip keeps the stages before it for the next rung.
+    DiagList Failed = A.resume(rungBudget(Opts.B, Rung));
 
     // The cheap rungs only serve where they are sound (header comment);
     // a *requested* unsound tier is the caller's own choice and runs.
-    if (Rung > 0 && Tier == SliceAlgorithm::Conservative &&
-        !conservativeTierEligible(*A)) {
+    if (Failed.empty() && Rung > 0 && Tier == SliceAlgorithm::Conservative &&
+        !conservativeTierEligible(A)) {
       Attempt.Skipped = true;
       Attempt.SkipReason = "figure-13 rung unsound here (unstructured "
                            "jumps, returns, or dead code)";
@@ -130,28 +110,31 @@ LadderResult jslice::runLadder(const std::string &Source,
       continue;
     }
 
-    ErrorOr<SliceResult> R = computeSlice(*A, Crit, Tier);
-    if (!R) {
-      if (!R.diags().hasKind(DiagKind::ResourceExhausted)) {
-        Out.Diags = R.diags();
+    if (Failed.empty()) {
+      ErrorOr<SliceResult> R = computeSlice(A, Crit, Tier);
+      if (R) {
+        Attempt.Served = true;
         Out.Attempts.push_back(std::move(Attempt));
+        Out.Ok = true;
+        Out.Degraded = Rung > 0;
+        Out.Served = Tier;
+        Out.Result = std::move(*R);
+        Out.Lines = Out.Result.lineSet(A.cfg());
+        Out.A.emplace(std::move(A));
         return Out;
       }
-      Attempt.Trip = R.diags().str();
-      LastExhaustion = R.diags();
-      Out.Attempts.push_back(std::move(Attempt));
-      continue;
+      Failed = R.diags();
     }
 
-    Attempt.Served = true;
+    if (!Failed.hasKind(DiagKind::ResourceExhausted)) {
+      // Malformed input fails the same way on every rung; refuse now.
+      Out.Diags = std::move(Failed);
+      Out.Attempts.push_back(std::move(Attempt));
+      return Out;
+    }
+    Attempt.Trip = Failed.str();
+    LastExhaustion = std::move(Failed);
     Out.Attempts.push_back(std::move(Attempt));
-    Out.Ok = true;
-    Out.Degraded = Rung > 0;
-    Out.Served = Tier;
-    Out.Result = std::move(*R);
-    Out.Lines = Out.Result.lineSet(A->cfg());
-    Out.A.emplace(std::move(*A));
-    return Out;
   }
 
   // Every rung tripped (or was skipped): a deterministic refusal

@@ -13,8 +13,8 @@
 /// dependence closure. Both cheap tiers always terminate in one sweep,
 /// so when the requested algorithm exhausts its Budget the ladder
 /// retries the request at the next cheaper tier under a fresh guard
-/// with a shrunken deadline (and a bounded backoff), guaranteeing the
-/// caller a *sound* slice or a deterministic refusal — never a hang.
+/// with a halved deadline, guaranteeing the caller a *sound* slice or
+/// a deterministic refusal — never a hang.
 ///
 /// Soundness guards the rungs: Figure 13 is only behaviour-preserving
 /// on structured programs without multi-level exits (this repo's
@@ -26,13 +26,15 @@
 /// the behavioural-projection proof over the paper corpus and a
 /// generator sweep.
 ///
-/// Each rung re-runs the *whole* pipeline (parse → analyze → slice)
-/// under its own ResourceGuard: a budget tripped during analysis, not
-/// just during slicing, also walks the ladder — a cheaper algorithm
-/// won't save it, but the smaller rung budgets keep the total latency
-/// bounded and the refusal deterministic. The one exception is a tree
-/// the caller already parsed (the service keys the cache with it): the
-/// first rung analyzes that tree instead of parsing again.
+/// The ladder owns one Analysis per request and resumes it on every
+/// rung under that rung's fresh ResourceGuard (Analysis::resume). A
+/// budget tripped during analysis, not just during slicing, also walks
+/// the ladder: the next rung resumes at the stage that tripped and
+/// keeps every stage before it. A rung that tripped in its slice leaves
+/// a finished analysis, so the next rung pays only for its own slice.
+/// A caller that already parsed the program (the service keys the cache
+/// with the tree) hands the ladder an Analysis whose parse stage is
+/// built.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +44,6 @@
 #include "slicer/SlicePrinter.h"
 #include "slicer/Slicers.h"
 
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -51,27 +52,17 @@
 namespace jslice {
 
 /// Ladder knobs. The rung-1 budget is \p B; rung i+1 runs under a
-/// fresh guard with the *full* step budget but a deadline scaled by
-/// (ScalePercent/100)^i. The dimensions deliberately differ: every
-/// rung re-pays the same analysis cost before its (cheap) slice, so a
-/// shrunken step budget would refuse retries the cheap tier could
-/// serve — measured on a goto-dense program, Lyle's whole pipeline
-/// costs ~85% of Figure 7's, so even a 50% cut starves every rung.
-/// Total work stays bounded at rungs x MaxSteps; the shrinking
-/// deadline is what bounds end-to-end latency. Node and nesting
-/// limits are structural, not progressive, and stay put.
+/// fresh guard with the *full* step budget but half rung i's deadline.
+/// The dimensions deliberately differ: a rung that resumes an analysis
+/// tripped early still pays for the stages left, and those dominate
+/// its cheap slice — measured on a goto-dense program, Lyle's whole
+/// pipeline costs ~85% of Figure 7's — so a shrunken step budget would
+/// refuse retries the cheap tier could serve. Total work stays bounded
+/// at rungs x MaxSteps, and the halving deadline bounds end-to-end
+/// latency at twice the first deadline. Node and nesting limits are
+/// structural, not progressive, and stay put.
 struct LadderOptions {
   Budget B;
-
-  /// Per-rung *deadline* scale, percent (clamped to [1, 100]). 50
-  /// halves each retry's deadline, so total latency is bounded by 2x
-  /// the first deadline (plus backoff).
-  unsigned ScalePercent = 50;
-
-  /// Sleep before each retry rung, doubling per rung but capped at
-  /// 100ms — enough to let a transient deadline overrun clear, bounded
-  /// so a refusal stays prompt. 0 disables.
-  unsigned BackoffMs = 0;
 
   /// When false the ladder is a plain single-rung run (slicer_cli
   /// without --fallback, requests that opt out).
@@ -109,12 +100,14 @@ std::vector<SliceAlgorithm> ladderTiers(SliceAlgorithm Requested);
 /// structured jumps only, no return statements, no dead code.
 bool conservativeTierEligible(const Analysis &A);
 
-/// Runs the ladder for (\p Source, \p Crit, \p Requested). \p Parsed,
-/// when given, must be \p Source's parse under Opts.B; the first rung
-/// analyzes it instead of parsing \p Source.
+/// Runs the ladder for (\p A, \p Crit, \p Requested), resuming \p A's
+/// stages on each rung. \p A may have any prefix of its stages built.
+LadderResult runLadder(Analysis A, const Criterion &Crit,
+                       SliceAlgorithm Requested, const LadderOptions &Opts);
+
+/// As above, for \p Source with no stage built.
 LadderResult runLadder(const std::string &Source, const Criterion &Crit,
-                       SliceAlgorithm Requested, const LadderOptions &Opts,
-                       std::unique_ptr<Program> Parsed = nullptr);
+                       SliceAlgorithm Requested, const LadderOptions &Opts);
 
 } // namespace jslice
 

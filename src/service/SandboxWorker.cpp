@@ -132,10 +132,10 @@ ServiceResponse jslice::executeSliceRequest(const ServiceRequest &R,
 
   // Cache front half: key, lookup, hit, or become the leader.
   // A raw-key memo miss parses here, once: the tree is keyed and then
-  // handed to the ladder's first rung instead of being parsed again.
+  // handed to the ladder as an Analysis whose parse stage is built.
   // What an admission probe already learned is not asked again.
   std::string LeaderKey;
-  std::unique_ptr<Program> Parsed;
+  std::optional<Analysis> Parsed;
   if (Cache && Cache->options().Enabled &&
       R.Algorithm != SliceAlgorithm::Weiser && !(Adm && Adm->SkipCache)) {
     // An audited probed hit was charged, counted and sampled by the
@@ -155,8 +155,8 @@ ServiceResponse jslice::executeSliceRequest(const ServiceRequest &R,
       if (!Key && KeyG.checkpoint("cache.key")) {
         ErrorOr<std::unique_ptr<Program>> Prog = parseProgram(R.Program, KeyG);
         if (Prog && !KeyG.exhausted()) {
-          Parsed = std::move(*Prog);
-          Key = canonicalProgramKey(*Parsed);
+          Key = canonicalProgramKey(**Prog);
+          Parsed.emplace(std::move(*Prog));
         }
       }
       if (Key && !KeyG.checkpoint("cache.lookup"))
@@ -207,8 +207,9 @@ ServiceResponse jslice::executeSliceRequest(const ServiceRequest &R,
 
   LadderOptions L = Cfg.Ladder;
   L.B = B;
-  LadderResult Res = runLadder(R.Program, Criterion(R.Line, R.Vars),
-                               R.Algorithm, L, std::move(Parsed));
+  LadderResult Res =
+      runLadder(Parsed ? std::move(*Parsed) : Analysis(R.Program),
+                Criterion(R.Line, R.Vars), R.Algorithm, L);
 
   for (const LadderAttempt &A : Res.Attempts) {
     TierReport T;

@@ -100,27 +100,75 @@ Digraph controlDependence(const Cfg &C, const Digraph &Flow,
   return CD.freeze();
 }
 
+/// \p A with every stage built under \p B, or why not.
+ErrorOr<Analysis> built(Analysis A, const Budget &B) {
+  if (DiagList Failed = A.resume(B); !Failed.empty())
+    return Failed;
+  return A;
+}
+
 } // namespace
 
-Analysis::Analysis(std::unique_ptr<Program> Prog, Cfg Built,
-                   std::shared_ptr<ResourceGuard> Guard)
-    : GuardPtr(std::move(Guard)), ProgPtr(std::move(Prog)),
-      C(std::move(Built)), Lst(buildLexicalSuccessorTree(C)),
-      Pdt(computePostDominators(C.graph(), C.exit(), GuardPtr.get())),
-      DU(DefUse::build(C)),
-      RD(ReachingDefinitions::compute(C, DU, GuardPtr.get())),
-      P(controlDependence(C, C.graph(), Pdt, GuardPtr.get()),
-        buildDataDependence(C, DU, RD)),
-      Aug(std::make_unique<LazyBuild<Augmented>>()),
-      CondJumps(findCondJumpPairs(C)), Jumps(allJumps(C)),
-      PdtJumps(jumpsIn(C, Pdt.preorder())),
-      LstJumps(jumpsIn(C, Lst.preorder())) {}
+Analysis::Analysis(std::string Source)
+    : GuardPtr(std::make_unique<ResourceGuard>()), Source(std::move(Source)),
+      Aug(std::make_unique<LazyBuild<Augmented>>()) {}
+
+Analysis::Analysis(std::unique_ptr<Program> Prog)
+    : GuardPtr(std::make_unique<ResourceGuard>()), ProgPtr(std::move(Prog)),
+      Aug(std::make_unique<LazyBuild<Augmented>>()) {}
+
+DiagList Analysis::resume(const Budget &B) {
+  *GuardPtr = ResourceGuard(B);
+  ResourceGuard &G = *GuardPtr;
+  // One block per stage with a guard site, in pipeline order; the LST,
+  // def/use, data dependence and jump lists poll none, so each is built
+  // with the guarded stage before it. A tripped stage is unconverged:
+  // its block returns keeping nothing of it.
+  if (!ProgPtr) {
+    ErrorOr<std::unique_ptr<Program>> Prog = parseProgram(Source, G);
+    if (!Prog)
+      return Prog.diags();
+    ProgPtr = std::move(*Prog);
+    std::string().swap(Source);
+  }
+  if (!C) {
+    ErrorOr<Cfg> Built = Cfg::build(*ProgPtr, &G);
+    if (!Built)
+      return Built.diags();
+    C.emplace(std::move(*Built));
+    Lst.emplace(buildLexicalSuccessorTree(*C));
+  }
+  if (!Pdt) {
+    DomTree Tree = computePostDominators(C->graph(), C->exit(), &G);
+    if (G.exhausted())
+      return G.toDiag();
+    Pdt.emplace(std::move(Tree));
+    DU.emplace(DefUse::build(*C));
+  }
+  if (!RD) {
+    ReachingDefinitions Defs = ReachingDefinitions::compute(*C, *DU, &G);
+    if (G.exhausted())
+      return G.toDiag();
+    RD.emplace(std::move(Defs));
+  }
+  if (!P) {
+    Digraph Control = controlDependence(*C, C->graph(), *Pdt, &G);
+    if (G.exhausted())
+      return G.toDiag();
+    P.emplace(std::move(Control), buildDataDependence(*C, *DU, *RD));
+    CondJumps = findCondJumpPairs(*C);
+    Jumps = allJumps(*C);
+    PdtJumps = jumpsIn(*C, Pdt->preorder());
+    LstJumps = jumpsIn(*C, Lst->preorder());
+  }
+  return DiagList();
+}
 
 const Analysis::Augmented *Analysis::augmented(ResourceGuard &G) const {
   return Aug->getOrBuild([&]() -> std::unique_ptr<Augmented> {
-    Digraph Graph = C.buildAugmentedGraph(Lst.parents());
-    DomTree AugPdt = computePostDominators(Graph, C.exit(), &G);
-    Digraph Control = controlDependence(C, Graph, AugPdt, &G);
+    Digraph Graph = C->buildAugmentedGraph(Lst->parents());
+    DomTree AugPdt = computePostDominators(Graph, C->exit(), &G);
+    Digraph Control = controlDependence(*C, Graph, AugPdt, &G);
     // A tripped guard leaves the PDT or CD unconverged: keep nothing.
     if (G.exhausted())
       return nullptr;
@@ -129,40 +177,12 @@ const Analysis::Augmented *Analysis::augmented(ResourceGuard &G) const {
   });
 }
 
-ErrorOr<Analysis> Analysis::fromSource(const std::string &Source) {
-  return fromSource(Source, Budget::unlimited());
-}
-
 ErrorOr<Analysis> Analysis::fromSource(const std::string &Source,
                                        const Budget &B) {
-  auto Guard = std::make_shared<ResourceGuard>(B);
-  ErrorOr<std::unique_ptr<Program>> Prog = parseProgram(Source, *Guard);
-  if (!Prog)
-    return Prog.diags();
-  return fromProgramGuarded(std::move(*Prog), std::move(Guard));
-}
-
-ErrorOr<Analysis> Analysis::fromProgram(std::unique_ptr<Program> Prog) {
-  return fromProgram(std::move(Prog), Budget::unlimited());
+  return built(Analysis(Source), B);
 }
 
 ErrorOr<Analysis> Analysis::fromProgram(std::unique_ptr<Program> Prog,
                                         const Budget &B) {
-  return fromProgramGuarded(std::move(Prog),
-                            std::make_shared<ResourceGuard>(B));
-}
-
-ErrorOr<Analysis>
-Analysis::fromProgramGuarded(std::unique_ptr<Program> Prog,
-                             std::shared_ptr<ResourceGuard> Guard) {
-  ErrorOr<Cfg> Built = Cfg::build(*Prog, Guard.get());
-  if (!Built)
-    return Built.diags();
-  Analysis A(std::move(Prog), std::move(*Built), std::move(Guard));
-  // A guard tripped during any phase (a latched guard short-circuits
-  // every later phase) means some structure is unconverged; discard the
-  // whole bundle so no partially-constructed Analysis escapes.
-  if (A.guard().exhausted())
-    return A.guard().toDiag();
-  return A;
+  return built(Analysis(std::move(Prog)), B);
 }

@@ -31,25 +31,29 @@
 #include "support/LazyBuild.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace jslice {
 
-/// Immutable analysis results for one program. Move-only.
+/// Analysis results for one program, built in stages. Move-only.
 ///
-/// Every construction path runs under a ResourceGuard built from the
-/// supplied Budget (unlimited by default): the parser, CFG builder,
-/// dominator fixpoints, reaching definitions, and control dependence
-/// all poll it, and exhaustion surfaces as a DiagKind::ResourceExhausted
-/// diagnostic — never a crash, hang, or partially-built Analysis. The
-/// guard stays with the Analysis so later slicing traversals and
-/// interpreter runs draw from the same budget.
+/// resume() is the one build path: under a fresh guard it builds every
+/// stage not yet built, in pipeline order — parse, CFG, LST, PDT,
+/// def/use, reaching definitions, control dependence, data dependence,
+/// the jump lists. Exhaustion surfaces as a DiagKind::ResourceExhausted
+/// diagnostic, never a crash or hang. The stage whose guard trips keeps
+/// nothing and the stages before it are kept, so the next resume()
+/// starts there. fromSource and fromProgram resume once and never
+/// return an Analysis with a stage missing. The guard stays with the
+/// Analysis so later slicing traversals and interpreter runs draw from
+/// the same budget.
 ///
-/// The augmented bundle (augmented()) is the one lazily built part. It
-/// is built under the guard of whoever first asks for it and a mutex,
-/// so concurrent readers of a shared Analysis build it once; a build
-/// whose guard trips keeps nothing, and the next caller rebuilds.
+/// The augmented bundle (augmented()) is built on first use instead,
+/// under the guard of whoever first asks for it and a mutex, so
+/// concurrent readers of a shared Analysis build it once; a build whose
+/// guard trips keeps nothing, and the next caller rebuilds.
 class Analysis {
 public:
   /// The Ball–Horwitz / Choi–Ferrante augmented flowgraph, its
@@ -61,19 +65,27 @@ public:
     Digraph Control;
   };
 
-  /// Parses, checks, and analyzes \p Source.
-  static ErrorOr<Analysis> fromSource(const std::string &Source);
+  /// An analysis of \p Source with no stage built yet.
+  explicit Analysis(std::string Source);
 
-  /// As above, under \p B's resource limits.
-  static ErrorOr<Analysis> fromSource(const std::string &Source,
-                                      const Budget &B);
+  /// An analysis of an already-checked program (takes ownership): the
+  /// parse stage is built.
+  explicit Analysis(std::unique_ptr<Program> Prog);
 
-  /// Analyzes an already-checked program (takes ownership).
-  static ErrorOr<Analysis> fromProgram(std::unique_ptr<Program> Prog);
+  /// Parses, checks, and analyzes \p Source under \p B's limits.
+  static ErrorOr<Analysis>
+  fromSource(const std::string &Source, const Budget &B = Budget::unlimited());
 
-  /// As above, under \p B's resource limits.
-  static ErrorOr<Analysis> fromProgram(std::unique_ptr<Program> Prog,
-                                       const Budget &B);
+  /// Analyzes an already-checked program (takes ownership) under \p B's
+  /// limits.
+  static ErrorOr<Analysis>
+  fromProgram(std::unique_ptr<Program> Prog,
+              const Budget &B = Budget::unlimited());
+
+  /// Installs a fresh guard under \p B and builds every stage not yet
+  /// built. Empty once all are; else the parse or CFG diagnostics, or
+  /// the guard's exhaustion.
+  DiagList resume(const Budget &B);
 
   /// The pipeline's resource meter. Mutable by design: slicers and the
   /// interpreter charge their work against the budget the Analysis was
@@ -81,15 +93,15 @@ public:
   ResourceGuard &guard() const { return *GuardPtr; }
 
   const Program &program() const { return *ProgPtr; }
-  const Cfg &cfg() const { return C; }
-  const LexicalSuccessorTree &lst() const { return Lst; }
-  const DomTree &pdt() const { return Pdt; }
-  const DefUse &defUse() const { return DU; }
-  const ReachingDefinitions &reachingDefs() const { return RD; }
+  const Cfg &cfg() const { return *C; }
+  const LexicalSuccessorTree &lst() const { return *Lst; }
+  const DomTree &pdt() const { return *Pdt; }
+  const DefUse &defUse() const { return *DU; }
+  const ReachingDefinitions &reachingDefs() const { return *RD; }
 
   /// Dependence graphs from the *unaugmented* flowgraph (the paper's
   /// preferred construction — both graphs left intact).
-  const Pdg &pdg() const { return P; }
+  const Pdg &pdg() const { return *P; }
 
   /// The augmented bundle, built on first use charging \p G. Null when
   /// \p G trips during the build (or already had): the caller must
@@ -102,7 +114,7 @@ public:
   /// The augmented PDG: \p Aug's control dependence paired with the
   /// plain data dependence (Ball–Horwitz compute data dependence on the
   /// unaugmented flowgraph).
-  PdgView augPdg(const Augmented &Aug) const { return {Aug.Control, P.Data}; }
+  PdgView augPdg(const Augmented &Aug) const { return {Aug.Control, P->Data}; }
 
   /// (Predicate node, jump node) pairs for every conditional-jump
   /// statement `if (p) goto/break/continue/return` — the paper's
@@ -120,21 +132,17 @@ public:
   const std::vector<unsigned> &lstJumpOrder() const { return LstJumps; }
 
 private:
-  Analysis(std::unique_ptr<Program> Prog, Cfg Built,
-           std::shared_ptr<ResourceGuard> Guard);
-
-  static ErrorOr<Analysis>
-  fromProgramGuarded(std::unique_ptr<Program> Prog,
-                     std::shared_ptr<ResourceGuard> Guard);
-
-  std::shared_ptr<ResourceGuard> GuardPtr;
+  /// Behind a pointer so guard() survives a move of the Analysis.
+  std::unique_ptr<ResourceGuard> GuardPtr;
+  std::string Source; ///< Until the parse stage is built.
+  /// One slot per stage, empty until resume() builds it.
   std::unique_ptr<Program> ProgPtr;
-  Cfg C;
-  LexicalSuccessorTree Lst;
-  DomTree Pdt;
-  DefUse DU;
-  ReachingDefinitions RD;
-  Pdg P;
+  std::optional<Cfg> C;
+  std::optional<LexicalSuccessorTree> Lst;
+  std::optional<DomTree> Pdt;
+  std::optional<DefUse> DU;
+  std::optional<ReachingDefinitions> RD;
+  std::optional<Pdg> P;
   /// Behind a pointer so the Analysis stays movable.
   std::unique_ptr<LazyBuild<Augmented>> Aug;
   std::vector<std::pair<unsigned, unsigned>> CondJumps;

@@ -276,8 +276,7 @@ BatchSlicer::runAll(const std::vector<Criterion> &Crits,
     BatchEntry &Entry = Out[I];
     GuardRef Guard(A.guard(), SharedPtr);
     if ((!Weiser && !Cache) || Guard.exhausted()) {
-      Entry.Diags.report(SourceLoc(), Guard.toDiag().Message,
-                         DiagKind::ResourceExhausted);
+      Entry.Diags = Guard.toDiag();
       return;
     }
     ErrorOr<ResolvedCriterion> RC = resolveCriterion(A, Entry.Crit);
@@ -290,8 +289,7 @@ BatchSlicer::runAll(const std::vector<Criterion> &Crits,
                : detail::computeSlice(A, *RC, Opts.Algorithm,
                                       ClosureSource(*Cache, Guard));
     if (Guard.exhausted()) {
-      Entry.Diags.report(SourceLoc(), Guard.toDiag().Message,
-                         DiagKind::ResourceExhausted);
+      Entry.Diags = Guard.toDiag();
       return;
     }
     Entry.Ok = true;

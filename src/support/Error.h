@@ -56,6 +56,9 @@ struct Diag {
 /// An ordered list of diagnostics produced by one fallible operation.
 class DiagList {
 public:
+  DiagList() = default;
+  /*implicit*/ DiagList(Diag D) { Diags.push_back(std::move(D)); }
+
   void report(SourceLoc Loc, std::string Message,
               DiagKind Kind = DiagKind::Error) {
     Diags.emplace_back(Loc, std::move(Message), Kind);
@@ -99,10 +102,7 @@ public:
     assert(!std::get<DiagList>(Storage).empty() &&
            "error state requires at least one diagnostic");
   }
-  /*implicit*/ ErrorOr(Diag Error) : Storage(DiagList()) {
-    std::get<DiagList>(Storage).report(Error.Loc, std::move(Error.Message),
-                                       Error.Kind);
-  }
+  /*implicit*/ ErrorOr(Diag Error) : Storage(DiagList(std::move(Error))) {}
 
   bool hasValue() const { return std::holds_alternative<T>(Storage); }
   explicit operator bool() const { return hasValue(); }

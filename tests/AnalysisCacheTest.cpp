@@ -750,7 +750,6 @@ std::set<unsigned> referenceLines(const ServiceRequest &R) {
 ExecConfig lazyConfig() {
   ExecConfig Cfg;
   Cfg.DefaultBudget = bigBudget();
-  Cfg.Ladder.BackoffMs = 0;
   return Cfg;
 }
 

@@ -29,6 +29,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 using namespace jslice;
 
 namespace {
@@ -256,8 +259,9 @@ TEST(LadderTest, StepWindowServesDegradedUnderTheBudgetThatRefusedFig7) {
   // The window that makes degradation real: measure both tiers' whole-
   // pipeline step cost on a goto-dense program, then hand the ladder a
   // budget between them. Figure 7 must trip, and Lyle must serve under
-  // that same budget (rungs get a fresh full step budget — a shrunken
-  // one could never fit, since analysis dominates both tiers' cost).
+  // that same budget. The budget covers the whole analysis, so Figure 7
+  // trips in its traversal and the Lyle rung resumes a finished
+  // analysis, paying only for its own slice under a fresh guard.
   std::string Source = gotoMesh(60);
   Criterion Crit(122, {"s"});
 
@@ -280,6 +284,101 @@ TEST(LadderTest, StepWindowServesDegradedUnderTheBudgetThatRefusedFig7) {
   EXPECT_TRUE(Res.Degraded);
   EXPECT_EQ(Res.Served, SliceAlgorithm::Lyle);
   EXPECT_TRUE(projectionSound(Res, Crit));
+}
+
+//===----------------------------------------------------------------------===//
+// Resumed stages
+//===----------------------------------------------------------------------===//
+
+/// Checkpoints one ladder run passes through, all rungs together.
+uint64_t ladderCheckpoints(const PaperExample &Ex, SliceAlgorithm Algo) {
+  FaultInjection::resetCount();
+  LadderOptions Opts;
+  EXPECT_TRUE(runLadder(Ex.Source, Ex.Crit, Algo, Opts).Ok);
+  return FaultInjection::observedCheckpoints();
+}
+
+TEST(LadderResumeTest, RungZeroTripInAStageBuildsEveryEarlierStageOnce) {
+  // fig1a's rung-0 trips are served by the Figure-13 rung. A trip at
+  // the first checkpoint of stage s charges rung 0 the stages before s
+  // plus that one checkpoint; rung 1 then resumes at s. Across the
+  // ladder that is one clean Figure-13 run plus the tripped
+  // checkpoint; a rung that rebuilt an earlier stage would add that
+  // stage's checkpoints again.
+  const PaperExample &Ex = paperExample("fig1a");
+  const std::vector<std::string> Stages = {
+      "parser.stmt", "cfg.node", "dominators.iterate",
+      "reachingdefs.transfer", "controldep.edge"};
+  uint64_t ServingRun = ladderCheckpoints(Ex, SliceAlgorithm::Conservative);
+  uint64_t Fig7Run = ladderCheckpoints(Ex, SliceAlgorithm::Agrawal);
+
+  // The ordinal of each site's first checkpoint on a Figure-7 rung 0.
+  std::map<std::string, uint64_t> FirstOrdinal;
+  for (uint64_t K = 1; K <= Fig7Run && FirstOrdinal.size() < Stages.size();
+       ++K) {
+    FaultInjection::ScopedArm Arm(K);
+    LadderOptions Opts;
+    runLadder(Ex.Source, Ex.Crit, SliceAlgorithm::Agrawal, Opts);
+    std::string Site = FaultInjection::trippedSite();
+    if (std::find(Stages.begin(), Stages.end(), Site) != Stages.end())
+      FirstOrdinal.emplace(Site, K);
+  }
+
+  uint64_t Previous = 0;
+  for (const std::string &Stage : Stages) {
+    auto It = FirstOrdinal.find(Stage);
+    ASSERT_NE(It, FirstOrdinal.end()) << Stage << " has no checkpoint";
+    EXPECT_GT(It->second, Previous) << Stage << " out of pipeline order";
+    Previous = It->second;
+
+    FaultInjection::ScopedArm Arm(It->second);
+    LadderOptions Opts;
+    LadderResult Res =
+        runLadder(Ex.Source, Ex.Crit, SliceAlgorithm::Agrawal, Opts);
+    EXPECT_EQ(FaultInjection::trippedSite(), Stage);
+    ASSERT_TRUE(Res.Ok) << Stage << ": " << Res.Diags.str();
+    EXPECT_EQ(Res.Served, SliceAlgorithm::Conservative) << Stage;
+    ASSERT_EQ(Res.Attempts.size(), 2u) << Stage;
+    EXPECT_NE(Res.Attempts[0].Trip.find(Stage), std::string::npos);
+    EXPECT_EQ(FaultInjection::observedCheckpoints(), ServingRun + 1)
+        << "a rung rebuilt a stage before " << Stage;
+    EXPECT_TRUE(projectionSound(Res, Ex.Crit)) << Stage;
+  }
+}
+
+TEST(LadderResumeTest, SlicerTripLeavesTheServingRungOnlyItsSlice) {
+  // A rung-0 trip in the Figure-7 traversal leaves a finished analysis:
+  // the serving rung's guard charges the Figure-13 slice and nothing
+  // else — no parser.stmt, cfg.node, dominators.iterate,
+  // reachingdefs.transfer or controldep.* checkpoint.
+  const PaperExample &Ex = paperExample("fig1a");
+  ErrorOr<Analysis> Built = Analysis::fromSource(Ex.Source);
+  ASSERT_TRUE(Built.hasValue());
+  uint64_t AnalysisSteps = Built->guard().steps();
+  ASSERT_TRUE(computeSlice(*Built, Ex.Crit, SliceAlgorithm::Conservative)
+                  .hasValue());
+  uint64_t SliceSteps = Built->guard().steps() - AnalysisSteps;
+
+  // Every checkpoint past the analysis belongs to rung 0's slice; find
+  // its first traversal checkpoint.
+  uint64_t Fig7Run = ladderCheckpoints(Ex, SliceAlgorithm::Agrawal);
+  for (uint64_t K = AnalysisSteps + 1; K <= Fig7Run; ++K) {
+    FaultInjection::ScopedArm Arm(K);
+    LadderOptions Opts;
+    LadderResult Res =
+        runLadder(Ex.Source, Ex.Crit, SliceAlgorithm::Agrawal, Opts);
+    if (std::string(FaultInjection::trippedSite()) != "slicer.traversal")
+      continue;
+    ASSERT_TRUE(Res.Ok) << Res.Diags.str();
+    EXPECT_TRUE(Res.Degraded);
+    EXPECT_EQ(Res.Served, SliceAlgorithm::Conservative);
+    EXPECT_NE(Res.Attempts[0].Trip.find("slicer.traversal"),
+              std::string::npos);
+    EXPECT_EQ(Res.A->guard().steps(), SliceSteps);
+    EXPECT_TRUE(projectionSound(Res, Ex.Crit));
+    return;
+  }
+  FAIL() << "rung 0 never reached slicer.traversal";
 }
 
 //===----------------------------------------------------------------------===//

@@ -17,9 +17,8 @@
 ///
 ///   jslice_serve [--input FILE] [--listen HOST:PORT] [--journal FILE]
 ///                [--quarantine DIR] [--threads N] [--budget-ms N]
-///                [--max-steps N] [--poll-stride N] [--scale-percent N]
-///                [--backoff-ms N] [--no-degrade] [--isolate MODE]
-///                [--workers N] [--max-queue-depth N]
+///                [--max-steps N] [--poll-stride N] [--no-degrade]
+///                [--isolate MODE] [--workers N] [--max-queue-depth N]
 ///                [--queue-deadline-ms N] [--max-rss-mb N]
 ///                [--journal-rotate-bytes N] [--max-line-bytes N]
 ///                [--max-conns N] [--idle-timeout-ms N]
@@ -125,9 +124,6 @@
 ///   --poll-stride N   guard checkpoints between deadline polls
 ///                     (default 16 — tighter than the library's 256,
 ///                     because an overshot deadline stalls a worker)
-///   --scale-percent N per-rung ladder budget scale (default 50)
-///   --backoff-ms N    sleep before each ladder retry, doubling per
-///                     rung, capped at 100ms (default 0)
 ///   --no-degrade      disable the ladder: serve the requested
 ///                     algorithm or refuse
 ///   --isolate MODE    `thread` (default) or `process`: run requests in
@@ -224,11 +220,9 @@ int usage() {
                "[--journal FILE]\n"
                "                    [--quarantine DIR] [--threads N] "
                "[--budget-ms N] [--max-steps N]\n"
-               "                    [--poll-stride N] [--scale-percent N] "
-               "[--backoff-ms N]\n"
-               "                    [--no-degrade] [--isolate thread|process] "
-               "[--workers N]\n"
-               "                    [--max-queue-depth N] "
+               "                    [--poll-stride N] [--no-degrade] "
+               "[--isolate thread|process]\n"
+               "                    [--workers N] [--max-queue-depth N] "
                "[--queue-deadline-ms N]\n"
                "                    [--max-rss-mb N] "
                "[--journal-rotate-bytes N]\n"
@@ -547,8 +541,6 @@ int main(int argc, char **argv) {
   Count("--budget-ms", Opts.DefaultBudget.DeadlineMs);
   Count("--max-steps", Opts.DefaultBudget.MaxSteps);
   Count("--poll-stride", Opts.DefaultBudget.PollStride);
-  Count("--scale-percent", Opts.Ladder.ScalePercent);
-  Count("--backoff-ms", Opts.Ladder.BackoffMs);
   Count("--workers", Opts.Super.Workers);
   Count("--max-queue-depth", Opts.MaxQueueDepth);
   Count("--queue-deadline-ms", Opts.QueueDeadlineMs);

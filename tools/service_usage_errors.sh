@@ -40,8 +40,7 @@ conflict)
 range)
   for ARGS in "--threads 4294967296" "--shards 4294967297" \
       "--workers 4294967296" "--max-conns 4294967296" \
-      "--cache-entries 4294967296" "--scale-percent 4294967346" \
-      "--backoff-ms 4294967296" "--send-buffer-bytes 2147483648" \
+      "--cache-entries 4294967296" "--send-buffer-bytes 2147483648" \
       "--threads 18446744073709551616"; do
     # shellcheck disable=SC2086
     "$SERVE" $ARGS < /dev/null > /dev/null 2>&1
